@@ -4,7 +4,7 @@ Three executions of the same 8-cell ERP grid, each run twice:
 
 * **cold** — a fresh ``multiprocessing.Pool`` per sweep (the pre-warm
   executor behavior): every sweep pays worker spawn plus the
-  numpy/scipy/simulator import bill;
+  numpy/simulator import bill;
 * **warm** — the persistent :class:`repro.experiments.pool.WarmPool`:
   the second sweep reuses live workers and pays neither;
 * **warm + store** — the warm pool plus a content-addressed

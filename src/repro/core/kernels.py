@@ -30,8 +30,8 @@ Knobs (mirroring the incremental-energy pattern of
 stop/depot (origin) distance rows for one position array, so greedy,
 insertion, partition, the nearest-neighbour tour and 2-opt measure each
 leg once per scheduling event instead of once per use.
-:func:`distance_cache_for` adds an identity-keyed registry (the
-``kdtree_for`` pattern) so repeated planning over the *same* array —
+:func:`distance_cache_for` adds an identity-keyed registry (weakref
+guarded, LRU bounded) so repeated planning over the *same* array —
 the insertion trimming loop re-touring the same cluster members, the
 greedy round chaining picks over one snapshot — shares one cache.
 """
@@ -113,7 +113,7 @@ class DistanceCache:
     """Memoized distance geometry over one ``(n, 2)`` stop array.
 
     The array is treated as immutable after construction (the repo-wide
-    position contract; see :func:`repro.geometry.points.kdtree_for`).
+    position contract; see :func:`distance_cache_for`).
     Everything is measured with ``np.hypot``, the library-wide metric,
     so a cached entry is bit-identical to a direct measurement.
     """

@@ -1,7 +1,7 @@
 """Persistent warm worker pool for sweep fan-out.
 
 The cold executor path builds a fresh ``multiprocessing.Pool`` per
-``map_configs`` call: every sweep pays interpreter start, numpy/scipy
+``map_configs`` call: every sweep pays interpreter start, numpy
 imports and simulator warm-up in each worker, then throws that state
 away.  :class:`WarmPool` keeps a fixed set of worker processes alive
 across calls, so repeated sweeps — the ERP grids behind every figure,
@@ -9,8 +9,8 @@ and the thousands of rollouts a learned charging policy needs — pay
 those costs once per worker instead of once per sweep:
 
 * **warm reuse** — workers survive between ``run`` / ``run_iter``
-  calls; module-level caches (the scheduler ``DistanceCache``, kd-tree
-  identity caches, compiled regexes, ...) stay hot;
+  calls; module-level caches (the scheduler ``DistanceCache``, the
+  Dijkstra weight-validation cache, compiled regexes, ...) stay hot;
 * **health** — the parent dispatches tasks over a dedicated duplex
   pipe per worker (one task outstanding each), so it always knows
   which task a worker holds: a worker that dies mid-task is detected
@@ -263,12 +263,13 @@ def _worker_main(worker_id: int, conn, use_shm: bool, stream: bool = False) -> N
     """Warm worker loop: serve ``(gen, task_id, kind, payload)`` tasks
     from the parent's pipe until EOF or the ``None`` sentinel arrives.
 
-    The heavy imports are hoisted to the top of the loop so each worker
-    pays interpreter/import warm-up exactly once, whatever the start
-    method; module-level caches accumulate across tasks.  The pipe is
-    private to this worker — a crash here can never strand a lock a
-    sibling needs, and ``conn.send`` writes synchronously, so a result
-    the parent sees is a result that really completed.
+    The simulator import graph (numpy and ``repro``, nothing else) is
+    loaded before the loop so each worker pays interpreter/import
+    warm-up exactly once, whatever the start method; module-level
+    caches accumulate across tasks.  The pipe is private to this
+    worker — a crash here can never strand a lock a sibling needs, and
+    ``conn.send`` writes synchronously, so a result the parent sees is
+    a result that really completed.
 
     With ``stream`` on (the pool has a MetricsBus attached), each reply
     carries a per-task instrument snapshot delta as its final element —
@@ -276,12 +277,6 @@ def _worker_main(worker_id: int, conn, use_shm: bool, stream: bool = False) -> N
     never touch the task payload or result, so simulation output is
     byte-identical either way.
     """
-    import numpy  # noqa: F401  (warm the import once per worker)
-
-    try:
-        import scipy  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is a hard dep in practice
-        pass
     from ..sim import runner  # noqa: F401  (warm the simulator import graph)
 
     if stream:

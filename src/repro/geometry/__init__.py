@@ -6,7 +6,6 @@ from .points import (
     as_points,
     distance,
     distances_from,
-    kdtree_for,
     nearest_index,
     neighbors_within,
     pairs_within,
@@ -23,7 +22,6 @@ __all__ = [
     "distance",
     "distances_from",
     "hexagon_covering_bound",
-    "kdtree_for",
     "minimum_sensors_eq1",
     "nearest_index",
     "neighbors_within",

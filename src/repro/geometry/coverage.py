@@ -40,8 +40,9 @@ def detectors_of_targets(sensors: np.ndarray, targets: np.ndarray, sensing_range
     """For every target, the sorted indices of sensors that detect it.
 
     The per-target candidate sets :math:`P(i)` of Algorithm 1, phase 1.
-    Uses a k-d tree so rebuilding candidate sets at every target
-    relocation stays cheap.
+    A cell-list radius search (:func:`~repro.geometry.points.neighbors_within`)
+    scans only the grid cells around each target, so rebuilding
+    candidate sets at every target relocation stays cheap.
     """
     return neighbors_within(targets, sensors, sensing_range)
 

@@ -4,17 +4,16 @@ All positions in this library are ``float64`` arrays of shape ``(n, 2)``
 holding ``(x, y)`` coordinates in meters.  These helpers are the single
 place where distance math lives so that every consumer (routing, the
 schedulers, the simulator) agrees on the metric and benefits from the
-same vectorization.
+same vectorization.  The radius queries (:func:`pairs_within`,
+:func:`neighbors_within`) are a numpy cell-list search, so the module
+needs nothing beyond numpy.
 """
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "as_points",
@@ -23,7 +22,6 @@ __all__ = [
     "pairwise_distances",
     "pairs_within",
     "neighbors_within",
-    "kdtree_for",
     "path_length",
     "nearest_index",
 ]
@@ -83,86 +81,126 @@ def pairwise_distances(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndar
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-# k-d trees keyed on the identity of the (already canonical) position
-# array.  Consumers in this codebase treat position arrays as immutable
-# — relocation rebinds a fresh array rather than writing in place — so
-# the same array object always describes the same point set.  The LRU
-# cap bounds memory (the tree itself references the data, keeping the
-# array alive while cached); the weakref identity check guards against
-# id() reuse after an eviction, so a stale address can never hit.
-_TREE_CACHE: "OrderedDict[int, Tuple[weakref.ref, cKDTree]]" = OrderedDict()
-_TREE_CACHE_MAX = 64
+# Cell-list neighbour search.  Points are bucketed on a square grid
+# whose side is a hair wider than the radius, so every pair within the
+# radius lies in the same or an adjacent cell even after rounding in the
+# cell index; the side is also at least 2**-20 of the point spread, so
+# cell keys stay far inside int64 however small the radius.  Query cells
+# are clamped to one cell outside the occupied grid, and each key column
+# keeps empty rows above and below it, so a stencil step off the edge
+# lands on a key no point holds instead of aliasing into the next column.
+_CELL_PAD = 1.0 + 2.0**-20
+_MAX_CELLS_PER_AXIS = 2.0**20
 
 
-def kdtree_for(pts: np.ndarray) -> cKDTree:
-    """A :class:`cKDTree` over ``pts``, cached on array identity.
+def _bucket(pts: np.ndarray, radius: float):
+    """Sort ``pts`` (non-empty) into cells of side >= ``radius``.
 
-    Passing the *same array object* again returns the same tree without
-    rebuilding it — coverage, clustering and topology construction all
-    query the identical sensor-position array many times per run.  The
-    caller must not mutate ``pts`` in place after the first call (no
-    consumer in this library does; positions are rebound, not edited).
-    Arrays that fail :func:`as_points` canonicalization are still
-    handled, but each call builds a fresh tree for the canonical copy.
+    Returns ``(order, keys, height, cell_of)``: ``order`` sorts the
+    points by cell key, ``keys`` are those sorted keys, ``height`` is the
+    key step of one column, and ``cell_of(q)`` maps query points to the
+    keys of their cells.
     """
-    pts = as_points(pts)
-    key = id(pts)
-    hit = _TREE_CACHE.get(key)
-    if hit is not None and hit[0]() is pts:
-        _TREE_CACHE.move_to_end(key)
-        return hit[1]
-    tree = cKDTree(pts)
+    origin = pts.min(axis=0)
+    extent = pts.max(axis=0) - origin
+    cell = max(radius * _CELL_PAD, float(extent.max()) / _MAX_CELLS_PER_AXIS)
+    if not cell > 0.0:
+        cell = 1.0
+    top = np.floor(extent / cell)
+    height = int(top[1]) + 4
+    base = 2 * height + 2
 
-    # The cache dict is bound as a default argument: at interpreter
-    # shutdown module globals are cleared before the last weakref
-    # callbacks fire, so a global lookup here would hit ``None``.
-    def _evict(
-        _ref: weakref.ref, _key: int = key, _cache: OrderedDict = _TREE_CACHE
-    ) -> None:
-        _cache.pop(_key, None)
+    def cell_of(q: np.ndarray) -> np.ndarray:
+        c = np.clip(np.floor((q - origin) / cell), -1.0, top + 1.0).astype(np.int64)
+        return c[:, 0] * height + c[:, 1] + base
 
-    _TREE_CACHE[key] = (weakref.ref(pts, _evict), tree)
-    _TREE_CACHE.move_to_end(key)
-    while len(_TREE_CACHE) > _TREE_CACHE_MAX:
-        _TREE_CACHE.popitem(last=False)
-    return tree
+    ij = np.floor((pts - origin) / cell).astype(np.int64)
+    keys = ij[:, 0] * height + ij[:, 1] + base
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order], height, cell_of
+
+
+def _expand(queries: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Flatten the ranges ``lo[k]:hi[k]`` into ``(query, position)`` pairs."""
+    counts = hi - lo
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    positions = np.arange(total, dtype=np.intp) + np.repeat(lo - starts, counts)
+    return np.repeat(queries, counts), positions
+
+
+def _within(ax, ay, bx, by, radius: float) -> np.ndarray:
+    """Mask of ``|(ax, ay) - (bx, by)| <= radius`` on squared lengths."""
+    dx = ax - bx
+    dy = ay - by
+    return dx * dx + dy * dy <= radius * radius
 
 
 def pairs_within(pts: np.ndarray, radius: float) -> np.ndarray:
     """All index pairs ``(i, j), i < j`` with ``dist <= radius``.
 
-    Backed by a cached k-d tree (:func:`kdtree_for`), so building a
-    unit-disk communication graph is ``O(n log n + k)`` instead of the
-    naive ``O(n^2)`` and repeated queries over the same point array skip
-    the tree build entirely.  Returns an ``(k, 2)`` int array (possibly
-    empty).
+    A cell-list search: each point is compared only with the points of
+    its own cell and of a half-stencil of four neighbouring cells, so
+    building a unit-disk communication graph costs ``O(n log n + k)``
+    for ``k`` candidate pairs instead of the naive ``O(n^2)``.  Returns
+    an ``(k, 2)`` int array (possibly empty) in lexicographic order.
     """
     pts = as_points(pts)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         return np.empty((0, 2), dtype=np.intp)
-    tree = kdtree_for(pts)
-    pairs = tree.query_pairs(r=radius, output_type="ndarray")
-    return pairs.astype(np.intp, copy=False)
+    order, keys, height, _ = _bucket(pts, radius)
+    pos = np.arange(n, dtype=np.intp)
+    # Same cell: the later points of the run; then the cells at
+    # (0, +1), (+1, -1), (+1, 0), (+1, +1) — each unordered pair once.
+    steps = np.array([1, height - 1, height, height + 1], dtype=np.int64)
+    targets = (keys[None, :] + steps[:, None]).ravel()
+    lo = np.concatenate([pos + 1, np.searchsorted(keys, targets, "left")])
+    hi = np.concatenate(
+        [np.searchsorted(keys, keys, "right"), np.searchsorted(keys, targets, "right")]
+    )
+    a, b = _expand(np.tile(pos, 5), lo, hi)
+    xs, ys = pts[order, 0], pts[order, 1]
+    keep = _within(xs[a], ys[a], xs[b], ys[b], radius)
+    a, b = order[a[keep]], order[b[keep]]
+    # One sort of ``i * n + j`` puts the pairs in lexicographic order.
+    code = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    code.sort()
+    i = code // n
+    return np.stack([i, code - i * n], axis=1).astype(np.intp, copy=False)
 
 
 def neighbors_within(centers: np.ndarray, pts: np.ndarray, radius: float) -> list:
     """For each center, the indices of ``pts`` within ``radius``.
 
     Returns a list (one entry per center) of sorted int arrays.  This is
-    the primitive behind "which sensors can detect target t".  The k-d
-    tree over ``pts`` comes from the identity cache (:func:`kdtree_for`).
+    the primitive behind "which sensors can detect target t": the same
+    cell-list search as :func:`pairs_within`, scanning the full 3x3
+    stencil of cells around each center.
     """
     centers = as_points(centers)
     pts = as_points(pts)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if len(pts) == 0:
-        return [np.empty(0, dtype=np.intp) for _ in range(len(centers))]
-    tree = kdtree_for(pts)
-    hits = tree.query_ball_point(centers, r=radius)
-    return [np.asarray(sorted(h), dtype=np.intp) for h in hits]
+    m, n = len(centers), len(pts)
+    if n == 0 or m == 0:
+        return [np.empty(0, dtype=np.intp) for _ in range(m)]
+    order, keys, height, cell_of = _bucket(pts, radius)
+    steps = np.array(
+        [dx * height + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64
+    )
+    targets = (cell_of(centers)[None, :] + steps[:, None]).ravel()
+    lo = np.searchsorted(keys, targets, "left")
+    hi = np.searchsorted(keys, targets, "right")
+    c, p = _expand(np.tile(np.arange(m, dtype=np.intp), len(steps)), lo, hi)
+    p = order[p]
+    keep = _within(centers[c, 0], centers[c, 1], pts[p, 0], pts[p, 1], radius)
+    code = c[keep].astype(np.int64) * n + p[keep]
+    code.sort()
+    counts = np.bincount(code // n, minlength=m)
+    return np.split((code % n).astype(np.intp, copy=False), np.cumsum(counts)[:-1])
 
 
 def path_length(pts: np.ndarray) -> float:

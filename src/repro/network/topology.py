@@ -9,17 +9,20 @@ The adjacency is stored in CSR form (``indptr``/``indices``/``weights``)
 — compact, cache-friendly, and exactly what the from-scratch Dijkstra
 in :mod:`repro.network.dijkstra` consumes.  A :mod:`networkx` view is
 available for interoperability and for cross-validating the routing
-code in the test suite.
+code in the test suite; networkx is imported only when that view is
+built, so simulation runs never load it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..geometry.points import as_points, pairs_within
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology"]
 
@@ -113,6 +116,8 @@ class Topology:
 
     def to_networkx(self) -> nx.Graph:
         """A :class:`networkx.Graph` view with ``weight`` edge attributes."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(len(self.points)))
         for u in range(len(self.points)):

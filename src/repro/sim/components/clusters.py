@@ -56,16 +56,8 @@ class ClusterManager:
         det = detection_matrix(s.sensor_pos, s.targets.positions, s.cfg.sensing_range_m)
         s.coverable = det.any(axis=0)
         alive_idx = np.flatnonzero(s.bank.alive_mask())
-        # Pass the long-lived position array itself when nobody has died:
-        # downstream geometry (detection matrices, k-d trees) caches on
-        # array identity, and a fancy-indexed copy would defeat that on
-        # every relocation epoch.
-        if alive_idx.size == s.cfg.n_sensors:
-            alive_pos = s.sensor_pos
-        else:
-            alive_pos = s.sensor_pos[alive_idx]
         local = self._cluster_fn(
-            alive_pos, s.targets.positions, s.cfg.sensing_range_m
+            s.sensor_pos[alive_idx], s.targets.positions, s.cfg.sensing_range_m
         )
         clusters = [
             Cluster(c.cluster_id, alive_idx[c.members]) if c.size else Cluster(c.cluster_id, c.members)

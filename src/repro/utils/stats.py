@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["mean_std", "t_confidence_interval", "summarize_runs"]
 
@@ -35,7 +34,9 @@ def t_confidence_interval(
     """Two-sided Student-t confidence interval for the mean.
 
     Returns ``(low, high)``; degenerate (point) interval for a single
-    observation.
+    observation.  :mod:`scipy.stats` is imported here, on first use, so
+    importing this module (and everything that imports it) does not
+    pay scipy's import cost.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
@@ -48,6 +49,8 @@ def t_confidence_interval(
     sem = float(arr.std(ddof=1)) / np.sqrt(arr.size)
     if sem == 0.0:
         return m, m
+    from scipy import stats as sps
+
     half = float(sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1)) * sem
     return m - half, m + half
 

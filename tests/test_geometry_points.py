@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from repro.geometry.points import (
     as_points,
@@ -165,52 +168,105 @@ class TestNearestIndex:
             nearest_index([0, 0], np.empty((0, 2)))
 
 
-class TestKdtreeCache:
-    def test_same_array_returns_same_tree(self):
-        from repro.geometry.points import kdtree_for
+def _tree_pairs(pts, radius):
+    """``cKDTree.query_pairs`` in lexicographic order (test-only oracle)."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    if len(pts) < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    p = cKDTree(pts).query_pairs(r=radius, output_type="ndarray")
+    return p[np.lexsort((p[:, 1], p[:, 0]))]
 
-        pts = np.random.default_rng(0).uniform(0, 10, size=(20, 2))
-        assert kdtree_for(pts) is kdtree_for(pts)
 
-    def test_distinct_arrays_get_distinct_trees(self):
-        from repro.geometry.points import kdtree_for
+def _tree_neighbors(centers, pts, radius):
+    """``cKDTree.query_ball_point`` with sorted hit lists (oracle)."""
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    if len(pts) == 0:
+        return [[] for _ in centers]
+    if len(centers) == 0:
+        return []
+    return [sorted(h) for h in cKDTree(pts).query_ball_point(centers, r=radius)]
 
-        pts = np.random.default_rng(0).uniform(0, 10, size=(20, 2))
-        assert kdtree_for(pts) is not kdtree_for(pts.copy())
 
-    def test_queries_match_fresh_tree(self):
-        from scipy.spatial import cKDTree
+def _assert_matches_tree(pts, radius, centers):
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    got = pairs_within(pts, radius)
+    want = _tree_pairs(pts, radius)
+    assert got.dtype == np.intp and got.shape == want.shape
+    assert np.array_equal(got, want)  # same set, lexicographic order
+    assert np.all(got[:, 0] < got[:, 1])
+    hits = neighbors_within(centers, pts, radius)
+    assert [h.tolist() for h in hits] == _tree_neighbors(centers, pts, radius)
 
-        from repro.geometry.points import kdtree_for, pairs_within
 
-        pts = np.random.default_rng(1).uniform(0, 10, size=(30, 2))
-        cached = kdtree_for(pts)
-        fresh = cKDTree(pts)
-        got = cached.query_pairs(r=3.0, output_type="ndarray")
-        want = fresh.query_pairs(r=3.0, output_type="ndarray")
-        assert np.array_equal(np.sort(got, axis=0), np.sort(want, axis=0))
-        # The public helpers route through the cache and stay correct
-        # on repeated calls over the same array.
-        assert np.array_equal(pairs_within(pts, 3.0), pairs_within(pts, 3.0))
+coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+point_lists = st.lists(st.tuples(coords, coords), min_size=0, max_size=60)
+radii = st.one_of(st.just(0.0), st.floats(0.0, 30.0, allow_nan=False))
+lattice = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=0, max_size=60
+)
 
-    def test_stale_identity_never_hits(self):
-        # The entry's weakref must point at the exact array object; an
-        # id() collision with a dead array can never return its tree.
-        from repro.geometry import points as points_mod
 
-        pts = np.random.default_rng(2).uniform(0, 10, size=(10, 2))
-        tree = points_mod.kdtree_for(pts)
-        key = id(pts)
-        ref, cached = points_mod._TREE_CACHE[key]
-        assert cached is tree and ref() is pts
+class TestCellListMatchesKdtree:
+    """The cell-list radius search agrees with ``scipy``'s k-d tree."""
 
-    def test_lru_bound(self):
-        from repro.geometry import points as points_mod
+    @given(point_lists, radii, point_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_random_points(self, pts, radius, centers):
+        _assert_matches_tree(pts, radius, centers)
 
-        keep = [
-            np.random.default_rng(i).uniform(0, 10, size=(4, 2))
-            for i in range(points_mod._TREE_CACHE_MAX + 5)
-        ]
-        for arr in keep:
-            points_mod.kdtree_for(arr)
-        assert len(points_mod._TREE_CACHE) <= points_mod._TREE_CACHE_MAX
+    @given(point_lists, st.lists(st.integers(0, 59), max_size=60), radii)
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_points(self, base, picks, radius):
+        base = base or [(0.0, 0.0)]
+        pts = [base[k % len(base)] for k in picks]
+        _assert_matches_tree(pts, radius, base)
+
+    @given(lattice, st.sampled_from([0.0, 1.0, 5.0, 10.0]), lattice)
+    @settings(max_examples=100, deadline=None)
+    def test_integer_points_at_exact_radius(self, pts, radius, centers):
+        # On an integer lattice many pairs sit exactly at 5 (3-4-5) or
+        # 10 (6-8-10): the ``dist <= radius`` boundary is exercised.
+        _assert_matches_tree(pts, radius, centers)
+
+    def test_three_four_five_boundary(self):
+        pts = np.array([[0, 0], [3, 4], [6, 8], [-3, 4]], dtype=float)
+        _assert_matches_tree(pts, 5.0, pts)
+        assert pairs_within(pts, 5.0).tolist() == [[0, 1], [0, 3], [1, 2]]
+        assert neighbors_within([[0.0, 0.0]], pts, 5.0)[0].tolist() == [0, 1, 3]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 100.0])
+    def test_tiny_inputs(self, n, radius):
+        pts = np.random.default_rng(n).uniform(0, 2, size=(n, 2))
+        _assert_matches_tree(pts, radius, pts)
+        _assert_matches_tree(pts, radius, np.empty((0, 2)))
+
+    def test_radius_zero_pairs_only_coincident(self):
+        pts = np.array([[1, 1], [0, 0], [1, 1], [2, 2], [1, 1]], dtype=float)
+        assert pairs_within(pts, 0.0).tolist() == [[0, 2], [0, 4], [2, 4]]
+        _assert_matches_tree(pts, 0.0, pts)
+
+    @given(st.integers(2, 300), st.floats(0.5, 3.0), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_dense_cluster(self, n, radius, seed):
+        # Every point falls in one or two cells: long same-cell runs.
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, radius, size=(n, 2))
+        centers = rng.uniform(-radius, 2 * radius, size=(8, 2))
+        _assert_matches_tree(pts, radius, centers)
+
+    def test_tiny_radius_over_wide_spread(self):
+        # The cell side is floored at a fraction of the spread, so keys
+        # stay inside int64 even when the radius is minute.
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-1e9, 1e9, size=(200, 2))
+        pts[50] = pts[7]
+        _assert_matches_tree(pts, 1e-12, pts[:20])
+        assert pairs_within(pts, 1e-12).tolist() == [[7, 50]]
+
+    def test_centers_far_outside_the_points(self):
+        pts = np.random.default_rng(4).uniform(0, 10, size=(50, 2))
+        centers = np.array([[-1e6, 5.0], [5.0, 1e6], [1e6, -1e6], [5.0, 5.0]])
+        _assert_matches_tree(pts, 4.0, centers)
