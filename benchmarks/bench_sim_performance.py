@@ -9,14 +9,10 @@ changes that regress the engine show up in benchmark history:
 * a full small simulation end to end;
 * the telemetry layer's overhead — a run with the flight recorder
   disabled must stay within noise of the benchmark's own history
-  (the span/monitor touch points are supposed to be free when off);
-* the SoA tick engine's sensor-count scaling curve (``REPRO_SOA=1``
-  vs the object-walking reference), appended to BENCH history so the
-  speedup is measured, not asserted.
+  (the span/monitor touch points are supposed to be free when off).
 """
 
 import json
-import os
 import pathlib
 import time
 
@@ -51,31 +47,9 @@ def bench_energy_advance(benchmark):
 
 
 def bench_rate_recompute(benchmark):
-    # Forces the full pass: with the incremental path on (the default),
-    # repeated recomputes over unchanged state would collapse to a
-    # diff-only no-op and this guard would silently stop measuring the
-    # relay-accounting rebuild it exists to pin.
     cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
     world = World(cfg)
-    benchmark(lambda: world.energy.recompute(force_full=True))
-    assert world._rates.sum() > 0
-
-
-def bench_rate_recompute_incremental(benchmark):
-    # The steady-state hot path: one activation rotation dirties a few
-    # sensors per cluster, then the incremental recompute re-prices just
-    # those.  Rotation runs in setup so only the recompute is timed.
-    cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
-    world = World(cfg)
-    energy = world.energy
-    if not energy.incremental_enabled:
-        pytest.skip("incremental recompute disabled (REPRO_INCREMENTAL=0)")
-
-    def rotate(**_kwargs):
-        energy.apply_handoffs(world.clusters.rotate())
-        return (), {}
-
-    benchmark.pedantic(energy.recompute, setup=rotate, rounds=50, iterations=1)
+    benchmark(world.energy.recompute)
     assert world._rates.sum() > 0
 
 
@@ -310,105 +284,3 @@ def _prior_null_timings():
         return []
     return [row["t_null_s"] for row in history
             if isinstance(row.get("t_null_s"), (int, float))]
-
-
-#: Sensor populations per experiment scale for the SoA scaling curve.
-_SOA_SCALING_COUNTS = {
-    "smoke": [100, 1000],
-    "bench": [100, 1000, 10000],
-    "paper": [100, 1000, 10000, 50000],
-}
-
-#: Ticks timed per (population, engine) cell.
-_SOA_TICKS = 60
-
-
-def _soa_scaling_config(n_sensors: int) -> SimulationConfig:
-    """A tick-only workload at constant sensor density.
-
-    Dispatch and relocation periods sit beyond the measured horizon, so
-    the only events firing are ticks — the loop the SoA engine
-    vectorizes (battery advance, rotation, rate recompute, ERC gate).
-    The field side grows as ``sqrt(n)`` to keep per-area density (and
-    hence cluster sizes and relay depth) comparable across populations.
-    """
-    horizon = (_SOA_TICKS + 1) * 60.0
-    return SimulationConfig(
-        n_sensors=n_sensors,
-        n_targets=max(4, n_sensors // 25),
-        n_rvs=2,
-        side_length_m=80.0 * (n_sensors / 50.0) ** 0.5,
-        # ~10 expected neighbors per disk: comfortably above the
-        # percolation threshold, so the multi-hop tree stays connected
-        # (and relay repricing stays a real workload) at every n.
-        comm_range_m=20.0,
-        sensing_range_m=10.0,
-        sim_time_s=horizon,
-        tick_s=60.0,
-        dispatch_period_s=10 * horizon,
-        target_period_s=10 * horizon,
-        battery_capacity_j=8100.0,
-        initial_charge_range=(0.55, 0.9),
-        seed=11,
-    )
-
-
-def _soa_tick_loop_time(n_sensors: int, soa: str, rounds: int = 2) -> float:
-    """Best-of-``rounds`` wall seconds for ``_SOA_TICKS`` ticks.
-
-    World construction (deployment, topology, routing) happens off the
-    clock — only the event loop over the ticks is timed.
-    """
-    old = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = soa
-    best = float("inf")
-    try:
-        for _ in range(rounds):
-            cfg = _soa_scaling_config(n_sensors)
-            world = World(cfg)
-            world.sim.run_until(60.0)  # warm-up tick off the clock
-            t0 = time.perf_counter()
-            world.sim.run_until(cfg.sim_time_s)
-            best = min(best, time.perf_counter() - t0)
-        return best
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = old
-
-
-def bench_soa_scaling():
-    """Sensor-count scaling of the tick loop: SoA vs reference engine.
-
-    Records ``t_ref_<n>_s`` / ``t_soa_<n>_s`` / ``speedup_<n>x`` per
-    population in BENCH history, and asserts the SoA engine actually
-    wins at every measured population of 1k sensors or more (the
-    perf-smoke gate CI runs under ``REPRO_SCALE=smoke``).
-    """
-    scale = os.environ.get("REPRO_SCALE", "bench")
-    counts = _SOA_SCALING_COUNTS.get(scale, _SOA_SCALING_COUNTS["bench"])
-    rows, extra = [], {}
-    for n in counts:
-        t_ref = _soa_tick_loop_time(n, "0")
-        t_soa = _soa_tick_loop_time(n, "1")
-        speedup = t_ref / t_soa if t_soa > 0 else float("inf")
-        rows.append([n, round(t_ref, 4), round(t_soa, 4), round(speedup, 2)])
-        extra[f"t_ref_{n}_s"] = t_ref
-        extra[f"t_soa_{n}_s"] = t_soa
-        extra[f"speedup_{n}x"] = speedup
-    table = format_table(
-        ["sensors", "reference s", "SoA s", "speedup x"],
-        rows,
-        title=f"SoA tick-engine scaling ({_SOA_TICKS} ticks, scale={scale})",
-    )
-    emit("soa_scaling", table, extra=extra)
-    slow = {
-        n: extra[f"speedup_{n}x"]
-        for n in counts
-        if n >= 1000 and extra[f"speedup_{n}x"] <= 1.0
-    }
-    assert not slow, (
-        f"SoA tick engine did not beat the reference at {slow} "
-        f"(speedup <= 1x at >= 1k sensors)"
-    )

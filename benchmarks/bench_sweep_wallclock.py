@@ -1,17 +1,10 @@
-"""Wall-clock benchmarks for the two perf layers (not a paper figure).
+"""Wall-clock benchmark for the process-pool layer (not a paper figure).
 
-Two A/B measurements, each asserting the fast path changes *nothing*
-about the results:
-
-* ``bench_sweep_wallclock`` — the ERP sweep serial (``jobs=1``) vs
-  fanned out over the process-pool cell executor.  The parallel result
-  must serialize byte-identically to the serial one; the measured
-  speedup, worker count and CPU count land in
-  ``BENCH_sweep_wallclock.json``.
-* ``bench_incremental_recompute_speedup`` — one experiment cell with
-  the incremental rate recomputation disabled (``REPRO_INCREMENTAL=0``)
-  vs enabled.  Summaries must match exactly; the whole-run speedup is
-  recorded in ``BENCH_incremental_recompute.json``.
+``bench_sweep_wallclock`` runs the ERP sweep serial (``jobs=1``) vs
+fanned out over the process-pool cell executor.  The parallel result
+must serialize byte-identically to the serial one; the measured
+speedup, worker count and CPU count land in
+``BENCH_sweep_wallclock.json``.
 
 Speedup *assertions* are deliberately conditional on the host actually
 having cores to parallelize over — a 1-CPU CI runner still verifies
@@ -24,8 +17,6 @@ import time
 
 from repro.experiments import current_scale, run_erp_sweep
 from repro.experiments.executor import default_jobs
-from repro.sim.config import DAY_S, SimulationConfig
-from repro.sim.runner import run_simulation
 from repro.utils.tables import format_table
 
 from _shared import emit
@@ -91,47 +82,3 @@ def bench_sweep_wallclock():
     if cpus >= 4 and jobs >= 4 and n_cells >= 4:
         # On a real multi-core runner the fan-out must actually pay.
         assert speedup >= 1.5, f"parallel sweep speedup only {speedup:.2f}x"
-
-
-def bench_incremental_recompute_speedup():
-    cfg = SimulationConfig.experiment(
-        sim_time_s=current_scale().days * DAY_S, seed=1, scheduler="combined", erp=0.6
-    )
-    prior = os.environ.get("REPRO_INCREMENTAL")
-    try:
-        os.environ["REPRO_INCREMENTAL"] = "0"
-        t0 = time.perf_counter()
-        full = run_simulation(cfg)
-        t_full = time.perf_counter() - t0
-        os.environ["REPRO_INCREMENTAL"] = "1"
-        t0 = time.perf_counter()
-        fast = run_simulation(cfg)
-        t_fast = time.perf_counter() - t0
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_INCREMENTAL", None)
-        else:
-            os.environ["REPRO_INCREMENTAL"] = prior
-    # Exactness contract: the fast path is bit-identical, not "close".
-    assert fast.as_dict() == full.as_dict()
-    speedup = t_full / t_fast if t_fast > 0 else 0.0
-    table = format_table(
-        ["path", "seconds"],
-        [
-            ["full recompute", round(t_full, 3)],
-            ["incremental", round(t_fast, 3)],
-            ["speedup", round(speedup, 2)],
-        ],
-        title=f"Incremental rate recomputation ({current_scale().name} scale)",
-    )
-    emit(
-        "incremental_recompute",
-        table,
-        extra={
-            "full_s": t_full,
-            "incremental_s": t_fast,
-            "speedup": speedup,
-            "identical": True,
-        },
-    )
-    assert speedup > 1.0, f"incremental path slower than full ({speedup:.2f}x)"

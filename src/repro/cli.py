@@ -105,12 +105,6 @@ def _apply_batch(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if getattr(args, "soa", None) is not None:
-        # Publish the engine selection where SimulationState (and the
-        # run manifest's engine provenance) will read it.  Both engines
-        # are bit-exact, so this only changes speed — and which engine
-        # the manifest records.
-        os.environ["REPRO_SOA"] = "1" if args.soa else "0"
     _apply_batch(args)
     cfg = _build_config(args)
     manifest = None
@@ -238,7 +232,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     try:
         bundle = load_bundle(args.bundle)
-        result = replay_bundle(bundle, to_tick=args.to_tick, engine=args.engine)
+        result = replay_bundle(bundle, to_tick=args.to_tick)
     except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
         print(f"replay: {exc}", file=sys.stderr)
         return 2
@@ -518,11 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"registered: {', '.join(EXPORTERS.names())})",
     )
     p_run.add_argument(
-        "--soa", action=argparse.BooleanOptionalAction, default=None,
-        help="select the structure-of-arrays tick engine (--no-soa runs "
-             "the object-walking reference; default: REPRO_SOA, else on)",
-    )
-    p_run.add_argument(
         "--batch", action=argparse.BooleanOptionalAction, default=None,
         help="run through the batched multi-world engine (B=1 here; "
              "bit-identical summary; default: REPRO_BATCH, else off)",
@@ -578,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ignore", action="append", default=[], metavar="GLOB",
         help="drop metrics matching this fnmatch pattern from the "
              "comparison (repeatable); use for metrics that only exist "
-             "on one side by design, e.g. counter.sim.soa.*",
+             "on one side by design, e.g. counter.batch.*",
     )
     p_drift.set_defaults(func=_cmd_drift)
 
@@ -600,12 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument(
         "--to-tick", type=int, default=None, metavar="T",
         help="replay up to record seq T (default: the bundle's last record)",
-    )
-    p_replay.add_argument(
-        "--engine", choices=("soa", "ref"), default=None,
-        help="force the tick engine for the replay (default: the "
-             "session's REPRO_SOA setting); replaying a bundle recorded "
-             "on the other engine doubles as a bit-exactness audit",
     )
     p_replay.set_defaults(func=_cmd_replay)
 

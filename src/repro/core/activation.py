@@ -14,13 +14,14 @@ Both expose the same interface so the simulation world can swap them:
 ``active_sensor_per_cluster`` (who covers each target right now) and
 ``active_mask`` (who burns active-sensing power).
 
-These per-cluster Python loops are the **retained bit-exact
-reference** for the structure-of-arrays twins in
-:mod:`repro.sim.soa` (``SoARoundRobinActivator`` /
-``SoAFullTimeActivator``).  ``REPRO_SOA=0`` runs them directly;
-``REPRO_DEBUG_SOA=1`` runs them in shadow beside the array kernels and
-asserts equality per call.  Changes to the rotation semantics here
-must be mirrored there.
+The simulator runs the structure-of-arrays twins of these classes
+(``SoARoundRobinActivator`` / ``SoAFullTimeActivator`` in
+:mod:`repro.sim.soa`), which are bit-exact to the per-cluster loops
+here; ``wrap_activator`` swaps in a twin only for these exact types,
+so a plugin activator — including a subclass — runs its own code.  The
+loops are the specification the tier-1 parity tests check the array
+kernels against: changes to the rotation semantics here must be
+mirrored there.
 """
 
 from __future__ import annotations

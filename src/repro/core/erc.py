@@ -77,10 +77,11 @@ class EnergyRequestController:
     :class:`repro.sim.components.gate.RequestGate` — keeps that mask;
     a sensor leaves it when an RV refills it).
 
-    The per-cluster loop in :meth:`nodes_to_release` is the **retained
-    bit-exact reference** for the array scan
-    (:func:`repro.sim.soa.erc_release_scan`) the SoA tick engine uses;
-    subclasses that override it automatically get this reference path.
+    The per-cluster loop in :meth:`nodes_to_release` is the
+    specification of the array scan
+    (:func:`repro.sim.soa.erc_release_scan`) the SoA tick engine runs;
+    subclasses that override it automatically keep their own code (the
+    request gate checks :func:`repro.sim.soa.erc_scan_applicable`).
     """
 
     def __init__(self, erp: float) -> None:

@@ -4,27 +4,16 @@ Every scheduler decision in this library reduces to a handful of
 numeric primitives — "profit of each candidate", "detour of inserting
 node *n* into gap *s*", "nearest unvisited city", "closest centroid" —
 evaluated thousands of times per scheduling event.  This module is the
-single home for those primitives, each shipped as a **pair** of
-implementations:
+single home for those primitives, each written as numpy broadcasts and
+masked argmax/argmin reductions.
 
-* a *vectorized* path (numpy broadcasts, masked argmax/argmin
-  reductions, matrix slicing) — the default;
-* a *reference* path (the plain per-element Python loop the vectorized
-  code replaced) kept as the executable specification.
-
-The two paths are **bit-identical**: the vectorized code performs the
-same IEEE-754 operations, per element, in the same order as the scalar
-loop (``np.hypot`` is sign-insensitive, elementwise ufuncs carry no
-reduction-order freedom, and ties resolve to the lowest index on both
-sides), so fixed-seed goldens do not move when the knob flips.
-
-Knobs (mirroring the incremental-energy pattern of
-``repro.sim.components.energy``):
-
-* ``REPRO_VECTORIZE=0`` — run the reference loops everywhere.
-* ``REPRO_DEBUG_VECTORIZE=1`` — run *both* paths on every kernel call
-  and raise if a single bit differs (the belt-and-braces mode for
-  anyone extending a kernel).
+Each kernel is **bit-identical** to the plain per-element Python loop
+it replaced: the vectorized code performs the same IEEE-754 operations,
+per element, in the same order as the scalar loop (``np.hypot`` is
+sign-insensitive, elementwise ufuncs carry no reduction-order freedom,
+and ties resolve to the lowest index), so fixed-seed goldens pin both.
+The scalar loops live on as test oracles (``tests/oracles.py``) that
+the tier-1 property tests compare every kernel against.
 
 :class:`DistanceCache` memoizes the stop/stop pairwise matrix and the
 stop/depot (origin) distance rows for one position array, so greedy,
@@ -38,7 +27,6 @@ greedy round chaining picks over one snapshot — shares one cache.
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
@@ -49,8 +37,6 @@ from ..geometry.points import as_points, distances_from, pairwise_distances
 
 __all__ = [
     "DistanceCache",
-    "KERNEL_CALLS",
-    "debug_vectorize",
     "distance_cache_for",
     "greedy_pick",
     "insertion_eval",
@@ -59,49 +45,8 @@ __all__ = [
     "masked_argmax_2d",
     "masked_argmin",
     "profit_vector",
-    "reset_kernel_calls",
     "uplink_etx_vector",
-    "vectorize_enabled",
 ]
-
-
-def vectorize_enabled() -> bool:
-    """The ``REPRO_VECTORIZE`` opt-out (default: enabled)."""
-    return os.environ.get("REPRO_VECTORIZE", "1") not in ("0", "false", "no")
-
-
-def debug_vectorize() -> bool:
-    """``REPRO_DEBUG_VECTORIZE=1``: run both paths, assert equality."""
-    return os.environ.get("REPRO_DEBUG_VECTORIZE", "") not in ("", "0")
-
-
-#: Cumulative kernel invocations per path, for observability: the fleet
-#: component diffs these around each dispatch round and feeds the
-#: ``scheduler.kernel.vectorized`` / ``...reference`` counters.
-KERNEL_CALLS: Dict[str, int] = {"vectorized": 0, "reference": 0}
-
-
-def reset_kernel_calls() -> None:
-    """Zero the per-path invocation counters (tests and benchmarks)."""
-    KERNEL_CALLS["vectorized"] = 0
-    KERNEL_CALLS["reference"] = 0
-
-
-def _dispatch(label, vectorized, reference, equal):
-    """Run the selected path; in debug mode run both and compare."""
-    if vectorize_enabled():
-        out = vectorized()
-        KERNEL_CALLS["vectorized"] += 1
-        if debug_vectorize():
-            ref = reference()
-            if not equal(out, ref):
-                raise AssertionError(
-                    f"vectorized kernel {label!r} diverged from its reference "
-                    f"path (REPRO_DEBUG_VECTORIZE): {out!r} != {ref!r}"
-                )
-        return out
-    KERNEL_CALLS["reference"] += 1
-    return reference()
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +113,7 @@ class DistanceCache:
         return hit
 
 
-# Identity-keyed registry, mirroring geometry.points._TREE_CACHE: the
+# Identity-keyed registry: the
 # weakref guards against id() reuse after eviction, the LRU cap bounds
 # memory (each cache pins its matrix and its points array while held).
 _CACHE_REGISTRY: "OrderedDict[int, Tuple[weakref.ref, DistanceCache]]" = OrderedDict()
@@ -215,17 +160,7 @@ def profit_vector(
     """Per-node one-shot profit ``d_i - em * dist_i`` (Eq. (2) pricing)."""
     demands = np.asarray(demands, dtype=np.float64)
     dists = np.asarray(dists, dtype=np.float64)
-
-    def _vec() -> np.ndarray:
-        return demands - em_j_per_m * dists
-
-    def _ref() -> np.ndarray:
-        out = np.empty(len(demands), dtype=np.float64)
-        for i in range(len(demands)):
-            out[i] = demands[i] - em_j_per_m * dists[i]
-        return out
-
-    return _dispatch("profit_vector", _vec, _ref, np.array_equal)
+    return demands - em_j_per_m * dists
 
 
 def greedy_pick(
@@ -242,26 +177,10 @@ def greedy_pick(
     dists = np.asarray(dists, dtype=np.float64)
     if len(demands) == 0 or (mask is not None and not np.any(mask)):
         return None
-
-    def _vec() -> int:
-        profits = demands - em_j_per_m * dists
-        if mask is not None:
-            profits = np.where(mask, profits, -np.inf)
-        return int(np.argmax(profits))
-
-    def _ref() -> int:
-        best = -np.inf
-        best_i = -1
-        for i in range(len(demands)):
-            if mask is not None and not mask[i]:
-                continue
-            p = demands[i] - em_j_per_m * dists[i]
-            if p > best:
-                best = p
-                best_i = i
-        return best_i
-
-    return _dispatch("greedy_pick", _vec, _ref, lambda a, b: a == b)
+    profits = demands - em_j_per_m * dists
+    if mask is not None:
+        profits = np.where(mask, profits, -np.inf)
+    return int(np.argmax(profits))
 
 
 def masked_argmax(values: np.ndarray, mask: np.ndarray) -> Optional[int]:
@@ -269,20 +188,7 @@ def masked_argmax(values: np.ndarray, mask: np.ndarray) -> Optional[int]:
     values = np.asarray(values, dtype=np.float64)
     if not np.any(mask):
         return None
-
-    def _vec() -> int:
-        return int(np.argmax(np.where(mask, values, -np.inf)))
-
-    def _ref() -> int:
-        best = -np.inf
-        best_i = -1
-        for i in range(len(values)):
-            if mask[i] and values[i] > best:
-                best = values[i]
-                best_i = i
-        return best_i
-
-    return _dispatch("masked_argmax", _vec, _ref, lambda a, b: a == b)
+    return int(np.argmax(np.where(mask, values, -np.inf)))
 
 
 def masked_argmax_2d(
@@ -292,24 +198,9 @@ def masked_argmax_2d(
     values = np.asarray(values, dtype=np.float64)
     if not np.any(mask):
         return None
-
-    def _vec() -> Tuple[int, int]:
-        flat = int(np.argmax(np.where(mask, values, -np.inf)))
-        r, c = np.unravel_index(flat, values.shape)
-        return int(r), int(c)
-
-    def _ref() -> Tuple[int, int]:
-        best = -np.inf
-        best_rc = (-1, -1)
-        rows, cols = values.shape
-        for r in range(rows):
-            for c in range(cols):
-                if mask[r, c] and values[r, c] > best:
-                    best = values[r, c]
-                    best_rc = (r, c)
-        return best_rc
-
-    return _dispatch("masked_argmax_2d", _vec, _ref, lambda a, b: a == b)
+    flat = int(np.argmax(np.where(mask, values, -np.inf)))
+    r, c = np.unravel_index(flat, values.shape)
+    return int(r), int(c)
 
 
 def masked_argmin(dists: np.ndarray, mask: Optional[np.ndarray] = None) -> Optional[int]:
@@ -317,23 +208,8 @@ def masked_argmin(dists: np.ndarray, mask: Optional[np.ndarray] = None) -> Optio
     dists = np.asarray(dists, dtype=np.float64)
     if len(dists) == 0 or (mask is not None and not np.any(mask)):
         return None
-
-    def _vec() -> int:
-        d = dists if mask is None else np.where(mask, dists, np.inf)
-        return int(np.argmin(d))
-
-    def _ref() -> int:
-        best = np.inf
-        best_i = -1
-        for i in range(len(dists)):
-            if mask is not None and not mask[i]:
-                continue
-            if dists[i] < best:
-                best = dists[i]
-                best_i = i
-        return best_i
-
-    return _dispatch("masked_argmin", _vec, _ref, lambda a, b: a == b)
+    d = dists if mask is None else np.where(mask, dists, np.inf)
+    return int(np.argmin(d))
 
 
 # ----------------------------------------------------------------------
@@ -372,43 +248,19 @@ def insertion_eval(
     route = list(route)
     remaining = list(remaining)
     demands = np.asarray(demands, dtype=np.float64)
-
-    def _vec() -> Tuple[np.ndarray, np.ndarray]:
-        heads = route[:-1]  # gap-start stops beyond the RV itself
-        if heads:
-            d_ac = np.vstack([dist0[remaining], dmat[np.ix_(heads, remaining)]])
-            d_ab = np.concatenate(([dist0[route[0]]], dmat[heads, route[1:]]))
-        else:
-            d_ac = dist0[remaining][None, :]
-            d_ab = dist0[[route[0]]]
-        d_cb = dmat[np.ix_(route, remaining)]
-        detour = d_ac + d_cb - d_ab[:, None]  # (gaps, candidates)
-        dem = demands[remaining]
-        p = dem[None, :] - em_j_per_m * detour
-        extra = em_j_per_m * detour + (dem / charge_efficiency)[None, :]
-        return p, extra
-
-    def _ref() -> Tuple[np.ndarray, np.ndarray]:
-        k, r = len(route), len(remaining)
-        p = np.empty((k, r), dtype=np.float64)
-        extra = np.empty((k, r), dtype=np.float64)
-        for s in range(k):
-            d_ab = dist0[route[0]] if s == 0 else dmat[route[s - 1], route[s]]
-            for c in range(r):
-                n = remaining[c]
-                d_ac = dist0[n] if s == 0 else dmat[route[s - 1], n]
-                d_cb = dmat[route[s], n]
-                detour = d_ac + d_cb - d_ab
-                p[s, c] = demands[n] - em_j_per_m * detour
-                extra[s, c] = em_j_per_m * detour + demands[n] / charge_efficiency
-        return p, extra
-
-    return _dispatch(
-        "insertion_eval",
-        _vec,
-        _ref,
-        lambda a, b: np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]),
-    )
+    heads = route[:-1]  # gap-start stops beyond the RV itself
+    if heads:
+        d_ac = np.vstack([dist0[remaining], dmat[np.ix_(heads, remaining)]])
+        d_ab = np.concatenate(([dist0[route[0]]], dmat[heads, route[1:]]))
+    else:
+        d_ac = dist0[remaining][None, :]
+        d_ab = dist0[[route[0]]]
+    d_cb = dmat[np.ix_(route, remaining)]
+    detour = d_ac + d_cb - d_ab[:, None]  # (gaps, candidates)
+    dem = demands[remaining]
+    p = dem[None, :] - em_j_per_m * detour
+    extra = em_j_per_m * detour + (dem / charge_efficiency)[None, :]
+    return p, extra
 
 
 # ----------------------------------------------------------------------
@@ -419,32 +271,13 @@ def insertion_eval(
 def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the squared-nearest centroid for every point (Lloyd step).
 
-    Ties resolve to the lowest centroid index on both paths.
+    Ties resolve to the lowest centroid index.
     """
     points = as_points(points)
     centroids = as_points(centroids)
-
-    def _vec() -> np.ndarray:
-        diff = points[:, None, :] - centroids[None, :, :]
-        dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-        return np.argmin(dist2, axis=1).astype(np.intp, copy=False)
-
-    def _ref() -> np.ndarray:
-        labels = np.empty(len(points), dtype=np.intp)
-        for i in range(len(points)):
-            best = np.inf
-            best_j = -1
-            for j in range(len(centroids)):
-                d2 = (points[i, 0] - centroids[j, 0]) ** 2 + (
-                    points[i, 1] - centroids[j, 1]
-                ) ** 2
-                if d2 < best:
-                    best = d2
-                    best_j = j
-            labels[i] = best_j
-        return labels
-
-    return _dispatch("kmeans_assign", _vec, _ref, np.array_equal)
+    diff = points[:, None, :] - centroids[None, :, :]
+    dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
+    return np.argmin(dist2, axis=1).astype(np.intp, copy=False)
 
 
 # ----------------------------------------------------------------------
@@ -462,34 +295,20 @@ def uplink_etx_vector(
 
     One batched :func:`~repro.network.linkquality.prr_from_distance`
     call over every parented sensor replaces the per-sensor 1-element
-    arrays the scalar loop built; entries are bit-identical (all the
-    PRR arithmetic is elementwise).
+    arrays a scalar loop would build; entries are bit-identical (all
+    the PRR arithmetic is elementwise).
     """
     from ..network.linkquality import prr_from_distance
 
     points = np.asarray(points, dtype=np.float64)
     parent = np.asarray(parent)
-
-    def _vec() -> np.ndarray:
-        etx = np.ones(n_sensors, dtype=np.float64)
-        vs = np.flatnonzero(parent[:n_sensors] >= 0)
-        if vs.size:
-            diff = points[vs] - points[parent[vs]]
-            hops = np.hypot(diff[:, 0], diff[:, 1])
-            prr = prr_from_distance(hops, comm_range_m)
-            vals = np.ones_like(prr)
-            np.divide(1.0, prr * prr, out=vals, where=prr > 0)
-            etx[vs] = vals
-        return etx
-
-    def _ref() -> np.ndarray:
-        etx = np.ones(n_sensors, dtype=np.float64)
-        for v in range(n_sensors):
-            p = parent[v]
-            if p >= 0:
-                hop = float(np.hypot(*(points[v] - points[p])))
-                prr = float(prr_from_distance(np.array([hop]), comm_range_m)[0])
-                etx[v] = 1.0 / (prr * prr) if prr > 0 else 1.0
-        return etx
-
-    return _dispatch("uplink_etx", _vec, _ref, np.array_equal)
+    etx = np.ones(n_sensors, dtype=np.float64)
+    vs = np.flatnonzero(parent[:n_sensors] >= 0)
+    if vs.size:
+        diff = points[vs] - points[parent[vs]]
+        hops = np.hypot(diff[:, 0], diff[:, 1])
+        prr = prr_from_distance(hops, comm_range_m)
+        vals = np.ones_like(prr)
+        np.divide(1.0, prr * prr, out=vals, where=prr > 0)
+        etx[vs] = vals
+    return etx

@@ -87,7 +87,7 @@ def digest_array(value: Any) -> str:
     """SHA-256 over an array's dtype, shape and raw bytes.
 
     Two arrays share a digest iff they are bit-identical with the same
-    dtype and shape — the equality surface of the SoA/reference engine
+    dtype and shape — the equality surface of the serial/batched engine
     contract, collapsed to one comparable string.
     """
     a = np.ascontiguousarray(value)
@@ -586,7 +586,7 @@ def format_postmortem(
 
     replay_hint = (
         f"Replay: repro replay {bundle.path} --to-tick "
-        f"{m.get('last_seq', 0)} [--engine soa|ref]"
+        f"{m.get('last_seq', 0)}"
     )
     blocks.append(replay_hint)
     return "\n\n".join(blocks)

@@ -78,10 +78,10 @@ class RunManifest:
     instruments: Dict[str, Any] = field(default_factory=dict)
     exporters: List[str] = field(default_factory=list)
     files: Dict[str, List[str]] = field(default_factory=dict)
-    #: Which engine knobs produced the run (REPRO_SOA / REPRO_VECTORIZE
-    #: / ...) — see :func:`repro.sim.soa.engine_provenance`.  Lets a
-    #: drift report distinguish "the code changed" from "the engine
-    #: selection changed".  Empty for pre-SoA manifests.
+    #: Which engine knobs produced the run (REPRO_BATCH /
+    #: REPRO_DEBUG_BATCH) — see :func:`repro.sim.soa.engine_provenance`.
+    #: Lets a drift report distinguish "the code changed" from "the
+    #: engine selection changed".  Empty for pre-SoA manifests.
     engine: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod

@@ -16,12 +16,12 @@ Exactness contract
 ------------------
 
 Each world in a batch produces **bit-identical** trajectories to the
-serial SoA engine.  The construction mirrors the SoA one (the
-``REPRO_SOA`` pattern, one level up):
+serial SoA engine.  The construction mirrors the SoA one, one level
+up:
 
 * every component buffer a batched kernel writes (``bank.levels_j``,
-  ``state.requested``, ``energy.rates`` and the incremental-recompute
-  state, ``arrays.ptr``) is *bound as a row view* of the batch-owned
+  ``state.requested``, ``energy.rates`` and the relay-count state,
+  ``arrays.ptr``) is *bound as a row view* of the batch-owned
   stack, so the serial event path — dispatch rounds, RV arrivals,
   relocations — keeps running unmodified per world between ticks and
   reads/writes the very same memory;
@@ -29,13 +29,16 @@ serial SoA engine.  The construction mirrors the SoA one (the
   element in the identical operation order as its serial counterpart
   (integer packet counts commute; float expressions are copied
   term-for-term from :mod:`repro.sim.soa` and
-  :mod:`repro.sim.components.energy`);
+  :mod:`repro.sim.components.energy`) — the one deliberate difference
+  is that the rate recompute re-prices only the sensors whose masks or
+  relay counts changed, which yields the same bits as the serial full
+  pass;
 * worlds only share a batch when their configurations are identical up
   to ``seed`` / ``scheduler`` / ``erp`` / ``sim_time_s`` (the *shape
   signature*, :func:`shape_signature`), which makes every physical
   scalar (tick, capacity, thresholds, power model) a batch constant.
 
-Knobs (the ``REPRO_SOA`` pattern):
+Knobs:
 
 * ``REPRO_BATCH=1`` — opt in: ``runner.run_batch`` and the experiment
   executor group compatible cells into shape-batches.
@@ -64,7 +67,6 @@ from .soa import (
     SoAFullTimeActivator,
     SoARoundRobinActivator,
     debug_batch,
-    debug_soa,
 )
 from .world import _FULL_DIGEST_EVERY, World
 
@@ -105,7 +107,6 @@ def batchable_config(config: SimulationConfig) -> bool:
         config.n_sensors > 0
         and config.tick_s > 0
         and config.self_discharge_fraction_per_day == 0
-        and not debug_soa()
     )
 
 
@@ -113,18 +114,14 @@ def _batchable_world(world: World) -> Optional[str]:
     """None if ``world`` can run under the batched kernels, else the
     reason it cannot (the caller falls back to ``world.run()``)."""
     s = world.state
-    if s.arrays is None:
-        return "SoA arrays disabled (REPRO_SOA=0)"
     if type(s.activator) not in (SoARoundRobinActivator, SoAFullTimeActivator):
         return f"plugin activator {type(s.activator).__name__}"
-    if getattr(s.activator, "_shadow", None) is not None:
-        return "REPRO_DEBUG_SOA shadow activator"
-    if not world.gate.soa:
+    if not world.gate.array_scan:
         return "ERC policy overrides nodes_to_release"
-    if not world.energy.incremental_enabled:
-        return "incremental recompute disabled"
-    if world.energy._debug_check:
-        return "REPRO_DEBUG_INCREMENTAL"
+    if s.cfg.self_discharge_fraction_per_day > 0:
+        # Leakage re-prices every alive sensor from its charge level,
+        # so there is no small dirty set to re-price incrementally.
+        return "battery leakage configured"
     if s.trace.enabled:
         return "semantic trace recorder attached"
     return None
@@ -135,8 +132,8 @@ class BatchedStateArrays:
 
     Row ``b`` of every *bound* stack **is** world ``b``'s canonical
     buffer: :meth:`bind` rebinds the per-world component attributes
-    (battery levels, request flags, draw rates, the incremental
-    recompute state, rotation pointers) to row views, so serial
+    (battery levels, request flags, draw rates, the relay-count state,
+    rotation pointers) to row views, so serial
     per-world code and batched kernels write the same memory.  The
     *copied* stacks (membership, cluster matrices, routing) are
     refreshed wholesale on relocation epochs / compaction.
@@ -694,9 +691,11 @@ class BatchedEngine:
     def _recompute_incremental(
         self, T: float, alive: np.ndarray, act2: np.ndarray
     ) -> None:
-        """Batched :meth:`EnergyAccounting._recompute_incremental`:
+        """Batched :meth:`EnergyAccounting.recompute`, incrementally:
         integer packet-count patches along flattened routing paths, then
-        re-pricing of exactly the dirty sensors."""
+        re-pricing of exactly the dirty sensors.  The result equals the
+        serial full pass bit for bit: counts are integers, and every
+        re-priced entry runs the full pass's per-element arithmetic."""
         st = self.stacks
         worlds = st.worlds
         B, n = st.B, st.n
@@ -749,7 +748,6 @@ class BatchedEngine:
                 "relay": float(st.relay_w[b].sum()),
                 "leakage": 0.0,
             }
-            ea._c_recompute_inc.inc()
 
     # -- flight records ----------------------------------------------------
 

@@ -64,14 +64,13 @@ class ClusterManager:
             for c in local
         ]
         s.cluster_set = ClusterSet(clusters, s.cfg.n_sensors)
-        if s.arrays is not None:
-            # Repack the padded member matrix for the new epoch — the
-            # gate's array ERC scan reads it even when the activator is
-            # a plugin the SoA engine doesn't wrap.
-            pack_clusters(s.cluster_set, s.arrays)
+        # Repack the padded member matrix for the new epoch — the gate's
+        # array ERC scan reads it even when the activator is a plugin
+        # the SoA engine doesn't wrap.
+        pack_clusters(s.cluster_set, s.arrays)
         activator = ACTIVATORS.build(s.cfg.activation, cluster_set=s.cluster_set)
-        # Under the SoA tick engine the built-in activators are swapped
-        # for their array twins (plugins run unchanged).
+        # The built-in activators are swapped for their array twins
+        # (plugins run unchanged).
         s.activator = wrap_activator(activator, s.arrays)
 
     def relocate(self) -> None:

@@ -15,55 +15,36 @@ power model of the whole sensor network:
 Between events nothing integrates numerically — the engine only fires
 bookkeeping ticks, so a 120-day horizon costs a few hundred events.
 
-Incremental fast path
----------------------
+Rate recomputation
+------------------
 
-``recompute`` is the simulator's hottest phase: it runs on every
-rotation slot, and a full pass rebuilds the whole draw vector plus the
-relay-load tree walk even when a rotation only moved the duty inside a
-handful of clusters.  The incremental path diffs the alive/active
-masks against the previous recompute, patches the relay *packet
-counts* along the routing paths of the sensors whose origin status
-flipped, and re-prices only the dirty sensors — arithmetic is
-structured so the patched entries are **bit-identical** to a full
-recompute (integer packet counts; identical per-element operation
-order).
-
-The fast path is on by default and falls back to the full pass when
-battery leakage is configured (leakage re-prices *every* alive sensor
-from its current charge level, so there is no small dirty set) or when
-``REPRO_INCREMENTAL=0``.  ``REPRO_DEBUG_INCREMENTAL=1`` runs the full
-pass after every incremental one and asserts exact equality — the
-debugging belt-and-braces for anyone extending the rate model.
-Instruments: ``energy.recompute.incremental`` / ``energy.recompute.full``
-counters record which path ran.
+``recompute`` runs on every rotation slot and always takes one full
+pass: idle + sensing draw from the alive/active masks, then the relay
+load as integer packet counts pushed down the routing tree level by
+level (:func:`repro.sim.soa.relay_accumulate`), priced per packet and
+scaled by the uplink ETX.  There is deliberately no dirty-set variant
+on the serial path: at the paper's N = 500, diffing the masks and
+walking the changed routing paths costs more than the vector
+arithmetic it would skip.  The pass leaves the relay-count state
+(``_through_cnt``, ``_origins``, ``_alive_prev``, ``_relay_w``) that
+the batched engine's incremental re-pricing (:mod:`repro.sim.batch`)
+continues from.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..soa import debug_soa, relay_accumulate, relay_levels
+from ..soa import relay_accumulate, relay_levels
 from ..trace import EventKind
 from .state import SimulationState
 
 __all__ = ["EnergyAccounting"]
 
 logger = logging.getLogger(__name__)
-
-
-def _incremental_default() -> bool:
-    """The ``REPRO_INCREMENTAL`` opt-out (default: enabled)."""
-    return os.environ.get("REPRO_INCREMENTAL", "1") not in ("0", "false", "no")
-
-
-def _debug_incremental() -> bool:
-    """``REPRO_DEBUG_INCREMENTAL=1``: assert incremental == full."""
-    return os.environ.get("REPRO_DEBUG_INCREMENTAL", "") not in ("", "0")
 
 
 class EnergyAccounting:
@@ -97,106 +78,64 @@ class EnergyAccounting:
             "leakage": 0.0,
             "notifications": 0.0,
         }
-        # -- incremental-recompute state ----------------------------------
-        # Leakage re-prices every alive sensor from its charge level at
-        # each recompute, so only the leak-free model has a small dirty set.
-        self.incremental_enabled = (
-            _incremental_default() and state.cfg.self_discharge_fraction_per_day == 0
-        )
-        self._debug_check = _debug_incremental()
+        # -- relay-count state --------------------------------------------
+        # Static routing views, then per-pass buffers that every
+        # recompute refreshes in place: the batched engine binds the
+        # latter as row views of its (B, n) stacks and re-prices
+        # incrementally from them.
         self._connected = np.isfinite(state.routing.dist[:n])
-        # Plain-python parent pointers: the per-origin path walks are
-        # pure int arithmetic, far cheaper than numpy scalar indexing.
-        self._parent_list = [int(p) for p in state.routing.parent]
         self._parent_arr = np.asarray(state.routing.parent, dtype=np.int64)
         self._base = int(state.routing.base)
         self._through_cnt = np.zeros(n + 1, dtype=np.int64)  # relayed+own packets
         self._origins = np.zeros(n, dtype=bool)
         self._alive_prev = np.zeros(n, dtype=bool)
         self._relay_w = np.zeros(n, dtype=np.float64)
-        self._primed = False
-        # -- SoA tick engine ----------------------------------------------
-        # Level-order schedule for the vectorized relay accumulation
-        # (computed once; the routing tree is static) and the scratch
-        # array reused by every battery advance.
-        self.soa = state.arrays is not None
-        self._debug_soa = debug_soa()
-        self._relay_levels = (
-            relay_levels(state.routing.parent, state.routing.dist, state.routing.base, n)
-            if self.soa
-            else None
+        # Level-order schedule for the relay accumulation (computed once;
+        # the routing tree is static) and the scratch array reused by
+        # every battery advance.
+        self._relay_levels = relay_levels(
+            state.routing.parent, state.routing.dist, state.routing.base, n
         )
-        self._drain_scratch = state.arrays.drain_scratch if self.soa else None
+        self._drain_scratch = state.arrays.drain_scratch
         obs = state.instruments
         self._t_recompute = obs.timer("energy.recompute")
         self._t_advance = obs.timer("energy.advance")
         self._c_depletions = obs.counter("energy.depletions")
-        self._c_recompute_inc = obs.counter("energy.recompute.incremental")
-        self._c_recompute_full = obs.counter("energy.recompute.full")
         self._sp = state.spans
         self.recompute()
 
     # ------------------------------------------------------------------
 
-    def recompute(self, force_full: bool = False) -> None:
+    def recompute(self) -> None:
         """Refresh the per-sensor power-draw vector (Watts).
 
         Also keeps the per-category totals (idle / sensing / relay /
-        leakage, in Watts) used by :meth:`breakdown`.  Takes the
-        incremental path when enabled and primed; ``force_full`` runs
-        the full pass regardless (used by benchmarks and the debug
-        equality check).
+        leakage, in Watts) used by :meth:`breakdown`.
         """
-        with self._t_recompute, self._sp.span("energy.recompute") as span:
-            if force_full or not (self.incremental_enabled and self._primed):
-                self._recompute_full()
-                self._c_recompute_full.inc()
-                span.set(path="full")
-            else:
-                self._recompute_incremental()
-                self._c_recompute_inc.inc()
-                span.set(path="incremental")
-                if self._debug_check:
-                    self._assert_matches_full()
+        with self._t_recompute, self._sp.span("energy.recompute"):
+            self._recompute()
 
-    def _recompute_full(self) -> None:
+    def _recompute(self) -> None:
         s = self.s
         power = s.power
         alive = s.bank.alive_mask()
         active = s.activator.active_mask(alive)
         n = s.cfg.n_sensors
-        if self.soa:
-            # Keep one stable rates buffer: the SoA arrays alias it, and
-            # the steady-state full pass then allocates no fresh vector.
-            rates = self.rates
-            rates.fill(0.0)
-        else:
-            rates = np.zeros(n, dtype=np.float64)
+        # One stable rates buffer: the SoA arrays alias it, and the
+        # steady-state pass then allocates no fresh vector.
+        rates = self.rates
+        rates.fill(0.0)
         rates[alive] = power.idle_power_w
         rates[active] += power.active_sensing_power_w
         # Relay load: push each active origin's packet count down the
-        # routing tree (farthest vertex first), skipping dead relays'
-        # consumption (they can't forward).  Counts stay integer so the
-        # incremental path can patch them exactly — and so the SoA
-        # level-order accumulation commutes bit-exactly with this walk.
-        cnt = np.zeros(n + 1, dtype=np.int64)
+        # routing tree, skipping dead relays' consumption (they can't
+        # forward).  Counts stay integer, so the level-order
+        # accumulation is exact whatever the add order.
+        cnt = self._through_cnt
+        cnt.fill(0)
         origins = active & self._connected
         cnt[:n][origins] = 1
-        parent = s.routing.parent
-        base = s.routing.base
-        if self.soa:
-            relay_accumulate(cnt, parent, self._relay_levels)
-            if self._debug_soa:
-                self._assert_relay_matches_walk(cnt, origins)
-        else:
-            # Retained reference walk (REPRO_SOA=0): the executable
-            # specification of the accumulation above.
-            for v in s.traffic_order:
-                if v == base or cnt[v] == 0:
-                    continue
-                p = parent[v]
-                if p >= 0:
-                    cnt[p] += cnt[v]
+        relay_accumulate(cnt, s.routing.parent, self._relay_levels)
         relay = (cnt[:n] - origins).astype(np.float64) * power.packet_rate_hz
         relay_w = np.where(alive, relay * self._per_packet_relay_j * s.uplink_etx, 0.0)
         rates += relay_w
@@ -210,152 +149,21 @@ class EnergyAccounting:
             rates += leak_w
             leak_total = float(leak_w.sum())
         rates[~alive] = 0.0
-        if self.soa:
-            # Batched-engine contract: under the SoA engine these
-            # buffers may be bound as row views into a (B, n) stack
-            # (see repro.sim.batch), so refresh them in place instead
-            # of rebinding to the fresh arrays — values are identical.
-            self.active[...] = active
-            self._through_cnt[...] = cnt
-            self._origins[...] = origins
-            self._alive_prev[...] = alive
-            self._relay_w[...] = relay_w
-            self.s.arrays.rates_w = self.rates
-            self.s.arrays.active = self.active
-        else:
-            self.rates = rates
-            self.active = active
-            self._through_cnt = cnt
-            self._origins = origins
-            self._alive_prev = alive
-            self._relay_w = relay_w
-        self._primed = True
+        # These buffers may be bound as row views into a (B, n) stack
+        # (see repro.sim.batch), so refresh them in place instead of
+        # rebinding to the fresh arrays.
+        self.active[...] = active
+        self._origins[...] = origins
+        self._alive_prev[...] = alive
+        self._relay_w[...] = relay_w
+        s.arrays.rates_w = self.rates
+        s.arrays.active = self.active
         self._category_watts = {
             "idle": float(np.count_nonzero(alive)) * power.idle_power_w,
             "sensing": float(np.count_nonzero(active)) * power.active_sensing_power_w,
             "relay": float(relay_w.sum()),
             "leakage": leak_total,
         }
-
-    def _recompute_incremental(self) -> None:
-        """Patch ``rates`` for the sensors touched since the last pass.
-
-        Exactness contract: every patched entry is produced by the same
-        per-element arithmetic, in the same operation order, as
-        :meth:`_recompute_full` — idle + sensing first, then
-        ``((count * rate) * per_packet_j) * etx`` relay pricing — so a
-        run on the fast path is bit-identical to one without it.
-        """
-        s = self.s
-        power = s.power
-        n = s.cfg.n_sensors
-        alive = s.bank.alive_mask()
-        active = s.activator.active_mask(alive)
-        origins = active & self._connected
-        dirty = (alive != self._alive_prev) | (active != self.active)
-        # Patch the relay packet counts along the routing path of every
-        # sensor whose origin status flipped; every vertex whose count
-        # moved is re-priced below.
-        changed = np.flatnonzero(origins != self._origins)
-        if changed.size and self.soa:
-            # Frontier form of the reference walk below: every changed
-            # origin's whole root path advances one hop per iteration.
-            # Counts are integers, so the add order cannot perturb them.
-            cnt = self._through_cnt
-            parent = self._parent_arr
-            base = self._base
-            vs = changed
-            deltas = np.where(origins[changed], 1, -1)
-            while vs.size:
-                np.add.at(cnt, vs, deltas)
-                keep = vs != base
-                vs, deltas = vs[keep], deltas[keep]
-                dirty[vs] = True
-                vs = parent[vs]
-                up = vs >= 0
-                vs, deltas = vs[up], deltas[up]
-        elif changed.size:
-            cnt = self._through_cnt
-            parent = self._parent_list
-            base = self._base
-            touched = []
-            for v in changed:
-                delta = 1 if origins[v] else -1
-                u = int(v)
-                while u >= 0:
-                    cnt[u] += delta
-                    if u == base:
-                        break
-                    touched.append(u)
-                    u = parent[u]
-            if touched:
-                dirty[touched] = True
-        idx = np.flatnonzero(dirty)
-        if idx.size:
-            relay = (self._through_cnt[idx] - origins[idx]).astype(
-                np.float64
-            ) * power.packet_rate_hz
-            relay_w = np.where(
-                alive[idx], relay * self._per_packet_relay_j * s.uplink_etx[idx], 0.0
-            )
-            idle_w = power.idle_power_w
-            duty_w = idle_w + power.active_sensing_power_w
-            base_w = np.where(active[idx], duty_w, idle_w)
-            self.rates[idx] = np.where(alive[idx], base_w + relay_w, 0.0)
-            self._relay_w[idx] = relay_w
-        if self.soa:
-            # Same in-place refresh as the full pass: row-view bindings
-            # into a batched stack must survive every recompute.
-            self.active[...] = active
-            self._origins[...] = origins
-            self._alive_prev[...] = alive
-            self.s.arrays.active = self.active
-        else:
-            self.active = active
-            self._origins = origins
-            self._alive_prev = alive
-        self._category_watts = {
-            "idle": float(np.count_nonzero(alive)) * power.idle_power_w,
-            "sensing": float(np.count_nonzero(active)) * power.active_sensing_power_w,
-            "relay": float(self._relay_w.sum()),
-            "leakage": 0.0,
-        }
-
-    def _assert_relay_matches_walk(self, cnt: np.ndarray, origins: np.ndarray) -> None:
-        """``REPRO_DEBUG_SOA``: the level-order accumulation must equal
-        the reference farthest-first walk, count for count."""
-        s = self.s
-        n = s.cfg.n_sensors
-        ref = np.zeros(n + 1, dtype=np.int64)
-        ref[:n][origins] = 1
-        parent = s.routing.parent
-        base = s.routing.base
-        for v in s.traffic_order:
-            if v == base or ref[v] == 0:
-                continue
-            p = parent[v]
-            if p >= 0:
-                ref[p] += ref[v]
-        if not np.array_equal(cnt, ref):
-            diff = np.flatnonzero(cnt != ref)
-            raise AssertionError(
-                "SoA relay accumulation diverged from the reference walk "
-                f"(REPRO_DEBUG_SOA; vertices {diff[:10].tolist()}); "
-                "please report this"
-            )
-
-    def _assert_matches_full(self) -> None:
-        """Debug mode: the incremental result must equal a full pass."""
-        inc_rates = self.rates.copy()
-        inc_watts = dict(self._category_watts)
-        self._recompute_full()
-        if not np.array_equal(inc_rates, self.rates) or inc_watts != self._category_watts:
-            diff = np.flatnonzero(inc_rates != self.rates)
-            raise AssertionError(
-                "incremental recompute diverged from full recompute "
-                f"(sensors {diff[:10].tolist()}, category watts {inc_watts} "
-                f"vs {self._category_watts}); please report this"
-            )
 
     def advance(self) -> None:
         """Drain batteries for the elapsed interval; handle depletions."""

@@ -15,9 +15,6 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
-from ...core import kernels
 from ...core.scheduling import RVView, Scheduler
 from ...mobility.vehicles import RechargingVehicle
 from ..trace import EventKind
@@ -68,25 +65,17 @@ class FleetController:
             for i in range(cfg.n_rvs)
         ]
         self.a = state.arrays
-        if self.a is not None:
-            # Under the SoA engine the returning flags ARE the array —
-            # one buffer, two names — and every observable RV change is
-            # written through to the per-RV block (rv_pos / rv_level_j
-            # / rv_busy) so array readers never see a stale fleet.
-            self.returning = self.a.rv_returning
-            for rv in self.rvs:
-                self._sync_rv(rv)
-        else:
-            self.returning = np.zeros(cfg.n_rvs, dtype=bool)
+        # The returning flags ARE the SoA array — one buffer, two names
+        # — and every observable RV change is written through to the
+        # per-RV block (rv_pos / rv_level_j / rv_busy) so array readers
+        # never see a stale fleet.
+        self.returning = self.a.rv_returning
+        for rv in self.rvs:
+            self._sync_rv(rv)
         obs = state.instruments
         self._sp = state.spans
         self._t_dispatch = obs.timer("fleet.dispatch")
         self._t_assign = obs.timer("scheduler.assign")
-        # Which kernel path (numpy broadcasts vs reference loops) the
-        # scheduler's inner decisions took — mirrors the incremental /
-        # full recompute counters of the energy component.
-        self._c_kernel_vec = obs.counter("scheduler.kernel.vectorized")
-        self._c_kernel_ref = obs.counter("scheduler.kernel.reference")
         self._c_rounds = obs.counter("fleet.dispatch_rounds")
         self._c_sorties = obs.counter("fleet.sorties")
         self._c_legs = obs.counter("fleet.legs")
@@ -101,8 +90,6 @@ class FleetController:
     def _sync_rv(self, rv: RechargingVehicle) -> None:
         """Write-through one RV's observable state into the SoA block."""
         a = self.a
-        if a is None:
-            return
         a.rv_pos[rv.rv_id] = rv.position
         a.rv_level_j[rv.rv_id] = rv.battery.level_j
         a.rv_busy[rv.rv_id] = rv.busy
@@ -159,18 +146,11 @@ class FleetController:
                 if cid != -1:
                     backlog_per_cluster[cid] = backlog_per_cluster.get(cid, 0) + 1
             views_by_id = {v.rv_id: v for v in views}
-        calls_before = dict(kernels.KERNEL_CALLS)
         with self._t_assign, sp.span("scheduler.assign") as assign_span:
             plans = self.scheduler.assign(s.requests, views, s.rng)
-        vec = kernels.KERNEL_CALLS["vectorized"] - calls_before["vectorized"]
-        ref = kernels.KERNEL_CALLS["reference"] - calls_before["reference"]
-        self._c_kernel_vec.inc(vec)
-        self._c_kernel_ref.inc(ref)
         assign_span.set(
             scheduler=getattr(self.scheduler, "name", type(self.scheduler).__name__),
             plans=len(plans),
-            kernel_vectorized=vec,
-            kernel_reference=ref,
         )
         logger.debug(
             "t=%.0fs: dispatch round, %d request(s), %d idle RV(s), %d sortie(s)",

@@ -18,7 +18,7 @@ import numpy as np
 from ...core.erc import EnergyRequestController
 from ...core.requests import RechargeRequest
 from ...registry import ERC_POLICIES, erc_policy_name
-from ..soa import _shadow_compare, debug_soa, erc_release_scan, erc_scan_applicable
+from ..soa import erc_release_scan, erc_scan_applicable
 from ..trace import EventKind
 from .state import SimulationState
 
@@ -48,8 +48,7 @@ class RequestGate:
         self.erc = erc
         # The array ERC scan replays exactly the base gate semantics; a
         # policy that overrides nodes_to_release keeps its own code.
-        self.soa = state.arrays is not None and erc_scan_applicable(self.erc)
-        self._debug_soa = debug_soa()
+        self.array_scan = erc_scan_applicable(self.erc)
         obs = state.instruments
         self._t_check = obs.timer("gate.check")
         self._c_released = obs.counter("gate.requests_released")
@@ -76,7 +75,7 @@ class RequestGate:
 
     def _check(self) -> bool:
         s = self.s
-        if self.soa:
+        if self.array_scan:
             a = s.arrays
             # Same elementwise `<` as below_threshold_mask, written into
             # the preallocated gate scratch so the scan allocates only
@@ -85,20 +84,13 @@ class RequestGate:
             to_release = erc_release_scan(
                 a.cluster_id, a.sizes, below, s.requested, self.erc.erp, arrays=a
             )
-            if self._debug_soa:
-                ref = self.erc.nodes_to_release(s.cluster_set, below, s.requested)
-                _shadow_compare(
-                    "gate.release",
-                    np.asarray(to_release, dtype=np.int64),
-                    np.asarray(ref, dtype=np.int64),
-                )
         else:
             below = s.bank.below_threshold_mask()
             to_release = self.erc.nodes_to_release(s.cluster_set, below, s.requested)
         if s.monitors.enabled:
             # Independent re-derivation of the max(ceil(nc*K), 1) gate,
             # before the masks below are mutated by the release loop.
-            if self.soa:
+            if self.array_scan:
                 s.monitors.check_erc_release_arrays(
                     s.arrays.cluster_id,
                     s.arrays.sizes,

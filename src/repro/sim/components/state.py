@@ -40,7 +40,7 @@ from ...registry import MOBILITY_MODELS
 from ..config import SimulationConfig
 from ..engine import Simulator
 from ..metrics import MetricsCollector
-from ..soa import StateArrays, debug_soa, soa_enabled
+from ..soa import StateArrays
 from ..trace import NullRecorder
 
 __all__ = [
@@ -75,7 +75,8 @@ class SimulationState:
     topology: Topology
     routing: RoutingTree
     uplink_etx: np.ndarray
-    traffic_order: np.ndarray
+    # -- SoA tick engine: flat aligned arrays + reusable scratch ------
+    arrays: StateArrays
     # -- targets & clusters (maintained by ClusterManager) ----------
     targets: object
     cluster_set: Optional[ClusterSet] = None
@@ -91,8 +92,6 @@ class SimulationState:
     spans: object = NULL_TRACER
     monitors: object = NULL_MONITORS
     blackbox: object = NULL_BLACKBOX
-    # -- SoA tick engine (None = object-walking reference path) ------
-    arrays: Optional[StateArrays] = None
 
     def __post_init__(self) -> None:
         if self.requested is None:
@@ -105,12 +104,11 @@ class SimulationState:
             self.monitors = NULL_MONITORS
         if self.blackbox is None:
             self.blackbox = NULL_BLACKBOX
-        if self.arrays is not None:
-            # Per-sensor views alias the canonical buffers: the arrays
-            # *are* the state, not a copy of it.
-            self.arrays.positions = self.sensor_pos
-            self.arrays.levels_j = self.bank.levels_j
-            self.arrays.requested = self.requested
+        # Per-sensor views alias the canonical buffers: the arrays *are*
+        # the state, not a copy of it.
+        self.arrays.positions = self.sensor_pos
+        self.arrays.levels_j = self.bank.levels_j
+        self.arrays.requested = self.requested
 
     @property
     def now(self) -> float:
@@ -163,22 +161,10 @@ class SimulationState:
         else:
             routing = RoutingTree(topology)
             uplink_etx = np.ones(n, dtype=np.float64)
-        # Farthest-first order for the linear relay-load pass, computed once.
-        traffic_order = np.argsort(routing.dist, kind="stable")[::-1]
 
         targets = MOBILITY_MODELS.build(
             config.target_mobility, field=fld, config=config, rng=rng
         )
-
-        # The SoA tick engine: flat aligned arrays + reusable scratch,
-        # captured at construction (the REPRO_VECTORIZE knob pattern).
-        # Debug mode also builds the arrays — the shadow compare needs
-        # both engines live.
-        arrays = None
-        if soa_enabled() or debug_soa():
-            arrays = StateArrays(
-                config.n_sensors, config.n_rvs, instruments=instruments
-            )
 
         return cls(
             cfg=config,
@@ -192,11 +178,10 @@ class SimulationState:
             topology=topology,
             routing=routing,
             uplink_etx=uplink_etx,
-            traffic_order=traffic_order,
+            arrays=StateArrays(config.n_sensors, config.n_rvs, instruments=instruments),
             targets=targets,
             instruments=instruments if instruments is not None else NULL_INSTRUMENTS,
             spans=spans if spans is not None else NULL_TRACER,
             monitors=monitors if monitors is not None else NULL_MONITORS,
             blackbox=blackbox if blackbox is not None else NULL_BLACKBOX,
-            arrays=arrays,
         )

@@ -36,21 +36,17 @@ the construction RNG draws — then overwrites the RNG state, arrays,
 components and event queue from the checkpoint.  From that point the
 discrete-event engine is deterministic (time, priority, insertion
 order), so re-execution reproduces the original run bit-for-bit; every
-replayed record's per-field state digests must equal the recorded ones
-on *either* engine, which makes ``repro replay`` double as a
-bit-exactness auditor for the SoA/reference pair.
+replayed record's per-field state digests must equal the recorded ones.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..core.activation import FullTimeActivator, RoundRobinActivator
 from ..core.clustering import Cluster, ClusterSet
 from ..core.erc import AdaptiveEnergyRequestController, EnergyRequestController
 from ..core.requests import RechargeRequest
@@ -100,12 +96,7 @@ _PERIODIC_HANDLERS = {
 #: simply skips the checkpoint; records still flow).
 _ERC_TYPES = (EnergyRequestController, AdaptiveEnergyRequestController)
 _TARGET_TYPES = (TargetProcess, RandomWaypointProcess)
-_ACTIVATOR_TYPES = (
-    RoundRobinActivator,
-    FullTimeActivator,
-    SoARoundRobinActivator,
-    SoAFullTimeActivator,
-)
+_ACTIVATOR_TYPES = (SoARoundRobinActivator, SoAFullTimeActivator)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +163,8 @@ def capture_checkpoint(world, seq: int) -> Optional[Dict[str, Any]]:
         "backlog_release_s": np.array(
             [r.release_time_s for r in backlog], dtype=np.float64
         ),
+        "ptr": s.arrays.ptr.copy(),
     }
-    if s.arrays is not None:
-        arrays["ptr"] = s.arrays.ptr.copy()
-    elif isinstance(s.activator, RoundRobinActivator):
-        arrays["ptr"] = s.activator._ptr.copy()
     waypoints = getattr(s.targets, "_waypoints", None)
     if waypoints is not None:
         arrays["target_waypoints"] = waypoints.copy()
@@ -283,16 +271,11 @@ def restore_world(
     s.cluster_set = ClusterSet(clusters, config.n_sensors)
     det = detection_matrix(s.sensor_pos, s.targets.positions, config.sensing_range_m)
     s.coverable = det.any(axis=0)
-    if s.arrays is not None:
-        pack_clusters(s.cluster_set, s.arrays)
+    pack_clusters(s.cluster_set, s.arrays)
     activator = ACTIVATORS.build(config.activation, cluster_set=s.cluster_set)
     s.activator = wrap_activator(activator, s.arrays)
     if "ptr" in arrays:
-        ptr = np.asarray(arrays["ptr"], dtype=np.int64)
-        if s.arrays is not None:
-            s.arrays.ptr[:] = ptr
-        elif hasattr(s.activator, "_ptr"):
-            s.activator._ptr[:] = ptr
+        s.arrays.ptr[:] = np.asarray(arrays["ptr"], dtype=np.int64)
 
     # Request backlog, in its recorded insertion order (scheduler input
     # order is part of the trajectory).
@@ -343,10 +326,10 @@ def restore_world(
     world.energy.breakdown_j = {
         k: float(v) for k, v in scalars["energy"]["breakdown_j"].items()
     }
-    # Re-price every sensor from the restored masks.  force_full is
-    # bit-identical to the incremental path by contract, so the restored
-    # rates match the original run's exactly.
-    world.energy.recompute(force_full=True)
+    # Re-price every sensor: recompute is a pure function of the
+    # restored state, so the restored rates match the original run's
+    # exactly.
+    world.energy.recompute()
 
     # Rebuild the event queue in recorded firing order; (time, priority)
     # pairs are unique across the three periodics, so relative insertion
@@ -428,17 +411,15 @@ def _compare(
 def replay_bundle(
     bundle: Union[str, Path, PostmortemBundle],
     to_tick: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> ReplayResult:
     """Restore a bundle's nearest checkpoint, re-execute to ``to_tick``
     (a record sequence number; the last recorded one by default), and
     diff every replayed record against the bundle.
 
-    ``engine`` forces the tick engine: ``"soa"`` or ``"ref"``; the
-    current ``REPRO_SOA`` setting otherwise.  If the bundle records an
-    abort (monitor violation or crash), replaying to its sequence
-    number re-executes into the failure and digests the state at the
-    identical point — reproducing the incident bit-for-bit.
+    If the bundle records an abort (monitor violation or crash),
+    replaying to its sequence number re-executes into the failure and
+    digests the state at the identical point — reproducing the incident
+    bit-for-bit.
     """
     if not isinstance(bundle, PostmortemBundle):
         bundle = load_bundle(bundle)
@@ -458,86 +439,74 @@ def replay_bundle(
 
     config = config_from_dict(bundle.config)
     mon_cfg = bundle.manifest.get("monitors") or {}
-    env_key, env_prior = "REPRO_SOA", os.environ.get("REPRO_SOA")
-    if engine is not None:
-        if engine not in ("soa", "ref"):
-            raise ValueError(f"engine must be 'soa' or 'ref', got {engine!r}")
-        os.environ[env_key] = "1" if engine == "soa" else "0"
-    try:
-        monitors = None
-        if mon_cfg.get("strict"):
-            # Arm the same tripwires the original run had — tolerances
-            # from the bundle, not the current environment — so a
-            # recorded violation re-fires at the identical point.
-            monitors = MonitorSet(strict=True)
-            if "energy_atol_j" in mon_cfg:
-                monitors.ENERGY_ATOL_J = float(mon_cfg["energy_atol_j"])
-            if "energy_rtol" in mon_cfg:
-                monitors.ENERGY_RTOL = float(mon_cfg["energy_rtol"])
-            if "plan_atol_j" in mon_cfg:
-                monitors.PLAN_ATOL_J = float(mon_cfg["plan_atol_j"])
-        recorder = BlackBoxRecorder(
-            capacity=max(target - start_seq + 2, 8), checkpoint_every=0
-        )
-        world = restore_world(
-            config, checkpoint, monitors=monitors, blackbox=recorder
-        )
-        result = ReplayResult(
-            bundle_path=bundle.path,
-            engine=engine_provenance(),
-            start_seq=start_seq,
-            target_seq=target,
-            recorded_error=bundle.manifest.get("error"),
-        )
+    monitors = None
+    if mon_cfg.get("strict"):
+        # Arm the same tripwires the original run had — tolerances
+        # from the bundle, not the current environment — so a
+        # recorded violation re-fires at the identical point.
+        monitors = MonitorSet(strict=True)
+        if "energy_atol_j" in mon_cfg:
+            monitors.ENERGY_ATOL_J = float(mon_cfg["energy_atol_j"])
+        if "energy_rtol" in mon_cfg:
+            monitors.ENERGY_RTOL = float(mon_cfg["energy_rtol"])
+        if "plan_atol_j" in mon_cfg:
+            monitors.PLAN_ATOL_J = float(mon_cfg["plan_atol_j"])
+    recorder = BlackBoxRecorder(
+        capacity=max(target - start_seq + 2, 8), checkpoint_every=0
+    )
+    world = restore_world(
+        config, checkpoint, monitors=monitors, blackbox=recorder
+    )
+    result = ReplayResult(
+        bundle_path=bundle.path,
+        engine=engine_provenance(),
+        start_seq=start_seq,
+        target_seq=target,
+        recorded_error=bundle.manifest.get("error"),
+    )
 
-        # The restored state must digest identically to the record the
-        # checkpoint followed — divergence here means a restore bug, and
-        # any drift further out would be unattributable.
-        if start_seq in records:
-            restored = {
-                "seq": start_seq,
-                "digests": digest_state(snapshot_arrays(world.state)),
-                "rng": digest_rng(world.state.rng.bit_generator.state),
-            }
-            _compare(records[start_seq], restored, result.divergences)
-            result.compared += 1
+    # The restored state must digest identically to the record the
+    # checkpoint followed — divergence here means a restore bug, and
+    # any drift further out would be unattributable.
+    if start_seq in records:
+        restored = {
+            "seq": start_seq,
+            "digests": digest_state(snapshot_arrays(world.state)),
+            "rng": digest_rng(world.state.rng.bit_generator.state),
+        }
+        _compare(records[start_seq], restored, result.divergences)
+        result.compared += 1
 
-        replayed_abort = None
-        horizon = config.sim_time_s
-        while recorder.seq < target:
-            try:
-                if not world.state.sim.step():
-                    break
-            except Exception as exc:  # includes InvariantViolation
-                replayed_abort = abort_record(world, exc)
-                result.error = replayed_abort["error"]
+    replayed_abort = None
+    horizon = config.sim_time_s
+    while recorder.seq < target:
+        try:
+            if not world.state.sim.step():
                 break
-            if world.state.now > horizon:
-                break
+        except Exception as exc:  # includes InvariantViolation
+            replayed_abort = abort_record(world, exc)
+            result.error = replayed_abort["error"]
+            break
+        if world.state.now > horizon:
+            break
 
-        replayed = {int(r["seq"]): r for r in recorder.rows()}
-        if replayed_abort is not None:
-            replayed[int(replayed_abort["seq"])] = replayed_abort
-        for seq in sorted(records):
-            if seq <= start_seq or seq > target:
-                continue
-            if seq not in replayed:
-                result.divergences.append({
-                    "seq": seq,
-                    "field": "(record)",
-                    "expected": records[seq].get("kind", "?"),
-                    "got": "missing — replay never reached this event",
-                })
-                continue
-            _compare(records[seq], replayed[seq], result.divergences)
-            result.compared += 1
-        return result
-    finally:
-        if engine is not None:
-            if env_prior is None:
-                os.environ.pop(env_key, None)
-            else:
-                os.environ[env_key] = env_prior
+    replayed = {int(r["seq"]): r for r in recorder.rows()}
+    if replayed_abort is not None:
+        replayed[int(replayed_abort["seq"])] = replayed_abort
+    for seq in sorted(records):
+        if seq <= start_seq or seq > target:
+            continue
+        if seq not in replayed:
+            result.divergences.append({
+                "seq": seq,
+                "field": "(record)",
+                "expected": records[seq].get("kind", "?"),
+                "got": "missing — replay never reached this event",
+            })
+            continue
+        _compare(records[seq], replayed[seq], result.divergences)
+        result.compared += 1
+    return result
 
 
 def format_replay(result: ReplayResult) -> str:

@@ -81,7 +81,7 @@ def run_batch(
     advances in lockstep through one
     :class:`~repro.sim.batch.BatchedEngine`; anything the batched
     kernels cannot represent — a plugin activator, a custom ERC release
-    policy, an attached trace recorder, ``REPRO_SOA=0`` — falls back to
+    policy, an attached trace recorder, battery leakage — falls back to
     :func:`run_simulation` per cell.  Either way every summary is
     bit-identical to its serial ``run_simulation`` counterpart, and
     results come back in input order.

@@ -3,10 +3,10 @@
 PR 4 vectorized the scheduler *decision* loops; this module vectorizes
 the **tick loop** itself.  Everything the periodic tick touches —
 activation rotation, the ERC threshold scan, relay-load accumulation,
-the per-tick coverage reduction and the battery advance — is
-reimplemented here over flat aligned numpy arrays and boolean masks, so
-a 10k–100k-sensor field steps at array speed instead of walking Python
-objects sensor-by-sensor.
+the per-tick coverage reduction and the battery advance — runs here
+over flat aligned numpy arrays and boolean masks, so a 10k–100k-sensor
+field steps at array speed instead of walking Python objects
+sensor-by-sensor.  It is the only serial tick path.
 
 Layout
 ------
@@ -31,19 +31,15 @@ Exactness contract
 ------------------
 
 Every kernel here selects the *same indices* with the same tie-breaks
-as the retained object-walking reference (``repro.core.activation``,
-``repro.core.erc``, the ``traffic_order`` relay walk in
-``repro.sim.components.energy``), and then performs the identical
-IEEE-754 arithmetic per element.  Relay packet counts are integers, so
-the level-order tree accumulation commutes bit-exactly with the
-reference's farthest-first walk.  Fixed-seed goldens therefore do not
-move when the knob flips.
-
-Knobs (the ``REPRO_VECTORIZE`` pattern):
-
-* ``REPRO_SOA=0`` — run the object-walking reference everywhere.
-* ``REPRO_DEBUG_SOA=1`` — shadow mode: run *both* paths on every tick
-  step and raise on the first divergence (bit-exact comparison).
+as the per-cluster loops of :mod:`repro.core.activation` and
+:mod:`repro.core.erc`, and then performs the identical IEEE-754
+arithmetic per element.  Those classes stay in the library as the path
+plugin activators and ERC policies that override ``nodes_to_release``
+take (:func:`wrap_activator` and :func:`erc_scan_applicable` pick the
+path from the object's type), and the tier-1 parity tests compare the
+kernels against them.  Relay packet counts are integers, so the
+level-order tree accumulation commutes bit-exactly with a per-origin
+root-path walk (the test oracle in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -62,25 +58,13 @@ __all__ = [
     "SoARoundRobinActivator",
     "batch_enabled",
     "debug_batch",
-    "debug_soa",
     "erc_release_scan",
     "first_alive_slots",
     "pack_clusters",
     "relay_levels",
     "relay_accumulate",
-    "soa_enabled",
     "wrap_activator",
 ]
-
-
-def soa_enabled() -> bool:
-    """The ``REPRO_SOA`` opt-out (default: enabled)."""
-    return os.environ.get("REPRO_SOA", "1") not in ("0", "false", "no")
-
-
-def debug_soa() -> bool:
-    """``REPRO_DEBUG_SOA=1``: run both engines, assert bit-equality."""
-    return os.environ.get("REPRO_DEBUG_SOA", "") not in ("", "0")
 
 
 def batch_enabled() -> bool:
@@ -98,17 +82,7 @@ def debug_batch() -> bool:
 def engine_provenance() -> dict:
     """Which engine knobs are live — recorded in run manifests so a
     drift report can say which engine produced each run."""
-    from ..core.kernels import vectorize_enabled
-
-    return {
-        "soa": soa_enabled(),
-        "soa_debug": debug_soa(),
-        "vectorize": vectorize_enabled(),
-        "incremental": os.environ.get("REPRO_INCREMENTAL", "1")
-        not in ("0", "false", "no"),
-        "batch": batch_enabled(),
-        "batch_debug": debug_batch(),
-    }
+    return {"batch": batch_enabled(), "batch_debug": debug_batch()}
 
 
 class StateArrays:
@@ -202,7 +176,7 @@ def pack_clusters(cluster_set, arrays: StateArrays) -> None:
 
     Members stay in their per-cluster sorted order (the rotation order
     of Section III-C); rows are padded with ``-1`` and the rotation
-    pointers reset to slot 0, exactly as a fresh reference activator
+    pointers reset to slot 0, exactly as a fresh :class:`RoundRobinActivator`
     would start.
     """
     sizes = cluster_set.sizes()
@@ -232,7 +206,7 @@ def _rotation_scores(
     ``rel[c, j] = (j - start[c]) % size[c]`` for slots holding an alive
     member, the sentinel ``w`` (one past any real distance) for padded
     or depleted slots.  ``rel.argmin(axis=1)`` is then exactly the
-    reference ``_first_alive_from`` answer: the alive slot with the
+    ``RoundRobinActivator._first_alive_from`` answer: the alive slot with the
     smallest wrapping distance at or after ``start``.  Distances within
     a row are distinct, so the argmin is unambiguous.
 
@@ -264,7 +238,7 @@ def first_alive_slots(
 ) -> np.ndarray:
     """Per cluster: the first alive member *slot* at or after ``start``.
 
-    The vectorized form of the reference ``_first_alive_from`` scan:
+    The vectorized form of ``RoundRobinActivator._first_alive_from``:
     each row of ``members`` is scanned in wrapping rotation order from
     ``start``; the first slot whose member is alive wins, ``-1`` when
     the whole cluster is depleted (or empty).
@@ -284,9 +258,7 @@ class SoARoundRobinActivator:
 
     All per-cluster state lives in the ``(members, sizes, ptr)`` block
     of a :class:`StateArrays`; every query is a masked reduction over
-    the padded member matrix.  With ``REPRO_DEBUG_SOA=1`` a shadow
-    reference activator runs beside it and every result is compared
-    bit-for-bit per tick.
+    the padded member matrix.
     """
 
     rotates = True
@@ -296,7 +268,6 @@ class SoARoundRobinActivator:
         self.a = arrays
         if arrays.cluster_id is not cluster_set.membership:
             pack_clusters(cluster_set, arrays)  # not pre-packed by the caller
-        self._shadow = RoundRobinActivator(cluster_set) if debug_soa() else None
         # Memoized active_sensor_per_cluster: the answer is a pure
         # function of (members, sizes, ptr, alive) — members/sizes only
         # change on a rebuild (fresh activator), ptr only in rotate()
@@ -309,33 +280,20 @@ class SoARoundRobinActivator:
 
     def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
         a = self.a
-        if (
-            self._shadow is None
-            and self._actives is not None
-            and np.array_equal(alive, self._actives_alive)
-        ):
+        if self._actives is not None and np.array_equal(alive, self._actives_alive):
             return self._actives
         slots = first_alive_slots(
             a.members, a.sizes, a.ptr, alive, scratch=a._cluster_scratch
         )
         out = _members_at(a.members, slots, scratch=a._cluster_scratch)
-        if self._shadow is not None:
-            _shadow_compare(
-                "active_sensor_per_cluster",
-                out,
-                self._shadow.active_sensor_per_cluster(alive),
-            )
-        else:
-            self._actives = out
-            self._actives_alive = alive.copy()
+        self._actives = out
+        self._actives_alive = alive.copy()
         return out
 
     def active_mask(self, alive: np.ndarray) -> np.ndarray:
         mask = np.zeros(self.cluster_set.n_sensors, dtype=bool)
         actives = self.active_sensor_per_cluster(alive)
         mask[actives[actives >= 0]] = True
-        if self._shadow is not None:
-            _shadow_compare("active_mask", mask, self._shadow.active_mask(alive))
         return mask
 
     def covered_mask(self, alive: np.ndarray) -> np.ndarray:
@@ -345,17 +303,17 @@ class SoARoundRobinActivator:
 
     def rotate(self, alive: np.ndarray) -> np.ndarray:
         """Advance every cluster's pointer one slot; returns the
-        ``(k, 2)`` hand-off pairs in cluster-id order (the reference
-        append order)."""
+        ``(k, 2)`` hand-off pairs in cluster-id order (the
+        :class:`RoundRobinActivator` append order)."""
         a = self.a
         m, w = a.members.shape
         if m == 0 or w == 0:
             return np.empty((0, 2), dtype=np.int64)
-        # One score pass answers both reference scans: the current duty
+        # One score pass answers both per-cluster scans: the current duty
         # holder is the distance argmin; masking it out, the runner-up
         # is the first alive member after it (wrapping), and a cluster
         # whose only alive member holds the duty keeps it (the
-        # reference walk comes back around to ``cur``).
+        # per-cluster walk comes back around to ``cur``).
         rel = _rotation_scores(a.members, a.sizes, a.ptr, alive, a._cluster_scratch)
         rows = a._cluster_scratch[3]
         cur = rel.argmin(axis=1)
@@ -380,19 +338,14 @@ class SoARoundRobinActivator:
             )
         else:
             handoffs = np.empty((0, 2), dtype=np.int64)
-        if self._shadow is not None:
-            ref = self._shadow.rotate(alive)
-            _shadow_compare("rotate.handoffs", handoffs, ref)
-            _shadow_compare("rotate.ptr", a.ptr, self._shadow._ptr)
-        else:
-            # Refresh the memo for the alive mask just rotated under:
-            # live clusters now point at their (alive) duty holder.
-            self._actives = _members_at(
-                a.members,
-                np.where(live, a.ptr, -1),
-                scratch=a._cluster_scratch,
-            )
-            self._actives_alive = alive.copy()
+        # Refresh the memo for the alive mask just rotated under: live
+        # clusters now point at their (alive) duty holder.
+        self._actives = _members_at(
+            a.members,
+            np.where(live, a.ptr, -1),
+            scratch=a._cluster_scratch,
+        )
+        self._actives_alive = alive.copy()
         return handoffs
 
 
@@ -407,7 +360,6 @@ class SoAFullTimeActivator:
         self.a = arrays
         if arrays.cluster_id is not cluster_set.membership:
             pack_clusters(cluster_set, arrays)  # not pre-packed by the caller
-        self._shadow = FullTimeActivator(cluster_set) if debug_soa() else None
         # Same memo as the round-robin twin, minus the rotation hook:
         # full-time duty has no pointer, so (members, alive) is the
         # whole dependency set.
@@ -419,11 +371,7 @@ class SoAFullTimeActivator:
 
     def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
         a = self.a
-        if (
-            self._shadow is None
-            and self._actives is not None
-            and np.array_equal(alive, self._actives_alive)
-        ):
+        if self._actives is not None and np.array_equal(alive, self._actives_alive):
             return self._actives
         zeros = np.zeros(len(a.sizes), dtype=np.int64)
         out = _members_at(
@@ -433,15 +381,8 @@ class SoAFullTimeActivator:
             ),
             scratch=a._cluster_scratch,
         )
-        if self._shadow is not None:
-            _shadow_compare(
-                "active_sensor_per_cluster",
-                out,
-                self._shadow.active_sensor_per_cluster(alive),
-            )
-        else:
-            self._actives = out
-            self._actives_alive = alive.copy()
+        self._actives = out
+        self._actives_alive = alive.copy()
         return out
 
     def covered_mask(self, alive: np.ndarray) -> np.ndarray:
@@ -449,16 +390,6 @@ class SoAFullTimeActivator:
 
     def rotate(self, alive: np.ndarray) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
-
-
-def _shadow_compare(label: str, soa, ref) -> None:
-    """``REPRO_DEBUG_SOA``: the array result must equal the reference."""
-    if not np.array_equal(np.asarray(soa), np.asarray(ref)):
-        raise AssertionError(
-            f"SoA tick engine diverged from the object-walking reference "
-            f"on {label!r} (REPRO_DEBUG_SOA): {soa!r} != {ref!r}; "
-            f"please report this"
-        )
 
 
 def _members_at(members: np.ndarray, slots: np.ndarray, scratch=None) -> np.ndarray:
@@ -474,16 +405,14 @@ def _members_at(members: np.ndarray, slots: np.ndarray, scratch=None) -> np.ndar
     return np.where(slots >= 0, picked, -1)
 
 
-def wrap_activator(activator, arrays: Optional[StateArrays]):
-    """Swap a freshly built reference activator for its SoA equivalent.
+def wrap_activator(activator, arrays: StateArrays):
+    """Swap a freshly built built-in activator for its SoA equivalent.
 
     Only the two built-in schemes have array twins; anything else (a
     plugin activator) runs its own code unchanged.  Called by the
     cluster manager on every rebuild, so the rotation state starts from
-    slot 0 exactly like a fresh reference activator.
+    slot 0 exactly like a freshly built activator.
     """
-    if arrays is None:
-        return activator
     if type(activator) is RoundRobinActivator:
         return SoARoundRobinActivator(activator.cluster_set, arrays)
     if type(activator) is FullTimeActivator:
@@ -502,33 +431,28 @@ def erc_release_scan(
     below: np.ndarray,
     listed: np.ndarray,
     erp: float,
-    arrays: Optional[StateArrays] = None,
+    arrays: StateArrays,
 ) -> List[int]:
     """Array form of the ERC gate: sensors allowed to request *now*.
 
-    Per cluster the needy count (``below`` members, listed or not) is a
-    ``bincount`` reduction; a cluster releases every needy non-listed
-    member iff the count reaches ``max(ceil(nc * K), 1)``; unclustered
-    needy sensors always release.  Output is ascending sensor ids —
-    exactly the reference's ``sorted(release)``.
+    Per cluster the needy count (``below`` members, listed or not) is
+    one scatter-add into the preallocated ``arrays`` scratch; a cluster
+    releases every needy non-listed member iff the count reaches
+    ``max(ceil(nc * K), 1)``; unclustered needy sensors always release.
+    Output is ascending sensor ids — exactly
+    ``EnergyRequestController.nodes_to_release``'s ``sorted(release)``.
     """
     m = len(sizes)
     clustered = membership >= 0
     needy = below & clustered
-    if arrays is not None:
-        counts = arrays.needy_count_scratch(m)
-        counts.fill(0)
-        np.add.at(counts, membership[needy], 1)
-    else:
-        counts = np.bincount(membership[needy], minlength=m)
+    counts = arrays.needy_count_scratch(m)
+    counts.fill(0)
+    np.add.at(counts, membership[needy], 1)
     # Same elementwise arithmetic as release_count_needed: nc * K is one
     # float64 multiply either way, then ceil, then the floor of 1.
     need = np.maximum(np.ceil(sizes * erp).astype(np.int64), 1)
     open_gate = counts >= need
-    if arrays is not None:
-        release = np.logical_and(below, ~listed, out=arrays.release_scratch)
-    else:
-        release = below & ~listed
+    release = np.logical_and(below, ~listed, out=arrays.release_scratch)
     if m:  # a zero-cluster epoch leaves every sensor unclustered
         release &= ~clustered | open_gate[np.maximum(membership, 0)]
     return [int(s) for s in np.flatnonzero(release)]
@@ -536,7 +460,7 @@ def erc_release_scan(
 
 def erc_scan_applicable(erc) -> bool:
     """The array scan replays exactly the *base* gate semantics; a
-    policy that overrides ``nodes_to_release`` gets the reference path."""
+    policy that overrides ``nodes_to_release`` keeps its own code."""
     return (
         type(erc).nodes_to_release is EnergyRequestController.nodes_to_release
     )
@@ -573,10 +497,11 @@ def relay_accumulate(
 ) -> None:
     """Push integer packet counts down the routing tree, level by level.
 
-    Bit-exact to the reference farthest-first walk: counts are int64,
-    integer addition is associative, and every vertex's count is final
-    before its level is pushed (children sit strictly deeper than their
-    parents in a shortest-path tree).  ``cnt`` is modified in place.
+    Bit-exact to any walk that adds each vertex's count to its parent
+    after all its children's: counts are int64, integer addition is
+    associative, and every vertex's count is final before its level is
+    pushed (children sit strictly deeper than their parents in a
+    shortest-path tree).  ``cnt`` is modified in place.
     """
     for lvl in levels:
         np.add.at(cnt, parent[lvl], cnt[lvl])

@@ -138,8 +138,8 @@ class World:
         Runs *after* the handler rescheduled itself, so a checkpoint
         taken here sees the complete pending-event set.  The digests
         cover exactly the ``snapshot_arrays`` fields — the bit-equality
-        surface of the two tick engines — plus the RNG state, which is
-        what makes recorded runs replayable and engine-auditable.
+        surface of the serial and batched tick engines — plus the RNG
+        state, which is what makes recorded runs replayable.
 
         Plain ticks get one combined digest (the per-event hot path);
         every ``_FULL_DIGEST_EVERY``-th record and every decision event
@@ -233,13 +233,7 @@ class World:
             "active": s.activator.active_mask(alive),
             "target_positions": s.targets.positions.copy(),
             "cluster_membership": s.cluster_set.membership.copy(),
-            "rv_positions": s.arrays.rv_pos.copy()
-            if s.arrays is not None
-            else (
-                np.vstack([rv.position for rv in self.rvs])
-                if self.rvs
-                else np.empty((0, 2))
-            ),
+            "rv_positions": s.arrays.rv_pos.copy(),
             "pending_requests": s.requests.node_ids,
         }
 

@@ -6,11 +6,12 @@ time complexity O(nc^2)" (Section IV-C).  This module implements exactly
 that heuristic for open paths starting from the RV's entry point.
 
 The per-step "nearest unvisited city" pick is a masked argmin kernel
-(:func:`repro.core.kernels.masked_argmin`); on the vectorized path the
-city/city legs come out of the shared distance cache's pairwise matrix
-(measured once) instead of a fresh ``distances_from`` per step.  Both
-paths are bit-identical — the matrix rows hold the same ``np.hypot``
-values the per-step measurement produces.
+(:func:`repro.core.kernels.masked_argmin`), and the city/city legs come
+out of the shared distance cache (measured once) instead of a fresh
+``distances_from`` per step.  The cached rows hold the same
+``np.hypot`` values a per-step measurement produces, so the tour is
+bit-identical to the scalar heuristic (the test oracle in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..geometry.points import as_points, distances_from
+from ..geometry.points import as_points
 
 __all__ = ["nearest_neighbor_order"]
 
@@ -49,18 +50,16 @@ def nearest_neighbor_order(
     n = len(points)
     if n == 0:
         return []
-    cache = kernels.distance_cache_for(points) if kernels.vectorize_enabled() else None
+    cache = kernels.distance_cache_for(points)
     remaining = np.ones(n, dtype=bool)
     if start is not None:
-        d0 = cache.from_point(start) if cache is not None else distances_from(start, points)
-        current = kernels.masked_argmin(d0, remaining)
+        current = kernels.masked_argmin(cache.from_point(start), remaining)
     else:
         current = 0
     order = [current]
     remaining[current] = False
     for _ in range(n - 1):
-        d = cache.row(current) if cache is not None else distances_from(points[current], points)
-        current = kernels.masked_argmin(d, remaining)
+        current = kernels.masked_argmin(cache.row(current), remaining)
         order.append(current)
         remaining[current] = False
     return order

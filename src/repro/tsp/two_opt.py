@@ -4,19 +4,16 @@ Not part of the paper's algorithms — provided as the ablation the
 DESIGN.md calls out (A3): how much RV distance a classical 2-opt
 post-pass recovers on top of the nearest-neighbour / insertion tours.
 
-Two implementations share the module (see :mod:`repro.core.kernels`
-for the knobs):
-
-* the *reference* path is the classic nested first-improvement loop;
-* the *vectorized* path measures every leg once into a pairwise
-  distance matrix, evaluates **all** candidate deltas of a sweep as one
-  broadcast, and replays improving moves in scan order — after each
-  applied move the candidate deltas are re-broadcast against the
-  mutated order and the scan resumes at the following ``(i, j)`` cell,
-  which is exactly the state the scalar loop would be in.  The move
-  sequence, and therefore the returned order, is bit-identical
-  (``np.hypot`` is sign-insensitive and each delta is the same
-  ``d(a,c) + d(b,d) - d(a,b) - d(c,d)`` operation chain).
+The sweep measures every leg once into a pairwise distance matrix,
+evaluates **all** candidate deltas of a sweep as one broadcast, and
+replays improving moves in scan order — after each applied move the
+candidate deltas are re-broadcast against the mutated order and the
+scan resumes at the following ``(i, j)`` cell, which is exactly the
+state the classic nested first-improvement loop would be in.  The move
+sequence, and therefore the returned order, is bit-identical to that
+loop (``np.hypot`` is sign-insensitive and each delta is the same
+``d(a,c) + d(b,d) - d(a,b) - d(c,d)`` operation chain); the loop is
+kept as a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,33 +31,11 @@ __all__ = ["two_opt"]
 _EPS = 1e-12
 
 
-def _two_opt_reference(points: np.ndarray, order: List[int], max_rounds: int) -> List[int]:
-    """The scalar first-improvement loop (executable specification)."""
-    n = len(order)
-
-    def seg(a: int, b: int) -> float:
-        d = points[a] - points[b]
-        return float(np.hypot(d[0], d[1]))
-
-    for _ in range(max_rounds):
-        improved = False
-        # Reverse order[i:j+1]; endpoints 0 and n-1 never move.
-        for i in range(1, n - 2):
-            for j in range(i + 1, n - 1):
-                a, b = order[i - 1], order[i]
-                c, d = order[j], order[j + 1]
-                delta = seg(a, c) + seg(b, d) - seg(a, b) - seg(c, d)
-                if delta < -_EPS:
-                    order[i : j + 1] = reversed(order[i : j + 1])
-                    improved = True
-        if not improved:
-            break
-    return order
-
-
 def _two_opt_vectorized(points: np.ndarray, order: List[int], max_rounds: int) -> List[int]:
     """Broadcast sweeps over a shared distance matrix, replayed in scan
-    order so the applied moves match the reference loop move for move."""
+    order so the applied moves match the scalar loop move for move."""
+    # Lazy import: repro.core's package init imports this module (via
+    # the scheduler extensions), so the dependency must not be circular.
     from ..core import kernels
 
     n = len(order)
@@ -114,10 +89,6 @@ def two_opt(
     Returns:
         The improved order (a new list; the input is not mutated).
     """
-    # Lazy import: repro.core's package init imports this module (via
-    # the scheduler extensions), so the dependency must not be circular.
-    from ..core import kernels
-
     points = as_points(points)
     order = list(int(i) for i in order)
     n = len(order)
@@ -125,16 +96,4 @@ def two_opt(
         return order
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if kernels.vectorize_enabled():
-        result = _two_opt_vectorized(points, list(order), max_rounds)
-        kernels.KERNEL_CALLS["vectorized"] += 1
-        if kernels.debug_vectorize():
-            ref = _two_opt_reference(points, list(order), max_rounds)
-            if result != ref:
-                raise AssertionError(
-                    "vectorized two_opt diverged from the reference sweep "
-                    f"({result!r} != {ref!r}); please report this"
-                )
-        return result
-    kernels.KERNEL_CALLS["reference"] += 1
-    return _two_opt_reference(points, order, max_rounds)
+    return _two_opt_vectorized(points, order, max_rounds)

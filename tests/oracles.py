@@ -1,0 +1,293 @@
+"""Scalar oracles for the array kernels (test-only).
+
+The simulator runs one tick path: structure-of-arrays state, a full
+energy recompute with level-order relay accumulation, and vectorized
+scheduling kernels.  Each of those kernels replaced a plain Python loop
+that performed the same IEEE-754 operations per element in the same
+order.  The loops live here, outside the library, as the executable
+specification the parity tests compare the kernels against:
+
+* :func:`relay_walk` — per-origin root-path walk of the relay packet
+  counts (:func:`repro.sim.soa.relay_accumulate`);
+* the scheduling-kernel loops (:mod:`repro.core.kernels`), the scalar
+  first-improvement 2-opt (:func:`repro.tsp.two_opt.two_opt`) and the
+  per-step nearest-neighbour tour
+  (:func:`repro.tsp.nearest_neighbor.nearest_neighbor_order`).
+
+:func:`reference_kernels` and :func:`reference_tick_paths` patch the
+oracles (and the per-cluster activation / ERC classes that stay in the
+library for plugins) into the call sites, so whole scheduler calls and
+whole simulation runs can be compared against the array path.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import List, Optional, Sequence, Tuple
+from unittest import mock
+
+import numpy as np
+
+from repro.geometry.points import as_points, distances_from
+
+#: Same move threshold as :mod:`repro.tsp.two_opt`.
+_EPS = 1e-12
+
+
+# ----------------------------------------------------------------------
+# relay accounting
+# ----------------------------------------------------------------------
+
+
+def relay_walk(cnt: np.ndarray, parent: np.ndarray) -> None:
+    """Add each origin's packet to every vertex on its root path.
+
+    ``cnt`` holds 1 at every origin on entry; on exit every vertex
+    holds its own packet plus the packets it relays (the base station
+    counts what it receives but never forwards).  Modified in place.
+    """
+    for v in np.flatnonzero(cnt):
+        u = int(parent[v])
+        while u >= 0:
+            cnt[u] += 1
+            u = int(parent[u])
+
+
+# ----------------------------------------------------------------------
+# scheduling kernels
+# ----------------------------------------------------------------------
+
+
+def profit_vector(demands, dists, em_j_per_m: float) -> np.ndarray:
+    demands = np.asarray(demands, dtype=np.float64)
+    dists = np.asarray(dists, dtype=np.float64)
+    out = np.empty(len(demands), dtype=np.float64)
+    for i in range(len(demands)):
+        out[i] = demands[i] - em_j_per_m * dists[i]
+    return out
+
+
+def greedy_pick(demands, dists, em_j_per_m: float, mask=None) -> Optional[int]:
+    demands = np.asarray(demands, dtype=np.float64)
+    dists = np.asarray(dists, dtype=np.float64)
+    if len(demands) == 0 or (mask is not None and not np.any(mask)):
+        return None
+    best = -np.inf
+    best_i = -1
+    for i in range(len(demands)):
+        if mask is not None and not mask[i]:
+            continue
+        p = demands[i] - em_j_per_m * dists[i]
+        if p > best:
+            best = p
+            best_i = i
+    return best_i
+
+
+def masked_argmax(values, mask) -> Optional[int]:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.any(mask):
+        return None
+    best = -np.inf
+    best_i = -1
+    for i in range(len(values)):
+        if mask[i] and values[i] > best:
+            best = values[i]
+            best_i = i
+    return best_i
+
+
+def masked_argmax_2d(values, mask) -> Optional[Tuple[int, int]]:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.any(mask):
+        return None
+    best = -np.inf
+    best_rc = (-1, -1)
+    rows, cols = values.shape
+    for r in range(rows):
+        for c in range(cols):
+            if mask[r, c] and values[r, c] > best:
+                best = values[r, c]
+                best_rc = (r, c)
+    return best_rc
+
+
+def masked_argmin(dists, mask=None) -> Optional[int]:
+    dists = np.asarray(dists, dtype=np.float64)
+    if len(dists) == 0 or (mask is not None and not np.any(mask)):
+        return None
+    best = np.inf
+    best_i = -1
+    for i in range(len(dists)):
+        if mask is not None and not mask[i]:
+            continue
+        if dists[i] < best:
+            best = dists[i]
+            best_i = i
+    return best_i
+
+
+def insertion_eval(
+    dmat, dist0, demands, route, remaining, em_j_per_m, charge_efficiency
+) -> Tuple[np.ndarray, np.ndarray]:
+    route = list(route)
+    remaining = list(remaining)
+    demands = np.asarray(demands, dtype=np.float64)
+    k, r = len(route), len(remaining)
+    p = np.empty((k, r), dtype=np.float64)
+    extra = np.empty((k, r), dtype=np.float64)
+    for s in range(k):
+        d_ab = dist0[route[0]] if s == 0 else dmat[route[s - 1], route[s]]
+        for c in range(r):
+            n = remaining[c]
+            d_ac = dist0[n] if s == 0 else dmat[route[s - 1], n]
+            d_cb = dmat[route[s], n]
+            detour = d_ac + d_cb - d_ab
+            p[s, c] = demands[n] - em_j_per_m * detour
+            extra[s, c] = em_j_per_m * detour + demands[n] / charge_efficiency
+    return p, extra
+
+
+def kmeans_assign(points, centroids) -> np.ndarray:
+    points = as_points(points)
+    centroids = as_points(centroids)
+    labels = np.empty(len(points), dtype=np.intp)
+    for i in range(len(points)):
+        best = np.inf
+        best_j = -1
+        for j in range(len(centroids)):
+            d2 = (points[i, 0] - centroids[j, 0]) ** 2 + (
+                points[i, 1] - centroids[j, 1]
+            ) ** 2
+            if d2 < best:
+                best = d2
+                best_j = j
+        labels[i] = best_j
+    return labels
+
+
+def uplink_etx_vector(points, parent, n_sensors: int, comm_range_m: float) -> np.ndarray:
+    from repro.network.linkquality import prr_from_distance
+
+    points = np.asarray(points, dtype=np.float64)
+    parent = np.asarray(parent)
+    etx = np.ones(n_sensors, dtype=np.float64)
+    for v in range(n_sensors):
+        p = parent[v]
+        if p >= 0:
+            hop = float(np.hypot(*(points[v] - points[p])))
+            prr = float(prr_from_distance(np.array([hop]), comm_range_m)[0])
+            etx[v] = 1.0 / (prr * prr) if prr > 0 else 1.0
+    return etx
+
+
+# ----------------------------------------------------------------------
+# tours
+# ----------------------------------------------------------------------
+
+
+def two_opt(points, order: Sequence[int], max_rounds: int = 50) -> List[int]:
+    """The nested first-improvement loop over an open tour."""
+    points = as_points(points)
+    order = [int(i) for i in order]
+    n = len(order)
+    if n < 4:
+        return order
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+
+    def seg(a: int, b: int) -> float:
+        d = points[a] - points[b]
+        return float(np.hypot(d[0], d[1]))
+
+    for _ in range(max_rounds):
+        improved = False
+        # Reverse order[i:j+1]; endpoints 0 and n-1 never move.
+        for i in range(1, n - 2):
+            for j in range(i + 1, n - 1):
+                a, b = order[i - 1], order[i]
+                c, d = order[j], order[j + 1]
+                delta = seg(a, c) + seg(b, d) - seg(a, b) - seg(c, d)
+                if delta < -_EPS:
+                    order[i : j + 1] = reversed(order[i : j + 1])
+                    improved = True
+        if not improved:
+            break
+    return order
+
+
+def nearest_neighbor_order(points, start=None) -> List[int]:
+    """Nearest-neighbour tour measuring every step's legs afresh."""
+    points = as_points(points)
+    n = len(points)
+    if n == 0:
+        return []
+    remaining = np.ones(n, dtype=bool)
+    current = 0 if start is None else masked_argmin(distances_from(start, points), remaining)
+    order = [current]
+    remaining[current] = False
+    for _ in range(n - 1):
+        current = masked_argmin(distances_from(points[current], points), remaining)
+        order.append(current)
+        remaining[current] = False
+    return order
+
+
+# ----------------------------------------------------------------------
+# patch contexts
+# ----------------------------------------------------------------------
+
+_KERNEL_NAMES = (
+    "profit_vector",
+    "greedy_pick",
+    "masked_argmax",
+    "masked_argmax_2d",
+    "masked_argmin",
+    "insertion_eval",
+    "kmeans_assign",
+    "uplink_etx_vector",
+)
+
+
+@contextlib.contextmanager
+def reference_kernels():
+    """Route every scheduling-kernel call site through the oracles.
+
+    Schedulers reach the kernels as ``kernels.<name>`` attributes and
+    the tours through the names their importers bound, so patching
+    those attributes swaps the whole decision path.
+    """
+    import repro.core.kernels as kernels_mod
+
+    oracles = globals()
+    with contextlib.ExitStack() as stack:
+        for name in _KERNEL_NAMES:
+            stack.enter_context(mock.patch.object(kernels_mod, name, oracles[name]))
+        stack.enter_context(
+            mock.patch("repro.core.requests.nearest_neighbor_order", nearest_neighbor_order)
+        )
+        stack.enter_context(mock.patch("repro.core.extensions.two_opt", two_opt))
+        yield
+
+
+@contextlib.contextmanager
+def reference_tick_paths():
+    """Build worlds whose tick runs the per-object reference code.
+
+    Inside the block, newly built worlds keep the per-cluster
+    :class:`~repro.core.activation.RoundRobinActivator` /
+    :class:`~repro.core.activation.FullTimeActivator` loops (the path a
+    plugin activator takes), gate requests through
+    :meth:`~repro.core.erc.EnergyRequestController.nodes_to_release`
+    (the path an overriding ERC policy takes), and accumulate relay
+    counts with :func:`relay_walk`.
+    """
+    with mock.patch(
+        "repro.sim.components.clusters.wrap_activator", lambda act, arrays: act
+    ), mock.patch(
+        "repro.sim.components.gate.erc_scan_applicable", lambda erc: False
+    ), mock.patch(
+        "repro.sim.components.energy.relay_accumulate",
+        lambda cnt, parent, levels: relay_walk(cnt, parent),
+    ):
+        yield

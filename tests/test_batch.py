@@ -14,7 +14,6 @@ Three layers of evidence that ``REPRO_BATCH=1`` is a pure speedup:
   cell results.
 """
 
-import contextlib
 import json
 import os
 import pathlib
@@ -58,7 +57,7 @@ def small(**overrides) -> SimulationConfig:
 
 
 _KNOBS = (
-    "REPRO_SOA", "REPRO_DEBUG_SOA", "REPRO_BATCH", "REPRO_DEBUG_BATCH",
+    "REPRO_BATCH", "REPRO_DEBUG_BATCH",
     "REPRO_BATCH_SIZE", "REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL",
     "REPRO_SHM", "REPRO_START_METHOD", "REPRO_JOBS", "REPRO_PROCS",
 )
@@ -80,21 +79,6 @@ def clean_env(monkeypatch):
     for var in _KNOBS:
         os.environ.pop(var, None)
     shutdown_warm_pool()
-
-
-@contextlib.contextmanager
-def batch_env(**env):
-    """Set env knobs for the block (hypothesis-safe: no fixture)."""
-    old = {k: os.environ.get(k) for k in env}
-    os.environ.update({k: v for k, v in env.items() if v is not None})
-    try:
-        yield
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
 
 
 class TestKnobs:
@@ -143,11 +127,9 @@ class TestShapeSignature:
         assert shape_signature(small(tick_s=300.0)) != shape_signature(base)
         assert shape_signature(small(n_rvs=3)) != shape_signature(base)
 
-    def test_batchable_config_gates(self, monkeypatch):
+    def test_batchable_config_gates(self):
         assert batchable_config(small())
         assert not batchable_config(small(self_discharge_fraction_per_day=0.01))
-        monkeypatch.setenv("REPRO_DEBUG_SOA", "1")
-        assert not batchable_config(small())
 
 
 class TestRunBatchParity:
@@ -213,13 +195,12 @@ class TestBatchedVsSingleProperty:
                 max_size=32,
             )
         )
-        with batch_env(REPRO_SOA=None, REPRO_DEBUG_SOA=None):
-            configs = [
-                small(seed=seed, sim_time_s=ticks * SMALL_CONFIG["tick_s"])
-                for seed, ticks in draws
-            ]
-            wide = run_batch(configs)
-            narrow = [run_batch([c])[0] for c in configs]
+        configs = [
+            small(seed=seed, sim_time_s=ticks * SMALL_CONFIG["tick_s"])
+            for seed, ticks in draws
+        ]
+        wide = run_batch(configs)
+        narrow = [run_batch([c])[0] for c in configs]
         assert [w.as_dict() for w in wide] == [n.as_dict() for n in narrow]
 
 

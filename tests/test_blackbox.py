@@ -123,7 +123,7 @@ class TestBundleRoundTrip:
         assert m["records"] == len(bundle.records) > 0
         assert m["seed"] == TINY["seed"]
         assert m["config_digest"]
-        assert "soa" in m["engine"]
+        assert "batch" in m["engine"]
         # Every record carries the combined digest; decision events and
         # the periodic full-digest records also name each field.
         rec = bundle.records[-1]
@@ -150,11 +150,10 @@ class TestBundleRoundTrip:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("engine", ["soa", "ref"])
-    def test_replay_from_checkpoint_is_bit_identical(self, tmp_path, engine):
+    def test_replay_from_checkpoint_is_bit_identical(self, tmp_path):
         out = recorded_bundle(tmp_path)
         bundle = load_bundle(out)
-        result = replay_bundle(bundle, engine=engine)
+        result = replay_bundle(bundle)
         assert result.ok, result.divergences
         assert result.start_seq > 0  # restored mid-run, not genesis
         assert result.compared > 0
@@ -193,7 +192,7 @@ class TestReplay:
 class TestForcedViolation:
     """The acceptance path: a forced monitor violation produces a
     bundle from which replay deterministically reproduces the violating
-    tick on both engines."""
+    tick."""
 
     @pytest.fixture()
     def violation_bundle(self, tmp_path, monkeypatch):
@@ -211,12 +210,11 @@ class TestForcedViolation:
         assert bundle.manifest["violations"]
         assert bundle.records[-1]["kind"] == "abort"
 
-    @pytest.mark.parametrize("engine", ["soa", "ref"])
-    def test_replay_reproduces_the_violation(self, violation_bundle, engine):
+    def test_replay_reproduces_the_violation(self, violation_bundle):
         # No REPRO_MONITOR_ATOL_J in this process: the replay arms its
         # tripwires from the bundle manifest, so it must fail the same
         # way at the same tick with the same state digest.
-        result = replay_bundle(load_bundle(violation_bundle), engine=engine)
+        result = replay_bundle(load_bundle(violation_bundle))
         assert result.ok, result.divergences
         assert result.recorded_error and "InvariantViolation" in result.recorded_error
         assert result.error and "InvariantViolation" in result.error
@@ -235,7 +233,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["replay", str(out)]) == 0
         assert "bit-identical" in capsys.readouterr().out
-        assert main(["replay", str(out), "--engine", "ref", "--to-tick", "5"]) == 0
+        assert main(["replay", str(out), "--to-tick", "5"]) == 0
         capsys.readouterr()
         assert main(["postmortem", str(out)]) == 0
         assert "Postmortem bundle" in capsys.readouterr().out

@@ -1,17 +1,19 @@
-"""The incremental rate-recomputation fast path (EnergyAccounting).
+"""Incremental rate re-pricing (the batched engine) vs the full pass.
 
-Contract under test: with the fast path on (the default), every
-simulated trajectory — rates, breakdowns, summaries — is *bit-identical*
-to the full-recompute baseline, the goldens stay untouched, and the
-env knobs (``REPRO_INCREMENTAL``, ``REPRO_DEBUG_INCREMENTAL``) behave.
+The serial engine runs one full energy recompute per call.  The batched
+engine (:mod:`repro.sim.batch`) re-prices only the sensors whose masks
+or relay counts changed since the last pass; contract under test: at
+the paper's operating point that incremental path is *bit-identical* to
+the serial full pass, summary for summary, and it refuses the one model
+(battery leakage) with no small dirty set.
 """
 
-import numpy as np
 import pytest
 
 from repro.obs import Instruments
+from repro.sim.batch import _batchable_world
 from repro.sim.config import DAY_S, SimulationConfig
-from repro.sim.runner import run_simulation
+from repro.sim.runner import run_batch, run_simulation
 from repro.sim.world import World
 
 
@@ -21,71 +23,32 @@ def _cfg(**overrides):
     return SimulationConfig.experiment(**base)
 
 
-def _run(monkeypatch, incremental: str, **overrides):
-    monkeypatch.setenv("REPRO_INCREMENTAL", incremental)
-    return run_simulation(_cfg(**overrides)).as_dict()
+def _incremental_and_full(**overrides):
+    cfg = _cfg(**overrides)
+    obs = Instruments()
+    (incremental,) = run_batch([cfg], debug=False, instruments=obs)
+    assert obs.snapshot()["counters"]["batch.cells_batched"] == 1
+    return incremental.as_dict(), run_simulation(cfg).as_dict()
 
 
 @pytest.mark.parametrize("scheduler", ["greedy", "partition", "combined"])
-def test_incremental_matches_full_exactly(monkeypatch, scheduler):
-    full = _run(monkeypatch, "0", scheduler=scheduler)
-    fast = _run(monkeypatch, "1", scheduler=scheduler)
+def test_incremental_matches_full_exactly(scheduler):
+    fast, full = _incremental_and_full(scheduler=scheduler)
     assert fast == full  # exact float equality, not approx
 
 
-def test_incremental_matches_full_with_rotation_and_relocation(monkeypatch):
+def test_incremental_matches_full_with_rotation_and_relocation():
     # Shorter target period -> more rotations + relocations (cluster
     # rebuilds), the events the dirty-set diffing must absorb.
     from repro.sim.config import HOUR_S
 
-    full = _run(monkeypatch, "0", target_period_s=3 * HOUR_S)
-    fast = _run(monkeypatch, "1", target_period_s=3 * HOUR_S)
+    fast, full = _incremental_and_full(target_period_s=3 * HOUR_S)
     assert fast == full
 
 
-def test_debug_assert_mode_passes(monkeypatch):
-    # REPRO_DEBUG_INCREMENTAL=1 re-runs the full pass after every
-    # incremental one and raises on any divergence; a clean run is the
-    # strongest per-recompute equality check we have.
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-    monkeypatch.setenv("REPRO_DEBUG_INCREMENTAL", "1")
-    summary = run_simulation(_cfg())
-    assert summary.sim_time_s == pytest.approx(3 * DAY_S)
-
-
-def test_env_knob_disables_incremental(monkeypatch):
-    monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-    world = World(_cfg())
-    assert not world.energy.incremental_enabled
-
-
-def test_leakage_forces_full_recompute(monkeypatch):
+def test_leakage_forces_full_recompute():
     # Leakage re-prices every alive sensor from its charge level, so
-    # the fast path must refuse to engage.
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-    world = World(_cfg(self_discharge_fraction_per_day=0.01))
-    assert not world.energy.incremental_enabled
-
-
-def test_recompute_path_counters(monkeypatch):
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-    obs = Instruments()
-    world = World(_cfg(), instruments=obs)
-    world.run()
-    snap = obs.snapshot()
-    counters = snap["counters"]
-    # The constructor's priming pass is always full; steady state runs
-    # incremental.
-    assert counters["energy.recompute.full"] >= 1
-    assert counters["energy.recompute.incremental"] > 0
-    assert counters["energy.recompute.incremental"] > counters["energy.recompute.full"]
-
-
-def test_force_full_recomputes_identically(monkeypatch):
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-    world = World(_cfg())
-    world.energy.apply_handoffs(world.clusters.rotate())
-    world.energy.recompute()
-    fast_rates = world.energy.rates.copy()
-    world.energy.recompute(force_full=True)
-    assert np.array_equal(world.energy.rates, fast_rates)
+    # the incremental path must refuse to engage.
+    assert _batchable_world(World(_cfg())) is None
+    reason = _batchable_world(World(_cfg(self_discharge_fraction_per_day=0.01)))
+    assert reason == "battery leakage configured"

@@ -160,20 +160,16 @@ class TestGoldenPerScheduler:
 
 class TestGoldenExecutionMatrix:
     """The pinned summaries must survive every execution mode: serial
-    or process-pool (``jobs``), vectorized kernels or reference loops
-    (``REPRO_VECTORIZE``), SoA or object-walking tick engine
-    (``REPRO_SOA``).  Workers inherit the knobs through the
-    environment, so the matrix covers child processes too."""
+    or process-pool (``jobs``), serial or batched tick engine
+    (``REPRO_BATCH``), cold or warm pool.  Workers inherit the knobs
+    through the environment, so the matrix covers child processes
+    too."""
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("vectorize", ["0", "1"])
-    @pytest.mark.parametrize("soa", ["0", "1"])
-    def test_matrix_bit_identical(self, monkeypatch, jobs, vectorize, soa):
+    def test_matrix_bit_identical(self, monkeypatch, jobs):
         from repro.experiments.executor import map_configs
 
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_VECTORIZE", vectorize)
-        monkeypatch.setenv("REPRO_SOA", soa)
         schedulers = ("greedy", "insertion")
         configs = [
             SimulationConfig(**{**GOLDEN_CONFIG, "scheduler": s}) for s in schedulers
@@ -186,24 +182,19 @@ class TestGoldenExecutionMatrix:
                 k: (got[k], expected[k]) for k in expected if got[k] != expected[k]
             }
             assert not mismatches, (
-                f"{scheduler} drifted under jobs={jobs}, "
-                f"REPRO_VECTORIZE={vectorize}, REPRO_SOA={soa}: {mismatches}"
+                f"{scheduler} drifted under jobs={jobs}: {mismatches}"
             )
 
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize("batch", ["0", "1"])
-    @pytest.mark.parametrize("soa", ["0", "1"])
-    def test_batched_matrix_bit_identical(self, monkeypatch, jobs, batch, soa):
+    def test_batched_matrix_bit_identical(self, monkeypatch, jobs, batch):
         """``REPRO_BATCH=1`` must change wall clock only: the lockstep
         multi-world engine reproduces the goldens bit-for-bit, whether
-        the chunks run in-process or across pool workers, and with
-        ``REPRO_SOA=0`` (where batching cannot apply and every cell
-        falls back serially) nothing changes either."""
+        the chunks run in-process or across pool workers."""
         from repro.experiments.executor import map_configs
 
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.setenv("REPRO_SOA", soa)
         monkeypatch.setenv("REPRO_BATCH", batch)
         if jobs > 1:
             # One cell per chunk so the shape-batches actually fan out.
@@ -221,7 +212,7 @@ class TestGoldenExecutionMatrix:
             }
             assert not mismatches, (
                 f"{scheduler} drifted under jobs={jobs}, "
-                f"REPRO_BATCH={batch}, REPRO_SOA={soa}: {mismatches}"
+                f"REPRO_BATCH={batch}: {mismatches}"
             )
 
     @pytest.mark.parametrize("jobs", [1, 4])

@@ -2,18 +2,17 @@
 
 Three layers of guarantees:
 
-* each kernel's vectorized path is **bit-identical** to its scalar
-  reference path (property-based, random inputs);
+* each kernel is **bit-identical** to its scalar loop in
+  ``oracles.py`` (property-based, random inputs);
 * the :class:`DistanceCache` / :func:`distance_cache_for` registry
   returns the same measurements as direct geometry calls and actually
   shares state on array identity;
 * end to end, every registered scheduler produces the same plans with
-  ``REPRO_VECTORIZE=0`` and ``=1``, and the 2-opt pass replays the
-  exact scalar first-improvement move sequence.
+  the kernels and with the oracle loops patched in, and the 2-opt pass
+  replays the exact scalar first-improvement move sequence.
 """
 
 import contextlib
-import os
 
 import numpy as np
 import pytest
@@ -27,7 +26,10 @@ from repro.core.scheduling import RVView
 from repro.geometry.points import distances_from, pairwise_distances
 from repro.registry import SCHEDULERS
 from repro.tsp.tour import leg_lengths, open_tour_length, validate_tour
-from repro.tsp.two_opt import _two_opt_reference, _two_opt_vectorized, two_opt
+from repro.tsp.nearest_neighbor import nearest_neighbor_order
+from repro.tsp.two_opt import two_opt
+
+import oracles
 
 coords = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -38,79 +40,6 @@ def points_strategy(min_n=1, max_n=14):
         st.tuples(st.integers(min_n, max_n), st.just(2)),
         elements=coords,
     )
-
-
-@contextlib.contextmanager
-def env(**kv):
-    """Temporarily set/unset environment knobs (hypothesis-safe: no
-    function-scoped fixtures)."""
-    old = {k: os.environ.get(k) for k in kv}
-    for k, v in kv.items():
-        if v is None:
-            os.environ.pop(k, None)
-        else:
-            os.environ[k] = v
-    try:
-        yield
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
-def both_paths(call):
-    """Run ``call`` on the vectorized and the reference path."""
-    with env(REPRO_VECTORIZE="1", REPRO_DEBUG_VECTORIZE=None):
-        vec = call()
-    with env(REPRO_VECTORIZE="0", REPRO_DEBUG_VECTORIZE=None):
-        ref = call()
-    return vec, ref
-
-
-# ----------------------------------------------------------------------
-# knobs and counters
-# ----------------------------------------------------------------------
-
-
-class TestKnobs:
-    def test_default_is_vectorized(self):
-        with env(REPRO_VECTORIZE=None):
-            assert kernels.vectorize_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "no"])
-    def test_opt_out_values(self, value):
-        with env(REPRO_VECTORIZE=value):
-            assert not kernels.vectorize_enabled()
-
-    def test_debug_default_off(self):
-        with env(REPRO_DEBUG_VECTORIZE=None):
-            assert not kernels.debug_vectorize()
-
-    def test_calls_counted_per_path(self):
-        kernels.reset_kernel_calls()
-        d = np.array([1.0, 2.0])
-        with env(REPRO_VECTORIZE="1"):
-            kernels.profit_vector(d, d, 1.0)
-        with env(REPRO_VECTORIZE="0"):
-            kernels.profit_vector(d, d, 1.0)
-        assert kernels.KERNEL_CALLS == {"vectorized": 1, "reference": 1}
-        kernels.reset_kernel_calls()
-        assert kernels.KERNEL_CALLS == {"vectorized": 0, "reference": 0}
-
-    def test_debug_mode_runs_both_and_passes(self):
-        kernels.reset_kernel_calls()
-        with env(REPRO_VECTORIZE="1", REPRO_DEBUG_VECTORIZE="1"):
-            out = kernels.profit_vector(np.array([5.0]), np.array([1.0]), 2.0)
-        assert out[0] == 3.0
-
-    def test_debug_mode_raises_on_divergence(self):
-        with env(REPRO_VECTORIZE="1", REPRO_DEBUG_VECTORIZE="1"):
-            with pytest.raises(AssertionError, match="diverged"):
-                kernels._dispatch(
-                    "boom", lambda: 1.0, lambda: 2.0, lambda a, b: a == b
-                )
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +104,8 @@ class TestKernelEquivalence:
     @settings(max_examples=50, deadline=None)
     def test_profit_vector(self, dd, em):
         demands, dists = dd
-        vec, ref = both_paths(lambda: kernels.profit_vector(demands, dists, em))
+        vec = kernels.profit_vector(demands, dists, em)
+        ref = oracles.profit_vector(demands, dists, em)
         assert np.array_equal(vec, ref)
 
     @given(demand_arrays, st.floats(0, 10, allow_nan=False), st.randoms(use_true_random=False))
@@ -183,7 +113,8 @@ class TestKernelEquivalence:
     def test_greedy_pick_with_mask(self, dd, em, pyrand):
         demands, dists = dd
         mask = np.array([pyrand.random() < 0.7 for _ in demands])
-        vec, ref = both_paths(lambda: kernels.greedy_pick(demands, dists, em, mask=mask))
+        vec = kernels.greedy_pick(demands, dists, em, mask=mask)
+        ref = oracles.greedy_pick(demands, dists, em, mask=mask)
         assert vec == ref
         if not mask.any():
             assert vec is None
@@ -193,9 +124,11 @@ class TestKernelEquivalence:
     def test_masked_argmax_argmin(self, dd):
         values, _ = dd
         mask = np.ones(len(values), dtype=bool)
-        vmax, rmax = both_paths(lambda: kernels.masked_argmax(values, mask))
+        vmax = kernels.masked_argmax(values, mask)
+        rmax = oracles.masked_argmax(values, mask)
         assert vmax == rmax == int(np.argmax(values))
-        vmin, rmin = both_paths(lambda: kernels.masked_argmin(values, mask))
+        vmin = kernels.masked_argmin(values, mask)
+        rmin = oracles.masked_argmin(values, mask)
         assert vmin == rmin == int(np.argmin(values))
 
     @given(
@@ -208,7 +141,8 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(seed)
         values = rng.uniform(-10, 10, size=(rows, cols))
         mask = rng.random((rows, cols)) < 0.6
-        vec, ref = both_paths(lambda: kernels.masked_argmax_2d(values, mask))
+        vec = kernels.masked_argmax_2d(values, mask)
+        ref = oracles.masked_argmax_2d(values, mask)
         assert vec == ref
         if vec is not None:
             assert mask[vec]
@@ -219,7 +153,8 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, len(pts) + 1))
         centroids = pts[rng.choice(len(pts), size=k, replace=False)]
-        vec, ref = both_paths(lambda: kernels.kmeans_assign(pts, centroids))
+        vec = kernels.kmeans_assign(pts, centroids)
+        ref = oracles.kmeans_assign(pts, centroids)
         assert np.array_equal(vec, ref)
         assert vec.dtype == np.intp
 
@@ -237,9 +172,9 @@ class TestKernelEquivalence:
         remaining = [i for i in range(n) if i not in route]
         if not remaining:
             return
-        vec, ref = both_paths(
-            lambda: kernels.insertion_eval(dmat, dist0, demands, route, remaining, 5.6, 0.8)
-        )
+        args = (dmat, dist0, demands, route, remaining, 5.6, 0.8)
+        vec = kernels.insertion_eval(*args)
+        ref = oracles.insertion_eval(*args)
         assert np.array_equal(vec[0], ref[0])
         assert np.array_equal(vec[1], ref[1])
         assert vec[0].shape == (len(route), len(remaining))
@@ -251,11 +186,18 @@ class TestKernelEquivalence:
         pts = rng.uniform(0, 60, size=(n + 1, 2))  # +1: a base-station row
         parent = rng.integers(-1, n + 1, size=n + 1)
         parent[parent == np.arange(n + 1)] = -1  # no self-loops
-        vec, ref = both_paths(
-            lambda: kernels.uplink_etx_vector(pts, parent, n, 12.0)
-        )
+        vec = kernels.uplink_etx_vector(pts, parent, n, 12.0)
+        ref = oracles.uplink_etx_vector(pts, parent, n, 12.0)
         assert np.array_equal(vec, ref)
         assert np.all(vec >= 1.0)
+
+    @given(points_strategy(min_n=1, max_n=20), st.booleans(), coords, coords)
+    @settings(max_examples=50, deadline=None)
+    def test_nearest_neighbor_order(self, pts, with_start, x, y):
+        start = np.array([x, y]) if with_start else None
+        assert nearest_neighbor_order(pts, start=start) == oracles.nearest_neighbor_order(
+            pts, start=start
+        )
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +211,8 @@ class TestTwoOptEquivalence:
     def test_vectorized_replays_reference_moves(self, pts, seed):
         rng = np.random.default_rng(seed)
         order = [int(i) for i in rng.permutation(len(pts))]
-        ref = _two_opt_reference(pts, list(order), 50)
-        vec = _two_opt_vectorized(pts, list(order), 50)
+        ref = oracles.two_opt(pts, list(order), 50)
+        vec = two_opt(pts, list(order), 50)
         assert vec == ref  # identical order, not merely identical length
 
     @given(points_strategy(min_n=4, max_n=25), st.integers(0, 2**32 - 1))
@@ -279,13 +221,11 @@ class TestTwoOptEquivalence:
         rng = np.random.default_rng(seed)
         order = [int(i) for i in rng.permutation(len(pts))]
         before = open_tour_length(pts, order)
-        for vectorize in ("0", "1"):
-            with env(REPRO_VECTORIZE=vectorize):
-                improved = two_opt(pts, list(order))
-            validate_tour(improved, len(pts))
-            assert improved[0] == order[0]
-            assert improved[-1] == order[-1]
-            assert open_tour_length(pts, improved) <= before + 1e-9
+        improved = two_opt(pts, list(order))
+        validate_tour(improved, len(pts))
+        assert improved[0] == order[0]
+        assert improved[-1] == order[-1]
+        assert open_tour_length(pts, improved) <= before + 1e-9
 
     def test_leg_lengths_matches_tour_length(self, rng):
         pts = rng.uniform(0, 40, size=(9, 2))
@@ -338,7 +278,8 @@ def _plan_fingerprint(plans):
 class TestUplinkEtxEndToEnd:
     def test_state_uplink_etx_bit_identical(self):
         """``SimulationState.from_config`` under ETX routing yields a
-        bit-identical ``uplink_etx`` vector on both kernel paths."""
+        bit-identical ``uplink_etx`` vector with the kernel and with the
+        scalar oracle loop."""
         from repro.sim.components.state import SimulationState
         from repro.sim.config import SimulationConfig
 
@@ -350,12 +291,12 @@ class TestUplinkEtxEndToEnd:
             seed=2024,
         )
         etx = {}
-        for vectorize in ("1", "0"):
-            with env(REPRO_VECTORIZE=vectorize):
-                etx[vectorize] = SimulationState.from_config(cfg).uplink_etx
-        assert np.array_equal(etx["1"], etx["0"])
-        assert np.all(etx["1"] >= 1.0)
-        assert np.any(etx["1"] > 1.0)  # grey-zone links exist at this density
+        for reference in (False, True):
+            with oracles.reference_kernels() if reference else contextlib.nullcontext():
+                etx[reference] = SimulationState.from_config(cfg).uplink_etx
+        assert np.array_equal(etx[False], etx[True])
+        assert np.all(etx[False] >= 1.0)
+        assert np.any(etx[False] > 1.0)  # grey-zone links exist at this density
 
 
 class TestSchedulersVectorizedVsReference:
@@ -363,13 +304,13 @@ class TestSchedulersVectorizedVsReference:
     @pytest.mark.parametrize("seed", [11, 29, 47])
     def test_assign_identical(self, name, seed):
         fingerprints = {}
-        for vectorize in ("1", "0"):
+        for reference in (False, True):
             scheduler = SCHEDULERS.build(name, fleet_size=3)
             observe = getattr(scheduler, "observe_time", None)
             if observe is not None:
                 observe(0.0)
             requests, views = _random_instance(seed)
-            with env(REPRO_VECTORIZE=vectorize, REPRO_DEBUG_VECTORIZE=None):
+            with oracles.reference_kernels() if reference else contextlib.nullcontext():
                 plans = scheduler.assign(requests, views, np.random.default_rng(7))
-            fingerprints[vectorize] = _plan_fingerprint(plans)
-        assert fingerprints["1"] == fingerprints["0"]
+            fingerprints[reference] = _plan_fingerprint(plans)
+        assert fingerprints[False] == fingerprints[True]

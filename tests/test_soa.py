@@ -1,20 +1,22 @@
 """The structure-of-arrays tick engine (repro.sim.soa).
 
-Three layers of evidence that ``REPRO_SOA=1`` is a pure speedup:
+Three layers of evidence that the array tick path computes exactly what
+the per-object loops specify:
 
 * kernel parity — every array kernel (rotation, ERC scan, relay
-  accumulation) reproduces its object-walking reference bit-for-bit on
-  randomized inputs;
+  accumulation) reproduces its per-cluster / per-origin loop
+  bit-for-bit on randomized inputs;
 * engine equivalence — whole runs and random tick sequences produce
-  identical snapshots and summaries under ``REPRO_SOA=0`` vs ``1``
-  (including a hypothesis property test);
+  identical snapshots and summaries on the array path and on the
+  reference tick paths (``oracles.reference_tick_paths``: the
+  activation / ERC classes plugins run, plus the relay walk),
+  including a hypothesis property test;
 * allocation discipline — the ``sim.soa.alloc`` counter stays flat
   across steady-state ticks, proving the preallocated scratch is
   actually reused.
 """
 
 import contextlib
-import os
 
 import numpy as np
 import pytest
@@ -31,8 +33,6 @@ from repro.sim.soa import (
     SoAFullTimeActivator,
     SoARoundRobinActivator,
     StateArrays,
-    _shadow_compare,
-    debug_soa,
     engine_provenance,
     erc_release_scan,
     erc_scan_applicable,
@@ -40,10 +40,11 @@ from repro.sim.soa import (
     pack_clusters,
     relay_accumulate,
     relay_levels,
-    soa_enabled,
     wrap_activator,
 )
 from repro.sim.world import World
+
+from oracles import reference_tick_paths, relay_walk
 
 
 def random_cluster_set(rng, n_sensors, n_clusters):
@@ -74,23 +75,9 @@ SMALL_CONFIG = dict(
 
 
 class TestKnobs:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOA", raising=False)
-        monkeypatch.delenv("REPRO_DEBUG_SOA", raising=False)
-        assert soa_enabled()
-        assert not debug_soa()
-
-    def test_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        assert not soa_enabled()
-        monkeypatch.setenv("REPRO_DEBUG_SOA", "1")
-        assert debug_soa()
-
     def test_engine_provenance_keys(self):
         prov = engine_provenance()
-        assert set(prov) == {
-            "soa", "soa_debug", "vectorize", "incremental", "batch", "batch_debug",
-        }
+        assert set(prov) == {"batch", "batch_debug"}
         assert all(isinstance(v, bool) for v in prov.values())
 
 
@@ -156,8 +143,6 @@ class TestRotationParity:
         assert isinstance(
             wrap_activator(FullTimeActivator(cs), arrays), SoAFullTimeActivator
         )
-        ref = RoundRobinActivator(cs)
-        assert wrap_activator(ref, None) is ref
 
         class PluginActivator(RoundRobinActivator):
             pass
@@ -199,22 +184,21 @@ class TestErcScanParity:
             below = rng.random(n) > 0.5
             listed = (rng.random(n) > 0.7) & below
             want = erc.nodes_to_release(cs, below, listed)
-            got = erc_release_scan(cs.membership, cs.sizes(), below, listed, erp)
-            assert got == want
-            # With the preallocated scratch path too.
             arrays = StateArrays(n, 0)
             pack_clusters(cs, arrays)
-            got_scratch = erc_release_scan(
+            got = erc_release_scan(
                 cs.membership, arrays.sizes, below, listed, erp, arrays=arrays
             )
-            assert got_scratch == want
+            assert got == want
 
     def test_zero_cluster_epoch(self):
         cs = ClusterSet([], 5)
         below = np.array([True, False, True, False, False])
         listed = np.array([True, False, False, False, False])
         want = EnergyRequestController(0.5).nodes_to_release(cs, below, listed)
-        got = erc_release_scan(cs.membership, cs.sizes(), below, listed, 0.5)
+        arrays = StateArrays(5, 0)
+        pack_clusters(cs, arrays)
+        got = erc_release_scan(cs.membership, arrays.sizes, below, listed, 0.5, arrays)
         assert got == want == [2]
 
     def test_applicability_gate(self):
@@ -241,7 +225,6 @@ class TestRelayParity:
         pos = fld.deploy_uniform(n, rng)
         topo = Topology(pos, 18.0, base_station=fld.base_station)
         tree = RoutingTree(topo)
-        order = np.argsort(tree.dist, kind="stable")[::-1]
         levels = relay_levels(tree.parent, tree.dist, tree.base, n)
         for _ in range(5):
             origins = np.zeros(n, dtype=bool)
@@ -252,55 +235,46 @@ class TestRelayParity:
             relay_accumulate(cnt, tree.parent, levels)
             ref = np.zeros(n + 1, dtype=np.int64)
             ref[:n][origins] = 1
-            for v in order:
-                if v == tree.base or ref[v] == 0:
-                    continue
-                p = tree.parent[v]
-                if p >= 0:
-                    ref[p] += ref[v]
+            relay_walk(ref, tree.parent)
             assert np.array_equal(cnt, ref)
 
 
-@contextlib.contextmanager
-def soa_env(value):
-    """Set ``REPRO_SOA`` for the block (hypothesis-safe: no fixture)."""
-    old = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = old
+def run_snapshotted(reference, checkpoints, **overrides):
+    """Snapshots of one run at ``checkpoints``, on the array tick path
+    or (``reference=True``) on the reference tick paths."""
+    cfg = SimulationConfig(**{**SMALL_CONFIG, **overrides})
+    with reference_tick_paths() if reference else contextlib.nullcontext():
+        world = World(cfg)
+        if reference:
+            assert type(world.state.activator) in (
+                RoundRobinActivator,
+                FullTimeActivator,
+            )
+            assert not world.gate.array_scan
+        snaps = []
+        for t in checkpoints:
+            world.sim.run_until(t)
+            world._advance_energy()
+            snaps.append(snapshot_arrays(world.state))
+    return snaps
 
 
 class TestEngineEquivalence:
-    def run_snapshotted(self, soa, checkpoints, **overrides):
-        with soa_env(soa):
-            cfg = SimulationConfig(**{**SMALL_CONFIG, **overrides})
-            world = World(cfg)
-            snaps = []
-            for t in checkpoints:
-                world.sim.run_until(t)
-                world._advance_energy()
-                snaps.append(snapshot_arrays(world.state))
-            return snaps
-
     @staticmethod
     def assert_snaps_equal(a, b, context):
         for snap_a, snap_b in zip(a, b):
             assert set(snap_a) == set(snap_b)
             for key in snap_a:
                 assert np.array_equal(snap_a[key], snap_b[key]), (
-                    f"{key} diverged between REPRO_SOA=0 and 1 ({context})"
+                    f"{key} diverged between the reference and array tick "
+                    f"paths ({context})"
                 )
 
     @pytest.mark.parametrize("activation", ["round_robin", "full_time"])
     def test_whole_run_snapshots_identical(self, activation):
         checkpoints = [3600.0, 3 * 3600.0, 6 * 3600.0]
-        ref = self.run_snapshotted("0", checkpoints, activation=activation)
-        soa = self.run_snapshotted("1", checkpoints, activation=activation)
+        ref = run_snapshotted(True, checkpoints, activation=activation)
+        soa = run_snapshotted(False, checkpoints, activation=activation)
         self.assert_snaps_equal(ref, soa, activation)
 
     @given(
@@ -324,11 +298,11 @@ class TestEngineEquivalence:
             seed=seed, n_sensors=n_sensors, activation=activation, erp=erp,
             sim_time_s=times[-1],
         )
-        ref = self.run_snapshotted("0", times, **overrides)
-        soa = self.run_snapshotted("1", times, **overrides)
+        ref = run_snapshotted(True, times, **overrides)
+        soa = run_snapshotted(False, times, **overrides)
         self.assert_snaps_equal(ref, soa, f"seed={seed}")
 
-    def test_summaries_identical_with_leakage_and_adaptive(self, monkeypatch):
+    def test_summaries_identical_with_leakage_and_adaptive(self):
         cfg = SimulationConfig(
             **{
                 **SMALL_CONFIG,
@@ -336,25 +310,10 @@ class TestEngineEquivalence:
                 "adaptive_erp": True,
             }
         )
-        monkeypatch.setenv("REPRO_SOA", "0")
-        ref = run_simulation(cfg).as_dict()
-        monkeypatch.setenv("REPRO_SOA", "1")
+        with reference_tick_paths():
+            ref = run_simulation(cfg).as_dict()
         soa = run_simulation(cfg).as_dict()
         assert ref == soa
-
-
-class TestShadowDebug:
-    def test_debug_mode_runs_clean(self, monkeypatch):
-        """REPRO_DEBUG_SOA runs both engines and must not trip."""
-        monkeypatch.setenv("REPRO_SOA", "1")
-        monkeypatch.setenv("REPRO_DEBUG_SOA", "1")
-        summary = run_simulation(SimulationConfig(**SMALL_CONFIG)).as_dict()
-        monkeypatch.delenv("REPRO_DEBUG_SOA")
-        assert summary == run_simulation(SimulationConfig(**SMALL_CONFIG)).as_dict()
-
-    def test_shadow_compare_raises_on_divergence(self):
-        with pytest.raises(AssertionError, match="diverged"):
-            _shadow_compare("unit", np.array([1, 2]), np.array([1, 3]))
 
 
 class TestAllocationDiscipline:
@@ -399,21 +358,15 @@ class TestAllocationDiscipline:
             assert a.rv_level_j[rv.rv_id] == rv.battery.level_j
             assert a.rv_busy[rv.rv_id] == rv.busy
 
-    def test_reference_engine_builds_no_arrays(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        world = World(SimulationConfig(**SMALL_CONFIG))
-        assert world.state.arrays is None
-        assert isinstance(world.state.activator, (RoundRobinActivator, FullTimeActivator))
-
 
 class TestProvenance:
     def test_manifest_records_engine(self, tmp_path, monkeypatch):
         from repro.sim.runner import run_with_telemetry
 
-        monkeypatch.setenv("REPRO_SOA", "1")
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
         cfg = SimulationConfig(**{**SMALL_CONFIG, "sim_time_s": 3600.0})
         _, manifest = run_with_telemetry(cfg, tmp_path)
-        assert manifest.engine["soa"] is True
+        assert manifest.engine["batch"] is False
         # And it round-trips through the JSON on disk.
         from repro.obs.manifest import RunManifest
 
@@ -427,15 +380,3 @@ class TestProvenance:
         data = m.as_dict()
         data.pop("engine")
         assert RunManifest.from_dict(data).engine == {}
-
-    def test_cli_no_soa_sets_env(self, monkeypatch):
-        from repro.cli import build_parser
-
-        monkeypatch.delenv("REPRO_SOA", raising=False)
-        parser = build_parser()
-        args = parser.parse_args(["run", "--no-soa"])
-        assert args.soa is False
-        args = parser.parse_args(["run", "--soa"])
-        assert args.soa is True
-        args = parser.parse_args(["run"])
-        assert args.soa is None
