@@ -2,9 +2,9 @@
 
 Three executions of the same 8-cell ERP grid, each run twice:
 
-* **cold** — a fresh ``multiprocessing.Pool`` per sweep (the pre-warm
-  executor behavior): every sweep pays worker spawn plus the
-  numpy/simulator import bill;
+* **cold** — ``warm=False``: a :class:`repro.experiments.pool.WarmPool`
+  opened for the sweep and closed when it returns, so every sweep pays
+  worker spawn plus the numpy/simulator import bill;
 * **warm** — the persistent :class:`repro.experiments.pool.WarmPool`:
   the second sweep reuses live workers and pays neither;
 * **warm + store** — the warm pool plus a content-addressed
@@ -56,12 +56,9 @@ def _timed(fn):
 
 
 def bench_sweep_service():
-    # The disk cache would collapse every leg into replays, and ambient
-    # warm/store opt-ins would blur the A/B; measure the real paths.
-    saved = {
-        var: os.environ.pop(var, None)
-        for var in ("REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL")
-    }
+    # An ambient result store would collapse every leg into replays;
+    # measure the real paths.
+    store_env = os.environ.pop("REPRO_STORE", None)
     os.environ["REPRO_START_METHOD"] = "spawn"
     store_root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
@@ -88,9 +85,8 @@ def bench_sweep_service():
         shutdown_warm_pool()
         shutil.rmtree(store_root, ignore_errors=True)
         os.environ.pop("REPRO_START_METHOD", None)
-        for var, value in saved.items():
-            if value is not None:
-                os.environ[var] = value
+        if store_env is not None:
+            os.environ["REPRO_STORE"] = store_env
 
     speedup_warm = sweeps["cold_second"] / max(sweeps["warm_second"], 1e-9)
     speedup_service = sweeps["cold_second"] / max(sweeps["store_second"], 1e-9)

@@ -38,9 +38,9 @@ def _sweep_jobs() -> int:
 def bench_sweep_wallclock():
     scale = current_scale()
     jobs = _sweep_jobs()
-    # The disk cache would make both legs near-instant replays; this
-    # benchmark must measure actual simulation work.
-    cache = os.environ.pop("REPRO_CACHE", None)
+    # A result store would make the parallel leg a replay of the serial
+    # one; this benchmark must measure actual simulation work.
+    store = os.environ.pop("REPRO_STORE", None)
     try:
         t0 = time.perf_counter()
         serial = run_erp_sweep(scale, SCHEDULERS, ERPS, jobs=1)
@@ -49,8 +49,8 @@ def bench_sweep_wallclock():
         parallel = run_erp_sweep(scale, SCHEDULERS, ERPS, jobs=jobs)
         t_parallel = time.perf_counter() - t0
     finally:
-        if cache is not None:
-            os.environ["REPRO_CACHE"] = cache
+        if store is not None:
+            os.environ["REPRO_STORE"] = store
     # Determinism contract: whatever `jobs` is, the sweep serializes
     # byte-identically to the serial loop.
     assert json.dumps(parallel, sort_keys=True) == json.dumps(serial, sort_keys=True)

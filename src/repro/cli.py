@@ -354,7 +354,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     erps = [float(x) for x in args.erps.split(",") if x.strip()]
     seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
     metric = args.metric
-    # One flat grid through the cell executor: cache lookups up front,
+    # One flat grid through the cell executor: store lookups up front,
     # misses fanned out over the pool, results reassembled in order.
     grid = [(erp, sched) for erp in erps for sched in schedulers]
     configs = [

@@ -4,7 +4,6 @@ See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
 recorded paper-vs-measured results.
 """
 
-from .cache import cached_run, cached_run_seeds
 from .executor import (
     CellResult,
     GridJob,
@@ -37,8 +36,6 @@ __all__ = [
     "SCHEMES",
     "ExperimentScale",
     "activity_saving_percent",
-    "cached_run",
-    "cached_run_seeds",
     "compute_headline",
     "current_scale",
     "default_jobs",

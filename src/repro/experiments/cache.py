@@ -1,54 +1,38 @@
-"""Opt-in on-disk cache for experiment cells.
+"""Cell keying and the executor's per-cell lookup.
 
 Figure sweeps re-run many identical simulations (e.g. regenerating
-Fig. 6a after 6b at the same scale).  With ``REPRO_CACHE=<dir>`` set,
-every completed run is stored as JSON keyed by the SHA-256 of its full
-serialized configuration *plus a code token* (the package version and,
-when the package lives in a git checkout, the current commit) — so a
-cache hit is always the same simulation produced by the same code, and
+Fig. 6a after 6b at the same scale).  Every completed cell can be kept
+in a :class:`repro.experiments.store.ResultStore` (``REPRO_STORE=<dir>``
+or an explicit ``store=`` argument), addressed by the SHA-256 of its
+full serialized configuration *plus a code token* (the package version
+and, when the package lives in a git checkout, the current commit) — so
+a hit is always the same simulation produced by the same code, and
 upgrading or editing the simulator invalidates stale cells instead of
-replaying them.  Unset (the default), everything runs fresh.
+replaying them.  Without a store, everything runs fresh.
 
-The executor (:mod:`repro.experiments.executor`) performs lookups and
-stores in the parent process via :func:`cache_lookup` /
-:func:`cache_store`; the ``cached_run*`` helpers remain the
-single-config convenience API.
+The executor (:mod:`repro.experiments.executor`) answers every cell
+through :func:`cache_lookup`, in the parent process, before it runs
+anything.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..obs.manifest import git_revision
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationSummary
-from ..sim.runner import run_simulation
 from ..sim.serialization import config_to_dict
 
 __all__ = [
-    "cache_dir",
     "cache_lookup",
-    "cache_store",
     "code_token",
     "config_key",
-    "cached_run",
-    "cached_run_seeds",
     "summary_from_dict",
 ]
-
-
-def cache_dir() -> Optional[pathlib.Path]:
-    """The cache directory from ``REPRO_CACHE``, or None (disabled)."""
-    value = os.environ.get("REPRO_CACHE", "").strip()
-    if not value:
-        return None
-    path = pathlib.Path(value)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 _CODE_TOKEN: Optional[Dict[str, Optional[str]]] = None
@@ -60,7 +44,7 @@ def code_token() -> Dict[str, Optional[str]]:
     ``version`` is the installed package version; ``git_rev`` is the
     commit of the checkout the package is imported from (via the
     manifest helper, ``None`` outside a repository).  Together they make
-    cached cells self-invalidating across code changes.
+    stored cells self-invalidating across code changes.
     """
     global _CODE_TOKEN
     if _CODE_TOKEN is None:
@@ -78,7 +62,7 @@ def config_key(config: SimulationConfig) -> str:
 
     Two processes running the same code over the same configuration
     agree on the key; a different package version or git revision never
-    collides with previously cached cells.
+    collides with previously stored cells.
     """
     payload = json.dumps(
         {"config": config_to_dict(config), "code": code_token()}, sort_keys=True
@@ -97,47 +81,12 @@ def summary_from_dict(data: dict) -> SimulationSummary:
     return SimulationSummary(**kwargs)
 
 
-def cache_lookup(config: SimulationConfig) -> Optional[SimulationSummary]:
-    """The cached summary for ``config``, or None (miss / cache off)."""
-    directory = cache_dir()
-    if directory is None:
-        return None
-    path = directory / f"{config_key(config)}.json"
-    if not path.exists():
-        return None
-    return summary_from_dict(json.loads(path.read_text()))
+def cache_lookup(config: SimulationConfig, store) -> Optional[SimulationSummary]:
+    """The stored summary for ``config``, or None (a miss, or no store).
 
-
-def cache_store(config: SimulationConfig, summary: SimulationSummary) -> None:
-    """Store a completed run (no-op with the cache disabled)."""
-    directory = cache_dir()
-    if directory is None:
-        return
-    path = directory / f"{config_key(config)}.json"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(summary.as_dict()))
-    tmp.replace(path)  # atomic on POSIX: parallel writers can't corrupt
-
-
-def cached_run(config: SimulationConfig) -> SimulationSummary:
-    """Run one simulation, consulting/filling the cache when enabled."""
-    hit = cache_lookup(config)
-    if hit is not None:
-        return hit
-    summary = run_simulation(config)
-    cache_store(config, summary)
-    return summary
-
-
-def cached_run_seeds(
-    config: SimulationConfig, seeds: Sequence[int]
-) -> List[SimulationSummary]:
-    """Seed fan-out through the cache.
-
-    Lookups happen here (in the caller's process); misses are executed
-    through the executor's process pool, which honors
-    ``REPRO_JOBS``/``REPRO_PROCS`` parallelism, and then stored.
+    ``store`` is a :class:`repro.experiments.store.ResultStore` or None;
+    it is read exactly once per call.
     """
-    from .executor import map_configs
-
-    return map_configs([config.with_overrides(seed=s) for s in seeds])
+    if store is None:
+        return None
+    return store.get(config)

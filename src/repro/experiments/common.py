@@ -76,9 +76,9 @@ def run_cell(
     """Run one experiment cell (seed-averaged) and return the flat
     summary dict of :meth:`SimulationSummary.as_dict`.
 
-    Cells go through the opt-in on-disk cache (``REPRO_CACHE``); with
+    Cells go through the opt-in result store (``REPRO_STORE``); with
     it unset they always run fresh.  Seeds fan out across the executor
-    pool (``jobs``, else ``REPRO_JOBS``; cache lookups stay in the
+    pool (``jobs``, else ``REPRO_JOBS``; store lookups stay in the
     parent process).
     """
     from .executor import map_configs

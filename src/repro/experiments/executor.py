@@ -8,66 +8,61 @@ keeping the output *bit-identical* to the serial path:
 * every cell is keyed by ``(scheduler, erp, seed)`` and the results are
   reassembled in grid order in the parent, so averaging and JSON
   serialization see exactly the sequence the serial loop would produce;
-* cache lookups (``REPRO_CACHE``) and content-addressed store lookups
-  (``REPRO_STORE``, :mod:`repro.experiments.store`) happen in the
-  parent — only misses are shipped to the pool — and completed cells
-  are stored by the parent, so workers stay pure functions of their
-  configuration;
+* result-store lookups (``REPRO_STORE`` or a ``store`` argument,
+  :mod:`repro.experiments.store`, through
+  :func:`repro.experiments.cache.cache_lookup`) happen in the parent —
+  only misses are shipped to the pool — and completed cells are stored
+  by the parent, so workers stay pure functions of their configuration;
 * the worker entry point is the module-level
   :func:`repro.sim.runner.run_simulation` over a picklable frozen
   ``SimulationConfig``, which makes the pool safe under both ``fork``
   and ``spawn`` start methods (``REPRO_START_METHOD`` forces one).
 
 Worker count comes from the ``jobs`` argument, else ``REPRO_JOBS``,
-else the older ``REPRO_PROCS`` knob, else 1 (serial, in-process).
-``auto`` (either the argument via the CLI or the environment variable)
-resolves to ``os.cpu_count()``.  The CLI exposes the same control as
-``--jobs``.
+else 1 (serial, in-process).  ``auto`` (either the argument via the CLI
+or the environment variable) resolves to ``os.cpu_count()``.  The CLI
+exposes the same control as ``--jobs``.
 
-Two pool backends execute the misses:
+Misses run on a :class:`repro.experiments.pool.WarmPool` — the only
+pool — and come back pickled over each worker's pipe.  ``warm=False``
+(the default) opens a pool for the call and closes it, workers joined,
+before the call returns; ``warm=True`` uses the process-wide persistent
+pool, which survives across calls and amortizes interpreter start,
+imports and per-worker caches.  Both run the same worker functions over
+the same payloads and reassemble by index, so summaries are
+byte-identical across ``{jobs} x {warm}``.  Nothing pool-related is
+imported — let alone spawned — before the first multi-worker fan-out.
 
-* the default **cold pool** — a fresh ``multiprocessing.Pool`` per
-  call, torn down when the call returns (nothing persists);
-* the **warm pool** (``warm=True`` or ``REPRO_WARM_POOL=1``) — the
-  process-wide persistent :class:`repro.experiments.pool.WarmPool`,
-  which survives across calls and amortizes interpreter start, imports
-  and per-worker caches.  Results come back through shared-memory
-  segments instead of pickle pipes where available.
-
-Both backends run the same worker functions over the same payloads in
-the same grid order, so summaries are byte-identical across
-``{jobs} x {warm}`` (covered by the golden execution matrix).  Nothing
-warm is imported — let alone spawned — unless a caller opts in.
-
-Streaming: :func:`iter_configs` yields ``(index, summary, source)``
-per cell *as cells finish*, and :func:`submit_grid` wraps a whole
-sweep grid into a :class:`GridJob` whose ``results()`` reassembles
-grid order at the end — the primitive behind ``repro serve`` /
+One miss loop: :func:`iter_configs` yields ``(index, summary, source)``
+per cell *as cells finish*; :func:`map_configs` is the grid-order
+reassembly of the same stream, and :func:`submit_grid` wraps a whole
+sweep grid into a :class:`GridJob` whose ``results()`` reassembles grid
+order at the end — the primitive behind ``repro serve`` /
 ``repro submit`` (:mod:`repro.experiments.service`).
 
-Batching: with ``REPRO_BATCH=1``, plain (untraced, unrecorded) cache
-misses are grouped by :func:`repro.sim.batch.shape_signature` —
-identical configurations up to seed / scheduler / erp / horizon — and
-each group is chunked into shape-batches of at most ``REPRO_BATCH_SIZE``
-cells (default 16), each submitted as **one** pool payload that runs
-through :func:`repro.sim.runner.run_batch` (the lockstep batched
-engine).  Per-cell summaries are bit-identical to the serial path, grid
-order is reassembled exactly as before, every cell is stored
-individually (``source="batch"`` provenance in the result store), and
-the pool's ``tasks`` / ``warm_hits`` stats are weighted so a k-cell
-batch counts k cells, not one payload.
+Batching: with ``REPRO_BATCH=1``, plain (untraced, unrecorded) misses
+are grouped by :func:`repro.sim.batch.shape_signature` — identical
+configurations up to seed / scheduler / erp / horizon — and each group
+is chunked into shape-batches of at most ``REPRO_BATCH_SIZE`` cells
+(default 16), each submitted as **one** pool payload that runs through
+:func:`repro.sim.runner.run_batch` (the lockstep batched engine).
+Per-cell summaries are bit-identical to the serial path, grid order is
+reassembled exactly as before, every cell is stored individually
+(``source="batch"`` provenance in the result store), and the pool's
+``tasks`` / ``warm_hits`` stats are weighted so a k-cell batch counts k
+cells, not one payload.
 
 Observability: pass an :class:`repro.obs.Instruments` registry to
-record ``executor.cells`` / ``executor.cache_hits`` /
-``executor.store_hits`` / ``executor.cache_misses`` counters and the
-``executor.map`` phase timer (the warm pool adds ``pool.*`` gauges).
-Pass a :class:`repro.obs.SpanTracer` as ``spans`` and the fan-out
-becomes part of the flight-recorder trace: every cache miss runs
+record ``executor.cells`` / ``executor.store_hits`` /
+``executor.cache_misses`` counters and the ``executor.map`` phase timer
+(the pool adds ``pool.*`` counters).  Pass a
+:class:`repro.obs.SpanTracer` as ``spans`` to :func:`map_configs` and
+the fan-out becomes part of the flight-recorder trace: every miss runs
 through :func:`_run_cell_traced` (in the pool when ``jobs > 1``), its
 serialized child spans are merged under the parent ``executor.map``
-span in miss order with deterministically renumbered ids, and cache
-hits are recorded as events — so a ``--jobs 4`` trace reads exactly
-like the serial one.
+span in miss order with deterministically renumbered ids, and store
+hits are recorded as ``executor.store_hit`` events — so a ``--jobs 4``
+trace reads exactly like the serial one.
 """
 
 from __future__ import annotations
@@ -106,28 +101,23 @@ CellKey = Tuple[str, float, int]
 def default_jobs() -> int:
     """Worker count for cell fan-out when ``jobs`` is not given.
 
-    ``REPRO_JOBS`` wins; the older ``REPRO_PROCS`` (the seed-runner
-    knob) is honored as a fallback so existing setups keep
-    parallelizing; the default is 1 (serial) so library users opt in
-    explicitly.  Either variable may be ``auto``, which resolves to
-    ``os.cpu_count()``.
+    ``REPRO_JOBS`` (an integer, or ``auto`` for ``os.cpu_count()``);
+    the default is 1 (serial) so library users opt in explicitly.
     """
-    for var in ("REPRO_JOBS", "REPRO_PROCS"):
-        value = os.environ.get(var, "").strip()
-        if not value:
-            continue
-        if value.lower() == "auto":
-            return max(1, os.cpu_count() or 1)
-        try:
-            n = int(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{var} must be an integer or 'auto', got {value!r}"
-            ) from exc
-        if n < 1:
-            raise ValueError(f"{var} must be >= 1")
-        return n
-    return 1
+    value = os.environ.get("REPRO_JOBS", "").strip()
+    if not value:
+        return 1
+    if value.lower() == "auto":
+        return max(1, os.cpu_count() or 1)
+    try:
+        n = int(value)
+    except ValueError as exc:
+        raise ValueError(
+            f"REPRO_JOBS must be an integer or 'auto', got {value!r}"
+        ) from exc
+    if n < 1:
+        raise ValueError("REPRO_JOBS must be >= 1")
+    return n
 
 
 def default_batch_size() -> int:
@@ -162,7 +152,7 @@ def _batch_requested() -> bool:
 def _batch_payloads(
     configs: Sequence[SimulationConfig], misses: Sequence[int]
 ) -> Tuple[List[List[int]], List[Tuple[SimulationConfig, ...]]]:
-    """Group cache-miss cells into shape-batch payloads.
+    """Group missed cells into shape-batch payloads.
 
     Misses are grouped by :func:`repro.sim.batch.shape_signature`
     (preserving miss order within a group — the batched engine returns
@@ -279,9 +269,9 @@ def _run_cell_batch(
     return run_batch(list(configs), instruments=worker_instruments())
 
 
-#: Miss-execution worker functions by task kind.  The warm pool
-#: resolves the same table by name inside its workers, so both
-#: backends run exactly the same code over the same payloads.
+#: Miss-execution worker functions by task kind.  The pool resolves
+#: the same table by name inside its workers, so serial and pooled
+#: execution run exactly the same code over the same payloads.
 _TASK_FNS = {
     "run": run_simulation,
     "traced": _run_cell_traced,
@@ -290,22 +280,12 @@ _TASK_FNS = {
 }
 
 
-def _run_indexed(task: Tuple[int, str, Any]) -> Tuple[int, Any]:
-    """Pool worker for the streaming path: tag results with their
-    miss index so ``imap_unordered`` output can be re-keyed."""
-    index, kind, payload = task
-    return index, _TASK_FNS[kind](payload)
-
-
-def _warm_requested(warm: Optional[bool]) -> bool:
-    """Resolve the warm-pool opt-in: explicit argument, else
-    ``REPRO_WARM_POOL`` (off by default — nothing persists unless a
-    caller asks)."""
-    if warm is not None:
-        return bool(warm)
-    return os.environ.get("REPRO_WARM_POOL", "").strip().lower() in (
-        "1", "true", "yes", "on", "auto",
-    )
+def _resolve_jobs(jobs: Optional[int]) -> int:
+    """The worker count: ``jobs``, else :func:`default_jobs`."""
+    n_jobs = default_jobs() if jobs is None else int(jobs)
+    if n_jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return n_jobs
 
 
 def _resolve_store(store):
@@ -325,229 +305,82 @@ def _execute(
     warm: bool,
     instruments,
     weights: Optional[Sequence[int]] = None,
-) -> List[Any]:
-    """Run miss payloads through the selected pool backend, in order.
+) -> Iterator[Tuple[int, Any]]:
+    """Run miss payloads, yielding ``(payload index, result)`` as they
+    finish.
 
-    Serial (``n_jobs == 1`` or a single payload) runs in-process;
-    otherwise a fresh cold pool per call, or the persistent warm pool
-    when opted in.  All three produce the same ordered result list.
-    ``weights`` (cells per payload) keeps the warm pool's ``tasks`` /
-    ``warm_hits`` stats counting cells when payloads are shape-batches.
+    Serial (``n_jobs == 1`` or a single payload) runs in-process, in
+    order; otherwise the shared warm pool when ``warm``, else a pool
+    opened here and closed — workers joined — when the stream ends or
+    is abandoned.  ``weights`` (cells per payload) keeps the pool's
+    ``tasks`` / ``warm_hits`` stats counting cells when payloads are
+    shape-batches.
     """
     if n_jobs == 1 or len(payloads) == 1:
         fn = _TASK_FNS[kind]
-        return [fn(p) for p in payloads]
+        for j, payload in enumerate(payloads):
+            yield j, fn(payload)
+        return
+    from .pool import WarmPool, get_warm_pool
+
+    method = _pool_start_method()
     if warm:
-        from .pool import get_warm_pool
-
-        pool = get_warm_pool(n_jobs, start_method=_pool_start_method())
-        return pool.run(kind, payloads, instruments=instruments, weights=weights)
-    ctx = multiprocessing.get_context(_pool_start_method())
-    with ctx.Pool(min(n_jobs, len(payloads))) as pool:
-        return pool.map(_TASK_FNS[kind], payloads)
+        pool = get_warm_pool(n_jobs, start_method=method)
+        yield from pool.run_iter(kind, payloads, instruments=instruments, weights=weights)
+        return
+    with WarmPool(min(n_jobs, len(payloads)), start_method=method) as pool:
+        yield from pool.run_iter(kind, payloads, instruments=instruments, weights=weights)
 
 
-def _lookup(config: SimulationConfig, store) -> Tuple[Optional[SimulationSummary], str]:
-    """Parent-side lookup chain: legacy cache, then result store."""
-    from .cache import cache_lookup
-
-    hit = cache_lookup(config)
-    if hit is not None:
-        return hit, "cache"
-    if store is not None:
-        hit = store.get(config)
-        if hit is not None:
-            return hit, "store"
-    return None, "run"
-
-
-def _store_fresh(
-    config: SimulationConfig,
-    summary: SimulationSummary,
+def _stream(
+    configs: Sequence[SimulationConfig],
+    jobs: Optional[int],
+    warm: bool,
     store,
-    source: str = "run",
-) -> None:
-    """Persist a freshly computed cell into every enabled layer;
-    ``source`` records how the cell was produced (``"run"`` serial,
-    ``"batch"`` through the batched engine) in the store blob."""
-    from .cache import cache_store
+    obs,
+    sp,
+    postmortem_dir: Optional[Union[str, Path]],
+) -> Iterator[Tuple[int, SimulationSummary, str, Optional[List[Dict[str, Any]]]]]:
+    """The one miss loop: lookup, payloads, execute, store.
 
-    cache_store(config, summary)
-    if store is not None:
-        store.put(config, summary, source=source)
-
-
-def map_configs(
-    configs: Sequence[SimulationConfig],
-    jobs: Optional[int] = None,
-    instruments=None,
-    spans=None,
-    postmortem_dir: Optional[Union[str, Path]] = None,
-    warm: Optional[bool] = None,
-    store=None,
-) -> List[SimulationSummary]:
-    """Run every configuration, in order, through cache + process pool.
-
-    The result list is aligned with ``configs`` regardless of the order
-    workers finish in, so the output is bit-identical to running the
-    configurations serially.  Cache and store lookups/stores happen in
-    the parent process; only misses are executed (in the pool when
-    ``jobs > 1`` — the persistent warm pool when ``warm`` is true or
-    ``REPRO_WARM_POOL=1``, else a fresh pool per call).  ``store``
-    is a :class:`repro.experiments.store.ResultStore` (default: the
-    one named by ``REPRO_STORE``, or none).
-
-    With a ``spans`` tracer, each miss runs under a child tracer whose
-    rows are absorbed under this call's ``executor.map`` span in miss
-    order (deterministic id renumbering), and cache hits become
-    ``executor.cache_hit`` events — the merged trace is identical in
-    structure for any ``jobs`` value.
-
-    With ``postmortem_dir``, every miss runs with the flight recorder
-    armed and writes ``<postmortem_dir>/cell-<grid index>`` bundles on
-    failure or monitor violation — the same grid-order discipline as
-    the span merge, so a crashing cell lands at the same path however
-    the pool schedules it.
+    Yields ``(index, summary, source, rows)``: store hits first, in
+    index order, then misses in completion order; ``rows`` are a traced
+    miss's serialized spans (None otherwise).  Store hits become
+    ``executor.store_hit`` events on ``sp``'s open span.
     """
-    obs = instruments if instruments is not None else NULL_INSTRUMENTS
-    sp = spans if spans is not None else NULL_TRACER
-    n_jobs = default_jobs() if jobs is None else int(jobs)
-    if n_jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    use_warm = _warm_requested(warm)
-    store = _resolve_store(store)
+    from . import cache  # resolved per call, so a wrapped cache_lookup is seen
 
-    results: List[Optional[SimulationSummary]] = [None] * len(configs)
-    misses: List[int] = []
-    store_hits = 0
-    with obs.timer("executor.map"), sp.span(
-        "executor.map", cells=len(configs), jobs=n_jobs
-    ) as sweep_span:
-        for i, cfg in enumerate(configs):
-            hit, source = _lookup(cfg, store)
-            if hit is not None:
-                results[i] = hit
-                store_hits += source == "store"
-                if sp.enabled:
-                    sp.event(
-                        "executor.cache_hit" if source == "cache"
-                        else "executor.store_hit",
-                        cell=i, scheduler=cfg.scheduler, erp=cfg.erp, seed=cfg.seed,
-                    )
-            else:
-                misses.append(i)
-        obs.counter("executor.cells").inc(len(configs))
-        obs.counter("executor.cache_hits").inc(
-            len(configs) - len(misses) - store_hits
-        )
-        obs.counter("executor.store_hits").inc(store_hits)
-        obs.counter("executor.cache_misses").inc(len(misses))
-        sweep_span.set(cache_hits=len(configs) - len(misses))
-        if misses:
-            h_cell = obs.histogram("executor.cell_latency_s", DEFAULT_LATENCY_BUCKETS)
-            t_fan = time.perf_counter()
-            if postmortem_dir is not None:
-                root = Path(postmortem_dir)
-                kind = "recorded"
-                payloads: List[Any] = [
-                    (configs[i], str(root / f"cell-{i:04d}"), sp.enabled)
-                    for i in misses
-                ]
-            elif sp.enabled:
-                kind = "traced"
-                payloads = [configs[i] for i in misses]
-            else:
-                kind = "run"
-                payloads = [configs[i] for i in misses]
-            if kind == "run" and _batch_requested():
-                # Shape-batched execution: each payload is one chunk of
-                # signature-compatible cells run through the batched
-                # engine; summaries reassemble to the same grid slots.
-                chunks, batch_payloads = _batch_payloads(configs, misses)
-                outputs = _execute(
-                    "batch", batch_payloads, n_jobs, use_warm, obs,
-                    weights=[len(c) for c in chunks],
-                )
-                for chunk, summaries in zip(chunks, outputs):
-                    for j, summary in zip(chunk, summaries):
-                        i = misses[j]
-                        h_cell.observe(time.perf_counter() - t_fan)
-                        _store_fresh(configs[i], summary, store, source="batch")
-                        results[i] = summary
-            else:
-                outputs = _execute(kind, payloads, n_jobs, use_warm, obs)
-                for i, out in zip(misses, outputs):
-                    h_cell.observe(time.perf_counter() - t_fan)
-                    if kind == "run":
-                        summary = out
-                    else:
-                        summary, rows = out
-                        if sp.enabled and rows is not None:
-                            sp.absorb(
-                                rows, parent=sweep_span,
-                                root_attrs={"cell": i, "cache": "miss"},
-                            )
-                    _store_fresh(configs[i], summary, store)
-                    results[i] = summary
-    return results  # type: ignore[return-value]
-
-
-def iter_configs(
-    configs: Sequence[SimulationConfig],
-    jobs: Optional[int] = None,
-    warm: Optional[bool] = None,
-    store=None,
-    instruments=None,
-    postmortem_dir: Optional[Union[str, Path]] = None,
-) -> Iterator[Tuple[int, SimulationSummary, str]]:
-    """Stream per-cell results as they finish.
-
-    Yields ``(index, summary, source)`` where ``index`` points into
-    ``configs`` and ``source`` is ``"cache"``, ``"store"``, ``"run"``
-    or ``"batch"`` (a fresh cell computed through the batched engine
-    under ``REPRO_BATCH=1``).  Cache/store hits are yielded first (in
-    index order); misses follow in *completion* order — callers that
-    need the serial sequence reassemble by index (:class:`GridJob`
-    does).  Shape-batched misses finish a chunk at a time and are
-    streamed per cell.  Fresh results are persisted to the enabled
-    layers as they arrive, so a second identical submission is all
-    hits.
-
-    This is the streaming sibling of :func:`map_configs` (which should
-    be preferred when span tracing is needed — streaming runs are not
-    traced).  With ``postmortem_dir``, misses run with the flight
-    recorder armed, same bundle layout as :func:`map_configs`.
-    """
-    obs = instruments if instruments is not None else NULL_INSTRUMENTS
-    n_jobs = default_jobs() if jobs is None else int(jobs)
-    if n_jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    use_warm = _warm_requested(warm)
+    n_jobs = _resolve_jobs(jobs)
     store = _resolve_store(store)
 
     misses: List[int] = []
-    store_hits = 0
     for i, cfg in enumerate(configs):
-        hit, source = _lookup(cfg, store)
-        if hit is not None:
-            store_hits += source == "store"
-            yield i, hit, source
-        else:
+        hit = cache.cache_lookup(cfg, store)
+        if hit is None:
             misses.append(i)
+            continue
+        if sp.enabled:
+            sp.event(
+                "executor.store_hit",
+                cell=i, scheduler=cfg.scheduler, erp=cfg.erp, seed=cfg.seed,
+            )
+        yield i, hit, "store", None
     obs.counter("executor.cells").inc(len(configs))
-    obs.counter("executor.cache_hits").inc(len(configs) - len(misses) - store_hits)
-    obs.counter("executor.store_hits").inc(store_hits)
+    obs.counter("executor.store_hits").inc(len(configs) - len(misses))
     obs.counter("executor.cache_misses").inc(len(misses))
     if not misses:
         return
-    chunks: Optional[List[List[int]]] = None
+    chunks: List[List[int]] = []
     weights: Optional[List[int]] = None
     if postmortem_dir is not None:
         root = Path(postmortem_dir)
         kind = "recorded"
         payloads: List[Any] = [
-            (configs[i], str(root / f"cell-{i:04d}"), False) for i in misses
+            (configs[i], str(root / f"cell-{i:04d}"), sp.enabled) for i in misses
         ]
+    elif sp.enabled:
+        kind = "traced"
+        payloads = [configs[i] for i in misses]
     elif _batch_requested():
         kind = "batch"
         chunks, payloads = _batch_payloads(configs, misses)
@@ -558,41 +391,105 @@ def iter_configs(
 
     # Per-cell latency from fan-out start to completion — the live
     # plane's p99 SLO substrate.  Only misses are timed (hits above
-    # were answered from the cache/store in microseconds).
+    # were answered from the store in microseconds).
     h_cell = obs.histogram("executor.cell_latency_s", DEFAULT_LATENCY_BUCKETS)
     t_fan = time.perf_counter()
-
-    def _finish(i: int, summary: SimulationSummary, source: str):
-        h_cell.observe(time.perf_counter() - t_fan)
-        _store_fresh(configs[i], summary, store, source=source)
-        return i, summary, source
-
-    def _emit(j: int, out: Any) -> Iterator[Tuple[int, SimulationSummary, str]]:
-        """Per-cell results of payload ``j`` — one for plain kinds, the
-        whole chunk for a shape-batch."""
+    source = "batch" if kind == "batch" else "run"
+    for j, out in _execute(kind, payloads, n_jobs, warm, obs, weights):
         if kind == "batch":
-            assert chunks is not None
-            for jj, summary in zip(chunks[j], out):
-                yield _finish(misses[jj], summary, "batch")
-        else:
-            yield _finish(misses[j], out if kind == "run" else out[0], "run")
+            cells = [(misses[jj], summary, None) for jj, summary in zip(chunks[j], out)]
+        elif kind == "run":
+            cells = [(misses[j], out, None)]
+        else:  # traced / recorded: (summary, rows)
+            cells = [(misses[j], out[0], out[1])]
+        for i, summary, rows in cells:
+            h_cell.observe(time.perf_counter() - t_fan)
+            if store is not None:
+                store.put(configs[i], summary, source=source)
+            yield i, summary, source, rows
 
-    if n_jobs == 1 or len(payloads) == 1:
-        fn = _TASK_FNS[kind]
-        for j, payload in enumerate(payloads):
-            yield from _emit(j, fn(payload))
-    elif use_warm:
-        from .pool import get_warm_pool
 
-        pool = get_warm_pool(n_jobs, start_method=_pool_start_method())
-        for j, out in pool.run_iter(kind, payloads, instruments=obs, weights=weights):
-            yield from _emit(j, out)
-    else:
-        ctx = multiprocessing.get_context(_pool_start_method())
-        tasks = [(j, kind, p) for j, p in enumerate(payloads)]
-        with ctx.Pool(min(n_jobs, len(tasks))) as pool:
-            for j, out in pool.imap_unordered(_run_indexed, tasks):
-                yield from _emit(j, out)
+def map_configs(
+    configs: Sequence[SimulationConfig],
+    jobs: Optional[int] = None,
+    instruments=None,
+    spans=None,
+    postmortem_dir: Optional[Union[str, Path]] = None,
+    warm: bool = False,
+    store=None,
+) -> List[SimulationSummary]:
+    """Run every configuration through the result store and the pool;
+    summaries come back aligned with ``configs``.
+
+    This is the grid-order reassembly of :func:`iter_configs`' stream,
+    so the output is bit-identical to running the configurations
+    serially whatever order workers finish in.  Store lookups and
+    writes happen in the parent; only misses are executed (on a pool
+    when ``jobs > 1`` — the persistent warm pool when ``warm`` is true,
+    else one opened and closed by this call).  ``store`` is a
+    :class:`repro.experiments.store.ResultStore` (default: the one
+    named by ``REPRO_STORE``, or none).
+
+    With a ``spans`` tracer, each miss runs under a child tracer whose
+    rows are absorbed under this call's ``executor.map`` span in miss
+    order (deterministic id renumbering) once every cell is in, and
+    store hits become ``executor.store_hit`` events — the merged trace
+    is identical in structure for any ``jobs`` value.
+
+    With ``postmortem_dir``, every miss runs with the flight recorder
+    armed and writes ``<postmortem_dir>/cell-<grid index>`` bundles on
+    failure or monitor violation — keyed by grid index, so a crashing
+    cell lands at the same path however the pool schedules it.
+    """
+    obs = instruments if instruments is not None else NULL_INSTRUMENTS
+    sp = spans if spans is not None else NULL_TRACER
+    results: List[Optional[SimulationSummary]] = [None] * len(configs)
+    traced: Dict[int, List[Dict[str, Any]]] = {}
+    n_jobs = _resolve_jobs(jobs)
+    with obs.timer("executor.map"), sp.span(
+        "executor.map", cells=len(configs), jobs=n_jobs
+    ) as sweep_span:
+        hits = 0
+        for i, summary, source, rows in _stream(
+            configs, n_jobs, warm, store, obs, sp, postmortem_dir
+        ):
+            results[i] = summary
+            hits += source == "store"
+            if rows is not None:
+                traced[i] = rows
+        sweep_span.set(cache_hits=hits)
+        for i in sorted(traced):
+            sp.absorb(traced[i], parent=sweep_span, root_attrs={"cell": i, "cache": "miss"})
+    return results  # type: ignore[return-value]
+
+
+def iter_configs(
+    configs: Sequence[SimulationConfig],
+    jobs: Optional[int] = None,
+    warm: bool = False,
+    store=None,
+    instruments=None,
+    postmortem_dir: Optional[Union[str, Path]] = None,
+) -> Iterator[Tuple[int, SimulationSummary, str]]:
+    """Stream per-cell results as they finish.
+
+    Yields ``(index, summary, source)`` where ``index`` points into
+    ``configs`` and ``source`` is ``"store"``, ``"run"`` or ``"batch"``
+    (a fresh cell computed through the batched engine under
+    ``REPRO_BATCH=1``).  Store hits are yielded first (in index order);
+    misses follow in *completion* order — callers that need the serial
+    sequence reassemble by index (:class:`GridJob` and
+    :func:`map_configs` do).  Shape-batched misses finish a chunk at a
+    time and are streamed per cell.  Fresh results are stored as they
+    arrive, so a second identical submission is all hits.  With
+    ``postmortem_dir``, misses run with the flight recorder armed, same
+    bundle layout as :func:`map_configs`.
+    """
+    obs = instruments if instruments is not None else NULL_INSTRUMENTS
+    for i, summary, source, _rows in _stream(
+        configs, jobs, warm, store, obs, NULL_TRACER, postmortem_dir
+    ):
+        yield i, summary, source
 
 
 @dataclass(frozen=True)
@@ -602,7 +499,7 @@ class CellResult:
     index: int
     key: CellKey
     summary: SimulationSummary
-    source: str  # "cache" | "store" | "run" | "batch"
+    source: str  # "store" | "run" | "batch"
 
 
 class GridJob:
@@ -683,7 +580,7 @@ def submit_grid(
     schedulers: Sequence[str],
     erps: Sequence[float],
     jobs: Optional[int] = None,
-    warm: Optional[bool] = None,
+    warm: bool = False,
     store=None,
     instruments=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
@@ -715,7 +612,7 @@ def map_cells(
     instruments=None,
     spans=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
-    warm: Optional[bool] = None,
+    warm: bool = False,
     store=None,
     **overrides,
 ) -> Dict[CellKey, SimulationSummary]:
@@ -723,7 +620,7 @@ def map_cells(
 
     Builds the exact configurations the serial :func:`run_cell` loop
     would build (``scale.base_config(scheduler=..., erp=...)`` with the
-    seed overridden), fans cache misses out over the pool, and returns
+    seed overridden), fans store misses out over the pool, and returns
     the summaries keyed by ``(scheduler, erp, seed)``.  Grid order is
     preserved internally so a downstream reassembly that walks
     ``sweep_grid`` order is bit-identical to the serial sweep.

@@ -1,12 +1,14 @@
-"""Persistent warm worker pool for sweep fan-out.
+"""Warm worker pool for sweep fan-out — the executor's only pool.
 
-The cold executor path builds a fresh ``multiprocessing.Pool`` per
-``map_configs`` call: every sweep pays interpreter start, numpy
-imports and simulator warm-up in each worker, then throws that state
-away.  :class:`WarmPool` keeps a fixed set of worker processes alive
-across calls, so repeated sweeps — the ERP grids behind every figure,
-and the thousands of rollouts a learned charging policy needs — pay
-those costs once per worker instead of once per sweep:
+Every multi-worker ``map_configs`` / ``iter_configs`` call runs its
+misses on a :class:`WarmPool`: with ``warm=True`` the process-wide
+shared pool from :func:`get_warm_pool`, which keeps a fixed set of
+worker processes alive across calls, so repeated sweeps — the ERP grids
+behind every figure, and the thousands of rollouts a learned charging
+policy needs — pay interpreter start, imports and simulator warm-up
+once per worker instead of once per sweep; with ``warm=False`` (the
+default) a pool opened for the call and closed, workers joined, before
+the call returns.  Either way:
 
 * **warm reuse** — workers survive between ``run`` / ``run_iter``
   calls; module-level caches (the scheduler ``DistanceCache``, the
@@ -23,29 +25,24 @@ those costs once per worker instead of once per sweep:
   run anything for that long releases its workers on the next
   :meth:`reap_if_idle` (the sweep service calls it between
   connections); the next run transparently cold-starts;
-* **shared-memory shipping** — workers pack ``SimulationSummary``
-  results into a ``numpy`` vector written to a
-  ``multiprocessing.shared_memory`` segment and send only the segment
-  name over the queue; the parent copies the payload out and unlinks
-  the segment.  ``REPRO_SHM=0`` (or an unavailable module) falls back
-  to pickling through the queue — both paths are bit-identical because
-  float64 round-trips exactly.
+* **shipping** — a worker sends its result back pickled over its own
+  pipe.
 
-Determinism contract: the pool runs the *same* module-level worker
-functions as the cold pool over the same payloads and the parent
+Determinism contract: the pool runs the executor's module-level worker
+functions over the same payloads as the serial path and the parent
 reassembles by task index, so results are byte-identical to the serial
 executor whatever the scheduling — pool reuse amortizes cost, never
 state that could leak into a trajectory (workers only ever receive
 frozen configs and return summaries).
 
-Nothing here is imported by :mod:`repro.experiments.executor` unless a
-caller opts into ``warm=True`` / ``REPRO_WARM_POOL=1``: importing the
-executor spawns no processes and allocates no shared memory.
+Importing :mod:`repro.experiments.executor` imports nothing from here
+and spawns no processes: the pool module loads on the first
+multi-worker fan-out.
 
 Observability: ``run``/``run_iter`` accept an ``Instruments`` registry
-and record ``pool.warm_hits`` / ``pool.respawns`` / ``pool.shm_bytes``
-counters and the ``pool.queue_depth`` gauge; the same totals are kept
-in the pool's :attr:`stats` dict for instrument-free callers.
+and record ``pool.warm_hits`` / ``pool.respawns`` counters and the
+``pool.queue_depth`` gauge; the same totals are kept in the pool's
+:attr:`stats` dict for instrument-free callers.
 """
 
 from __future__ import annotations
@@ -62,157 +59,12 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..obs.instruments import DEFAULT_LATENCY_BUCKETS, NULL_INSTRUMENTS
 from ..obs.schema import POOL_STATS
 
-__all__ = ["WarmPool", "get_warm_pool", "shm_available", "shutdown_warm_pool"]
+__all__ = ["WarmPool", "get_warm_pool", "shutdown_warm_pool"]
 
 #: How long the parent blocks in ``connection.wait`` per poll
 #: (seconds).  Worker results and death sentinels wake it immediately;
 #: this only bounds the idle-loop tick.
 _POLL_S = 0.2
-
-
-def _shm_module():
-    """The ``multiprocessing.shared_memory`` module, or None."""
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - py38+ always has it
-        return None
-    return shared_memory
-
-
-def shm_available() -> bool:
-    """Whether shared-memory result shipping is enabled and supported.
-
-    ``REPRO_SHM=0`` disables it (pickle fallback); anything else uses
-    it when ``multiprocessing.shared_memory`` imports.
-    """
-    if os.environ.get("REPRO_SHM", "").strip() == "0":
-        return False
-    return _shm_module() is not None
-
-
-def _summary_fields() -> Tuple[str, ...]:
-    """The summary's field names in declaration order — the schema of
-    the packed float64 vector shipped through shared memory."""
-    import dataclasses
-
-    from ..sim.metrics import SimulationSummary
-
-    return tuple(f.name for f in dataclasses.fields(SimulationSummary))
-
-
-def _pack_summary(summary) -> "Any":
-    """A summary as a float64 vector (field order = declaration order).
-
-    float64 represents every summary value exactly (ints here are far
-    below 2**53), so packing/unpacking is bit-preserving.
-    """
-    import numpy as np
-
-    return np.array(
-        [float(getattr(summary, f)) for f in _summary_fields()], dtype=np.float64
-    )
-
-
-def _unpack_summary(values):
-    """Inverse of :func:`_pack_summary` (ints restored)."""
-    from .cache import summary_from_dict
-
-    return summary_from_dict(dict(zip(_summary_fields(), [float(v) for v in values])))
-
-
-def _untrack_shm(seg) -> None:
-    """Detach a worker-created segment from the worker's resource
-    tracker: its lifetime is owned by the *parent* (attach → copy →
-    unlink), and without this the creating process would try to unlink
-    it a second time at exit and log spurious leak warnings."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _ship(result: Any, use_shm: bool) -> Tuple[Any, ...]:
-    """Encode a task result for the result queue (worker side).
-
-    Summaries (bare, or the ``(summary, rows)`` tuples of the traced
-    and recorded workers) are packed into a float64 vector and written
-    to a shared-memory segment; everything else — and every payload
-    when shm is off — pickles through the queue.
-    """
-    from ..sim.metrics import SimulationSummary
-
-    if isinstance(result, SimulationSummary):
-        summary, rows, has_rows = result, None, False
-    elif (
-        isinstance(result, tuple)
-        and len(result) == 2
-        and isinstance(result[0], SimulationSummary)
-    ):
-        (summary, rows), has_rows = result, True
-    else:
-        return ("pickle", result)
-    values = _pack_summary(summary)
-    if use_shm:
-        shm = _shm_module()
-        if shm is not None:
-            try:
-                seg = shm.SharedMemory(create=True, size=values.nbytes)
-            except OSError:
-                seg = None  # no /dev/shm (or quota hit): fall back below
-            if seg is not None:
-                import numpy as np
-
-                view = np.ndarray(values.shape, dtype=values.dtype, buffer=seg.buf)
-                view[:] = values
-                del view  # release the exported buffer before close()
-                name = seg.name
-                _untrack_shm(seg)
-                seg.close()
-                return ("shm", name, values.nbytes, has_rows, rows)
-    return ("packed", values.tobytes(), has_rows, rows)
-
-
-def _unship(shipped: Tuple[Any, ...]) -> Tuple[Any, int]:
-    """Decode a shipped result (parent side); returns ``(result,
-    shm_bytes)`` where the byte count is nonzero only for segments."""
-    import numpy as np
-
-    tag = shipped[0]
-    if tag == "pickle":
-        return shipped[1], 0
-    if tag == "packed":
-        _, raw, has_rows, rows = shipped
-        summary = _unpack_summary(np.frombuffer(raw, dtype=np.float64))
-        return ((summary, rows) if has_rows else summary), 0
-    _, name, nbytes, has_rows, rows = shipped
-    seg = _shm_module().SharedMemory(name=name)
-    try:
-        view = np.ndarray((nbytes // 8,), dtype=np.float64, buffer=seg.buf)
-        values = view.copy()
-        del view
-    finally:
-        seg.close()
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reclaimed
-            pass
-    summary = _unpack_summary(values)
-    return ((summary, rows) if has_rows else summary), nbytes
-
-
-def _discard(shipped: Tuple[Any, ...]) -> None:
-    """Release a shipped result that will never be consumed (stale
-    generation, or a duplicate after a respawn resubmission) — shm
-    segments must be unlinked or they leak until reboot."""
-    if shipped and shipped[0] == "shm":
-        try:
-            seg = _shm_module().SharedMemory(name=shipped[1])
-            seg.close()
-            seg.unlink()
-        except Exception:
-            pass
 
 
 def _resolve_task(kind: str):
@@ -259,7 +111,7 @@ def _worker_stats_delta(
     return instruments.snapshot()
 
 
-def _worker_main(worker_id: int, conn, use_shm: bool, stream: bool = False) -> None:
+def _worker_main(worker_id: int, conn, stream: bool = False) -> None:
     """Warm worker loop: serve ``(gen, task_id, kind, payload)`` tasks
     from the parent's pipe until EOF or the ``None`` sentinel arrives.
 
@@ -309,7 +161,7 @@ def _worker_main(worker_id: int, conn, use_shm: bool, stream: bool = False) -> N
         else:
             if stream:
                 delta = _worker_stats_delta(kind, payload, time.perf_counter() - t0, local)
-            reply = ("done", gen, task_id, _ship(result, use_shm), delta)
+            reply = ("done", gen, task_id, result, delta)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent died
@@ -334,12 +186,12 @@ class _Worker:
     duplex pipe and the ``(task_id, kind, payload)`` it currently holds
     (None when idle) — which is what makes crash resubmission exact."""
 
-    def __init__(self, ctx, wid: int, use_shm: bool, stream: bool = False) -> None:
+    def __init__(self, ctx, wid: int, stream: bool = False) -> None:
         self.wid = wid
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(wid, child_conn, use_shm, stream),
+            args=(wid, child_conn, stream),
             daemon=True,
             name=f"repro-warm-{wid}",
         )
@@ -375,7 +227,6 @@ class WarmPool:
         self,
         jobs: int,
         start_method: Optional[str] = None,
-        use_shm: Optional[bool] = None,
         idle_timeout_s: Optional[float] = None,
     ) -> None:
         if jobs < 1:
@@ -384,7 +235,6 @@ class WarmPool:
 
         self.jobs = int(jobs)
         self.start_method = start_method or _pool_start_method()
-        self.use_shm = shm_available() if use_shm is None else bool(use_shm)
         self.idle_timeout_s = idle_timeout_s
         self._ctx = multiprocessing.get_context(self.start_method)
         self._workers: Dict[int, _Worker] = {}
@@ -443,7 +293,7 @@ class WarmPool:
     def _spawn_worker(self) -> _Worker:
         wid = self._next_worker_id
         self._next_worker_id += 1
-        worker = _Worker(self._ctx, wid, self.use_shm, stream=self._bus is not None)
+        worker = _Worker(self._ctx, wid, stream=self._bus is not None)
         self._workers[wid] = worker
         return worker
 
@@ -482,6 +332,11 @@ class WarmPool:
 
     def _stop_workers(self) -> None:
         for worker in self._workers.values():
+            if worker.task is not None:
+                # Still running a task of an abandoned run (a sibling
+                # raised): nobody will read its result, so don't wait.
+                worker.proc.terminate()
+                continue
             try:
                 worker.conn.send(None)
             except (BrokenPipeError, OSError):  # already dead
@@ -620,21 +475,16 @@ class WarmPool:
         ``(task_id, result)`` when the message belongs to this run."""
         tag, mgen = msg[0], msg[1]
         if mgen != gen:  # abandoned task from an aborted earlier run
-            if tag == "done":
-                _discard(msg[3])
             return
         if self._bus is not None:
             self._bus.absorb(msg[-1], worker.wid)
         if tag == "done":
-            _, _, task_id, shipped, _delta = msg
+            _, _, task_id, result, _delta = msg
             h_task.observe(time.perf_counter() - worker.dispatched_at)
             worker.task = None
             if backlog:
                 worker.dispatch(gen, backlog.popleft())
                 h_wait.observe(worker.dispatched_at - run_t0)
-            result, shm_bytes = _unship(shipped)
-            if shm_bytes:
-                self._count("shm_bytes", obs, shm_bytes)
             yield task_id, result
         else:  # "error"
             _, _, task_id, blob, text, _delta = msg
@@ -663,9 +513,7 @@ class WarmPool:
         instruments=None,
         weights: Optional[Sequence[int]] = None,
     ) -> List[Any]:
-        """Execute payloads and return results in payload order —
-        drop-in for ``multiprocessing.Pool.map`` over the same worker
-        function."""
+        """Execute payloads and return results in payload order."""
         payloads = list(payloads)
         out: List[Any] = [None] * len(payloads)
         for index, result in self.run_iter(

@@ -18,7 +18,7 @@ line, answered by one or more response lines:
 * ``{"op": "submit_grid", "days": D, "seeds": [...], "schedulers":
   [...], "erps": [...], "overrides": {...}}`` → a stream of
   ``{"cell": i, "key": [scheduler, erp, seed], "source":
-  "cache"|"store"|"run", "summary": {...}}`` lines in completion
+  "store"|"run"|"batch", "summary": {...}}`` lines in completion
   order, terminated by ``{"done": true, "cells": N, "sources": {...}}``
 * ``{"op": "submit", "configs": [<config dict>, ...]}`` — same stream
   for explicit configuration dicts (:mod:`repro.sim.serialization`)

@@ -1,14 +1,13 @@
 """Content-addressed result store for sweep cells.
 
-Where the legacy flat cache (``REPRO_CACHE``,
-:mod:`repro.experiments.cache`) is a per-user scratch directory, the
-:class:`ResultStore` is the durable, shareable layer the sweep service
-is built on: a blob per cell addressed by the PR 3 versioned cache key
-— the SHA-256 of the frozen configuration *plus* the package version
-and git revision (:func:`repro.experiments.cache.config_key`).  Two
-clients sweeping overlapping grids against one store deduplicate
-automatically: identical ``(config, code)`` pairs map to the same key,
-and ``put`` is a no-op once the blob exists.
+The :class:`ResultStore` is the executor's only result cache, and the
+durable, shareable layer the sweep service is built on: a blob per cell
+addressed by the versioned cache key — the SHA-256 of the frozen
+configuration *plus* the package version and git revision
+(:func:`repro.experiments.cache.config_key`).  Two clients sweeping
+overlapping grids against one store deduplicate automatically:
+identical ``(config, code)`` pairs map to the same key, and ``put`` is
+a no-op once the blob exists.
 
 Layout (git-style fan-out so directories stay small at fleet scale)::
 
@@ -17,8 +16,10 @@ Layout (git-style fan-out so directories stay small at fleet scale)::
 Each blob carries the summary payload plus its own SHA-256, so a
 truncated or bit-flipped blob is detected on read, counted
 (``store.corrupt``), quarantined (unlinked) and treated as a miss —
-never a crash.  Writes are atomic (tmp + rename), so concurrent
-writers cannot corrupt each other.
+never a crash.  Writes are atomic: each writer fills its own uniquely
+named temp file in the blob's directory and renames it into place, so
+concurrent writers of one key (several processes sharing a store)
+neither corrupt nor trip over each other.
 
 Eviction is explicit and LRU: hits touch the blob's mtime, and
 :meth:`evict` drops the oldest blobs until the store fits the given
@@ -36,6 +37,7 @@ import hashlib
 import json
 import os
 import pathlib
+import tempfile
 from typing import Dict, List, Optional
 
 from ..obs.instruments import NULL_INSTRUMENTS
@@ -171,9 +173,20 @@ class ResultStore:
         }
         if source is not None:
             blob["source"] = source
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(blob, sort_keys=True))
-        tmp.replace(path)  # atomic on POSIX: concurrent writers can't corrupt
+        # A private temp name per writer: a shared ``<key>.tmp`` lets one
+        # writer's rename move another's file out from under it.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                os.fchmod(fd, 0o644)  # mkstemp's 0600 would hide blobs from other readers
+                handle.write(json.dumps(blob, sort_keys=True))
+            os.replace(tmp, path)  # atomic on POSIX
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         self._count("puts", instruments)
         return key
 

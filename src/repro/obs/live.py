@@ -15,7 +15,7 @@ respawn count.  This module adds the online layer:
   thread serving ``/metrics`` (Prometheus exposition via the same
   renderer as the file exporter), ``/healthz`` (per-worker state with
   ok/degraded/unhealthy thresholds) and ``/statusz`` (one JSON blob:
-  in-flight jobs, latency histograms, store/cache/shm totals, batch
+  in-flight jobs, latency histograms, store and pool totals, batch
   occupancy).
 * :class:`SloRule` / :class:`SloEvaluator` — objectives such as
   ``pool.task_s:p99<=0.5`` parsed from ``REPRO_SLO`` and checked

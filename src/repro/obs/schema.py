@@ -85,7 +85,6 @@ POOL_STATS = StatsSchema(
         StatField("respawns", "workers replaced after a crash"),
         StatField("reaps", "workers retired by idle reaping"),
         StatField("tasks", "tasks completed by the pool"),
-        StatField("shm_bytes", "result bytes shipped via shared memory"),
     ],
 )
 

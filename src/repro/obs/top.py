@@ -75,8 +75,7 @@ def format_frame(status: Dict[str, Any], width: int = 100) -> List[str]:
     lines.append(
         f"pool: alive={pool.get('workers_alive', 0)}  "
         f"tasks={pool.get('tasks', 0)}  warm_hits={pool.get('warm_hits', 0)}  "
-        f"respawns={pool.get('respawns', 0)}  "
-        f"shm={pool.get('shm_bytes', 0):,}B"
+        f"respawns={pool.get('respawns', 0)}"
     )
     if store:
         lines.append(
@@ -87,7 +86,6 @@ def format_frame(status: Dict[str, Any], width: int = 100) -> List[str]:
     cells_total = counters.get("executor.cells", 0)
     lines.append(
         f"executor: cells={cells_total:g}  "
-        f"cache_hits={counters.get('executor.cache_hits', 0):g}  "
         f"store_hits={counters.get('executor.store_hits', 0):g}  "
         f"misses={counters.get('executor.cache_misses', 0):g}"
     )

@@ -89,7 +89,7 @@ def shape_signature(config: SimulationConfig) -> str:
     """The batching key: the configuration minus the per-cell axes.
 
     Two cells may share a batch iff their signatures are equal; the
-    executor groups cache misses by this string.  JSON with sorted keys
+    executor groups store misses by this string.  JSON with sorted keys
     so the string is canonical.
     """
     d = config_to_dict(config)

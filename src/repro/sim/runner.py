@@ -2,7 +2,8 @@
 
 The experiment drivers (``repro.experiments``) and the benchmark suite
 go through these functions so every figure is produced by the same code
-path.  Seed fan-out can run across processes (``processes > 1``) —
+path.  Seed fan-out (:func:`run_seeds`) goes through the experiment
+executor, so it can run across processes (``jobs > 1``) —
 configurations and summaries are plain frozen dataclasses, so they
 cross process boundaries for free.
 """
@@ -10,8 +11,6 @@ cross process boundaries for free.
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -135,46 +134,26 @@ def run_batch(
     return out  # type: ignore[return-value]
 
 
-def default_processes() -> int:
-    """Worker count for parallel seed fan-out.
-
-    Honors the ``REPRO_PROCS`` environment variable; ``1`` (serial) by
-    default so library users opt in explicitly.
-    """
-    value = os.environ.get("REPRO_PROCS", "1")
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise ValueError(f"REPRO_PROCS must be an integer, got {value!r}") from exc
-    if n < 1:
-        raise ValueError("REPRO_PROCS must be >= 1")
-    return n
-
-
 def run_seeds(
     config: SimulationConfig,
     seeds: Sequence[int],
-    processes: Optional[int] = None,
+    jobs: Optional[int] = None,
 ) -> List[SimulationSummary]:
     """Run the same configuration under several seeds.
+
+    A thin front of :func:`repro.experiments.executor.map_configs`: the
+    seeds fan out (and hit the result store, when one is configured)
+    exactly like a sweep's cells.
 
     Args:
         config: the base configuration (its ``seed`` is overridden).
         seeds: seeds to run; results come back in this order.
-        processes: worker processes.  ``None`` consults
-            :func:`default_processes`; ``1`` runs serially in-process.
+        jobs: worker processes.  ``None`` consults ``REPRO_JOBS``
+            (default 1); ``1`` runs serially in-process.
     """
-    configs = [config.with_overrides(seed=s) for s in seeds]
-    n_procs = default_processes() if processes is None else processes
-    if n_procs < 1:
-        raise ValueError("processes must be >= 1")
-    if n_procs == 1 or len(configs) <= 1:
-        return [run_simulation(c) for c in configs]
-    # Prefer fork (cheap, and robust for REPL/stdin callers); fall back
-    # to spawn on platforms without it.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with multiprocessing.get_context(method).Pool(min(n_procs, len(configs))) as pool:
-        return pool.map(run_simulation, configs)
+    from ..experiments.executor import map_configs
+
+    return map_configs([config.with_overrides(seed=s) for s in seeds], jobs=jobs)
 
 
 def _make_blackbox(blackbox) -> Optional[BlackBoxRecorder]:

@@ -29,7 +29,7 @@ from repro.experiments.executor import (
     iter_configs,
     map_configs,
 )
-from repro.experiments.pool import get_warm_pool, shm_available, shutdown_warm_pool
+from repro.experiments.pool import get_warm_pool, shutdown_warm_pool
 from repro.experiments.store import ResultStore
 from repro.sim.batch import BatchedEngine, batchable_config, shape_signature
 from repro.sim.config import SimulationConfig
@@ -58,8 +58,7 @@ def small(**overrides) -> SimulationConfig:
 
 _KNOBS = (
     "REPRO_BATCH", "REPRO_DEBUG_BATCH",
-    "REPRO_BATCH_SIZE", "REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL",
-    "REPRO_SHM", "REPRO_START_METHOD", "REPRO_JOBS", "REPRO_PROCS",
+    "REPRO_BATCH_SIZE", "REPRO_STORE", "REPRO_START_METHOD", "REPRO_JOBS",
 )
 
 
@@ -360,8 +359,6 @@ class TestExecutorBatching:
     def test_warm_pool_counts_cells_not_chunks(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_BATCH_SIZE", "2")
-        if not shm_available():
-            monkeypatch.setenv("REPRO_SHM", "0")
         configs = [small(seed=s) for s in range(4)]
         serial = [run_simulation(c) for c in configs]
         pooled = map_configs(configs, jobs=2, warm=True)

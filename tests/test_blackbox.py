@@ -260,7 +260,7 @@ class TestExecutorPostmortem:
 
         monkeypatch.setenv("REPRO_MONITOR_ATOL_J", "-1")
         monkeypatch.setenv("REPRO_STRICT_MONITORS", "1")
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         pm = tmp_path / "pm"
         with pytest.raises(InvariantViolation):
             map_configs([tiny_config(), tiny_config(seed=7)], jobs=1,
@@ -273,7 +273,7 @@ class TestExecutorPostmortem:
     def test_clean_cells_write_no_bundles(self, tmp_path, monkeypatch):
         from repro.experiments.executor import map_configs
 
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         pm = tmp_path / "pm"
         summaries = map_configs([tiny_config()], jobs=1, postmortem_dir=pm)
         assert summaries[0].as_dict() == run_simulation(tiny_config()).as_dict()

@@ -2,8 +2,8 @@
 
 The load-bearing property is determinism: whatever ``jobs`` is, a sweep
 must serialize byte-identically to the serial loop.  The rest covers
-the worker-count knobs, grid-order bookkeeping, cache interplay and
-instrument counters.
+the worker-count knob, grid-order bookkeeping, result-store interplay
+and instrument counters.
 """
 
 import json
@@ -54,22 +54,16 @@ def test_map_cells_keys_every_cell():
 
 def test_default_jobs_env(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_PROCS", raising=False)
     assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_PROCS", "2")
-    assert default_jobs() == 2
-    monkeypatch.setenv("REPRO_JOBS", "3")  # REPRO_JOBS wins over REPRO_PROCS
+    monkeypatch.setenv("REPRO_JOBS", "3")
     assert default_jobs() == 3
 
 
-@pytest.mark.parametrize("var", ["REPRO_JOBS", "REPRO_PROCS"])
 @pytest.mark.parametrize("spelling", ["auto", "AUTO", " Auto "])
-def test_default_jobs_auto_resolves_to_cpu_count(monkeypatch, var, spelling):
+def test_default_jobs_auto_resolves_to_cpu_count(monkeypatch, spelling):
     import os
 
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_PROCS", raising=False)
-    monkeypatch.setenv(var, spelling)
+    monkeypatch.setenv("REPRO_JOBS", spelling)
     assert default_jobs() == max(1, os.cpu_count() or 1)
 
 
@@ -93,7 +87,6 @@ def test_spawn_start_method_byte_identical(monkeypatch):
 
     if "spawn" not in multiprocessing.get_all_start_methods():  # pragma: no cover
         pytest.skip("spawn start method unavailable")
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
     serial = map_cells(TINY, ("greedy",), (0.0,), jobs=1)
     monkeypatch.setenv("REPRO_START_METHOD", "spawn")
     spawned = map_cells(TINY, ("greedy",), (0.0,), jobs=2)
@@ -114,34 +107,21 @@ def test_invalid_start_method_rejected(monkeypatch):
         _pool_start_method()
 
 
-def test_warm_pool_env_opt_in(monkeypatch):
-    """``REPRO_WARM_POOL=1`` routes misses through the shared warm
-    pool without any argument changes."""
-    from repro.experiments.pool import get_warm_pool, shutdown_warm_pool
+def test_executor_counters_and_cache(tmp_path):
+    from repro.experiments.store import ResultStore
 
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.setenv("REPRO_WARM_POOL", "1")
-    try:
-        cells = map_cells(TINY, ("greedy",), (0.0,), jobs=2)
-        assert len(cells) == 2
-        assert get_warm_pool(2).stats["tasks"] >= 2  # the pool did the work
-    finally:
-        shutdown_warm_pool()
-
-
-def test_executor_counters_and_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+    store = ResultStore(tmp_path / "store")
     cfg = TINY.base_config(scheduler="greedy", erp=0.0)
     configs = [cfg.with_overrides(seed=s) for s in TINY.seeds]
     obs = Instruments()
-    first = map_configs(configs, jobs=1, instruments=obs)
+    first = map_configs(configs, jobs=1, instruments=obs, store=store)
     snap = obs.snapshot()["counters"]
     assert snap["executor.cells"] == 2
     assert snap["executor.cache_misses"] == 2
-    # Second pass: everything is a parent-side cache hit, no pool work.
+    # Second pass: everything is a parent-side store hit, no pool work.
     obs2 = Instruments()
-    second = map_configs(configs, jobs=1, instruments=obs2)
+    second = map_configs(configs, jobs=1, instruments=obs2, store=store)
     snap2 = obs2.snapshot()["counters"]
-    assert snap2["executor.cache_hits"] == 2
+    assert snap2["executor.store_hits"] == 2
     assert snap2["executor.cache_misses"] == 0
     assert [s.as_dict() for s in second] == [s.as_dict() for s in first]

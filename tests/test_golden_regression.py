@@ -161,15 +161,15 @@ class TestGoldenPerScheduler:
 class TestGoldenExecutionMatrix:
     """The pinned summaries must survive every execution mode: serial
     or process-pool (``jobs``), serial or batched tick engine
-    (``REPRO_BATCH``), cold or warm pool.  Workers inherit the knobs
-    through the environment, so the matrix covers child processes
-    too."""
+    (``REPRO_BATCH``).  Workers inherit the knobs through the
+    environment, so the matrix covers child processes too.  Warm-pool
+    reuse is covered against the serial path in ``test_warm_pool.py``."""
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_matrix_bit_identical(self, monkeypatch, jobs):
         from repro.experiments.executor import map_configs
 
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         schedulers = ("greedy", "insertion")
         configs = [
             SimulationConfig(**{**GOLDEN_CONFIG, "scheduler": s}) for s in schedulers
@@ -193,7 +193,6 @@ class TestGoldenExecutionMatrix:
         the chunks run in-process or across pool workers."""
         from repro.experiments.executor import map_configs
 
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_BATCH", batch)
         if jobs > 1:
@@ -213,33 +212,4 @@ class TestGoldenExecutionMatrix:
             assert not mismatches, (
                 f"{scheduler} drifted under jobs={jobs}, "
                 f"REPRO_BATCH={batch}: {mismatches}"
-            )
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_pool_backend_matrix_bit_identical(self, monkeypatch, jobs, warm):
-        """The warm persistent pool must reproduce the goldens exactly,
-        like the cold per-call pool and the serial loop — pool reuse
-        amortizes cost, never state."""
-        from repro.experiments.executor import map_configs
-        from repro.experiments.pool import shutdown_warm_pool
-
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        schedulers = ("greedy", "insertion")
-        configs = [
-            SimulationConfig(**{**GOLDEN_CONFIG, "scheduler": s}) for s in schedulers
-        ]
-        try:
-            results = map_configs(configs, jobs=jobs, warm=warm)
-        finally:
-            shutdown_warm_pool()
-        for scheduler, summary in zip(schedulers, results):
-            got = summary.as_dict()
-            expected = GOLDEN_SUMMARIES[scheduler]
-            mismatches = {
-                k: (got[k], expected[k]) for k in expected if got[k] != expected[k]
-            }
-            assert not mismatches, (
-                f"{scheduler} drifted under jobs={jobs}, warm={warm}: {mismatches}"
             )

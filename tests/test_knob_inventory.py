@@ -17,20 +17,16 @@ KNOBS = [
     "REPRO_BLACKBOX",
     "REPRO_BLACKBOX_CHECKPOINT",
     "REPRO_BLACKBOX_TICKS",
-    "REPRO_CACHE",
     "REPRO_DEBUG_BATCH",
     "REPRO_JOBS",
     "REPRO_LIVE",
     "REPRO_LIVE_INTERVAL_S",
     "REPRO_MONITOR_ATOL_J",
-    "REPRO_PROCS",
     "REPRO_SCALE",
-    "REPRO_SHM",
     "REPRO_SLO",
     "REPRO_START_METHOD",
     "REPRO_STORE",
     "REPRO_STRICT_MONITORS",
-    "REPRO_WARM_POOL",
 ]
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"

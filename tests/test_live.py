@@ -57,8 +57,7 @@ _PROM_SAMPLE_RE = re.compile(
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     for var in (
-        "REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL", "REPRO_SHM",
-        "REPRO_START_METHOD", "REPRO_LIVE", "REPRO_LIVE_INTERVAL_S",
+        "REPRO_STORE", "REPRO_START_METHOD", "REPRO_LIVE", "REPRO_LIVE_INTERVAL_S",
         "REPRO_SLO", "REPRO_STRICT_MONITORS",
     ):
         monkeypatch.delenv(var, raising=False)
@@ -503,7 +502,7 @@ class TestTop:
                 "counters": {"executor.cells": 8.0,
                              "executor.cache_misses": 8.0},
                 "pool": {"workers_alive": 2, "tasks": 8, "warm_hits": 4,
-                         "respawns": 1, "shm_bytes": 1024},
+                         "respawns": 1},
                 "store": {"entries": 8, "bytes": 4096, "hits": 0,
                           "misses": 8, "puts": 8},
             },

@@ -1,11 +1,12 @@
-"""Tests for the parallel seed runner and the profiling helpers."""
+"""Tests for the parallel seed runner (a front of the cell executor)
+and the profiling helpers."""
 
 import time
 
 import pytest
 
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import default_processes, run_seeds
+from repro.sim.runner import run_seeds
 from repro.utils.profiling import Timer, profile_call
 
 
@@ -16,30 +17,18 @@ def quick_cfg():
 class TestParallelRunner:
     def test_parallel_matches_serial(self):
         cfg = quick_cfg()
-        serial = run_seeds(cfg, [1, 2, 3], processes=1)
-        parallel = run_seeds(cfg, [1, 2, 3], processes=3)
+        serial = run_seeds(cfg, [1, 2, 3], jobs=1)
+        parallel = run_seeds(cfg, [1, 2, 3], jobs=3)
         assert [s.as_dict() for s in serial] == [p.as_dict() for p in parallel]
 
     def test_single_seed_stays_serial(self):
         cfg = quick_cfg()
-        out = run_seeds(cfg, [7], processes=8)
+        out = run_seeds(cfg, [7], jobs=8)
         assert len(out) == 1
 
     def test_invalid_processes(self):
         with pytest.raises(ValueError):
-            run_seeds(quick_cfg(), [1, 2], processes=0)
-
-    def test_default_processes_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROCS", "3")
-        assert default_processes() == 3
-        monkeypatch.setenv("REPRO_PROCS", "zero")
-        with pytest.raises(ValueError):
-            default_processes()
-        monkeypatch.setenv("REPRO_PROCS", "0")
-        with pytest.raises(ValueError):
-            default_processes()
-        monkeypatch.delenv("REPRO_PROCS")
-        assert default_processes() == 1
+            run_seeds(quick_cfg(), [1, 2], jobs=0)
 
 
 class TestTimer:

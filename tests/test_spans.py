@@ -245,7 +245,7 @@ class TestExecutorSpanMerge:
         return [tiny_config(seed=s) for s in (1, 2, 3)]
 
     def test_jobs1_vs_jobs4_identical_structure(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         sp1 = SpanTracer()
         serial = map_configs(self.configs(), jobs=1, spans=sp1)
         sp4 = SpanTracer()
@@ -260,7 +260,7 @@ class TestExecutorSpanMerge:
                    {k: v for k, v in b["attrs"].items() if k not in drop}
 
     def test_cell_roots_are_tagged_and_ordered(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         sp = SpanTracer()
         map_configs(self.configs(), jobs=2, spans=sp)
         rows = sp.to_rows()
@@ -273,20 +273,20 @@ class TestExecutorSpanMerge:
         assert all(r["attrs"]["cache"] == "miss" for r in cell_roots)
 
     def test_summaries_identical_with_and_without_spans(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         plain = map_configs(self.configs(), jobs=1)
         traced = map_configs(self.configs(), jobs=1, spans=SpanTracer())
         assert [s.as_dict() for s in plain] == [s.as_dict() for s in traced]
 
     def test_cache_hits_become_events(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         configs = self.configs()
-        map_configs(configs, jobs=1)  # warm the cache
+        map_configs(configs, jobs=1)  # fill the store
         sp = SpanTracer()
         map_configs(configs, jobs=1, spans=sp)
         rows = sp.to_rows()
         sweep = rows[0]
         assert sweep["attrs"]["cache_hits"] == 3
-        hits = [e for e in sweep["events"] if e["name"] == "executor.cache_hit"]
+        hits = [e for e in sweep["events"] if e["name"] == "executor.store_hit"]
         assert [e["cell"] for e in hits] == [0, 1, 2]
         assert all(r["name"] != "run" for r in rows[1:])

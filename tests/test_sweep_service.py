@@ -28,7 +28,7 @@ ERPS = (0.0, 0.5)
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for var in ("REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL", "REPRO_JOBS"):
+    for var in ("REPRO_STORE", "REPRO_JOBS"):
         monkeypatch.delenv(var, raising=False)
 
 

@@ -3,11 +3,13 @@
 The two load-bearing properties: byte-identity with the serial
 executor (pool reuse amortizes cost, never state), and resilience —
 crashed workers are respawned with their in-flight tasks resubmitted,
-task exceptions propagate without poisoning the pool, and nothing
-warm-pool-related is even imported unless a caller opts in.
+task exceptions propagate without poisoning the pool, a pool opened
+for one call leaves no live worker behind, and nothing pool-related is
+even imported before the first multi-worker fan-out.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -17,27 +19,21 @@ import time
 import pytest
 
 from repro.experiments import ExperimentScale
-from repro.experiments.executor import _TASK_FNS, map_configs
-from repro.experiments.pool import (
-    WarmPool,
-    get_warm_pool,
-    shm_available,
-    shutdown_warm_pool,
-)
+from repro.experiments.executor import _TASK_FNS, map_configs, submit_grid
+from repro.experiments.pool import WarmPool, get_warm_pool, shutdown_warm_pool
 from repro.obs import Instruments
+from repro.sim.runner import run_simulation
 
 TINY = ExperimentScale("tiny", days=1.0, seeds=(1, 2))
 
 
 @pytest.fixture(autouse=True)
 def _clean_pool_env(monkeypatch):
-    """Isolate every test from ambient pool/cache knobs and make sure
-    no shared pool outlives a test."""
-    for var in (
-        "REPRO_CACHE", "REPRO_STORE", "REPRO_WARM_POOL",
-        "REPRO_SHM", "REPRO_START_METHOD",
-    ):
+    """Isolate every test from ambient pool/store knobs and make sure
+    no shared pool outlives (or predates) a test."""
+    for var in ("REPRO_STORE", "REPRO_START_METHOD"):
         monkeypatch.delenv(var, raising=False)
+    shutdown_warm_pool()
     yield
     shutdown_warm_pool()
 
@@ -78,25 +74,42 @@ def test_ping_and_healthy():
     assert not pool.healthy
 
 
-def test_shm_shipping_identical_to_pickle_fallback():
+def test_per_call_pool_leaves_no_live_children():
+    """``warm=False`` opens a pool for the call and joins its workers
+    before returning, so no child outlives the call (and the children's
+    CPU shows up in ``RUSAGE_CHILDREN``)."""
     configs = _tiny_configs()
-    if not shm_available():  # pragma: no cover - env-dependent
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    with WarmPool(jobs=2, use_shm=True) as shm_pool:
-        via_shm = shm_pool.run("run", configs)
-        assert shm_pool.stats["shm_bytes"] > 0
-    with WarmPool(jobs=2, use_shm=False) as pickle_pool:
-        via_pickle = pickle_pool.run("run", configs)
-        assert pickle_pool.stats["shm_bytes"] == 0
-    assert [s.as_dict() for s in via_shm] == [s.as_dict() for s in via_pickle]
+    serial = map_configs(configs, jobs=1)
+    pooled = map_configs(configs, jobs=2)
+    assert multiprocessing.active_children() == []
+    assert [p.as_dict() for p in pooled] == [s.as_dict() for s in serial]
+    job = submit_grid(TINY, ("greedy",), (0.2,), jobs=2)
+    cells = job.results()
+    assert multiprocessing.active_children() == []
+    assert [cells[("greedy", 0.2, s)].as_dict() for s in TINY.seeds] == [
+        s.as_dict() for s in serial
+    ]
 
 
-def test_repro_shm_env_disables_shm(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert not shm_available()
-    monkeypatch.delenv("REPRO_SHM")
-    # default: on whenever the module imports (it does on py3.8+)
-    assert shm_available()
+def _fail_seed_2(config):
+    if config.seed == 2:
+        raise ValueError("cell failed")
+    return run_simulation(config)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="task-table patching needs fork inheritance",
+)
+def test_per_call_pool_joins_workers_when_a_cell_raises(monkeypatch):
+    monkeypatch.setenv("REPRO_START_METHOD", "fork")
+    monkeypatch.setitem(_TASK_FNS, "run", _fail_seed_2)
+    with pytest.raises(ValueError, match="cell failed"):
+        map_configs(_tiny_configs(), jobs=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="cell failed"):
+        submit_grid(TINY, ("greedy",), (0.2,), jobs=2).results()
+    assert multiprocessing.active_children() == []
 
 
 def _die_once_then_answer(flag_path):
@@ -109,7 +122,7 @@ def _die_once_then_answer(flag_path):
 
 
 @pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="crash-injection patching needs fork inheritance",
 )
 def test_crashed_worker_respawned_and_task_resubmitted(tmp_path, monkeypatch):
@@ -127,7 +140,7 @@ def _raise_for_test(payload):
 
 
 @pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="task-table patching needs fork inheritance",
 )
 def test_task_exception_propagates_and_pool_stays_usable(monkeypatch):
