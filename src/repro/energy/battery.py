@@ -169,14 +169,16 @@ class BatteryBank:
         rates_w = np.asarray(rates_w, dtype=np.float64)
         if rates_w.shape != self.levels_j.shape:
             raise ValueError(f"rates shape {rates_w.shape} != bank shape {self.levels_j.shape}")
-        if np.any(rates_w < 0):
+        if (rates_w < 0).any():
             raise ValueError("power draws must be non-negative")
         if scratch is not None and scratch.shape == self.levels_j.shape:
             drained = np.multiply(rates_w, dt_s, out=scratch)
         else:
             drained = rates_w * dt_s
-        np.subtract(self.levels_j, drained, out=self.levels_j)
-        np.clip(self.levels_j, 0.0, self.capacity_j, out=self.levels_j)
+        levels = self.levels_j
+        np.subtract(levels, drained, out=levels)
+        np.maximum(levels, 0.0, out=levels)
+        np.minimum(levels, self.capacity_j, out=levels)
 
     def drain_energy(self, idx, amount_j: float) -> None:
         """Subtract a lump ``amount_j`` from the nodes in ``idx``

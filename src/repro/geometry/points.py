@@ -85,12 +85,16 @@ def pairwise_distances(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndar
 # whose side is a hair wider than the radius, so every pair within the
 # radius lies in the same or an adjacent cell even after rounding in the
 # cell index; the side is also at least 2**-20 of the point spread, so
-# cell keys stay far inside int64 however small the radius.  Query cells
-# are clamped to one cell outside the occupied grid, and each key column
-# keeps empty rows above and below it, so a stencil step off the edge
-# lands on a key no point holds instead of aliasing into the next column.
+# cell keys stay far inside int64 however small the radius, and at least
+# 2**-510, below which a squared distance is subnormal and can underflow
+# to within the radius (such pairs must share or touch a cell too).
+# Query cells are clamped to one cell outside the occupied grid, and
+# each key column keeps empty rows above and below it, so a stencil step
+# off the edge lands on a key no point holds instead of aliasing into
+# the next column.
 _CELL_PAD = 1.0 + 2.0**-20
 _MAX_CELLS_PER_AXIS = 2.0**20
+_MIN_CELL = 2.0**-510
 
 
 def _bucket(pts: np.ndarray, radius: float):
@@ -103,8 +107,8 @@ def _bucket(pts: np.ndarray, radius: float):
     """
     origin = pts.min(axis=0)
     extent = pts.max(axis=0) - origin
-    cell = max(radius * _CELL_PAD, float(extent.max()) / _MAX_CELLS_PER_AXIS)
-    if not cell > 0.0:
+    cell = max(radius * _CELL_PAD, float(extent.max()) / _MAX_CELLS_PER_AXIS, _MIN_CELL)
+    if not cell > 0.0:  # a NaN radius
         cell = 1.0
     top = np.floor(extent / cell)
     height = int(top[1]) + 4

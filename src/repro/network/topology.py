@@ -75,8 +75,7 @@ class Topology:
         order = np.argsort(src, kind="stable")
         src, dst, w = src[order], dst[order], w[order]
         self.indptr = np.zeros(n + 1, dtype=np.intp)
-        np.add.at(self.indptr, src + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self.indices = dst
         self.weights = w
         self.n_edges = len(pairs)

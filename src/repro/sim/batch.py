@@ -20,7 +20,7 @@ serial SoA engine.  The construction mirrors the SoA one, one level
 up:
 
 * every component buffer a batched kernel writes (``bank.levels_j``,
-  ``state.requested``, ``energy.rates`` and the relay-count state,
+  ``state.requested``, ``energy.rates``, ``energy.active``,
   ``arrays.ptr``) is *bound as a row view* of the batch-owned
   stack, so the serial event path — dispatch rounds, RV arrivals,
   relocations — keeps running unmodified per world between ticks and
@@ -29,10 +29,11 @@ up:
   element in the identical operation order as its serial counterpart
   (integer packet counts commute; float expressions are copied
   term-for-term from :mod:`repro.sim.soa` and
-  :mod:`repro.sim.components.energy`) — the one deliberate difference
-  is that the rate recompute re-prices only the sensors whose masks or
-  relay counts changed, which yields the same bits as the serial full
-  pass;
+  :mod:`repro.sim.components.energy`).  The rate recompute *is* the
+  serial one: :func:`repro.sim.soa.subtree_counts` over the worlds'
+  concatenated preorders, priced by
+  :meth:`~repro.sim.components.energy.EnergyAccounting.price` over the
+  whole ``(B, n)`` stack;
 * worlds only share a batch when their configurations are identical up
   to ``seed`` / ``scheduler`` / ``erp`` / ``sim_time_s`` (the *shape
   signature*, :func:`shape_signature`), which makes every physical
@@ -64,9 +65,13 @@ from .config import SimulationConfig
 from .metrics import SimulationSummary
 from .serialization import config_to_dict, snapshot_arrays
 from .soa import (
+    ClusterIndex,
     SoAFullTimeActivator,
     SoARoundRobinActivator,
+    SubtreeIndex,
+    _rotation_scores,
     debug_batch,
+    subtree_counts,
 )
 from .world import _FULL_DIGEST_EVERY, World
 
@@ -119,8 +124,7 @@ def _batchable_world(world: World) -> Optional[str]:
     if not world.gate.array_scan:
         return "ERC policy overrides nodes_to_release"
     if s.cfg.self_discharge_fraction_per_day > 0:
-        # Leakage re-prices every alive sensor from its charge level,
-        # so there is no small dirty set to re-price incrementally.
+        # The batched recompute prices no charge-proportional leakage.
         return "battery leakage configured"
     if s.trace.enabled:
         return "semantic trace recorder attached"
@@ -132,8 +136,8 @@ class BatchedStateArrays:
 
     Row ``b`` of every *bound* stack **is** world ``b``'s canonical
     buffer: :meth:`bind` rebinds the per-world component attributes
-    (battery levels, request flags, draw rates, the relay-count state,
-    rotation pointers) to row views, so serial
+    (battery levels, request flags, draw rates, active masks, rotation
+    pointers) to row views, so serial
     per-world code and batched kernels write the same memory.  The
     *copied* stacks (membership, cluster matrices, routing) are
     refreshed wholesale on relocation epochs / compaction.
@@ -163,23 +167,10 @@ class BatchedStateArrays:
         self.requested = np.empty((B, n), dtype=bool)
         self.rates_w = np.empty((B, n), dtype=np.float64)
         self.active = np.empty((B, n), dtype=bool)
-        self.relay_w = np.empty((B, n), dtype=np.float64)
-        self.origins = np.empty((B, n), dtype=bool)
-        self.alive_prev = np.empty((B, n), dtype=bool)
-        self.through_cnt = np.empty((B, n + 1), dtype=np.int64)
         # -- copied static-per-world stacks ------------------------------
         self.positions = np.stack([w.state.sensor_pos for w in worlds])
         self.uplink_etx = np.stack([w.state.uplink_etx for w in worlds])
         self.connected = np.stack([w.energy._connected for w in worlds])
-        self.parent = np.stack(
-            [
-                _padded_parent(w.energy._parent_arr, n + 1)
-                for w in worlds
-            ]
-        )
-        self.is_base = np.zeros((B, n + 1), dtype=bool)
-        for b, w in enumerate(worlds):
-            self.is_base[b, w.energy._base] = True
         # -- per-cluster stacks (refreshed per relocation epoch) ---------
         self.members = np.empty((B, 0, 0), dtype=np.int64)
         self.sizes = np.empty((B, 0), dtype=np.int64)
@@ -200,10 +191,6 @@ class BatchedStateArrays:
         self.requested[b] = w.state.requested
         self.rates_w[b] = ea.rates
         self.active[b] = ea.active
-        self.relay_w[b] = ea._relay_w
-        self.origins[b] = ea._origins
-        self.alive_prev[b] = ea._alive_prev
-        self.through_cnt[b] = ea._through_cnt
 
     def restack_clusters(self) -> None:
         """(Re)build the padded cluster stacks for the current epoch.
@@ -243,19 +230,17 @@ class BatchedStateArrays:
         self._below = np.empty((B, n), dtype=bool)
         self._release = np.empty((B, n), dtype=bool)
         self._act2 = np.empty((B, n), dtype=bool)
-        self._dirty = np.empty((B, n), dtype=bool)
-        self._rel = np.empty((B * m, W), dtype=np.int64)
-        self._ok = np.empty((B * m, W), dtype=bool)
-        self._offs = np.arange(W, dtype=np.int64)
-        self._rows = np.arange(B * m, dtype=np.int64)
-        self._row_noff = (self._rows // m) * n  # cluster row -> world*n
+        # The serial rotation kernel's ClusterIndex over the flattened
+        # (B * m, W) member matrix, with ids shifted to sensor-flat
+        # coordinates (b * n + v) so one flat alive mask serves every world.
+        ix = ClusterIndex.empty(B * m, W).refresh(
+            self.members.reshape(B * m, W), self.sizes.reshape(-1)
+        )
+        self._row_noff = (ix.rows // m) * n  # cluster row -> world*n
+        np.add(ix.ids, self._row_noff[:, None], out=ix.ids)
+        self.cluster_index = ix
         self._row_moff = (np.arange(B, dtype=np.int64) * m)  # world -> row base
-        self._counts = np.empty(B * m, dtype=np.int64)
-        # Flattened parent pointers in vertex-flat coordinates
-        # (b * (n + 1) + v), -1 where the serial walk would stop.
-        voff = (np.arange(B, dtype=np.int64) * (n + 1))[:, None]
-        self.parent_f = np.where(self.parent >= 0, self.parent + voff, -1).reshape(-1)
-        self.is_base_f = self.is_base.reshape(-1)
+        self.subtrees = _stack_subtrees([w.energy._subtrees for w in self.worlds], n)
 
     def bind(self) -> None:
         """Bind every batched-written component buffer to its row view.
@@ -263,8 +248,8 @@ class BatchedStateArrays:
         After this, world ``b``'s serial event path (dispatch, RV
         arrivals, relocations) and the batched tick kernels share
         memory; :mod:`repro.sim.components.energy` refreshes these
-        buffers in place (never rebinding) under the SoA engine, which
-        is what keeps the views alive across recomputes.
+        buffers in place (never rebinding), which is what keeps the
+        views alive across recomputes.
         """
         for b, w in enumerate(self.worlds):
             s = w.state
@@ -279,10 +264,6 @@ class BatchedStateArrays:
             a.rates_w = ea.rates
             ea.active = self.active[b]
             a.active = ea.active
-            ea._relay_w = self.relay_w[b]
-            ea._origins = self.origins[b]
-            ea._alive_prev = self.alive_prev[b]
-            ea._through_cnt = self.through_cnt[b]
             a.ptr = self.ptr[b]
             act = s.activator
             act.a = a
@@ -294,10 +275,9 @@ class BatchedStateArrays:
         self.rngs = [r for k, r in zip(keep, self.rngs) if k]
         self.B = len(self.worlds)
         for name in (
-            "levels_j", "requested", "rates_w", "active", "relay_w",
-            "origins", "alive_prev", "through_cnt", "positions",
-            "uplink_etx", "connected", "parent", "is_base", "members",
-            "sizes", "ptr", "membership", "coverable",
+            "levels_j", "requested", "rates_w", "active", "positions",
+            "uplink_etx", "connected", "members", "sizes", "ptr",
+            "membership", "coverable",
         ):
             setattr(self, name, getattr(self, name)[keep].copy())
         self._coverable_counts = np.count_nonzero(self.coverable, axis=1)
@@ -305,11 +285,25 @@ class BatchedStateArrays:
         self.bind()
 
 
-def _padded_parent(parent: np.ndarray, size: int) -> np.ndarray:
-    """Parent array padded with -1 up to ``size`` vertices."""
-    out = np.full(size, -1, dtype=np.int64)
-    out[: len(parent)] = parent[:size]
-    return out
+def _stack_subtrees(indexes: Sequence[SubtreeIndex], n: int) -> SubtreeIndex:
+    """One :class:`SubtreeIndex` over B worlds' flattened ``(B * n)``
+    sensors: the preorders concatenated (world ``b``'s sensors shifted
+    to ``b * n + v``) and each range shifted to its world's segment, so
+    one ``cumsum`` serves every world and no range crosses a segment."""
+    empty = np.empty(0, dtype=np.int64)
+    pres, tins, touts = [empty], [empty], [empty]
+    off = 0
+    for b, ix in enumerate(indexes):
+        pres.append(ix.pre + b * n)
+        tins.append(ix.tin + off)
+        touts.append(ix.tout + off)
+        off += len(ix.pre)
+    return SubtreeIndex(
+        np.concatenate(pres),
+        np.concatenate(tins),
+        np.concatenate(touts),
+        np.zeros(off + 1, dtype=np.int64),
+    )
 
 
 class BatchedEngine:
@@ -362,19 +356,18 @@ class BatchedEngine:
         self.debug = debug_batch() if debug is None else bool(debug)
         self.stacks = BatchedStateArrays(worlds)
         w0 = worlds[0]
-        power = w0.state.power
         ea0 = w0.energy
         self._n = w0.cfg.n_sensors
         self._tick = float(w0.cfg.tick_s)
         self._capacity = float(w0.state.bank.capacity_j)
         self._threshold = float(w0.state.bank.threshold_j)
-        self._idle_w = power.idle_power_w
-        self._sens_w = power.active_sensing_power_w
-        self._duty_w = self._idle_w + self._sens_w
-        self._packet_rate = power.packet_rate_hz
-        self._per_packet = ea0._per_packet_relay_j
+        # The power model is a batch constant: price every world with
+        # the first world's cached constants.
+        self._price = ea0.price
+        self._idle_w = ea0._idle_w
+        self._sens_w = ea0._sensing_w
         self._notif_j = ea0._notification_j
-        self._rx_j = power.radio.rx_energy_j(power.payload_bytes)
+        self._rx_j = ea0._rx_j
         self._rotates = getattr(w0.state.activator, "rotates", True)
         self._t = 0.0
         self._epoch = w0.state.targets.epoch
@@ -505,8 +498,8 @@ class BatchedEngine:
 
         Phase order and per-element arithmetic mirror
         :meth:`World._on_tick` exactly: energy advance (drain, deaths),
-        rotation + hand-off drains, incremental rate recompute, ERC
-        gate scan, metrics.  Everything per-world and rare (death
+        rotation + hand-off drains, rate recompute, ERC gate scan,
+        metrics.  Everything per-world and rare (death
         recomputes, request releases, monitor checks) drops back to the
         serial component code through the bound row views.
         """
@@ -525,7 +518,8 @@ class BatchedEngine:
         levels_before = L.copy() if mon_rows else None
         np.multiply(R, dts[:, None], out=st._scr)
         np.subtract(L, st._scr, out=L)
-        np.clip(L, 0.0, self._capacity, out=L)
+        np.maximum(L, 0.0, out=L)
+        np.minimum(L, self._capacity, out=L)
         alive = np.greater(L, 0.0, out=st._alive)
         for b in mon_rows:
             mon = self._mons[b]
@@ -554,11 +548,11 @@ class BatchedEngine:
         # -- rotation + hand-offs (mirrors SoARoundRobinActivator.rotate
         # and EnergyAccounting.apply_handoffs) ----------------------------
         memf = st.members.reshape(B * m, W)
-        rows = st._rows
+        rows = st.cluster_index.rows
         alive_f = alive.reshape(-1)
         if self._rotates and m and W:
             ptrf = st.ptr.reshape(-1)
-            rel = self._rotation_scores(ptrf, alive_f)
+            rel = _rotation_scores(ptrf, alive_f, st.cluster_index)
             cur = rel.argmin(axis=1)
             live = rel[rows, cur] < W
             rel[rows, cur] = W
@@ -592,7 +586,7 @@ class BatchedEngine:
         # -- active set (one scan serves recompute *and* metrics) ---------
         if m and W:
             start = st.ptr.reshape(-1) if self._rotates else _ZEROS_CACHE(B * m)
-            rel = self._rotation_scores(start, alive_f)
+            rel = _rotation_scores(start, alive_f, st.cluster_index)
             slot = rel.argmin(axis=1)
             found = rel[rows, slot] < W
             actives = np.where(found, memf[rows, slot], -1)
@@ -604,7 +598,7 @@ class BatchedEngine:
             act2f = act2.reshape(-1)
             valid = actives >= 0
             act2f[actives[valid] + st._row_noff[valid]] = True
-            self._recompute_incremental(T, alive, act2)
+            self._recompute(alive, act2)
         else:
             act2 = np.logical_and(st.membership >= 0, alive, out=st._act2)
         # -- ERC gate (mirrors RequestGate._check / erc_release_scan) -----
@@ -617,11 +611,8 @@ class BatchedEngine:
         msh = st.membership
         clustered = msh >= 0
         needy = below & clustered
-        counts = st._counts
-        counts.fill(0)
-        sidx = np.flatnonzero(needy.reshape(-1))
-        if sidx.size:
-            np.add.at(counts, msh.reshape(-1)[sidx] + (sidx // n) * m, 1)
+        sidx = needy.reshape(-1).nonzero()[0]
+        counts = np.bincount(msh.reshape(-1)[sidx] + (sidx // n) * m, minlength=B * m)
         erps = np.fromiter(
             (w.gate.erc.erp for w in worlds), np.float64, count=B
         )
@@ -670,82 +661,24 @@ class BatchedEngine:
             act._actives = acts2d[b].copy()
             act._actives_alive = alive[b].copy()
 
-    def _rotation_scores(self, start: np.ndarray, alive_f: np.ndarray) -> np.ndarray:
-        """Batched :func:`repro.sim.soa._rotation_scores` over the
-        flattened ``(B * m, W)`` member matrix."""
+    def _recompute(self, alive: np.ndarray, act2: np.ndarray) -> None:
+        """Batched :meth:`EnergyAccounting.recompute`: the serial pass
+        row-wise over the ``(B, n)`` stack — one prefix-sum relay count
+        over the concatenated preorders, then the serial pricing."""
         st = self.stacks
-        W = st.w
-        rel, ok = st._rel, st._ok
-        memf = st.members.reshape(-1, W)
-        sizf = st.sizes.reshape(-1)
-        np.greater_equal(memf, 0, out=ok)
-        np.logical_and(
-            ok, alive_f[np.where(ok, memf, 0) + st._row_noff[:, None]], out=ok
+        origins = np.logical_and(act2, st.connected)
+        through = subtree_counts(origins.reshape(-1), st.subtrees).reshape(st.B, st.n)
+        relay_w = self._price(
+            alive, act2, origins, through, st.uplink_etx, out=st.rates_w
         )
-        np.subtract(st._offs[None, :], start[:, None], out=rel)
-        np.remainder(rel, np.maximum(sizf, 1)[:, None], out=rel)
-        np.logical_not(ok, out=ok)
-        np.copyto(rel, W, where=ok)
-        return rel
-
-    def _recompute_incremental(
-        self, T: float, alive: np.ndarray, act2: np.ndarray
-    ) -> None:
-        """Batched :meth:`EnergyAccounting.recompute`, incrementally:
-        integer packet-count patches along flattened routing paths, then
-        re-pricing of exactly the dirty sensors.  The result equals the
-        serial full pass bit for bit: counts are integers, and every
-        re-priced entry runs the full pass's per-element arithmetic."""
-        st = self.stacks
-        worlds = st.worlds
-        B, n = st.B, st.n
-        org2 = np.logical_and(act2, st.connected)
-        dirty = np.not_equal(alive, st.alive_prev, out=st._dirty)
-        np.logical_or(dirty, act2 != st.active, out=dirty)
-        dirty_f = dirty.reshape(-1)
-        org2_f = org2.reshape(-1)
-        cnt_f = st.through_cnt.reshape(-1)
-        changed = np.flatnonzero(org2_f != st.origins.reshape(-1))
-        if changed.size:
-            # Vertex-flat coordinates: b * (n + 1) + v == sensor-flat + b.
-            vs = changed + changed // n
-            deltas = np.where(org2_f[changed], 1, -1)
-            while vs.size:
-                np.add.at(cnt_f, vs, deltas)
-                keepm = ~st.is_base_f[vs]
-                vs, deltas = vs[keepm], deltas[keepm]
-                dirty_f[vs - vs // (n + 1)] = True
-                vs = st.parent_f[vs]
-                up = vs >= 0
-                vs, deltas = vs[up], deltas[up]
-        sflat = np.flatnonzero(dirty_f)
-        if sflat.size:
-            vflat = sflat + sflat // n
-            alive_f = alive.reshape(-1)
-            act2_f = act2.reshape(-1)
-            relay = (cnt_f[vflat] - org2_f[sflat]).astype(
-                np.float64
-            ) * self._packet_rate
-            relay_w = np.where(
-                alive_f[sflat],
-                relay * self._per_packet * st.uplink_etx.reshape(-1)[sflat],
-                0.0,
-            )
-            base_w = np.where(act2_f[sflat], self._duty_w, self._idle_w)
-            R_f = st.rates_w.reshape(-1)
-            R_f[sflat] = np.where(alive_f[sflat], base_w + relay_w, 0.0)
-            st.relay_w.reshape(-1)[sflat] = relay_w
         st.active[...] = act2
-        st.origins[...] = org2
-        st.alive_prev[...] = alive
         alive_cnt = np.count_nonzero(alive, axis=1)
         act_cnt = np.count_nonzero(act2, axis=1)
-        for b, w in enumerate(worlds):
-            ea = w.energy
-            ea._category_watts = {
+        for b, w in enumerate(st.worlds):
+            w.energy._category_watts = {
                 "idle": float(alive_cnt[b]) * self._idle_w,
                 "sensing": float(act_cnt[b]) * self._sens_w,
-                "relay": float(st.relay_w[b].sum()),
+                "relay": float(relay_w[b].sum()),
                 "leakage": 0.0,
             }
 

@@ -20,15 +20,15 @@ Rate recomputation
 
 ``recompute`` runs on every rotation slot and always takes one full
 pass: idle + sensing draw from the alive/active masks, then the relay
-load as integer packet counts pushed down the routing tree level by
-level (:func:`repro.sim.soa.relay_accumulate`), priced per packet and
-scaled by the uplink ETX.  There is deliberately no dirty-set variant
-on the serial path: at the paper's N = 500, diffing the masks and
-walking the changed routing paths costs more than the vector
-arithmetic it would skip.  The pass leaves the relay-count state
-(``_through_cnt``, ``_origins``, ``_alive_prev``, ``_relay_w``) that
-the batched engine's incremental re-pricing (:mod:`repro.sim.batch`)
-continues from.
+load as integer packet counts, priced per packet and scaled by the
+uplink ETX.  A sensor relays every packet originating in its routing
+subtree; with the static tree laid out in DFS preorder once
+(:func:`repro.sim.soa.subtree_index`), every count is the difference of
+two entries of one ``cumsum`` (:func:`repro.sim.soa.subtree_counts`).
+:meth:`EnergyAccounting.price` turns the counts into Watts; the
+batched engine (:mod:`repro.sim.batch`) runs the same kernel and the
+same pricing row-wise over its stack of worlds, so both engines share
+one recompute.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..soa import relay_accumulate, relay_levels
+from ..soa import subtree_counts, subtree_index
 from ..trace import EventKind
 from .state import SimulationState
 
@@ -64,8 +64,16 @@ class EnergyAccounting:
     ) -> None:
         self.s = state
         self.on_deaths = on_deaths
-        self._per_packet_relay_j = state.power.relay_power_w(1.0)
-        self._notification_j = state.power.notification_energy_j()
+        power = state.power
+        # NodePowerModel is frozen: price every pass from cached scalars.
+        self._idle_w = power.idle_power_w
+        self._sensing_w = power.active_sensing_power_w
+        self._duty_w = self._idle_w + self._sensing_w
+        self._packet_rate_hz = power.packet_rate_hz
+        self._per_packet_relay_j = power.relay_power_w(1.0)
+        self._notification_j = power.notification_energy_j()
+        self._rx_j = power.radio.rx_energy_j(power.payload_bytes)
+        self._leak_per_s = state.cfg.self_discharge_fraction_per_day / 86400.0
         self._last_t = 0.0
         n = state.cfg.n_sensors
         self.rates = np.zeros(n, dtype=np.float64)
@@ -78,24 +86,10 @@ class EnergyAccounting:
             "leakage": 0.0,
             "notifications": 0.0,
         }
-        # -- relay-count state --------------------------------------------
-        # Static routing views, then per-pass buffers that every
-        # recompute refreshes in place: the batched engine binds the
-        # latter as row views of its (B, n) stacks and re-prices
-        # incrementally from them.
+        # Static routing views: the tree in DFS preorder for the relay
+        # counts (the topology never changes during a run).
         self._connected = np.isfinite(state.routing.dist[:n])
-        self._parent_arr = np.asarray(state.routing.parent, dtype=np.int64)
-        self._base = int(state.routing.base)
-        self._through_cnt = np.zeros(n + 1, dtype=np.int64)  # relayed+own packets
-        self._origins = np.zeros(n, dtype=bool)
-        self._alive_prev = np.zeros(n, dtype=bool)
-        self._relay_w = np.zeros(n, dtype=np.float64)
-        # Level-order schedule for the relay accumulation (computed once;
-        # the routing tree is static) and the scratch array reused by
-        # every battery advance.
-        self._relay_levels = relay_levels(
-            state.routing.parent, state.routing.dist, state.routing.base, n
-        )
+        self._subtrees = subtree_index(state.routing.parent, state.routing.base, n)
         self._drain_scratch = state.arrays.drain_scratch
         obs = state.instruments
         self._t_recompute = obs.timer("energy.recompute")
@@ -117,53 +111,57 @@ class EnergyAccounting:
 
     def _recompute(self) -> None:
         s = self.s
-        power = s.power
         alive = s.bank.alive_mask()
         active = s.activator.active_mask(alive)
-        n = s.cfg.n_sensors
-        # One stable rates buffer: the SoA arrays alias it, and the
-        # steady-state pass then allocates no fresh vector.
-        rates = self.rates
-        rates.fill(0.0)
-        rates[alive] = power.idle_power_w
-        rates[active] += power.active_sensing_power_w
-        # Relay load: push each active origin's packet count down the
-        # routing tree, skipping dead relays' consumption (they can't
-        # forward).  Counts stay integer, so the level-order
-        # accumulation is exact whatever the add order.
-        cnt = self._through_cnt
-        cnt.fill(0)
+        # Relay load: every active connected sensor originates packets,
+        # and each sensor relays those of its subtree (dead relays keep
+        # forwarding in the static tree but draw nothing).  The rates
+        # buffer is refreshed in place: the SoA arrays alias it, and the
+        # batched engine binds it as a row of its stack.
         origins = active & self._connected
-        cnt[:n][origins] = 1
-        relay_accumulate(cnt, s.routing.parent, self._relay_levels)
-        relay = (cnt[:n] - origins).astype(np.float64) * power.packet_rate_hz
-        relay_w = np.where(alive, relay * self._per_packet_relay_j * s.uplink_etx, 0.0)
-        rates += relay_w
+        relay_w = self.price(
+            alive,
+            active,
+            origins,
+            subtree_counts(origins, self._subtrees),
+            s.uplink_etx,
+            out=self.rates,
+        )
         leak_total = 0.0
         if s.cfg.self_discharge_fraction_per_day > 0:
             # Charge-proportional leakage, frozen at the current level
             # until the next rate recomputation (piecewise-linear
             # approximation of the exponential decay).
-            leak_per_s = s.cfg.self_discharge_fraction_per_day / 86400.0
-            leak_w = np.where(alive, s.bank.levels_j * leak_per_s, 0.0)
-            rates += leak_w
+            leak_w = np.where(alive, s.bank.levels_j * self._leak_per_s, 0.0)
+            self.rates += leak_w
             leak_total = float(leak_w.sum())
-        rates[~alive] = 0.0
-        # These buffers may be bound as row views into a (B, n) stack
-        # (see repro.sim.batch), so refresh them in place instead of
-        # rebinding to the fresh arrays.
         self.active[...] = active
-        self._origins[...] = origins
-        self._alive_prev[...] = alive
-        self._relay_w[...] = relay_w
         s.arrays.rates_w = self.rates
         s.arrays.active = self.active
         self._category_watts = {
-            "idle": float(np.count_nonzero(alive)) * power.idle_power_w,
-            "sensing": float(np.count_nonzero(active)) * power.active_sensing_power_w,
+            "idle": float(np.count_nonzero(alive)) * self._idle_w,
+            "sensing": float(np.count_nonzero(active)) * self._sensing_w,
             "relay": float(relay_w.sum()),
             "leakage": leak_total,
         }
+
+    def price(self, alive, active, origins, through, uplink_etx, out) -> np.ndarray:
+        """Per-sensor draw in Watts into ``out``; returns the relay Watts.
+
+        ``through`` holds each sensor's subtree origin count
+        (:func:`~repro.sim.soa.subtree_counts`) and ``origins`` the
+        sensors originating a packet.  The draw is idle, plus sensing
+        when active, plus the relayed packets priced per packet and
+        scaled by the uplink ETX; depleted sensors draw nothing.
+        Elementwise on any shape: the batched engine prices its whole
+        ``(B, n)`` stack in one call.
+        """
+        relay = (through - origins).astype(np.float64) * self._packet_rate_hz
+        relay_w = np.where(alive, relay * self._per_packet_relay_j * uplink_etx, 0.0)
+        base = np.where(active, self._duty_w, self._idle_w)
+        base += relay_w
+        out[...] = np.where(alive, base, 0.0)
+        return relay_w
 
     def advance(self) -> None:
         """Drain batteries for the elapsed interval; handle depletions."""
@@ -205,12 +203,11 @@ class EnergyAccounting:
         RX to its successor."""
         if not len(handoffs):
             return
-        s = self.s
-        rx_j = s.power.radio.rx_energy_j(s.power.payload_bytes)
-        s.bank.drain_energy(handoffs[:, 0], self._notification_j)
-        s.bank.drain_energy(handoffs[:, 1], rx_j)
+        bank = self.s.bank
+        bank.drain_energy(handoffs[:, 0], self._notification_j)
+        bank.drain_energy(handoffs[:, 1], self._rx_j)
         self.breakdown_j["notifications"] += len(handoffs) * (
-            self._notification_j + rx_j
+            self._notification_j + self._rx_j
         )
 
     def breakdown(self) -> Dict[str, float]:

@@ -78,8 +78,7 @@ class RequestGate:
         if self.array_scan:
             a = s.arrays
             # Same elementwise `<` as below_threshold_mask, written into
-            # the preallocated gate scratch so the scan allocates only
-            # its (small) release list.
+            # the preallocated gate scratch.
             below = np.less(s.bank.levels_j, s.bank.threshold_j, out=a.below_scratch)
             to_release = erc_release_scan(
                 a.cluster_id, a.sizes, below, s.requested, self.erc.erp, arrays=a

@@ -18,14 +18,27 @@ Layout
   aliases of the canonical buffers owned by the bank / components, so
   writing through either view is the same write;
 * per-cluster: ``members`` (m, w) padded with ``-1``, ``sizes`` (m,),
-  ``ptr`` (m,) — the rotation state in rectangular form;
+  ``ptr`` (m,) — the rotation state in rectangular form — plus the
+  :class:`ClusterIndex` derived from them once per cluster epoch;
 * per-RV: ``rv_pos`` (k, 2), ``rv_level_j`` (k,), ``rv_busy`` (k,),
   ``rv_returning`` (k,) — fleet motion integrated per-RV over position
   arrays (kept write-through by the fleet component);
-* preallocated scratch for the battery-advance and gate-scan steps, so
-  the steady-state tick allocates **nothing** (the ``sim.soa.alloc``
-  counter records every scratch (re)allocation; it must stay flat
-  across ticks).
+* preallocated scratch for the battery-advance, gate-scan and rotation
+  steps.  The ``sim.soa.alloc`` counter records every scratch
+  (re)allocation and stays flat across steady-state ticks, which proves
+  the scratch is reused; the kernels still allocate their small
+  temporaries (gathers, masks, the release list).
+
+Relay load
+----------
+
+A sensor relays every packet that originates in its routing subtree.
+:func:`subtree_index` lays the static tree out in DFS preorder once, so
+each sensor's subtree is one contiguous range ``[tin, tout)``, and
+:func:`subtree_counts` turns an origin mask into every sensor's
+through count with one ``cumsum`` and two gathers.  Counts are int64,
+so the result is exact whatever the summation order.  The batched
+engine runs the same kernel over its worlds' concatenated preorders.
 
 Exactness contract
 ------------------
@@ -37,15 +50,14 @@ arithmetic per element.  Those classes stay in the library as the path
 plugin activators and ERC policies that override ``nodes_to_release``
 take (:func:`wrap_activator` and :func:`erc_scan_applicable` pick the
 path from the object's type), and the tier-1 parity tests compare the
-kernels against them.  Relay packet counts are integers, so the
-level-order tree accumulation commutes bit-exactly with a per-origin
-root-path walk (the test oracle in ``tests/oracles.py``).
+kernels against them.  The relay counts are compared against a
+per-origin root-path walk (the test oracle in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,16 +65,18 @@ from ..core.activation import FullTimeActivator, RoundRobinActivator
 from ..core.erc import EnergyRequestController
 
 __all__ = [
+    "ClusterIndex",
     "StateArrays",
     "SoAFullTimeActivator",
     "SoARoundRobinActivator",
+    "SubtreeIndex",
     "batch_enabled",
     "debug_batch",
     "erc_release_scan",
     "first_alive_slots",
     "pack_clusters",
-    "relay_levels",
-    "relay_accumulate",
+    "subtree_counts",
+    "subtree_index",
     "wrap_activator",
 ]
 
@@ -85,6 +99,43 @@ def engine_provenance() -> dict:
     return {"batch": batch_enabled(), "batch_debug": debug_batch()}
 
 
+class ClusterIndex(NamedTuple):
+    """Per-epoch views of the padded member matrix, plus rotation scratch.
+
+    ``valid``, ``ids`` and ``modulus`` depend only on ``(members,
+    sizes)``, so :func:`pack_clusters` derives them once per cluster
+    epoch and every rotation query reuses them.  All rotation buffers
+    are O(m·w).
+    """
+
+    valid: np.ndarray  # (m, w) bool: the slot holds a member
+    ids: np.ndarray  # (m, w) int64: members, padding clamped to 0 (gather-safe)
+    modulus: np.ndarray  # (m, 1) int64: max(size, 1), the rotation wrap
+    offs: np.ndarray  # (w,) slot numbers
+    rows: np.ndarray  # (m,) cluster numbers
+    rel: np.ndarray  # (m, w) int64 scratch: rotation distances
+    dead: np.ndarray  # (m, w) bool scratch: slots that cannot hold the duty
+
+    @classmethod
+    def empty(cls, m: int, w: int) -> "ClusterIndex":
+        return cls(
+            valid=np.empty((m, w), dtype=bool),
+            ids=np.empty((m, w), dtype=np.int64),
+            modulus=np.empty((m, 1), dtype=np.int64),
+            offs=np.arange(w, dtype=np.int64),
+            rows=np.arange(m, dtype=np.int64),
+            rel=np.empty((m, w), dtype=np.int64),
+            dead=np.empty((m, w), dtype=bool),
+        )
+
+    def refresh(self, members: np.ndarray, sizes: np.ndarray) -> "ClusterIndex":
+        """Re-derive the views from a freshly packed member matrix."""
+        np.greater_equal(members, 0, out=self.valid)  # padding slots hold -1
+        np.maximum(members, 0, out=self.ids)
+        np.maximum(sizes[:, None], 1, out=self.modulus)
+        return self
+
+
 class StateArrays:
     """Flat aligned arrays for one simulation, plus reusable scratch.
 
@@ -97,8 +148,8 @@ class StateArrays:
         n_rvs: fleet size.
         instruments: optional :class:`repro.obs.Instruments`; the
             ``sim.soa.alloc`` counter records every buffer
-            (re)allocation so tests can prove the steady-state tick
-            allocates nothing.
+            (re)allocation so tests can prove steady-state ticks reuse
+            the scratch instead of reallocating it.
     """
 
     def __init__(self, n_sensors: int, n_rvs: int, instruments=None) -> None:
@@ -118,6 +169,7 @@ class StateArrays:
         self.members = np.empty((0, 0), dtype=np.int64)
         self.sizes = np.empty(0, dtype=np.int64)
         self.ptr = np.empty(0, dtype=np.int64)
+        self.cluster_index = ClusterIndex.empty(0, 0)
         # -- per-RV motion state (write-through from FleetController) ---
         self._c_alloc.inc(4)
         self.rv_pos = np.zeros((n_rvs, 2), dtype=np.float64)
@@ -129,45 +181,26 @@ class StateArrays:
         self.drain_scratch = np.empty(self.n, dtype=np.float64)
         self.below_scratch = np.empty(self.n, dtype=bool)
         self.release_scratch = np.empty(self.n, dtype=bool)
-        self._cluster_scratch: Tuple[np.ndarray, ...] = ()
 
     # -- cluster buffers ---------------------------------------------------
 
     def ensure_clusters(self, n_clusters: int, width: int) -> None:
         """Size the padded member matrix for a new cluster epoch.
 
-        Buffers are reallocated only when the epoch needs *more* room
-        (the alloc counter records it); a same-shape epoch reuses them.
+        Buffers (and the :class:`ClusterIndex`) are reallocated only
+        when the epoch changes their shape (the alloc counter records
+        it); a same-shape epoch reuses them.
         """
         if self.members.shape != (n_clusters, width):
-            self._c_alloc.inc(3)
+            self._c_alloc.inc(10)
             self.members = np.full((n_clusters, width), -1, dtype=np.int64)
             self.sizes = np.zeros(n_clusters, dtype=np.int64)
             self.ptr = np.zeros(n_clusters, dtype=np.int64)
+            self.cluster_index = ClusterIndex.empty(n_clusters, width)
         else:
             self.members.fill(-1)
             self.sizes.fill(0)
             self.ptr.fill(0)
-        if not self._cluster_scratch or self._cluster_scratch[0].shape != (
-            n_clusters,
-            width,
-        ):
-            self._c_alloc.inc(4)
-            self._cluster_scratch = (
-                np.empty((n_clusters, width), dtype=np.int64),
-                np.empty((n_clusters, width), dtype=bool),
-                np.arange(width, dtype=np.int64),
-                np.arange(n_clusters, dtype=np.int64),
-            )
-
-    def needy_count_scratch(self, n_clusters: int) -> np.ndarray:
-        """A reusable ``(m,)`` int64 buffer for per-cluster reductions."""
-        buf = getattr(self, "_needy_scratch", None)
-        if buf is None or buf.shape != (n_clusters,):
-            self._c_alloc.inc()
-            buf = np.empty(n_clusters, dtype=np.int64)
-            self._needy_scratch = buf
-        return buf
 
 
 def pack_clusters(cluster_set, arrays: StateArrays) -> None:
@@ -177,7 +210,7 @@ def pack_clusters(cluster_set, arrays: StateArrays) -> None:
     Members stay in their per-cluster sorted order (the rotation order
     of Section III-C); rows are padded with ``-1`` and the rotation
     pointers reset to slot 0, exactly as a fresh :class:`RoundRobinActivator`
-    would start.
+    would start.  The epoch's :class:`ClusterIndex` is derived here.
     """
     sizes = cluster_set.sizes()
     width = int(sizes.max()) if len(sizes) else 0
@@ -186,6 +219,7 @@ def pack_clusters(cluster_set, arrays: StateArrays) -> None:
     for c in cluster_set:  # once per relocation epoch, not per tick
         if c.size:
             arrays.members[c.cluster_id, : c.size] = c.members
+    arrays.cluster_index.refresh(arrays.members, arrays.sizes)
     arrays.cluster_id = cluster_set.membership
 
 
@@ -195,11 +229,7 @@ def pack_clusters(cluster_set, arrays: StateArrays) -> None:
 
 
 def _rotation_scores(
-    members: np.ndarray,
-    sizes: np.ndarray,
-    start: np.ndarray,
-    alive: np.ndarray,
-    scratch=None,
+    start: np.ndarray, alive: np.ndarray, ix: ClusterIndex
 ) -> np.ndarray:
     """Rotation distance from ``start`` per member slot, ``w`` if dead.
 
@@ -208,24 +238,17 @@ def _rotation_scores(
     or depleted slots.  ``rel.argmin(axis=1)`` is then exactly the
     ``RoundRobinActivator._first_alive_from`` answer: the alive slot with the
     smallest wrapping distance at or after ``start``.  Distances within
-    a row are distinct, so the argmin is unambiguous.
-
-    With ``scratch`` (the :class:`StateArrays` cluster scratch tuple)
-    the whole computation runs in preallocated ``(m, w)`` buffers.
+    a row are distinct, so the argmin is unambiguous.  The result is
+    written into (and aliases) ``ix.rel``.  The batched engine calls it
+    on its flattened ``(B * m, w)`` index, whose ``ids`` address one
+    flat ``(B * n)`` alive mask.
     """
-    m, w = members.shape
-    if scratch is not None:
-        rel, ok, offs, _rows = scratch
-    else:
-        rel = np.empty((m, w), dtype=np.int64)
-        ok = np.empty((m, w), dtype=bool)
-        offs = np.arange(w, dtype=np.int64)
-    np.greater_equal(members, 0, out=ok)  # padding slots hold -1
-    np.logical_and(ok, alive[np.where(ok, members, 0)], out=ok)
-    np.subtract(offs[None, :], start[:, None], out=rel)
-    np.remainder(rel, np.maximum(sizes, 1)[:, None], out=rel)
-    np.logical_not(ok, out=ok)
-    np.copyto(rel, w, where=ok)
+    rel, dead = ix.rel, ix.dead
+    np.logical_and(ix.valid, alive[ix.ids], out=dead)
+    np.logical_not(dead, out=dead)
+    np.subtract(ix.offs, start[:, None], out=rel)
+    np.remainder(rel, ix.modulus, out=rel)
+    np.copyto(rel, rel.shape[1], where=dead)
     return rel
 
 
@@ -234,22 +257,23 @@ def first_alive_slots(
     sizes: np.ndarray,
     start: np.ndarray,
     alive: np.ndarray,
-    scratch=None,
+    index: Optional[ClusterIndex] = None,
 ) -> np.ndarray:
     """Per cluster: the first alive member *slot* at or after ``start``.
 
     The vectorized form of ``RoundRobinActivator._first_alive_from``:
     each row of ``members`` is scanned in wrapping rotation order from
     ``start``; the first slot whose member is alive wins, ``-1`` when
-    the whole cluster is depleted (or empty).
+    the whole cluster is depleted (or empty).  ``index`` is the
+    epoch's :class:`ClusterIndex` (derived here when omitted).
     """
     m, w = members.shape
     if m == 0 or w == 0:
         return np.full(m, -1, dtype=np.int64)
-    rel = _rotation_scores(members, sizes, start, alive, scratch)
-    rows = scratch[3] if scratch is not None else np.arange(m, dtype=np.int64)
+    ix = index if index is not None else ClusterIndex.empty(m, w).refresh(members, sizes)
+    rel = _rotation_scores(start, alive, ix)
     slot = rel.argmin(axis=1)
-    return np.where(rel[rows, slot] < w, slot, -1)
+    return np.where(rel[ix.rows, slot] < w, slot, -1)
 
 
 class SoARoundRobinActivator:
@@ -282,10 +306,10 @@ class SoARoundRobinActivator:
         a = self.a
         if self._actives is not None and np.array_equal(alive, self._actives_alive):
             return self._actives
-        slots = first_alive_slots(
-            a.members, a.sizes, a.ptr, alive, scratch=a._cluster_scratch
+        ix = a.cluster_index
+        out = _members_at(
+            a.members, first_alive_slots(a.members, a.sizes, a.ptr, alive, ix), ix
         )
-        out = _members_at(a.members, slots, scratch=a._cluster_scratch)
         self._actives = out
         self._actives_alive = alive.copy()
         return out
@@ -313,38 +337,26 @@ class SoARoundRobinActivator:
         # holder is the distance argmin; masking it out, the runner-up
         # is the first alive member after it (wrapping), and a cluster
         # whose only alive member holds the duty keeps it (the
-        # per-cluster walk comes back around to ``cur``).
-        rel = _rotation_scores(a.members, a.sizes, a.ptr, alive, a._cluster_scratch)
-        rows = a._cluster_scratch[3]
+        # per-cluster walk comes back around to ``cur``).  A cluster
+        # with no alive member has cur == nxt == 0 and is not live.
+        ix = a.cluster_index
+        rows = ix.rows
+        rel = _rotation_scores(a.ptr, alive, ix)
         cur = rel.argmin(axis=1)
         live = rel[rows, cur] < w
         rel[rows, cur] = w
         nxt = rel.argmin(axis=1)
         nxt = np.where(rel[rows, nxt] < w, nxt, cur)
-        cur = np.where(live, cur, -1)
-        nxt = np.where(live, nxt, -1)
         # Reference pointer update: nxt if alive successor else stay on
         # cur; clusters with no alive member keep their old pointer.
         a.ptr[live] = nxt[live]
-        moved = live & (nxt != cur)
-        idx = np.flatnonzero(moved)
-        if idx.size:
-            handoffs = np.stack(
-                [
-                    a.members[idx, cur[idx]],
-                    a.members[idx, nxt[idx]],
-                ],
-                axis=1,
-            )
-        else:
-            handoffs = np.empty((0, 2), dtype=np.int64)
+        idx = (live & (nxt != cur)).nonzero()[0]
+        handoffs = np.empty((len(idx), 2), dtype=np.int64)
+        handoffs[:, 0] = a.members[idx, cur[idx]]
+        handoffs[:, 1] = a.members[idx, nxt[idx]]
         # Refresh the memo for the alive mask just rotated under: live
         # clusters now point at their (alive) duty holder.
-        self._actives = _members_at(
-            a.members,
-            np.where(live, a.ptr, -1),
-            scratch=a._cluster_scratch,
-        )
+        self._actives = np.where(live, a.members[rows, a.ptr], -1)
         self._actives_alive = alive.copy()
         return handoffs
 
@@ -373,13 +385,10 @@ class SoAFullTimeActivator:
         a = self.a
         if self._actives is not None and np.array_equal(alive, self._actives_alive):
             return self._actives
+        ix = a.cluster_index
         zeros = np.zeros(len(a.sizes), dtype=np.int64)
         out = _members_at(
-            a.members,
-            first_alive_slots(
-                a.members, a.sizes, zeros, alive, scratch=a._cluster_scratch
-            ),
-            scratch=a._cluster_scratch,
+            a.members, first_alive_slots(a.members, a.sizes, zeros, alive, ix), ix
         )
         self._actives = out
         self._actives_alive = alive.copy()
@@ -392,17 +401,11 @@ class SoAFullTimeActivator:
         return np.empty((0, 2), dtype=np.int64)
 
 
-def _members_at(members: np.ndarray, slots: np.ndarray, scratch=None) -> np.ndarray:
+def _members_at(members: np.ndarray, slots: np.ndarray, ix: ClusterIndex) -> np.ndarray:
     """Gather ``members[c, slots[c]]`` rowwise; ``-1`` slots stay -1."""
     if members.shape[1] == 0:
         return np.full(len(slots), -1, dtype=np.int64)
-    rows = (
-        scratch[3]
-        if scratch is not None
-        else np.arange(members.shape[0], dtype=np.int64)
-    )
-    picked = members[rows, np.maximum(slots, 0)]
-    return np.where(slots >= 0, picked, -1)
+    return np.where(slots >= 0, members[ix.rows, np.maximum(slots, 0)], -1)
 
 
 def wrap_activator(activator, arrays: StateArrays):
@@ -436,18 +439,14 @@ def erc_release_scan(
     """Array form of the ERC gate: sensors allowed to request *now*.
 
     Per cluster the needy count (``below`` members, listed or not) is
-    one scatter-add into the preallocated ``arrays`` scratch; a cluster
-    releases every needy non-listed member iff the count reaches
-    ``max(ceil(nc * K), 1)``; unclustered needy sensors always release.
-    Output is ascending sensor ids — exactly
+    one ``bincount``; a cluster releases every needy non-listed member
+    iff the count reaches ``max(ceil(nc * K), 1)``; unclustered needy
+    sensors always release.  Output is ascending sensor ids — exactly
     ``EnergyRequestController.nodes_to_release``'s ``sorted(release)``.
     """
     m = len(sizes)
     clustered = membership >= 0
-    needy = below & clustered
-    counts = arrays.needy_count_scratch(m)
-    counts.fill(0)
-    np.add.at(counts, membership[needy], 1)
+    counts = np.bincount(membership[below & clustered], minlength=m)
     # Same elementwise arithmetic as release_count_needed: nc * K is one
     # float64 multiply either way, then ceil, then the floor of 1.
     need = np.maximum(np.ceil(sizes * erp).astype(np.int64), 1)
@@ -455,7 +454,7 @@ def erc_release_scan(
     release = np.logical_and(below, ~listed, out=arrays.release_scratch)
     if m:  # a zero-cluster epoch leaves every sensor unclustered
         release &= ~clustered | open_gate[np.maximum(membership, 0)]
-    return [int(s) for s in np.flatnonzero(release)]
+    return release.nonzero()[0].tolist()
 
 
 def erc_scan_applicable(erc) -> bool:
@@ -467,41 +466,64 @@ def erc_scan_applicable(erc) -> bool:
 
 
 # --------------------------------------------------------------------------
-# relay-load accumulation
+# relay load
 # --------------------------------------------------------------------------
 
 
-def relay_levels(parent: np.ndarray, dist: np.ndarray, base: int, n: int) -> List[np.ndarray]:
-    """Hop-depth level schedule for the relay tree accumulation.
+class SubtreeIndex(NamedTuple):
+    """A static routing tree laid out in DFS preorder.
 
-    Vertices are grouped by hop count from the base, deepest level
-    first, excluding the base and disconnected vertices.  Computed once
-    per routing tree (the topology is static).
+    Sensor ``v``'s subtree is ``pre[tin[v]:tout[v]]``; sensors with no
+    route to the base have the empty range ``tin == tout == 0``.
     """
-    order = np.argsort(dist, kind="stable")
-    hops = np.full(len(parent), -1, dtype=np.int64)
-    hops[base] = 0
-    for v in order:
-        p = parent[v]
-        if p >= 0 and hops[p] >= 0:
-            hops[v] = hops[p] + 1
-    hops[base] = -1  # the base never forwards
-    max_hop = int(hops.max()) if len(hops) else 0
-    return [
-        np.flatnonzero(hops == d) for d in range(max_hop, 0, -1)
-    ]
+
+    pre: np.ndarray  # (r,) the r reachable sensors in preorder
+    tin: np.ndarray  # (n,) int64 start of each subtree range
+    tout: np.ndarray  # (n,) int64 end (exclusive) of each subtree range
+    cs: np.ndarray  # (r + 1,) int64 prefix-sum scratch, cs[0] == 0
 
 
-def relay_accumulate(
-    cnt: np.ndarray, parent: np.ndarray, levels: List[np.ndarray]
-) -> None:
-    """Push integer packet counts down the routing tree, level by level.
+def subtree_index(parent: np.ndarray, base: int, n: int) -> SubtreeIndex:
+    """DFS preorder and subtree ranges of the routing tree ``parent``.
 
-    Bit-exact to any walk that adds each vertex's count to its parent
-    after all its children's: counts are int64, integer addition is
-    associative, and every vertex's count is final before its level is
-    pushed (children sit strictly deeper than their parents in a
-    shortest-path tree).  ``cnt`` is modified in place.
+    ``parent`` holds each vertex's next hop toward ``base`` (``-1`` at
+    the base and at disconnected vertices); the ``n`` sensors are the
+    vertices other than the base.  Children are visited in ascending id
+    order.  Computed once per routing tree (the topology is static).
     """
-    for lvl in levels:
-        np.add.at(cnt, parent[lvl], cnt[lvl])
+    parent = np.asarray(parent, dtype=np.int64)
+    # Children of every vertex in ascending id order, as CSR rows.
+    kids = np.flatnonzero(parent >= 0)
+    kids = kids[np.argsort(parent[kids], kind="stable")]
+    bounds = np.searchsorted(parent[kids], np.arange(len(parent) + 1)).tolist()
+    kids = kids.tolist()
+    pre: List[int] = []
+    stack = kids[bounds[base] : bounds[base + 1]][::-1]
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        stack.extend(kids[bounds[v] : bounds[v + 1]][::-1])
+    # Subtree sizes, children before parents (reverse preorder).
+    up = parent.tolist()
+    size = [1] * len(up)
+    for v in reversed(pre):
+        size[up[v]] += size[v]
+    order = np.asarray(pre, dtype=np.int64)
+    tin = np.zeros(n, dtype=np.int64)
+    tin[order] = np.arange(len(order), dtype=np.int64)
+    tout = tin.copy()
+    tout[order] += np.asarray(size, dtype=np.int64)[order]
+    return SubtreeIndex(order, tin, tout, np.zeros(len(order) + 1, dtype=np.int64))
+
+
+def subtree_counts(origins: np.ndarray, index: SubtreeIndex) -> np.ndarray:
+    """Per sensor: the ``origins`` in its routing subtree.
+
+    That is the sensor's own packet (if it originates one) plus every
+    packet it relays toward the base.  One ``cumsum`` over the origins
+    in preorder, then each count is the difference of two prefix sums.
+    The counts are int64, so they are exact in any summation order.
+    """
+    cs = index.cs
+    origins[index.pre].cumsum(out=cs[1:])
+    return cs[index.tout] - cs[index.tin]

@@ -176,12 +176,18 @@ class World:
     def _record_metrics(self) -> None:
         s = self.state
         alive = s.bank.alive_mask()
-        if np.any(s.coverable):
-            coverage = float(np.mean(s.activator.covered_mask(alive)[s.coverable]))
+        # Counts and one true division each: the same correctly rounded
+        # quotient np.mean takes over the boolean masks.
+        n_coverable = np.count_nonzero(s.coverable)
+        if n_coverable:
+            covered = s.activator.covered_mask(alive)[s.coverable]
+            coverage = float(np.count_nonzero(covered) / n_coverable)
         else:
             coverage = 1.0
-        nonfunctional = float(np.mean(~alive)) if self.cfg.n_sensors > 0 else 0.0
-        operational = float(np.count_nonzero(alive))
+        n = self.cfg.n_sensors
+        n_alive = np.count_nonzero(alive)
+        nonfunctional = float((n - n_alive) / n) if n > 0 else 0.0
+        operational = float(n_alive)
         s.metrics.record(s.now, coverage, nonfunctional, operational)
         if s.trace.enabled:
             s.trace.sample_series(s.now, "coverage", coverage)

@@ -1,14 +1,14 @@
 """Scalar oracles for the array kernels (test-only).
 
 The simulator runs one tick path: structure-of-arrays state, a full
-energy recompute with level-order relay accumulation, and vectorized
+energy recompute with prefix-sum relay counts, and vectorized
 scheduling kernels.  Each of those kernels replaced a plain Python loop
 that performed the same IEEE-754 operations per element in the same
 order.  The loops live here, outside the library, as the executable
 specification the parity tests compare the kernels against:
 
 * :func:`relay_walk` — per-origin root-path walk of the relay packet
-  counts (:func:`repro.sim.soa.relay_accumulate`);
+  counts (:func:`repro.sim.soa.subtree_counts`);
 * the scheduling-kernel loops (:mod:`repro.core.kernels`), the scalar
   first-improvement 2-opt (:func:`repro.tsp.two_opt.two_opt`) and the
   per-step nearest-neighbour tour
@@ -51,6 +51,17 @@ def relay_walk(cnt: np.ndarray, parent: np.ndarray) -> None:
         while u >= 0:
             cnt[u] += 1
             u = int(parent[u])
+
+
+def walk_counts(origins: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """:func:`relay_walk` in the shape of
+    :func:`repro.sim.soa.subtree_counts`: per sensor, the origins whose
+    root path passes through it (its own packet included)."""
+    n = len(origins)
+    cnt = np.zeros(len(parent), dtype=np.int64)
+    cnt[:n][origins] = 1
+    relay_walk(cnt, parent)
+    return cnt[:n]
 
 
 # ----------------------------------------------------------------------
@@ -279,15 +290,18 @@ def reference_tick_paths():
     :class:`~repro.core.activation.FullTimeActivator` loops (the path a
     plugin activator takes), gate requests through
     :meth:`~repro.core.erc.EnergyRequestController.nodes_to_release`
-    (the path an overriding ERC policy takes), and accumulate relay
-    counts with :func:`relay_walk`.
+    (the path an overriding ERC policy takes), and count relay packets
+    with :func:`relay_walk` over the routing parents — no preorder is
+    built, so the relay counts are checked independently.
     """
     with mock.patch(
         "repro.sim.components.clusters.wrap_activator", lambda act, arrays: act
     ), mock.patch(
         "repro.sim.components.gate.erc_scan_applicable", lambda erc: False
     ), mock.patch(
-        "repro.sim.components.energy.relay_accumulate",
-        lambda cnt, parent, levels: relay_walk(cnt, parent),
+        "repro.sim.components.energy.subtree_index",
+        lambda parent, base, n: np.asarray(parent, dtype=np.int64),
+    ), mock.patch(
+        "repro.sim.components.energy.subtree_counts", walk_counts
     ):
         yield

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -218,6 +218,10 @@ class TestCellListMatchesKdtree:
 
     @given(point_lists, st.lists(st.integers(0, 59), max_size=60), radii)
     @settings(max_examples=100, deadline=None)
+    # Two points 3e-254 apart: their squared distance underflows to 0,
+    # so the pair passes a zero radius although far more than a cell of
+    # side ``extent / 2**20`` apart.
+    @example(base=[(0.0, 0.0), (0.0, 2.807921128797871e-254)], picks=[0, 1], radius=0.0)
     def test_duplicate_points(self, base, picks, radius):
         base = base or [(0.0, 0.0)]
         pts = [base[k % len(base)] for k in picks]

@@ -3,8 +3,8 @@
 Three layers of evidence that the array tick path computes exactly what
 the per-object loops specify:
 
-* kernel parity — every array kernel (rotation, ERC scan, relay
-  accumulation) reproduces its per-cluster / per-origin loop
+* kernel parity — every array kernel (rotation, ERC scan, prefix-sum
+  relay counts) reproduces its per-cluster / per-origin loop
   bit-for-bit on randomized inputs;
 * engine equivalence — whole runs and random tick sequences produce
   identical snapshots and summaries on the array path and on the
@@ -38,13 +38,13 @@ from repro.sim.soa import (
     erc_scan_applicable,
     first_alive_slots,
     pack_clusters,
-    relay_accumulate,
-    relay_levels,
+    subtree_counts,
+    subtree_index,
     wrap_activator,
 )
 from repro.sim.world import World
 
-from oracles import reference_tick_paths, relay_walk
+from oracles import reference_tick_paths, walk_counts
 
 
 def random_cluster_set(rng, n_sensors, n_clusters):
@@ -212,9 +212,41 @@ class TestErcScanParity:
         assert not erc_scan_applicable(CustomPolicy(0.5))
 
 
+def random_forest(rng, n):
+    """A random parent array over ``n`` sensors plus the base at ``n``.
+
+    Sensors attach to the base or to an earlier sensor in a random
+    order; about one in eight has no next hop, which cuts it and its
+    whole subtree off from the base.  Returns ``(parent, reachable)``.
+    """
+    parent = np.full(n + 1, -1, dtype=np.int64)
+    order = rng.permutation(n)
+    reachable = np.zeros(n, dtype=bool)
+    for i, v in enumerate(order):
+        if rng.random() < 0.125:
+            continue
+        p = n if i == 0 or rng.random() < 0.2 else int(order[rng.integers(0, i)])
+        parent[v] = p
+        reachable[v] = p == n or reachable[p]
+    return parent, reachable
+
+
+def walk_matrix(parent, n):
+    """``A[v, u] = 1`` iff ``relay_walk`` credits origin ``u`` to ``v``,
+    so ``A @ origins`` is the walk's counts for any origin mask."""
+    out = np.zeros((n, n), dtype=np.float64)
+    for u in range(n):
+        unit = np.zeros(n, dtype=bool)
+        unit[u] = True
+        out[:, u] = walk_counts(unit, parent)
+    return out
+
+
 class TestRelayParity:
+    """Prefix-sum subtree counts == the per-origin root-path walk."""
+
     @pytest.mark.parametrize("seed", range(5))
-    def test_level_accumulation_matches_walk(self, seed):
+    def test_subtree_counts_match_walk(self, seed):
         from repro.geometry.field import Field
         from repro.network.routing import RoutingTree
         from repro.network.topology import Topology
@@ -225,18 +257,56 @@ class TestRelayParity:
         pos = fld.deploy_uniform(n, rng)
         topo = Topology(pos, 18.0, base_station=fld.base_station)
         tree = RoutingTree(topo)
-        levels = relay_levels(tree.parent, tree.dist, tree.base, n)
+        index = subtree_index(tree.parent, tree.base, n)
         for _ in range(5):
             origins = np.zeros(n, dtype=bool)
             origins[rng.random(n) > 0.5] = True
             origins &= np.isfinite(tree.dist[:n])
-            cnt = np.zeros(n + 1, dtype=np.int64)
-            cnt[:n][origins] = 1
-            relay_accumulate(cnt, tree.parent, levels)
-            ref = np.zeros(n + 1, dtype=np.int64)
-            ref[:n][origins] = 1
-            relay_walk(ref, tree.parent)
-            assert np.array_equal(cnt, ref)
+            cnt = subtree_counts(origins, index)
+            assert cnt.dtype == np.int64
+            assert np.array_equal(cnt, walk_counts(origins, tree.parent))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_forests_with_disconnected_sensors(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(2, 120))
+        parent, reachable = random_forest(rng, n)
+        index = subtree_index(parent, n, n)
+        assert sorted(index.pre.tolist()) == np.flatnonzero(reachable).tolist()
+        assert np.all(index.tin[~reachable] == index.tout[~reachable])
+        for _ in range(10):
+            origins = (rng.random(n) > 0.4) & reachable
+            assert np.array_equal(
+                subtree_counts(origins, index), walk_counts(origins, parent)
+            )
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_trees(self, n):
+        for parent in ([-1] * (n + 1), [n] * n + [-1]):
+            parent = np.array(parent, dtype=np.int64)
+            index = subtree_index(parent, n, n)
+            for bits in range(2**n):
+                origins = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
+                origins &= parent[:n] >= 0
+                got = subtree_counts(origins, index)
+                assert got.shape == (n,)
+                assert np.array_equal(got, walk_counts(origins, parent))
+
+    def test_2000_masks_at_paper_scale(self):
+        from repro.sim.config import SimulationConfig
+
+        world = World(SimulationConfig.experiment())
+        routing = world.state.routing
+        n = world.cfg.n_sensors
+        assert n == 500
+        connected = np.isfinite(routing.dist[:n])
+        walk = walk_matrix(routing.parent, n)
+        index = subtree_index(routing.parent, routing.base, n)
+        rng = np.random.default_rng(500)
+        masks = (rng.random((2000, n)) < rng.random((2000, 1))) & connected
+        want = (masks.astype(np.float64) @ walk.T).astype(np.int64)
+        for origins, ref in zip(masks, want):
+            assert np.array_equal(subtree_counts(origins, index), ref)
 
 
 def run_snapshotted(reference, checkpoints, **overrides):
@@ -314,6 +384,46 @@ class TestEngineEquivalence:
             ref = run_simulation(cfg).as_dict()
         soa = run_simulation(cfg).as_dict()
         assert ref == soa
+
+
+def run_strict(reference, cfg):
+    """One run under strict monitors on the array or reference tick
+    paths: (summary dict, final snapshot, violations)."""
+    from repro.obs.instruments import Instruments
+    from repro.obs.monitors import MonitorSet
+
+    monitors = MonitorSet(instruments=Instruments(), strict=True)
+    with reference_tick_paths() if reference else contextlib.nullcontext():
+        world = World(cfg, monitors=monitors)
+        summary = world.run()
+    return summary.as_dict(), snapshot_arrays(world.state), monitors.violations
+
+
+class TestDegenerateInputs:
+    """Edge-of-domain configs run a day under strict monitors, and the
+    array tick path matches the reference paths bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_sensors": 0},
+            {"n_sensors": 1},
+            {"n_targets": 0},
+            {"n_rvs": 0},
+            {"comm_range_m": 0.001},
+            {"erp": 1.0},
+        ],
+        ids=["no-sensors", "one-sensor", "no-targets", "no-rvs", "all-disconnected", "erp-1"],
+    )
+    def test_one_day_strict_and_reference_identical(self, overrides):
+        from repro.sim.config import DAY_S
+
+        cfg = SimulationConfig(**{**SMALL_CONFIG, "sim_time_s": DAY_S, **overrides})
+        ref, ref_snap, ref_violations = run_strict(True, cfg)
+        got, snap, violations = run_strict(False, cfg)
+        assert violations == [] and ref_violations == []
+        assert got == ref
+        TestEngineEquivalence.assert_snaps_equal([ref_snap], [snap], str(overrides))
 
 
 class TestAllocationDiscipline:
