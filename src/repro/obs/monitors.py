@@ -6,6 +6,8 @@ end-of-run counters cannot see being broken mid-run:
 * **energy conservation** — every battery's drop over a tick equals
   ``rate * dt`` (up to the clamp at empty and float tolerance);
 * **battery bounds** — ``0 <= level <= capacity`` always;
+* **alive mask** — the tick's cached alive mask equals ``levels > 0``
+  at every energy advance;
 * **ERC release threshold** — a cluster's requests are released iff at
   least ``max(ceil(nc * K), 1)`` members sit below threshold
   (Section III-B), and then *all* needy non-listed members release;
@@ -140,6 +142,27 @@ class MonitorSet:
                 f"levels {levels_j[bad[:5]].tolist()})",
                 t,
                 sensors=bad[:10].tolist(),
+            )
+
+    def check_alive_mask(
+        self, alive: np.ndarray, levels_j: np.ndarray, t: float
+    ) -> None:
+        """The tick's alive mask is exactly ``levels > 0``.
+
+        The energy component keeps one alive mask for the whole tick
+        instead of re-deriving it at each use; a level write that skips
+        the re-derivation would leave it stale.
+        """
+        stale = alive != (levels_j > 0.0)
+        if np.any(stale):
+            idx = np.flatnonzero(stale)
+            self._violate(
+                "alive_mask",
+                f"{idx.size} alive flag(s) disagree with levels > 0 "
+                f"(sensors {idx[:5].tolist()}, "
+                f"levels {levels_j[idx[:5]].tolist()})",
+                t,
+                sensors=idx[:10].tolist(),
             )
 
     def check_energy_conservation(
@@ -403,6 +426,9 @@ class NullMonitors:
     violations: Iterable[Dict[str, Any]] = ()
 
     def check_battery_bounds(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def check_alive_mask(self, *args: Any, **kwargs: Any) -> None:
         pass
 
     def check_energy_conservation(self, *args: Any, **kwargs: Any) -> None:

@@ -21,8 +21,8 @@ up:
 
 * every component buffer a batched kernel writes (``bank.levels_j``,
   ``state.requested``, ``energy.rates``, ``energy.active``,
-  ``arrays.ptr``) is *bound as a row view* of the batch-owned
-  stack, so the serial event path — dispatch rounds, RV arrivals,
+  ``energy.alive``, ``arrays.ptr``) is *bound as a row view* of the
+  batch-owned stack, so the serial event path — dispatch rounds, RV arrivals,
   relocations — keeps running unmodified per world between ticks and
   reads/writes the very same memory;
 * every batched kernel performs the identical IEEE-754 arithmetic per
@@ -66,11 +66,12 @@ from .metrics import SimulationSummary
 from .serialization import config_to_dict, snapshot_arrays
 from .soa import (
     ClusterIndex,
+    RotationTable,
     SoAFullTimeActivator,
     SoARoundRobinActivator,
     SubtreeIndex,
-    _rotation_scores,
     debug_batch,
+    rotation_table,
     subtree_counts,
 )
 from .world import _FULL_DIGEST_EVERY, World
@@ -136,8 +137,8 @@ class BatchedStateArrays:
 
     Row ``b`` of every *bound* stack **is** world ``b``'s canonical
     buffer: :meth:`bind` rebinds the per-world component attributes
-    (battery levels, request flags, draw rates, active masks, rotation
-    pointers) to row views, so serial
+    (battery levels, request flags, draw rates, active and alive masks,
+    rotation pointers) to row views, so serial
     per-world code and batched kernels write the same memory.  The
     *copied* stacks (membership, cluster matrices, routing) are
     refreshed wholesale on relocation epochs / compaction.
@@ -167,6 +168,7 @@ class BatchedStateArrays:
         self.requested = np.empty((B, n), dtype=bool)
         self.rates_w = np.empty((B, n), dtype=np.float64)
         self.active = np.empty((B, n), dtype=bool)
+        self.alive = np.empty((B, n), dtype=bool)
         # -- copied static-per-world stacks ------------------------------
         self.positions = np.stack([w.state.sensor_pos for w in worlds])
         self.uplink_etx = np.stack([w.state.uplink_etx for w in worlds])
@@ -191,6 +193,7 @@ class BatchedStateArrays:
         self.requested[b] = w.state.requested
         self.rates_w[b] = ea.rates
         self.active[b] = ea.active
+        self.alive[b] = ea.alive
 
     def restack_clusters(self) -> None:
         """(Re)build the padded cluster stacks for the current epoch.
@@ -225,22 +228,35 @@ class BatchedStateArrays:
     def _make_scratch(self) -> None:
         B, n, m, W = self.B, self.n, self.m, self.w
         self._scr = np.empty((B, n), dtype=np.float64)
-        self._was = np.empty((B, n), dtype=bool)
-        self._alive = np.empty((B, n), dtype=bool)
+        self._dead = np.empty((B, n), dtype=bool)
         self._below = np.empty((B, n), dtype=bool)
         self._release = np.empty((B, n), dtype=bool)
         self._act2 = np.empty((B, n), dtype=bool)
-        # The serial rotation kernel's ClusterIndex over the flattened
+        # The serial rotation table's ClusterIndex over the flattened
         # (B * m, W) member matrix, with ids shifted to sensor-flat
         # coordinates (b * n + v) so one flat alive mask serves every world.
-        ix = ClusterIndex.empty(B * m, W).refresh(
-            self.members.reshape(B * m, W), self.sizes.reshape(-1)
-        )
+        ix = ClusterIndex.empty(B * m, W).refresh(self.members.reshape(B * m, W))
         self._row_noff = (ix.rows // m) * n  # cluster row -> world*n
         np.add(ix.ids, self._row_noff[:, None], out=ix.ids)
         self.cluster_index = ix
+        self._table: Optional[RotationTable] = None
+        self._table_key: Optional[bytes] = None
         self._row_moff = (np.arange(B, dtype=np.int64) * m)  # world -> row base
         self.subtrees = _stack_subtrees([w.energy._subtrees for w in self.worlds], n)
+
+    def rotation_table(self, alive: np.ndarray) -> RotationTable:
+        """The serial :func:`~repro.sim.soa.rotation_table` over the
+        flattened cluster stack, rebuilt when the batch's alive set
+        (``(B, n)``, keyed on its bytes) or the cluster epoch changes."""
+        key = alive.tobytes()
+        if key != self._table_key:
+            self._table = rotation_table(
+                self.members.reshape(self.B * self.m, self.w),
+                alive.reshape(-1),
+                self.cluster_index,
+            )
+            self._table_key = key
+        return self._table
 
     def bind(self) -> None:
         """Bind every batched-written component buffer to its row view.
@@ -264,6 +280,8 @@ class BatchedStateArrays:
             a.rates_w = ea.rates
             ea.active = self.active[b]
             a.active = ea.active
+            ea.alive = self.alive[b]
+            a.alive = ea.alive
             a.ptr = self.ptr[b]
             act = s.activator
             act.a = a
@@ -275,7 +293,7 @@ class BatchedStateArrays:
         self.rngs = [r for k, r in zip(keep, self.rngs) if k]
         self.B = len(self.worlds)
         for name in (
-            "levels_j", "requested", "rates_w", "active", "positions",
+            "levels_j", "requested", "rates_w", "active", "alive", "positions",
             "uplink_etx", "connected", "members", "sizes", "ptr",
             "membership", "coverable",
         ):
@@ -511,7 +529,9 @@ class BatchedEngine:
         dts = np.empty(B, dtype=np.float64)
         for b, w in enumerate(worlds):
             dts[b] = T - w.energy._last_t
-        was = np.greater(L, 0.0, out=st._was)
+        for b in range(B):
+            if self._mons[b].enabled:
+                self._mons[b].check_alive_mask(st.alive[b], L[b], T)
         mon_rows = [
             b for b in range(B) if self._mons[b].enabled and dts[b] > 0
         ]
@@ -520,7 +540,11 @@ class BatchedEngine:
         np.subtract(L, st._scr, out=L)
         np.maximum(L, 0.0, out=L)
         np.minimum(L, self._capacity, out=L)
-        alive = np.greater(L, 0.0, out=st._alive)
+        # The drain only lowers levels: the deaths are the alive sensors
+        # now at zero, and the bound alive rows drop them in place.
+        dead = np.less_equal(L, 0.0, out=st._dead)
+        died = np.logical_and(st.alive, dead, out=self._tmp_bool)
+        alive = np.logical_not(dead, out=st.alive)
         for b in mon_rows:
             mon = self._mons[b]
             mon.check_energy_conservation(
@@ -534,7 +558,6 @@ class BatchedEngine:
                 for cat, watts in ea._category_watts.items():
                     ea.breakdown_j[cat] += watts * dt
             ea._last_t = T
-        died = np.logical_and(was, ~alive, out=self._tmp_bool)
         if died.any():
             died_counts = np.count_nonzero(died, axis=1)
             for b in np.flatnonzero(died_counts):
@@ -547,28 +570,19 @@ class BatchedEngine:
                 w.energy.recompute()
         # -- rotation + hand-offs (mirrors SoARoundRobinActivator.rotate
         # and EnergyAccounting.apply_handoffs) ----------------------------
-        memf = st.members.reshape(B * m, W)
-        rows = st.cluster_index.rows
-        alive_f = alive.reshape(-1)
         if self._rotates and m and W:
+            t = st.rotation_table(alive)
             ptrf = st.ptr.reshape(-1)
-            rel = _rotation_scores(ptrf, alive_f, st.cluster_index)
-            cur = rel.argmin(axis=1)
-            live = rel[rows, cur] < W
-            rel[rows, cur] = W
-            nxt = rel.argmin(axis=1)
-            nxt = np.where(rel[rows, nxt] < W, nxt, cur)
-            ptrf[live] = nxt[live]
-            moved = live & (nxt != cur)
-            idx = np.flatnonzero(moved)
+            pos = t.base + ptrf
+            idx = t.hand
+            pairs = t.pairs[pos[idx]]
+            np.copyto(ptrf, t.nxt.ravel()[pos], where=t.live)
             if idx.size:
-                olds = memf[idx, cur[idx]]
-                news = memf[idx, nxt[idx]]
                 b_of = idx // m
                 lf = L.reshape(-1)
-                oidx = olds + b_of * n
+                oidx = pairs[:, 0] + b_of * n
                 lf[oidx] = np.maximum(lf[oidx] - self._notif_j, 0.0)
-                nidx = news + b_of * n
+                nidx = pairs[:, 1] + b_of * n
                 lf[nidx] = np.maximum(lf[nidx] - self._rx_j, 0.0)
                 pair_j = self._notif_j + self._rx_j
                 counts = np.bincount(b_of, minlength=B)
@@ -580,16 +594,16 @@ class BatchedEngine:
                     if self._bbs[b].enabled:
                         self._bbs[b].note("handoffs", k)
             # Hand-off drains can empty a battery: re-derive alive for
-            # the recompute, exactly like the serial post-rotation pass.
-            alive = np.greater(L, 0.0, out=st._alive)
-            alive_f = alive.reshape(-1)
-        # -- active set (one scan serves recompute *and* metrics) ---------
+            # the recompute, exactly like the serial post-rotation pass
+            # (the bound rows keep every world's energy.alive current).
+            alive = np.greater(L, 0.0, out=st.alive)
+        # -- active set (one lookup serves recompute *and* metrics) -------
         if m and W:
-            start = st.ptr.reshape(-1) if self._rotates else _ZEROS_CACHE(B * m)
-            rel = _rotation_scores(start, alive_f, st.cluster_index)
-            slot = rel.argmin(axis=1)
-            found = rel[rows, slot] < W
-            actives = np.where(found, memf[rows, slot], -1)
+            t = st.rotation_table(alive)
+            if self._rotates:
+                actives = t.cur.ravel()[t.base + st.ptr.reshape(-1)]
+            else:
+                actives = t.cur[:, 0]
         else:
             actives = np.full(B * m, -1, dtype=np.int64)
         if self._rotates:
@@ -659,7 +673,7 @@ class BatchedEngine:
             # engine leaves it: the actives for the current alive mask.
             act = s.activator
             act._actives = acts2d[b].copy()
-            act._actives_alive = alive[b].copy()
+            act._actives_key = alive[b].tobytes()
 
     def _recompute(self, alive: np.ndarray, act2: np.ndarray) -> None:
         """Batched :meth:`EnergyAccounting.recompute`: the serial pass
@@ -706,16 +720,6 @@ class BatchedEngine:
             events_fired=s.sim.events_fired,
         )
         w._bb_wall = wall
-
-
-def _ZEROS_CACHE(size: int, _cache: Dict[int, np.ndarray] = {}) -> np.ndarray:
-    """A shared all-zeros int64 start vector (full-time scans)."""
-    buf = _cache.get(size)
-    if buf is None:
-        buf = np.zeros(size, dtype=np.int64)
-        _cache.clear()
-        _cache[size] = buf
-    return buf
 
 
 def _compare_snapshots(world_idx: int, got: Dict, ref: Dict) -> None:

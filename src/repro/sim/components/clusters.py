@@ -93,7 +93,7 @@ class ClusterManager:
         notification packets is the energy component's business.
         """
         s = self.s
-        handoffs = s.activator.rotate(s.bank.alive_mask())
+        handoffs = s.activator.rotate(s.arrays.alive)
         if len(handoffs):
             self._c_handoffs.inc(len(handoffs))
             if s.blackbox.enabled:

@@ -15,6 +15,20 @@ power model of the whole sensor network:
 Between events nothing integrates numerically — the engine only fires
 bookkeeping ticks, so a 120-day horizon costs a few hundred events.
 
+The alive mask
+--------------
+
+``energy.alive`` (aliased as ``state.arrays.alive``) is the one alive
+mask of the tick; rotation, the active mask and the metrics read it
+instead of re-deriving ``levels > 0``.  This component keeps it
+current where levels change: after the drain in :meth:`advance` (a
+drain only lowers levels, so its deaths are the alive sensors now at
+zero, and the death recompute drops them) and at the top of every
+:meth:`recompute`, which every other level write precedes (rotation
+hand-offs, recharges, relocation, replay restore).  With monitors on,
+every :meth:`advance` checks ``alive == (levels > 0)``.  The batched
+engine binds it as a row of its alive stack.
+
 Rate recomputation
 ------------------
 
@@ -78,6 +92,7 @@ class EnergyAccounting:
         n = state.cfg.n_sensors
         self.rates = np.zeros(n, dtype=np.float64)
         self.active = np.zeros(n, dtype=bool)
+        self.alive = state.arrays.alive
         self._category_watts: Dict[str, float] = {}
         self.breakdown_j: Dict[str, float] = {
             "idle": 0.0,
@@ -91,6 +106,7 @@ class EnergyAccounting:
         self._connected = np.isfinite(state.routing.dist[:n])
         self._subtrees = subtree_index(state.routing.parent, state.routing.base, n)
         self._drain_scratch = state.arrays.drain_scratch
+        self._died = np.empty(n, dtype=bool)
         obs = state.instruments
         self._t_recompute = obs.timer("energy.recompute")
         self._t_advance = obs.timer("energy.advance")
@@ -111,7 +127,10 @@ class EnergyAccounting:
 
     def _recompute(self) -> None:
         s = self.s
-        alive = s.bank.alive_mask()
+        # Every level write outside advance() (hand-offs, recharges,
+        # relocation, replay restore) is followed by a recompute, so
+        # re-deriving the alive mask here keeps it current.
+        alive = np.greater(s.bank.levels_j, 0.0, out=self.alive)
         active = s.activator.active_mask(alive)
         # Relay load: every active connected sensor originates packets,
         # and each sensor relays those of its subtree (dead relays keep
@@ -166,6 +185,8 @@ class EnergyAccounting:
     def advance(self) -> None:
         """Drain batteries for the elapsed interval; handle depletions."""
         s = self.s
+        if s.monitors.enabled:
+            s.monitors.check_alive_mask(self.alive, s.bank.levels_j, s.now)
         dt = s.now - self._last_t
         if dt > 0:
             with self._t_advance, self._sp.span("energy.advance", dt=dt):
@@ -174,7 +195,6 @@ class EnergyAccounting:
     def _advance(self, dt: float) -> None:
         s = self.s
         mon = s.monitors
-        was_alive = s.bank.alive_mask()
         levels_before = s.bank.levels_j.copy() if mon.enabled else None
         s.bank.drain_rates(self.rates, dt, scratch=self._drain_scratch)
         if mon.enabled:
@@ -185,9 +205,12 @@ class EnergyAccounting:
         for cat, watts in self._category_watts.items():
             self.breakdown_j[cat] += watts * dt
         self._last_t = s.now
-        died = was_alive & ~s.bank.alive_mask()
-        if np.any(died):
-            n_died = int(np.count_nonzero(died))
+        # A drain only lowers levels, so the alive set can only shrink:
+        # the deaths are the alive sensors now at zero.
+        died = np.less_equal(s.bank.levels_j, 0.0, out=self._died)
+        np.logical_and(died, self.alive, out=died)
+        n_died = int(np.count_nonzero(died))
+        if n_died:
             logger.debug("t=%.0fs: %d sensor(s) depleted", s.now, n_died)
             self._c_depletions.inc(n_died)
             if s.trace.enabled:
@@ -195,7 +218,8 @@ class EnergyAccounting:
                     s.trace.emit(s.now, EventKind.SENSOR_DEPLETED, int(v))
             if self.on_deaths is not None:
                 self.on_deaths(n_died)
-            # Depleted sensors stop sensing and relaying.
+            # Depleted sensors stop sensing and relaying; the recompute
+            # also drops them from the alive mask.
             self.recompute()
 
     def apply_handoffs(self, handoffs: np.ndarray) -> None:

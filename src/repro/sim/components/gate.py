@@ -49,6 +49,9 @@ class RequestGate:
         # The array ERC scan replays exactly the base gate semantics; a
         # policy that overrides nodes_to_release keeps its own code.
         self.array_scan = erc_scan_applicable(self.erc)
+        # The scan inputs right after the last scan's release: a state
+        # equal to it releases nothing (see _check).
+        self._quiet_key = None
         obs = state.instruments
         self._t_check = obs.timer("gate.check")
         self._c_released = obs.counter("gate.requests_released")
@@ -75,14 +78,23 @@ class RequestGate:
 
     def _check(self) -> bool:
         s = self.s
+        key = None
         if self.array_scan:
             a = s.arrays
             # Same elementwise `<` as below_threshold_mask, written into
             # the preallocated gate scratch.
             below = np.less(s.bank.levels_j, s.bank.threshold_j, out=a.below_scratch)
-            to_release = erc_release_scan(
-                a.cluster_id, a.sizes, below, s.requested, self.erc.erp, arrays=a
-            )
+            # The release set is a function of exactly (below, requested,
+            # erp, cluster epoch).  Right after a scan's release every
+            # sensor it released is listed, so those inputs release
+            # nothing: while they recur the scan is skipped.
+            key = (below.tobytes(), s.requested.tobytes(), self.erc.erp, a.cluster_epoch)
+            if key == self._quiet_key:
+                to_release = []
+            else:
+                to_release = erc_release_scan(
+                    a.cluster_id, a.sizes, below, s.requested, self.erc.erp, arrays=a
+                )
         else:
             below = s.bank.below_threshold_mask()
             to_release = self.erc.nodes_to_release(s.cluster_set, below, s.requested)
@@ -104,7 +116,12 @@ class RequestGate:
                 s.monitors.check_erc_release(
                     s.cluster_set, below, s.requested, to_release, self.erc.erp, s.now
                 )
-        return self._release(to_release)
+        released = self._release(to_release)
+        if key is not None and key != self._quiet_key:
+            if released:  # the released sensors are listed now
+                key = (key[0], s.requested.tobytes(), key[2], key[3])
+            self._quiet_key = key
+        return released
 
     def _release(self, to_release) -> bool:
         """Put ``to_release`` onto the backlog and update all request

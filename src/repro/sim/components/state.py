@@ -109,6 +109,9 @@ class SimulationState:
         self.arrays.positions = self.sensor_pos
         self.arrays.levels_j = self.bank.levels_j
         self.arrays.requested = self.requested
+        # Derived once here; EnergyAccounting keeps it current from then
+        # on (see its module docstring).
+        self.arrays.alive = self.bank.alive_mask()
 
     @property
     def now(self) -> float:

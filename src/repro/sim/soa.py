@@ -14,12 +14,13 @@ Layout
 :class:`StateArrays` is the one bundle of flat aligned arrays:
 
 * per-sensor: ``positions`` (n, 2), ``levels_j`` (n,), ``rates_w``
-  (n,), ``active`` (n,), ``requested`` (n,), ``cluster_id`` (n,) —
-  aliases of the canonical buffers owned by the bank / components, so
-  writing through either view is the same write;
+  (n,), ``active`` (n,), ``alive`` (n,), ``requested`` (n,),
+  ``cluster_id`` (n,) — aliases of the canonical buffers owned by the
+  bank / components, so writing through either view is the same write;
 * per-cluster: ``members`` (m, w) padded with ``-1``, ``sizes`` (m,),
   ``ptr`` (m,) — the rotation state in rectangular form — plus the
-  :class:`ClusterIndex` derived from them once per cluster epoch;
+  :class:`ClusterIndex` derived from them once per cluster epoch and
+  the integer ``cluster_epoch`` that :func:`pack_clusters` bumps;
 * per-RV: ``rv_pos`` (k, 2), ``rv_level_j`` (k,), ``rv_busy`` (k,),
   ``rv_returning`` (k,) — fleet motion integrated per-RV over position
   arrays (kept write-through by the fleet component);
@@ -28,6 +29,28 @@ Layout
   (re)allocation and stays flat across steady-state ticks, which proves
   the scratch is reused; the kernels still allocate their small
   temporaries (gathers, masks, the release list).
+
+Alive-set state
+---------------
+
+Rotation, coverage and the ERC gate only change their answers when a
+sensor dies, is recharged or the clusters re-form, so the tick derives
+them once per alive set instead of once per call:
+
+* the alive mask itself is ``arrays.alive``, kept current by
+  :class:`~repro.sim.components.energy.EnergyAccounting` (re-derived
+  after a drain with deaths and in every recompute, which every other
+  level write precedes) and read by rotation, the active mask and the
+  metrics;
+* the array activators build a :class:`RotationTable` per alive set:
+  ``(m, w)`` tables of the duty holder from every start slot and the
+  slot the pointer moves to, so :meth:`SoARoundRobinActivator.rotate`
+  is a handful of gathers at ``ptr``.  Tables and the duty memo are
+  keyed on ``alive.tobytes()``, exact for any caller's mask;
+* per-epoch consumers key on the integer ``cluster_epoch``, never on
+  ``id()`` of an array (ids recur once an array is collected): the
+  world's coverage metrics per ``(alive set, epoch)`` and the request
+  gate's scan skip per ``(below, requested, erp, epoch)``.
 
 Relay load
 ----------
@@ -66,6 +89,7 @@ from ..core.erc import EnergyRequestController
 
 __all__ = [
     "ClusterIndex",
+    "RotationTable",
     "StateArrays",
     "SoAFullTimeActivator",
     "SoARoundRobinActivator",
@@ -73,8 +97,8 @@ __all__ = [
     "batch_enabled",
     "debug_batch",
     "erc_release_scan",
-    "first_alive_slots",
     "pack_clusters",
+    "rotation_table",
     "subtree_counts",
     "subtree_index",
     "wrap_activator",
@@ -100,39 +124,32 @@ def engine_provenance() -> dict:
 
 
 class ClusterIndex(NamedTuple):
-    """Per-epoch views of the padded member matrix, plus rotation scratch.
+    """Per-epoch views of the padded member matrix.
 
-    ``valid``, ``ids`` and ``modulus`` depend only on ``(members,
-    sizes)``, so :func:`pack_clusters` derives them once per cluster
-    epoch and every rotation query reuses them.  All rotation buffers
-    are O(m·w).
+    ``valid`` and ``ids`` depend only on ``members``, so
+    :func:`pack_clusters` derives them once per cluster epoch and
+    :func:`rotation_table` reads them on every new alive set.  All
+    buffers are O(m·w).
     """
 
     valid: np.ndarray  # (m, w) bool: the slot holds a member
     ids: np.ndarray  # (m, w) int64: members, padding clamped to 0 (gather-safe)
-    modulus: np.ndarray  # (m, 1) int64: max(size, 1), the rotation wrap
     offs: np.ndarray  # (w,) slot numbers
     rows: np.ndarray  # (m,) cluster numbers
-    rel: np.ndarray  # (m, w) int64 scratch: rotation distances
-    dead: np.ndarray  # (m, w) bool scratch: slots that cannot hold the duty
 
     @classmethod
     def empty(cls, m: int, w: int) -> "ClusterIndex":
         return cls(
             valid=np.empty((m, w), dtype=bool),
             ids=np.empty((m, w), dtype=np.int64),
-            modulus=np.empty((m, 1), dtype=np.int64),
             offs=np.arange(w, dtype=np.int64),
             rows=np.arange(m, dtype=np.int64),
-            rel=np.empty((m, w), dtype=np.int64),
-            dead=np.empty((m, w), dtype=bool),
         )
 
-    def refresh(self, members: np.ndarray, sizes: np.ndarray) -> "ClusterIndex":
+    def refresh(self, members: np.ndarray) -> "ClusterIndex":
         """Re-derive the views from a freshly packed member matrix."""
         np.greater_equal(members, 0, out=self.valid)  # padding slots hold -1
         np.maximum(members, 0, out=self.ids)
-        np.maximum(sizes[:, None], 1, out=self.modulus)
         return self
 
 
@@ -163,6 +180,7 @@ class StateArrays:
         self.levels_j: Optional[np.ndarray] = None
         self.rates_w: Optional[np.ndarray] = None
         self.active: Optional[np.ndarray] = None
+        self.alive: Optional[np.ndarray] = None
         self.requested: Optional[np.ndarray] = None
         self.cluster_id: Optional[np.ndarray] = None
         # -- per-cluster rotation state (owned; see ensure_clusters) ----
@@ -170,6 +188,9 @@ class StateArrays:
         self.sizes = np.empty(0, dtype=np.int64)
         self.ptr = np.empty(0, dtype=np.int64)
         self.cluster_index = ClusterIndex.empty(0, 0)
+        # Bumped by every pack_clusters: the identity of the cluster
+        # epoch, for memo keys (ids of arrays are reused after GC).
+        self.cluster_epoch = 0
         # -- per-RV motion state (write-through from FleetController) ---
         self._c_alloc.inc(4)
         self.rv_pos = np.zeros((n_rvs, 2), dtype=np.float64)
@@ -192,7 +213,7 @@ class StateArrays:
         it); a same-shape epoch reuses them.
         """
         if self.members.shape != (n_clusters, width):
-            self._c_alloc.inc(10)
+            self._c_alloc.inc(7)
             self.members = np.full((n_clusters, width), -1, dtype=np.int64)
             self.sizes = np.zeros(n_clusters, dtype=np.int64)
             self.ptr = np.zeros(n_clusters, dtype=np.int64)
@@ -219,8 +240,9 @@ def pack_clusters(cluster_set, arrays: StateArrays) -> None:
     for c in cluster_set:  # once per relocation epoch, not per tick
         if c.size:
             arrays.members[c.cluster_id, : c.size] = c.members
-    arrays.cluster_index.refresh(arrays.members, arrays.sizes)
+    arrays.cluster_index.refresh(arrays.members)
     arrays.cluster_id = cluster_set.membership
+    arrays.cluster_epoch += 1
 
 
 # --------------------------------------------------------------------------
@@ -228,102 +250,128 @@ def pack_clusters(cluster_set, arrays: StateArrays) -> None:
 # --------------------------------------------------------------------------
 
 
-def _rotation_scores(
-    start: np.ndarray, alive: np.ndarray, ix: ClusterIndex
-) -> np.ndarray:
-    """Rotation distance from ``start`` per member slot, ``w`` if dead.
+class RotationTable(NamedTuple):
+    """Where the duty goes from every start slot, for one alive set.
 
-    ``rel[c, j] = (j - start[c]) % size[c]`` for slots holding an alive
-    member, the sentinel ``w`` (one past any real distance) for padded
-    or depleted slots.  ``rel.argmin(axis=1)`` is then exactly the
-    ``RoundRobinActivator._first_alive_from`` answer: the alive slot with the
-    smallest wrapping distance at or after ``start``.  Distances within
-    a row are distinct, so the argmin is unambiguous.  The result is
-    written into (and aliases) ``ix.rel``.  The batched engine calls it
-    on its flattened ``(B * m, w)`` index, whose ``ids`` address one
-    flat ``(B * n)`` alive mask.
+    ``cur[c, j]`` is the member holding cluster ``c``'s duty when its
+    pointer sits at slot ``j``: the first alive member at or after
+    ``j`` in wrapping rotation order, ``-1`` in a row with no alive
+    member.  ``nxt[c, j]`` is the slot the pointer moves to from ``j``:
+    the first alive slot after the duty holder's (wrapping), the
+    holder's own slot when it is the row's only alive member.  The
+    table is built once per alive set; every rotation and duty query
+    under that set is a gather at the flat position ``base + ptr``.
+    The batched engine builds one table over its flattened ``(B * m,
+    w)`` member matrix.
     """
-    rel, dead = ix.rel, ix.dead
-    np.logical_and(ix.valid, alive[ix.ids], out=dead)
-    np.logical_not(dead, out=dead)
-    np.subtract(ix.offs, start[:, None], out=rel)
-    np.remainder(rel, ix.modulus, out=rel)
-    np.copyto(rel, rel.shape[1], where=dead)
-    return rel
+
+    cur: np.ndarray  # (m, w) int64 duty-holder member ids, -1 in dead rows
+    nxt: np.ndarray  # (m, w) int64 next pointer slot
+    pairs: np.ndarray  # (m * w, 2) int64 (holder, successor) ids per flat slot
+    live: np.ndarray  # (m,) bool: the row has an alive member
+    hand: np.ndarray  # (k,) int64 rows with >= 2 alive members, ascending
+    base: np.ndarray  # (m,) int64 flat offset of each row, c * w
 
 
-def first_alive_slots(
-    members: np.ndarray,
-    sizes: np.ndarray,
-    start: np.ndarray,
-    alive: np.ndarray,
-    index: Optional[ClusterIndex] = None,
-) -> np.ndarray:
-    """Per cluster: the first alive member *slot* at or after ``start``.
+def rotation_table(
+    members: np.ndarray, alive: np.ndarray, ix: ClusterIndex
+) -> RotationTable:
+    """Build the :class:`RotationTable` of ``members`` under ``alive``.
 
-    The vectorized form of ``RoundRobinActivator._first_alive_from``:
-    each row of ``members`` is scanned in wrapping rotation order from
-    ``start``; the first slot whose member is alive wins, ``-1`` when
-    the whole cluster is depleted (or empty).  ``index`` is the
-    epoch's :class:`ClusterIndex` (derived here when omitted).
+    A reversed ``np.minimum.accumulate`` over the alive slot numbers
+    gives the next alive slot at or after each ``j``; slots past a
+    row's last alive member wrap to its first: the vectorized
+    ``RoundRobinActivator._first_alive_from``.  The successor of the
+    duty holder at ``j`` is the same array shifted by one slot (the
+    last slot wrapping to the first) and gathered at the holder's slot.
+    ``ix.ids`` address ``alive`` and ``members`` are what the table
+    reports; the batched engine shifts the former into its flat alive
+    mask but not the latter.  O(m·w) work and memory.
     """
     m, w = members.shape
-    if m == 0 or w == 0:
-        return np.full(m, -1, dtype=np.int64)
-    ix = index if index is not None else ClusterIndex.empty(m, w).refresh(members, sizes)
-    rel = _rotation_scores(start, alive, ix)
-    slot = rel.argmin(axis=1)
-    return np.where(rel[ix.rows, slot] < w, slot, -1)
+    ok = np.logical_and(ix.valid, alive[ix.ids])
+    at = np.where(ok, ix.offs, w)  # alive slots hold their number, the rest w
+    at = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1]
+    first = at[:, :1]  # first alive slot of each row, w if none
+    live = first[:, 0] < w
+    slot = np.where(at < w, at, first)
+    slot[~live] = 0  # gather-safe; dead rows never move or hand off
+    nxt = np.take_along_axis(np.roll(slot, -1, axis=1), slot, axis=1)
+    cur = np.where(live[:, None], np.take_along_axis(members, slot, axis=1), -1)
+    pairs = np.stack([cur, np.take_along_axis(cur, nxt, axis=1)], axis=-1)
+    hand = np.flatnonzero(np.count_nonzero(ok, axis=1) >= 2)
+    return RotationTable(cur, nxt, pairs.reshape(m * w, 2), live, hand, ix.rows * w)
 
 
-class SoARoundRobinActivator:
-    """Array round-robin rotation, bit-exact to
-    :class:`~repro.core.activation.RoundRobinActivator`.
+class _SoAActivator:
+    """Shared state of the array activators: the packed cluster block,
+    the rotation table of the last alive set and the duty memo.
 
-    All per-cluster state lives in the ``(members, sizes, ptr)`` block
-    of a :class:`StateArrays`; every query is a masked reduction over
-    the padded member matrix.
+    Both caches are keyed on ``alive.tobytes()``: the key is the mask's
+    exact content, so any caller's mask (a fresh one in the parity
+    tests, the energy component's own buffer in a run) hits or misses
+    correctly.  The cluster epoch needs no key — a rebuild makes a
+    fresh activator.
     """
 
-    rotates = True
+    rotates: bool
 
     def __init__(self, cluster_set, arrays: StateArrays) -> None:
         self.cluster_set = cluster_set
         self.a = arrays
         if arrays.cluster_id is not cluster_set.membership:
             pack_clusters(cluster_set, arrays)  # not pre-packed by the caller
-        # Memoized active_sensor_per_cluster: the answer is a pure
-        # function of (members, sizes, ptr, alive) — members/sizes only
-        # change on a rebuild (fresh activator), ptr only in rotate()
-        # (which refreshes the cache), so comparing alive *content* is a
-        # complete invalidation check and far cheaper than the scan.
+        self._table: Optional[RotationTable] = None
+        self._table_key: Optional[bytes] = None
+        # Memoized active_sensor_per_cluster for the alive set in
+        # ``_actives_key``.  The round-robin answer also depends on the
+        # pointers, which only rotate() moves (and it refreshes the memo).
         self._actives: Optional[np.ndarray] = None
-        self._actives_alive: Optional[np.ndarray] = None
+        self._actives_key: Optional[bytes] = None
 
-    # -- queries -----------------------------------------------------------
+    def rotation_table(self, alive: np.ndarray, key: Optional[bytes] = None) -> RotationTable:
+        """The :class:`RotationTable` for ``alive``, built on a new alive set."""
+        if key is None:
+            key = alive.tobytes()
+        if key != self._table_key:
+            self._table = rotation_table(self.a.members, alive, self.a.cluster_index)
+            self._table_key = key
+        return self._table
 
     def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
-        a = self.a
-        if self._actives is not None and np.array_equal(alive, self._actives_alive):
-            return self._actives
-        ix = a.cluster_index
-        out = _members_at(
-            a.members, first_alive_slots(a.members, a.sizes, a.ptr, alive, ix), ix
-        )
-        self._actives = out
-        self._actives_alive = alive.copy()
-        return out
+        key = alive.tobytes()
+        if key != self._actives_key:
+            m, w = self.a.members.shape
+            if w == 0:
+                self._actives = np.full(m, -1, dtype=np.int64)
+            else:
+                self._actives = self._duty(self.rotation_table(alive, key))
+            self._actives_key = key
+        return self._actives
+
+    def covered_mask(self, alive: np.ndarray) -> np.ndarray:
+        return self.active_sensor_per_cluster(alive) >= 0
+
+
+class SoARoundRobinActivator(_SoAActivator):
+    """Array round-robin rotation, bit-exact to
+    :class:`~repro.core.activation.RoundRobinActivator`.
+
+    All per-cluster state lives in the ``(members, sizes, ptr)`` block
+    of a :class:`StateArrays`; every query is a gather at ``ptr`` from
+    the :class:`RotationTable` of the current alive set.
+    """
+
+    rotates = True
+
+    def _duty(self, table: RotationTable) -> np.ndarray:
+        return table.cur.ravel()[table.base + self.a.ptr]
 
     def active_mask(self, alive: np.ndarray) -> np.ndarray:
         mask = np.zeros(self.cluster_set.n_sensors, dtype=bool)
         actives = self.active_sensor_per_cluster(alive)
         mask[actives[actives >= 0]] = True
         return mask
-
-    def covered_mask(self, alive: np.ndarray) -> np.ndarray:
-        return self.active_sensor_per_cluster(alive) >= 0
-
-    # -- rotation ----------------------------------------------------------
 
     def rotate(self, alive: np.ndarray) -> np.ndarray:
         """Advance every cluster's pointer one slot; returns the
@@ -333,79 +381,37 @@ class SoARoundRobinActivator:
         m, w = a.members.shape
         if m == 0 or w == 0:
             return np.empty((0, 2), dtype=np.int64)
-        # One score pass answers both per-cluster scans: the current duty
-        # holder is the distance argmin; masking it out, the runner-up
-        # is the first alive member after it (wrapping), and a cluster
-        # whose only alive member holds the duty keeps it (the
-        # per-cluster walk comes back around to ``cur``).  A cluster
-        # with no alive member has cur == nxt == 0 and is not live.
-        ix = a.cluster_index
-        rows = ix.rows
-        rel = _rotation_scores(a.ptr, alive, ix)
-        cur = rel.argmin(axis=1)
-        live = rel[rows, cur] < w
-        rel[rows, cur] = w
-        nxt = rel.argmin(axis=1)
-        nxt = np.where(rel[rows, nxt] < w, nxt, cur)
-        # Reference pointer update: nxt if alive successor else stay on
-        # cur; clusters with no alive member keep their old pointer.
-        a.ptr[live] = nxt[live]
-        idx = (live & (nxt != cur)).nonzero()[0]
-        handoffs = np.empty((len(idx), 2), dtype=np.int64)
-        handoffs[:, 0] = a.members[idx, cur[idx]]
-        handoffs[:, 1] = a.members[idx, nxt[idx]]
-        # Refresh the memo for the alive mask just rotated under: live
-        # clusters now point at their (alive) duty holder.
-        self._actives = np.where(live, a.members[rows, a.ptr], -1)
-        self._actives_alive = alive.copy()
+        key = alive.tobytes()
+        t = self.rotation_table(alive, key)
+        # Clusters with two or more alive members hand the duty from the
+        # holder at the pointer to its successor; a lone alive member
+        # keeps it, and a cluster with none keeps its old pointer.
+        pos = t.base + a.ptr
+        handoffs = t.pairs[pos[t.hand]]
+        np.copyto(a.ptr, t.nxt.ravel()[pos], where=t.live)
+        # Refresh the memo for the alive mask just rotated under: the
+        # successors now hold the duty.
+        self._actives = t.pairs[:, 1][pos]
+        self._actives_key = key
         return handoffs
 
 
-class SoAFullTimeActivator:
+class SoAFullTimeActivator(_SoAActivator):
     """Array full-time activation, bit-exact to
     :class:`~repro.core.activation.FullTimeActivator`."""
 
     rotates = False
 
-    def __init__(self, cluster_set, arrays: StateArrays) -> None:
-        self.cluster_set = cluster_set
-        self.a = arrays
-        if arrays.cluster_id is not cluster_set.membership:
-            pack_clusters(cluster_set, arrays)  # not pre-packed by the caller
-        # Same memo as the round-robin twin, minus the rotation hook:
-        # full-time duty has no pointer, so (members, alive) is the
-        # whole dependency set.
-        self._actives: Optional[np.ndarray] = None
-        self._actives_alive: Optional[np.ndarray] = None
+    def _duty(self, table: RotationTable) -> np.ndarray:
+        # Full-time duty has no pointer: the reported member is the
+        # first alive one from slot 0.
+        return table.cur[:, 0]
 
     def active_mask(self, alive: np.ndarray) -> np.ndarray:
         return self.cluster_set.clustered_mask() & alive
 
-    def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
-        a = self.a
-        if self._actives is not None and np.array_equal(alive, self._actives_alive):
-            return self._actives
-        ix = a.cluster_index
-        zeros = np.zeros(len(a.sizes), dtype=np.int64)
-        out = _members_at(
-            a.members, first_alive_slots(a.members, a.sizes, zeros, alive, ix), ix
-        )
-        self._actives = out
-        self._actives_alive = alive.copy()
-        return out
-
-    def covered_mask(self, alive: np.ndarray) -> np.ndarray:
-        return self.active_sensor_per_cluster(alive) >= 0
-
     def rotate(self, alive: np.ndarray) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
-
-
-def _members_at(members: np.ndarray, slots: np.ndarray, ix: ClusterIndex) -> np.ndarray:
-    """Gather ``members[c, slots[c]]`` rowwise; ``-1`` slots stay -1."""
-    if members.shape[1] == 0:
-        return np.full(len(slots), -1, dtype=np.int64)
-    return np.where(slots >= 0, members[ix.rows, np.maximum(slots, 0)], -1)
 
 
 def wrap_activator(activator, arrays: StateArrays):

@@ -33,6 +33,7 @@ from .components import (
 from .config import SimulationConfig
 from .metrics import SimulationSummary
 from .serialization import snapshot_arrays
+from .soa import SoAFullTimeActivator, SoARoundRobinActivator
 
 __all__ = ["World"]
 
@@ -40,6 +41,8 @@ __all__ = ["World"]
 #: :meth:`World._flight_record`); plain ticks in between carry only the
 #: combined state digest.
 _FULL_DIGEST_EVERY = 16
+
+_ARRAY_ACTIVATORS = (SoARoundRobinActivator, SoAFullTimeActivator)
 
 
 class World:
@@ -83,6 +86,7 @@ class World:
         self.fleet = FleetController(
             self.state, self.energy, self.gate, scheduler, on_change=self._record_metrics
         )
+        self._metrics_key = None
         self._record_metrics()
 
         sim = self.state.sim
@@ -175,7 +179,28 @@ class World:
 
     def _record_metrics(self) -> None:
         s = self.state
-        alive = s.bank.alive_mask()
+        alive = s.arrays.alive
+        # The array activators cover a cluster iff it has an alive
+        # member, so the three fields are a function of the alive set
+        # and the cluster epoch (which also fixes ``coverable``): they
+        # are derived once per key.  Plugin activators derive every time.
+        key = None
+        if type(s.activator) in _ARRAY_ACTIVATORS:
+            key = (alive.tobytes(), s.arrays.cluster_epoch)
+        if key is None or key != self._metrics_key:
+            self._metrics_key = key
+            self._metrics_fields = self._derive_metrics(alive)
+        coverage, nonfunctional, operational = self._metrics_fields
+        s.metrics.record(s.now, coverage, nonfunctional, operational)
+        if s.trace.enabled:
+            s.trace.sample_series(s.now, "coverage", coverage)
+            s.trace.sample_series(s.now, "nonfunctional", nonfunctional)
+            s.trace.sample_series(s.now, "operational", operational)
+            s.trace.sample_series(s.now, "backlog", float(len(s.requests)))
+
+    def _derive_metrics(self, alive: np.ndarray):
+        """(coverage, nonfunctional, operational) for ``alive``."""
+        s = self.state
         # Counts and one true division each: the same correctly rounded
         # quotient np.mean takes over the boolean masks.
         n_coverable = np.count_nonzero(s.coverable)
@@ -187,13 +212,7 @@ class World:
         n = self.cfg.n_sensors
         n_alive = np.count_nonzero(alive)
         nonfunctional = float((n - n_alive) / n) if n > 0 else 0.0
-        operational = float(n_alive)
-        s.metrics.record(s.now, coverage, nonfunctional, operational)
-        if s.trace.enabled:
-            s.trace.sample_series(s.now, "coverage", coverage)
-            s.trace.sample_series(s.now, "nonfunctional", nonfunctional)
-            s.trace.sample_series(s.now, "operational", operational)
-            s.trace.sample_series(s.now, "backlog", float(len(s.requests)))
+        return coverage, nonfunctional, float(n_alive)
 
     # -- run --
 

@@ -35,6 +35,7 @@ from repro.sim.batch import BatchedEngine, batchable_config, shape_signature
 from repro.sim.config import SimulationConfig
 from repro.sim.env import BatchedEnv
 from repro.sim.runner import run_batch, run_simulation
+from repro.sim.serialization import snapshot_arrays
 from repro.sim.soa import batch_enabled, debug_batch, engine_provenance
 from repro.sim.world import World
 
@@ -173,6 +174,72 @@ class TestRunBatchParity:
         assert engine.debug
         (summary,) = engine.run()
         assert summary.as_dict() == run_simulation(small(seed=5)).as_dict()
+
+
+def force_handoff_death(world) -> int:
+    """Leave one retiring duty holder enough charge to outlive the first
+    tick's drain but not its hand-off notification, so the first
+    rotation empties its battery."""
+    s = world.state
+    alive = s.arrays.alive
+    actives = s.activator.active_sensor_per_cluster(alive)
+    victim = next(
+        int(actives[c.cluster_id])
+        for c in s.cluster_set
+        if np.count_nonzero(alive[c.members]) >= 2
+    )
+    ea = world.energy
+    s.bank.levels_j[victim] = ea.rates[victim] * world.cfg.tick_s + 0.5 * ea._notification_j
+    return victim
+
+
+class TestBatchedDeathCoherence:
+    """Both engines keep every world's ``energy.alive`` current, hand-off
+    deaths included; summary digests alone would not notice a stale
+    mask, the depletion count and the adaptive ERC history do."""
+
+    def test_handoff_death_matches_serial(self):
+        from repro.obs import Instruments
+
+        cfgs = [
+            small(
+                adaptive_erp=True,
+                initial_charge_range=(0.02, 0.4),
+                seed=seed,
+                sim_time_s=hours * 3600.0,
+            )
+            for seed, hours in ((7, 6.0), (8, 12.0))
+        ]
+        serial = [World(c, instruments=Instruments()) for c in cfgs]
+        batched = [World(c, instruments=Instruments(), external_tick=True) for c in cfgs]
+        victims = [force_handoff_death(w) for w in serial]
+        assert [force_handoff_death(w) for w in batched] == victims
+        want = [w.run() for w in serial]
+        engine = BatchedEngine(worlds=batched)
+        while engine.step():
+            for w in engine.worlds:
+                assert np.array_equal(w.energy.alive, w.state.bank.levels_j > 0.0)
+        for ser, bat, summary, got_summary in zip(serial, batched, want, engine.summaries):
+            deaths = [
+                w.state.instruments.counter("energy.depletions").value
+                for w in (ser, bat)
+            ]
+            assert deaths[0] == deaths[1] > 0  # on_deaths fired on both
+            assert bat.energy.breakdown() == ser.energy.breakdown()
+            assert bat.gate.erc.history == ser.gate.erc.history
+            assert got_summary.as_dict() == summary.as_dict()
+            got, ref = snapshot_arrays(bat.state), snapshot_arrays(ser.state)
+            assert got.keys() == ref.keys()
+            for field in ref:
+                assert np.array_equal(got[field], ref[field]), field
+
+    def test_handoff_drain_kills_the_victim(self):
+        w = World(small(seed=7), external_tick=True)
+        victim = force_handoff_death(w)
+        engine = BatchedEngine(worlds=[w])
+        engine.step()
+        assert w.state.bank.levels_j[victim] == 0.0
+        assert not w.energy.alive[victim]
 
 
 class TestBatchedVsSingleProperty:

@@ -7,8 +7,12 @@ rather than through a fully wired :class:`World`.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.clustering import Cluster, ClusterSet
 from repro.core.erc import AdaptiveEnergyRequestController
+from repro.registry import ACTIVATORS
 from repro.sim.components import (
     ClusterManager,
     EnergyAccounting,
@@ -17,6 +21,7 @@ from repro.sim.components import (
     SimulationState,
 )
 from repro.sim.config import SimulationConfig
+from repro.sim.soa import erc_release_scan, pack_clusters, wrap_activator
 
 
 def cfg(**overrides):
@@ -221,6 +226,111 @@ class TestRequestGate:
         gate = RequestGate(s)
         gate.note_deaths(5)  # must not raise
         gate.maybe_adjust()
+
+
+def repartition(s, groups):
+    """Re-form the clusters the way ClusterManager.rebuild does, with
+    explicit member lists."""
+    s.cluster_set = ClusterSet(
+        [Cluster(c, np.asarray(g, dtype=np.int64)) for c, g in enumerate(groups)],
+        s.cfg.n_sensors,
+    )
+    pack_clusters(s.cluster_set, s.arrays)
+    s.activator = wrap_activator(
+        ACTIVATORS.build(s.cfg.activation, cluster_set=s.cluster_set), s.arrays
+    )
+
+
+def same_shape_groups(s, rng):
+    """Member lists for a new cluster epoch with the current one's
+    shape: the same sizes, filled with a random choice of sensors."""
+    perm = rng.permutation(s.cfg.n_sensors).tolist()
+    bounds = np.cumsum([0] + s.arrays.sizes.tolist()).tolist()
+    return [sorted(perm[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class TestGateScanSkip:
+    """The gate skips its scan while (below, requested, erp, cluster
+    epoch) equal their values right after the last scan's release."""
+
+    @pytest.mark.parametrize("between", [0, 1])
+    def test_same_shape_epoch_with_open_gate_rescans(self, between):
+        s = make_state(n_targets=2, erp=0.5)
+        repartition(s, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]])
+        gate = RequestGate(s)
+        s.bank.levels_j[[0, 1, 5]] = s.bank.threshold_j * 0.9
+        assert not gate.check()  # 2 and 1 needy of 5: both gates closed
+        assert not gate.check()  # same inputs: skipped, still nothing
+        members = s.arrays.members.copy()
+        below, requested = s.bank.below_threshold_mask(), s.requested.copy()
+        for _ in range(between):
+            # An unchecked epoch in between frees the first epoch's
+            # arrays, so the next epoch may reuse their ids.
+            repartition(s, [[10, 11, 12, 13, 14], [15, 16, 17, 18, 19]])
+        # Same shape, same masks, but cluster 0 now holds 3 needy of 5.
+        repartition(s, [[0, 1, 5, 6, 7], [2, 3, 4, 8, 9]])
+        assert s.arrays.members.shape == members.shape
+        assert np.array_equal(s.bank.below_threshold_mask(), below)
+        assert np.array_equal(s.requested, requested)
+        assert gate.check()
+        assert sorted(s.requests.node_ids) == [0, 1, 5]
+
+    def test_skip_releases_nothing_and_rescans_on_change(self):
+        s = make_clustered_state(erp=0.0)
+        gate = RequestGate(s)
+        s.bank.levels_j[0] = s.bank.threshold_j * 0.9
+        assert gate.check()
+        assert not gate.check()
+        s.bank.levels_j[1] = s.bank.threshold_j * 0.9
+        assert gate.check()
+        assert s.requested[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["drain", "recharge", "relocate", "shuffle", "erp", "none"]),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_releases_equal_a_fresh_scan_at_every_step(self, steps):
+        s = make_state(n_targets=3, erp=0.5)
+        mgr = ClusterManager(s)
+        gate = RequestGate(s)
+        for op, seed in steps:
+            rng = np.random.default_rng(seed)
+            if op == "drain":
+                idx = rng.choice(s.cfg.n_sensors, size=int(rng.integers(1, 6)))
+                s.bank.levels_j[idx] = s.bank.threshold_j * rng.uniform(0.0, 0.99)
+            elif op == "recharge" and s.requested.any():
+                node = int(rng.choice(np.flatnonzero(s.requested)))
+                s.bank.levels_j[node] = s.cfg.battery_capacity_j
+                gate.mark_recharged(node)
+            elif op == "relocate":
+                mgr.relocate()
+            elif op == "shuffle":
+                # Sometimes two epochs between checks: the second may
+                # reuse the ids of the arrays the first one freed.
+                epochs = [same_shape_groups(s, rng) for _ in range(rng.integers(1, 3))]
+                for groups in epochs:
+                    repartition(s, groups)
+            elif op == "erp":
+                gate.erc.erp = float(rng.choice([0.0, 0.2, 0.5, 0.8, 1.0]))
+            a = s.arrays
+            want = erc_release_scan(
+                a.cluster_id,
+                a.sizes,
+                s.bank.below_threshold_mask(),
+                s.requested.copy(),
+                gate.erc.erp,
+                arrays=a,
+            )
+            before = s.requested.copy()
+            gate.check()
+            assert np.flatnonzero(s.requested & ~before).tolist() == want
 
 
 def wire_fleet(s, **cfg_kw):

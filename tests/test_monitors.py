@@ -74,6 +74,34 @@ class TestBatteryBounds:
             m.check_battery_bounds(np.array([-1.0]), 100.0, t=0.0)
 
 
+class TestAliveMask:
+    def test_clean(self):
+        m = monitors()
+        m.check_alive_mask(np.array([False, True]), np.array([0.0, 3.0]), t=1.0)
+        assert m.violations == []
+
+    def test_fires_on_stale_mask(self):
+        m = monitors()
+        m.check_alive_mask(
+            np.array([True, True, False]), np.array([0.0, 3.0, 2.0]), t=1.0
+        )
+        assert len(m.violations) == 1
+        assert m.violations[0]["invariant"] == "alive_mask"
+        assert m.violations[0]["sensors"] == [0, 2]
+
+    def test_level_write_without_recompute_trips_strict_run(self):
+        """The energy component's alive mask is re-derived only where
+        levels change through it; a bare write is caught at the next
+        advance."""
+        world = World(
+            SimulationConfig.small(sim_time_s=DAY_S, seed=3),
+            monitors=MonitorSet(strict=True),
+        )
+        world.bank.levels_j[0] = 0.0
+        with pytest.raises(InvariantViolation, match="alive_mask"):
+            world.run()
+
+
 class TestEnergyConservation:
     def test_clean_exact_drain(self):
         m = monitors()

@@ -36,8 +36,8 @@ from repro.sim.soa import (
     engine_provenance,
     erc_release_scan,
     erc_scan_applicable,
-    first_alive_slots,
     pack_clusters,
+    rotation_table,
     subtree_counts,
     subtree_index,
     wrap_activator,
@@ -104,6 +104,45 @@ class TestRotationParity:
             assert np.array_equal(soa.rotate(alive), ref.rotate(alive))
             assert np.array_equal(arrays.ptr, ref._ptr)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_round_robin_sticky_masks(self, seed):
+        """Slow churn, as in a run: 5-50 rotations under one alive mask
+        (so the rotation table is reused) between single deaths or
+        revivals.  Rows of size 0, 1 and ``w`` and an all-dead row are
+        always present."""
+        rng = np.random.default_rng(200 + seed)
+        w = int(rng.integers(3, 9))
+        sizes = [0, 1, w, 0] + rng.integers(0, w + 1, size=int(rng.integers(0, 5))).tolist()
+        sizes[3] = int(rng.integers(1, w + 1))  # the all-dead row
+        perm = rng.permutation(sum(sizes) + int(rng.integers(0, 6)))
+        n = len(perm)
+        bounds = np.cumsum([0] + sizes)
+        cs = ClusterSet(
+            [Cluster(c, np.sort(perm[bounds[c] : bounds[c + 1]])) for c in range(len(sizes))],
+            n,
+        )
+        arrays = StateArrays(n, 0)
+        ref = RoundRobinActivator(cs)
+        soa = SoARoundRobinActivator(cs, arrays)
+        alive = rng.random(n) > 0.3
+        alive[cs[3].members] = False
+        for _ in range(8):
+            table = soa.rotation_table(alive)
+            assert table.cur.shape == table.nxt.shape == (len(sizes), w)
+            for _ in range(int(rng.integers(5, 51))):
+                assert np.array_equal(
+                    soa.active_sensor_per_cluster(alive),
+                    ref.active_sensor_per_cluster(alive),
+                )
+                assert np.array_equal(soa.active_mask(alive), ref.active_mask(alive))
+                assert np.array_equal(soa.covered_mask(alive), ref.covered_mask(alive))
+                assert np.array_equal(soa.rotate(alive), ref.rotate(alive))
+                assert np.array_equal(arrays.ptr, ref._ptr)
+                assert soa.rotation_table(alive) is table  # reused, not rebuilt
+            alive = alive.copy()
+            v = int(rng.integers(0, n))
+            alive[v] = not alive[v]  # one death or revival
+
     @pytest.mark.parametrize("seed", range(4))
     def test_full_time_parity(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -150,7 +189,10 @@ class TestRotationParity:
         plugin = PluginActivator(cs)
         assert wrap_activator(plugin, arrays) is plugin
 
-    def test_first_alive_slots_matches_scan(self):
+    def test_rotation_table_matches_scan(self):
+        """Every entry of the table, not just the ones a pointer walk
+        visits: the duty holder and the next pointer from each start
+        slot equal the per-cluster scan's."""
         rng = np.random.default_rng(42)
         for _ in range(20):
             n = int(rng.integers(4, 40))
@@ -159,18 +201,20 @@ class TestRotationParity:
             pack_clusters(cs, arrays)
             ref = RoundRobinActivator(cs)
             alive = rng.random(n) > 0.4
-            start = np.array(
-                [rng.integers(0, max(c.size, 1)) for c in cs], dtype=np.int64
-            )
-            got = first_alive_slots(arrays.members, arrays.sizes, start, alive)
-            want = np.array(
-                [
-                    s if (s := ref._first_alive_from(c.cluster_id, int(start[c.cluster_id]), alive)) is not None else -1
-                    for c in cs
-                ],
-                dtype=np.int64,
-            )
-            assert np.array_equal(got, want)
+            table = rotation_table(arrays.members, alive, arrays.cluster_index)
+            assert table.cur.shape == table.nxt.shape == arrays.members.shape
+            for c in cs:
+                for start in range(c.size):
+                    slot = ref._first_alive_from(c.cluster_id, start, alive)
+                    if slot is None:
+                        assert table.cur[c.cluster_id, start] == -1
+                        assert not table.live[c.cluster_id]
+                        continue
+                    after = ref._first_alive_from(c.cluster_id, (slot + 1) % c.size, alive)
+                    assert table.cur[c.cluster_id, start] == c.members[slot]
+                    assert table.nxt[c.cluster_id, start] == after
+                hands = np.count_nonzero(alive[c.members]) >= 2
+                assert (c.cluster_id in table.hand) == hands
 
 
 class TestErcScanParity:
@@ -412,8 +456,12 @@ class TestDegenerateInputs:
             {"n_rvs": 0},
             {"comm_range_m": 0.001},
             {"erp": 1.0},
+            {"initial_charge_range": (0.0, 0.0)},
         ],
-        ids=["no-sensors", "one-sensor", "no-targets", "no-rvs", "all-disconnected", "erp-1"],
+        ids=[
+            "no-sensors", "one-sensor", "no-targets", "no-rvs",
+            "all-disconnected", "erp-1", "all-depleted",
+        ],
     )
     def test_one_day_strict_and_reference_identical(self, overrides):
         from repro.sim.config import DAY_S
