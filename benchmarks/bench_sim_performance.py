@@ -180,101 +180,6 @@ def bench_blackbox_overhead():
     )
 
 
-#: Allowed slowdown from arming the live plane — bus absorbing per-run
-#: deltas, HTTP endpoint up, and a scraper polling ``/metrics``
-#: throughout — over the *instrumented* run it piggybacks on.  The
-#: plane lives on daemon threads off the simulation path, so its own
-#: cost must stay within noise.
-_LIVE_OVERHEAD_MAX = 1.15
-
-#: How often the bench scraper polls ``/metrics``.  Real scrapers run
-#: at ~1 Hz; this is far more aggressive, but still paced — a tight
-#: busy-loop would measure GIL contention with the scraper, not the
-#: plane's cost on the simulation path.
-_LIVE_SCRAPE_INTERVAL_S = 0.02
-
-
-def bench_live_plane_overhead():
-    """The live telemetry plane: near-free when armed, free when not.
-
-    Times the same fixed-seed run three ways — null defaults,
-    instrumented (the substrate the plane streams), and with the full
-    live plane armed on top (delta absorbed into a
-    :class:`MetricsBus`, :class:`LiveServer` bound, and a scraper
-    thread polling ``/metrics`` for the whole run) — asserts all three
-    summaries are bit-identical, and holds the armed run under
-    ``_LIVE_OVERHEAD_MAX``x the instrumented run.
-    """
-    import threading
-    import urllib.request
-
-    from repro.obs.live import LiveServer, MetricsBus
-
-    # Long enough that per-run fixed costs (one snapshot + absorb)
-    # amortize and several scrapes land inside every timed round.
-    cfg = SimulationConfig.small(sim_time_s=4 * DAY_S, seed=1)
-    run_simulation(cfg)  # warm imports and numpy caches off the clock
-
-    t_null, plain = _best_of(lambda: run_simulation(cfg))
-
-    def instrumented():
-        return World(cfg, instruments=Instruments()).run()
-
-    t_instr, booked = _best_of(instrumented)
-
-    bus = MetricsBus()
-    scrapes = [0]
-
-    def live_armed():
-        obs = Instruments()
-        summary = World(cfg, instruments=obs).run()
-        bus.absorb(obs.snapshot(), 0)
-        return summary
-
-    with LiveServer(bus, port=0) as live:
-        stop = threading.Event()
-
-        def _scraper():
-            while not stop.wait(_LIVE_SCRAPE_INTERVAL_S):
-                with urllib.request.urlopen(live.url + "/metrics") as resp:
-                    resp.read()
-                scrapes[0] += 1
-
-        scraper = threading.Thread(target=_scraper, daemon=True)
-        scraper.start()
-        try:
-            t_live, watched = _best_of(live_armed)
-        finally:
-            stop.set()
-            scraper.join(timeout=5)
-
-    assert booked.as_dict() == plain.as_dict()
-    assert watched.as_dict() == plain.as_dict()
-    assert scrapes[0] > 0, "scraper never completed a /metrics poll"
-
-    ratio = t_live / t_instr if t_instr > 0 else 0.0
-    table = format_table(
-        ["leg", "seconds"],
-        [
-            ["null (plane off)", round(t_null, 4)],
-            ["instrumented (no plane)", round(t_instr, 4)],
-            ["armed (bus + endpoint + scraper)", round(t_live, 4)],
-            ["scrapes completed", scrapes[0]],
-            ["overhead ratio (armed/instrumented)", round(ratio, 2)],
-        ],
-        title="Live-plane overhead (4-day small run, best of 3)",
-    )
-    emit("live_plane_overhead", table,
-         extra={"t_null_s": t_null, "t_instrumented_s": t_instr,
-                "t_live_s": t_live, "scrapes": scrapes[0],
-                "overhead_ratio": ratio})
-    assert ratio <= _LIVE_OVERHEAD_MAX, (
-        f"live-plane-armed run took {ratio:.2f}x the instrumented run "
-        f"(> {_LIVE_OVERHEAD_MAX}x): the scrape path is leaking into "
-        f"the simulation loop"
-    )
-
-
 def _prior_null_timings():
     """``t_null_s`` values from earlier benchmark history rows."""
     path = pathlib.Path(RESULTS_DIR) / "BENCH_telemetry_overhead.json"

@@ -17,16 +17,6 @@ Commands:
 * ``replay`` — restore a bundle's checkpoint and re-execute it
   deterministically, diffing every replayed tick against the recorded
   state digests; exit 1 on divergence.
-* ``serve`` — run the long-lived sweep service on a unix socket: a
-  persistent warm worker pool plus an optional content-addressed
-  result store shared by every client; ``--live-port`` (or
-  ``REPRO_LIVE``) adds the HTTP telemetry plane (``/metrics``,
-  ``/healthz``, ``/statusz``) and ``--slo`` arms request-boundary
-  objective checks.
-* ``submit`` — submit an ERP x scheduler grid to a running service and
-  stream per-cell results (table or JSON, reassembled in grid order).
-* ``top`` — live terminal dashboard streaming a serving instance's
-  ``/statusz`` (per-worker utilization, throughput, latency, SLOs).
 
 Every simulation command accepts ``--preset {small,experiment,paper}``
 plus individual overrides, or ``--config file.json`` (see
@@ -383,109 +373,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .experiments.service import SweepService
-
-    _apply_batch(args)
-    try:
-        service = SweepService(
-            args.socket,
-            jobs=args.jobs,
-            warm=not args.cold,
-            store_dir=args.store,
-            idle_timeout_s=args.idle_timeout,
-            postmortem_dir=args.postmortem,
-            live_port=args.live_port,
-            slo=args.slo,
-        )
-    except ValueError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    store_note = f", store {args.store}" if args.store else ""
-    live_note = ""
-    if service.live is not None:
-        live_note = f", live {service.live.url}"
-    print(
-        f"repro sweep service listening on {args.socket} "
-        f"(jobs={service.jobs}{store_note}{live_note})",
-        flush=True,
-    )
-    try:
-        served = service.serve_forever(max_requests=args.max_requests)
-    except KeyboardInterrupt:
-        served = service.requests_served
-    print(f"sweep service stopped after {served} request(s)")
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from .obs.top import run_top
-
-    url = args.url if args.url else f"http://{args.host}:{args.port}"
-    return run_top(
-        url.rstrip("/"),
-        interval_s=args.interval,
-        frames=args.frames,
-        plain=args.plain,
-    )
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .experiments.common import ExperimentScale
-    from .experiments.service import ServiceError, SweepClient
-    from .utils.stats import mean_std
-
-    schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    erps = [float(x) for x in args.erps.split(",") if x.strip()]
-    seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
-    scale = ExperimentScale("submit", days=args.days, seeds=tuple(seeds))
-    client = SweepClient(args.socket, timeout_s=args.timeout)
-    try:
-        grid = client.submit_grid(scale, schedulers, erps)
-        for cell in grid:
-            if not args.quiet:
-                sched, erp, seed = cell.key
-                print(
-                    f"cell {cell.index + 1}/{len(grid.keys)}: {sched} "
-                    f"erp={erp:g} seed={seed} [{cell.source}]",
-                    file=sys.stderr,
-                )
-        results = grid.results()
-    except (ServiceError, OSError) as exc:
-        print(f"submit: {exc} (is `repro serve --socket {args.socket}` running?)",
-              file=sys.stderr)
-        return 2
-    if args.json:
-        payload = {
-            "results": {
-                f"{sched}:{erp:g}:{seed}": summary.as_dict()
-                for (sched, erp, seed), summary in results.items()
-            },
-            "sources": grid.sources,
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    metric = args.metric
-    headers = ["ERP"] + schedulers
-    rows = []
-    for erp in erps:
-        row: list = [erp]
-        for sched in schedulers:
-            values = [
-                results[(sched, float(erp), int(seed))].as_dict()[metric]
-                for seed in seeds
-            ]
-            m, sd = mean_std(values)
-            row.append(f"{m:.4g} +/- {sd:.2g}")
-        rows.append(row)
-    sources = ", ".join(f"{k}: {v}" for k, v in sorted(grid.sources.items()))
-    print(format_table(
-        headers, rows,
-        title=f"{metric} vs ERP ({args.days:g} days, seeds {seeds}; {sources})",
-    ))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``repro`` argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -639,122 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(bit-identical per cell; default: REPRO_BATCH, else off)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_serve = sub.add_parser(
-        "serve", help="run the long-lived sweep service on a unix socket"
-    )
-    p_serve.add_argument(
-        "--socket", required=True, metavar="PATH",
-        help="unix socket path to listen on (created; removed on exit)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=_jobs_type, metavar="N",
-        help="warm-pool worker processes (N or 'auto'; "
-             "default: REPRO_JOBS, else 1)",
-    )
-    p_serve.add_argument(
-        "--store", metavar="DIR",
-        help="content-addressed result store directory shared by all "
-             "clients (default: REPRO_STORE, else no store)",
-    )
-    p_serve.add_argument(
-        "--idle-timeout", type=float, metavar="S",
-        help="release warm-pool workers after S idle seconds "
-             "(default: keep them until shutdown)",
-    )
-    p_serve.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=None,
-        help="execute submitted grids as lockstep shape-batches "
-             "(bit-identical per cell; cells report source 'batch'; "
-             "default: REPRO_BATCH, else off)",
-    )
-    p_serve.add_argument(
-        "--postmortem", metavar="DIR",
-        help="arm the flight recorder for every miss; crashing cells "
-             "flush DIR/request-<n>/cell-<grid index> bundles",
-    )
-    p_serve.add_argument(
-        "--max-requests", type=int, metavar="N",
-        help="exit after N connections (default: serve until shutdown)",
-    )
-    p_serve.add_argument(
-        "--live-port", type=int, metavar="PORT",
-        help="arm the live telemetry plane: HTTP /metrics, /healthz and "
-             "/statusz on 127.0.0.1:PORT (0 = pick a free port; "
-             "default: REPRO_LIVE, else off)",
-    )
-    p_serve.add_argument(
-        "--slo", metavar="RULES",
-        help="';'-separated SLO rules checked at request boundaries, "
-             "e.g. 'executor.cell_latency_s:p99<=0.5;pool.respawns:rate<=0.1' "
-             "(default: REPRO_SLO; violations count into monitors.violations "
-             "and raise under REPRO_STRICT_MONITORS)",
-    )
-    p_serve.set_defaults(func=_cmd_serve, cold=False)
-
-    p_top = sub.add_parser(
-        "top", help="live dashboard over a serving `repro serve --live-port`"
-    )
-    p_top.add_argument(
-        "--url", metavar="URL",
-        help="live plane base URL (e.g. http://127.0.0.1:9100); "
-             "overrides --host/--port",
-    )
-    p_top.add_argument("--host", default="127.0.0.1", help="live plane host")
-    p_top.add_argument(
-        "--port", type=int, default=9100, help="live plane port (default 9100)"
-    )
-    p_top.add_argument(
-        "--interval", type=float, default=1.0, metavar="S",
-        help="refresh period in seconds (default 1.0)",
-    )
-    p_top.add_argument(
-        "--frames", type=int, metavar="N",
-        help="render N frames then exit (CI smoke; default: run until q/Ctrl-C)",
-    )
-    p_top.add_argument(
-        "--plain", action="store_true",
-        help="print frames to stdout instead of the curses UI",
-    )
-    p_top.set_defaults(func=_cmd_top)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit a sweep grid to a running `repro serve`"
-    )
-    p_submit.add_argument(
-        "--socket", required=True, metavar="PATH",
-        help="unix socket of the sweep service",
-    )
-    p_submit.add_argument(
-        "--schedulers", default="greedy,partition,combined",
-        help="comma-separated scheduler names",
-    )
-    p_submit.add_argument(
-        "--erps", default="0,0.2,0.4,0.6,0.8,1.0", help="comma-separated ERP values"
-    )
-    p_submit.add_argument(
-        "--seeds", default="1,2", help="comma-separated seeds (mean +/- std reported)"
-    )
-    p_submit.add_argument(
-        "--days", type=float, default=1.0, help="simulated horizon in days per cell"
-    )
-    p_submit.add_argument(
-        "--metric", default="traveling_energy_j",
-        help="summary metric to tabulate (see SimulationSummary.as_dict)",
-    )
-    p_submit.add_argument(
-        "--json", action="store_true",
-        help="emit the full grid-ordered results as JSON instead of a table",
-    )
-    p_submit.add_argument(
-        "--timeout", type=float, metavar="S",
-        help="socket timeout in seconds (default: wait indefinitely)",
-    )
-    p_submit.add_argument(
-        "--quiet", action="store_true",
-        help="suppress the per-cell progress lines on stderr",
-    )
-    p_submit.set_defaults(func=_cmd_submit)
 
     return parser
 

@@ -5,13 +5,10 @@ recorded paper-vs-measured results.
 """
 
 from .executor import (
-    CellResult,
-    GridJob,
     default_jobs,
     iter_configs,
     map_cells,
     map_configs,
-    submit_grid,
     sweep_grid,
 )
 from .common import (
@@ -30,9 +27,7 @@ from .fig7_profit import format_fig7_panel
 from .headline import compute_headline, format_headline
 
 __all__ = [
-    "CellResult",
     "ERP_GRID",
-    "GridJob",
     "SCHEMES",
     "ExperimentScale",
     "activity_saving_percent",
@@ -40,7 +35,6 @@ __all__ = [
     "current_scale",
     "default_jobs",
     "iter_configs",
-    "submit_grid",
     "format_fig4",
     "format_fig5",
     "format_fig7_panel",

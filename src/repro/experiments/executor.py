@@ -24,21 +24,16 @@ or the environment variable) resolves to ``os.cpu_count()``.  The CLI
 exposes the same control as ``--jobs``.
 
 Misses run on a :class:`repro.experiments.pool.WarmPool` — the only
-pool — and come back pickled over each worker's pipe.  ``warm=False``
-(the default) opens a pool for the call and closes it, workers joined,
-before the call returns; ``warm=True`` uses the process-wide persistent
-pool, which survives across calls and amortizes interpreter start,
-imports and per-worker caches.  Both run the same worker functions over
-the same payloads and reassemble by index, so summaries are
-byte-identical across ``{jobs} x {warm}``.  Nothing pool-related is
-imported — let alone spawned — before the first multi-worker fan-out.
+pool — opened for the call and closed, workers joined, before the call
+returns; results come back pickled over each worker's pipe.  The pool
+runs the same worker functions over the same payloads as the serial
+path and the parent reassembles by index, so summaries are
+byte-identical for any ``jobs``.  Nothing pool-related is imported —
+let alone spawned — before the first multi-worker fan-out.
 
 One miss loop: :func:`iter_configs` yields ``(index, summary, source)``
 per cell *as cells finish*; :func:`map_configs` is the grid-order
-reassembly of the same stream, and :func:`submit_grid` wraps a whole
-sweep grid into a :class:`GridJob` whose ``results()`` reassembles grid
-order at the end — the primitive behind ``repro serve`` /
-``repro submit`` (:mod:`repro.experiments.service`).
+reassembly of the same stream.
 
 Batching: with ``REPRO_BATCH=1``, plain (untraced, unrecorded) misses
 are grouped by :func:`repro.sim.batch.shape_signature` — identical
@@ -49,8 +44,8 @@ is chunked into shape-batches of at most ``REPRO_BATCH_SIZE`` cells
 Per-cell summaries are bit-identical to the serial path, grid order is
 reassembled exactly as before, every cell is stored individually
 (``source="batch"`` provenance in the result store), and the pool's
-``tasks`` / ``warm_hits`` stats are weighted so a k-cell batch counts k
-cells, not one payload.
+``tasks`` stat is weighted so a k-cell batch counts k cells, not one
+payload.
 
 Observability: pass an :class:`repro.obs.Instruments` registry to
 record ``executor.cells`` / ``executor.store_hits`` /
@@ -69,12 +64,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..obs.instruments import DEFAULT_LATENCY_BUCKETS, NULL_INSTRUMENTS
+from ..obs.instruments import NULL_INSTRUMENTS
 from ..obs.spans import NULL_TRACER, SpanTracer
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationSummary
@@ -83,14 +76,11 @@ from ..sim.world import World
 
 __all__ = [
     "CellKey",
-    "CellResult",
-    "GridJob",
     "default_batch_size",
     "default_jobs",
     "iter_configs",
     "map_cells",
     "map_configs",
-    "submit_grid",
     "sweep_grid",
 ]
 
@@ -257,16 +247,10 @@ def _run_cell_batch(
     Summaries come back in payload order, each bit-identical to its
     serial :func:`run_simulation` counterpart; cells the batched
     kernels cannot represent fall back serially inside ``run_batch``.
-
-    Inside a streaming warm-pool worker, the batch books occupancy
-    instruments into the worker's local registry (shipped back as the
-    reply's stats delta); elsewhere ``worker_instruments()`` is None
-    and the engine runs instrument-free, exactly as before.
     """
-    from ..obs.live import worker_instruments
     from ..sim.runner import run_batch
 
-    return run_batch(list(configs), instruments=worker_instruments())
+    return run_batch(list(configs))
 
 
 #: Miss-execution worker functions by task kind.  The pool resolves
@@ -302,7 +286,6 @@ def _execute(
     kind: str,
     payloads: Sequence[Any],
     n_jobs: int,
-    warm: bool,
     instruments,
     weights: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[int, Any]]:
@@ -310,32 +293,25 @@ def _execute(
     finish.
 
     Serial (``n_jobs == 1`` or a single payload) runs in-process, in
-    order; otherwise the shared warm pool when ``warm``, else a pool
-    opened here and closed — workers joined — when the stream ends or
-    is abandoned.  ``weights`` (cells per payload) keeps the pool's
-    ``tasks`` / ``warm_hits`` stats counting cells when payloads are
-    shape-batches.
+    order; otherwise on a pool opened here and closed — workers joined
+    — when the stream ends or is abandoned.  ``weights`` (cells per
+    payload) keeps the pool's ``tasks`` stat counting cells when
+    payloads are shape-batches.
     """
     if n_jobs == 1 or len(payloads) == 1:
         fn = _TASK_FNS[kind]
         for j, payload in enumerate(payloads):
             yield j, fn(payload)
         return
-    from .pool import WarmPool, get_warm_pool
+    from .pool import WarmPool
 
-    method = _pool_start_method()
-    if warm:
-        pool = get_warm_pool(n_jobs, start_method=method)
-        yield from pool.run_iter(kind, payloads, instruments=instruments, weights=weights)
-        return
-    with WarmPool(min(n_jobs, len(payloads)), start_method=method) as pool:
+    with WarmPool(min(n_jobs, len(payloads)), start_method=_pool_start_method()) as pool:
         yield from pool.run_iter(kind, payloads, instruments=instruments, weights=weights)
 
 
 def _stream(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int],
-    warm: bool,
     store,
     obs,
     sp,
@@ -389,13 +365,8 @@ def _stream(
         kind = "run"
         payloads = [configs[i] for i in misses]
 
-    # Per-cell latency from fan-out start to completion — the live
-    # plane's p99 SLO substrate.  Only misses are timed (hits above
-    # were answered from the store in microseconds).
-    h_cell = obs.histogram("executor.cell_latency_s", DEFAULT_LATENCY_BUCKETS)
-    t_fan = time.perf_counter()
     source = "batch" if kind == "batch" else "run"
-    for j, out in _execute(kind, payloads, n_jobs, warm, obs, weights):
+    for j, out in _execute(kind, payloads, n_jobs, obs, weights):
         if kind == "batch":
             cells = [(misses[jj], summary, None) for jj, summary in zip(chunks[j], out)]
         elif kind == "run":
@@ -403,7 +374,6 @@ def _stream(
         else:  # traced / recorded: (summary, rows)
             cells = [(misses[j], out[0], out[1])]
         for i, summary, rows in cells:
-            h_cell.observe(time.perf_counter() - t_fan)
             if store is not None:
                 store.put(configs[i], summary, source=source)
             yield i, summary, source, rows
@@ -415,7 +385,6 @@ def map_configs(
     instruments=None,
     spans=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
-    warm: bool = False,
     store=None,
 ) -> List[SimulationSummary]:
     """Run every configuration through the result store and the pool;
@@ -425,8 +394,7 @@ def map_configs(
     so the output is bit-identical to running the configurations
     serially whatever order workers finish in.  Store lookups and
     writes happen in the parent; only misses are executed (on a pool
-    when ``jobs > 1`` — the persistent warm pool when ``warm`` is true,
-    else one opened and closed by this call).  ``store`` is a
+    opened and closed by this call when ``jobs > 1``).  ``store`` is a
     :class:`repro.experiments.store.ResultStore` (default: the one
     named by ``REPRO_STORE``, or none).
 
@@ -451,7 +419,7 @@ def map_configs(
     ) as sweep_span:
         hits = 0
         for i, summary, source, rows in _stream(
-            configs, n_jobs, warm, store, obs, sp, postmortem_dir
+            configs, n_jobs, store, obs, sp, postmortem_dir
         ):
             results[i] = summary
             hits += source == "store"
@@ -466,7 +434,6 @@ def map_configs(
 def iter_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
-    warm: bool = False,
     store=None,
     instruments=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
@@ -478,8 +445,7 @@ def iter_configs(
     (a fresh cell computed through the batched engine under
     ``REPRO_BATCH=1``).  Store hits are yielded first (in index order);
     misses follow in *completion* order — callers that need the serial
-    sequence reassemble by index (:class:`GridJob` and
-    :func:`map_configs` do).  Shape-batched misses finish a chunk at a
+    sequence reassemble by index (:func:`map_configs` does).  Shape-batched misses finish a chunk at a
     time and are streamed per cell.  Fresh results are stored as they
     arrive, so a second identical submission is all hits.  With
     ``postmortem_dir``, misses run with the flight recorder armed, same
@@ -487,59 +453,9 @@ def iter_configs(
     """
     obs = instruments if instruments is not None else NULL_INSTRUMENTS
     for i, summary, source, _rows in _stream(
-        configs, jobs, warm, store, obs, NULL_TRACER, postmortem_dir
+        configs, jobs, store, obs, NULL_TRACER, postmortem_dir
     ):
         yield i, summary, source
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """One finished sweep cell, as streamed by :class:`GridJob`."""
-
-    index: int
-    key: CellKey
-    summary: SimulationSummary
-    source: str  # "store" | "run" | "batch"
-
-
-class GridJob:
-    """A submitted sweep grid with streaming per-cell results.
-
-    Iterate to receive :class:`CellResult` items *as cells finish*
-    (hits first, then misses in completion order); call
-    :meth:`results` for the grid-order reassembly — it drains any
-    unconsumed remainder, so the mapping is bit-identical to the
-    serial sweep no matter how much of the stream was observed.
-    ``sources`` tallies cells by origin once consumed.
-    """
-
-    def __init__(
-        self,
-        keys: Sequence[CellKey],
-        stream: Iterator[Tuple[int, SimulationSummary, str]],
-    ) -> None:
-        self.keys: List[CellKey] = list(keys)
-        self.sources: Dict[str, int] = {}
-        self._stream = stream
-        self._cells: Dict[int, CellResult] = {}
-
-    def __iter__(self) -> Iterator[CellResult]:
-        for index, summary, source in self._stream:
-            cell = CellResult(index, self.keys[index], summary, source)
-            self._cells[index] = cell
-            self.sources[source] = self.sources.get(source, 0) + 1
-            yield cell
-
-    def results(self) -> Dict[CellKey, SimulationSummary]:
-        """All summaries keyed by cell, reassembled in grid order."""
-        for _ in self:  # drain whatever the caller has not consumed yet
-            pass
-        missing = [i for i in range(len(self.keys)) if i not in self._cells]
-        if missing:
-            raise RuntimeError(f"grid stream ended with cells missing: {missing}")
-        return {
-            self.keys[i]: self._cells[i].summary for i in range(len(self.keys))
-        }
 
 
 def sweep_grid(
@@ -575,35 +491,6 @@ def grid_configs(
     return keys, configs
 
 
-def submit_grid(
-    scale,
-    schedulers: Sequence[str],
-    erps: Sequence[float],
-    jobs: Optional[int] = None,
-    warm: bool = False,
-    store=None,
-    instruments=None,
-    postmortem_dir: Optional[Union[str, Path]] = None,
-    **overrides,
-) -> GridJob:
-    """Submit a whole ERP x scheduler sweep grid for streaming execution.
-
-    Returns a :class:`GridJob`: iterate it for per-cell results as they
-    finish, or call ``results()`` for the grid-order mapping —
-    byte-identical to :func:`map_cells` for the same arguments.  This
-    is the in-process form of what ``repro submit`` does over the
-    service socket.
-    """
-    keys, configs = grid_configs(scale, schedulers, erps, **overrides)
-    return GridJob(
-        keys,
-        iter_configs(
-            configs, jobs=jobs, warm=warm, store=store,
-            instruments=instruments, postmortem_dir=postmortem_dir,
-        ),
-    )
-
-
 def map_cells(
     scale,
     schedulers: Sequence[str],
@@ -612,7 +499,6 @@ def map_cells(
     instruments=None,
     spans=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
-    warm: bool = False,
     store=None,
     **overrides,
 ) -> Dict[CellKey, SimulationSummary]:
@@ -628,6 +514,6 @@ def map_cells(
     keys, configs = grid_configs(scale, schedulers, erps, **overrides)
     summaries = map_configs(
         configs, jobs=jobs, instruments=instruments, spans=spans,
-        postmortem_dir=postmortem_dir, warm=warm, store=store,
+        postmortem_dir=postmortem_dir, store=store,
     )
     return dict(zip(keys, summaries))

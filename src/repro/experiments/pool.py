@@ -1,53 +1,43 @@
-"""Warm worker pool for sweep fan-out — the executor's only pool.
+"""The worker pool for sweep fan-out — the executor's only pool.
 
 Every multi-worker ``map_configs`` / ``iter_configs`` call runs its
-misses on a :class:`WarmPool`: with ``warm=True`` the process-wide
-shared pool from :func:`get_warm_pool`, which keeps a fixed set of
-worker processes alive across calls, so repeated sweeps — the ERP grids
-behind every figure, and the thousands of rollouts a learned charging
-policy needs — pay interpreter start, imports and simulator warm-up
-once per worker instead of once per sweep; with ``warm=False`` (the
-default) a pool opened for the call and closed, workers joined, before
-the call returns.  Either way:
+misses on a :class:`WarmPool` opened for that call and closed, workers
+joined, before the call returns — one pool lifecycle.  Within the call:
 
-* **warm reuse** — workers survive between ``run`` / ``run_iter``
-  calls; module-level caches (the scheduler ``DistanceCache``, the
-  Dijkstra weight-validation cache, compiled regexes, ...) stay hot;
-* **health** — the parent dispatches tasks over a dedicated duplex
-  pipe per worker (one task outstanding each), so it always knows
-  which task a worker holds: a worker that dies mid-task is detected
-  (its process sentinel trips ``multiprocessing.connection.wait``),
-  respawned, and its task resubmitted (``pool.respawns``).  Per-worker
-  pipes mean no shared queue locks — a SIGKILLed worker can never
-  strand a lock another worker needs.  :meth:`ping` round-trips a
-  no-op task and :attr:`healthy` checks process liveness;
-* **idle reaping** — with ``idle_timeout_s`` set, a pool that has not
-  run anything for that long releases its workers on the next
-  :meth:`reap_if_idle` (the sweep service calls it between
-  connections); the next run transparently cold-starts;
+* **warm workers** — each worker imports the simulator once and then
+  serves tasks until the pool closes, so module-level caches (the
+  scheduler ``DistanceCache``, the Dijkstra weight-validation cache,
+  ...) stay hot across the cells of one fan-out;
+* **crash recovery** — the parent dispatches tasks over a dedicated
+  duplex pipe per worker (one task outstanding each), so it always
+  knows which task a worker holds: a worker that dies mid-task is
+  detected (its process sentinel trips
+  ``multiprocessing.connection.wait``), respawned, and its task
+  resubmitted once (``pool.respawns``); a task that kills a second
+  worker raises instead of looping.  Per-worker pipes mean no shared
+  queue locks — a SIGKILLed worker can never strand a lock another
+  worker needs.  :meth:`ping` round-trips a no-op task and
+  :attr:`healthy` checks process liveness;
 * **shipping** — a worker sends its result back pickled over its own
   pipe.
 
 Determinism contract: the pool runs the executor's module-level worker
 functions over the same payloads as the serial path and the parent
 reassembles by task index, so results are byte-identical to the serial
-executor whatever the scheduling — pool reuse amortizes cost, never
-state that could leak into a trajectory (workers only ever receive
-frozen configs and return summaries).
+executor whatever the scheduling (workers only ever receive frozen
+configs and return summaries).
 
 Importing :mod:`repro.experiments.executor` imports nothing from here
 and spawns no processes: the pool module loads on the first
 multi-worker fan-out.
 
 Observability: ``run``/``run_iter`` accept an ``Instruments`` registry
-and record ``pool.warm_hits`` / ``pool.respawns`` counters and the
-``pool.queue_depth`` gauge; the same totals are kept in the pool's
-:attr:`stats` dict for instrument-free callers.
+and record ``pool.respawns`` / ``pool.tasks`` counters; the same totals
+are kept in the pool's :attr:`stats` dict for instrument-free callers.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import pickle
@@ -56,15 +46,20 @@ from collections import deque
 from multiprocessing import connection
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..obs.instruments import DEFAULT_LATENCY_BUCKETS, NULL_INSTRUMENTS
+from ..obs.instruments import NULL_INSTRUMENTS
 from ..obs.schema import POOL_STATS
 
-__all__ = ["WarmPool", "get_warm_pool", "shutdown_warm_pool"]
+__all__ = ["WarmPool"]
 
 #: How long the parent blocks in ``connection.wait`` per poll
 #: (seconds).  Worker results and death sentinels wake it immediately;
 #: this only bounds the idle-loop tick.
 _POLL_S = 0.2
+
+#: How many times a task whose worker died is resubmitted.  A task that
+#: kills a worker again (a deterministic C-level crash, an OOM kill) is
+#: fatal: the run raises instead of respawning forever.
+_RESUBMIT_LIMIT = 1
 
 
 def _resolve_task(kind: str):
@@ -80,40 +75,9 @@ def _resolve_task(kind: str):
         raise ValueError(f"unknown warm-pool task kind {kind!r}") from None
 
 
-def _worker_stats_delta(
-    kind: str, payload: Any, elapsed_s: float, instruments
-) -> Dict[str, Any]:
-    """Book one task into the worker's local registry and snapshot it.
-
-    The registry is fresh per task (installed by the loop before the
-    task ran, so task code can record into it via
-    ``repro.obs.live.worker_instruments()``), which makes each snapshot
-    a *delta* — the parent-side MetricsBus just folds deltas additively
-    in whatever order replies arrive.
-
-    ``worker.tasks`` counts *cells*, matching the pool's weighted
-    ``tasks`` stat: a shape-batched payload covering k sweep cells
-    counts k, so a scrape of the worker aggregate reconciles with the
-    parent-side totals.
-    """
-    cells = len(payload) if kind == "batch" else 1
-    instruments.counter("worker.tasks").inc(cells)
-    instruments.counter(f"worker.tasks.{kind}").inc(cells)
-    instruments.histogram("worker.task_s", DEFAULT_LATENCY_BUCKETS).observe(elapsed_s)
-    try:
-        import resource
-
-        instruments.gauge("worker.maxrss_kb").set(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        )
-    except Exception:  # pragma: no cover - non-POSIX platform
-        pass
-    return instruments.snapshot()
-
-
-def _worker_main(worker_id: int, conn, stream: bool = False) -> None:
-    """Warm worker loop: serve ``(gen, task_id, kind, payload)`` tasks
-    from the parent's pipe until EOF or the ``None`` sentinel arrives.
+def _worker_main(worker_id: int, conn) -> None:
+    """Worker loop: serve ``(gen, task_id, kind, payload)`` tasks from
+    the parent's pipe until EOF or the ``None`` sentinel arrives.
 
     The simulator import graph (numpy and ``repro``, nothing else) is
     loaded before the loop so each worker pays interpreter/import
@@ -122,18 +86,8 @@ def _worker_main(worker_id: int, conn, stream: bool = False) -> None:
     worker — a crash here can never strand a lock a sibling needs, and
     ``conn.send`` writes synchronously, so a result the parent sees is
     a result that really completed.
-
-    With ``stream`` on (the pool has a MetricsBus attached), each reply
-    carries a per-task instrument snapshot delta as its final element —
-    piggybacked on the existing pipe, no extra channel.  Instruments
-    never touch the task payload or result, so simulation output is
-    byte-identical either way.
     """
     from ..sim import runner  # noqa: F401  (warm the simulator import graph)
-
-    if stream:
-        from ..obs.instruments import Instruments
-        from ..obs.live import set_worker_instruments
 
     while True:
         try:
@@ -143,25 +97,14 @@ def _worker_main(worker_id: int, conn, stream: bool = False) -> None:
         if msg is None:
             break
         gen, task_id, kind, payload = msg
-        delta: Optional[Dict[str, Any]] = None
-        if stream:
-            local = Instruments()
-            set_worker_instruments(local)
-        t0 = time.perf_counter()
         try:
-            result = _resolve_task(kind)(payload)
+            reply = ("done", gen, task_id, _resolve_task(kind)(payload))
         except BaseException as exc:  # ship the failure, keep the worker alive
             try:
                 blob: Optional[bytes] = pickle.dumps(exc)
             except Exception:
                 blob = None
-            if stream:
-                delta = _worker_stats_delta(kind, payload, time.perf_counter() - t0, local)
-            reply = ("error", gen, task_id, blob, repr(exc), delta)
-        else:
-            if stream:
-                delta = _worker_stats_delta(kind, payload, time.perf_counter() - t0, local)
-            reply = ("done", gen, task_id, result, delta)
+            reply = ("error", gen, task_id, blob, repr(exc))
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent died
@@ -182,29 +125,27 @@ def _rebuild_exc(blob: Optional[bytes], text: str) -> BaseException:
 
 
 class _Worker:
-    """One warm worker: its process plus the parent end of its private
+    """One worker: its process plus the parent end of its private
     duplex pipe and the ``(task_id, kind, payload)`` it currently holds
     (None when idle) — which is what makes crash resubmission exact."""
 
-    def __init__(self, ctx, wid: int, stream: bool = False) -> None:
+    def __init__(self, ctx, wid: int) -> None:
         self.wid = wid
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(wid, child_conn, stream),
+            args=(wid, child_conn),
             daemon=True,
             name=f"repro-warm-{wid}",
         )
         self.proc.start()
         child_conn.close()  # the parent keeps only its own end
         self.task: Optional[Tuple[int, str, Any]] = None
-        self.dispatched_at: float = 0.0
 
     def dispatch(self, gen: int, task: Tuple[int, str, Any]) -> None:
         task_id, kind, payload = task
         self.conn.send((gen, task_id, kind, payload))
         self.task = task
-        self.dispatched_at = time.perf_counter()
 
     def discard(self) -> None:
         """Drop the parent-side handles (the process itself is managed
@@ -216,84 +157,40 @@ class _Worker:
 
 
 class WarmPool:
-    """A persistent pool of warm worker processes (see module docs).
+    """A pool of warm worker processes (see module docs).
 
-    Use as a context manager or call :meth:`close` explicitly; module
-    users normally go through :func:`get_warm_pool`, which keeps one
-    process-wide instance alive and registers an ``atexit`` teardown.
+    Use as a context manager or call :meth:`close` explicitly; workers
+    start on the first run and live until the pool closes.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        start_method: Optional[str] = None,
-        idle_timeout_s: Optional[float] = None,
-    ) -> None:
+    def __init__(self, jobs: int, start_method: Optional[str] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         from .executor import _pool_start_method
 
         self.jobs = int(jobs)
         self.start_method = start_method or _pool_start_method()
-        self.idle_timeout_s = idle_timeout_s
         self._ctx = multiprocessing.get_context(self.start_method)
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._generation = 0
-        self._last_used = time.monotonic()
         self._closed = False
         #: Lifetime totals, mirrored into instruments when provided.
-        #: Keys come from the declared schema — the schema test asserts
-        #: this dict and POOL_STATS can never drift apart.
+        #: Keys come from the declared schema, so this dict and
+        #: POOL_STATS can never drift apart.
         self.stats: Dict[str, int] = POOL_STATS.new_stats()
-        #: Live-telemetry bus (``repro.obs.live.MetricsBus``); when
-        #: attached, workers spawned afterwards stream per-task
-        #: instrument deltas that the parent folds into the bus.
-        self._bus = None
-
-    def attach_bus(self, bus) -> None:
-        """Arm worker stat streaming into ``bus`` for future spawns.
-
-        Call before the first run (the sweep service does) so every
-        worker streams; workers already alive keep their non-streaming
-        loop until they are respawned or reaped.
-        """
-        self._bus = bus
 
     def _count(self, key: str, obs, amount: int = 1) -> None:
         """Bump a schema-declared stat and its mirrored counter."""
         self.stats[key] += amount
         obs.counter(POOL_STATS.counter_name(key)).inc(amount)
 
-    def health(self) -> Dict[str, Any]:
-        """Per-worker liveness rows plus pool-level totals, the
-        substrate of the live plane's ``/healthz`` payload."""
-        workers = [
-            {
-                "wid": w.wid,
-                "pid": w.proc.pid,
-                "alive": w.proc.is_alive(),
-                "busy": w.task is not None,
-            }
-            for w in self._workers.values()
-        ]
-        return {
-            "jobs": self.jobs,
-            "workers_alive": self.workers_alive,
-            "closed": self._closed,
-            "streaming": self._bus is not None,
-            "generation": self._generation,
-            "respawns": self.stats["respawns"],
-            "reaps": self.stats["reaps"],
-            "workers": workers,
-        }
-
     # -- lifecycle ----------------------------------------------------
 
     def _spawn_worker(self) -> _Worker:
         wid = self._next_worker_id
         self._next_worker_id += 1
-        worker = _Worker(self._ctx, wid, stream=self._bus is not None)
+        worker = _Worker(self._ctx, wid)
         self._workers[wid] = worker
         return worker
 
@@ -308,7 +205,7 @@ class WarmPool:
 
     @property
     def workers_alive(self) -> int:
-        """Live worker count (0 when reaped or not yet started)."""
+        """Live worker count (0 before the first run)."""
         return sum(w.proc.is_alive() for w in self._workers.values())
 
     def ping(self, instruments=None) -> List[int]:
@@ -318,17 +215,6 @@ class WarmPool:
         pool answers with one pid per slot)."""
         pongs = self.run("ping", [None] * self.jobs, instruments=instruments)
         return sorted({pid for _tag, pid in pongs})
-
-    def reap_if_idle(self, now: Optional[float] = None) -> bool:
-        """Release the workers if the pool has been idle longer than
-        ``idle_timeout_s``; the next run cold-starts transparently."""
-        if self.idle_timeout_s is None or not self._workers:
-            return False
-        if (time.monotonic() if now is None else now) - self._last_used < self.idle_timeout_s:
-            return False
-        self._stop_workers()
-        self._count("reaps", NULL_INSTRUMENTS)
-        return True
 
     def _stop_workers(self) -> None:
         for worker in self._workers.values():
@@ -378,16 +264,16 @@ class WarmPool:
         The parent keeps exactly one task outstanding per worker, so a
         dead worker's in-flight task is known precisely: it is requeued
         and the worker respawned (``pool.respawns``).  A task that
-        *raises* (as opposed to the worker dying) propagates the
-        worker's exception to the caller, and the pool stays usable —
-        results of abandoned same-run tasks are discarded by generation
-        on the next run.
+        kills a second worker raises ``RuntimeError`` naming it.  A
+        task that *raises* (as opposed to the worker dying) propagates
+        the worker's exception to the caller, and the pool stays
+        usable — results of abandoned same-run tasks are discarded by
+        generation on the next run.
 
         ``weights`` gives the number of *cells* each payload stands for
         (shape-batched executor payloads cover several sweep cells), so
-        the ``tasks`` and ``warm_hits`` stats keep counting cells: a
-        k-cell batch counts k, not 1.  Without weights the historical
-        accounting holds — one task per payload, one warm hit per run.
+        the ``tasks`` stat keeps counting cells: a k-cell batch counts
+        k, not 1.
         """
         if self._closed:
             raise RuntimeError("warm pool is closed")
@@ -397,16 +283,10 @@ class WarmPool:
             raise ValueError("weights must align with payloads")
         self._generation += 1
         gen = self._generation
-        self.reap_if_idle()
         for wid in [w for w, wk in self._workers.items() if not wk.proc.is_alive()]:
             worker = self._workers.pop(wid)
             worker.proc.join(timeout=0.1)
             worker.discard()
-        if self._workers:
-            warm_inc = int(sum(weights)) if weights is not None else 1
-            self._count("warm_hits", obs, warm_inc)
-        else:
-            self._count("cold_starts", obs)
         while len(self._workers) < self.jobs:
             self._spawn_worker()
         #: Tasks not yet dispatched; a dispatch buffered behind a stale
@@ -414,97 +294,84 @@ class WarmPool:
         backlog = deque(
             (task_id, kind, payload) for task_id, payload in enumerate(payloads)
         )
+        #: Worker deaths per task id, checked against _RESUBMIT_LIMIT.
+        losses: Dict[int, int] = {}
         remaining = len(payloads)
-        run_t0 = time.perf_counter()
-        h_wait = obs.histogram("pool.queue_wait_s", DEFAULT_LATENCY_BUCKETS)
-        h_task = obs.histogram("pool.task_s", DEFAULT_LATENCY_BUCKETS)
         for worker in self._workers.values():
             worker.task = None  # anything older belongs to a dead generation
             if backlog:
                 worker.dispatch(gen, backlog.popleft())
-                h_wait.observe(worker.dispatched_at - run_t0)
         self._count(
             "tasks", obs, int(sum(weights)) if weights is not None else len(payloads)
         )
-        depth = obs.gauge("pool.queue_depth")
-        depth.set(remaining)
-        try:
-            while remaining:
-                by_handle = {}
-                for worker in self._workers.values():
-                    by_handle[worker.conn] = worker
-                    by_handle[worker.proc.sentinel] = worker
-                ready = connection.wait(list(by_handle), timeout=_POLL_S)
-                seen = set()
-                for handle in ready:
-                    worker = by_handle[handle]
-                    if worker.wid in seen:  # conn and sentinel both tripped
+        while remaining:
+            by_handle = {}
+            for worker in self._workers.values():
+                by_handle[worker.conn] = worker
+                by_handle[worker.proc.sentinel] = worker
+            ready = connection.wait(list(by_handle), timeout=_POLL_S)
+            seen = set()
+            for handle in ready:
+                worker = by_handle[handle]
+                if worker.wid in seen:  # conn and sentinel both tripped
+                    continue
+                seen.add(worker.wid)
+                # Results buffered before a crash are still readable:
+                # drain the pipe first, replace only a silent corpse.
+                if worker.conn.poll():
+                    try:
+                        msg = worker.conn.recv()
+                    except (EOFError, OSError):
+                        self._replace(worker, backlog, gen, obs, losses)
                         continue
-                    seen.add(worker.wid)
-                    # Results buffered before a crash are still readable:
-                    # drain the pipe first, replace only a silent corpse.
-                    if worker.conn.poll():
-                        try:
-                            msg = worker.conn.recv()
-                        except (EOFError, OSError):
-                            self._replace(worker, backlog, gen, obs, run_t0, h_wait)
-                            continue
-                        for item in self._consume(
-                            worker, msg, gen, backlog, obs, run_t0, h_wait, h_task
-                        ):
-                            remaining -= 1
-                            depth.set(remaining)
-                            yield item
-                    elif not worker.proc.is_alive():
-                        self._replace(worker, backlog, gen, obs, run_t0, h_wait)
-        finally:
-            self._last_used = time.monotonic()
+                    item = self._consume(worker, msg, gen, backlog)
+                    if item is not None:
+                        remaining -= 1
+                        yield item
+                elif not worker.proc.is_alive():
+                    self._replace(worker, backlog, gen, obs, losses)
 
     def _consume(
-        self,
-        worker: _Worker,
-        msg: Tuple[Any, ...],
-        gen: int,
-        backlog,
-        obs,
-        run_t0: float,
-        h_wait,
-        h_task,
-    ) -> Iterator[Tuple[int, Any]]:
-        """Process one message off a worker's pipe; yields a completed
+        self, worker: _Worker, msg: Tuple[Any, ...], gen: int, backlog
+    ) -> Optional[Tuple[int, Any]]:
+        """Process one message off a worker's pipe; returns a completed
         ``(task_id, result)`` when the message belongs to this run."""
-        tag, mgen = msg[0], msg[1]
-        if mgen != gen:  # abandoned task from an aborted earlier run
-            return
-        if self._bus is not None:
-            self._bus.absorb(msg[-1], worker.wid)
-        if tag == "done":
-            _, _, task_id, result, _delta = msg
-            h_task.observe(time.perf_counter() - worker.dispatched_at)
-            worker.task = None
-            if backlog:
-                worker.dispatch(gen, backlog.popleft())
-                h_wait.observe(worker.dispatched_at - run_t0)
-            yield task_id, result
-        else:  # "error"
-            _, _, task_id, blob, text, _delta = msg
-            worker.task = None
+        if msg[1] != gen:  # abandoned task from an aborted earlier run
+            return None
+        worker.task = None
+        if msg[0] == "error":
+            _, _, _task_id, blob, text = msg
             raise _rebuild_exc(blob, text)
+        _, _, task_id, result = msg
+        if backlog:
+            worker.dispatch(gen, backlog.popleft())
+        return task_id, result
 
-    def _replace(self, worker: _Worker, backlog, gen: int, obs, run_t0: float, h_wait) -> None:
+    def _replace(
+        self, worker: _Worker, backlog, gen: int, obs, losses: Dict[int, int]
+    ) -> None:
         """Respawn a crashed worker; its in-flight task goes back to
-        the front of the backlog and is redispatched immediately."""
+        the front of the backlog and is redispatched immediately — at
+        most :data:`_RESUBMIT_LIMIT` times, after which the task is
+        deemed fatal and ``RuntimeError`` names it."""
         self._workers.pop(worker.wid, None)
         worker.proc.join(timeout=0.1)
         lost = worker.task
         worker.discard()
+        if lost is not None:
+            task_id, kind, _payload = lost
+            losses[task_id] = losses.get(task_id, 0) + 1
+            if losses[task_id] > _RESUBMIT_LIMIT:
+                raise RuntimeError(
+                    f"pool task {task_id} (kind {kind!r}) killed its worker "
+                    f"{losses[task_id]} times (last exit code "
+                    f"{worker.proc.exitcode}); giving up on it"
+                )
+            backlog.appendleft(lost)
         replacement = self._spawn_worker()
         self._count("respawns", obs)
-        if lost is not None:
-            backlog.appendleft(lost)
         if backlog:
             replacement.dispatch(gen, backlog.popleft())
-            h_wait.observe(replacement.dispatched_at - run_t0)
 
     def run(
         self,
@@ -521,49 +388,3 @@ class WarmPool:
         ):
             out[index] = result
         return out
-
-
-_default_pool: Optional[WarmPool] = None
-_atexit_registered = False
-
-
-def get_warm_pool(
-    jobs: int,
-    start_method: Optional[str] = None,
-    idle_timeout_s: Optional[float] = None,
-) -> WarmPool:
-    """The process-wide shared warm pool, created (or re-sized) on
-    demand.
-
-    Reuses the existing pool when ``jobs`` and the start method match;
-    a different shape closes the old pool and starts fresh.  The first
-    call registers an ``atexit`` teardown, so library users never leak
-    worker processes.
-    """
-    global _default_pool, _atexit_registered
-    from .executor import _pool_start_method
-
-    method = start_method or _pool_start_method()
-    pool = _default_pool
-    if (
-        pool is not None
-        and not pool._closed
-        and pool.jobs == jobs
-        and pool.start_method == method
-    ):
-        return pool
-    if pool is not None:
-        pool.close()
-    _default_pool = WarmPool(jobs, start_method=method, idle_timeout_s=idle_timeout_s)
-    if not _atexit_registered:
-        atexit.register(shutdown_warm_pool)
-        _atexit_registered = True
-    return _default_pool
-
-
-def shutdown_warm_pool() -> None:
-    """Close the shared warm pool, if one exists (idempotent)."""
-    global _default_pool
-    if _default_pool is not None:
-        _default_pool.close()
-        _default_pool = None

@@ -1,7 +1,7 @@
 """Content-addressed result store for sweep cells.
 
 The :class:`ResultStore` is the executor's only result cache, and the
-durable, shareable layer the sweep service is built on: a blob per cell
+durable layer cross-run reuse is built on: a blob per cell
 addressed by the versioned cache key — the SHA-256 of the frozen
 configuration *plus* the package version and git revision
 (:func:`repro.experiments.cache.config_key`).  Two clients sweeping

@@ -76,7 +76,7 @@ from .monitors import (
     NullMonitors,
 )
 from .report import format_report, load_report
-from .schema import POOL_STATS, SERVICE_DESCRIBE_KEYS, STORE_STATS, StatField, StatsSchema
+from .schema import POOL_STATS, STORE_STATS, StatField, StatsSchema
 from .spans import (
     NULL_TRACER,
     NullTracer,
@@ -86,29 +86,6 @@ from .spans import (
     render_span_tree,
     spans_to_jsonl_lines,
 )
-
-# The live telemetry plane (repro.obs.live) is exported lazily: the
-# module drags in http.server, which nothing on the null path needs —
-# `from repro.obs import MetricsBus` works, but a plain
-# `import repro.obs` stays exactly as light as before.
-_LIVE_EXPORTS = {
-    "MetricsBus",
-    "LiveServer",
-    "SloRule",
-    "SloEvaluator",
-    "parse_slo_rules",
-    "live_port_from_env",
-    "live_interval_from_env",
-}
-
-
-def __getattr__(name: str):
-    if name in _LIVE_EXPORTS:
-        from . import live
-
-        return getattr(live, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BlackBoxRecorder",
@@ -121,8 +98,6 @@ __all__ = [
     "Instruments",
     "InvariantViolation",
     "JsonlExporter",
-    "LiveServer",
-    "MetricsBus",
     "MonitorSet",
     "NULL_BLACKBOX",
     "NULL_INSTRUMENTS",
@@ -137,10 +112,7 @@ __all__ = [
     "PostmortemBundle",
     "PrometheusExporter",
     "RunManifest",
-    "SERVICE_DESCRIBE_KEYS",
     "STORE_STATS",
-    "SloEvaluator",
-    "SloRule",
     "Span",
     "SpanTracer",
     "SpansExporter",
@@ -157,13 +129,10 @@ __all__ = [
     "format_postmortem",
     "format_report",
     "git_revision",
-    "live_interval_from_env",
-    "live_port_from_env",
     "load_bundle",
     "load_metrics",
     "load_report",
     "load_spans",
-    "parse_slo_rules",
     "prometheus_lines",
     "render_span_tree",
     "spans_to_jsonl_lines",

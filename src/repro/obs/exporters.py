@@ -194,11 +194,9 @@ def prometheus_lines(
 ) -> List[str]:
     """Render an ``Instruments.snapshot()`` as exposition-format lines.
 
-    Shared by the file exporter and the live ``/metrics`` endpoint so
-    both speak exactly the same dialect: ``# HELP`` / ``# TYPE`` for
-    every family, ``_total`` counters, plain gauges, and full
-    ``_bucket`` / ``_sum`` / ``_count`` histogram series (timers in
-    seconds).  Bucketed snapshot rows carry their own ``bucket_bounds``;
+    The dialect: ``# HELP`` / ``# TYPE`` for every family, ``_total``
+    counters, plain gauges, and full ``_bucket`` / ``_sum`` /
+    ``_count`` histogram series (timers in seconds).  Bucketed snapshot rows carry their own ``bucket_bounds``;
     ``bucket_bounds`` maps instrument names to upper bounds for older
     snapshots that only recorded ``buckets`` counts.  Without either,
     the histogram degrades to a single ``+Inf`` bucket.

@@ -260,9 +260,7 @@ class Instruments:
         """A JSON-friendly dump of every instrument, grouped by kind.
 
         Timer durations are reported in seconds under ``timers``;
-        creation order is preserved inside each group.  Iterates a
-        list copy so a live-endpoint scrape racing instrument creation
-        never sees a resized dict.
+        creation order is preserved inside each group.
         """
         out: Dict[str, Dict[str, Any]] = {
             "counters": {},
@@ -270,7 +268,7 @@ class Instruments:
             "histograms": {},
             "timers": {},
         }
-        for name, inst in list(self._instruments.items()):
+        for name, inst in self._instruments.items():
             if isinstance(inst, PhaseTimer):
                 s = inst.summary()
                 timer_row: Dict[str, Any] = {

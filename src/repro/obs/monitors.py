@@ -363,35 +363,6 @@ class MonitorSet:
                     cluster_id=int(cid),
                 )
 
-    def check_slo(
-        self,
-        rule: str,
-        observed: float,
-        threshold: float,
-        t: float = 0.0,
-        **attrs: Any,
-    ) -> bool:
-        """A service-level objective check (live telemetry plane).
-
-        ``rule`` names the SLO (e.g. ``"pool.task_s:p99<=0.5"``);
-        ``observed`` above ``threshold`` records an ``slo`` violation
-        through the standard pipeline — the ``monitors.violations``
-        counter, per-invariant counter, span event, and the strict
-        fail-fast.  Returns True when the objective held.
-        """
-        if observed <= threshold:
-            return True
-        self._violate(
-            "slo",
-            f"SLO {rule}: observed {observed:.6g} > threshold {threshold:.6g}",
-            t,
-            rule=rule,
-            observed=float(observed),
-            threshold=float(threshold),
-            **attrs,
-        )
-        return False
-
     # -- summary -------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
@@ -445,9 +416,6 @@ class NullMonitors:
 
     def check_atomic_service(self, *args: Any, **kwargs: Any) -> None:
         pass
-
-    def check_slo(self, *args: Any, **kwargs: Any) -> bool:
-        return True
 
     def summary(self) -> Dict[str, Any]:
         return {"total": 0, "by_invariant": {}}

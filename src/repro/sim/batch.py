@@ -8,9 +8,7 @@ rotation matrices become ``(B, n)`` / ``(B, m, W)`` arrays — and
 batched kernels: activation rotation, battery drain and relay
 accounting, the ERC gate scan and the coverage reduction each run once
 over the whole stack instead of once per world.  Sweeps stop paying the
-per-tick Python dispatch cost per cell, and the same arrays back the
-gym-style :class:`repro.sim.env.BatchedEnv` facade that a learned
-activity-management policy trains against.
+per-tick Python dispatch cost per cell.
 
 Exactness contract
 ------------------
@@ -142,11 +140,6 @@ class BatchedStateArrays:
     per-world code and batched kernels write the same memory.  The
     *copied* stacks (membership, cluster matrices, routing) are
     refreshed wholesale on relocation epochs / compaction.
-
-    Per-world RNG streams (``rngs``) are spawned from each world's seed
-    via :class:`numpy.random.SeedSequence` — the engine itself never
-    draws from them (bit-exactness), they exist for stochastic policy
-    layers on top (:class:`repro.sim.env.BatchedEnv`).
     """
 
     def __init__(self, worlds: Sequence[World]) -> None:
@@ -156,13 +149,6 @@ class BatchedStateArrays:
         self.B = B
         self.n = n
         self.worlds = list(worlds)
-        # -- per-world RNG streams (policy-facing; engine never draws) --
-        self.rngs = [
-            np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(w.cfg.seed).spawn(1)[0])
-            )
-            for w in worlds
-        ]
         # -- bound per-sensor stacks ------------------------------------
         self.levels_j = np.empty((B, n), dtype=np.float64)
         self.requested = np.empty((B, n), dtype=bool)
@@ -290,7 +276,6 @@ class BatchedStateArrays:
         """Drop finished worlds: fancy-index every stack down to the
         ``keep`` rows and rebind the survivors' row views."""
         self.worlds = [w for k, w in zip(keep, self.worlds) if k]
-        self.rngs = [r for k, r in zip(keep, self.rngs) if k]
         self.B = len(self.worlds)
         for name in (
             "levels_j", "requested", "rates_w", "active", "alive", "positions",
@@ -351,7 +336,6 @@ class BatchedEngine:
         *,
         worlds: Optional[Sequence[World]] = None,
         debug: Optional[bool] = None,
-        instruments=None,
     ) -> None:
         if worlds is None:
             if not configs:
@@ -395,16 +379,6 @@ class BatchedEngine:
             [World(w.cfg) for w in worlds] if self.debug else None
         )
         self._tmp_bool = np.empty((self.stacks.B, self._n), dtype=bool)
-        # Occupancy instruments (live telemetry): alive worlds per step
-        # as a fraction of the launch width.  The null registry makes
-        # each step pay two no-op calls when telemetry is off.
-        from ..obs.instruments import NULL_INSTRUMENTS
-
-        obs = NULL_INSTRUMENTS if instruments is None else instruments
-        self._b0 = len(worlds)
-        self._c_steps = obs.counter("batch.steps")
-        self._c_world_steps = obs.counter("batch.world_steps")
-        self._h_occupancy = obs.histogram("batch.occupancy")
         self._refresh_world_hooks()
 
     # -- bookkeeping -----------------------------------------------------
@@ -421,13 +395,6 @@ class BatchedEngine:
     @property
     def worlds(self) -> List[World]:
         return self.stacks.worlds
-
-    @property
-    def alive_worlds(self) -> np.ndarray:
-        """Bool over the *original* batch: which worlds still run."""
-        mask = np.zeros(len(self.configs), dtype=bool)
-        mask[self._orig] = True
-        return mask
 
     def run(self) -> List[SimulationSummary]:
         """Step to every world's horizon; summaries in input order."""
@@ -457,9 +424,6 @@ class BatchedEngine:
             self._finish(done)
             if not self.stacks.worlds:
                 return False
-        self._c_steps.inc()
-        self._c_world_steps.inc(self.stacks.B)
-        self._h_occupancy.observe(self.stacks.B / self._b0)
         for w in self.stacks.worlds:
             w.state.sim.run_until_before(T, PRIO_TICK)
         if self.stacks.worlds[0].state.targets.epoch != self._epoch:

@@ -92,11 +92,10 @@ def run_batch(
     any violation raises — monitors observe the trajectory, never
     perturb it.
 
-    ``instruments`` (optional) records batch occupancy — alive worlds
-    per step, cells batched vs serial-fallback — into the given
-    registry (a streaming warm-pool worker passes its per-task local
-    one); instruments never touch the trajectory, so summaries stay
-    byte-identical with or without them.
+    ``instruments`` (optional) counts cells batched vs serial-fallback
+    (``batch.cells_batched`` / ``batch.cells_serial``); instruments
+    never touch the trajectory, so summaries stay byte-identical with
+    or without them.
     """
     from ..obs.instruments import NULL_INSTRUMENTS
     from ..obs.monitors import MonitorSet, strict_monitors_default
@@ -128,7 +127,7 @@ def run_batch(
         groups.setdefault(shape_signature(cfg), []).append((i, world))
     for pairs in groups.values():
         obs.counter("batch.cells_batched").inc(len(pairs))
-        engine = BatchedEngine(worlds=[w for _, w in pairs], debug=debug, instruments=obs)
+        engine = BatchedEngine(worlds=[w for _, w in pairs], debug=debug)
         for (i, _), summary in zip(pairs, engine.run()):
             out[i] = summary
     return out  # type: ignore[return-value]

@@ -44,7 +44,6 @@ MODULES = [
     "repro.energy.recharge",
     "repro.experiments.executor",
     "repro.experiments.pool",
-    "repro.experiments.service",
     "repro.experiments.store",
     "repro.geometry.coverage",
     "repro.geometry.field",

@@ -1,4 +1,4 @@
-"""The lockstep multi-world engine (repro.sim.batch) and its facades.
+"""The lockstep multi-world engine (repro.sim.batch) and its callers.
 
 Three layers of evidence that ``REPRO_BATCH=1`` is a pure speedup:
 
@@ -6,9 +6,8 @@ Three layers of evidence that ``REPRO_BATCH=1`` is a pure speedup:
   summaries bit-for-bit, including mixed horizons (compaction), mixed
   schedulers/ERPs inside one shape batch, and the hypothesis property
   that random horizon/seed draws agree between B=1 and B=32;
-* facade equivalence — ``run_batch``, the executor's shape-batched
-  miss path and the gym-style :class:`BatchedEnv` all serialize to the
-  serial engine's bytes (and the env's *actions* deliberately don't);
+* caller equivalence — ``run_batch`` and the executor's shape-batched
+  miss path both serialize to the serial engine's bytes;
 * attribution — shape-batches of k cells count k tasks in the pool
   stats and stamp ``"batch"`` provenance on store blobs and streamed
   cell results.
@@ -29,11 +28,10 @@ from repro.experiments.executor import (
     iter_configs,
     map_configs,
 )
-from repro.experiments.pool import get_warm_pool, shutdown_warm_pool
 from repro.experiments.store import ResultStore
+from repro.obs import Instruments
 from repro.sim.batch import BatchedEngine, batchable_config, shape_signature
 from repro.sim.config import SimulationConfig
-from repro.sim.env import BatchedEnv
 from repro.sim.runner import run_batch, run_simulation
 from repro.sim.serialization import snapshot_arrays
 from repro.sim.soa import batch_enabled, debug_batch, engine_provenance
@@ -74,11 +72,9 @@ def clean_env(monkeypatch):
     """
     for var in _KNOBS:
         monkeypatch.delenv(var, raising=False)
-    shutdown_warm_pool()
     yield
     for var in _KNOBS:
         os.environ.pop(var, None)
-    shutdown_warm_pool()
 
 
 class TestKnobs:
@@ -199,8 +195,6 @@ class TestBatchedDeathCoherence:
     mask, the depletion count and the adaptive ERC history do."""
 
     def test_handoff_death_matches_serial(self):
-        from repro.obs import Instruments
-
         cfgs = [
             small(
                 adaptive_erp=True,
@@ -270,107 +264,6 @@ class TestBatchedVsSingleProperty:
         assert [w.as_dict() for w in wide] == [n.as_dict() for n in narrow]
 
 
-class TestBatchedEnv:
-    def test_reset_observation_shapes(self):
-        env = BatchedEnv([small(seed=s) for s in (1, 2, 3)])
-        obs = env.reset()
-        n = SMALL_CONFIG["n_sensors"]
-        assert obs["levels_j"].shape == (3, n)
-        assert obs["alive"].all()
-        assert (obs["t"] == 0.0).all()
-        m = obs["ptr"].shape[1]
-        assert obs["cluster_sizes"].shape == (3, m)
-        # Clustered (target-covering) sensors carry a cluster id; the
-        # rest stay -1.
-        assert ((obs["membership"] >= 0).sum(axis=1) > 0).all()
-        assert (obs["membership"] < m).all()
-
-    def test_action_free_rollout_matches_serial(self):
-        configs = [small(seed=s) for s in (1, 2)]
-        env = BatchedEnv(configs)
-        env.reset()
-        done = np.zeros(2, dtype=bool)
-        for _ in range(200):
-            obs, rewards, done, info = env.step()
-            assert rewards.shape == (2,)
-            assert np.isfinite(rewards).all()
-            if done.all():
-                break
-        assert done.all()
-        serial = [run_simulation(c) for c in configs]
-        assert [s.as_dict() for s in env.summaries] == [
-            s.as_dict() for s in serial
-        ]
-
-    def test_mixed_horizons_pad_finished_rows(self):
-        configs = [small(seed=1, sim_time_s=2 * 3600.0), small(seed=2)]
-        env = BatchedEnv(configs)
-        env.reset()
-        obs, rewards, dones, info = env.step()
-        while not dones[0]:
-            obs, rewards, dones, info = env.step()
-        assert not dones[1]
-        assert env.summaries[0] is not None and env.summaries[1] is None
-        # The finishing step pays out the world's final summary metric.
-        assert (obs["levels_j"][0] == 0.0).all()
-        assert (obs["membership"][0] == -1).all()
-        assert (obs["levels_j"][1] > 0.0).any()
-
-    def test_final_reward_is_summary_coverage(self):
-        env = BatchedEnv([small(seed=1, sim_time_s=2 * 3600.0)])
-        env.reset()
-        dones = np.zeros(1, dtype=bool)
-        while not dones.all():
-            obs, rewards, dones, info = env.step()
-        assert rewards[0] == env.summaries[0].avg_coverage_ratio
-
-    def test_actions_change_the_trajectory(self):
-        configs = [small(seed=s) for s in (1, 2)]
-        free = BatchedEnv(configs)
-        free.reset()
-        steered = BatchedEnv(configs)
-        steered.reset()
-        for _ in range(200):
-            _, _, free_done, _ = free.step()
-            actions = steered.sample_actions()
-            _, _, steered_done, _ = steered.step(actions)
-            if free_done.all() and steered_done.all():
-                break
-        assert [s.as_dict() for s in free.summaries] != [
-            s.as_dict() for s in steered.summaries
-        ]
-
-    def test_sample_actions_in_range(self):
-        env = BatchedEnv([small(seed=s) for s in (1, 2)])
-        env.reset()
-        actions = env.sample_actions()
-        sizes = env._require_engine().stacks.sizes
-        assert actions.shape == (2, sizes.shape[1])
-        assert (actions >= 0).all()
-        assert (actions < np.maximum(sizes, 1)).all()
-
-    def test_bad_action_shape_rejected(self):
-        env = BatchedEnv([small(seed=1)])
-        env.reset()
-        with pytest.raises(ValueError, match="shape"):
-            env.step(np.zeros((2, 2), dtype=np.int64))
-
-    def test_actions_forbidden_under_debug_shadow(self):
-        env = BatchedEnv([small(seed=1)], debug=True)
-        env.reset()
-        with pytest.raises(ValueError, match="shadow"):
-            env.step(env.sample_actions())
-
-    def test_step_before_reset_raises(self):
-        env = BatchedEnv([small(seed=1)])
-        with pytest.raises(RuntimeError, match="reset"):
-            env.step()
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            BatchedEnv([])
-
-
 GRID = [
     dict(seed=s, scheduler=sched, erp=erp)
     for s in (7, 8)
@@ -424,18 +317,16 @@ class TestExecutorBatching:
         assert chunks[0] == [0, 1]
 
     def test_warm_pool_counts_cells_not_chunks(self, monkeypatch):
+        """The per-call pool's weighted ``tasks`` stat counts the cells
+        a shape-batch covers, not the payloads shipped."""
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_BATCH_SIZE", "2")
         configs = [small(seed=s) for s in range(4)]
         serial = [run_simulation(c) for c in configs]
-        pooled = map_configs(configs, jobs=2, warm=True)
+        obs = Instruments()
+        pooled = map_configs(configs, jobs=2, instruments=obs)
         assert [p.as_dict() for p in pooled] == [s.as_dict() for s in serial]
-        pool = get_warm_pool(2)
-        assert pool.stats["tasks"] == 4  # 4 cells, not 2 chunks
-        again = map_configs(configs, jobs=2, warm=True)
-        assert [a.as_dict() for a in again] == [s.as_dict() for s in serial]
-        assert pool.stats["tasks"] == 8
-        assert pool.stats["warm_hits"] >= 4
+        assert obs.snapshot()["counters"]["pool.tasks"] == 4  # 4 cells, not 2 chunks
 
 
 class TestBenchHistoryCap:

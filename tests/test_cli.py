@@ -56,6 +56,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--log-level", "LOUD", "run"])
 
+    def test_jobs_auto_parses(self):
+        import argparse
+
+        from repro.cli import _jobs_type
+
+        assert _jobs_type("auto") >= 1
+        assert _jobs_type("3") == 3
+        with pytest.raises(argparse.ArgumentTypeError):
+            _jobs_type("0")
+        with pytest.raises(argparse.ArgumentTypeError):
+            _jobs_type("many")
+
 
 class TestCommands:
     def test_run_json(self, capsys):

@@ -11,7 +11,13 @@ import json
 import pytest
 
 from repro.experiments import ExperimentScale, run_erp_sweep
-from repro.experiments.executor import default_jobs, map_cells, map_configs, sweep_grid
+from repro.experiments.executor import (
+    default_jobs,
+    iter_configs,
+    map_cells,
+    map_configs,
+    sweep_grid,
+)
 from repro.obs import Instruments
 from repro.sim.runner import run_simulation
 
@@ -34,6 +40,15 @@ def test_map_configs_matches_direct_runs():
     pooled = map_configs(configs, jobs=2)
     direct = [run_simulation(c) for c in configs]
     assert [p.as_dict() for p in pooled] == [d.as_dict() for d in direct]
+
+
+def test_iter_configs_streams_every_cell_once(monkeypatch):
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    cfg = TINY.base_config(scheduler="greedy", erp=0.2)
+    configs = [cfg.with_overrides(seed=s) for s in TINY.seeds]
+    rows = list(iter_configs(configs, jobs=1))
+    assert sorted(i for i, _s, _src in rows) == [0, 1]
+    assert all(src == "run" for _i, _s, src in rows)
 
 
 def test_sweep_grid_is_scheduler_major():

@@ -162,8 +162,7 @@ class TestGoldenExecutionMatrix:
     """The pinned summaries must survive every execution mode: serial
     or process-pool (``jobs``), serial or batched tick engine
     (``REPRO_BATCH``).  Workers inherit the knobs through the
-    environment, so the matrix covers child processes too.  Warm-pool
-    reuse is covered against the serial path in ``test_warm_pool.py``."""
+    environment, so the matrix covers child processes too."""
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_matrix_bit_identical(self, monkeypatch, jobs):

@@ -19,11 +19,8 @@ KNOBS = [
     "REPRO_BLACKBOX_TICKS",
     "REPRO_DEBUG_BATCH",
     "REPRO_JOBS",
-    "REPRO_LIVE",
-    "REPRO_LIVE_INTERVAL_S",
     "REPRO_MONITOR_ATOL_J",
     "REPRO_SCALE",
-    "REPRO_SLO",
     "REPRO_START_METHOD",
     "REPRO_STORE",
     "REPRO_STRICT_MONITORS",

@@ -13,7 +13,7 @@ from repro.experiments import ExperimentScale
 from repro.experiments.cache import config_key
 from repro.experiments.executor import map_configs
 from repro.experiments.store import ResultStore
-from repro.obs import Instruments
+from repro.obs import STORE_STATS, Instruments
 from repro.sim.runner import run_simulation
 
 TINY = ExperimentScale("tiny", days=1.0, seeds=(1, 2))
@@ -187,3 +187,8 @@ def test_concurrent_writers_of_one_store_never_raise(tmp_path, cell):
     assert len(store) == len(configs)
     assert all(store.get(c).as_dict() == summary.as_dict() for c in configs)
     assert list(root.rglob("*.tmp")) == []
+
+
+def test_store_stats_match_declared_schema(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    assert list(store.stats) == [f.key for f in STORE_STATS.fields]

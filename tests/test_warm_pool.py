@@ -1,11 +1,12 @@
-"""The persistent warm worker pool (repro.experiments.pool).
+"""The per-call worker pool (repro.experiments.pool).
 
 The two load-bearing properties: byte-identity with the serial
-executor (pool reuse amortizes cost, never state), and resilience —
-crashed workers are respawned with their in-flight tasks resubmitted,
-task exceptions propagate without poisoning the pool, a pool opened
-for one call leaves no live worker behind, and nothing pool-related is
-even imported before the first multi-worker fan-out.
+executor, and resilience — crashed workers are respawned with their
+in-flight tasks resubmitted once, a task that keeps killing workers
+raises instead of looping, task exceptions propagate without poisoning
+the pool, a pool opened for one call leaves no live worker behind, and
+nothing pool-related is even imported before the first multi-worker
+fan-out.
 """
 
 import json
@@ -19,9 +20,9 @@ import time
 import pytest
 
 from repro.experiments import ExperimentScale
-from repro.experiments.executor import _TASK_FNS, map_configs, submit_grid
-from repro.experiments.pool import WarmPool, get_warm_pool, shutdown_warm_pool
-from repro.obs import Instruments
+from repro.experiments.executor import _TASK_FNS, iter_configs, map_configs
+from repro.experiments.pool import WarmPool
+from repro.obs import POOL_STATS, Instruments, StatField, StatsSchema
 from repro.sim.runner import run_simulation
 
 TINY = ExperimentScale("tiny", days=1.0, seeds=(1, 2))
@@ -29,39 +30,14 @@ TINY = ExperimentScale("tiny", days=1.0, seeds=(1, 2))
 
 @pytest.fixture(autouse=True)
 def _clean_pool_env(monkeypatch):
-    """Isolate every test from ambient pool/store knobs and make sure
-    no shared pool outlives (or predates) a test."""
+    """Isolate every test from ambient pool/store knobs."""
     for var in ("REPRO_STORE", "REPRO_START_METHOD"):
         monkeypatch.delenv(var, raising=False)
-    shutdown_warm_pool()
-    yield
-    shutdown_warm_pool()
 
 
 def _tiny_configs():
     cfg = TINY.base_config(scheduler="greedy", erp=0.2)
     return [cfg.with_overrides(seed=s) for s in TINY.seeds]
-
-
-def test_warm_sweep_byte_identical_to_serial():
-    configs = _tiny_configs()
-    serial = map_configs(configs, jobs=1)
-    warm = map_configs(configs, jobs=2, warm=True)
-    assert json.dumps([s.as_dict() for s in warm], sort_keys=True) == json.dumps(
-        [s.as_dict() for s in serial], sort_keys=True
-    )
-
-
-def test_pool_survives_across_calls_and_counts_warm_hits():
-    configs = _tiny_configs()
-    obs = Instruments()
-    map_configs(configs, jobs=2, warm=True)
-    pool = get_warm_pool(2)
-    pids_before = sorted(w.proc.pid for w in pool._workers.values())
-    map_configs(configs, jobs=2, warm=True, instruments=obs)
-    assert sorted(w.proc.pid for w in pool._workers.values()) == pids_before
-    assert pool.stats["warm_hits"] >= 1
-    assert obs.snapshot()["counters"]["pool.warm_hits"] == 1
 
 
 def test_ping_and_healthy():
@@ -75,7 +51,7 @@ def test_ping_and_healthy():
 
 
 def test_per_call_pool_leaves_no_live_children():
-    """``warm=False`` opens a pool for the call and joins its workers
+    """Every fan-out opens a pool for the call and joins its workers
     before returning, so no child outlives the call (and the children's
     CPU shows up in ``RUSAGE_CHILDREN``)."""
     configs = _tiny_configs()
@@ -83,10 +59,9 @@ def test_per_call_pool_leaves_no_live_children():
     pooled = map_configs(configs, jobs=2)
     assert multiprocessing.active_children() == []
     assert [p.as_dict() for p in pooled] == [s.as_dict() for s in serial]
-    job = submit_grid(TINY, ("greedy",), (0.2,), jobs=2)
-    cells = job.results()
+    streamed = {i: summary for i, summary, _src in iter_configs(configs, jobs=2)}
     assert multiprocessing.active_children() == []
-    assert [cells[("greedy", 0.2, s)].as_dict() for s in TINY.seeds] == [
+    assert [streamed[i].as_dict() for i in range(len(configs))] == [
         s.as_dict() for s in serial
     ]
 
@@ -108,7 +83,7 @@ def test_per_call_pool_joins_workers_when_a_cell_raises(monkeypatch):
         map_configs(_tiny_configs(), jobs=2)
     assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match="cell failed"):
-        submit_grid(TINY, ("greedy",), (0.2,), jobs=2).results()
+        list(iter_configs(_tiny_configs(), jobs=2))
     assert multiprocessing.active_children() == []
 
 
@@ -135,6 +110,64 @@ def test_crashed_worker_respawned_and_task_resubmitted(tmp_path, monkeypatch):
     assert obs.snapshot()["counters"]["pool.respawns"] == 1
 
 
+def _always_die(payload):
+    """Worker task: hard-kill the worker every time (a deterministic
+    C-level crash or OOM kill, as far as the parent can tell)."""
+    os._exit(9)
+
+
+def _die_on_seed_2(config):
+    if config.seed == 2:
+        os._exit(9)
+    return run_simulation(config)
+
+
+class _RespawnLoop(Exception):
+    """Raised by the alarm; not an ``OSError``, which the pool's pipe
+    handling would swallow."""
+
+
+@pytest.fixture
+def alarm():
+    """Turn a crash-respawn loop into a test failure instead of a hang."""
+
+    def _hung(signum, frame):
+        raise _RespawnLoop("pool kept respawning a task that always dies")
+
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="crash-injection patching needs fork inheritance",
+)
+def test_always_dying_task_raises_after_one_resubmission(monkeypatch, alarm):
+    monkeypatch.setitem(_TASK_FNS, "die-always", _always_die)
+    t0 = time.monotonic()
+    with WarmPool(jobs=1, start_method="fork") as pool:
+        with pytest.raises(RuntimeError, match=r"task 0 \(kind 'die-always'\)"):
+            pool.run("die-always", [None])
+        assert pool.stats["respawns"] == 1  # resubmitted once, then fatal
+    assert time.monotonic() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="crash-injection patching needs fork inheritance",
+)
+def test_fatal_cell_fails_the_fan_out_and_joins_workers(monkeypatch, alarm):
+    monkeypatch.setenv("REPRO_START_METHOD", "fork")
+    monkeypatch.setitem(_TASK_FNS, "run", _die_on_seed_2)
+    with pytest.raises(RuntimeError, match=r"task 1 \(kind 'run'\)"):
+        map_configs(_tiny_configs(), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
 def _raise_for_test(payload):
     raise ValueError(f"boom: {payload}")
 
@@ -149,29 +182,6 @@ def test_task_exception_propagates_and_pool_stays_usable(monkeypatch):
         with pytest.raises(ValueError, match="boom"):
             pool.run("boom", ["x"])
         assert pool.ping()  # same workers still answer
-
-
-def test_idle_reap_then_transparent_cold_start():
-    with WarmPool(jobs=1, idle_timeout_s=0.05) as pool:
-        pool.ping()
-        assert pool.workers_alive == 1
-        time.sleep(0.1)
-        assert pool.reap_if_idle()
-        assert pool.workers_alive == 0
-        assert pool.stats["reaps"] == 1
-        assert pool.ping()  # next run cold-starts transparently
-        assert pool.stats["cold_starts"] == 2
-
-
-def test_get_warm_pool_reuses_and_resizes():
-    a = get_warm_pool(2)
-    assert get_warm_pool(2) is a
-    b = get_warm_pool(3)  # different shape: old pool closed, new one built
-    assert b is not a
-    assert a._closed
-    shutdown_warm_pool()
-    assert b._closed
-    shutdown_warm_pool()  # idempotent
 
 
 def test_closed_pool_rejects_runs():
@@ -189,14 +199,14 @@ def test_unknown_task_kind_raises():
 
 def test_importing_executor_spawns_nothing():
     """Zero-overhead contract: importing the executor must not import
-    the pool/store/service modules, start processes, or create dirs."""
+    the pool/store modules, start processes, or create dirs."""
     code = (
         "import sys\n"
         "import repro.experiments.executor\n"
         "import repro.experiments\n"
         "import multiprocessing\n"
         "lazy = [m for m in ('repro.experiments.pool',"
-        " 'repro.experiments.store', 'repro.experiments.service')"
+        " 'repro.experiments.store')"
         " if m in sys.modules]\n"
         "print(json.dumps({'lazy': lazy,"
         " 'children': len(multiprocessing.active_children())}))\n"
@@ -222,3 +232,19 @@ def test_worker_killed_midstream_does_not_hang():
         assert pool.workers_alive == 0
         assert pool.ping()  # replacement worker answers
         assert pool.workers_alive == 1
+
+
+def test_pool_stats_match_declared_schema():
+    with WarmPool(jobs=1) as pool:
+        assert list(pool.stats) == [f.key for f in POOL_STATS.fields]
+
+
+def test_counter_name_rejects_undeclared_keys():
+    with pytest.raises(KeyError):
+        POOL_STATS.counter_name("not_a_stat")
+    assert POOL_STATS.counter_name("respawns") == "pool.respawns"
+
+
+def test_duplicate_fields_rejected():
+    with pytest.raises(ValueError):
+        StatsSchema("s", "s", [StatField("a", "x"), StatField("a", "y")])
