@@ -52,17 +52,6 @@ def wcss(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float
     return float(np.sum(diff * diff))
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # The (points x centroids) squared-distance argmin reduction lives
-    # in the kernel layer so the Lloyd step shares the vectorize /
-    # reference / debug knobs with the schedulers.  Imported lazily:
-    # repro.core's package init reaches this module via the
-    # Partition-Scheme, so a top-level kernels import would be circular.
-    from ..core import kernels
-
-    return kernels.kmeans_assign(points, centroids)
-
-
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -101,6 +90,13 @@ def kmeans(
         raise ValueError("n_init must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
+    # The (points x centroids) squared-distance argmin lives in the
+    # kernel layer; the Lloyd loop calls its unvalidated form, since
+    # ``points`` was validated above and the centroids are rows of it
+    # or means of its rows.  Imported here: repro.core's package init
+    # reaches this module via the Partition-Scheme, so a top-level
+    # kernels import would be circular.
+    from ..core import kernels
 
     if k >= n:
         centroids = points.copy()
@@ -114,19 +110,21 @@ def kmeans(
     for _ in range(n_init):
         seed_idx = rng.choice(n, size=k, replace=False)
         centroids = points[seed_idx].copy()
-        labels = _assign(points, centroids)
+        labels = kernels._nearest_centroid(points, centroids)
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
+            sizes = np.bincount(labels, minlength=k)
             for j in range(k):
-                members = labels == j
-                if np.any(members):
-                    centroids[j] = points[members].mean(axis=0)
+                if sizes[j]:
+                    # The member mean, bit for bit: ``mean`` is this sum
+                    # divided by this count, plus Python overhead.
+                    centroids[j] = np.add.reduce(points[labels == j], axis=0) / sizes[j]
                 else:
                     d = np.sum((points - centroids[j]) ** 2, axis=1)
                     centroids[j] = points[int(np.argmax(d))]
-            new_labels = _assign(points, centroids)
-            if np.array_equal(new_labels, labels):
+            new_labels = kernels._nearest_centroid(points, centroids)
+            if new_labels.tobytes() == labels.tobytes():
                 converged = True
                 break
             labels = new_labels

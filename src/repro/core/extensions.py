@@ -26,8 +26,8 @@ import numpy as np
 from ..geometry.points import distance
 from ..tsp.tour import open_tour_length
 from ..tsp.two_opt import two_opt
-from .insertion import InsertionScheduler, plan_single_rv_chained
-from .requests import RechargeNodeList, RechargeRequest
+from .insertion import InsertionScheduler, _plan_chained, _StopTable
+from .requests import RechargeNodeList, RechargeRequest, aggregate_by_cluster
 from .scheduling import PlannedRoute, RVView
 
 __all__ = [
@@ -190,16 +190,25 @@ class DeadlineAwareScheduler:
         rng: np.random.Generator,
     ) -> Dict[int, PlannedRoute]:
         plans: Dict[int, PlannedRoute] = {}
+        # One stop table over the urgent requests; once they are all
+        # served (or if there are none) one over whatever is left.  The
+        # urgent set only shrinks within a round, so each table is the
+        # exact re-aggregation of its pool for every RV that plans on it.
+        urgent = [
+            r
+            for r in requests
+            if self.now_s - r.release_time_s >= self.urgency_age_s
+        ]
+        table = _StopTable(aggregate_by_cluster(urgent or requests))
+        whole = not urgent
         for rv in idle_rvs:
-            snapshot = requests.snapshot()
-            if not snapshot:
+            if not table.live and not whole:
+                table = _StopTable(aggregate_by_cluster(requests))
+                whole = True
+            if not table.live:
                 break
-            urgent = [
-                r for r in snapshot if self.now_s - r.release_time_s >= self.urgency_age_s
-            ]
-            pool = urgent if urgent else snapshot
-            plan = plan_single_rv_chained(list(pool), rv)
-            if plan is None or len(plan) == 0:
+            plan = _plan_chained(table, rv)
+            if plan is None:
                 continue
             plans[rv.rv_id] = plan
             requests.remove_many(plan.node_ids)

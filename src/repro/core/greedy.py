@@ -89,13 +89,14 @@ class GreedyScheduler:
         states = [_GreedyState(rv) for rv in idle_rvs]
         snapshot = requests.snapshot()
         if snapshot and states:
-            positions = np.vstack([r.position for r in snapshot])
+            positions = np.array([r.position for r in snapshot])
             demands = np.array([r.demand_j for r in snapshot], dtype=np.float64)
-            cache = kernels.distance_cache_for(positions)
+            cache = kernels.DistanceCache(positions)
             unserved = np.ones(len(snapshot), dtype=bool)
-            while np.any(unserved) and any(s.flag for s in states):
+            left = len(snapshot)  # == np.count_nonzero(unserved)
+            while left and any(s.flag for s in states):
                 for st in states:
-                    if not np.any(unserved):
+                    if not left:
                         break
                     if not st.flag:
                         continue
@@ -120,12 +121,13 @@ class GreedyScheduler:
                     st.position = chosen.position
                     st.at_stop = idx
                     unserved[idx] = False
+                    left -= 1
                     requests.remove(chosen.node_id)
         plans: Dict[int, PlannedRoute] = {}
         for st in states:
             if not st.picked:
                 continue
-            waypoints = np.vstack([st.rv.position] + [r.position for r in st.picked])
+            waypoints = np.array([st.rv.position] + [r.position for r in st.picked])
             travel = float(leg_lengths(waypoints).sum())
             demand = float(sum(r.demand_j for r in st.picked))
             plans[st.rv.rv_id] = PlannedRoute(

@@ -16,11 +16,33 @@ Scheduling operates on *aggregated* cluster super-nodes (Section IV-C):
 a cluster's pending demands enter the route as one stop with the summed
 demand, and the final sequence expands each cluster stop into the
 paper's O(nc^2) nearest-neighbour member tour.
+
+One stop table per round
+------------------------
+
+A dispatch round aggregates its backlog into super-nodes **once**
+(:class:`_StopTable`: the stops, their positions and demands, and one
+:class:`~repro.core.kernels.DistanceCache`).  Every chained sequence
+and every RV of the round then plans over the table's *live* stops by
+index, and the stops a plan serves drop out.  This is exact, not an
+approximation of re-aggregating what is left: Algorithm 3 inserts and
+trims whole stops, so the unserved requests are exactly the members of
+the live stops, and re-aggregating them would rebuild the same stops
+(same members, same centroids, same summed demands) in the same order.
+Keeping the live subset in table order keeps the lowest-index tie rule
+of every masked argmax.  Because the same stop objects serve the whole
+round, their memoized member tours hit across sequences and RVs.
+
+The traffic is small and always the same shape (the 18-cell Fig. 6
+grid: a backlog of 10-11.5 requests on average, at most 58, folding
+into 7-8 stops, with 3 idle RVs), so per-call numpy overhead sets the
+cost, not the arithmetic.  Positions are validated once, where the
+table's cache is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +52,81 @@ from .requests import AggregatedRequest, RechargeNodeList, aggregate_by_cluster
 from .scheduling import PlannedRoute, RVView
 
 __all__ = ["InsertionScheduler", "build_insertion_sequence", "expand_stops"]
+
+
+class _StopTable:
+    """One planning round's super-nodes, aggregated once.
+
+    ``live`` lists the unserved stops in table order and ``mask`` is
+    the same set as a boolean vector; :meth:`serve` drops stops.
+    """
+
+    __slots__ = ("stops", "demands", "cache", "live", "mask")
+
+    def __init__(self, stops: Sequence[AggregatedRequest]) -> None:
+        self.stops = stops
+        n = len(stops)
+        positions = (
+            np.array([s.position for s in stops]) if n else np.empty((0, 2))
+        )
+        self.demands = np.array([s.demand_j for s in stops], dtype=np.float64)
+        self.cache = kernels.DistanceCache(positions)
+        self.live = list(range(n))
+        self.mask = np.ones(n, dtype=bool)
+
+    def serve(self, served: Sequence[int]) -> None:
+        self.mask[served] = False
+        done = set(served)
+        self.live = [i for i in self.live if i not in done]
+
+
+def _insertion_order(
+    table: _StopTable,
+    rv_position: np.ndarray,
+    budget_j: float,
+    em_j_per_m: float,
+    charge_efficiency: float,
+) -> List[int]:
+    """Algorithm 3 over the table's live stops; table indices in visit
+    order (see :func:`build_insertion_sequence`)."""
+    if not table.live or budget_j <= 0:
+        return []
+    demands = table.demands
+    # Stop/stop and RV/stop distances are measured once per round; every
+    # iteration below slices its gap geometry out of the cached
+    # matrices.  ``np.hypot`` is sign-insensitive, so the sliced values
+    # are bit-identical to a direct per-iteration measurement either
+    # direction.
+    dist0 = table.cache.from_point(rv_position)
+    profits = kernels.profit_vector(demands, dist0, em_j_per_m)
+    costs = em_j_per_m * dist0 + demands / charge_efficiency
+
+    # Destination: best profit among affordable live nodes (Alg. 3 line
+    # 2, "Update RV's information to reserve energy for the dest node").
+    candidates = costs <= budget_j + 1e-9
+    candidates &= table.mask
+    dest = kernels.masked_argmax(profits, candidates)
+    if dest is None:
+        return []
+
+    route = [dest]  # stop indices; waypoint list is [rv] + route
+    spent = costs[dest]
+    remaining = [i for i in table.live if i != dest]
+    dmat = table.cache.pairwise if remaining else None
+    while remaining and spent < budget_j:
+        # Evaluate p(s, n) for every gap s and every remaining node n.
+        # Gap s runs waypoint s -> waypoint s+1 of [rv] + route.
+        p, extra_cost = kernels.insertion_eval(
+            dmat, dist0, demands, route, remaining, em_j_per_m, charge_efficiency
+        )
+        feasible = (p > 1e-12) & (spent + extra_cost <= budget_j + 1e-9)
+        pick = kernels.masked_argmax_2d(p, feasible)
+        if pick is None:
+            break
+        s0, n0 = pick
+        route.insert(s0, remaining.pop(n0))  # position s0 = after waypoint s0
+        spent += float(extra_cost[s0, n0])
+    return route
 
 
 def build_insertion_sequence(
@@ -54,51 +151,42 @@ def build_insertion_sequence(
         is always the *last* element — insertions happen strictly
         between the RV and the destination.
     """
-    n = len(stops)
-    if n == 0 or budget_j <= 0:
+    if len(stops) == 0 or budget_j <= 0:
         return []
+    return _insertion_order(
+        _StopTable(stops), rv_position, budget_j, em_j_per_m, charge_efficiency
+    )
+
+
+def _expand(
+    stops: Sequence[AggregatedRequest],
+    order: Sequence[int],
+    rv_position: np.ndarray,
+) -> Tuple[List[int], np.ndarray, List[int], List[float]]:
+    """Unroll ``order`` into member waypoints.
+
+    Returns the visited node ids, the ``[rv] + members`` waypoint
+    array, and per stop the waypoint count and the running demand after
+    it — a trimmed route is a prefix of the full expansion, since each
+    stop is entered from wherever the previous one ended.
+    """
     rv_position = np.asarray(rv_position, dtype=np.float64).reshape(2)
-    positions = np.vstack([s.position for s in stops])
-    demands = np.array([s.demand_j for s in stops], dtype=np.float64)
-    # The shared cache measures stop/stop and RV/stop distances once per
-    # scheduling event; every iteration below slices its gap geometry
-    # out of the cached matrices.  ``np.hypot`` is sign-insensitive, so
-    # the sliced values are bit-identical to a direct per-iteration
-    # measurement either direction.
-    cache = kernels.distance_cache_for(positions)
-    dist0 = cache.from_point(rv_position)
-    profits = kernels.profit_vector(demands, dist0, em_j_per_m)
-    costs = em_j_per_m * dist0 + demands / charge_efficiency
-
-    # Destination: best profit among affordable nodes (Alg. 3 line 2,
-    # "Update RV's information to reserve energy for the dest node").
-    dest = kernels.masked_argmax(profits, costs <= budget_j + 1e-9)
-    if dest is None:
-        return []
-
-    route = [dest]  # stop indices; waypoint list is [rv] + route
-    spent = costs[dest]
-    remaining = [i for i in range(n) if i != dest]
-    dmat = cache.pairwise if remaining else None
-
-    inserted = True
-    while inserted and remaining and spent < budget_j:
-        inserted = False
-        # Evaluate p(s, n) for every gap s and every remaining node n.
-        # Gap s runs waypoint s -> waypoint s+1 of [rv] + route.
-        p, extra_cost = kernels.insertion_eval(
-            dmat, dist0, demands, route, remaining, em_j_per_m, charge_efficiency
-        )
-        feasible = (p > 1e-12) & (spent + extra_cost <= budget_j + 1e-9)
-        pick = kernels.masked_argmax_2d(p, feasible)
-        if pick is None:
-            break
-        s0, n0 = pick
-        stop_idx = remaining.pop(n0)
-        route.insert(s0, stop_idx)  # position s0 = after waypoint s0
-        spent += float(extra_cost[s0, n0])
-        inserted = True
-    return route
+    node_ids: List[int] = []
+    waypoints = [rv_position]
+    ends: List[int] = []
+    demands: List[float] = []
+    demand = 0.0
+    entry = rv_position
+    for idx in order:
+        stop = stops[idx]
+        for r in stop._tour_from(entry):
+            node_ids.append(r.node_id)
+            waypoints.append(r.position)
+        demand += stop.demand_j
+        ends.append(len(waypoints))
+        demands.append(demand)
+        entry = waypoints[-1]
+    return node_ids, np.array(waypoints), ends, demands
 
 
 def expand_stops(
@@ -113,30 +201,78 @@ def expand_stops(
     re-measured on the expanded polyline (the planner's centroid
     approximation is replaced by exact member positions).
     """
-    rv_position = np.asarray(rv_position, dtype=np.float64).reshape(2)
-    node_ids: List[int] = []
-    waypoints = [rv_position]
-    demand = 0.0
-    entry = rv_position
-    member_pos = {}
-    for idx in order:
-        stop = stops[idx]
-        ordered_ids = stop.visit_order_from(entry)
-        for r in stop.members:
-            member_pos[r.node_id] = r.position
-        for nid in ordered_ids:
-            node_ids.append(nid)
-            waypoints.append(member_pos[nid])
-        demand += stop.demand_j
-        entry = waypoints[-1]
-    wp = np.vstack(waypoints)
+    node_ids, wp, _, demands = _expand(stops, order, rv_position)
     travel = float(leg_lengths(wp).sum()) if len(wp) > 1 else 0.0
+    demand = demands[-1] if demands else 0.0
     return PlannedRoute(
         node_ids=tuple(node_ids),
         waypoints=wp,
         travel_m=travel,
         demand_j=demand,
         profit_j=demand - 0.0,  # caller overwrites with its em; see plan()
+    )
+
+
+def _plan_sequence(
+    table: _StopTable,
+    position: np.ndarray,
+    budget_j: float,
+    em_j_per_m: float,
+    charge_efficiency: float,
+):
+    """One trimmed Algorithm 3 sequence over the table's live stops.
+
+    Returns ``(node_ids, waypoints, travel_m, demand_j, stops)`` or
+    ``None``.  The insertion feasibility check prices a cluster at its
+    centroid; after expanding each cluster into its member tour the
+    route is re-measured against the budget, and trailing stops are
+    trimmed while the expansion overruns it — constraint (7) holds on
+    the *actual* route, not the approximation.
+    """
+    order = _insertion_order(table, position, budget_j, em_j_per_m, charge_efficiency)
+    if not order:
+        return None
+    node_ids, wp, ends, demands = _expand(table.stops, order, position)
+    for k in range(len(order), 0, -1):
+        m = ends[k - 1]
+        travel = float(leg_lengths(wp[:m]).sum()) if m > 1 else 0.0
+        demand = demands[k - 1]
+        if travel * em_j_per_m + demand / charge_efficiency <= budget_j + 1e-6:
+            return node_ids[: m - 1], wp[:m], travel, demand, order[:k]
+    return None
+
+
+def _plan_chained(table: _StopTable, rv: RVView) -> Optional[PlannedRoute]:
+    """Chained Algorithm 3 for one RV over the table's live stops; the
+    served stops leave the table (see :func:`plan_single_rv_chained`)."""
+    em = rv.em_j_per_m
+    eff = rv.charge_efficiency
+    position = rv.position
+    budget = rv.budget_j
+    chained_ids: List[int] = []
+    waypoints = [position]
+    total_travel = 0.0
+    total_demand = 0.0
+    while table.live and budget > 0:
+        plan = _plan_sequence(table, position, budget, em, eff)
+        if plan is None:
+            break
+        node_ids, wp, travel, demand, served = plan
+        chained_ids.extend(node_ids)
+        waypoints.extend(wp[1:])
+        total_travel += travel
+        total_demand += demand
+        budget -= travel * em + demand / eff
+        position = wp[-1]
+        table.serve(served)
+    if not chained_ids:
+        return None
+    return PlannedRoute(
+        node_ids=tuple(chained_ids),
+        waypoints=np.array(waypoints),
+        travel_m=total_travel,
+        demand_j=total_demand,
+        profit_j=total_demand - em * total_travel,
     )
 
 
@@ -152,28 +288,19 @@ def plan_single_rv(
     the expansion overran it — constraint (7) holds on the *actual*
     route, not the approximation.
     """
-    stops = aggregate_by_cluster(requests)
-    order = build_insertion_sequence(
-        stops, rv.position, rv.budget_j, rv.em_j_per_m, rv.charge_efficiency
+    table = _StopTable(aggregate_by_cluster(requests))
+    plan = _plan_sequence(
+        table, rv.position, rv.budget_j, rv.em_j_per_m, rv.charge_efficiency
     )
-    kept = list(order)
-    route = None
-    while kept:
-        route = expand_stops(stops, kept, rv.position)
-        cost = route.travel_m * rv.em_j_per_m + route.demand_j / rv.charge_efficiency
-        if cost <= rv.budget_j + 1e-6:
-            break
-        kept.pop()
-        route = None
-    if route is None:
+    if plan is None:
         return None
-    profit = route.demand_j - rv.em_j_per_m * route.travel_m
+    node_ids, wp, travel, demand, _ = plan
     return PlannedRoute(
-        node_ids=route.node_ids,
-        waypoints=route.waypoints,
-        travel_m=route.travel_m,
-        demand_j=route.demand_j,
-        profit_j=profit,
+        node_ids=tuple(node_ids),
+        waypoints=wp,
+        travel_m=travel,
+        demand_j=demand,
+        profit_j=demand - rv.em_j_per_m * travel,
     )
 
 
@@ -187,45 +314,16 @@ def plan_single_rv_chained(
     algorithm is repeated until all the nodes in R are recharged"
     (Section IV-C) — successive sequences are planned from wherever the
     previous one ended, with whatever budget remains, and chained into
-    one itinerary.  ``requests`` is consumed in place.
+    one itinerary.  ``requests`` (unique node ids, as in a
+    :class:`~repro.core.requests.RechargeNodeList`) is consumed in
+    place.
     """
-    remaining = list(requests)
-    position = rv.position
-    budget = rv.budget_j
-    chained_ids: List[int] = []
-    waypoints = [np.asarray(position, dtype=np.float64).reshape(2)]
-    total_travel = 0.0
-    total_demand = 0.0
-    while remaining and budget > 0:
-        view = RVView(
-            rv_id=rv.rv_id,
-            position=position,
-            budget_j=budget,
-            em_j_per_m=rv.em_j_per_m,
-            charge_efficiency=rv.charge_efficiency,
-            depot=rv.depot,
-        )
-        plan = plan_single_rv(remaining, view)
-        if plan is None or len(plan) == 0:
-            break
-        chained_ids.extend(plan.node_ids)
-        waypoints.extend(plan.waypoints[1:])
-        total_travel += plan.travel_m
-        total_demand += plan.demand_j
-        budget -= plan.travel_m * rv.em_j_per_m + plan.demand_j / rv.charge_efficiency
-        position = plan.waypoints[-1]
-        served = set(plan.node_ids)
-        remaining = [r for r in remaining if r.node_id not in served]
-    if not chained_ids:
+    plan = _plan_chained(_StopTable(aggregate_by_cluster(requests)), rv)
+    if plan is None:
         return None
-    requests[:] = remaining
-    return PlannedRoute(
-        node_ids=tuple(chained_ids),
-        waypoints=np.vstack(waypoints),
-        travel_m=total_travel,
-        demand_j=total_demand,
-        profit_j=total_demand - rv.em_j_per_m * total_travel,
-    )
+    served = set(plan.node_ids)
+    requests[:] = [r for r in requests if r.node_id not in served]
+    return plan
 
 
 class InsertionScheduler:
@@ -253,12 +351,12 @@ class InsertionScheduler:
         rng: np.random.Generator,
     ) -> Dict[int, PlannedRoute]:
         plans: Dict[int, PlannedRoute] = {}
+        table = _StopTable(aggregate_by_cluster(requests))
         for rv in idle_rvs:
-            snapshot = requests.snapshot()
-            if not snapshot:
+            if not table.live:
                 break
-            plan = plan_single_rv_chained(snapshot, rv)
-            if plan is None or len(plan) == 0:
+            plan = _plan_chained(table, rv)
+            if plan is None:
                 continue
             plans[rv.rv_id] = plan
             requests.remove_many(plan.node_ids)

@@ -16,28 +16,25 @@ The scalar loops live on as test oracles (``tests/oracles.py``) that
 the tier-1 property tests compare every kernel against.
 
 :class:`DistanceCache` memoizes the stop/stop pairwise matrix and the
-stop/depot (origin) distance rows for one position array, so greedy,
-insertion, partition, the nearest-neighbour tour and 2-opt measure each
-leg once per scheduling event instead of once per use.
-:func:`distance_cache_for` adds an identity-keyed registry (weakref
-guarded, LRU bounded) so repeated planning over the *same* array —
-the insertion trimming loop re-touring the same cluster members, the
-greedy round chaining picks over one snapshot — shares one cache.
+stop/origin distance rows for one position array.  Every caller holds
+its cache explicitly: a scheduling round builds one for its stop table
+(:mod:`repro.core.insertion`) or its snapshot (:mod:`repro.core.greedy`)
+and plans every RV and every chained sequence against it, so each leg
+is measured once per round.  The cache validates its array once, at
+construction; its rows slice or measure that validated array directly.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.points import as_points, distances_from, pairwise_distances
+from ..geometry.points import as_points, pairwise_distances
 
 __all__ = [
     "DistanceCache",
-    "distance_cache_for",
     "greedy_pick",
     "insertion_eval",
     "kmeans_assign",
@@ -57,13 +54,13 @@ __all__ = [
 class DistanceCache:
     """Memoized distance geometry over one ``(n, 2)`` stop array.
 
-    The array is treated as immutable after construction (the repo-wide
-    position contract; see :func:`distance_cache_for`).
-    Everything is measured with ``np.hypot``, the library-wide metric,
-    so a cached entry is bit-identical to a direct measurement.
+    The array is validated once and treated as immutable after
+    construction (the repo-wide position contract).  Everything is
+    measured with ``np.hypot``, the library-wide metric, so a cached
+    entry is bit-identical to a direct measurement.
     """
 
-    __slots__ = ("points", "_pairwise", "_rows", "_origin_rows", "__weakref__")
+    __slots__ = ("points", "_pairwise", "_rows", "_origin_rows")
 
     def __init__(self, points: np.ndarray) -> None:
         self.points = as_points(points)
@@ -92,7 +89,7 @@ class DistanceCache:
             return self._pairwise[i]
         hit = self._rows.get(i)
         if hit is None:
-            hit = distances_from(self.points[i], self.points)
+            hit = self._measure(self.points[i])
             self._rows[i] = hit
         return hit
 
@@ -106,47 +103,16 @@ class DistanceCache:
         key = origin.tobytes()
         hit = self._origin_rows.get(key)
         if hit is None:
-            hit = distances_from(origin, self.points)
+            hit = self._measure(origin)
             self._origin_rows[key] = hit
             while len(self._origin_rows) > 128:
                 self._origin_rows.popitem(last=False)
         return hit
 
-
-# Identity-keyed registry: the
-# weakref guards against id() reuse after eviction, the LRU cap bounds
-# memory (each cache pins its matrix and its points array while held).
-_CACHE_REGISTRY: "OrderedDict[int, Tuple[weakref.ref, DistanceCache]]" = OrderedDict()
-_CACHE_REGISTRY_MAX = 32
-
-
-def distance_cache_for(points: np.ndarray) -> DistanceCache:
-    """The shared :class:`DistanceCache` for ``points``, by identity.
-
-    Passing the *same array object* again returns the same cache, so
-    schedulers that re-plan over one snapshot (the insertion trimming
-    loop, chained greedy picks, repeated intra-cluster tours) reuse
-    every distance already measured.  Arrays that are not canonical
-    ``(n, 2)`` float64 get a fresh cache per call.
-    """
-    pts = as_points(points)
-    key = id(pts)
-    hit = _CACHE_REGISTRY.get(key)
-    if hit is not None and hit[0]() is pts:
-        _CACHE_REGISTRY.move_to_end(key)
-        return hit[1]
-    cache = DistanceCache(pts)
-
-    def _evict(
-        _ref: weakref.ref, _key: int = key, _registry: OrderedDict = _CACHE_REGISTRY
-    ) -> None:
-        _registry.pop(_key, None)
-
-    _CACHE_REGISTRY[key] = (weakref.ref(pts, _evict), cache)
-    _CACHE_REGISTRY.move_to_end(key)
-    while len(_CACHE_REGISTRY) > _CACHE_REGISTRY_MAX:
-        _CACHE_REGISTRY.popitem(last=False)
-    return cache
+    def _measure(self, origin: np.ndarray) -> np.ndarray:
+        # distances_from() minus its re-validation of the owned array.
+        d = self.points - origin
+        return np.hypot(d[:, 0], d[:, 1])
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +224,8 @@ def insertion_eval(
     d_cb = dmat[np.ix_(route, remaining)]
     detour = d_ac + d_cb - d_ab[:, None]  # (gaps, candidates)
     dem = demands[remaining]
-    p = dem[None, :] - em_j_per_m * detour
-    extra = em_j_per_m * detour + (dem / charge_efficiency)[None, :]
-    return p, extra
+    travel_j = em_j_per_m * detour
+    return dem - travel_j, travel_j + dem / charge_efficiency
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +238,12 @@ def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     Ties resolve to the lowest centroid index.
     """
-    points = as_points(points)
-    centroids = as_points(centroids)
+    return _nearest_centroid(as_points(points), as_points(centroids))
+
+
+def _nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """:func:`kmeans_assign` on arrays the caller already validated
+    (the Lloyd loop of :func:`repro.cluster.kmeans.kmeans`)."""
     diff = points[:, None, :] - centroids[None, :, :]
     dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     return np.argmin(dist2, axis=1).astype(np.intp, copy=False)

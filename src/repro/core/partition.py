@@ -75,11 +75,11 @@ class PartitionScheduler:
         if not idle_rvs or len(requests) == 0:
             return plans
         snapshot = requests.snapshot()
-        positions = np.vstack([r.position for r in snapshot])
+        positions = np.array([r.position for r in snapshot])
         groups = partition_requests(positions, self.fleet_size, rng)
         if not groups:
             return plans
-        centroids = np.vstack([positions[g].mean(axis=0) for g in groups])
+        centroids = np.array([positions[g].mean(axis=0) for g in groups])
         unclaimed = list(range(len(groups)))
         for rv in idle_rvs:
             if not unclaimed:

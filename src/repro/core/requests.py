@@ -11,6 +11,7 @@ is the cluster's total (Section IV-C).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -45,9 +46,15 @@ class RechargeRequest:
     release_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "position", np.asarray(self.position, dtype=np.float64).reshape(2)
-        )
+        position = np.asarray(self.position, dtype=np.float64).reshape(2)
+        object.__setattr__(self, "position", position)
+        # The one boundary check for the planners: NaN compares False
+        # against everything, so a non-finite request would otherwise
+        # slip past ``< 0`` and win (or silently lose) every argmax.
+        if not (math.isfinite(position[0]) and math.isfinite(position[1])):
+            raise ValueError("position must be finite")
+        if not math.isfinite(self.demand_j):
+            raise ValueError("demand_j must be finite")
         if self.demand_j < 0:
             raise ValueError("demand_j must be non-negative")
 
@@ -150,10 +157,10 @@ class AggregatedRequest:
         object.__setattr__(
             self, "position", np.asarray(self.position, dtype=np.float64).reshape(2)
         )
-        # Tour memo: the insertion trimming loop re-expands the same
-        # stops from the same entry points several times per plan; the
-        # stacked member array is also kept stable so the shared
-        # distance cache (keyed on array identity) hits across tours.
+        # Tour memo: a round's stop table reuses the same stops across
+        # chained sequences and RVs, and trimming re-expands them from
+        # the same entry points, so each (stop, entry) tour is walked
+        # once.
         object.__setattr__(self, "_member_pts", None)
         object.__setattr__(self, "_tour_memo", {})
 
@@ -164,26 +171,30 @@ class AggregatedRequest:
         """``(nc, 2)`` member coordinates, stacked once per instance."""
         if self._member_pts is None:
             object.__setattr__(
-                self, "_member_pts", np.vstack([r.position for r in self.members])
+                self, "_member_pts", np.array([r.position for r in self.members])
             )
         return self._member_pts
 
-    def visit_order_from(self, entry: np.ndarray) -> List[int]:
-        """Member node ids in nearest-neighbour order from ``entry``.
+    def _tour_from(self, entry: np.ndarray) -> tuple:
+        """Member requests in nearest-neighbour order from ``entry``.
 
         This is the paper's O(nc^2) intra-cluster tour.  Tours are
         memoized per entry point (requests are immutable), so repeated
-        expansion during budget trimming re-measures nothing.
+        expansion re-measures nothing.
         """
         entry = np.asarray(entry, dtype=np.float64).reshape(2)
         key = entry.tobytes()
         hit = self._tour_memo.get(key)
         if hit is None:
+            members = self.members
             order = nearest_neighbor_order(self.member_positions(), start=entry)
-            ids = self.member_ids()
-            hit = [ids[i] for i in order]
+            hit = tuple(members[i] for i in order)
             self._tour_memo[key] = hit
-        return list(hit)
+        return hit
+
+    def visit_order_from(self, entry: np.ndarray) -> List[int]:
+        """Member node ids in nearest-neighbour order from ``entry``."""
+        return [r.node_id for r in self._tour_from(entry)]
 
 
 def aggregate_by_cluster(requests: Iterable[RechargeRequest]) -> List[AggregatedRequest]:
@@ -194,8 +205,7 @@ def aggregate_by_cluster(requests: Iterable[RechargeRequest]) -> List[Aggregated
     """
     groups: Dict[int, List[RechargeRequest]] = {}
     order: List[int] = []
-    singleton_key = UNCLUSTERED  # each unclustered node gets its own key
-    next_singleton = -2
+    next_singleton = -2  # each unclustered node gets its own key
     for r in requests:
         if r.cluster_id == UNCLUSTERED:
             key = next_singleton
@@ -206,14 +216,15 @@ def aggregate_by_cluster(requests: Iterable[RechargeRequest]) -> List[Aggregated
             groups[key] = []
             order.append(key)
         groups[key].append(r)
-    del singleton_key
     result = []
     for key in order:
         members = tuple(groups[key])
-        pts = np.vstack([m.position for m in members])
+        pts = np.array([m.position for m in members])
         result.append(
             AggregatedRequest(
-                position=pts.mean(axis=0),
+                # ``pts.mean(axis=0)`` bit for bit: the same sum divided
+                # by the same count, minus ``mean``'s Python overhead.
+                position=np.add.reduce(pts, axis=0) / len(members),
                 demand_j=float(sum(m.demand_j for m in members)),
                 members=members,
                 cluster_id=members[0].cluster_id,

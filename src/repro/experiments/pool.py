@@ -6,8 +6,8 @@ joined, before the call returns — one pool lifecycle.  Within the call:
 
 * **warm workers** — each worker imports the simulator once and then
   serves tasks until the pool closes, so module-level caches (the
-  scheduler ``DistanceCache``, the Dijkstra weight-validation cache,
-  ...) stay hot across the cells of one fan-out;
+  Dijkstra weight-validation cache, ...) stay hot across the cells of
+  one fan-out;
 * **crash recovery** — the parent dispatches tasks over a dedicated
   duplex pipe per worker (one task outstanding each), so it always
   knows which task a worker holds: a worker that dies mid-task is

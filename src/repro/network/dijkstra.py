@@ -20,8 +20,8 @@ import numpy as np
 __all__ = ["shortest_paths"]
 
 # Weight arrays already scanned for negative entries, keyed on array
-# identity (same OrderedDict + weakref discipline as
-# :func:`repro.core.kernels.distance_cache_for`).  A Topology runs one
+# identity (an LRU-bounded OrderedDict whose weakrefs guard against
+# id() reuse after eviction).  A Topology runs one
 # Dijkstra per sensor against the same weight array; validating it once
 # instead of n times removes an O(E) scan from every source.  Weights
 # are treated as immutable after the first call, like every other

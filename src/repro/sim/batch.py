@@ -659,6 +659,9 @@ class BatchedEngine:
                 "relay": float(relay_w[b].sum()),
                 "leakage": 0.0,
             }
+            # This pass wrote the world's rates row behind its serial
+            # re-pricing memo: the next serial recompute must re-price.
+            w.energy._priced_key = None
 
     # -- flight records ----------------------------------------------------
 

@@ -32,17 +32,34 @@ engine binds it as a row of its alive stack.
 Rate recomputation
 ------------------
 
-``recompute`` runs on every rotation slot and always takes one full
-pass: idle + sensing draw from the alive/active masks, then the relay
-load as integer packet counts, priced per packet and scaled by the
-uplink ETX.  A sensor relays every packet originating in its routing
-subtree; with the static tree laid out in DFS preorder once
-(:func:`repro.sim.soa.subtree_index`), every count is the difference of
-two entries of one ``cumsum`` (:func:`repro.sim.soa.subtree_counts`).
-:meth:`EnergyAccounting.price` turns the counts into Watts; the
-batched engine (:mod:`repro.sim.batch`) runs the same kernel and the
-same pricing row-wise over its stack of worlds, so both engines share
-one recompute.
+``recompute`` runs on every rotation slot, after every depletion and
+after every recharge.  A full pass prices idle + sensing draw from the
+alive/active masks, then the relay load as integer packet counts,
+priced per packet and scaled by the uplink ETX.  A sensor relays every
+packet originating in its routing subtree; with the static tree laid
+out in DFS preorder once (:func:`repro.sim.soa.subtree_index`), every
+count is the difference of two entries of one ``cumsum``
+(:func:`repro.sim.soa.subtree_counts`).  :meth:`EnergyAccounting.price`
+turns the counts into Watts; the batched engine
+(:mod:`repro.sim.batch`) runs the same kernel and the same pricing
+row-wise over its stack of worlds, so both engines share one recompute.
+
+The re-pricing memo
+-------------------
+
+With leakage off, the rates and the per-category Watts are a pure
+function of the ``(alive, active)`` masks: connectivity, the uplink
+ETX, the subtree index and the power model are all fixed for the run.
+So a recompute whose masks equal (byte for byte) the masks that
+produced the current rates buffer skips the counts, the pricing and the
+sums, and leaves bit-identical rates in place.  In the Fig. 6 grid that
+is about a quarter of all recomputes, every one of them a recharge of a
+node that was still alive.  The check sits inside :meth:`recompute`,
+so the call still happens (and is counted) wherever it did before.
+Anything else that writes the rates buffer must drop the memo: the
+batched engine prices its rows itself and clears every world's memo
+when it does.  With leakage on, the rates also depend on the levels,
+so every recompute re-prices.
 """
 
 from __future__ import annotations
@@ -107,6 +124,9 @@ class EnergyAccounting:
         self._subtrees = subtree_index(state.routing.parent, state.routing.base, n)
         self._drain_scratch = state.arrays.drain_scratch
         self._died = np.empty(n, dtype=bool)
+        # The (alive, active) mask bytes the rates buffer was priced
+        # from; None forces the next recompute to re-price.
+        self._priced_key: Optional[bytes] = None
         obs = state.instruments
         self._t_recompute = obs.timer("energy.recompute")
         self._t_advance = obs.timer("energy.advance")
@@ -132,6 +152,10 @@ class EnergyAccounting:
         # re-deriving the alive mask here keeps it current.
         alive = np.greater(s.bank.levels_j, 0.0, out=self.alive)
         active = s.activator.active_mask(alive)
+        leaky = s.cfg.self_discharge_fraction_per_day > 0
+        key = None if leaky else alive.tobytes() + active.tobytes()
+        if key is not None and key == self._priced_key:
+            return  # same masks: the buffers already hold this pricing
         # Relay load: every active connected sensor originates packets,
         # and each sensor relays those of its subtree (dead relays keep
         # forwarding in the static tree but draw nothing).  The rates
@@ -147,7 +171,7 @@ class EnergyAccounting:
             out=self.rates,
         )
         leak_total = 0.0
-        if s.cfg.self_discharge_fraction_per_day > 0:
+        if leaky:
             # Charge-proportional leakage, frozen at the current level
             # until the next rate recomputation (piecewise-linear
             # approximation of the exponential decay).
@@ -163,6 +187,7 @@ class EnergyAccounting:
             "relay": float(relay_w.sum()),
             "leakage": leak_total,
         }
+        self._priced_key = key
 
     def price(self, alive, active, origins, through, uplink_etx, out) -> np.ndarray:
         """Per-sensor draw in Watts into ``out``; returns the relay Watts.
@@ -175,8 +200,14 @@ class EnergyAccounting:
         Elementwise on any shape: the batched engine prices its whole
         ``(B, n)`` stack in one call.
         """
-        relay = (through - origins).astype(np.float64) * self._packet_rate_hz
-        relay_w = np.where(alive, relay * self._per_packet_relay_j * uplink_etx, 0.0)
+        # Counts are far below 2**53, so subtracting in float64 equals
+        # subtracting in int64 and converting; the products then run in
+        # place in the same left-to-right order.
+        relay = np.subtract(through, origins, dtype=np.float64)
+        relay *= self._packet_rate_hz
+        relay *= self._per_packet_relay_j
+        relay *= uplink_etx
+        relay_w = np.where(alive, relay, 0.0)
         base = np.where(active, self._duty_w, self._idle_w)
         base += relay_w
         out[...] = np.where(alive, base, 0.0)

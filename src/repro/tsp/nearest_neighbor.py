@@ -5,13 +5,12 @@ canonical TSP algorithm, such as the nearest neighbor algorithm with
 time complexity O(nc^2)" (Section IV-C).  This module implements exactly
 that heuristic for open paths starting from the RV's entry point.
 
-The per-step "nearest unvisited city" pick is a masked argmin kernel
-(:func:`repro.core.kernels.masked_argmin`), and the city/city legs come
-out of the shared distance cache (measured once) instead of a fresh
-``distances_from`` per step.  The cached rows hold the same
-``np.hypot`` values a per-step measurement produces, so the tour is
-bit-identical to the scalar heuristic (the test oracle in
-``tests/oracles.py``).
+Each point set is measured once into one pairwise matrix; a visited
+city's column is then set to ``+inf``, so every "nearest unvisited
+city" step is a single row argmin.  The matrix holds the same
+``np.hypot`` values a per-step measurement produces and ``argmin``
+keeps the lowest-index tie rule, so the tour is bit-identical to the
+scalar heuristic (the test oracle in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -41,25 +40,20 @@ def nearest_neighbor_order(
         A permutation of ``range(n)`` as a Python list.  Ties resolve to
         the lowest index, keeping the heuristic deterministic.
     """
-    # Imported lazily: repro.core pulls this module in at package-init
-    # time (requests -> nearest_neighbor), so a module-level import of
-    # core.kernels here would be circular.
-    from ..core import kernels
-
     points = as_points(points)
     n = len(points)
-    if n == 0:
-        return []
-    cache = kernels.distance_cache_for(points)
-    remaining = np.ones(n, dtype=bool)
-    if start is not None:
-        current = kernels.masked_argmin(cache.from_point(start), remaining)
-    else:
+    if n <= 1:
+        return list(range(n))
+    if start is None:
         current = 0
+    else:
+        gap = points - np.asarray(start, dtype=np.float64).reshape(2)
+        current = int(np.argmin(np.hypot(gap[:, 0], gap[:, 1])))
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
     order = [current]
-    remaining[current] = False
     for _ in range(n - 1):
-        current = kernels.masked_argmin(cache.row(current), remaining)
+        dist[:, current] = np.inf
+        current = int(dist[current].argmin())
         order.append(current)
-        remaining[current] = False
     return order

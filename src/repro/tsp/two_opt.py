@@ -22,7 +22,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..geometry.points import as_points
+from ..geometry.points import as_points, pairwise_distances
 
 __all__ = ["two_opt"]
 
@@ -32,14 +32,10 @@ _EPS = 1e-12
 
 
 def _two_opt_vectorized(points: np.ndarray, order: List[int], max_rounds: int) -> List[int]:
-    """Broadcast sweeps over a shared distance matrix, replayed in scan
+    """Broadcast sweeps over one distance matrix, replayed in scan
     order so the applied moves match the scalar loop move for move."""
-    # Lazy import: repro.core's package init imports this module (via
-    # the scheduler extensions), so the dependency must not be circular.
-    from ..core import kernels
-
     n = len(order)
-    D = kernels.distance_cache_for(points).pairwise
+    D = pairwise_distances(points)
     I = np.arange(1, n - 2)  # noqa: E741 — the loop variable of the spec
     J = np.arange(2, n - 1)
     ii = I[:, None]

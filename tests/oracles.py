@@ -12,7 +12,12 @@ specification the parity tests compare the kernels against:
 * the scheduling-kernel loops (:mod:`repro.core.kernels`), the scalar
   first-improvement 2-opt (:func:`repro.tsp.two_opt.two_opt`) and the
   per-step nearest-neighbour tour
-  (:func:`repro.tsp.nearest_neighbor.nearest_neighbor_order`).
+  (:func:`repro.tsp.nearest_neighbor.nearest_neighbor_order`);
+* the re-aggregating chained planners (:func:`insertion_assign`,
+  :func:`partition_assign`, :func:`deadline_assign`): every RV and
+  every chained sequence re-snapshots what is left and folds it into
+  fresh super-nodes, where the library plans each round over one stop
+  table (:mod:`repro.core.insertion`).
 
 :func:`reference_kernels` and :func:`reference_tick_paths` patch the
 oracles (and the per-cluster activation / ERC classes that stay in the
@@ -245,6 +250,144 @@ def nearest_neighbor_order(points, start=None) -> List[int]:
 
 
 # ----------------------------------------------------------------------
+# re-aggregating chained planners
+# ----------------------------------------------------------------------
+
+
+def plan_single_rv(requests, rv):
+    """One trimmed Algorithm 3 sequence over freshly aggregated stops."""
+    from repro.core.insertion import build_insertion_sequence, expand_stops
+    from repro.core.requests import aggregate_by_cluster
+    from repro.core.scheduling import PlannedRoute
+
+    stops = aggregate_by_cluster(requests)
+    order = build_insertion_sequence(
+        stops, rv.position, rv.budget_j, rv.em_j_per_m, rv.charge_efficiency
+    )
+    kept = list(order)
+    route = None
+    while kept:
+        route = expand_stops(stops, kept, rv.position)
+        cost = route.travel_m * rv.em_j_per_m + route.demand_j / rv.charge_efficiency
+        if cost <= rv.budget_j + 1e-6:
+            break
+        kept.pop()
+        route = None
+    if route is None:
+        return None
+    return PlannedRoute(
+        node_ids=route.node_ids,
+        waypoints=route.waypoints,
+        travel_m=route.travel_m,
+        demand_j=route.demand_j,
+        profit_j=route.demand_j - rv.em_j_per_m * route.travel_m,
+    )
+
+
+def plan_single_rv_chained(requests: list, rv):
+    """Chained sequences, each over a re-aggregation of what is left;
+    ``requests`` is consumed in place."""
+    from repro.core.scheduling import PlannedRoute, RVView
+
+    remaining = list(requests)
+    position = rv.position
+    budget = rv.budget_j
+    chained_ids: List[int] = []
+    waypoints = [np.asarray(position, dtype=np.float64).reshape(2)]
+    total_travel = 0.0
+    total_demand = 0.0
+    while remaining and budget > 0:
+        view = RVView(
+            rv_id=rv.rv_id,
+            position=position,
+            budget_j=budget,
+            em_j_per_m=rv.em_j_per_m,
+            charge_efficiency=rv.charge_efficiency,
+            depot=rv.depot,
+        )
+        plan = plan_single_rv(remaining, view)
+        if plan is None or len(plan) == 0:
+            break
+        chained_ids.extend(plan.node_ids)
+        waypoints.extend(plan.waypoints[1:])
+        total_travel += plan.travel_m
+        total_demand += plan.demand_j
+        budget -= plan.travel_m * rv.em_j_per_m + plan.demand_j / rv.charge_efficiency
+        position = plan.waypoints[-1]
+        served = set(plan.node_ids)
+        remaining = [r for r in remaining if r.node_id not in served]
+    if not chained_ids:
+        return None
+    requests[:] = remaining
+    return PlannedRoute(
+        node_ids=tuple(chained_ids),
+        waypoints=np.vstack(waypoints),
+        travel_m=total_travel,
+        demand_j=total_demand,
+        profit_j=total_demand - rv.em_j_per_m * total_travel,
+    )
+
+
+def insertion_assign(requests, idle_rvs) -> dict:
+    """InsertionScheduler / CombinedScheduler: each RV re-snapshots."""
+    plans = {}
+    for rv in idle_rvs:
+        snapshot = requests.snapshot()
+        if not snapshot:
+            break
+        plan = plan_single_rv_chained(snapshot, rv)
+        if plan is None or len(plan) == 0:
+            continue
+        plans[rv.rv_id] = plan
+        requests.remove_many(plan.node_ids)
+    return plans
+
+
+def partition_assign(fleet_size: int, requests, idle_rvs, rng) -> dict:
+    """PartitionScheduler with the re-aggregating chained planner."""
+    from repro.core.partition import partition_requests
+
+    plans = {}
+    if not idle_rvs or len(requests) == 0:
+        return plans
+    snapshot = requests.snapshot()
+    positions = np.vstack([r.position for r in snapshot])
+    groups = partition_requests(positions, fleet_size, rng)
+    if not groups:
+        return plans
+    centroids = np.vstack([positions[g].mean(axis=0) for g in groups])
+    unclaimed = list(range(len(groups)))
+    for rv in idle_rvs:
+        if not unclaimed:
+            break
+        dists = distances_from(rv.position, centroids[unclaimed])
+        pick = unclaimed.pop(masked_argmin(dists))
+        plan = plan_single_rv_chained([snapshot[i] for i in groups[pick]], rv)
+        if plan is None or len(plan) == 0:
+            continue
+        plans[rv.rv_id] = plan
+        requests.remove_many(plan.node_ids)
+    return plans
+
+
+def deadline_assign(now_s: float, urgency_age_s: float, requests, idle_rvs) -> dict:
+    """DeadlineAwareScheduler: each RV re-snapshots and re-filters."""
+    plans = {}
+    for rv in idle_rvs:
+        snapshot = requests.snapshot()
+        if not snapshot:
+            break
+        urgent = [r for r in snapshot if now_s - r.release_time_s >= urgency_age_s]
+        pool = urgent if urgent else snapshot
+        plan = plan_single_rv_chained(list(pool), rv)
+        if plan is None or len(plan) == 0:
+            continue
+        plans[rv.rv_id] = plan
+        requests.remove_many(plan.node_ids)
+    return plans
+
+
+# ----------------------------------------------------------------------
 # patch contexts
 # ----------------------------------------------------------------------
 
@@ -274,6 +417,10 @@ def reference_kernels():
     with contextlib.ExitStack() as stack:
         for name in _KERNEL_NAMES:
             stack.enter_context(mock.patch.object(kernels_mod, name, oracles[name]))
+        # K-means' Lloyd loop calls the unvalidated form of the kernel.
+        stack.enter_context(
+            mock.patch.object(kernels_mod, "_nearest_centroid", kmeans_assign)
+        )
         stack.enter_context(
             mock.patch("repro.core.requests.nearest_neighbor_order", nearest_neighbor_order)
         )

@@ -59,3 +59,30 @@ def test_leakage_is_not_batched():
     assert _batchable_world(World(_cfg())) is None
     reason = _batchable_world(World(_cfg(self_discharge_fraction_per_day=0.01)))
     assert reason == "battery leakage configured"
+
+
+def test_serial_recompute_after_a_batched_tick_reprices(monkeypatch):
+    # The batched pass writes every world's rates row itself.  Put the
+    # world back on the masks its last *serial* pass priced from: the
+    # next serial recompute must still re-price, or it would keep the
+    # batched pass's rates for masks they were not priced from.
+    from repro.sim.batch import BatchedEngine
+
+    engine = BatchedEngine([_cfg(sim_time_s=DAY_S)], debug=False)
+    (world,) = engine.worlds
+    energy, arrays = world.energy, world.state.arrays
+    serial_rates = energy.rates.copy()
+    ptr = arrays.ptr.copy()
+    engine.step()
+    assert energy.rates.tobytes() != serial_rates.tobytes()  # rotated and re-priced
+    assert energy.alive.all()  # no deaths: only the duty moved
+    arrays.ptr[...] = ptr
+    world.state.activator._actives_key = None  # drop the rotated duty memo
+    prices = []
+    real_price = energy.price
+    monkeypatch.setattr(
+        energy, "price", lambda *a, **kw: prices.append(1) or real_price(*a, **kw)
+    )
+    energy.recompute()
+    assert prices == [1]
+    assert energy.rates.tobytes() == serial_rates.tobytes()

@@ -180,6 +180,68 @@ class TestEnergyAccounting:
         assert np.array_equal(before, s.bank.levels_j)
 
 
+def count_calls(monkeypatch, obj, name):
+    """Wrap ``obj.name`` (an instance method) with a call counter."""
+    calls = []
+    real = getattr(obj, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, spy)
+    return calls
+
+
+class TestRepricingMemo:
+    """``EnergyAccounting`` re-prices only when the masks it prices
+    from changed (or leakage makes the rates level-dependent)."""
+
+    def test_recharging_an_alive_node_keeps_rates_without_pricing(self, monkeypatch):
+        s = make_clustered_state(erp=0.0)
+        gate, energy, fleet = wire_fleet(s)
+        node = int(np.flatnonzero(energy.active)[0])
+        s.bank.levels_j[node] = s.bank.threshold_j * 0.9  # alive, needy
+        gate.check()
+        fleet.dispatch()
+        rates = energy.rates.copy()
+        recomputes = count_calls(monkeypatch, energy, "recompute")
+        prices = count_calls(monkeypatch, energy, "price")
+        while s.sim.step():
+            pass
+        assert s.bank.levels_j[node] == s.cfg.battery_capacity_j
+        assert recomputes  # the finish-charge recompute still runs ...
+        assert prices == []  # ... but finds the masks it priced from
+        assert energy.rates.tobytes() == rates.tobytes()
+
+    def test_reviving_a_depleted_node_reprices(self, monkeypatch):
+        s = make_clustered_state()
+        energy = EnergyAccounting(s)
+        rates = energy.rates.copy()
+        victim = int(np.flatnonzero(energy.active)[0])
+        s.bank.levels_j[victim] = 0.0
+        energy.recompute()
+        assert energy.rates[victim] == 0.0
+        prices = count_calls(monkeypatch, energy, "price")
+        s.bank.charge_to_full([victim])
+        energy.recompute()
+        assert len(prices) == 1
+        # Back on the masks of the first pass: the same rates, bit for bit.
+        assert energy.rates.tobytes() == rates.tobytes()
+
+    def test_leakage_always_reprices(self, monkeypatch):
+        s = make_clustered_state(self_discharge_fraction_per_day=0.05)
+        energy = EnergyAccounting(s)
+        prices = count_calls(monkeypatch, energy, "price")
+        energy.recompute()
+        node = int(np.flatnonzero(s.bank.levels_j > 0)[0])
+        before = energy.rates[node]
+        s.bank.levels_j[node] *= 0.5  # still alive: the masks are unchanged
+        energy.recompute()
+        assert len(prices) == 2
+        assert energy.rates[node] < before  # leakage follows the level
+
+
 class TestRequestGate:
     def test_release_below_threshold(self):
         s = make_clustered_state(erp=0.0)

@@ -23,6 +23,20 @@ class TestRechargeRequest:
         with pytest.raises(ValueError):
             req(0, demand=-1.0)
 
+    @pytest.mark.parametrize("demand", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_demand_rejected(self, demand):
+        # ``nan < 0`` is False: without an explicit check a NaN demand
+        # would construct, win the greedy argmax and plan as nan.
+        with pytest.raises(ValueError, match="finite"):
+            RechargeRequest(0, [10.0, 0.0], demand)
+
+    @pytest.mark.parametrize(
+        "position", [[float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 1.0]]
+    )
+    def test_non_finite_position_rejected(self, position):
+        with pytest.raises(ValueError, match="finite"):
+            RechargeRequest(0, position, 10.0)
+
 
 class TestRechargeNodeList:
     def test_insertion_order_preserved(self):

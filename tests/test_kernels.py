@@ -4,9 +4,8 @@ Three layers of guarantees:
 
 * each kernel is **bit-identical** to its scalar loop in
   ``oracles.py`` (property-based, random inputs);
-* the :class:`DistanceCache` / :func:`distance_cache_for` registry
-  returns the same measurements as direct geometry calls and actually
-  shares state on array identity;
+* the :class:`DistanceCache` returns the same measurements as direct
+  geometry calls and memoizes its rows;
 * end to end, every registered scheduler produces the same plans with
   the kernels and with the oracle loops patched in, and the 2-opt pass
   replays the exact scalar first-improvement move sequence.
@@ -75,15 +74,6 @@ class TestDistanceCache:
         assert np.array_equal(first, distances_from(origin, pts))
         # An equal-valued but distinct array hits the same memo entry.
         assert cache.from_point(np.array([1.0, 2.0])) is first
-
-    def test_registry_shares_on_identity(self, rng):
-        pts = rng.uniform(0, 50, size=(6, 2))
-        assert kernels.distance_cache_for(pts) is kernels.distance_cache_for(pts)
-
-    def test_registry_distinct_arrays_get_distinct_caches(self, rng):
-        a = rng.uniform(0, 50, size=(6, 2))
-        b = a.copy()
-        assert kernels.distance_cache_for(a) is not kernels.distance_cache_for(b)
 
 
 # ----------------------------------------------------------------------
