@@ -7,9 +7,9 @@ changes that regress the engine show up in benchmark history:
 * one vectorized energy advance over the whole bank;
 * one rate recomputation (activation + relay accounting);
 * a full small simulation end to end;
-* the telemetry layer's overhead — a run with the flight recorder
+* the telemetry layer's overhead — a run with the event log
   disabled must stay within noise of the benchmark's own history
-  (the span/monitor touch points are supposed to be free when off).
+  (the log/monitor touch points are supposed to be free when off).
 """
 
 import json
@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.obs import Instruments, MonitorSet, SpanTracer
+from repro.obs import EventLog, MonitorSet
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.runner import run_simulation
 from repro.sim.world import World
@@ -75,15 +75,16 @@ def _best_of(fn, rounds=3):
 
 
 def bench_telemetry_overhead():
-    """Guardrail: the flight recorder must be free when disabled.
+    """Guardrail: the event log must be free when disabled.
 
     Times the same fixed-seed run twice — with every observability hook
-    at its null default, and fully instrumented (instruments + spans +
-    strict monitors) — asserts both produce bit-identical summaries,
-    and records ``t_null_s`` / ``t_instrumented_s`` in benchmark
-    history.  The null timing is then held against the median of prior
-    history rows: if the spans-disabled path got ``_NULL_OVERHEAD_MAX``x
-    slower, some touch point stopped being free.
+    at its null default, and fully observed (an event log + strict
+    monitors, plus the instrument snapshot derived from the log) —
+    asserts both produce bit-identical summaries, and records
+    ``t_null_s`` / ``t_instrumented_s`` in benchmark history.  The null
+    timing is then held against the median of prior history rows: if
+    the log-disabled path got ``_NULL_OVERHEAD_MAX``x slower, some
+    touch point stopped being free.
     """
     cfg = SimulationConfig.small(sim_time_s=0.5 * DAY_S, seed=1)
     run_simulation(cfg)  # warm imports and numpy caches off the clock
@@ -91,10 +92,10 @@ def bench_telemetry_overhead():
     t_null, plain = _best_of(lambda: run_simulation(cfg))
 
     def instrumented():
-        mon = MonitorSet(instruments=Instruments(), spans=SpanTracer(),
-                         strict=True)
-        return World(cfg, instruments=mon.instruments, spans=mon.spans,
-                     monitors=mon).run()
+        log = EventLog()
+        summary = World(cfg, log=log, monitors=MonitorSet(log=log, strict=True)).run()
+        log.snapshot(cfg.n_rvs)
+        return summary
 
     t_instr, traced = _best_of(instrumented)
 
@@ -105,8 +106,8 @@ def bench_telemetry_overhead():
     table = format_table(
         ["leg", "seconds"],
         [
-            ["null (spans disabled)", round(t_null, 4)],
-            ["instrumented (spans+monitors)", round(t_instr, 4)],
+            ["null (log disabled)", round(t_null, 4)],
+            ["instrumented (log+monitors)", round(t_instr, 4)],
             ["overhead ratio", round(overhead, 2)],
         ],
         title="Telemetry overhead (0.5-day small run, best of 3)",
@@ -119,7 +120,7 @@ def bench_telemetry_overhead():
         pytest.skip("no telemetry-overhead history yet; baseline recorded")
     baseline = sorted(prior)[len(prior) // 2]
     assert t_null <= baseline * _NULL_OVERHEAD_MAX, (
-        f"spans-disabled run took {t_null:.4f}s vs historical median "
+        f"log-disabled run took {t_null:.4f}s vs historical median "
         f"{baseline:.4f}s (> {_NULL_OVERHEAD_MAX}x): the disabled "
         f"telemetry path is no longer free"
     )

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Tracing a simulation and visualizing what happened.
 
-Runs one simulation with the structured trace recorder attached, then:
+Runs one simulation with an event log attached, then:
 
 1. prints an ASCII map of the field mid-run (clusters, duty sensors,
    RVs, base station);
@@ -15,9 +15,8 @@ Run:  python examples/trace_and_visualize.py
 
 import pathlib
 
-from repro import SimulationConfig, World
+from repro import EventLog, SimulationConfig, World
 from repro.sim import DAY_S
-from repro.sim.trace import TraceRecorder
 from repro.viz import field_svg, render_field, render_series, series_svg, write_svg
 
 OUT_DIR = pathlib.Path(__file__).parent
@@ -25,8 +24,8 @@ OUT_DIR = pathlib.Path(__file__).parent
 
 def main() -> None:
     cfg = SimulationConfig.small(scheduler="combined", erp=0.6, sim_time_s=1.5 * DAY_S, seed=21)
-    trace = TraceRecorder()
-    world = World(cfg, trace=trace)
+    log = EventLog()
+    world = World(cfg, log=log)
 
     # Run halfway, draw the field, then finish the run.
     world.sim.run_until(cfg.sim_time_s / 2)
@@ -41,9 +40,9 @@ def main() -> None:
 
     summary = world.run()
 
-    # Time-series views from the trace.
-    t_b, backlog = trace.series_arrays("backlog")
-    t_c, coverage = trace.series_arrays("coverage")
+    # Time-series views from the log.
+    t_b, backlog = log.series_arrays("backlog")
+    t_c, coverage = log.series_arrays("coverage")
     hours_b = t_b / 3600.0
     print()
     print(render_series(
@@ -63,9 +62,9 @@ def main() -> None:
 
     # Event-log digest.
     print("\n--- event log digest -----------------------------------")
-    for kind, count in sorted(trace.summary_counts().items()):
+    for kind, count in sorted(log.summary_counts().items()):
         print(f"  {kind:20s} {count}")
-    lats = [l / 3600 for _, l in trace.request_latencies()]
+    lats = [l / 3600 for _, l in log.request_latencies()]
     if lats:
         print(f"  request latency: mean {sum(lats) / len(lats):.2f} h, max {max(lats):.2f} h")
     print(f"\nfinal summary: {summary.n_recharges} recharges, "

@@ -33,7 +33,7 @@ from .core import (
     verify_routes,
 )
 from .geometry import Field, minimum_sensors_eq1
-from .obs import Instruments, NullInstruments, RunManifest
+from .obs import EventLog, Instruments, NullInstruments, RunManifest
 from .registry import (
     ACTIVATORS,
     CLUSTERINGS,
@@ -70,6 +70,7 @@ __all__ = [
     "Registry",
     "SCHEDULERS",
     "EnergyRequestController",
+    "EventLog",
     "Field",
     "FullTimeActivator",
     "GreedyScheduler",

@@ -10,7 +10,8 @@ Commands:
 * ``figure`` — regenerate one paper figure's table.
 * ``report`` — render an archived telemetry directory as tables.
 * ``drift`` — diff two telemetry/manifest directories (or a benchmark
-  history file) for metric drift; exit 1 when anything drifted.
+  history file) for metric drift, naming the first diverging event when
+  both directories hold an event log; exit 1 when any metric drifted.
 * ``postmortem`` — render a flight-recorder bundle (written by
   ``run --postmortem DIR`` or flushed automatically on a crash or
   monitor violation) as a human-readable incident report.
@@ -168,6 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_drift(args: argparse.Namespace) -> int:
     from .obs.drift import (
         diff_metrics,
+        event_divergence,
         format_drift,
         load_history_pair,
         load_metrics,
@@ -187,6 +189,9 @@ def _cmd_drift(args: argparse.Namespace) -> int:
                         ignore=args.ignore)
     print(format_drift(rows, label_a=label_a, label_b=label_b,
                        show_ok=args.all, rtol=args.rtol, atol=args.atol))
+    divergence = event_divergence(args.a, args.b) if args.b is not None else None
+    if divergence is not None:
+        print("\n" + divergence)
     return 1 if any(r["status"] != "ok" for r in rows) else 0
 
 

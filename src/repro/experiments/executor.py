@@ -50,14 +50,14 @@ payload.
 Observability: pass an :class:`repro.obs.Instruments` registry to
 record ``executor.cells`` / ``executor.store_hits`` /
 ``executor.cache_misses`` counters and the ``executor.map`` phase timer
-(the pool adds ``pool.*`` counters).  Pass a
-:class:`repro.obs.SpanTracer` as ``spans`` to :func:`map_configs` and
-the fan-out becomes part of the flight-recorder trace: every miss runs
-through :func:`_run_cell_traced` (in the pool when ``jobs > 1``), its
-serialized child spans are merged under the parent ``executor.map``
-span in miss order with deterministically renumbered ids, and store
-hits are recorded as ``executor.store_hit`` events — so a ``--jobs 4``
-trace reads exactly like the serial one.
+(the pool adds ``pool.*`` counters).  Pass an
+:class:`repro.obs.EventLog` as ``log`` to :func:`map_configs` and the
+fan-out becomes part of its span tree: every miss runs under its own
+log through :func:`_run_cell_traced` (in the pool when ``jobs > 1``),
+the cells' serialized spans are merged under the parent
+``executor.map`` phase in miss order with deterministically renumbered
+ids, and store hits are marked as ``executor.store_hit`` events — so a
+``--jobs 4`` trace reads exactly like the serial one.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..obs.instruments import NULL_INSTRUMENTS
-from ..obs.spans import NULL_TRACER, SpanTracer
+from ..obs.log import NULL_LOG, EventLog
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationSummary
 from ..sim.runner import run_simulation
@@ -185,17 +185,17 @@ def _pool_start_method() -> str:
 def _run_cell_traced(
     config: SimulationConfig,
 ) -> Tuple[SimulationSummary, List[Dict[str, Any]]]:
-    """Pool worker: run one cell under a fresh span tracer.
+    """Pool worker: run one cell under a fresh event log.
 
-    Returns the summary plus the serialized span rows (plain dicts, so
-    they pickle across the pool boundary).  The worker's root span is
-    the world's ``run`` span; the parent re-roots it under its own
-    sweep span.  Spans never touch the trajectory, so the summary is
-    bit-identical to :func:`repro.sim.runner.run_simulation`.
+    Returns the summary plus the log's serialized span rows (plain
+    dicts, so they pickle across the pool boundary).  The worker's root
+    span is the world's ``run`` phase; the parent re-roots it under its
+    own sweep phase.  The log never touches the trajectory, so the
+    summary is bit-identical to :func:`repro.sim.runner.run_simulation`.
     """
-    tracer = SpanTracer()
-    summary = World(config, spans=tracer).run()
-    return summary, tracer.to_rows()
+    log = EventLog()
+    summary = World(config, log=log).run()
+    return summary, log.span_rows()
 
 
 def _run_cell_recorded(
@@ -216,26 +216,23 @@ def _run_cell_recorded(
 
     config, bundle_dir, traced = task
     recorder = BlackBoxRecorder()
-    monitors = MonitorSet(blackbox=recorder)
-    tracer = SpanTracer() if traced else None
-    kwargs: Dict[str, Any] = {"monitors": monitors, "blackbox": recorder}
-    if tracer is not None:
-        kwargs["spans"] = tracer
-    world = World(config, **kwargs)
+    log = EventLog() if traced else None
+    monitors = MonitorSet(log=log, blackbox=recorder)
+    world = World(config, log=log, monitors=monitors, blackbox=recorder)
     try:
         summary = world.run()
     except BaseException as exc:
         _flush_postmortem(
             recorder, bundle_dir, reason="exception", config=config,
-            monitors=monitors, spans=tracer, world=world, error=exc,
+            monitors=monitors, log=log, world=world, error=exc,
         )
         raise
     if monitors.violations:
         _flush_postmortem(
             recorder, bundle_dir, reason="violation", config=config,
-            monitors=monitors, spans=tracer,
+            monitors=monitors, log=log,
         )
-    return summary, tracer.to_rows() if tracer is not None else None
+    return summary, log.span_rows() if log is not None else None
 
 
 def _run_cell_batch(
@@ -314,15 +311,15 @@ def _stream(
     jobs: Optional[int],
     store,
     obs,
-    sp,
+    log,
     postmortem_dir: Optional[Union[str, Path]],
 ) -> Iterator[Tuple[int, SimulationSummary, str, Optional[List[Dict[str, Any]]]]]:
     """The one miss loop: lookup, payloads, execute, store.
 
     Yields ``(index, summary, source, rows)``: store hits first, in
     index order, then misses in completion order; ``rows`` are a traced
-    miss's serialized spans (None otherwise).  Store hits become
-    ``executor.store_hit`` events on ``sp``'s open span.
+    miss's serialized spans (None otherwise).  Store hits are marked as
+    ``executor.store_hit`` events on ``log``'s open phase.
     """
     from . import cache  # resolved per call, so a wrapped cache_lookup is seen
 
@@ -335,8 +332,8 @@ def _stream(
         if hit is None:
             misses.append(i)
             continue
-        if sp.enabled:
-            sp.event(
+        if log.enabled:
+            log.mark(
                 "executor.store_hit",
                 cell=i, scheduler=cfg.scheduler, erp=cfg.erp, seed=cfg.seed,
             )
@@ -352,9 +349,9 @@ def _stream(
         root = Path(postmortem_dir)
         kind = "recorded"
         payloads: List[Any] = [
-            (configs[i], str(root / f"cell-{i:04d}"), sp.enabled) for i in misses
+            (configs[i], str(root / f"cell-{i:04d}"), log.enabled) for i in misses
         ]
-    elif sp.enabled:
+    elif log.enabled:
         kind = "traced"
         payloads = [configs[i] for i in misses]
     elif _batch_requested():
@@ -383,7 +380,7 @@ def map_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
     instruments=None,
-    spans=None,
+    log=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
     store=None,
 ) -> List[SimulationSummary]:
@@ -398,8 +395,8 @@ def map_configs(
     :class:`repro.experiments.store.ResultStore` (default: the one
     named by ``REPRO_STORE``, or none).
 
-    With a ``spans`` tracer, each miss runs under a child tracer whose
-    rows are absorbed under this call's ``executor.map`` span in miss
+    With an event ``log``, each miss runs under its own log whose span
+    rows are absorbed under this call's ``executor.map`` phase in miss
     order (deterministic id renumbering) once every cell is in, and
     store hits become ``executor.store_hit`` events — the merged trace
     is identical in structure for any ``jobs`` value.
@@ -410,16 +407,16 @@ def map_configs(
     cell lands at the same path however the pool schedules it.
     """
     obs = instruments if instruments is not None else NULL_INSTRUMENTS
-    sp = spans if spans is not None else NULL_TRACER
+    log = log if log is not None else NULL_LOG
     results: List[Optional[SimulationSummary]] = [None] * len(configs)
     traced: Dict[int, List[Dict[str, Any]]] = {}
     n_jobs = _resolve_jobs(jobs)
-    with obs.timer("executor.map"), sp.span(
+    with obs.timer("executor.map"), log.phase(
         "executor.map", cells=len(configs), jobs=n_jobs
     ) as sweep_span:
         hits = 0
         for i, summary, source, rows in _stream(
-            configs, n_jobs, store, obs, sp, postmortem_dir
+            configs, n_jobs, store, obs, log, postmortem_dir
         ):
             results[i] = summary
             hits += source == "store"
@@ -427,7 +424,7 @@ def map_configs(
                 traced[i] = rows
         sweep_span.set(cache_hits=hits)
         for i in sorted(traced):
-            sp.absorb(traced[i], parent=sweep_span, root_attrs={"cell": i, "cache": "miss"})
+            log.absorb(traced[i], parent=sweep_span, root_attrs={"cell": i, "cache": "miss"})
     return results  # type: ignore[return-value]
 
 
@@ -453,7 +450,7 @@ def iter_configs(
     """
     obs = instruments if instruments is not None else NULL_INSTRUMENTS
     for i, summary, source, _rows in _stream(
-        configs, jobs, store, obs, NULL_TRACER, postmortem_dir
+        configs, jobs, store, obs, NULL_LOG, postmortem_dir
     ):
         yield i, summary, source
 
@@ -497,7 +494,7 @@ def map_cells(
     erps: Sequence[float],
     jobs: Optional[int] = None,
     instruments=None,
-    spans=None,
+    log=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
     store=None,
     **overrides,
@@ -513,7 +510,7 @@ def map_cells(
     """
     keys, configs = grid_configs(scale, schedulers, erps, **overrides)
     summaries = map_configs(
-        configs, jobs=jobs, instruments=instruments, spans=spans,
+        configs, jobs=jobs, instruments=instruments, log=log,
         postmortem_dir=postmortem_dir, store=store,
     )
     return dict(zip(keys, summaries))

@@ -1,27 +1,38 @@
 """repro.obs — the observability layer.
 
-Instrumented runs answer *why* a result looks the way it does: named
-counters, gauges, histograms and wall-clock phase timers
-(:mod:`repro.obs.instruments`) are recorded by the simulation
-components, hierarchical spans (:mod:`repro.obs.spans`) replay the run
-tick by tick, runtime invariant monitors (:mod:`repro.obs.monitors`)
-trip on conservation/threshold/capacity violations, and everything is
-exported through pluggable, registry-named formats
-(:mod:`repro.obs.exporters`: ``jsonl``, ``prometheus``, ``csv``,
-``spans``, ``sqlite``) and archived with a provenance
-:class:`RunManifest` (:mod:`repro.obs.manifest`).  ``repro report DIR``
-renders an archived directory back into tables and a span tree
-(:mod:`repro.obs.report`); ``repro drift A B`` diffs two archives
+An observed run answers *why* a result looks the way it does.  The
+simulation reports into one :class:`EventLog` (:mod:`repro.obs.log`):
+a phase per timed piece of work, an event per semantic occurrence
+(request released, sortie assigned, node recharged...) and a sample
+per time-series point.  Everything a telemetry directory holds is
+derived from that record at export: the events and series, the span
+tree (:mod:`repro.obs.spans`) that replays the run tick by tick, and
+the counters, gauge, histograms and phase timers of the instrument
+snapshot (:meth:`EventLog.snapshot`).  Runtime invariant monitors
+(:mod:`repro.obs.monitors`) trip on conservation/threshold/capacity
+violations and mark them on the log.  The files come out of
+pluggable, registry-named exporters (:mod:`repro.obs.exporters`:
+``jsonl``, ``prometheus``, ``csv``, ``spans``, ``sqlite``), archived
+with a provenance :class:`RunManifest` (:mod:`repro.obs.manifest`).
+``repro report DIR`` renders an archived directory back into tables
+and a span tree (:mod:`repro.obs.report`); ``repro drift A B`` diffs
+two archives down to the first differing event
 (:mod:`repro.obs.drift`).  A :class:`BlackBoxRecorder`
 (:mod:`repro.obs.blackbox`) keeps a bounded ring of per-tick state
 digests plus periodic checkpoints and flushes a self-contained
 postmortem bundle on failure; ``repro postmortem`` renders it and
 ``repro replay`` re-executes it deterministically.
 
+Two things stay outside the log: the black box's records, which need
+state digests and checkpoints rather than events (and which the
+batched engine writes for worlds that carry no log), and the
+experiment layer's :class:`Instruments` (executor, pool and store
+counters), which count work around runs, not inside one.
+
 The package deliberately never imports :mod:`repro.sim` — the
-simulation state holds ``instruments``/``spans``/``monitors``
-references, so the dependency points one way.  The run-level glue
-lives in :func:`repro.sim.runner.run_with_telemetry`.
+simulation state holds ``log``/``monitors``/``blackbox`` references,
+so the dependency points one way.  The run-level glue lives in
+:func:`repro.sim.runner.run_with_telemetry`.
 
 Quickstart::
 
@@ -68,6 +79,7 @@ from .instruments import (
     NullInstruments,
     PhaseTimer,
 )
+from .log import NULL_LOG, EventKind, EventLog, TraceEvent
 from .manifest import RunManifest, config_digest, git_revision
 from .monitors import (
     NULL_MONITORS,
@@ -77,15 +89,7 @@ from .monitors import (
 )
 from .report import format_report, load_report
 from .schema import POOL_STATS, STORE_STATS, StatField, StatsSchema
-from .spans import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanTracer,
-    load_spans,
-    render_span_tree,
-    spans_to_jsonl_lines,
-)
+from .spans import Span, load_spans, render_span_tree, spans_to_jsonl_lines
 
 __all__ = [
     "BlackBoxRecorder",
@@ -93,6 +97,8 @@ __all__ = [
     "CsvExporter",
     "DEFAULT_EXPORTERS",
     "DEFAULT_LATENCY_BUCKETS",
+    "EventKind",
+    "EventLog",
     "Gauge",
     "Histogram",
     "Instruments",
@@ -101,12 +107,11 @@ __all__ = [
     "MonitorSet",
     "NULL_BLACKBOX",
     "NULL_INSTRUMENTS",
+    "NULL_LOG",
     "NULL_MONITORS",
-    "NULL_TRACER",
     "NullBlackBox",
     "NullInstruments",
     "NullMonitors",
-    "NullTracer",
     "PhaseTimer",
     "POOL_STATS",
     "PostmortemBundle",
@@ -114,12 +119,12 @@ __all__ = [
     "RunManifest",
     "STORE_STATS",
     "Span",
-    "SpanTracer",
     "SpansExporter",
     "SqliteExporter",
     "StatField",
     "StatsSchema",
     "TelemetryBundle",
+    "TraceEvent",
     "blackbox_enabled",
     "config_digest",
     "diff_metrics",

@@ -7,7 +7,8 @@ deque of full-state checkpoints captured by the simulation layer.  On a
 monitor violation, an unhandled exception, or an explicit request, the
 recorder flushes a self-contained *postmortem bundle* to disk: the
 config, a manifest with engine provenance, the surviving records, the
-retained checkpoints, and any spans/instruments the caller hands over.
+retained checkpoints, and the spans/instruments of the run's event log
+when the caller hands them over.
 
 ``repro postmortem <bundle>`` renders the bundle as an incident report
 (:func:`format_postmortem`); ``repro replay <bundle>`` restores the
@@ -18,8 +19,8 @@ recorded ones.
 This module follows the layering rule of the package: it never imports
 :mod:`repro.sim`.  Records and checkpoints are opaque dicts; the
 simulation side (``repro.sim.replay``) owns their schema.  The default
-:data:`NULL_BLACKBOX` mirrors ``NullInstruments``/``NullTracer``: one
-``enabled`` attribute load is the entire disabled-path cost.
+:data:`NULL_BLACKBOX` mirrors ``NULL_LOG``: one ``enabled`` attribute
+load is the entire disabled-path cost.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ class BlackBoxRecorder:
         config: Optional[Dict[str, Any]] = None,
         engine: Optional[Dict[str, Any]] = None,
         monitors: Optional[Dict[str, Any]] = None,
-        spans: Any = None,
+        spans: Optional[List[str]] = None,
         instruments: Optional[Dict[str, Any]] = None,
         error: Optional[str] = None,
         final_record: Optional[Dict[str, Any]] = None,
@@ -302,8 +303,7 @@ class BlackBoxRecorder:
             engine: ``engine_provenance()`` dict.
             monitors: monitor configuration (strictness + tolerances) so
                 replay can arm identical tripwires.
-            spans: a tracer with ``to_jsonl_lines()`` (or an iterable of
-                pre-serialized lines) for ``spans.jsonl``.
+            spans: ``spans.jsonl`` lines (``EventLog.span_lines()``).
             instruments: an instruments snapshot dict.
             error: stringified exception, if the run died.
             final_record: an extra record appended after the ring (the
@@ -338,13 +338,8 @@ class BlackBoxRecorder:
                 })
         if config is not None:
             (out / "config.json").write_text(json.dumps(config, indent=2))
-        if spans is not None:
-            lines = (
-                spans.to_jsonl_lines() if hasattr(spans, "to_jsonl_lines") else spans
-            )
-            lines = list(lines)
-            if lines:
-                (out / "spans.jsonl").write_text("\n".join(lines) + "\n")
+        if spans:
+            (out / "spans.jsonl").write_text("\n".join(spans) + "\n")
         if instruments is not None:
             (out / "instruments.json").write_text(
                 json.dumps(instruments, indent=2, default=_json_safe)
@@ -388,7 +383,7 @@ def _coerce(value: Any) -> Any:
 
 
 class NullBlackBox:
-    """The zero-overhead default (mirrors ``NullInstruments``).
+    """The zero-overhead default (mirrors ``NULL_LOG``).
 
     ``enabled`` is False; components guard every recording touch point
     on it, so the disabled path costs one attribute load.  The methods

@@ -8,6 +8,10 @@ relative/absolute delta exceeds the configured tolerances.  Wall-clock
 phase timers are deliberately excluded: they are machine noise, not
 drift.
 
+When both directories hold an ``events.jsonl``, the report also names
+the first event where the two runs diverge (:func:`event_divergence`):
+the metrics say *that* two runs differ, the event log says *where*.
+
 ``repro drift BENCH_x.json`` (one argument) diffs the file's last two
 append-only history rows, so a perf regression shows up without
 keeping two checkouts around.
@@ -20,13 +24,23 @@ from __future__ import annotations
 
 import fnmatch
 import json
+from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..utils.tables import format_table
 from .manifest import MANIFEST_FILENAME
 
-__all__ = ["diff_metrics", "format_drift", "load_metrics", "load_history_pair"]
+__all__ = [
+    "diff_metrics",
+    "event_divergence",
+    "format_drift",
+    "load_history_pair",
+    "load_metrics",
+]
+
+#: The event-log file of a telemetry directory.
+EVENTS_FILENAME = "events.jsonl"
 
 
 def _flatten(prefix: str, value: Any, out: Dict[str, float]) -> None:
@@ -174,3 +188,38 @@ def format_drift(
     )
     blocks.append(verdict)
     return "\n\n".join(blocks)
+
+
+def _describe_row(line: Optional[str]) -> str:
+    """One ``events.jsonl`` row as ``t=... kind=... subject=... value=...``."""
+    if line is None:
+        return "(no row: the log ends here)"
+    row = json.loads(line)
+    kind = row.get("kind", f"sample {row.get('series')}")
+    return (
+        f"t={row.get('t')} kind={kind} subject={row.get('subject', '-')} "
+        f"value={row.get('value')}"
+    )
+
+
+def event_divergence(a: Union[str, Path], b: Union[str, Path]) -> Optional[str]:
+    """The first differing ``events.jsonl`` row of two telemetry dirs.
+
+    Returns its line number plus both rows' ``t``, ``kind``,
+    ``subject`` and ``value`` (series samples show their series as the
+    kind), or ``None`` when either directory has no event log or the
+    two logs are identical.  Runs are deterministic, so the first
+    differing row is where the two trajectories part.
+    """
+    path_a, path_b = Path(a) / EVENTS_FILENAME, Path(b) / EVENTS_FILENAME
+    if not (path_a.is_file() and path_b.is_file()):
+        return None
+    with open(path_a) as fa, open(path_b) as fb:
+        for lineno, (la, lb) in enumerate(zip_longest(fa, fb), start=1):
+            if la != lb:
+                return (
+                    f"First diverging event: {EVENTS_FILENAME} line {lineno}\n"
+                    f"  A: {_describe_row(la)}\n"
+                    f"  B: {_describe_row(lb)}"
+                )
+    return None

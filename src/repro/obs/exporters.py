@@ -2,7 +2,7 @@
 
 An exporter turns one run's :class:`TelemetryBundle` — the instrument
 snapshot, the final summary, the configuration, and (optionally) the
-trace recorder and span tracer — into files inside a telemetry
+run's :class:`~repro.obs.log.EventLog` — into files inside a telemetry
 directory.  Exporters register in :data:`repro.registry.EXPORTERS`
 exactly like schedulers register in ``SCHEDULERS``, so third parties
 can add formats without touching the runner or the CLI::
@@ -15,22 +15,21 @@ can add formats without touching the runner or the CLI::
 
 Built-ins:
 
-* ``jsonl`` — ``events.jsonl`` (the trace's JSONL round-trip format)
-  plus ``metrics.jsonl`` (one JSON object per instrument);
+* ``jsonl`` — ``events.jsonl`` (the log's events and series samples,
+  its JSONL round-trip format) plus ``metrics.jsonl`` (one JSON object
+  per instrument);
 * ``prometheus`` — ``metrics.prom``, a Prometheus text-format snapshot;
-* ``csv`` — ``series.csv`` (long-format trace time series) and
+* ``csv`` — ``series.csv`` (the log's time series, long format) and
   ``instruments.csv``;
-* ``spans`` — ``spans.jsonl``, the hierarchical span tree
+* ``spans`` — ``spans.jsonl``, the log's phases as a span tree
   (:mod:`repro.obs.spans`), one span per line in open order;
 * ``sqlite`` — ``telemetry.sqlite``, a stdlib :mod:`sqlite3` database
   with one table for instruments and one for span rows (queryable
   without loading JSON; not in the defaults — opt in with
   ``--exporters``).
 
-This module never imports :mod:`repro.sim`; the trace is duck-typed
-(anything with ``events``, ``series`` and ``to_jsonl_lines()`` works),
-which keeps ``repro.obs`` importable from the simulation state without
-an import cycle.
+This module never imports :mod:`repro.sim`, which keeps ``repro.obs``
+importable from the simulation state without an import cycle.
 """
 
 from __future__ import annotations
@@ -64,21 +63,18 @@ class TelemetryBundle:
     """Everything one run hands to its exporters.
 
     Attributes:
-        instruments: an ``Instruments.snapshot()`` dict.
+        instruments: an instrument snapshot dict (for a run,
+            ``EventLog.snapshot()``).
         summary: the final ``SimulationSummary.as_dict()``.
         config: the run's ``config_to_dict`` view.
-        trace: the run's ``TraceRecorder`` (or ``None`` when only
-            instruments were collected).
-        spans: the run's ``SpanTracer`` (or ``None`` when no spans
-            were recorded).  Duck-typed: anything with ``to_rows()``
-            and ``to_jsonl_lines()`` works.
+        log: the run's :class:`~repro.obs.log.EventLog` (or ``None``
+            when only instruments were collected).
     """
 
     instruments: Dict[str, Any] = field(default_factory=dict)
     summary: Dict[str, float] = field(default_factory=dict)
     config: Dict[str, Any] = field(default_factory=dict)
-    trace: Optional[Any] = None
-    spans: Optional[Any] = None
+    log: Optional[Any] = None
 
 
 # Prometheus exposition format 0.0.4: metric names must match
@@ -118,21 +114,17 @@ def _prom_unique(metric: str, used: set) -> str:
 class JsonlExporter:
     """``events.jsonl`` + ``metrics.jsonl``: the line-oriented formats.
 
-    ``events.jsonl`` is written by the trace recorder itself (one event
-    or series sample per line), so a telemetry directory and a saved
-    trace are the same format; ``metrics.jsonl`` holds one object per
-    instrument with a ``"instrument"`` kind tag.
+    ``events.jsonl`` is the log's own JSONL format (one event or series
+    sample per line), so a telemetry directory and a saved log are the
+    same format; ``metrics.jsonl`` holds one object per instrument with
+    a ``"instrument"`` kind tag.
     """
 
     def export(self, out_dir: Path, bundle: TelemetryBundle) -> List[Path]:
         out_dir = Path(out_dir)
         written: List[Path] = []
-        if bundle.trace is not None:
-            events = out_dir / "events.jsonl"
-            with open(events, "w") as f:
-                for line in bundle.trace.to_jsonl_lines():
-                    f.write(line + "\n")
-            written.append(events)
+        if bundle.log is not None:
+            written.append(bundle.log.write_jsonl(out_dir / "events.jsonl"))
         metrics = out_dir / "metrics.jsonl"
         with open(metrics, "w") as f:
             snap = bundle.instruments
@@ -263,7 +255,7 @@ class PrometheusExporter:
 class CsvExporter:
     """``series.csv`` + ``instruments.csv``: spreadsheet-friendly views.
 
-    ``series.csv`` is the long-format dump of the trace's named time
+    ``series.csv`` is the long-format dump of the log's named time
     series (``series,time_s,value``); ``instruments.csv`` flattens the
     instrument snapshot to ``kind,name,field,value`` rows.
     """
@@ -271,12 +263,12 @@ class CsvExporter:
     def export(self, out_dir: Path, bundle: TelemetryBundle) -> List[Path]:
         out_dir = Path(out_dir)
         written: List[Path] = []
-        if bundle.trace is not None:
+        if bundle.log is not None:
             series_path = out_dir / "series.csv"
             with open(series_path, "w", newline="") as f:
                 writer = csv.writer(f)
                 writer.writerow(["series", "time_s", "value"])
-                for name, samples in bundle.trace.series.items():
+                for name, samples in bundle.log.series.items():
                     for t, v in samples:
                         writer.writerow([name, repr(float(t)), repr(float(v))])
             written.append(series_path)
@@ -299,21 +291,21 @@ class CsvExporter:
 
 
 class SpansExporter:
-    """``spans.jsonl``: the hierarchical span tree, one span per line.
+    """``spans.jsonl``: the log's span tree, one span per line.
 
     The format round-trips byte-for-byte through
     :func:`repro.obs.spans.load_spans` /
     :func:`repro.obs.spans.spans_to_jsonl_lines`, and ``repro report``
     renders it as an aggregated tree.  Writes nothing when the bundle
-    carries no span tracer.
+    carries no log or the log opened no phase.
     """
 
     def export(self, out_dir: Path, bundle: TelemetryBundle) -> List[Path]:
-        if bundle.spans is None:
+        if bundle.log is None or not bundle.log.spans:
             return []
         path = Path(out_dir) / "spans.jsonl"
         with open(path, "w") as f:
-            for line in bundle.spans.to_jsonl_lines():
+            for line in bundle.log.span_lines():
                 f.write(line + "\n")
         return [path]
 
@@ -364,7 +356,7 @@ class SqliteExporter:
                 "parent_id INTEGER, name TEXT, t0 REAL, t1 REAL, "
                 "duration_s REAL, attrs TEXT, events TEXT)"
             )
-            if bundle.spans is not None:
+            if bundle.log is not None:
                 conn.executemany(
                     "INSERT INTO spans VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                     [
@@ -378,7 +370,7 @@ class SqliteExporter:
                             json.dumps(row["attrs"]),
                             json.dumps(row["events"]),
                         )
-                        for row in bundle.spans.to_rows()
+                        for row in bundle.log.span_rows()
                     ],
                 )
             conn.commit()
@@ -390,7 +382,7 @@ class SqliteExporter:
 EXPORTERS.register(
     "jsonl",
     JsonlExporter,
-    doc="events.jsonl + metrics.jsonl (shared trace round-trip format).",
+    doc="events.jsonl + metrics.jsonl (the event log's round-trip format).",
 )
 EXPORTERS.register(
     "prometheus",

@@ -1,13 +1,13 @@
 """Lightweight run-time instruments: counters, gauges, histograms, timers.
 
-The simulation components record what they do — dispatch rounds, ERC
-releases, re-clusterings, battery depletions — and how long the hot
-phases take, through a small set of instruments owned by one
-:class:`Instruments` registry per run.  Instrumentation follows the
-same opt-in contract as :class:`repro.sim.trace.TraceRecorder`: the
+The experiment layer (executor, pool, result store) counts what it
+does — cells, store hits, pool tasks — through a small set of
+instruments owned by one :class:`Instruments` registry per call; the
 default :class:`NullInstruments` hands out shared no-op singletons, so
-a run without telemetry pays a single attribute load per touch point
-and nothing else.
+an uninstrumented call pays a single attribute load per touch point
+and nothing else.  A simulation's instruments are not recorded live:
+:meth:`repro.obs.log.EventLog.snapshot` derives them from the run's
+event log into an :class:`Instruments` registry.
 
 Instruments are identified by dotted names (``fleet.dispatch``,
 ``gate.requests_released``); exporters (:mod:`repro.obs.exporters`)
@@ -79,10 +79,10 @@ class Histogram:
     """A streaming summary of observed values (count/total/min/max).
 
     Keeps O(1) state rather than the raw samples: per-sample series
-    belong in the trace recorder, which timestamps them.  Passing
+    belong in the event log, which timestamps them.  Passing
     ``buckets`` (a sorted sequence of upper bounds) additionally keeps
-    per-bucket counts, enabling Prometheus ``_bucket`` series and
-    approximate quantiles; without buckets the cost stays four floats.
+    per-bucket counts, enabling Prometheus ``_bucket`` series; without
+    buckets the cost stays four floats.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets", "bucket_counts")
@@ -117,54 +117,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bucket counts (upper-bound rule).
-
-        Requires buckets; values past the last bound report the
-        observed max (the honest cap for an open-ended bucket).
-        """
-        if self.buckets is None:
-            raise ValueError(f"histogram {self.name!r} has no buckets; cannot take quantiles")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for bound, n in zip(self.buckets, self.bucket_counts):
-            seen += n
-            if seen >= rank:
-                return bound
-        return self.max
-
-    def merge(self, summary: Dict[str, Any]) -> None:
-        """Fold another histogram's ``summary()`` into this one.
-
-        Addition is commutative, so merging worker deltas in any
-        arrival order yields the same totals — the same property span
-        ``absorb()`` relies on.  Bucket layouts must match when both
-        sides have them.
-        """
-        count = int(summary.get("count", 0))
-        if not count:
-            return
-        self.count += count
-        self.total += float(summary.get("total", 0.0))
-        smin = float(summary.get("min", 0.0))
-        smax = float(summary.get("max", 0.0))
-        if smin < self.min:
-            self.min = smin
-        if smax > self.max:
-            self.max = smax
-        theirs = summary.get("buckets")
-        if self.buckets is not None and theirs:
-            if len(theirs) != len(self.bucket_counts):
-                raise ValueError(
-                    f"histogram {self.name!r}: bucket layout mismatch in merge"
-                )
-            for i, n in enumerate(theirs):
-                self.bucket_counts[i] += int(n)
 
     def summary(self) -> Dict[str, Any]:
         """The JSON-friendly view used by snapshots and exporters.
@@ -320,9 +272,6 @@ class _NullHistogram:
     def observe(self, value: float) -> None:
         pass
 
-    def merge(self, summary: Dict[str, Any]) -> None:
-        pass
-
     def summary(self) -> Dict[str, float]:
         return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
 
@@ -344,11 +293,11 @@ _NULL_TIMER = _NullTimer()
 
 
 class NullInstruments:
-    """The zero-overhead fast path (mirrors ``trace.NullRecorder``).
+    """The zero-overhead fast path.
 
     Every accessor returns a shared no-op singleton, so instrumented
-    code needs no conditionals: ``with self._t_dispatch:`` costs two
-    empty method calls when telemetry is off.
+    code needs no conditionals: ``with obs.timer("executor.map"):``
+    costs two empty method calls when telemetry is off.
     """
 
     enabled = False

@@ -17,14 +17,15 @@ end-of-run counters cannot see being broken mid-run:
 * **RV capacity** — no plan's travel + delivery cost exceeds the RV's
   energy budget.
 
-A :class:`MonitorSet` attaches to the simulation through the same state
-hook as the instruments; components guard the extra work with
-``monitors.enabled`` so the default :class:`NullMonitors` costs one
-attribute load per touch point.  Violations are recorded on the
-``violations`` list, counted under ``monitors.*`` instruments, emitted
-as span events, and — with ``REPRO_STRICT_MONITORS=1`` (or
-``strict=True``) — raised immediately as :class:`InvariantViolation`
-so a broken run fails fast instead of producing a plausible table.
+A :class:`MonitorSet` attaches to the simulation state next to the
+event log; components guard the extra work with ``monitors.enabled``
+so the default :class:`NullMonitors` costs one attribute load per
+touch point.  Violations are recorded on the ``violations`` list,
+marked on the run's :class:`~repro.obs.log.EventLog` (its snapshot
+counts them under ``monitors.*``), and — with
+``REPRO_STRICT_MONITORS=1`` (or ``strict=True``) — raised immediately
+as :class:`InvariantViolation` so a broken run fails fast instead of
+producing a plausible table.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .instruments import NULL_INSTRUMENTS
-from .spans import NULL_TRACER
+from .log import NULL_LOG, VIOLATION
 
 __all__ = [
     "InvariantViolation",
@@ -59,10 +59,9 @@ class MonitorSet:
     """The active invariant monitors for one run.
 
     Args:
-        instruments: an :class:`~repro.obs.instruments.Instruments`
-            registry for the ``monitors.*`` violation counters.
-        spans: a :class:`~repro.obs.spans.SpanTracer`; violations are
-            attached to the currently open span as events.
+        log: the run's :class:`~repro.obs.log.EventLog`; each violation
+            is marked on it (on the open phase, and counted in its
+            snapshot).
         strict: raise :class:`InvariantViolation` on the first
             violation.  ``None`` consults ``REPRO_STRICT_MONITORS``.
         blackbox: a :class:`~repro.obs.blackbox.BlackBoxRecorder`;
@@ -87,22 +86,17 @@ class MonitorSet:
 
     def __init__(
         self,
-        instruments=None,
-        spans=None,
+        log=None,
         strict: Optional[bool] = None,
         blackbox=None,
     ) -> None:
-        self.instruments = instruments if instruments is not None else NULL_INSTRUMENTS
-        self.spans = spans if spans is not None else NULL_TRACER
+        self.log = log if log is not None else NULL_LOG
         self.strict = strict_monitors_default() if strict is None else bool(strict)
         self.blackbox = blackbox
         atol = os.environ.get("REPRO_MONITOR_ATOL_J")
         if atol is not None:
             self.ENERGY_ATOL_J = float(atol)
         self.violations: List[Dict[str, Any]] = []
-        # Pre-create the total so a clean run's snapshot shows an
-        # explicit zero (CI gates on it).
-        self._c_total = self.instruments.counter("monitors.violations")
 
     # -- recording ----------------------------------------------------
 
@@ -114,11 +108,7 @@ class MonitorSet:
         }
         record.update(attrs)
         self.violations.append(record)
-        self._c_total.inc()
-        self.instruments.counter(f"monitors.{invariant}.violations").inc()
-        self.spans.event(
-            "invariant.violation", invariant=invariant, t_sim=float(t), message=message
-        )
+        self.log.mark(VIOLATION, invariant=invariant, t_sim=float(t), message=message)
         if self.blackbox is not None and self.blackbox.enabled:
             self.blackbox.note_violation(record)
         if self.strict:
@@ -385,7 +375,7 @@ class MonitorSet:
 
 
 class NullMonitors:
-    """The zero-overhead fast path (mirrors ``NullInstruments``).
+    """The zero-overhead fast path.
 
     ``enabled`` is False, so components skip the pre-copy work
     (battery snapshots, backlog maps) entirely; the check methods are

@@ -1,52 +1,36 @@
-"""Hierarchical wall-clock spans: the run's flight recorder.
+"""Span rows: the ``spans.jsonl`` record, its JSONL helpers, the tree.
 
 A *span* is one timed piece of work with a name, a parent, structured
-attributes and point-in-time events — the per-decision analogue of the
-aggregate :class:`~repro.obs.instruments.PhaseTimer`.  The simulation
-opens spans around the run, every tick/dispatch/relocation event and
-each component phase (``energy.advance``, ``scheduler.assign``, ...),
-so an archived ``spans.jsonl`` replays *which tick, which cluster,
-which scheduler decision* produced a result.
+attributes and point-in-time events.  The run's
+:class:`~repro.obs.log.EventLog` opens one per phase (the run, every
+tick/dispatch/relocation event and each component phase:
+``energy.advance``, ``scheduler.assign``...), so an archived
+``spans.jsonl`` replays *which tick, which cluster, which scheduler
+decision* produced a result.
 
-The tracer follows the same opt-in contract as
-:class:`~repro.obs.instruments.NullInstruments`: the default
-:class:`NullTracer` hands out one shared no-op span, so an
-uninstrumented run pays an attribute load and an empty context manager
-per touch point and nothing else.
-
-Serialization round-trips exactly: :meth:`SpanTracer.to_jsonl_lines`
-emits one JSON object per span in open order with a fixed key order,
-:func:`load_spans` reads them back, and re-dumping loaded rows with
-:func:`spans_to_jsonl_lines` reproduces the file byte for byte (JSON
-floats are shortest-round-trip).  Attribute values are coerced to
+Serialization round-trips exactly: :meth:`Span.to_row` has a fixed key
+order, :func:`load_spans` reads rows back, and re-dumping loaded rows
+with :func:`spans_to_jsonl_lines` reproduces the file byte for byte
+(JSON floats are shortest-round-trip).  Attribute values are coerced to
 JSON-native types at record time so live rows and reloaded rows are
 interchangeable.
-
-Process pools: a worker serializes its tracer with :meth:`to_rows`;
-the parent calls :meth:`absorb` to splice the rows under its own sweep
-span, renumbering ids deterministically (rows in open order, one new id
-each), so a ``--jobs N`` trace reads exactly like the serial one.
 """
 
 from __future__ import annotations
 
 import json
+from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
-    "SpanTracer",
     "load_spans",
     "render_span_tree",
     "spans_to_jsonl_lines",
 ]
 
-import time
 
-
-def _json_safe(value: Any) -> Any:
+def json_safe(value: Any) -> Any:
     """Coerce an attribute value to a JSON-native equivalent.
 
     Live spans must serialize to exactly what a reload would produce,
@@ -56,12 +40,12 @@ def _json_safe(value: Any) -> Any:
     if value is None or type(value) in (bool, int, float, str):
         return value
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [json_safe(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
+        return {str(k): json_safe(v) for k, v in value.items()}
     tolist = getattr(value, "tolist", None)  # numpy scalars and arrays
     if tolist is not None:
-        return _json_safe(tolist())
+        return json_safe(tolist())
     if isinstance(value, bool):
         return bool(value)
     if isinstance(value, int):
@@ -80,10 +64,12 @@ class Span:
     meaningful; absolute values are process-relative).  ``attrs`` holds
     structured context (cluster id, RV id, profit delta, cache
     hit/miss); ``events`` are timestamped point occurrences inside the
-    span (sortie assignments, invariant violations).
+    span (sortie assignments, invariant violations).  A span opened by
+    an event log is its own ``with`` block: entering stamps ``t0``,
+    leaving stamps ``t1`` and pops it off the log's open stack.
     """
 
-    __slots__ = ("span_id", "parent_id", "name", "t0", "t1", "attrs", "events")
+    __slots__ = ("span_id", "parent_id", "name", "t0", "t1", "attrs", "events", "_stack")
 
     def __init__(
         self,
@@ -94,6 +80,7 @@ class Span:
         t1: float = 0.0,
         attrs: Optional[Dict[str, Any]] = None,
         events: Optional[List[Dict[str, Any]]] = None,
+        stack: Optional[List["Span"]] = None,
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -102,6 +89,16 @@ class Span:
         self.t1 = t1
         self.attrs = attrs if attrs is not None else {}
         self.events = events if events is not None else []
+        self._stack = stack
+
+    def __enter__(self) -> "Span":
+        self.t0 = perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.t1 = perf_counter()
+        # Spans close strictly LIFO (they are `with` blocks).
+        self._stack.pop()
 
     @property
     def duration_s(self) -> float:
@@ -110,15 +107,8 @@ class Span:
     def set(self, **attrs: Any) -> "Span":
         """Attach (or overwrite) structured attributes."""
         for key, value in attrs.items():
-            self.attrs[key] = _json_safe(value)
+            self.attrs[key] = json_safe(value)
         return self
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Record a point-in-time event inside this span."""
-        record: Dict[str, Any] = {"name": name, "t": time.perf_counter()}
-        for key, value in attrs.items():
-            record[key] = _json_safe(value)
-        self.events.append(record)
 
     def to_row(self) -> Dict[str, Any]:
         """The canonical JSON row (fixed key order for byte round-trips)."""
@@ -140,135 +130,8 @@ class Span:
         )
 
 
-class _SpanContext:
-    """Context manager opening one span on a tracer's stack."""
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "SpanTracer", name: str, attrs: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._span = tracer._open(name, attrs)
-
-    def __enter__(self) -> Span:
-        self._span.t0 = time.perf_counter()
-        return self._span
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._span.t1 = time.perf_counter()
-        self._tracer._close(self._span)
-
-
-class SpanTracer:
-    """Records a tree of spans (the live side of ``spans.jsonl``).
-
-    ``span(name, **attrs)`` opens a child of the currently open span (a
-    root when the stack is empty) and is used as a context manager;
-    ``event(name, **attrs)`` attaches to the innermost open span and is
-    dropped when none is open.  Spans are kept in open order with
-    sequential ids starting at 1 — a deterministic layout given a
-    deterministic call sequence, which the ``--jobs N`` merge relies on.
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self._spans: List[Span] = []
-        self._stack: List[Span] = []
-        self._next_id = 1
-
-    # -- recording ----------------------------------------------------
-
-    def span(self, name: str, **attrs: Any) -> _SpanContext:
-        return _SpanContext(self, name, attrs)
-
-    def event(self, name: str, **attrs: Any) -> None:
-        if self._stack:
-            self._stack[-1].event(name, **attrs)
-
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
-    def _open(self, name: str, attrs: Dict[str, Any]) -> Span:
-        parent = self._stack[-1].span_id if self._stack else None
-        span = Span(self._next_id, parent, name)
-        if attrs:
-            span.set(**attrs)
-        self._next_id += 1
-        self._spans.append(span)
-        self._stack.append(span)
-        return span
-
-    def _close(self, span: Span) -> None:
-        # Spans close strictly LIFO (they are `with` blocks).
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-
-    # -- merging (process-pool support) -------------------------------
-
-    def absorb(
-        self,
-        rows: Iterable[Dict[str, Any]],
-        parent: Optional[Span] = None,
-        root_attrs: Optional[Dict[str, Any]] = None,
-    ) -> List[Span]:
-        """Splice serialized spans from another tracer under ``parent``.
-
-        Ids are renumbered in row order (each row takes the next id of
-        this tracer), internal parent links are remapped, and rows that
-        were roots in the worker become children of ``parent`` (or stay
-        roots).  ``root_attrs`` merges extra attributes into those
-        re-rooted rows (the executor tags cells with their grid index
-        and cache status this way).
-        """
-        mapping: Dict[int, int] = {}
-        absorbed: List[Span] = []
-        for row in rows:
-            old_id = row["id"]
-            new_id = self._next_id
-            self._next_id += 1
-            mapping[old_id] = new_id
-            old_parent = row.get("parent")
-            if old_parent is None:
-                parent_id = parent.span_id if parent is not None else None
-            else:
-                parent_id = mapping.get(old_parent)
-            span = Span(
-                new_id,
-                parent_id,
-                row["name"],
-                t0=row.get("t0", 0.0),
-                t1=row.get("t1", 0.0),
-                attrs=dict(row.get("attrs", {})),
-                events=list(row.get("events", [])),
-            )
-            if old_parent is None and root_attrs:
-                span.set(**root_attrs)
-            self._spans.append(span)
-            absorbed.append(span)
-        return absorbed
-
-    # -- serialization ------------------------------------------------
-
-    def to_rows(self) -> List[Dict[str, Any]]:
-        """All spans as JSON rows, in open order."""
-        return [span.to_row() for span in self._spans]
-
-    def to_jsonl_lines(self) -> List[str]:
-        return spans_to_jsonl_lines(self.to_rows())
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as f:
-            for line in self.to_jsonl_lines():
-                f.write(line + "\n")
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-
 def spans_to_jsonl_lines(rows: Iterable[Dict[str, Any]]) -> List[str]:
-    """Serialize span rows exactly as the tracer would.
+    """Serialize span rows as ``spans.jsonl`` lines.
 
     ``json.dumps`` with default separators over rows whose key order is
     canonical — dumping loaded rows reproduces the original lines byte
@@ -306,68 +169,6 @@ def load_spans(
     return rows
 
 
-class _NullSpan:
-    """The shared do-nothing span (and its own context manager)."""
-
-    __slots__ = ()
-    span_id = 0
-    parent_id = None
-    name = ""
-    t0 = 0.0
-    t1 = 0.0
-    duration_s = 0.0
-    attrs: Dict[str, Any] = {}
-    events: List[Dict[str, Any]] = []
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-    def event(self, name: str, **attrs: Any) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The zero-overhead fast path (mirrors ``NullInstruments``)."""
-
-    enabled = False
-    current = None
-
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def event(self, name: str, **attrs: Any) -> None:
-        pass
-
-    def absorb(self, rows, parent=None, root_attrs=None) -> List[Span]:
-        return []
-
-    def to_rows(self) -> List[Dict[str, Any]]:
-        return []
-
-    def to_jsonl_lines(self) -> List[str]:
-        return []
-
-    def write_jsonl(self, path) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: The shared default; simulation state falls back to it when no span
-#: tracer is attached (one instance is enough — it holds no state).
-NULL_TRACER = NullTracer()
-
-
 def render_span_tree(rows: List[Dict[str, Any]], max_depth: int = 6) -> str:
     """An aggregated ASCII tree over serialized span rows.
 
@@ -376,8 +177,7 @@ def render_span_tree(rows: List[Dict[str, Any]], max_depth: int = 6) -> str:
     spans; nobody wants hundreds of lines), and the collapse recurses:
     the children of every ``tick`` aggregate together one level down.
     Event totals are shown per group.  Durations are wall-clock sums,
-    so a phase line's total matches the matching ``PhaseTimer`` within
-    measurement tolerance.
+    so a timed phase's line total is its phase timer's total.
     """
     if not rows:
         return "(no spans recorded)"

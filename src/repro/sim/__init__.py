@@ -18,7 +18,6 @@ from .runner import (
     run_simulation,
     run_with_telemetry,
 )
-from .trace import EventKind, NullRecorder, TraceEvent, TraceRecorder
 from .world import World
 
 __all__ = [
@@ -28,14 +27,10 @@ __all__ = [
     "EventHandle",
     "FleetController",
     "HOUR_S",
-    "EventKind",
     "MetricsCollector",
-    "NullRecorder",
     "RequestGate",
     "SimulationConfig",
     "SimulationState",
-    "TraceEvent",
-    "TraceRecorder",
     "SimulationSummary",
     "Simulator",
     "World",

@@ -125,8 +125,8 @@ def _batchable_world(world: World) -> Optional[str]:
     if s.cfg.self_discharge_fraction_per_day > 0:
         # The batched recompute prices no charge-proportional leakage.
         return "battery leakage configured"
-    if s.trace.enabled:
-        return "semantic trace recorder attached"
+    if s.log.enabled:
+        return "event log attached"
     return None
 
 
@@ -528,7 +528,6 @@ class BatchedEngine:
                 w = worlds[b]
                 n_died = int(died_counts[b])
                 logger.debug("t=%.0fs: %d sensor(s) depleted", T, n_died)
-                w.energy._c_depletions.inc(n_died)
                 if w.energy.on_deaths is not None:
                     w.energy.on_deaths(n_died)
                 w.energy.recompute()
@@ -554,7 +553,6 @@ class BatchedEngine:
                     w = worlds[b]
                     k = int(counts[b])
                     w.energy.breakdown_j["notifications"] += k * pair_j
-                    w.clusters._c_handoffs.inc(k)
                     if self._bbs[b].enabled:
                         self._bbs[b].note("handoffs", k)
             # Hand-off drains can empty a battery: re-derive alive for

@@ -16,9 +16,9 @@ import numpy as np
 
 from ...core.clustering import Cluster, ClusterSet
 from ...geometry.coverage import detection_matrix
+from ...obs.log import EventKind
 from ...registry import ACTIVATORS, CLUSTERINGS
 from ..soa import pack_clusters, wrap_activator
-from ..trace import EventKind
 from .state import SimulationState
 
 __all__ = ["ClusterManager"]
@@ -35,16 +35,11 @@ class ClusterManager:
         self._cluster_fn = CLUSTERINGS.get(
             getattr(state.cfg, "clustering", "balanced")
         )
-        obs = state.instruments
-        self._t_rebuild = obs.timer("clusters.rebuild")
-        self._c_relocations = obs.counter("clusters.relocations")
-        self._c_handoffs = obs.counter("clusters.handoffs")
-        self._sp = state.spans
         self.rebuild()
 
     def rebuild(self) -> None:
         """Re-form clusters over the alive sensors for the current targets."""
-        with self._t_rebuild, self._sp.span("clusters.rebuild") as span:
+        with self.s.log.phase("clusters.rebuild") as span:
             self._rebuild()
             span.set(clusters=len(self.s.cluster_set))
 
@@ -78,9 +73,7 @@ class ClusterManager:
         s = self.s
         s.targets.relocate()
         logger.debug("t=%.0fs: targets relocated (epoch %d)", s.now, s.targets.epoch)
-        self._c_relocations.inc()
-        if s.trace.enabled:
-            s.trace.emit(s.now, EventKind.TARGETS_RELOCATED, s.targets.epoch)
+        s.log.emit(s.now, EventKind.TARGETS_RELOCATED, s.targets.epoch)
         if s.blackbox.enabled:
             s.blackbox.note("relocated_epoch", int(s.targets.epoch))
         self.rebuild()
@@ -95,9 +88,7 @@ class ClusterManager:
         s = self.s
         handoffs = s.activator.rotate(s.arrays.alive)
         if len(handoffs):
-            self._c_handoffs.inc(len(handoffs))
             if s.blackbox.enabled:
                 s.blackbox.note("handoffs", int(len(handoffs)))
-            if s.trace.enabled:
-                s.trace.emit(s.now, EventKind.ROTATION, -1, float(len(handoffs)))
+            s.log.emit(s.now, EventKind.ROTATION, -1, float(len(handoffs)))
         return handoffs

@@ -7,7 +7,7 @@ power model of the whole sensor network:
   active sensing + ETX-weighted relay load + optional leakage) from the
   current activation and routing state;
 * :meth:`advance` drains every battery analytically for the elapsed
-  interval and reports depletions (trace events + a death callback for
+  interval and reports depletions (log events + a death callback for
   the ERC policy);
 * :meth:`apply_handoffs` charges rotation notification packets;
 * :meth:`breakdown` exposes the cumulative per-category Joules.
@@ -69,8 +69,8 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ...obs.log import EventKind
 from ..soa import subtree_counts, subtree_index
-from ..trace import EventKind
 from .state import SimulationState
 
 __all__ = ["EnergyAccounting"]
@@ -127,11 +127,6 @@ class EnergyAccounting:
         # The (alive, active) mask bytes the rates buffer was priced
         # from; None forces the next recompute to re-price.
         self._priced_key: Optional[bytes] = None
-        obs = state.instruments
-        self._t_recompute = obs.timer("energy.recompute")
-        self._t_advance = obs.timer("energy.advance")
-        self._c_depletions = obs.counter("energy.depletions")
-        self._sp = state.spans
         self.recompute()
 
     # ------------------------------------------------------------------
@@ -142,7 +137,7 @@ class EnergyAccounting:
         Also keeps the per-category totals (idle / sensing / relay /
         leakage, in Watts) used by :meth:`breakdown`.
         """
-        with self._t_recompute, self._sp.span("energy.recompute"):
+        with self.s.log.phase("energy.recompute"):
             self._recompute()
 
     def _recompute(self) -> None:
@@ -220,7 +215,7 @@ class EnergyAccounting:
             s.monitors.check_alive_mask(self.alive, s.bank.levels_j, s.now)
         dt = s.now - self._last_t
         if dt > 0:
-            with self._t_advance, self._sp.span("energy.advance", dt=dt):
+            with s.log.phase("energy.advance", dt=dt):
                 self._advance(dt)
 
     def _advance(self, dt: float) -> None:
@@ -243,10 +238,9 @@ class EnergyAccounting:
         n_died = int(np.count_nonzero(died))
         if n_died:
             logger.debug("t=%.0fs: %d sensor(s) depleted", s.now, n_died)
-            self._c_depletions.inc(n_died)
-            if s.trace.enabled:
+            if s.log.enabled:
                 for v in np.flatnonzero(died):
-                    s.trace.emit(s.now, EventKind.SENSOR_DEPLETED, int(v))
+                    s.log.emit(s.now, EventKind.SENSOR_DEPLETED, int(v))
             if self.on_deaths is not None:
                 self.on_deaths(n_died)
             # Depleted sensors stop sensing and relaying; the recompute

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from ...core.scheduling import RVView, Scheduler
 from ...mobility.vehicles import RechargingVehicle
-from ..trace import EventKind
+from ...obs.log import EventKind
 from .energy import EnergyAccounting
 from .gate import RequestGate
 from .state import PRIO_RV, SimulationState
@@ -72,20 +72,6 @@ class FleetController:
         self.returning = self.a.rv_returning
         for rv in self.rvs:
             self._sync_rv(rv)
-        obs = state.instruments
-        self._sp = state.spans
-        self._t_dispatch = obs.timer("fleet.dispatch")
-        self._t_assign = obs.timer("scheduler.assign")
-        self._c_rounds = obs.counter("fleet.dispatch_rounds")
-        self._c_sorties = obs.counter("fleet.sorties")
-        self._c_legs = obs.counter("fleet.legs")
-        self._c_depot_returns = obs.counter("fleet.depot_returns")
-        self._h_sortie_stops = obs.histogram("fleet.sortie_stops")
-        self._h_delivered = obs.histogram("fleet.delivered_j")
-        self._rv_sorties = [obs.counter(f"fleet.rv{i}.sorties") for i in range(cfg.n_rvs)]
-        self._rv_delivered = [
-            obs.counter(f"fleet.rv{i}.delivered_j") for i in range(cfg.n_rvs)
-        ]
 
     def _sync_rv(self, rv: RechargingVehicle) -> None:
         """Write-through one RV's observable state into the SoA block."""
@@ -124,20 +110,17 @@ class FleetController:
         views = self.idle_views()
         if not views:
             return
-        with self._t_dispatch, self._sp.span(
-            "fleet.dispatch", backlog=len(s.requests), idle_rvs=len(views)
-        ):
+        with s.log.phase("fleet.dispatch", backlog=len(s.requests), idle_rvs=len(views)):
             self._dispatch(views)
 
     def _dispatch(self, views: List[RVView]) -> None:
         s = self.s
         mon = s.monitors
-        sp = self._sp
-        self._c_rounds.inc()
+        log = s.log
         observe = getattr(self.scheduler, "observe_time", None)
         if observe is not None:
             observe(s.now)
-        if mon.enabled or sp.enabled:
+        if mon.enabled or log.enabled:
             # Backlog snapshot *before* assignment: chained schedulers
             # consume the request list in place.
             node_cluster = {int(r.node_id): int(r.cluster_id) for r in s.requests}
@@ -146,7 +129,7 @@ class FleetController:
                 if cid != -1:
                     backlog_per_cluster[cid] = backlog_per_cluster.get(cid, 0) + 1
             views_by_id = {v.rv_id: v for v in views}
-        with self._t_assign, sp.span("scheduler.assign") as assign_span:
+        with log.phase("scheduler.assign") as assign_span:
             plans = self.scheduler.assign(s.requests, views, s.rng)
         assign_span.set(
             scheduler=getattr(self.scheduler, "name", type(self.scheduler).__name__),
@@ -175,12 +158,12 @@ class FleetController:
             rv = self.rvs[rv_id]
             rv.begin_sortie(list(plan.node_ids))
             self._sync_rv(rv)
-            self._c_sorties.inc()
-            self._rv_sorties[rv_id].inc()
-            self._h_sortie_stops.observe(len(plan))
-            if sp.enabled:
-                sp.event(
-                    "sortie.assigned",
+            if log.enabled:
+                log.emit(
+                    s.now,
+                    EventKind.SORTIE_ASSIGNED,
+                    rv_id,
+                    float(len(plan)),
                     rv_id=rv_id,
                     stops=len(plan),
                     profit_j=float(plan.profit_j),
@@ -189,8 +172,6 @@ class FleetController:
                         {node_cluster.get(int(n), -1) for n in plan.node_ids} - {-1}
                     ),
                 )
-            if s.trace.enabled:
-                s.trace.emit(s.now, EventKind.SORTIE_ASSIGNED, rv_id, float(len(plan)))
             self._next_leg(rv)
         # Idle RVs that got nothing while work exists go home to refill
         # (an empty budget is the usual reason the scheduler skipped them).
@@ -221,9 +202,7 @@ class FleetController:
         self.energy.advance()
         rv.return_to_depot()
         self._sync_rv(rv)
-        self._c_depot_returns.inc()
-        if s.trace.enabled:
-            s.trace.emit(s.now, EventKind.RV_RETURNED_HOME, rv.rv_id)
+        s.log.emit(s.now, EventKind.RV_RETURNED_HOME, rv.rv_id)
         if s.cfg.rv_depot_dwell_s > 0:
             # The RV stays docked (still "returning") while its own
             # battery refills at the base station.
@@ -260,9 +239,7 @@ class FleetController:
         node = rv.itinerary.pop(0)
         rv.move_to(s.sensor_pos[node])
         self._sync_rv(rv)
-        self._c_legs.inc()
-        if s.trace.enabled:
-            s.trace.emit(s.now, EventKind.RV_ARRIVED, rv.rv_id, float(node))
+        s.log.emit(s.now, EventKind.RV_ARRIVED, rv.rv_id, float(node))
         demand = float(s.bank.demands_j[node])
         charge_time = s.cfg.charge_model.charge_time_s(demand)
         s.sim.schedule_in(
@@ -276,14 +253,11 @@ class FleetController:
         self.energy.advance()
         was_depleted = bool(s.bank.levels_j[node] <= 0.0)
         delivered = s.bank.charge_to_full([node])
-        if s.trace.enabled:
-            s.trace.emit(s.now, EventKind.NODE_RECHARGED, int(node), delivered)
-            if was_depleted:
-                s.trace.emit(s.now, EventKind.SENSOR_REVIVED, int(node))
+        s.log.emit(s.now, EventKind.NODE_RECHARGED, int(node), delivered)
+        if was_depleted:
+            s.log.emit(s.now, EventKind.SENSOR_REVIVED, int(node))
         rv.deliver(delivered, s.cfg.charge_model.efficiency)
         self._sync_rv(rv)
-        self._h_delivered.observe(delivered)
-        self._rv_delivered[rv.rv_id].inc(delivered)
         self.gate.mark_recharged(node)
         # A refilled node may have been depleted: rates and coverage change.
         self.energy.recompute()

@@ -17,9 +17,9 @@ import numpy as np
 
 from ...core.erc import EnergyRequestController
 from ...core.requests import RechargeRequest
+from ...obs.log import EventKind
 from ...registry import ERC_POLICIES, erc_policy_name
 from ..soa import erc_release_scan, erc_scan_applicable
-from ..trace import EventKind
 from .state import SimulationState
 
 __all__ = ["RequestGate"]
@@ -52,12 +52,6 @@ class RequestGate:
         # The scan inputs right after the last scan's release: a state
         # equal to it releases nothing (see _check).
         self._quiet_key = None
-        obs = state.instruments
-        self._t_check = obs.timer("gate.check")
-        self._c_released = obs.counter("gate.requests_released")
-        self._c_recharges = obs.counter("gate.recharges")
-        self._g_backlog = obs.gauge("gate.backlog")
-        self._sp = state.spans
 
     @property
     def requests(self):
@@ -71,7 +65,7 @@ class RequestGate:
 
     def check(self) -> bool:
         """Run the ERC gate; returns True if anything was released."""
-        with self._t_check, self._sp.span("gate.check") as span:
+        with self.s.log.phase("gate.check") as span:
             released = self._check()
             span.set(released=released)
             return released
@@ -134,34 +128,25 @@ class RequestGate:
         """
         s = self.s
         for node in to_release:
-            s.requests.add(
-                RechargeRequest(
-                    node_id=int(node),
-                    position=s.sensor_pos[node],
-                    demand_j=float(s.bank.demands_j[node]),
-                    cluster_id=s.cluster_set.cluster_of(int(node)),
-                    release_time_s=s.now,
-                )
+            request = RechargeRequest(
+                node_id=int(node),
+                position=s.sensor_pos[node],
+                demand_j=float(s.bank.demands_j[node]),
+                cluster_id=s.cluster_set.cluster_of(int(node)),
+                release_time_s=s.now,
             )
+            s.requests.add(request)
             s.requested[node] = True
             s.metrics.note_request(int(node), s.now)
-            if s.trace.enabled:
-                s.trace.emit(
-                    s.now,
-                    EventKind.REQUEST_RELEASED,
-                    int(node),
-                    float(s.bank.demands_j[node]),
-                )
+            s.log.emit(s.now, EventKind.REQUEST_RELEASED, int(node), request.demand_j)
         if to_release:
             logger.debug(
                 "t=%.0fs: ERC released %d request(s), backlog %d",
                 s.now, len(to_release), len(s.requests),
             )
-            self._c_released.inc(len(to_release))
             if s.blackbox.enabled:
                 s.blackbox.note("erc_released", [int(n) for n in to_release])
                 s.blackbox.note("erp", float(self.erc.erp))
-        self._g_backlog.set(len(s.requests))
         return bool(to_release)
 
     def mark_recharged(self, node: int) -> None:
@@ -169,8 +154,6 @@ class RequestGate:
         self.s.requested[node] = False
         self.s.requests.remove(node)  # in case it was still listed
         self.s.metrics.note_recharge(node, self.s.now)
-        self._c_recharges.inc()
-        self._g_backlog.set(len(self.s.requests))
 
     def note_deaths(self, count: int) -> None:
         """Forward sensor depletions to policies that adapt on them."""

@@ -33,15 +33,13 @@ from ...network.linkquality import apply_etx_metric
 from ...network.routing import RoutingTree
 from ...network.topology import Topology
 from ...obs.blackbox import NULL_BLACKBOX
-from ...obs.instruments import NULL_INSTRUMENTS
+from ...obs.log import NULL_LOG
 from ...obs.monitors import NULL_MONITORS
-from ...obs.spans import NULL_TRACER
 from ...registry import MOBILITY_MODELS
 from ..config import SimulationConfig
 from ..engine import Simulator
 from ..metrics import MetricsCollector
 from ..soa import StateArrays
-from ..trace import NullRecorder
 
 __all__ = [
     "PRIO_DISPATCH",
@@ -65,7 +63,6 @@ class SimulationState:
     cfg: SimulationConfig
     rng: np.random.Generator
     sim: Simulator
-    trace: object
     field: Field
     power: NodePowerModel
     # -- sensors ----------------------------------------------------
@@ -88,18 +85,15 @@ class SimulationState:
     requests: RechargeNodeList = field(default_factory=RechargeNodeList)
     requested: np.ndarray = None  # type: ignore[assignment]
     # -- observability (NULL_* defaults = zero-overhead no-ops) ------
-    instruments: object = NULL_INSTRUMENTS
-    spans: object = NULL_TRACER
+    log: object = NULL_LOG
     monitors: object = NULL_MONITORS
     blackbox: object = NULL_BLACKBOX
 
     def __post_init__(self) -> None:
         if self.requested is None:
             self.requested = np.zeros(self.cfg.n_sensors, dtype=bool)
-        if self.instruments is None:
-            self.instruments = NULL_INSTRUMENTS
-        if self.spans is None:
-            self.spans = NULL_TRACER
+        if self.log is None:
+            self.log = NULL_LOG
         if self.monitors is None:
             self.monitors = NULL_MONITORS
         if self.blackbox is None:
@@ -122,9 +116,7 @@ class SimulationState:
     def from_config(
         cls,
         config: SimulationConfig,
-        trace=None,
-        instruments=None,
-        spans=None,
+        log=None,
         monitors=None,
         blackbox=None,
     ) -> "SimulationState":
@@ -173,7 +165,6 @@ class SimulationState:
             cfg=config,
             rng=rng,
             sim=sim,
-            trace=trace if trace is not None else NullRecorder(),
             field=fld,
             power=config.power_model,
             sensor_pos=sensor_pos,
@@ -181,10 +172,9 @@ class SimulationState:
             topology=topology,
             routing=routing,
             uplink_etx=uplink_etx,
-            arrays=StateArrays(config.n_sensors, config.n_rvs, instruments=instruments),
+            arrays=StateArrays(config.n_sensors, config.n_rvs),
             targets=targets,
-            instruments=instruments if instruments is not None else NULL_INSTRUMENTS,
-            spans=spans if spans is not None else NULL_TRACER,
-            monitors=monitors if monitors is not None else NULL_MONITORS,
-            blackbox=blackbox if blackbox is not None else NULL_BLACKBOX,
+            log=log,
+            monitors=monitors,
+            blackbox=blackbox,
         )

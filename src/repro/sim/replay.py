@@ -25,8 +25,8 @@ world events.  At such a point the entire dynamic state is:
 
 Everything else on the state is either derived deterministically from
 the config (positions, topology, routing) and re-derived by building a
-fresh ``World(config)``, or observability-only (metrics, instruments,
-spans) and guaranteed never to touch the trajectory.
+fresh ``World(config)``, or observability-only (metrics, the event
+log) and guaranteed never to touch the trajectory.
 
 Replay determinism
 ------------------
@@ -231,7 +231,7 @@ def restore_world(
     canonical arrays, cluster epoch, targets, ERC, backlog, RVs, energy
     accumulators, and the event queue.
 
-    Metrics and instruments start fresh — they never influence the
+    Metrics and the event log start fresh — they never influence the
     trajectory, so replayed state digests are unaffected; only
     observability output (latencies, counters) differs from the
     original run's.

@@ -21,10 +21,9 @@ from ..core.scheduling import Scheduler
 from ..obs import (
     DEFAULT_EXPORTERS,
     BlackBoxRecorder,
-    Instruments,
+    EventLog,
     MonitorSet,
     RunManifest,
-    SpanTracer,
     TelemetryBundle,
     blackbox_enabled,
 )
@@ -33,7 +32,6 @@ from .config import SimulationConfig
 from .metrics import SimulationSummary
 from .serialization import config_to_dict
 from .soa import engine_provenance
-from .trace import TraceRecorder
 from .world import World
 
 __all__ = [
@@ -80,7 +78,7 @@ def run_batch(
     advances in lockstep through one
     :class:`~repro.sim.batch.BatchedEngine`; anything the batched
     kernels cannot represent — a plugin activator, a custom ERC release
-    policy, an attached trace recorder, battery leakage — falls back to
+    policy, an attached event log, battery leakage — falls back to
     :func:`run_simulation` per cell.  Either way every summary is
     bit-identical to its serial ``run_simulation`` counterpart, and
     results come back in input order.
@@ -97,8 +95,8 @@ def run_batch(
     never touch the trajectory, so summaries stay byte-identical with
     or without them.
     """
-    from ..obs.instruments import NULL_INSTRUMENTS
-    from ..obs.monitors import MonitorSet, strict_monitors_default
+    from ..obs import NULL_INSTRUMENTS
+    from ..obs.monitors import strict_monitors_default
     from .batch import BatchedEngine, _batchable_world, batchable_config, shape_signature
 
     obs = NULL_INSTRUMENTS if instruments is None else instruments
@@ -175,12 +173,12 @@ def _flush_postmortem(
     reason: str,
     config: SimulationConfig,
     monitors=None,
-    spans=None,
-    instruments=None,
+    log=None,
     world=None,
     error: Optional[BaseException] = None,
 ) -> Path:
-    """Write a postmortem bundle; never raises (a failing flush must
+    """Write a postmortem bundle, with ``log``'s spans and instrument
+    snapshot when a log is given; never raises (a failing flush must
     not mask the original failure)."""
     final = None
     if error is not None and world is not None:
@@ -197,8 +195,8 @@ def _flush_postmortem(
             config=config_to_dict(config),
             engine=engine_provenance(),
             monitors=monitors.describe() if monitors is not None else None,
-            spans=spans,
-            instruments=instruments.snapshot() if instruments is not None else None,
+            spans=log.span_lines() if log is not None else None,
+            instruments=log.snapshot(config.n_rvs) if log is not None else None,
             error=f"{type(error).__name__}: {error}" if error is not None else None,
             final_record=final,
         )
@@ -251,14 +249,13 @@ def run_with_telemetry(
 ) -> Tuple[SimulationSummary, RunManifest]:
     """Run one simulation with full telemetry archived to ``out_dir``.
 
-    The run is wired with a :class:`~repro.sim.trace.TraceRecorder`, an
-    :class:`~repro.obs.Instruments` registry, a
-    :class:`~repro.obs.SpanTracer` (the hierarchical flight-recorder
-    trace) and a :class:`~repro.obs.MonitorSet` (runtime invariant
-    monitors; ``REPRO_STRICT_MONITORS=1`` makes violations raise), then
-    every requested exporter (names from
-    :data:`repro.registry.EXPORTERS`; the defaults otherwise) writes
-    its files into ``out_dir``, and a ``manifest.json``
+    The run is wired with an :class:`~repro.obs.EventLog` and a
+    :class:`~repro.obs.MonitorSet` (runtime invariant monitors;
+    ``REPRO_STRICT_MONITORS=1`` makes violations raise).  The log's
+    instrument snapshot is derived once the run ends, then every
+    requested exporter (names from :data:`repro.registry.EXPORTERS`;
+    the defaults otherwise) writes its files into ``out_dir``, and a
+    ``manifest.json``
     (:class:`~repro.obs.RunManifest`: config digest, seed, version, git
     revision, wall time, instrument snapshot, file index) is written
     last so a complete directory always has one.
@@ -281,15 +278,10 @@ def run_with_telemetry(
     for name in names:
         EXPORTERS.check(name)
     recorder = _make_blackbox(blackbox)
-    instruments = Instruments()
-    trace = TraceRecorder()
-    spans = SpanTracer()
-    monitors = MonitorSet(instruments=instruments, spans=spans, blackbox=recorder)
+    log = EventLog()
+    monitors = MonitorSet(log=log, blackbox=recorder)
     wall0 = time.perf_counter()
-    world = World(
-        config, trace=trace, instruments=instruments, spans=spans, monitors=monitors,
-        blackbox=recorder,
-    )
+    world = World(config, log=log, monitors=monitors, blackbox=recorder)
     try:
         summary = world.run()
     except BaseException as exc:
@@ -299,7 +291,7 @@ def run_with_telemetry(
                 Path(postmortem) if postmortem is not None
                 else Path(out_dir) / "postmortem",
                 reason="exception", config=config, monitors=monitors,
-                spans=spans, instruments=instruments, world=world, error=exc,
+                log=log, world=world, error=exc,
             )
         raise
     wall_time_s = time.perf_counter() - wall0
@@ -309,7 +301,7 @@ def run_with_telemetry(
             Path(postmortem) if postmortem is not None
             else Path(out_dir) / "postmortem",
             reason="violation" if monitors.violations else "requested",
-            config=config, monitors=monitors, spans=spans, instruments=instruments,
+            config=config, monitors=monitors, log=log,
         )
     if monitors.violations:
         logger.warning(
@@ -318,12 +310,12 @@ def run_with_telemetry(
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    snapshot = log.snapshot(config.n_rvs)
     bundle = TelemetryBundle(
-        instruments=instruments.snapshot(),
+        instruments=snapshot,
         summary=summary.as_dict(),
         config=config_to_dict(config),
-        trace=trace,
-        spans=spans,
+        log=log,
     )
     files: Dict[str, List[str]] = {}
     for name in names:
@@ -334,7 +326,7 @@ def run_with_telemetry(
         seed=config.seed,
         wall_time_s=wall_time_s,
         summary=bundle.summary,
-        instruments=bundle.instruments,
+        instruments=snapshot,
         exporters=names,
         files=files,
         engine=engine_provenance(),

@@ -25,10 +25,10 @@ Layout
   ``rv_returning`` (k,) — fleet motion integrated per-RV over position
   arrays (kept write-through by the fleet component);
 * preallocated scratch for the battery-advance, gate-scan and rotation
-  steps.  The ``sim.soa.alloc`` counter records every scratch
-  (re)allocation and stays flat across steady-state ticks, which proves
-  the scratch is reused; the kernels still allocate their small
-  temporaries (gathers, masks, the release list).
+  steps.  Every buffer stays the same object across steady-state ticks
+  (pinned by the allocation-discipline test), which proves the scratch
+  is reused; the kernels still allocate their small temporaries
+  (gathers, masks, the release list).
 
 Alive-set state
 ---------------
@@ -163,17 +163,9 @@ class StateArrays:
     Args:
         n_sensors: sensor population.
         n_rvs: fleet size.
-        instruments: optional :class:`repro.obs.Instruments`; the
-            ``sim.soa.alloc`` counter records every buffer
-            (re)allocation so tests can prove steady-state ticks reuse
-            the scratch instead of reallocating it.
     """
 
-    def __init__(self, n_sensors: int, n_rvs: int, instruments=None) -> None:
-        from ..obs.instruments import NULL_INSTRUMENTS
-
-        obs = instruments if instruments is not None else NULL_INSTRUMENTS
-        self._c_alloc = obs.counter("sim.soa.alloc")
+    def __init__(self, n_sensors: int, n_rvs: int) -> None:
         self.n = int(n_sensors)
         # -- per-sensor aliases (bound by SimulationState / components) --
         self.positions: Optional[np.ndarray] = None
@@ -192,13 +184,11 @@ class StateArrays:
         # epoch, for memo keys (ids of arrays are reused after GC).
         self.cluster_epoch = 0
         # -- per-RV motion state (write-through from FleetController) ---
-        self._c_alloc.inc(4)
         self.rv_pos = np.zeros((n_rvs, 2), dtype=np.float64)
         self.rv_level_j = np.zeros(n_rvs, dtype=np.float64)
         self.rv_busy = np.zeros(n_rvs, dtype=bool)
         self.rv_returning = np.zeros(n_rvs, dtype=bool)
         # -- preallocated scratch -----------------------------------------
-        self._c_alloc.inc(3)
         self.drain_scratch = np.empty(self.n, dtype=np.float64)
         self.below_scratch = np.empty(self.n, dtype=bool)
         self.release_scratch = np.empty(self.n, dtype=bool)
@@ -209,11 +199,10 @@ class StateArrays:
         """Size the padded member matrix for a new cluster epoch.
 
         Buffers (and the :class:`ClusterIndex`) are reallocated only
-        when the epoch changes their shape (the alloc counter records
-        it); a same-shape epoch reuses them.
+        when the epoch changes their shape; a same-shape epoch reuses
+        them.
         """
         if self.members.shape != (n_clusters, width):
-            self._c_alloc.inc(7)
             self.members = np.full((n_clusters, width), -1, dtype=np.int64)
             self.sizes = np.zeros(n_clusters, dtype=np.int64)
             self.ptr = np.zeros(n_clusters, dtype=np.int64)

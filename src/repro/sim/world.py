@@ -49,12 +49,10 @@ class World:
     """One fully wired simulation instance.
 
     ``scheduler`` defaults to the one named by ``config.scheduler``
-    (built from :data:`repro.registry.SCHEDULERS`); a ``trace``
-    recorder, when given, captures every semantic event and sample, an
-    ``instruments`` registry (:class:`repro.obs.Instruments`) collects
-    counters and phase timers from every component, a ``spans`` tracer
-    (:class:`repro.obs.SpanTracer`) records the hierarchical
-    run → tick → phase flight-recorder trace, and ``monitors``
+    (built from :data:`repro.registry.SCHEDULERS`); a ``log``
+    (:class:`repro.obs.EventLog`), when given, records every phase
+    (run → tick → component phase), semantic event and series sample,
+    from which the run's spans and instruments derive; ``monitors``
     (:class:`repro.obs.MonitorSet`) trips on runtime invariant
     violations.  The wired components are exposed as ``world.energy``,
     ``world.clusters``, ``world.gate`` and ``world.fleet``; the shared
@@ -65,17 +63,14 @@ class World:
         self,
         config: SimulationConfig,
         scheduler: Optional[Scheduler] = None,
-        trace=None,
-        instruments=None,
-        spans=None,
+        log=None,
         monitors=None,
         blackbox=None,
         external_tick: bool = False,
     ) -> None:
         self.cfg = config
         self.state = SimulationState.from_config(
-            config, trace=trace, instruments=instruments, spans=spans,
-            monitors=monitors, blackbox=blackbox,
+            config, log=log, monitors=monitors, blackbox=blackbox
         )
         self._bb_wall = perf_counter()
         self.clusters = ClusterManager(self.state)
@@ -98,7 +93,7 @@ class World:
     # -- periodic events --
 
     def _on_tick(self) -> None:
-        with self.state.spans.span("tick", t=self.state.now):
+        with self.state.log.phase("tick", t=self.state.now):
             self.energy.advance()
             if getattr(self.state.activator, "rotates", True):
                 self.energy.apply_handoffs(self.clusters.rotate())
@@ -112,7 +107,7 @@ class World:
 
     def _on_dispatch_round(self) -> None:
         """Periodic base-station scheduling round over the backlog."""
-        with self.state.spans.span("dispatch_round", t=self.state.now):
+        with self.state.log.phase("dispatch_round", t=self.state.now):
             self.energy.advance()
             self.gate.check()
             self.fleet.dispatch()
@@ -124,7 +119,7 @@ class World:
             self._flight_record("dispatch")
 
     def _on_relocate(self) -> None:
-        with self.state.spans.span("relocate", t=self.state.now):
+        with self.state.log.phase("relocate", t=self.state.now):
             self.energy.advance()
             self.clusters.relocate()
             self.energy.recompute()
@@ -192,11 +187,12 @@ class World:
             self._metrics_fields = self._derive_metrics(alive)
         coverage, nonfunctional, operational = self._metrics_fields
         s.metrics.record(s.now, coverage, nonfunctional, operational)
-        if s.trace.enabled:
-            s.trace.sample_series(s.now, "coverage", coverage)
-            s.trace.sample_series(s.now, "nonfunctional", nonfunctional)
-            s.trace.sample_series(s.now, "operational", operational)
-            s.trace.sample_series(s.now, "backlog", float(len(s.requests)))
+        log = s.log
+        if log.enabled:
+            log.sample(s.now, "coverage", coverage)
+            log.sample(s.now, "nonfunctional", nonfunctional)
+            log.sample(s.now, "operational", operational)
+            log.sample(s.now, "backlog", float(len(s.requests)))
 
     def _derive_metrics(self, alive: np.ndarray):
         """(coverage, nonfunctional, operational) for ``alive``."""
@@ -218,7 +214,7 @@ class World:
 
     def run(self) -> SimulationSummary:
         """Run to the configured horizon and return the summary."""
-        with self.state.instruments.timer("world.run"), self.state.spans.span(
+        with self.state.log.phase(
             "run",
             scheduler=self.cfg.scheduler,
             activation=self.cfg.activation,
@@ -286,9 +282,8 @@ class World:
 # Flat attribute access forwarded to the owning component; the private
 # names keep the pre-split white-box tests and tooling working.
 _FORWARDED = {
-    "sim": "state.sim", "rng": "state.rng", "trace": "state.trace",
+    "sim": "state.sim", "rng": "state.rng", "log": "state.log",
     "arrays": "state.arrays",
-    "instruments": "state.instruments", "spans": "state.spans",
     "monitors": "state.monitors",
     "blackbox": "state.blackbox",
     "field": "state.field", "power": "state.power",

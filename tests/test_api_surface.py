@@ -56,6 +56,7 @@ MODULES = [
     "repro.network.routing",
     "repro.network.topology",
     "repro.network.traffic",
+    "repro.obs.log",
     "repro.registry",
     "repro.sim.components.clusters",
     "repro.sim.components.energy",
@@ -67,7 +68,6 @@ MODULES = [
     "repro.sim.metrics",
     "repro.sim.runner",
     "repro.sim.serialization",
-    "repro.sim.trace",
     "repro.sim.world",
     "repro.tsp.nearest_neighbor",
     "repro.tsp.tour",

@@ -189,6 +189,19 @@ def force_handoff_death(world) -> int:
     return victim
 
 
+def count_deaths(world) -> list:
+    """Record every depletion count the energy component reports."""
+    seen = []
+    forward = world.energy.on_deaths
+
+    def on_deaths(n):
+        seen.append(n)
+        forward(n)
+
+    world.energy.on_deaths = on_deaths
+    return seen
+
+
 class TestBatchedDeathCoherence:
     """Both engines keep every world's ``energy.alive`` current, hand-off
     deaths included; summary digests alone would not notice a stale
@@ -204,8 +217,9 @@ class TestBatchedDeathCoherence:
             )
             for seed, hours in ((7, 6.0), (8, 12.0))
         ]
-        serial = [World(c, instruments=Instruments()) for c in cfgs]
-        batched = [World(c, instruments=Instruments(), external_tick=True) for c in cfgs]
+        serial = [World(c) for c in cfgs]
+        batched = [World(c, external_tick=True) for c in cfgs]
+        deaths = {id(w): count_deaths(w) for w in serial + batched}
         victims = [force_handoff_death(w) for w in serial]
         assert [force_handoff_death(w) for w in batched] == victims
         want = [w.run() for w in serial]
@@ -214,11 +228,8 @@ class TestBatchedDeathCoherence:
             for w in engine.worlds:
                 assert np.array_equal(w.energy.alive, w.state.bank.levels_j > 0.0)
         for ser, bat, summary, got_summary in zip(serial, batched, want, engine.summaries):
-            deaths = [
-                w.state.instruments.counter("energy.depletions").value
-                for w in (ser, bat)
-            ]
-            assert deaths[0] == deaths[1] > 0  # on_deaths fired on both
+            # on_deaths fired on both, with the same depletion counts.
+            assert deaths[id(ser)] == deaths[id(bat)] and sum(deaths[id(ser)]) > 0
             assert bat.energy.breakdown() == ser.energy.breakdown()
             assert bat.gate.erc.history == ser.gate.erc.history
             assert got_summary.as_dict() == summary.as_dict()

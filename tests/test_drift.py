@@ -207,3 +207,53 @@ class TestDriftIgnoreCli:
         # Unusable inputs stay exit 2 even when everything is ignored.
         assert main(["drift", str(tmp_path / "missing"), "--ignore", "*"]) == 2
         assert "drift:" in capsys.readouterr().err
+
+
+class TestFirstDivergingEvent:
+    """`repro drift A B` names the first differing events.jsonl row."""
+
+    def test_edited_value_is_named(self, tmp_path, capsys):
+        import shutil
+
+        a = telemetry_dir(tmp_path, "a")
+        b = tmp_path / "b"
+        shutil.copytree(a, b)
+        lines = (b / "events.jsonl").read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if '"type": "event"' in line)
+        row = json.loads(lines[index])
+        edited = dict(row, value=row["value"] + 1.5)
+        lines[index] = json.dumps(edited)
+        (b / "events.jsonl").write_text("\n".join(lines) + "\n")
+        # The manifests are untouched, so the metric verdict (and exit
+        # code) stays "no drift"; the event report names the row.
+        assert main(["drift", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert f"First diverging event: events.jsonl line {index + 1}" in out
+        assert (
+            f"A: t={row['t']} kind={row['kind']} subject={row['subject']} "
+            f"value={row['value']}" in out
+        )
+        assert f"B: t={row['t']} kind={row['kind']} subject={row['subject']} " \
+               f"value={edited['value']}" in out
+
+    def test_identical_logs_add_nothing(self, tmp_path, capsys):
+        a = telemetry_dir(tmp_path, "a")
+        b = telemetry_dir(tmp_path, "b")
+        assert main(["drift", str(a), str(b)]) == 0
+        assert "diverging" not in capsys.readouterr().out
+
+    def test_different_seeds_name_a_row_and_still_exit_one(self, tmp_path, capsys):
+        a = telemetry_dir(tmp_path, "a")
+        b = telemetry_dir(tmp_path, "b", seed=99)
+        assert main(["drift", str(a), str(b)]) == 1
+        assert "First diverging event: events.jsonl line" in capsys.readouterr().out
+
+    def test_shorter_log_reports_its_end(self, tmp_path):
+        from repro.obs.drift import event_divergence
+
+        for name, text in (("a", '{"x": 1}\n{"y": 2}\n'), ("b", '{"x": 1}\n')):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "events.jsonl").write_text(text)
+        report = event_divergence(tmp_path / "a", tmp_path / "b")
+        assert "line 2" in report and "the log ends here" in report
+        assert event_divergence(tmp_path / "a", tmp_path / "missing") is None

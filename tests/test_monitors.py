@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from repro.obs import (
-    Instruments,
+    EventLog,
     InvariantViolation,
     MonitorSet,
     NULL_MONITORS,
-    SpanTracer,
 )
 from repro.obs.monitors import strict_monitors_default
 from repro.registry import SCHEDULERS
@@ -39,7 +38,7 @@ class FakeView:
 
 def monitors(**kwargs):
     kwargs.setdefault("strict", False)
-    return MonitorSet(instruments=Instruments(), **kwargs)
+    return MonitorSet(log=EventLog(), **kwargs)
 
 
 class TestStrictDefault:
@@ -50,7 +49,7 @@ class TestStrictDefault:
         assert not strict_monitors_default()
         monkeypatch.setenv("REPRO_STRICT_MONITORS", "1")
         assert strict_monitors_default()
-        assert MonitorSet(instruments=Instruments()).strict
+        assert MonitorSet().strict
 
 
 class TestBatteryBounds:
@@ -66,7 +65,7 @@ class TestBatteryBounds:
         v = m.violations[0]
         assert v["invariant"] == "battery_bounds"
         assert v["sensors"] == [0, 2]
-        assert m.instruments.counter("monitors.violations").value == 1
+        assert m.log.snapshot()["counters"]["monitors.violations"] == 1
 
     def test_strict_raises(self):
         m = monitors(strict=True)
@@ -271,19 +270,24 @@ class TestPlumbing:
         assert s["by_invariant"] == {"battery_bounds": 2, "rv_capacity": 1}
 
     def test_violations_emit_span_events(self):
-        tracer = SpanTracer()
-        m = MonitorSet(instruments=Instruments(), spans=tracer, strict=False)
-        with tracer.span("tick"):
+        log = EventLog()
+        m = MonitorSet(log=log, strict=False)
+        with log.phase("tick"):
             m.check_battery_bounds(np.array([-1.0]), 10.0, t=3.0)
-        (ev,) = tracer.to_rows()[0]["events"]
+        m.check_battery_bounds(np.array([-1.0]), 10.0, t=4.0)  # no open phase
+        (ev,) = log.span_rows()[0]["events"]
         assert ev["name"] == "invariant.violation"
         assert ev["invariant"] == "battery_bounds"
         assert ev["t_sim"] == 3.0
+        # Both violations count, inside a phase or not.
+        counters = log.snapshot()["counters"]
+        assert counters["monitors.violations"] == 2.0
+        assert counters["monitors.battery_bounds.violations"] == 2.0
 
     def test_clean_run_counter_is_explicit_zero(self):
-        obs = Instruments()
-        MonitorSet(instruments=obs, strict=False)
-        assert obs.snapshot()["counters"]["monitors.violations"] == 0.0
+        log = EventLog()
+        MonitorSet(log=log, strict=False)
+        assert log.snapshot()["counters"]["monitors.violations"] == 0.0
 
     def test_null_monitors_are_noops(self):
         NULL_MONITORS.check_battery_bounds(np.array([-5.0]), 1.0, t=0.0)
@@ -313,16 +317,16 @@ class TestStrictRunAllSchedulers:
     @pytest.mark.parametrize("name", sorted(SCHEDULERS.names()))
     def test_zero_violations(self, name):
         cfg = SimulationConfig(**dict(TINY, scheduler=name))
-        obs = Instruments()
-        mon = MonitorSet(instruments=obs, strict=True)
-        world = World(cfg, instruments=obs, monitors=mon)
+        log = EventLog()
+        mon = MonitorSet(log=log, strict=True)
+        world = World(cfg, log=log, monitors=mon)
         world.run()  # InvariantViolation would propagate
         assert mon.violations == []
-        assert obs.snapshot()["counters"]["monitors.violations"] == 0.0
+        assert log.snapshot(cfg.n_rvs)["counters"]["monitors.violations"] == 0.0
 
     def test_monitored_run_matches_plain_run(self):
         cfg = SimulationConfig(**TINY)
         plain = World(cfg).run()
-        mon = MonitorSet(instruments=Instruments(), strict=True)
+        mon = MonitorSet(strict=True)
         monitored = World(cfg, monitors=mon).run()
         assert monitored.as_dict() == plain.as_dict()

@@ -12,6 +12,8 @@ import pytest
 
 from repro.obs import (
     Counter,
+    EventKind,
+    EventLog,
     Gauge,
     Histogram,
     Instruments,
@@ -27,7 +29,6 @@ from repro.obs.report import format_report, load_report
 from repro.registry import EXPORTERS
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.runner import run_simulation, run_with_telemetry
-from repro.sim.trace import EventKind, TraceRecorder
 
 TINY = dict(
     n_sensors=40,
@@ -155,15 +156,15 @@ def sample_bundle():
     obs.histogram("fleet.delivered_j").observe(120.0)
     with obs.timer("energy.recompute"):
         pass
-    trace = TraceRecorder()
-    trace.emit(1.0, EventKind.NODE_RECHARGED, 4, 80.0)
-    trace.sample_series(0.0, "coverage", 0.9)
-    trace.sample_series(5.0, "coverage", 0.8)
+    log = EventLog()
+    log.emit(1.0, EventKind.NODE_RECHARGED, 4, 80.0)
+    log.sample(0.0, "coverage", 0.9)
+    log.sample(5.0, "coverage", 0.8)
     return TelemetryBundle(
         instruments=obs.snapshot(),
         summary={"traveling_energy_j": 42.0},
         config={"seed": 1},
-        trace=trace,
+        log=log,
     )
 
 
@@ -186,13 +187,13 @@ class TestExporters:
     def test_jsonl_events_round_trip(self, tmp_path):
         bundle = sample_bundle()
         EXPORTERS.build("jsonl").export(tmp_path, bundle)
-        back = TraceRecorder.read_jsonl(tmp_path / "events.jsonl")
-        assert back.events == bundle.trace.events
-        assert back.series == bundle.trace.series
+        back = EventLog.read_jsonl(tmp_path / "events.jsonl")
+        assert back.events == bundle.log.events
+        assert back.series == bundle.log.series
 
     def test_jsonl_without_trace(self, tmp_path):
         bundle = sample_bundle()
-        bundle.trace = None
+        bundle.log = None
         written = EXPORTERS.build("jsonl").export(tmp_path, bundle)
         assert {p.name for p in written} == {"metrics.jsonl"}
 
@@ -315,23 +316,20 @@ class TestPrometheusSanitization:
 
 class TestSpansAndSqliteExporters:
     def spans_bundle(self):
-        from repro.obs import SpanTracer
-
-        tracer = SpanTracer()
-        with tracer.span("run", seed=1):
-            with tracer.span("tick", t=0.0) as s:
-                s.event("sortie.assigned", rv_id=0)
         bundle = sample_bundle()
-        bundle.spans = tracer
-        return bundle, tracer
+        log = bundle.log
+        with log.phase("run", seed=1):
+            with log.phase("tick", t=0.0):
+                log.mark("sortie.assigned", rv_id=0)
+        return bundle, log
 
     def test_spans_exporter_round_trips(self, tmp_path):
         from repro.obs import load_spans
 
-        bundle, tracer = self.spans_bundle()
+        bundle, log = self.spans_bundle()
         written = EXPORTERS.build("spans").export(tmp_path, bundle)
         assert [p.name for p in written] == ["spans.jsonl"]
-        assert load_spans(tmp_path / "spans.jsonl") == tracer.to_rows()
+        assert load_spans(tmp_path / "spans.jsonl") == log.span_rows()
 
     def test_spans_exporter_skips_without_spans(self, tmp_path):
         assert EXPORTERS.build("spans").export(tmp_path, sample_bundle()) == []
@@ -339,7 +337,7 @@ class TestSpansAndSqliteExporters:
     def test_sqlite_tables(self, tmp_path):
         import sqlite3
 
-        bundle, tracer = self.spans_bundle()
+        bundle, _ = self.spans_bundle()
         written = EXPORTERS.build("sqlite").export(tmp_path, bundle)
         assert [p.name for p in written] == ["telemetry.sqlite"]
         conn = sqlite3.connect(tmp_path / "telemetry.sqlite")
@@ -454,7 +452,7 @@ class TestRunWithTelemetry:
 
     def test_events_jsonl_parses(self, run_dir):
         out, _, _ = run_dir
-        back = TraceRecorder.read_jsonl(out / "events.jsonl")
+        back = EventLog.read_jsonl(out / "events.jsonl")
         assert len(back.events) > 0
         assert "coverage" in back.series
 

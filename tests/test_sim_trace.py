@@ -1,12 +1,12 @@
-"""Tests for the structured trace recorder and its World integration."""
+"""Tests for the event side of the event log and its World integration."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.obs import NULL_LOG, EventKind, EventLog
 from repro.sim.config import DAY_S, SimulationConfig
-from repro.sim.trace import EventKind, NullRecorder, TraceRecorder
 from repro.sim.world import World
 
 
@@ -23,14 +23,14 @@ def traced_world(**overrides):
         seed=42,
     )
     defaults.update(overrides)
-    trace = TraceRecorder()
-    world = World(SimulationConfig(**defaults), trace=trace)
-    return world, trace
+    log = EventLog()
+    world = World(SimulationConfig(**defaults), log=log)
+    return world, log
 
 
 class TestTraceRecorder:
     def test_emit_and_query(self):
-        t = TraceRecorder()
+        t = EventLog()
         t.emit(1.0, EventKind.NODE_RECHARGED, 5, 100.0)
         t.emit(2.0, EventKind.SENSOR_DEPLETED, 6)
         assert t.count(EventKind.NODE_RECHARGED) == 1
@@ -38,16 +38,16 @@ class TestTraceRecorder:
         assert list(t.between(0.5, 1.5))[0].kind is EventKind.NODE_RECHARGED
 
     def test_series(self):
-        t = TraceRecorder()
-        t.sample_series(0.0, "x", 1.0)
-        t.sample_series(5.0, "x", 2.0)
+        t = EventLog()
+        t.sample(0.0, "x", 1.0)
+        t.sample(5.0, "x", 2.0)
         times, values = t.series_arrays("x")
         assert times.tolist() == [0.0, 5.0]
         assert values.tolist() == [1.0, 2.0]
 
     def test_series_arrays_never_sampled_matches_empty(self):
         """A never-sampled series and an empty one behave identically."""
-        t = TraceRecorder()
+        t = EventLog()
         t.series["empty"] = []
         for name in ("empty", "missing"):
             times, values = t.series_arrays(name)
@@ -55,7 +55,7 @@ class TestTraceRecorder:
             assert values.shape == (0,)
 
     def test_request_latencies_matching(self):
-        t = TraceRecorder()
+        t = EventLog()
         t.emit(0.0, EventKind.REQUEST_RELEASED, 1)
         t.emit(10.0, EventKind.NODE_RECHARGED, 1, 50.0)
         t.emit(12.0, EventKind.NODE_RECHARGED, 2, 50.0)  # never requested
@@ -65,7 +65,7 @@ class TestTraceRecorder:
     def test_request_latencies_re_released(self):
         """A node whose request is re-released before service counts once,
         from the latest release; a full serve/re-release cycle counts twice."""
-        t = TraceRecorder()
+        t = EventLog()
         t.emit(0.0, EventKind.REQUEST_RELEASED, 7)
         t.emit(4.0, EventKind.REQUEST_RELEASED, 7)  # re-release, still pending
         t.emit(10.0, EventKind.NODE_RECHARGED, 7, 50.0)
@@ -75,7 +75,7 @@ class TestTraceRecorder:
 
     def test_between_boundaries(self):
         """between() is inclusive at t0 and exclusive at t1."""
-        t = TraceRecorder()
+        t = EventLog()
         t.emit(1.0, EventKind.ROTATION, 0)
         t.emit(2.0, EventKind.ROTATION, 1)
         t.emit(3.0, EventKind.ROTATION, 2)
@@ -84,7 +84,7 @@ class TestTraceRecorder:
         assert list(t.between(5.0, 9.0)) == []
 
     def test_rv_trail_filters_by_rv(self):
-        t = TraceRecorder()
+        t = EventLog()
         t.emit(1.0, EventKind.RV_ARRIVED, 0, 12)
         t.emit(2.0, EventKind.RV_ARRIVED, 1, 34)  # other RV
         t.emit(3.0, EventKind.RV_ARRIVED, 0, 56)
@@ -92,7 +92,7 @@ class TestTraceRecorder:
         assert t.rv_trail(2) == []
 
     def test_summary_counts_unit(self):
-        t = TraceRecorder()
+        t = EventLog()
         assert t.summary_counts() == {}
         t.emit(0.0, EventKind.ROTATION)
         t.emit(1.0, EventKind.ROTATION)
@@ -100,22 +100,22 @@ class TestTraceRecorder:
         assert t.summary_counts() == {"rotation": 2, "sensor_depleted": 1}
 
     def test_null_recorder_is_noop(self):
-        n = NullRecorder()
-        n.emit(0.0, EventKind.ROTATION)
-        n.sample_series(0.0, "x", 1.0)
-        assert not n.enabled
+        NULL_LOG.emit(0.0, EventKind.ROTATION)
+        NULL_LOG.sample(0.0, "x", 1.0)
+        assert not NULL_LOG.enabled
+        assert NULL_LOG.events == [] and NULL_LOG.series == {}
 
 
 class TestTraceJsonl:
     def test_round_trip_exact(self, tmp_path):
-        t = TraceRecorder()
+        t = EventLog()
         t.emit(0.5, EventKind.REQUEST_RELEASED, 3)
         t.emit(1.5, EventKind.NODE_RECHARGED, 3, 42.25)
-        t.sample_series(0.0, "coverage", 0.9)
-        t.sample_series(2.0, "coverage", 0.8)
-        t.sample_series(1.0, "backlog", 4.0)
+        t.sample(0.0, "coverage", 0.9)
+        t.sample(2.0, "coverage", 0.8)
+        t.sample(1.0, "backlog", 4.0)
         path = t.write_jsonl(tmp_path / "trace.jsonl")
-        back = TraceRecorder.read_jsonl(path)
+        back = EventLog.read_jsonl(path)
         assert back.events == t.events
         assert back.series == t.series
         # Load -> re-emit reproduces the file byte for byte, so an
@@ -126,15 +126,15 @@ class TestTraceJsonl:
     def test_round_trip_from_world_run(self, tmp_path):
         world, trace = traced_world()
         world.run()
-        back = TraceRecorder.read_jsonl(trace.write_jsonl(tmp_path / "t.jsonl"))
+        back = EventLog.read_jsonl(trace.write_jsonl(tmp_path / "t.jsonl"))
         assert back.events == trace.events
         assert back.series == trace.series
         assert back.summary_counts() == trace.summary_counts()
 
     def test_lines_are_tagged_json(self, tmp_path):
-        t = TraceRecorder()
+        t = EventLog()
         t.emit(0.0, EventKind.ROTATION)
-        t.sample_series(0.0, "x", 1.0)
+        t.sample(0.0, "x", 1.0)
         lines = list(t.to_jsonl_lines())
         records = [json.loads(line) for line in lines]
         assert [r["type"] for r in records] == ["event", "sample"]
@@ -144,12 +144,12 @@ class TestTraceJsonl:
         path.write_text('{"type": "event", "t": 0.0, "kind": "rotation"}\n'
                         '{"type": "bogus"}\n')
         with pytest.raises(ValueError, match="bad.jsonl:2"):
-            TraceRecorder.read_jsonl(path)
+            EventLog.read_jsonl(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text('\n{"type": "sample", "t": 1.0, "series": "x", "value": 2.0}\n\n')
-        back = TraceRecorder.read_jsonl(path)
+        back = EventLog.read_jsonl(path)
         assert back.series == {"x": [(1.0, 2.0)]}
 
 
