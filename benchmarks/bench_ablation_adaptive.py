@@ -35,7 +35,7 @@ def bench_ablation_adaptive_erp(benchmark):
 
             w = World(cfg.with_overrides(seed=seed))
             s = w.run()
-            final_ks.append(w.erc.erp)
+            final_ks.append(w.gate.erc.erp)
             travel.append(s.traveling_energy_j / 1e6)
             cov.append(100.0 * s.avg_coverage_ratio)
             nonf.append(100.0 * s.avg_nonfunctional_fraction)

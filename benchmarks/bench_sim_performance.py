@@ -37,20 +37,20 @@ def bench_world_construction(benchmark):
 def bench_energy_advance(benchmark):
     cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
     world = World(cfg)
-    rates = world._rates.copy()
+    rates = world.energy.rates.copy()
 
     def advance():
-        world.bank.drain_rates(rates, 1.0)
+        world.state.bank.drain_rates(rates, 1.0)
 
     benchmark(advance)
-    assert np.all(world.bank.levels_j >= 0)
+    assert np.all(world.state.bank.levels_j >= 0)
 
 
 def bench_rate_recompute(benchmark):
     cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
     world = World(cfg)
     benchmark(world.energy.recompute)
-    assert world._rates.sum() > 0
+    assert world.energy.rates.sum() > 0
 
 
 def bench_small_run_end_to_end(benchmark):

@@ -47,7 +47,7 @@ def main() -> None:
     s = world.run()
     rows.append(
         [
-            f"adaptive (K -> {world.erc.erp:.2f})",
+            f"adaptive (K -> {world.gate.erc.erp:.2f})",
             s.traveling_energy_j / 1000.0,
             100 * s.avg_coverage_ratio,
             100 * s.avg_nonfunctional_fraction,
@@ -63,7 +63,7 @@ def main() -> None:
         )
     )
     print("\nAdaptive K trajectory (time h -> K):")
-    for t, k in world.erc.history:
+    for t, k in world.gate.erc.history:
         print(f"  {t / 3600:6.1f} h : K = {k:.2f}")
     print(
         "\nReading: the controller ratchets K upward while the network is "

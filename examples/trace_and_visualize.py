@@ -28,14 +28,14 @@ def main() -> None:
     world = World(cfg, log=log)
 
     # Run halfway, draw the field, then finish the run.
-    world.sim.run_until(cfg.sim_time_s / 2)
-    world._advance_energy()
+    world.state.sim.run_until(cfg.sim_time_s / 2)
+    world.energy.advance()
     snap = world.snapshot()
     print(render_field(snap, cfg.side_length_m, width=64, height=26))
     write_svg(
         OUT_DIR / "field_midrun.svg",
         field_svg(snap, cfg.side_length_m, sensing_range=cfg.sensing_range_m,
-                  title=f"Field at t = {world.sim.now / 3600:.0f} h"),
+                  title=f"Field at t = {world.state.sim.now / 3600:.0f} h"),
     )
 
     summary = world.run()

@@ -85,18 +85,7 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
-def _apply_batch(args: argparse.Namespace) -> None:
-    """Publish ``--batch`` as ``REPRO_BATCH`` for the sim/experiment
-    layers (the executor groups compatible cells into shape-batches;
-    ``repro run --batch`` routes through the batched engine at B=1).
-    Both engines are bit-exact, so this only changes speed — and the
-    recorded engine provenance."""
-    if getattr(args, "batch", None) is not None:
-        os.environ["REPRO_BATCH"] = "1" if args.batch else "0"
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_batch(args)
     cfg = _build_config(args)
     manifest = None
 
@@ -118,15 +107,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from .sim.runner import run_recorded
 
             return run_recorded(cfg, args.postmortem, strict=args.strict_monitors)
-        from .sim.soa import batch_enabled
-
-        if batch_enabled():
-            # A single-cell batch: the batched kernels produce the run
-            # (bit-identical to run_simulation; REPRO_DEBUG_BATCH arms
-            # the serial shadow twin).
-            from .sim.runner import run_batch
-
-            return run_batch([cfg])[0]
         return run_simulation(cfg)
 
     from .obs import InvariantViolation
@@ -259,8 +239,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     world = World(cfg)
     horizon = min(args.at_hours * 3600.0, cfg.sim_time_s)
-    world.sim.run_until(horizon)
-    world._advance_energy()
+    world.state.sim.run_until(horizon)
+    world.energy.advance()
     snap = world.snapshot()
     if args.svg:
         write_svg(args.svg, field_svg(snap, cfg.side_length_m,
@@ -343,7 +323,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .utils.stats import mean_std
 
     _apply_jobs(args)
-    _apply_batch(args)
     base = _build_config(args)
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     erps = [float(x) for x in args.erps.split(",") if x.strip()]
@@ -404,11 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"registered: {', '.join(EXPORTERS.names())})",
     )
     p_run.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=None,
-        help="run through the batched multi-world engine (B=1 here; "
-             "bit-identical summary; default: REPRO_BATCH, else off)",
-    )
-    p_run.add_argument(
         "--postmortem", metavar="DIR",
         help="arm the flight recorder and write a postmortem bundle to "
              "DIR (guaranteed without --telemetry; with --telemetry, "
@@ -459,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ignore", action="append", default=[], metavar="GLOB",
         help="drop metrics matching this fnmatch pattern from the "
              "comparison (repeatable); use for metrics that only exist "
-             "on one side by design, e.g. counter.batch.*",
+             "on one side by design, e.g. counter.fleet.rv* across "
+             "fleet sizes",
     )
     p_drift.set_defaults(func=_cmd_drift)
 
@@ -524,11 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_jobs_type, metavar="N",
         help="worker processes for the sweep cells "
              "(N or 'auto'; default: REPRO_JOBS, else 1)",
-    )
-    p_sweep.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=None,
-        help="group compatible cells into lockstep shape-batches "
-             "(bit-identical per cell; default: REPRO_BATCH, else off)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -33,19 +33,10 @@ let alone spawned — before the first multi-worker fan-out.
 
 One miss loop: :func:`iter_configs` yields ``(index, summary, source)``
 per cell *as cells finish*; :func:`map_configs` is the grid-order
-reassembly of the same stream.
-
-Batching: with ``REPRO_BATCH=1``, plain (untraced, unrecorded) misses
-are grouped by :func:`repro.sim.batch.shape_signature` — identical
-configurations up to seed / scheduler / erp / horizon — and each group
-is chunked into shape-batches of at most ``REPRO_BATCH_SIZE`` cells
-(default 16), each submitted as **one** pool payload that runs through
-:func:`repro.sim.runner.run_batch` (the lockstep batched engine).
-Per-cell summaries are bit-identical to the serial path, grid order is
-reassembled exactly as before, every cell is stored individually
-(``source="batch"`` provenance in the result store), and the pool's
-``tasks`` stat is weighted so a k-cell batch counts k cells, not one
-payload.
+reassembly of the same stream.  Every miss is one serial
+:class:`~repro.sim.world.World` run, in one of three task kinds: plain
+(``run``), under an event log (``traced``) or with the flight recorder
+armed (``recorded``).
 
 Observability: pass an :class:`repro.obs.Instruments` registry to
 record ``executor.cells`` / ``executor.store_hits`` /
@@ -76,7 +67,6 @@ from ..sim.world import World
 
 __all__ = [
     "CellKey",
-    "default_batch_size",
     "default_jobs",
     "iter_configs",
     "map_cells",
@@ -108,60 +98,6 @@ def default_jobs() -> int:
     if n < 1:
         raise ValueError("REPRO_JOBS must be >= 1")
     return n
-
-
-def default_batch_size() -> int:
-    """Cells per shape-batch payload when ``REPRO_BATCH=1``.
-
-    ``REPRO_BATCH_SIZE`` overrides the default of 16 — small enough
-    that a multi-worker pool still load-balances, large enough to
-    amortize the per-tick Python dispatch across the batch.
-    """
-    value = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if not value:
-        return 16
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_BATCH_SIZE must be an integer, got {value!r}"
-        ) from exc
-    if n < 1:
-        raise ValueError("REPRO_BATCH_SIZE must be >= 1")
-    return n
-
-
-def _batch_requested() -> bool:
-    """Whether the executor should submit shape-batches
-    (``REPRO_BATCH=1``; see :mod:`repro.sim.batch`)."""
-    from ..sim.soa import batch_enabled
-
-    return batch_enabled()
-
-
-def _batch_payloads(
-    configs: Sequence[SimulationConfig], misses: Sequence[int]
-) -> Tuple[List[List[int]], List[Tuple[SimulationConfig, ...]]]:
-    """Group missed cells into shape-batch payloads.
-
-    Misses are grouped by :func:`repro.sim.batch.shape_signature`
-    (preserving miss order within a group — the batched engine returns
-    summaries in input order) and chunked to ``REPRO_BATCH_SIZE``.
-    Returns ``(chunks, payloads)`` where ``chunks[j]`` lists the
-    positions *within* ``misses`` that payload ``j`` covers.
-    """
-    from ..sim.batch import shape_signature
-
-    size = default_batch_size()
-    groups: Dict[str, List[int]] = {}
-    for j, i in enumerate(misses):
-        groups.setdefault(shape_signature(configs[i]), []).append(j)
-    chunks: List[List[int]] = []
-    for positions in groups.values():
-        for k in range(0, len(positions), size):
-            chunks.append(positions[k : k + size])
-    payloads = [tuple(configs[misses[j]] for j in chunk) for chunk in chunks]
-    return chunks, payloads
 
 
 def _pool_start_method() -> str:
@@ -235,21 +171,6 @@ def _run_cell_recorded(
     return summary, log.span_rows() if log is not None else None
 
 
-def _run_cell_batch(
-    configs: Sequence[SimulationConfig],
-) -> List[SimulationSummary]:
-    """Pool worker: run one shape-batch of cells through the lockstep
-    batched engine (:func:`repro.sim.runner.run_batch`).
-
-    Summaries come back in payload order, each bit-identical to its
-    serial :func:`run_simulation` counterpart; cells the batched
-    kernels cannot represent fall back serially inside ``run_batch``.
-    """
-    from ..sim.runner import run_batch
-
-    return run_batch(list(configs))
-
-
 #: Miss-execution worker functions by task kind.  The pool resolves
 #: the same table by name inside its workers, so serial and pooled
 #: execution run exactly the same code over the same payloads.
@@ -257,7 +178,6 @@ _TASK_FNS = {
     "run": run_simulation,
     "traced": _run_cell_traced,
     "recorded": _run_cell_recorded,
-    "batch": _run_cell_batch,
 }
 
 
@@ -284,16 +204,13 @@ def _execute(
     payloads: Sequence[Any],
     n_jobs: int,
     instruments,
-    weights: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[int, Any]]:
     """Run miss payloads, yielding ``(payload index, result)`` as they
     finish.
 
     Serial (``n_jobs == 1`` or a single payload) runs in-process, in
     order; otherwise on a pool opened here and closed — workers joined
-    — when the stream ends or is abandoned.  ``weights`` (cells per
-    payload) keeps the pool's ``tasks`` stat counting cells when
-    payloads are shape-batches.
+    — when the stream ends or is abandoned.
     """
     if n_jobs == 1 or len(payloads) == 1:
         fn = _TASK_FNS[kind]
@@ -303,7 +220,7 @@ def _execute(
     from .pool import WarmPool
 
     with WarmPool(min(n_jobs, len(payloads)), start_method=_pool_start_method()) as pool:
-        yield from pool.run_iter(kind, payloads, instruments=instruments, weights=weights)
+        yield from pool.run_iter(kind, payloads, instruments=instruments)
 
 
 def _stream(
@@ -343,8 +260,6 @@ def _stream(
     obs.counter("executor.cache_misses").inc(len(misses))
     if not misses:
         return
-    chunks: List[List[int]] = []
-    weights: Optional[List[int]] = None
     if postmortem_dir is not None:
         root = Path(postmortem_dir)
         kind = "recorded"
@@ -354,26 +269,16 @@ def _stream(
     elif log.enabled:
         kind = "traced"
         payloads = [configs[i] for i in misses]
-    elif _batch_requested():
-        kind = "batch"
-        chunks, payloads = _batch_payloads(configs, misses)
-        weights = [len(c) for c in chunks]
     else:
         kind = "run"
         payloads = [configs[i] for i in misses]
 
-    source = "batch" if kind == "batch" else "run"
-    for j, out in _execute(kind, payloads, n_jobs, obs, weights):
-        if kind == "batch":
-            cells = [(misses[jj], summary, None) for jj, summary in zip(chunks[j], out)]
-        elif kind == "run":
-            cells = [(misses[j], out, None)]
-        else:  # traced / recorded: (summary, rows)
-            cells = [(misses[j], out[0], out[1])]
-        for i, summary, rows in cells:
-            if store is not None:
-                store.put(configs[i], summary, source=source)
-            yield i, summary, source, rows
+    for j, out in _execute(kind, payloads, n_jobs, obs):
+        i = misses[j]
+        summary, rows = (out, None) if kind == "run" else out
+        if store is not None:
+            store.put(configs[i], summary)
+        yield i, summary, "run", rows
 
 
 def map_configs(
@@ -438,12 +343,10 @@ def iter_configs(
     """Stream per-cell results as they finish.
 
     Yields ``(index, summary, source)`` where ``index`` points into
-    ``configs`` and ``source`` is ``"store"``, ``"run"`` or ``"batch"``
-    (a fresh cell computed through the batched engine under
-    ``REPRO_BATCH=1``).  Store hits are yielded first (in index order);
-    misses follow in *completion* order — callers that need the serial
-    sequence reassemble by index (:func:`map_configs` does).  Shape-batched misses finish a chunk at a
-    time and are streamed per cell.  Fresh results are stored as they
+    ``configs`` and ``source`` is ``"store"`` or ``"run"``.  Store hits
+    are yielded first (in index order); misses follow in *completion*
+    order — callers that need the serial sequence reassemble by index
+    (:func:`map_configs` does).  Fresh results are stored as they
     arrive, so a second identical submission is all hits.  With
     ``postmortem_dir``, misses run with the flight recorder armed, same
     bundle layout as :func:`map_configs`.

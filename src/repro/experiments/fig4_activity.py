@@ -47,7 +47,7 @@ def run_fig4(
     RV traveling energy in MJ.
 
     The whole ``case x scheduler x seed`` grid goes through the cell
-    executor in one batch, so ``jobs``/``REPRO_JOBS`` parallelism spans
+    executor in one call, so ``jobs``/``REPRO_JOBS`` parallelism spans
     the entire figure, not just one cell's seeds.
     """
     from .executor import map_configs

@@ -256,7 +256,6 @@ class WarmPool:
         kind: str,
         payloads: Sequence[Any],
         instruments=None,
-        weights: Optional[Sequence[int]] = None,
     ) -> Iterator[Tuple[int, Any]]:
         """Execute payloads on the pool, yielding ``(index, result)``
         in *completion* order.
@@ -269,18 +268,11 @@ class WarmPool:
         the worker's exception to the caller, and the pool stays
         usable — results of abandoned same-run tasks are discarded by
         generation on the next run.
-
-        ``weights`` gives the number of *cells* each payload stands for
-        (shape-batched executor payloads cover several sweep cells), so
-        the ``tasks`` stat keeps counting cells: a k-cell batch counts
-        k, not 1.
         """
         if self._closed:
             raise RuntimeError("warm pool is closed")
         obs = NULL_INSTRUMENTS if instruments is None else instruments
         payloads = list(payloads)
-        if weights is not None and len(weights) != len(payloads):
-            raise ValueError("weights must align with payloads")
         self._generation += 1
         gen = self._generation
         for wid in [w for w, wk in self._workers.items() if not wk.proc.is_alive()]:
@@ -301,9 +293,7 @@ class WarmPool:
             worker.task = None  # anything older belongs to a dead generation
             if backlog:
                 worker.dispatch(gen, backlog.popleft())
-        self._count(
-            "tasks", obs, int(sum(weights)) if weights is not None else len(payloads)
-        )
+        self._count("tasks", obs, len(payloads))
         while remaining:
             by_handle = {}
             for worker in self._workers.values():
@@ -378,13 +368,10 @@ class WarmPool:
         kind: str,
         payloads: Sequence[Any],
         instruments=None,
-        weights: Optional[Sequence[int]] = None,
     ) -> List[Any]:
         """Execute payloads and return results in payload order."""
         payloads = list(payloads)
         out: List[Any] = [None] * len(payloads)
-        for index, result in self.run_iter(
-            kind, payloads, instruments=instruments, weights=weights
-        ):
+        for index, result in self.run_iter(kind, payloads, instruments=instruments):
             out[index] = result
         return out

@@ -148,16 +148,12 @@ class ResultStore:
         config: SimulationConfig,
         summary: SimulationSummary,
         instruments=None,
-        source: Optional[str] = None,
     ) -> str:
         """Store a completed cell; returns its content address.
 
         Content addressing makes re-puts no-ops (``store.dedup``): the
         key pins config *and* code version, so an existing blob already
-        holds this exact payload.  ``source`` records execution
-        provenance (``"run"`` serial, ``"batch"`` the batched engine)
-        in the blob — it is metadata only, outside the integrity hash,
-        which stays a function of the summary payload alone.
+        holds this exact payload.
         """
         key = self.key_for(config)
         path = self._blob_path(key)
@@ -171,8 +167,6 @@ class ResultStore:
             "summary": summary_dict,
             "sha256": _payload_digest(summary_dict),
         }
-        if source is not None:
-            blob["source"] = source
         # A private temp name per writer: a shared ``<key>.tmp`` lets one
         # writer's rename move another's file out from under it.
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")

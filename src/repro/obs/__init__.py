@@ -24,8 +24,7 @@ postmortem bundle on failure; ``repro postmortem`` renders it and
 ``repro replay`` re-executes it deterministically.
 
 Two things stay outside the log: the black box's records, which need
-state digests and checkpoints rather than events (and which the
-batched engine writes for worlds that carry no log), and the
+state digests and checkpoints rather than events, and the
 experiment layer's :class:`Instruments` (executor, pool and store
 counters), which count work around runs, not inside one.
 

@@ -6,9 +6,10 @@ A :class:`BlackBoxRecorder` keeps the last N per-event records of a run
 deque of full-state checkpoints captured by the simulation layer.  On a
 monitor violation, an unhandled exception, or an explicit request, the
 recorder flushes a self-contained *postmortem bundle* to disk: the
-config, a manifest with engine provenance, the surviving records, the
-retained checkpoints, and the spans/instruments of the run's event log
-when the caller hands them over.
+config, a manifest (reason, seed, config digest, monitor tolerances,
+violations), the surviving records, the retained checkpoints, and the
+spans/instruments of the run's event log when the caller hands them
+over.
 
 ``repro postmortem <bundle>`` renders the bundle as an incident report
 (:func:`format_postmortem`); ``repro replay <bundle>`` restores the
@@ -88,8 +89,7 @@ def digest_array(value: Any) -> str:
     """SHA-256 over an array's dtype, shape and raw bytes.
 
     Two arrays share a digest iff they are bit-identical with the same
-    dtype and shape — the equality surface of the serial/batched engine
-    contract, collapsed to one comparable string.
+    dtype and shape, collapsed to one comparable string.
     """
     a = np.ascontiguousarray(value)
     h = hashlib.sha256()
@@ -286,7 +286,6 @@ class BlackBoxRecorder:
         *,
         reason: str,
         config: Optional[Dict[str, Any]] = None,
-        engine: Optional[Dict[str, Any]] = None,
         monitors: Optional[Dict[str, Any]] = None,
         spans: Optional[List[str]] = None,
         instruments: Optional[Dict[str, Any]] = None,
@@ -300,7 +299,6 @@ class BlackBoxRecorder:
                 ``requested``).
             config: ``config_to_dict`` output (serialized verbatim and
                 digest-stamped into the manifest).
-            engine: ``engine_provenance()`` dict.
             monitors: monitor configuration (strictness + tolerances) so
                 replay can arm identical tripwires.
             spans: ``spans.jsonl`` lines (``EventLog.span_lines()``).
@@ -355,7 +353,6 @@ class BlackBoxRecorder:
             "records": len(records),
             "first_seq": int(records[0]["seq"]) if records else 0,
             "last_seq": int(records[-1]["seq"]) if records else 0,
-            "engine": engine or {},
             "monitors": monitors or {},
             "config_digest": config_digest(config) if config is not None else None,
             "seed": (config or {}).get("seed"),
@@ -508,13 +505,11 @@ def format_postmortem(
     """Render a bundle as a human-readable incident report."""
     m = bundle.manifest
     blocks: List[str] = []
-    engine = m.get("engine") or {}
     header = [
         ["reason", m.get("reason", "?")],
         ["created (UTC)", m.get("created_utc", "?")],
         ["seed", m.get("seed", "?")],
         ["config digest", (m.get("config_digest") or "(none)")[:16]],
-        ["engine", ", ".join(f"{k}={v}" for k, v in sorted(engine.items())) or "?"],
         ["records kept", f"{m.get('records', 0)} (ring capacity {m.get('capacity', '?')})"],
         ["event range", f"seq {m.get('first_seq', 0)}..{m.get('last_seq', 0)}"],
         ["checkpoints", len(m.get("checkpoints", []))],

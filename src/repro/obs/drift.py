@@ -120,8 +120,8 @@ def diff_metrics(
     metrics present on only one side always count as drift.  Metrics
     matching any ``ignore`` fnmatch pattern are dropped before the
     comparison — for metrics that exist on one side by design, like
-    the batched engine's ``batch.*`` counters when diffing a batched
-    run against a serial one.
+    the per-RV ``fleet.rv*`` counters when diffing runs with different
+    fleet sizes.
     """
     rows: List[Dict[str, Any]] = []
     keys = sorted(set(a) | set(b))

@@ -78,11 +78,6 @@ class RunManifest:
     instruments: Dict[str, Any] = field(default_factory=dict)
     exporters: List[str] = field(default_factory=list)
     files: Dict[str, List[str]] = field(default_factory=dict)
-    #: Which engine knobs produced the run (REPRO_BATCH /
-    #: REPRO_DEBUG_BATCH) — see :func:`repro.sim.soa.engine_provenance`.
-    #: Lets a drift report distinguish "the code changed" from "the
-    #: engine selection changed".  Empty for pre-SoA manifests.
-    engine: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def create(
@@ -94,7 +89,6 @@ class RunManifest:
         instruments: Optional[Dict[str, Any]] = None,
         exporters: Optional[List[str]] = None,
         files: Optional[Dict[str, List[str]]] = None,
-        engine: Optional[Dict[str, Any]] = None,
     ) -> "RunManifest":
         """Stamp a manifest for ``config``: digest, version, git rev, time."""
         from .. import __version__
@@ -111,7 +105,6 @@ class RunManifest:
             instruments=dict(instruments or {}),
             exporters=list(exporters or []),
             files=dict(files or {}),
-            engine=dict(engine or {}),
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -119,6 +112,8 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
+        """Load a manifest dict; keys this version does not know (such
+        as the ``engine`` block earlier versions wrote) are ignored."""
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})
 

@@ -13,7 +13,6 @@ from .metrics import MetricsCollector, SimulationSummary
 from .runner import (
     average_summaries,
     make_scheduler,
-    run_batch,
     run_seeds,
     run_simulation,
     run_with_telemetry,
@@ -36,7 +35,6 @@ __all__ = [
     "World",
     "average_summaries",
     "make_scheduler",
-    "run_batch",
     "run_seeds",
     "run_simulation",
     "run_with_telemetry",

@@ -26,8 +26,7 @@ drain only lowers levels, so its deaths are the alive sensors now at
 zero, and the death recompute drops them) and at the top of every
 :meth:`recompute`, which every other level write precedes (rotation
 hand-offs, recharges, relocation, replay restore).  With monitors on,
-every :meth:`advance` checks ``alive == (levels > 0)``.  The batched
-engine binds it as a row of its alive stack.
+every :meth:`advance` checks ``alive == (levels > 0)``.
 
 Rate recomputation
 ------------------
@@ -39,10 +38,8 @@ priced per packet and scaled by the uplink ETX.  A sensor relays every
 packet originating in its routing subtree; with the static tree laid
 out in DFS preorder once (:func:`repro.sim.soa.subtree_index`), every
 count is the difference of two entries of one ``cumsum``
-(:func:`repro.sim.soa.subtree_counts`).  :meth:`EnergyAccounting.price`
-turns the counts into Watts; the batched engine
-(:mod:`repro.sim.batch`) runs the same kernel and the same pricing
-row-wise over its stack of worlds, so both engines share one recompute.
+(:func:`repro.sim.soa.subtree_counts`), and :meth:`EnergyAccounting.price`
+turns the counts into Watts.
 
 The re-pricing memo
 -------------------
@@ -56,10 +53,8 @@ sums, and leaves bit-identical rates in place.  In the Fig. 6 grid that
 is about a quarter of all recomputes, every one of them a recharge of a
 node that was still alive.  The check sits inside :meth:`recompute`,
 so the call still happens (and is counted) wherever it did before.
-Anything else that writes the rates buffer must drop the memo: the
-batched engine prices its rows itself and clears every world's memo
-when it does.  With leakage on, the rates also depend on the levels,
-so every recompute re-prices.
+With leakage on, the rates also depend on the levels, so every
+recompute re-prices.
 """
 
 from __future__ import annotations
@@ -153,18 +148,9 @@ class EnergyAccounting:
             return  # same masks: the buffers already hold this pricing
         # Relay load: every active connected sensor originates packets,
         # and each sensor relays those of its subtree (dead relays keep
-        # forwarding in the static tree but draw nothing).  The rates
-        # buffer is refreshed in place: the SoA arrays alias it, and the
-        # batched engine binds it as a row of its stack.
+        # forwarding in the static tree but draw nothing).
         origins = active & self._connected
-        relay_w = self.price(
-            alive,
-            active,
-            origins,
-            subtree_counts(origins, self._subtrees),
-            s.uplink_etx,
-            out=self.rates,
-        )
+        relay_w = self.price(alive, active, origins, subtree_counts(origins, self._subtrees))
         leak_total = 0.0
         if leaky:
             # Charge-proportional leakage, frozen at the current level
@@ -184,16 +170,15 @@ class EnergyAccounting:
         }
         self._priced_key = key
 
-    def price(self, alive, active, origins, through, uplink_etx, out) -> np.ndarray:
-        """Per-sensor draw in Watts into ``out``; returns the relay Watts.
+    def price(self, alive, active, origins, through) -> np.ndarray:
+        """Per-sensor draw in Watts into :attr:`rates`; returns the relay
+        Watts.
 
         ``through`` holds each sensor's subtree origin count
         (:func:`~repro.sim.soa.subtree_counts`) and ``origins`` the
         sensors originating a packet.  The draw is idle, plus sensing
         when active, plus the relayed packets priced per packet and
         scaled by the uplink ETX; depleted sensors draw nothing.
-        Elementwise on any shape: the batched engine prices its whole
-        ``(B, n)`` stack in one call.
         """
         # Counts are far below 2**53, so subtracting in float64 equals
         # subtracting in int64 and converting; the products then run in
@@ -201,11 +186,12 @@ class EnergyAccounting:
         relay = np.subtract(through, origins, dtype=np.float64)
         relay *= self._packet_rate_hz
         relay *= self._per_packet_relay_j
-        relay *= uplink_etx
+        relay *= self.s.uplink_etx
         relay_w = np.where(alive, relay, 0.0)
         base = np.where(active, self._duty_w, self._idle_w)
         base += relay_w
-        out[...] = np.where(alive, base, 0.0)
+        # In place: the SoA arrays alias the rates buffer.
+        self.rates[...] = np.where(alive, base, 0.0)
         return relay_w
 
     def advance(self) -> None:

@@ -119,13 +119,7 @@ class RequestGate:
 
     def _release(self, to_release) -> bool:
         """Put ``to_release`` onto the backlog and update all request
-        bookkeeping; returns True if anything was released.
-
-        Factored out of :meth:`_check` so the batched engine
-        (:mod:`repro.sim.batch`), which computes the release sets for a
-        whole batch of worlds with one scan, reuses exactly the serial
-        release path per world.
-        """
+        bookkeeping; returns True if anything was released."""
         s = self.s
         for node in to_release:
             request = RechargeRequest(

@@ -164,36 +164,3 @@ class Simulator:
             self.events_fired += 1
             cb()
         self.now = t_end
-
-    def run_until_before(self, t_end: float, priority: int) -> None:
-        """Fire events strictly before ``(t_end, priority)`` in the
-        lexicographic (time, priority) order; the clock lands exactly
-        on ``t_end`` afterwards.
-
-        This is the batched engine's event-window primitive: the batch
-        loop drains each world's queue up to — but excluding — its own
-        tick slot at ``(t_end, PRIO_TICK)``, then performs the tick as
-        a batched kernel across worlds.  Events at ``t_end`` with a
-        *lower* priority (e.g. a relocation at the same timestamp) fire
-        here, exactly as they would ahead of the tick in the serial
-        event loop.
-        """
-        if t_end < self.now:
-            raise ValueError(f"t_end {t_end} is in the past (now {self.now})")
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head.callback is None:
-                heapq.heappop(heap)
-                continue
-            if head.time > t_end or (
-                head.time == t_end and head.priority >= priority
-            ):
-                break
-            entry = heapq.heappop(heap)
-            self.now = entry.time
-            cb = entry.callback
-            entry.callback = None
-            self.events_fired += 1
-            cb()
-        self.now = t_end

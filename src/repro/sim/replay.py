@@ -69,7 +69,6 @@ from .serialization import config_from_dict, restore_arrays, snapshot_arrays
 from .soa import (
     SoAFullTimeActivator,
     SoARoundRobinActivator,
-    engine_provenance,
     pack_clusters,
     wrap_activator,
 )
@@ -363,7 +362,6 @@ class ReplayResult:
     """
 
     bundle_path: Path
-    engine: Dict[str, Any]
     start_seq: int
     target_seq: int
     compared: int = 0
@@ -459,7 +457,6 @@ def replay_bundle(
     )
     result = ReplayResult(
         bundle_path=bundle.path,
-        engine=engine_provenance(),
         start_seq=start_seq,
         target_seq=target,
         recorded_error=bundle.manifest.get("error"),
@@ -511,11 +508,9 @@ def replay_bundle(
 
 def format_replay(result: ReplayResult) -> str:
     """Render a :class:`ReplayResult` for the CLI."""
-    engine = ", ".join(f"{k}={v}" for k, v in sorted(result.engine.items()))
     lines = [
         f"Replayed {result.bundle_path} from seq {result.start_seq} "
         f"to seq {result.target_seq} ({result.compared} record(s) compared)",
-        f"engine: {engine}",
     ]
     if result.recorded_error:
         lines.append(f"recorded failure: {result.recorded_error}")

@@ -31,13 +31,11 @@ from ..registry import EXPORTERS, SCHEDULERS
 from .config import SimulationConfig
 from .metrics import SimulationSummary
 from .serialization import config_to_dict
-from .soa import engine_provenance
 from .world import World
 
 __all__ = [
     "make_scheduler",
     "run_simulation",
-    "run_batch",
     "run_recorded",
     "run_seeds",
     "run_with_telemetry",
@@ -64,71 +62,6 @@ def make_scheduler(name: str, fleet_size: int) -> Scheduler:
 def run_simulation(config: SimulationConfig) -> SimulationSummary:
     """Build a world from ``config``, run it, return the summary."""
     return World(config).run()
-
-
-def run_batch(
-    configs: Sequence[SimulationConfig],
-    debug: Optional[bool] = None,
-    instruments=None,
-) -> List[SimulationSummary]:
-    """Run several configurations, batching compatible ones.
-
-    Configurations are grouped by :func:`~repro.sim.batch.shape_signature`
-    (identical up to seed / scheduler / erp / horizon) and each group
-    advances in lockstep through one
-    :class:`~repro.sim.batch.BatchedEngine`; anything the batched
-    kernels cannot represent — a plugin activator, a custom ERC release
-    policy, an attached event log, battery leakage — falls back to
-    :func:`run_simulation` per cell.  Either way every summary is
-    bit-identical to its serial ``run_simulation`` counterpart, and
-    results come back in input order.
-
-    ``debug`` arms the per-world serial shadow twin (``None`` consults
-    ``REPRO_DEBUG_BATCH``).  ``REPRO_STRICT_MONITORS=1`` wires every
-    batched world with a strict :class:`~repro.obs.MonitorSet`, so the
-    invariant monitors validate the batched kernels tick by tick and
-    any violation raises — monitors observe the trajectory, never
-    perturb it.
-
-    ``instruments`` (optional) counts cells batched vs serial-fallback
-    (``batch.cells_batched`` / ``batch.cells_serial``); instruments
-    never touch the trajectory, so summaries stay byte-identical with
-    or without them.
-    """
-    from ..obs import NULL_INSTRUMENTS
-    from ..obs.monitors import strict_monitors_default
-    from .batch import BatchedEngine, _batchable_world, batchable_config, shape_signature
-
-    obs = NULL_INSTRUMENTS if instruments is None else instruments
-    strict = strict_monitors_default()
-    configs = list(configs)
-    out: List[Optional[SimulationSummary]] = [None] * len(configs)
-    groups: Dict[str, List[Tuple[int, World]]] = {}
-    for i, cfg in enumerate(configs):
-        if not batchable_config(cfg):
-            logger.debug("cell %d not batchable by config; running serially", i)
-            obs.counter("batch.cells_serial").inc()
-            out[i] = run_simulation(cfg)
-            continue
-        world = World(
-            cfg,
-            external_tick=True,
-            monitors=MonitorSet(strict=True) if strict else None,
-        )
-        reason = _batchable_world(world)
-        if reason is not None:
-            # The screening world has no tick event scheduled; rebuild.
-            logger.debug("cell %d not batchable (%s); running serially", i, reason)
-            obs.counter("batch.cells_serial").inc()
-            out[i] = run_simulation(cfg)
-            continue
-        groups.setdefault(shape_signature(cfg), []).append((i, world))
-    for pairs in groups.values():
-        obs.counter("batch.cells_batched").inc(len(pairs))
-        engine = BatchedEngine(worlds=[w for _, w in pairs], debug=debug)
-        for (i, _), summary in zip(pairs, engine.run()):
-            out[i] = summary
-    return out  # type: ignore[return-value]
 
 
 def run_seeds(
@@ -193,7 +126,6 @@ def _flush_postmortem(
             directory,
             reason=reason,
             config=config_to_dict(config),
-            engine=engine_provenance(),
             monitors=monitors.describe() if monitors is not None else None,
             spans=log.span_lines() if log is not None else None,
             instruments=log.snapshot(config.n_rvs) if log is not None else None,
@@ -329,7 +261,6 @@ def run_with_telemetry(
         instruments=snapshot,
         exporters=names,
         files=files,
-        engine=engine_provenance(),
     )
     manifest.write(out)
     logger.info(

@@ -108,9 +108,9 @@ def snapshot_arrays(state) -> Dict[str, np.ndarray]:
     """A flat-array snapshot of one :class:`SimulationState`.
 
     Every array is copied out of the live state, so two snapshots can
-    be compared field-by-field (``np.array_equal``) regardless of which
-    tick engine produced them — the SoA/reference equivalence tests
-    assert bit-equality of exactly this dict.  Works with or without
+    be compared field-by-field (``np.array_equal``) — the array-path /
+    reference-path equivalence tests assert bit-equality of exactly
+    this dict.  Works with or without
     ``state.arrays``: the canonical buffers are the source of truth
     either way.
     """
@@ -141,7 +141,7 @@ def restore_arrays(state, snapshot: Dict[str, np.ndarray]) -> None:
     live in the cluster set, activator, and request backlog — so the
     full restore (:func:`repro.sim.replay.restore_world`) rebuilds those
     components and then re-derives the fields; this function only
-    handles the flat arrays both engines share.
+    handles the flat arrays.
     """
     state.bank.levels_j[:] = snapshot["levels_j"]
     state.requested[:] = snapshot["requested"]

@@ -60,8 +60,7 @@ A sensor relays every packet that originates in its routing subtree.
 each sensor's subtree is one contiguous range ``[tin, tout)``, and
 :func:`subtree_counts` turns an origin mask into every sensor's
 through count with one ``cumsum`` and two gathers.  Counts are int64,
-so the result is exact whatever the summation order.  The batched
-engine runs the same kernel over its worlds' concatenated preorders.
+so the result is exact whatever the summation order.
 
 Exactness contract
 ------------------
@@ -79,7 +78,6 @@ per-origin root-path walk (the test oracle in ``tests/oracles.py``).
 
 from __future__ import annotations
 
-import os
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -94,8 +92,6 @@ __all__ = [
     "SoAFullTimeActivator",
     "SoARoundRobinActivator",
     "SubtreeIndex",
-    "batch_enabled",
-    "debug_batch",
     "erc_release_scan",
     "pack_clusters",
     "rotation_table",
@@ -103,24 +99,6 @@ __all__ = [
     "subtree_index",
     "wrap_activator",
 ]
-
-
-def batch_enabled() -> bool:
-    """The ``REPRO_BATCH`` opt-in for the batched multi-world engine
-    (default: off — single-world runs keep the serial SoA loop)."""
-    return os.environ.get("REPRO_BATCH", "") not in ("", "0", "false", "no")
-
-
-def debug_batch() -> bool:
-    """``REPRO_DEBUG_BATCH=1``: shadow every batched world with a
-    serial twin and assert bit-equality after each batched tick."""
-    return os.environ.get("REPRO_DEBUG_BATCH", "") not in ("", "0")
-
-
-def engine_provenance() -> dict:
-    """Which engine knobs are live — recorded in run manifests so a
-    drift report can say which engine produced each run."""
-    return {"batch": batch_enabled(), "batch_debug": debug_batch()}
 
 
 class ClusterIndex(NamedTuple):
@@ -250,8 +228,6 @@ class RotationTable(NamedTuple):
     holder's own slot when it is the row's only alive member.  The
     table is built once per alive set; every rotation and duty query
     under that set is a gather at the flat position ``base + ptr``.
-    The batched engine builds one table over its flattened ``(B * m,
-    w)`` member matrix.
     """
 
     cur: np.ndarray  # (m, w) int64 duty-holder member ids, -1 in dead rows
@@ -273,9 +249,7 @@ def rotation_table(
     ``RoundRobinActivator._first_alive_from``.  The successor of the
     duty holder at ``j`` is the same array shifted by one slot (the
     last slot wrapping to the first) and gathered at the holder's slot.
-    ``ix.ids`` address ``alive`` and ``members`` are what the table
-    reports; the batched engine shifts the former into its flat alive
-    mask but not the latter.  O(m·w) work and memory.
+    O(m·w) work and memory.
     """
     m, w = members.shape
     ok = np.logical_and(ix.valid, alive[ix.ids])

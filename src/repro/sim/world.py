@@ -66,7 +66,6 @@ class World:
         log=None,
         monitors=None,
         blackbox=None,
-        external_tick: bool = False,
     ) -> None:
         self.cfg = config
         self.state = SimulationState.from_config(
@@ -85,8 +84,7 @@ class World:
         self._record_metrics()
 
         sim = self.state.sim
-        if not external_tick:
-            sim.schedule(config.tick_s, self._on_tick, priority=PRIO_TICK)
+        sim.schedule(config.tick_s, self._on_tick, priority=PRIO_TICK)
         sim.schedule(config.target_period_s, self._on_relocate, priority=PRIO_RELOCATE)
         sim.schedule(config.dispatch_period_s, self._on_dispatch_round, priority=PRIO_DISPATCH)
 
@@ -101,7 +99,7 @@ class World:
             self.gate.maybe_adjust()
             self.gate.check()
             self._record_metrics()
-        self.sim.schedule_in(self.cfg.tick_s, self._on_tick, priority=PRIO_TICK)
+        self.state.sim.schedule_in(self.cfg.tick_s, self._on_tick, priority=PRIO_TICK)
         if self.state.blackbox.enabled:
             self._flight_record("tick")
 
@@ -112,7 +110,7 @@ class World:
             self.gate.check()
             self.fleet.dispatch()
             self._record_metrics()
-        self.sim.schedule_in(
+        self.state.sim.schedule_in(
             self.cfg.dispatch_period_s, self._on_dispatch_round, priority=PRIO_DISPATCH
         )
         if self.state.blackbox.enabled:
@@ -125,7 +123,7 @@ class World:
             self.energy.recompute()
             self.gate.check()
             self._record_metrics()
-        self.sim.schedule_in(
+        self.state.sim.schedule_in(
             self.cfg.target_period_s, self._on_relocate, priority=PRIO_RELOCATE
         )
         if self.state.blackbox.enabled:
@@ -136,9 +134,8 @@ class World:
 
         Runs *after* the handler rescheduled itself, so a checkpoint
         taken here sees the complete pending-event set.  The digests
-        cover exactly the ``snapshot_arrays`` fields — the bit-equality
-        surface of the serial and batched tick engines — plus the RNG
-        state, which is what makes recorded runs replayable.
+        cover exactly the ``snapshot_arrays`` fields plus the RNG state,
+        which is what makes recorded runs replayable.
 
         Plain ticks get one combined digest (the per-event hot path);
         every ``_FULL_DIGEST_EVERY``-th record and every decision event
@@ -221,7 +218,7 @@ class World:
             erp=self.cfg.erp,
             seed=self.cfg.seed,
         ):
-            self.sim.run_until(self.cfg.sim_time_s)
+            self.state.sim.run_until(self.cfg.sim_time_s)
             self.energy.advance()
         books = self.fleet.totals()
         return self.state.metrics.finalize(
@@ -230,7 +227,7 @@ class World:
             rv_moving_energy_j=books["moving_energy_j"],
             delivered_energy_j=books["delivered_energy_j"],
             n_sorties=books["sorties"],
-            events_fired=self.sim.events_fired,
+            events_fired=self.state.sim.events_fired,
         )
 
     # -- introspection helpers (used by examples and tests) --
@@ -257,52 +254,3 @@ class World:
             "rv_positions": s.arrays.rv_pos.copy(),
             "pending_requests": s.requests.node_ids,
         }
-
-    # -- pre-split delegation surface (stable API over the component split) --
-
-    def _recompute_rates(self) -> None:
-        self.energy.recompute()
-
-    def _advance_energy(self) -> None:
-        self.energy.advance()
-
-    def _rebuild_clusters(self) -> None:
-        self.clusters.rebuild()
-
-    def _check_requests(self) -> bool:
-        return self.gate.check()
-
-    def _dispatch(self) -> None:
-        self.fleet.dispatch()
-
-    def _rv_arrive(self, rv) -> None:
-        self.fleet._rv_arrive(rv)
-
-
-# Flat attribute access forwarded to the owning component; the private
-# names keep the pre-split white-box tests and tooling working.
-_FORWARDED = {
-    "sim": "state.sim", "rng": "state.rng", "log": "state.log",
-    "arrays": "state.arrays",
-    "monitors": "state.monitors",
-    "blackbox": "state.blackbox",
-    "field": "state.field", "power": "state.power",
-    "sensor_pos": "state.sensor_pos", "bank": "state.bank",
-    "topology": "state.topology", "routing": "state.routing",
-    "targets": "state.targets", "cluster_set": "state.cluster_set",
-    "activator": "state.activator", "metrics": "state.metrics",
-    "requests": "state.requests", "requested": "state.requested",
-    "_coverable": "state.coverable", "_uplink_etx": "state.uplink_etx",
-    "rvs": "fleet.rvs", "scheduler": "fleet.scheduler",
-    "_returning": "fleet.returning", "erc": "gate.erc",
-    "_rates": "energy.rates", "_active": "energy.active",
-}
-
-for _name, _path in _FORWARDED.items():
-    _owner, _attr = _path.split(".")
-    setattr(
-        World,
-        _name,
-        property(lambda self, o=_owner, a=_attr: getattr(getattr(self, o), a)),
-    )
-del _name, _path, _owner, _attr

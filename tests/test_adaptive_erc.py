@@ -83,7 +83,7 @@ class TestAdaptiveInWorld:
         s = w.run()
         assert s.n_recharges > 0
         # With no deaths in the small healthy scenario, K climbed.
-        assert w.erc.erp > 0.2
+        assert w.gate.erc.erp > 0.2
 
     def test_adaptive_flag_changes_outcome_only_via_erp(self):
         base = SimulationConfig.small(erp=0.2, sim_time_s=1 * DAY_S, seed=3)

@@ -3,7 +3,7 @@
 Covers the ring/notes/checkpoint mechanics of
 :class:`repro.obs.BlackBoxRecorder`, the zero-overhead null default,
 bundle round-trips through :func:`repro.obs.load_bundle`, deterministic
-replay from checkpoints on both tick engines
+replay from checkpoints
 (:mod:`repro.sim.replay`), the forced-violation acceptance path
 (``REPRO_MONITOR_ATOL_J`` + strict monitors), and the ``repro
 postmortem`` / ``repro replay`` CLI exit codes.  Also pins the
@@ -123,7 +123,7 @@ class TestBundleRoundTrip:
         assert m["records"] == len(bundle.records) > 0
         assert m["seed"] == TINY["seed"]
         assert m["config_digest"]
-        assert "batch" in m["engine"]
+        assert "engine" not in m
         # Every record carries the combined digest; decision events and
         # the periodic full-digest records also name each field.
         rec = bundle.records[-1]
@@ -147,6 +147,19 @@ class TestBundleRoundTrip:
         assert "Postmortem bundle" in text
         assert "flight record(s)" in text
         assert "repro replay" in text
+
+    def test_legacy_engine_block_still_renders_and_replays(self, tmp_path):
+        """Bundles written before the batched engine was removed carry
+        an ``engine`` block in ``blackbox.json``; they still load,
+        render and replay bit-identically."""
+        out = recorded_bundle(tmp_path)
+        path = out / "blackbox.json"
+        manifest = json.loads(path.read_text())
+        manifest["engine"] = {"batch": False, "batch_debug": False}
+        path.write_text(json.dumps(manifest))
+        bundle = load_bundle(out)
+        assert "Postmortem bundle" in format_postmortem(bundle)
+        assert replay_bundle(bundle).ok
 
 
 class TestReplay:

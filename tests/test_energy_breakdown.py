@@ -53,9 +53,9 @@ class TestEnergyBreakdown:
         batteries net of recharges (clamping at empty only loses energy
         from the categories' upper bound)."""
         w = make()
-        initial = w.bank.levels_j.sum()
+        initial = w.state.bank.levels_j.sum()
         s = w.run()
-        final = w.bank.levels_j.sum()
+        final = w.state.bank.levels_j.sum()
         consumed = initial - final + s.delivered_energy_j
         total_categorized = sum(w.energy_breakdown().values())
         assert total_categorized >= consumed - 1e-6

@@ -35,11 +35,11 @@ class TestEtxRouting:
 
     def test_uplink_etx_at_least_one(self):
         w = make(routing_metric="etx")
-        assert np.all(w._uplink_etx >= 1.0 - 1e-12)
+        assert np.all(w.state.uplink_etx >= 1.0 - 1e-12)
 
     def test_distance_metric_etx_is_one(self):
         w = make(routing_metric="distance")
-        assert np.all(w._uplink_etx == 1.0)
+        assert np.all(w.state.uplink_etx == 1.0)
 
     def test_etx_paths_avoid_grey_links_when_possible(self):
         """The ETX tree never uses a grey-zone hop when the distance
@@ -47,9 +47,9 @@ class TestEtxRouting:
         minimum, the ETX tree's hops are no longer than the range."""
         w = make(routing_metric="etx")
         for v in range(w.cfg.n_sensors):
-            p = w.routing.parent[v]
+            p = w.state.routing.parent[v]
             if p >= 0:
-                hop = np.hypot(*(w.topology.points[v] - w.topology.points[p]))
+                hop = np.hypot(*(w.state.topology.points[v] - w.state.topology.points[p]))
                 assert hop <= w.cfg.comm_range_m + 1e-9
 
     def test_etx_drains_relays_at_least_as_fast(self):
@@ -58,11 +58,11 @@ class TestEtxRouting:
         w_d = make(routing_metric="distance")
         w_e = make(routing_metric="etx")
         # Same seed -> same deployment, clusters and actives.
-        assert np.allclose(w_d.sensor_pos, w_e.sensor_pos)
+        assert np.allclose(w_d.state.sensor_pos, w_e.state.sensor_pos)
         # ETX re-routing may shift relay roles, but the *total* cost of
         # delivering the same packet stream cannot be cheaper than
         # loss-free shortest-path delivery.
-        assert w_e._rates.sum() >= w_d._rates.sum() * 0.999
+        assert w_e.energy.rates.sum() >= w_d.energy.rates.sum() * 0.999
 
     def test_serialization_roundtrip(self):
         from repro.sim.serialization import config_from_dict, config_to_dict

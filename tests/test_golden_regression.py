@@ -160,9 +160,8 @@ class TestGoldenPerScheduler:
 
 class TestGoldenExecutionMatrix:
     """The pinned summaries must survive every execution mode: serial
-    or process-pool (``jobs``), serial or batched tick engine
-    (``REPRO_BATCH``).  Workers inherit the knobs through the
-    environment, so the matrix covers child processes too."""
+    or process-pool (``jobs``), so the matrix covers child processes
+    too."""
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_matrix_bit_identical(self, monkeypatch, jobs):
@@ -185,17 +184,17 @@ class TestGoldenExecutionMatrix:
             )
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("batch", ["0", "1"])
+    @pytest.mark.parametrize("batch", ["0"])
     def test_batched_matrix_bit_identical(self, monkeypatch, jobs, batch):
-        """``REPRO_BATCH=1`` must change wall clock only: the lockstep
-        multi-world engine reproduces the goldens bit-for-bit, whether
-        the chunks run in-process or across pool workers."""
+        """The multi-world batch engine is gone; a ``REPRO_BATCH=0`` or
+        ``REPRO_BATCH_SIZE`` left over in the environment must be inert
+        and the goldens hold bit-for-bit, in-process or across pool
+        workers."""
         from repro.experiments.executor import map_configs
 
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_BATCH", batch)
         if jobs > 1:
-            # One cell per chunk so the shape-batches actually fan out.
             monkeypatch.setenv("REPRO_BATCH_SIZE", "1")
         schedulers = ("greedy", "insertion")
         configs = [

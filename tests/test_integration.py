@@ -115,35 +115,36 @@ class TestWorldConservation:
     def test_rv_books_close(self):
         w = self.world()
         s = w.run()
-        for rv in w.rvs:
+        for rv in w.fleet.rvs:
             assert rv.stats.moving_energy_j == pytest.approx(
                 rv.stats.distance_m * w.cfg.rv_moving_cost_j_per_m
             )
-        assert s.n_recharges == sum(rv.stats.nodes_recharged for rv in w.rvs)
+        assert s.n_recharges == sum(rv.stats.nodes_recharged for rv in w.fleet.rvs)
 
     def test_delivered_bounded_by_possible_consumption(self):
         """RVs cannot deliver more than the network could ever absorb:
         initial deficit plus the worst-case drain over the horizon."""
         w = self.world()
-        initial = w.bank.levels_j.copy()
+        initial = w.state.bank.levels_j.copy()
         s = w.run()
         capacity = w.cfg.battery_capacity_j
         initial_deficit = float(np.sum(capacity - initial))
         # Absolute worst-case power: every sensor active + relaying hard.
+        power = w.state.power
         worst_power = w.cfg.n_sensors * (
-            w.power.idle_power_w + w.power.active_sensing_power_w + w.power.relay_power_w(10.0)
+            power.idle_power_w + power.active_sensing_power_w + power.relay_power_w(10.0)
         )
         assert s.delivered_energy_j <= initial_deficit + worst_power * s.sim_time_s
 
     def test_requested_mask_consistent_with_list(self):
         w = self.world()
-        w.sim.run_until(w.cfg.sim_time_s / 3)
-        listed = set(w.requests.node_ids.tolist())
-        flagged = set(np.flatnonzero(w.requested).tolist())
+        w.state.sim.run_until(w.cfg.sim_time_s / 3)
+        listed = set(w.state.requests.node_ids.tolist())
+        flagged = set(np.flatnonzero(w.state.requested).tolist())
         # Everything listed is flagged; flagged-but-not-listed nodes are
         # en route to being served (assigned to an RV itinerary).
         assert listed <= flagged
-        in_itineraries = {n for rv in w.rvs for n in rv.itinerary}
+        in_itineraries = {n for rv in w.fleet.rvs for n in rv.itinerary}
         assert flagged - listed <= in_itineraries | flagged
 
     def test_run_is_reproducible_through_public_api(self):
@@ -173,15 +174,15 @@ class TestActivationIntegration:
             seed=3,
         )
         w = World(cfg)
-        w.sim.run_until(cfg.sim_time_s)
-        w._advance_energy()
-        for c in w.cluster_set:
+        w.state.sim.run_until(cfg.sim_time_s)
+        w.energy.advance()
+        for c in w.state.cluster_set:
             if c.size >= 2:
-                levels = w.bank.levels_j[c.members]
+                levels = w.state.bank.levels_j[c.members]
                 spread = levels.max() - levels.min()
                 # One rotation slot of active drain bounds the spread.
                 bound = (
-                    w.power.active_sensing_power_w * cfg.tick_s * 2
-                    + w.power.notification_energy_j() * 50
+                    w.state.power.active_sensing_power_w * cfg.tick_s * 2
+                    + w.state.power.notification_energy_j() * 50
                 )
                 assert spread <= bound

@@ -12,12 +12,9 @@ import re
 #: Every ``REPRO_*`` name that appears anywhere under ``src/repro``,
 #: sorted.
 KNOBS = [
-    "REPRO_BATCH",
-    "REPRO_BATCH_SIZE",
     "REPRO_BLACKBOX",
     "REPRO_BLACKBOX_CHECKPOINT",
     "REPRO_BLACKBOX_TICKS",
-    "REPRO_DEBUG_BATCH",
     "REPRO_JOBS",
     "REPRO_MONITOR_ATOL_J",
     "REPRO_SCALE",

@@ -96,7 +96,7 @@ class TestAliveMask:
             SimulationConfig.small(sim_time_s=DAY_S, seed=3),
             monitors=MonitorSet(strict=True),
         )
-        world.bank.levels_j[0] = 0.0
+        world.state.bank.levels_j[0] = 0.0
         with pytest.raises(InvariantViolation, match="alive_mask"):
             world.run()
 

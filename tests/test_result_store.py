@@ -60,6 +60,32 @@ def test_put_is_dedup_noop(tmp_path, cell):
     assert blob.read_bytes() == before
 
 
+def test_executor_blobs_have_no_source_field(tmp_path, cell):
+    config, _ = cell
+    store = ResultStore(tmp_path / "store")
+    map_configs([config], jobs=1, store=store)
+    blob = json.loads(store._blob_path(store.key_for(config)).read_text())
+    assert set(blob) == {"key", "summary", "sha256"}
+
+
+def test_legacy_batch_source_blob_is_a_hit(tmp_path, cell):
+    """Blobs written while the batched engine existed carry
+    ``"source": "batch"``; the field sits outside the integrity hash, so
+    they stay hits, are not quarantined, and stream as ``"store"``."""
+    from repro.experiments.executor import iter_configs
+
+    config, summary = cell
+    obs = Instruments()
+    store = ResultStore(tmp_path / "store", instruments=obs)
+    path = store._blob_path(store.put(config, summary))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "source": "batch"}))
+    assert store.get(config).as_dict() == summary.as_dict()
+    assert [src for _, _, src in iter_configs([config], jobs=1, store=store)] == ["store"]
+    assert store.stats["corrupt"] == 0 and store.stats["hits"] == 2
+    assert obs.snapshot()["counters"].get("store.corrupt", 0) == 0
+    assert path.exists()
+
+
 @pytest.mark.parametrize(
     "mangle",
     [

@@ -113,12 +113,12 @@ class TestWholeClusterDeath:
                 seed=1,
             )
         )
-        w.sim.run_until(2.5 * DAY_S)
-        w._advance_energy()
-        w.targets.relocate()
-        w._rebuild_clusters()
-        dead = ~w.bank.alive_mask()
-        for c in w.cluster_set:
+        w.state.sim.run_until(2.5 * DAY_S)
+        w.energy.advance()
+        w.state.targets.relocate()
+        w.clusters.rebuild()
+        dead = ~w.state.bank.alive_mask()
+        for c in w.state.cluster_set:
             assert not np.any(dead[c.members])
 
 

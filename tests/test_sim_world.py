@@ -28,22 +28,22 @@ def tiny(**overrides):
 class TestWorldConstruction:
     def test_builds_consistent_state(self):
         w = World(tiny())
-        assert w.sensor_pos.shape == (40, 2)
-        assert len(w.bank) == 40
-        assert len(w.rvs) == 1
-        assert len(w.cluster_set) == 3
+        assert w.state.sensor_pos.shape == (40, 2)
+        assert len(w.state.bank) == 40
+        assert len(w.fleet.rvs) == 1
+        assert len(w.state.cluster_set) == 3
 
     def test_initial_levels_in_range(self):
         w = World(tiny())
-        frac = w.bank.fractions
+        frac = w.state.bank.fractions
         assert np.all(frac >= 0.5 - 1e-9)
         assert np.all(frac <= 0.8 + 1e-9)
 
     def test_clusters_only_over_alive_detectors(self):
         w = World(tiny())
-        for c in w.cluster_set:
+        for c in w.state.cluster_set:
             for s in c.members:
-                d = np.hypot(*(w.sensor_pos[s] - w.targets.positions[c.cluster_id]))
+                d = np.hypot(*(w.state.sensor_pos[s] - w.state.targets.positions[c.cluster_id]))
                 assert d <= w.cfg.sensing_range_m
 
     def test_snapshot_keys(self):
@@ -68,7 +68,7 @@ class TestWorldRun:
     def test_energy_books_balance(self):
         w = World(tiny())
         s = w.run()
-        delivered_rv = sum(rv.stats.delivered_energy_j for rv in w.rvs)
+        delivered_rv = sum(rv.stats.delivered_energy_j for rv in w.fleet.rvs)
         assert s.delivered_energy_j == pytest.approx(delivered_rv)
         assert s.traveling_energy_j == pytest.approx(
             s.traveling_distance_m * w.cfg.rv_moving_cost_j_per_m
@@ -82,9 +82,9 @@ class TestWorldRun:
 
     def test_battery_bounds_hold_throughout(self):
         w = World(tiny())
-        w.sim.run_until(w.cfg.sim_time_s / 2)
-        assert np.all(w.bank.levels_j >= 0.0)
-        assert np.all(w.bank.levels_j <= w.cfg.battery_capacity_j + 1e-9)
+        w.state.sim.run_until(w.cfg.sim_time_s / 2)
+        assert np.all(w.state.bank.levels_j >= 0.0)
+        assert np.all(w.state.bank.levels_j <= w.cfg.battery_capacity_j + 1e-9)
 
     def test_metrics_within_bounds(self):
         s = World(tiny()).run()
@@ -130,6 +130,6 @@ class TestWorldRun:
     def test_rv_returns_within_field(self):
         w = World(tiny())
         w.run()
-        for rv in w.rvs:
+        for rv in w.fleet.rvs:
             assert 0 <= rv.position[0] <= w.cfg.side_length_m
             assert 0 <= rv.position[1] <= w.cfg.side_length_m

@@ -17,6 +17,7 @@ the per-object loops specify:
 """
 
 import contextlib
+import json
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro.sim.soa import (
     SoAFullTimeActivator,
     SoARoundRobinActivator,
     StateArrays,
-    engine_provenance,
     erc_release_scan,
     erc_scan_applicable,
     pack_clusters,
@@ -72,13 +72,6 @@ SMALL_CONFIG = dict(
     initial_charge_range=(0.5, 0.8),
     seed=7,
 )
-
-
-class TestKnobs:
-    def test_engine_provenance_keys(self):
-        prov = engine_provenance()
-        assert set(prov) == {"batch", "batch_debug"}
-        assert all(isinstance(v, bool) for v in prov.values())
 
 
 class TestRotationParity:
@@ -367,8 +360,8 @@ def run_snapshotted(reference, checkpoints, **overrides):
             assert not world.gate.array_scan
         snaps = []
         for t in checkpoints:
-            world.sim.run_until(t)
-            world._advance_energy()
+            world.state.sim.run_until(t)
+            world.energy.advance()
             snaps.append(snapshot_arrays(world.state))
     return snaps
 
@@ -481,14 +474,14 @@ class TestAllocationDiscipline:
         cfg = SimulationConfig(**{**SMALL_CONFIG, "target_period_s": 10 * 3600.0})
         world = World(cfg)
         a = world.state.arrays
-        world.sim.run_until(2 * cfg.tick_s)  # warm-up: lazy scratch exists now
+        world.state.sim.run_until(2 * cfg.tick_s)  # warm-up: lazy scratch exists now
         held = {
             name: value
             for name, value in vars(a).items()
             if isinstance(value, np.ndarray) or name == "cluster_index"
         }
         assert {"drain_scratch", "below_scratch", "release_scratch", "members"} <= set(held)
-        world.sim.run_until(9 * 3600.0)  # many ticks, no relocation epoch
+        world.state.sim.run_until(9 * 3600.0)  # many ticks, no relocation epoch
         moved = [name for name, value in held.items() if getattr(a, name) is not value]
         assert moved == [], f"SoA buffers reallocated during steady-state ticks: {moved}"
 
@@ -501,15 +494,15 @@ class TestAllocationDiscipline:
         assert s.arrays.requested is s.requested
         assert s.arrays.cluster_id is s.cluster_set.membership
         assert s.arrays.rv_returning is world.fleet.returning
-        world.sim.run_until(3600.0)
+        world.state.sim.run_until(3600.0)
         # Aliases must survive recomputes and rebuilds within the epoch.
         assert s.arrays.rates_w is world.energy.rates
         assert s.arrays.levels_j is s.bank.levels_j
 
     def test_rv_block_write_through(self):
         world = World(SimulationConfig(**SMALL_CONFIG))
-        world.sim.run_until(6 * 3600.0)
-        world._advance_energy()
+        world.state.sim.run_until(6 * 3600.0)
+        world.energy.advance()
         a = world.state.arrays
         for rv in world.fleet.rvs:
             assert np.array_equal(a.rv_pos[rv.rv_id], rv.position)
@@ -518,23 +511,33 @@ class TestAllocationDiscipline:
 
 
 class TestProvenance:
-    def test_manifest_records_engine(self, tmp_path, monkeypatch):
+    def test_manifest_writes_no_engine_block(self, tmp_path):
+        from repro.obs.manifest import RunManifest
         from repro.sim.runner import run_with_telemetry
 
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
         cfg = SimulationConfig(**{**SMALL_CONFIG, "sim_time_s": 3600.0})
         _, manifest = run_with_telemetry(cfg, tmp_path)
-        assert manifest.engine["batch"] is False
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert "engine" not in on_disk
         # And it round-trips through the JSON on disk.
-        from repro.obs.manifest import RunManifest
-
-        loaded = RunManifest.load(tmp_path)
-        assert loaded.engine == manifest.engine
+        assert RunManifest.load(tmp_path) == manifest
 
     def test_manifest_from_dict_tolerates_missing_engine(self):
         from repro.obs.manifest import RunManifest
 
         m = RunManifest.create(config={"n_sensors": 1}, seed=0, wall_time_s=0.0)
-        data = m.as_dict()
-        data.pop("engine")
-        assert RunManifest.from_dict(data).engine == {}
+        assert RunManifest.from_dict(m.as_dict()) == m
+
+    def test_manifest_with_legacy_engine_block_loads(self, tmp_path):
+        """Manifests written before the batched engine was removed carry
+        an ``engine`` block; they still load, and drift still reads them."""
+        from repro.obs.drift import load_metrics
+        from repro.obs.manifest import RunManifest
+
+        m = RunManifest.create(
+            config={"n_sensors": 1}, seed=3, wall_time_s=0.5, summary={"coverage": 1.0}
+        )
+        data = {**m.as_dict(), "engine": {"batch": False, "batch_debug": False}}
+        (tmp_path / "manifest.json").write_text(json.dumps(data))
+        assert RunManifest.load(tmp_path) == m
+        assert load_metrics(tmp_path) == {"summary.coverage": 1.0}

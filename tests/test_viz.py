@@ -12,7 +12,7 @@ from repro.viz.svg import field_svg, series_svg, write_svg
 def snapshot():
     cfg = SimulationConfig.small(sim_time_s=0.2 * DAY_S, seed=4)
     w = World(cfg)
-    w.sim.run_until(cfg.sim_time_s / 2)
+    w.state.sim.run_until(cfg.sim_time_s / 2)
     return w.snapshot(), cfg
 
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 
+from repro.obs import MonitorSet
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.world import World
 
 
-def make_world(**overrides):
+def make_world(monitors=None, **overrides):
     defaults = dict(
         n_sensors=30,
         n_targets=2,
@@ -20,139 +21,171 @@ def make_world(**overrides):
         seed=11,
     )
     defaults.update(overrides)
-    return World(SimulationConfig(**defaults))
+    return World(SimulationConfig(**defaults), monitors=monitors)
+
+
+def force_handoff_death(world) -> int:
+    """Leave one retiring duty holder enough charge to outlive the first
+    tick's drain but not its hand-off notification, so the first
+    rotation empties its battery."""
+    s = world.state
+    alive = s.arrays.alive
+    actives = s.activator.active_sensor_per_cluster(alive)
+    victim = next(
+        int(actives[c.cluster_id])
+        for c in s.cluster_set
+        if np.count_nonzero(alive[c.members]) >= 2
+    )
+    ea = world.energy
+    s.bank.levels_j[victim] = ea.rates[victim] * world.cfg.tick_s + 0.5 * ea._notification_j
+    return victim
 
 
 class TestRates:
     def test_dead_sensors_draw_nothing(self):
         w = make_world()
-        w.bank.levels_j[:5] = 0.0
-        w._recompute_rates()
-        assert np.all(w._rates[:5] == 0.0)
+        w.state.bank.levels_j[:5] = 0.0
+        w.energy.recompute()
+        assert np.all(w.energy.rates[:5] == 0.0)
 
     def test_alive_idle_draw_at_least_idle_power(self):
         w = make_world()
-        w._recompute_rates()
-        alive = w.bank.alive_mask()
-        assert np.all(w._rates[alive] >= w.power.idle_power_w - 1e-15)
+        w.energy.recompute()
+        alive = w.state.bank.alive_mask()
+        assert np.all(w.energy.rates[alive] >= w.state.power.idle_power_w - 1e-15)
 
     def test_active_draw_exceeds_idle(self):
         w = make_world()
-        w._recompute_rates()
-        active = w._active
-        idle_alive = w.bank.alive_mask() & ~active
+        w.energy.recompute()
+        active = w.energy.active
+        idle_alive = w.state.bank.alive_mask() & ~active
         if active.any() and idle_alive.any():
-            assert w._rates[active].min() > w._rates[idle_alive].max() * 0.99
+            assert w.energy.rates[active].min() > w.energy.rates[idle_alive].max() * 0.99
 
     def test_one_active_per_nonempty_cluster_round_robin(self):
         w = make_world()
-        w._recompute_rates()
-        n_nonempty = sum(1 for c in w.cluster_set if c.size > 0)
-        assert w._active.sum() == n_nonempty
+        w.energy.recompute()
+        n_nonempty = sum(1 for c in w.state.cluster_set if c.size > 0)
+        assert w.energy.active.sum() == n_nonempty
 
     def test_relay_draw_present_near_base(self):
         """The total network draw must exceed the pure idle+active sum
         whenever someone relays (multi-hop network)."""
         w = make_world(n_sensors=80, side_length_m=80.0, comm_range_m=15.0)
-        w._recompute_rates()
-        alive = w.bank.alive_mask()
-        base_draw = alive.sum() * w.power.idle_power_w + (
-            w._active.sum() * w.power.active_sensing_power_w
+        w.energy.recompute()
+        alive = w.state.bank.alive_mask()
+        base_draw = alive.sum() * w.state.power.idle_power_w + (
+            w.energy.active.sum() * w.state.power.active_sensing_power_w
         )
-        assert w._rates.sum() >= base_draw - 1e-12
+        assert w.energy.rates.sum() >= base_draw - 1e-12
 
 
 class TestAdvanceEnergy:
     def test_no_time_no_drain(self):
         w = make_world()
-        before = w.bank.levels_j.copy()
-        w._advance_energy()
-        assert np.array_equal(before, w.bank.levels_j)
+        before = w.state.bank.levels_j.copy()
+        w.energy.advance()
+        assert np.array_equal(before, w.state.bank.levels_j)
 
     def test_drain_matches_rates(self):
         w = make_world()
-        before = w.bank.levels_j.copy()
-        rates = w._rates.copy()
-        w.sim.now = 1000.0
-        w._advance_energy()
+        before = w.state.bank.levels_j.copy()
+        rates = w.energy.rates.copy()
+        w.state.sim.now = 1000.0
+        w.energy.advance()
         expected = np.clip(before - rates * 1000.0, 0.0, w.cfg.battery_capacity_j)
-        assert np.allclose(w.bank.levels_j, expected)
+        assert np.allclose(w.state.bank.levels_j, expected)
 
     def test_death_triggers_rate_refresh(self):
         w = make_world()
-        victim = int(np.flatnonzero(w._active)[0])
-        w.bank.levels_j[victim] = w._rates[victim] * 10.0  # dies in 10 s
-        w.sim.now = 100.0
-        w._advance_energy()
-        assert w.bank.levels_j[victim] == 0.0
-        assert w._rates[victim] == 0.0
+        victim = int(np.flatnonzero(w.energy.active)[0])
+        w.state.bank.levels_j[victim] = w.energy.rates[victim] * 10.0  # dies in 10 s
+        w.state.sim.now = 100.0
+        w.energy.advance()
+        assert w.state.bank.levels_j[victim] == 0.0
+        assert w.energy.rates[victim] == 0.0
         # Another cluster member should have picked up the duty.
-        cluster = w.cluster_set.cluster_of(victim)
-        actives = w.activator.active_sensor_per_cluster(w.bank.alive_mask())
-        if w.cluster_set[cluster].size > 1:
+        cluster = w.state.cluster_set.cluster_of(victim)
+        actives = w.state.activator.active_sensor_per_cluster(w.state.bank.alive_mask())
+        if w.state.cluster_set[cluster].size > 1:
             assert actives[cluster] != victim
+
+
+class TestHandoffDeath:
+    def test_handoff_drain_kills_the_victim(self):
+        """A duty holder emptied by its own hand-off notification is dead
+        after the tick: the level is exactly zero, the alive mask drops
+        it, and the strict monitors' next alive-mask check agrees."""
+        monitors = MonitorSet(strict=True)
+        w = make_world(monitors=monitors)
+        victim = force_handoff_death(w)
+        w.state.sim.run_until(w.cfg.tick_s)
+        assert w.state.bank.levels_j[victim] == 0.0
+        assert not w.energy.alive[victim]
+        w.state.sim.run_until(3 * w.cfg.tick_s)
+        assert not monitors.violations
 
 
 class TestRequestLifecycle:
     def drain_below_threshold(self, w, nodes):
-        w.bank.levels_j[nodes] = w.bank.threshold_j * 0.9
+        w.state.bank.levels_j[nodes] = w.state.bank.threshold_j * 0.9
 
     def test_release_sets_flag_and_list(self):
         w = make_world(erp=0.0)
         self.drain_below_threshold(w, [0, 1])
-        released = w._check_requests()
+        released = w.gate.check()
         assert released
-        assert w.requested[0] and w.requested[1]
-        assert 0 in w.requests and 1 in w.requests
+        assert w.state.requested[0] and w.state.requested[1]
+        assert 0 in w.state.requests and 1 in w.state.requests
 
     def test_no_double_release(self):
         w = make_world(erp=0.0)
         self.drain_below_threshold(w, [0])
-        w._check_requests()
-        n_before = len(w.requests)
-        w._check_requests()
-        assert len(w.requests) == n_before
+        w.gate.check()
+        n_before = len(w.state.requests)
+        w.gate.check()
+        assert len(w.state.requests) == n_before
 
     def test_charge_clears_flag(self):
         w = make_world(erp=0.0)
         self.drain_below_threshold(w, [3])
-        w._check_requests()
-        rv = w.rvs[0]
+        w.gate.check()
+        rv = w.fleet.rvs[0]
         rv.begin_sortie([3])
-        w.requests.remove(3)
+        w.state.requests.remove(3)
         rv.itinerary = [3]
-        w._rv_arrive(rv)  # pops the node, starts charging
+        w.fleet._rv_arrive(rv)  # pops the node, starts charging
         # Fire the charge-completion event.
-        w.sim.step()
-        assert not w.requested[3]
-        assert w.bank.levels_j[3] == w.cfg.battery_capacity_j
+        w.state.sim.step()
+        assert not w.state.requested[3]
+        assert w.state.bank.levels_j[3] == w.cfg.battery_capacity_j
 
 
 class TestDispatchPolicy:
     def test_rv_sent_home_when_broke(self):
         w = make_world(erp=0.0, rv_capacity_j=1000.0)
-        rv = w.rvs[0]
+        rv = w.fleet.rvs[0]
         rv.battery.level_j = 1.0  # cannot afford anything
         rv.position = np.array([1.0, 1.0])  # away from depot
         self.place_request(w)
-        w._dispatch()
-        assert w._returning[0]
+        w.fleet.dispatch()
+        assert w.fleet.returning[0]
 
     def test_full_rv_at_depot_not_cycled(self):
         w = make_world(erp=0.0)
         self_requests = self.place_request(w, demand_scale=1e9)  # unaffordable
-        w._dispatch()
-        assert not w._returning[0]
-        assert not w.rvs[0].busy
+        w.fleet.dispatch()
+        assert not w.fleet.returning[0]
+        assert not w.fleet.rvs[0].busy
 
     @staticmethod
     def place_request(w, demand_scale=1.0):
         from repro.core.requests import RechargeRequest
 
-        w.requests.add(
-            RechargeRequest(0, w.sensor_pos[0], min(400.0 * demand_scale, 1e12), -1, 0.0)
+        w.state.requests.add(
+            RechargeRequest(0, w.state.sensor_pos[0], min(400.0 * demand_scale, 1e12), -1, 0.0)
         )
-        w.requested[0] = True
+        w.state.requested[0] = True
 
 
 class TestCoverableNormalization:
@@ -163,4 +196,5 @@ class TestCoverableNormalization:
         # Most targets on a 200 m field with 4 short-range sensors are
         # uncoverable; coverage is normalized over the coverable ones.
         w._record_metrics()
-        assert w.metrics._last_coverage in (0.0, 0.5, 1.0) or 0 <= w.metrics._last_coverage <= 1
+        coverage = w.state.metrics._last_coverage
+        assert coverage in (0.0, 0.5, 1.0) or 0 <= coverage <= 1
