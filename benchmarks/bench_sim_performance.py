@@ -1,22 +1,20 @@
-"""Simulator performance microbenchmarks (regression guards).
+"""Observability overhead guards (regression guards).
 
-Not a paper figure — these pin the cost of the hot paths so future
-changes that regress the engine show up in benchmark history:
+Not a paper figure — these pin what observing a run costs, and that it
+never touches the trajectory:
 
-* building a 500-sensor world (deployment + topology + routing);
-* one vectorized energy advance over the whole bank;
-* one rate recomputation (activation + relay accounting);
-* a full small simulation end to end;
 * the telemetry layer's overhead — a run with the event log
   disabled must stay within noise of the benchmark's own history
-  (the log/monitor touch points are supposed to be free when off).
+  (the log/monitor touch points are supposed to be free when off);
+* the flight recorder's overhead, armed against the plain run.
+
+End-to-end speed is measured by ``perfbench/run.py``.
 """
 
 import json
 import pathlib
 import time
 
-import numpy as np
 import pytest
 
 from repro.obs import EventLog, MonitorSet
@@ -26,37 +24,6 @@ from repro.sim.world import World
 from repro.utils.tables import format_table
 
 from _shared import RESULTS_DIR, emit
-
-
-def bench_world_construction(benchmark):
-    cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
-    world = benchmark(lambda: World(cfg))
-    assert world.cfg.n_sensors == 500
-
-
-def bench_energy_advance(benchmark):
-    cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
-    world = World(cfg)
-    rates = world.energy.rates.copy()
-
-    def advance():
-        world.state.bank.drain_rates(rates, 1.0)
-
-    benchmark(advance)
-    assert np.all(world.state.bank.levels_j >= 0)
-
-
-def bench_rate_recompute(benchmark):
-    cfg = SimulationConfig.experiment(sim_time_s=1 * DAY_S, seed=1)
-    world = World(cfg)
-    benchmark(world.energy.recompute)
-    assert world.energy.rates.sum() > 0
-
-
-def bench_small_run_end_to_end(benchmark):
-    cfg = SimulationConfig.small(sim_time_s=0.5 * DAY_S, seed=1)
-    summary = benchmark.pedantic(lambda: run_simulation(cfg), rounds=3, iterations=1)
-    assert summary.sim_time_s == pytest.approx(0.5 * DAY_S)
 
 
 #: Allowed slowdown of the spans-disabled run against its own history.
@@ -79,7 +46,7 @@ def bench_telemetry_overhead():
 
     Times the same fixed-seed run twice — with every observability hook
     at its null default, and fully observed (an event log + strict
-    monitors, plus the instrument snapshot derived from the log) —
+    monitors, plus the log's derived counter/timer snapshot) —
     asserts both produce bit-identical summaries, and records
     ``t_null_s`` / ``t_instrumented_s`` in benchmark history.  The null
     timing is then held against the median of prior history rows: if

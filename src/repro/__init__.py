@@ -33,7 +33,7 @@ from .core import (
     verify_routes,
 )
 from .geometry import Field, minimum_sensors_eq1
-from .obs import EventLog, Instruments, NullInstruments, RunManifest
+from .obs import EventLog, RunManifest
 from .registry import (
     ACTIVATORS,
     CLUSTERINGS,
@@ -76,8 +76,6 @@ __all__ = [
     "GreedyScheduler",
     "HOUR_S",
     "InsertionScheduler",
-    "Instruments",
-    "NullInstruments",
     "RunManifest",
     "PartitionScheduler",
     "RechargeInstance",

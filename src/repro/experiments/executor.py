@@ -38,17 +38,16 @@ reassembly of the same stream.  Every miss is one serial
 (``run``), under an event log (``traced``) or with the flight recorder
 armed (``recorded``).
 
-Observability: pass an :class:`repro.obs.Instruments` registry to
-record ``executor.cells`` / ``executor.store_hits`` /
-``executor.cache_misses`` counters and the ``executor.map`` phase timer
-(the pool adds ``pool.*`` counters).  Pass an
-:class:`repro.obs.EventLog` as ``log`` to :func:`map_configs` and the
-fan-out becomes part of its span tree: every miss runs under its own
-log through :func:`_run_cell_traced` (in the pool when ``jobs > 1``),
-the cells' serialized spans are merged under the parent
-``executor.map`` phase in miss order with deterministically renumbered
-ids, and store hits are marked as ``executor.store_hit`` events — so a
-``--jobs 4`` trace reads exactly like the serial one.
+Observability: pass an :class:`repro.obs.EventLog` as ``log`` to
+:func:`map_configs` and the fan-out becomes part of its span tree.
+The call's ``executor.map`` phase carries the executor's counts as
+attributes (``cells``, ``jobs``, ``cache_hits``), each store hit is an
+``executor.store_hit`` mark on it, and every miss runs under its own
+log through :func:`_run_cell_traced` (in the pool when ``jobs > 1``)
+whose serialized spans are merged under ``executor.map`` in miss
+order with deterministically renumbered ids — so a ``--jobs 4`` trace
+reads exactly like the serial one.  The store and the pool keep their
+own totals in their ``stats`` dicts.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..obs.instruments import NULL_INSTRUMENTS
 from ..obs.log import NULL_LOG, EventLog
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationSummary
@@ -203,7 +201,6 @@ def _execute(
     kind: str,
     payloads: Sequence[Any],
     n_jobs: int,
-    instruments,
 ) -> Iterator[Tuple[int, Any]]:
     """Run miss payloads, yielding ``(payload index, result)`` as they
     finish.
@@ -220,14 +217,13 @@ def _execute(
     from .pool import WarmPool
 
     with WarmPool(min(n_jobs, len(payloads)), start_method=_pool_start_method()) as pool:
-        yield from pool.run_iter(kind, payloads, instruments=instruments)
+        yield from pool.run_iter(kind, payloads)
 
 
 def _stream(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int],
     store,
-    obs,
     log,
     postmortem_dir: Optional[Union[str, Path]],
 ) -> Iterator[Tuple[int, SimulationSummary, str, Optional[List[Dict[str, Any]]]]]:
@@ -255,9 +251,6 @@ def _stream(
                 cell=i, scheduler=cfg.scheduler, erp=cfg.erp, seed=cfg.seed,
             )
         yield i, hit, "store", None
-    obs.counter("executor.cells").inc(len(configs))
-    obs.counter("executor.store_hits").inc(len(configs) - len(misses))
-    obs.counter("executor.cache_misses").inc(len(misses))
     if not misses:
         return
     if postmortem_dir is not None:
@@ -273,7 +266,7 @@ def _stream(
         kind = "run"
         payloads = [configs[i] for i in misses]
 
-    for j, out in _execute(kind, payloads, n_jobs, obs):
+    for j, out in _execute(kind, payloads, n_jobs):
         i = misses[j]
         summary, rows = (out, None) if kind == "run" else out
         if store is not None:
@@ -284,7 +277,6 @@ def _stream(
 def map_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
-    instruments=None,
     log=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
     store=None,
@@ -300,28 +292,26 @@ def map_configs(
     :class:`repro.experiments.store.ResultStore` (default: the one
     named by ``REPRO_STORE``, or none).
 
-    With an event ``log``, each miss runs under its own log whose span
-    rows are absorbed under this call's ``executor.map`` phase in miss
-    order (deterministic id renumbering) once every cell is in, and
-    store hits become ``executor.store_hit`` events — the merged trace
-    is identical in structure for any ``jobs`` value.
+    With an event ``log``, this call's ``executor.map`` phase carries
+    the ``cells``, ``jobs`` and ``cache_hits`` counts, store hits
+    become ``executor.store_hit`` marks on it, and each miss runs under
+    its own log whose span rows are absorbed under it in miss order
+    (deterministic id renumbering) once every cell is in — the merged
+    trace is identical in structure for any ``jobs`` value.
 
     With ``postmortem_dir``, every miss runs with the flight recorder
     armed and writes ``<postmortem_dir>/cell-<grid index>`` bundles on
     failure or monitor violation — keyed by grid index, so a crashing
     cell lands at the same path however the pool schedules it.
     """
-    obs = instruments if instruments is not None else NULL_INSTRUMENTS
     log = log if log is not None else NULL_LOG
     results: List[Optional[SimulationSummary]] = [None] * len(configs)
     traced: Dict[int, List[Dict[str, Any]]] = {}
     n_jobs = _resolve_jobs(jobs)
-    with obs.timer("executor.map"), log.phase(
-        "executor.map", cells=len(configs), jobs=n_jobs
-    ) as sweep_span:
+    with log.phase("executor.map", cells=len(configs), jobs=n_jobs) as sweep_span:
         hits = 0
         for i, summary, source, rows in _stream(
-            configs, n_jobs, store, obs, log, postmortem_dir
+            configs, n_jobs, store, log, postmortem_dir
         ):
             results[i] = summary
             hits += source == "store"
@@ -337,7 +327,6 @@ def iter_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
     store=None,
-    instruments=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
 ) -> Iterator[Tuple[int, SimulationSummary, str]]:
     """Stream per-cell results as they finish.
@@ -351,9 +340,8 @@ def iter_configs(
     ``postmortem_dir``, misses run with the flight recorder armed, same
     bundle layout as :func:`map_configs`.
     """
-    obs = instruments if instruments is not None else NULL_INSTRUMENTS
     for i, summary, source, _rows in _stream(
-        configs, jobs, store, obs, NULL_LOG, postmortem_dir
+        configs, jobs, store, NULL_LOG, postmortem_dir
     ):
         yield i, summary, source
 
@@ -396,7 +384,6 @@ def map_cells(
     schedulers: Sequence[str],
     erps: Sequence[float],
     jobs: Optional[int] = None,
-    instruments=None,
     log=None,
     postmortem_dir: Optional[Union[str, Path]] = None,
     store=None,
@@ -413,7 +400,6 @@ def map_cells(
     """
     keys, configs = grid_configs(scale, schedulers, erps, **overrides)
     summaries = map_configs(
-        configs, jobs=jobs, instruments=instruments, log=log,
-        postmortem_dir=postmortem_dir, store=store,
+        configs, jobs=jobs, log=log, postmortem_dir=postmortem_dir, store=store,
     )
     return dict(zip(keys, summaries))

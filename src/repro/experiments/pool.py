@@ -12,11 +12,11 @@ joined, before the call returns — one pool lifecycle.  Within the call:
   duplex pipe per worker (one task outstanding each), so it always
   knows which task a worker holds: a worker that dies mid-task is
   detected (its process sentinel trips
-  ``multiprocessing.connection.wait``), respawned, and its task
-  resubmitted once (``pool.respawns``); a task that kills a second
-  worker raises instead of looping.  Per-worker pipes mean no shared
-  queue locks — a SIGKILLed worker can never strand a lock another
-  worker needs.  :meth:`ping` round-trips a no-op task and
+  ``multiprocessing.connection.wait``), respawned (counted in
+  ``stats["respawns"]``), and its task resubmitted once; a task that
+  kills a second worker raises instead of looping.  Per-worker pipes
+  mean no shared queue locks — a SIGKILLed worker can never strand a
+  lock another worker needs.  :meth:`ping` round-trips a no-op task and
   :attr:`healthy` checks process liveness;
 * **shipping** — a worker sends its result back pickled over its own
   pipe.
@@ -31,9 +31,8 @@ Importing :mod:`repro.experiments.executor` imports nothing from here
 and spawns no processes: the pool module loads on the first
 multi-worker fan-out.
 
-Observability: ``run``/``run_iter`` accept an ``Instruments`` registry
-and record ``pool.respawns`` / ``pool.tasks`` counters; the same totals
-are kept in the pool's :attr:`stats` dict for instrument-free callers.
+The pool counts what it does in one place, the plain :attr:`stats`
+dict of lifetime totals: ``respawns`` and ``tasks``.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ import time
 from collections import deque
 from multiprocessing import connection
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from ..obs.instruments import NULL_INSTRUMENTS
-from ..obs.schema import POOL_STATS
 
 __all__ = ["WarmPool"]
 
@@ -175,15 +171,9 @@ class WarmPool:
         self._next_worker_id = 0
         self._generation = 0
         self._closed = False
-        #: Lifetime totals, mirrored into instruments when provided.
-        #: Keys come from the declared schema, so this dict and
-        #: POOL_STATS can never drift apart.
-        self.stats: Dict[str, int] = POOL_STATS.new_stats()
-
-    def _count(self, key: str, obs, amount: int = 1) -> None:
-        """Bump a schema-declared stat and its mirrored counter."""
-        self.stats[key] += amount
-        obs.counter(POOL_STATS.counter_name(key)).inc(amount)
+        #: Lifetime totals: workers replaced after a crash, and tasks
+        #: submitted.
+        self.stats: Dict[str, int] = {"respawns": 0, "tasks": 0}
 
     # -- lifecycle ----------------------------------------------------
 
@@ -208,12 +198,12 @@ class WarmPool:
         """Live worker count (0 before the first run)."""
         return sum(w.proc.is_alive() for w in self._workers.values())
 
-    def ping(self, instruments=None) -> List[int]:
+    def ping(self) -> List[int]:
         """Round-trip one no-op task per worker slot; returns the pids
         that answered.  Verifies the dispatch/result plumbing end to
         end (one task is outstanding per worker, so a full-strength
         pool answers with one pid per slot)."""
-        pongs = self.run("ping", [None] * self.jobs, instruments=instruments)
+        pongs = self.run("ping", [None] * self.jobs)
         return sorted({pid for _tag, pid in pongs})
 
     def _stop_workers(self) -> None:
@@ -252,17 +242,14 @@ class WarmPool:
     # -- execution ----------------------------------------------------
 
     def run_iter(
-        self,
-        kind: str,
-        payloads: Sequence[Any],
-        instruments=None,
+        self, kind: str, payloads: Sequence[Any]
     ) -> Iterator[Tuple[int, Any]]:
         """Execute payloads on the pool, yielding ``(index, result)``
         in *completion* order.
 
         The parent keeps exactly one task outstanding per worker, so a
         dead worker's in-flight task is known precisely: it is requeued
-        and the worker respawned (``pool.respawns``).  A task that
+        and the worker respawned (``stats["respawns"]``).  A task that
         kills a second worker raises ``RuntimeError`` naming it.  A
         task that *raises* (as opposed to the worker dying) propagates
         the worker's exception to the caller, and the pool stays
@@ -271,7 +258,6 @@ class WarmPool:
         """
         if self._closed:
             raise RuntimeError("warm pool is closed")
-        obs = NULL_INSTRUMENTS if instruments is None else instruments
         payloads = list(payloads)
         self._generation += 1
         gen = self._generation
@@ -293,7 +279,7 @@ class WarmPool:
             worker.task = None  # anything older belongs to a dead generation
             if backlog:
                 worker.dispatch(gen, backlog.popleft())
-        self._count("tasks", obs, len(payloads))
+        self.stats["tasks"] += len(payloads)
         while remaining:
             by_handle = {}
             for worker in self._workers.values():
@@ -312,14 +298,14 @@ class WarmPool:
                     try:
                         msg = worker.conn.recv()
                     except (EOFError, OSError):
-                        self._replace(worker, backlog, gen, obs, losses)
+                        self._replace(worker, backlog, gen, losses)
                         continue
                     item = self._consume(worker, msg, gen, backlog)
                     if item is not None:
                         remaining -= 1
                         yield item
                 elif not worker.proc.is_alive():
-                    self._replace(worker, backlog, gen, obs, losses)
+                    self._replace(worker, backlog, gen, losses)
 
     def _consume(
         self, worker: _Worker, msg: Tuple[Any, ...], gen: int, backlog
@@ -338,7 +324,7 @@ class WarmPool:
         return task_id, result
 
     def _replace(
-        self, worker: _Worker, backlog, gen: int, obs, losses: Dict[int, int]
+        self, worker: _Worker, backlog, gen: int, losses: Dict[int, int]
     ) -> None:
         """Respawn a crashed worker; its in-flight task goes back to
         the front of the backlog and is redispatched immediately — at
@@ -359,19 +345,14 @@ class WarmPool:
                 )
             backlog.appendleft(lost)
         replacement = self._spawn_worker()
-        self._count("respawns", obs)
+        self.stats["respawns"] += 1
         if backlog:
             replacement.dispatch(gen, backlog.popleft())
 
-    def run(
-        self,
-        kind: str,
-        payloads: Sequence[Any],
-        instruments=None,
-    ) -> List[Any]:
+    def run(self, kind: str, payloads: Sequence[Any]) -> List[Any]:
         """Execute payloads and return results in payload order."""
         payloads = list(payloads)
         out: List[Any] = [None] * len(payloads)
-        for index, result in self.run_iter(kind, payloads, instruments=instruments):
+        for index, result in self.run_iter(kind, payloads):
             out[index] = result
         return out

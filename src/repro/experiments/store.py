@@ -15,7 +15,7 @@ Layout (git-style fan-out so directories stay small at fleet scale)::
 
 Each blob carries the summary payload plus its own SHA-256, so a
 truncated or bit-flipped blob is detected on read, counted
-(``store.corrupt``), quarantined (unlinked) and treated as a miss —
+(``stats["corrupt"]``), quarantined (unlinked) and treated as a miss —
 never a crash.  Writes are atomic: each writer fills its own uniquely
 named temp file in the blob's directory and renames it into place, so
 concurrent writers of one key (several processes sharing a store)
@@ -27,8 +27,12 @@ entry/byte caps.
 
 Opt in with ``REPRO_STORE=<dir>`` (the executor consults
 :meth:`from_env`) or by passing a store instance to
-``map_configs`` / ``map_cells`` / ``submit_grid``.  Unset, nothing is
+``map_configs`` / ``map_cells`` / ``iter_configs``.  Unset, nothing is
 created — not even the root directory.
+
+The store counts what it does in one place, the plain :attr:`stats`
+dict of lifetime totals: ``hits``, ``misses``, ``puts``, ``dedup``
+and ``corrupt``.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ import pathlib
 import tempfile
 from typing import Dict, List, Optional
 
-from ..obs.instruments import NULL_INSTRUMENTS
-from ..obs.schema import STORE_STATS
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationSummary
 from .cache import config_key, summary_from_dict
@@ -59,22 +61,17 @@ def _payload_digest(summary_dict: Dict[str, float]) -> str:
 class ResultStore:
     """Content-addressed blob store for completed sweep cells.
 
-    ``instruments`` (optional) records ``store.hits`` /
-    ``store.misses`` / ``store.puts`` / ``store.dedup`` /
-    ``store.corrupt`` counters; the same totals are always kept in
-    :attr:`stats`.  Per-call ``instruments`` overrides on ``get`` /
-    ``put`` let the executor route counts into a sweep's own registry.
+    :attr:`stats` holds the lifetime totals (see the module docs).
     """
 
-    def __init__(self, root, instruments=None) -> None:
+    def __init__(self, root) -> None:
         self.root = pathlib.Path(root)
-        self._instruments = NULL_INSTRUMENTS if instruments is None else instruments
-        # Keys come from the declared schema — the schema test asserts
-        # this dict and STORE_STATS can never drift apart.
-        self.stats: Dict[str, int] = STORE_STATS.new_stats()
+        self.stats: Dict[str, int] = {
+            "hits": 0, "misses": 0, "puts": 0, "dedup": 0, "corrupt": 0,
+        }
 
     @classmethod
-    def from_env(cls, instruments=None) -> Optional["ResultStore"]:
+    def from_env(cls) -> Optional["ResultStore"]:
         """The store named by ``REPRO_STORE``, or None (disabled).
 
         No directory is created here — the root materializes on the
@@ -83,7 +80,7 @@ class ResultStore:
         value = os.environ.get("REPRO_STORE", "").strip()
         if not value:
             return None
-        return cls(value, instruments=instruments)
+        return cls(value)
 
     # -- keys and paths -----------------------------------------------
 
@@ -94,31 +91,17 @@ class ResultStore:
     def _blob_path(self, key: str) -> pathlib.Path:
         return self.root / "objects" / key[:2] / f"{key}.json"
 
-    def _count(self, name: str, instruments, amount: int = 1) -> None:
-        self.stats[name] += amount
-        obs = self._instruments if instruments is None else instruments
-        obs.counter(STORE_STATS.counter_name(name)).inc(amount)
-
     # -- read/write ---------------------------------------------------
 
-    def get(
-        self, config: SimulationConfig, instruments=None
-    ) -> Optional[SimulationSummary]:
+    def get(self, config: SimulationConfig) -> Optional[SimulationSummary]:
         """The stored summary for ``config``, or None on miss.
 
         A blob that fails to parse or whose integrity hash mismatches
-        is quarantined (best-effort unlink), counted as
-        ``store.corrupt`` *and* as a miss — corruption degrades to
-        recomputation, never to an exception.
+        is quarantined (best-effort unlink), counted as ``corrupt``
+        *and* as a miss — corruption degrades to recomputation, never
+        to an exception.
         """
-        summary = self.get_by_key(self.key_for(config), instruments=instruments)
-        return summary
-
-    def get_by_key(
-        self, key: str, instruments=None
-    ) -> Optional[SimulationSummary]:
-        """Like :meth:`get` for an already-computed content address."""
-        path = self._blob_path(key)
+        path = self._blob_path(self.key_for(config))
         try:
             blob = json.loads(path.read_text())
             summary_dict = blob["summary"]
@@ -126,39 +109,34 @@ class ResultStore:
                 raise ValueError("integrity hash mismatch")
             summary = summary_from_dict(summary_dict)
         except FileNotFoundError:
-            self._count("misses", instruments)
+            self.stats["misses"] += 1
             return None
         except (ValueError, KeyError, TypeError, OSError):
-            self._count("corrupt", instruments)
-            self._count("misses", instruments)
+            self.stats["corrupt"] += 1
+            self.stats["misses"] += 1
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        self._count("hits", instruments)
+        self.stats["hits"] += 1
         try:  # LRU bookkeeping: a hit refreshes the blob's mtime
             os.utime(path)
         except OSError:
             pass
         return summary
 
-    def put(
-        self,
-        config: SimulationConfig,
-        summary: SimulationSummary,
-        instruments=None,
-    ) -> str:
+    def put(self, config: SimulationConfig, summary: SimulationSummary) -> str:
         """Store a completed cell; returns its content address.
 
-        Content addressing makes re-puts no-ops (``store.dedup``): the
-        key pins config *and* code version, so an existing blob already
-        holds this exact payload.
+        Content addressing makes re-puts no-ops (counted as
+        ``dedup``): the key pins config *and* code version, so an
+        existing blob already holds this exact payload.
         """
         key = self.key_for(config)
         path = self._blob_path(key)
         if path.exists():
-            self._count("dedup", instruments)
+            self.stats["dedup"] += 1
             return key
         path.parent.mkdir(parents=True, exist_ok=True)
         summary_dict = summary.as_dict()
@@ -181,7 +159,7 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self._count("puts", instruments)
+        self.stats["puts"] += 1
         return key
 
     def __contains__(self, config: SimulationConfig) -> bool:

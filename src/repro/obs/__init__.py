@@ -23,10 +23,12 @@ digests plus periodic checkpoints and flushes a self-contained
 postmortem bundle on failure; ``repro postmortem`` renders it and
 ``repro replay`` re-executes it deterministically.
 
-Two things stay outside the log: the black box's records, which need
-state digests and checkpoints rather than events, and the
-experiment layer's :class:`Instruments` (executor, pool and store
-counters), which count work around runs, not inside one.
+One thing stays outside the log: the black box's records, which need
+state digests and checkpoints rather than events.  The experiment
+layer counts on the same log — a sweep's ``executor.map`` phase
+carries its cell, job and store-hit counts — while the result store
+and the worker pool keep their lifetime totals in their own plain
+``stats`` dicts.
 
 The package deliberately never imports :mod:`repro.sim` — the
 simulation state holds ``log``/``monitors``/``blackbox`` references,
@@ -68,16 +70,6 @@ from .exporters import (
     TelemetryBundle,
     prometheus_lines,
 )
-from .instruments import (
-    DEFAULT_LATENCY_BUCKETS,
-    NULL_INSTRUMENTS,
-    Counter,
-    Gauge,
-    Histogram,
-    Instruments,
-    NullInstruments,
-    PhaseTimer,
-)
 from .log import NULL_LOG, EventKind, EventLog, TraceEvent
 from .manifest import RunManifest, config_digest, git_revision
 from .monitors import (
@@ -87,41 +79,28 @@ from .monitors import (
     NullMonitors,
 )
 from .report import format_report, load_report
-from .schema import POOL_STATS, STORE_STATS, StatField, StatsSchema
 from .spans import Span, load_spans, render_span_tree, spans_to_jsonl_lines
 
 __all__ = [
     "BlackBoxRecorder",
-    "Counter",
     "CsvExporter",
     "DEFAULT_EXPORTERS",
-    "DEFAULT_LATENCY_BUCKETS",
     "EventKind",
     "EventLog",
-    "Gauge",
-    "Histogram",
-    "Instruments",
     "InvariantViolation",
     "JsonlExporter",
     "MonitorSet",
     "NULL_BLACKBOX",
-    "NULL_INSTRUMENTS",
     "NULL_LOG",
     "NULL_MONITORS",
     "NullBlackBox",
-    "NullInstruments",
     "NullMonitors",
-    "PhaseTimer",
-    "POOL_STATS",
     "PostmortemBundle",
     "PrometheusExporter",
     "RunManifest",
-    "STORE_STATS",
     "Span",
     "SpansExporter",
     "SqliteExporter",
-    "StatField",
-    "StatsSchema",
     "TelemetryBundle",
     "TraceEvent",
     "blackbox_enabled",

@@ -39,7 +39,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..registry import EXPORTERS
 
@@ -148,54 +148,32 @@ def _prom_escape_help(text: str) -> str:
 
 
 def _prom_histogram_lines(
-    metric: str,
-    count: float,
-    total: float,
-    buckets: Optional[List[float]],
-    bucket_bounds: Optional[List[float]],
-    help_text: str,
+    metric: str, count: float, total: float, help_text: str
 ) -> List[str]:
-    """A full ``histogram``-typed series: HELP/TYPE, cumulative
-    ``_bucket{le=...}`` rows ending in ``+Inf``, ``_sum`` and ``_count``.
-
-    Histograms recorded without bucket bounds still emit a single
-    ``+Inf`` bucket equal to the count, keeping the exposition a valid
-    histogram instead of the old summary-style pair.
-    """
-    lines = [
+    """A ``histogram``-typed series: HELP/TYPE, one ``+Inf`` bucket
+    equal to the count, ``_sum`` and ``_count``."""
+    return [
         f"# HELP {metric} {_prom_escape_help(help_text)}",
         f"# TYPE {metric} histogram",
+        f'{metric}_bucket{{le="+Inf"}} {count:g}',
+        f"{metric}_sum {total:g}",
+        f"{metric}_count {count:g}",
     ]
-    if buckets is not None and bucket_bounds is not None:
-        cum = 0.0
-        for bound, n in zip(bucket_bounds, buckets):
-            cum += n
-            lines.append(f'{metric}_bucket{{le="{bound:g}"}} {cum:g}')
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {count:g}')
-    else:
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {count:g}')
-    lines.append(f"{metric}_sum {total:g}")
-    lines.append(f"{metric}_count {count:g}")
-    return lines
 
 
 def prometheus_lines(
     snapshot: Dict[str, Any],
     summary: Optional[Dict[str, float]] = None,
-    bucket_bounds: Optional[Dict[str, List[float]]] = None,
 ) -> List[str]:
-    """Render an ``Instruments.snapshot()`` as exposition-format lines.
+    """Render an ``EventLog.snapshot()`` as exposition-format lines.
 
     The dialect: ``# HELP`` / ``# TYPE`` for every family, ``_total``
-    counters, plain gauges, and full ``_bucket`` / ``_sum`` /
-    ``_count`` histogram series (timers in seconds).  Bucketed snapshot rows carry their own ``bucket_bounds``;
-    ``bucket_bounds`` maps instrument names to upper bounds for older
-    snapshots that only recorded ``buckets`` counts.  Without either,
-    the histogram degrades to a single ``+Inf`` bucket.
+    counters, plain gauges, and ``_bucket`` / ``_sum`` / ``_count``
+    histogram series (timers in seconds) with the single ``+Inf``
+    bucket.
     """
     lines: List[str] = []
     used: set = set()
-    bounds_by_name = bucket_bounds or {}
     for name, value in snapshot.get("counters", {}).items():
         metric = _prom_unique(_prom_name(name) + "_total", used)
         lines += [
@@ -212,17 +190,13 @@ def prometheus_lines(
         ]
     for name, s in snapshot.get("histograms", {}).items():
         metric = _prom_unique(_prom_name(name), used)
-        bounds = s.get("bucket_bounds") or bounds_by_name.get(name)
-        buckets = s.get("buckets") if bounds is not None else None
         lines += _prom_histogram_lines(
-            metric, s["count"], s["total"], buckets, bounds, f"histogram {name}"
+            metric, s["count"], s["total"], f"histogram {name}"
         )
     for name, s in snapshot.get("timers", {}).items():
         metric = _prom_unique(_prom_name(name) + "_seconds", used)
-        bounds = s.get("bucket_bounds") or bounds_by_name.get(name)
-        buckets = s.get("buckets") if bounds is not None else None
         lines += _prom_histogram_lines(
-            metric, s["count"], s["total_s"], buckets, bounds, f"timer {name} (seconds)"
+            metric, s["count"], s["total_s"], f"timer {name} (seconds)"
         )
     for key, value in (summary or {}).items():
         metric = _prom_unique(_prom_name(f"summary.{key}"), used)
@@ -252,6 +226,19 @@ class PrometheusExporter:
         return [path]
 
 
+def _instrument_rows(snapshot: Dict[str, Any]) -> Iterator[Tuple[str, str, str, Any]]:
+    """The snapshot flattened to ``(kind, name, field, value)`` rows:
+    the rows of ``instruments.csv`` and of the sqlite ``instruments``
+    table."""
+    for kind in ("counters", "gauges"):
+        for name, value in snapshot.get(kind, {}).items():
+            yield kind[:-1], name, "value", value
+    for kind in ("histograms", "timers"):
+        for name, summary in snapshot.get(kind, {}).items():
+            for fieldname, value in summary.items():
+                yield kind[:-1], name, fieldname, value
+
+
 class CsvExporter:
     """``series.csv`` + ``instruments.csv``: spreadsheet-friendly views.
 
@@ -276,16 +263,8 @@ class CsvExporter:
         with open(inst_path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["kind", "name", "field", "value"])
-            snap = bundle.instruments
-            for kind in ("counters", "gauges"):
-                for name, value in snap.get(kind, {}).items():
-                    writer.writerow([kind[:-1], name, "value", repr(float(value))])
-            for kind in ("histograms", "timers"):
-                for name, summary in snap.get(kind, {}).items():
-                    for fieldname, value in summary.items():
-                        if not isinstance(value, (int, float)):
-                            continue  # bucket-count lists stay in JSON land
-                        writer.writerow([kind[:-1], name, fieldname, repr(float(value))])
+            for kind, name, fieldname, value in _instrument_rows(bundle.instruments):
+                writer.writerow([kind, name, fieldname, repr(float(value))])
         written.append(inst_path)
         return written
 
@@ -337,17 +316,10 @@ class SqliteExporter:
                 "CREATE TABLE instruments "
                 "(kind TEXT, name TEXT, field TEXT, value REAL)"
             )
-            rows: List[tuple] = []
-            snap = bundle.instruments
-            for kind in ("counters", "gauges"):
-                for name, value in snap.get(kind, {}).items():
-                    rows.append((kind[:-1], name, "value", float(value)))
-            for kind in ("histograms", "timers"):
-                for name, summary in snap.get(kind, {}).items():
-                    for fieldname, value in summary.items():
-                        if not isinstance(value, (int, float)):
-                            continue  # bucket-count lists stay in JSON land
-                        rows.append((kind[:-1], name, fieldname, float(value)))
+            rows = [
+                (kind, name, fieldname, float(value))
+                for kind, name, fieldname, value in _instrument_rows(bundle.instruments)
+            ]
             for key, value in bundle.summary.items():
                 rows.append(("summary", key, "value", float(value)))
             conn.executemany("INSERT INTO instruments VALUES (?, ?, ?, ?)", rows)

@@ -17,9 +17,9 @@ handle (``World(config, log=EventLog())``), with three calls:
 Everything a telemetry run writes is derived from that one record at
 export time: ``events.jsonl`` and ``series.csv`` are the events and
 samples, ``spans.jsonl`` the phases, and :meth:`EventLog.snapshot`
-rebuilds the run's counters, gauge, histograms and phase timers from
-the events and phase durations (the derivation table is
-:data:`EVENT_COUNTERS`, :data:`TIMED_PHASES` and the body of
+builds the run's counters, gauge, histograms and phase timers as one
+plain dict from the events and phase durations (the derivation table
+is :data:`EVENT_COUNTERS`, :data:`TIMED_PHASES` and the body of
 :meth:`~EventLog.snapshot`).  Nothing is counted twice, and no number
 in the snapshot can disagree with the event stream.
 
@@ -42,7 +42,6 @@ from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tu
 
 import numpy as np
 
-from .instruments import Instruments
 from .spans import Span, json_safe, spans_to_jsonl_lines
 
 __all__ = [
@@ -111,6 +110,30 @@ EVENT_COUNTERS: Dict[str, Tuple[Union[EventKind, str], str]] = {
 
 #: The name monitors mark invariant violations with.
 VIOLATION = "invariant.violation"
+
+
+#: Field names of a histogram row and of a timer row (seconds).
+_HISTOGRAM_FIELDS = ("count", "total", "min", "max", "mean")
+_TIMER_FIELDS = ("count", "total_s", "min_s", "max_s", "mean_s")
+
+
+def _inc(counters: Dict[str, float], name: str, amount: float) -> None:
+    """Add ``amount`` (must be >= 0) to the named counter."""
+    if amount < 0:
+        raise ValueError(f"counter {name!r} cannot decrease (got {amount})")
+    counters[name] = counters.get(name, 0.0) + amount
+
+
+def _summary(values: List[float]) -> Tuple[int, float, float, float, float]:
+    """``(count, total, min, max, mean)`` of ``values``, all zero when
+    empty; the total accumulates with ``+=`` in record order."""
+    if not values:
+        return 0, 0.0, 0.0, 0.0, 0.0
+    values = [float(v) for v in values]
+    total = 0.0
+    for v in values:
+        total += v
+    return len(values), total, min(values), max(values), total / len(values)
 
 
 class _NullPhase:
@@ -296,18 +319,18 @@ class EventLog:
     def snapshot(self, n_rvs: int = 0) -> Dict[str, Dict[str, Any]]:
         """The run's instrument snapshot, derived from the record.
 
-        Same names and shapes as an
-        :meth:`~repro.obs.instruments.Instruments.snapshot`: the
-        :data:`EVENT_COUNTERS`; per-RV ``fleet.rv{i}.sorties`` and
-        ``fleet.rv{i}.delivered_j`` for ``i < n_rvs`` (a recharge is
-        credited to the RV whose arrival at that node precedes it); the
-        ``monitors.violations`` total and per-invariant counts from the
-        violation marks; the ``gate.backlog`` gauge (the last
-        ``backlog`` sample); the ``fleet.sortie_stops`` and
-        ``fleet.delivered_j`` histograms (sortie and recharge values);
-        and one timer per :data:`TIMED_PHASES` entry over the phase
-        durations.  Values accumulate in record order, so every sum is
-        the one a live counter would have kept.
+        Four groups, in this key order: ``counters`` — the
+        ``monitors.violations`` total, the :data:`EVENT_COUNTERS`,
+        per-RV ``fleet.rv{i}.sorties`` and ``fleet.rv{i}.delivered_j``
+        for ``i < n_rvs`` (a recharge is credited to the RV whose
+        arrival at that node precedes it) and the per-invariant counts
+        from the violation marks; ``gauges`` — ``gate.backlog``, the
+        last ``backlog`` sample; ``histograms`` — ``fleet.sortie_stops``
+        and ``fleet.delivered_j`` over the sortie and recharge values;
+        ``timers`` — one per :data:`TIMED_PHASES` entry over the phase
+        durations, in seconds.  Counters are floats and every sum
+        accumulates in record order, so a number is the same bits a
+        live counter would have kept.
         """
         values: Dict[EventKind, List[float]] = {kind: [] for kind in EventKind}
         rv_sorties = {i: 0.0 for i in range(n_rvs)}
@@ -326,41 +349,42 @@ class EventLog:
         for span in self.spans:
             durations.setdefault(span.name, []).append(span.t1 - span.t0)
 
-        reg = Instruments()
-        violations = reg.counter("monitors.violations")
+        counters: Dict[str, float] = {"monitors.violations": 0.0}
         for name, (source, rule) in EVENT_COUNTERS.items():
-            counter = reg.counter(name)
             if isinstance(source, EventKind):
                 records = values[source]
             else:
                 records = durations.get(source, ())
+            counters[name] = 0.0
             if rule == "sum":
                 for v in records:
-                    counter.inc(v)
+                    _inc(counters, name, v)
             else:
-                counter.inc(len(records))
+                _inc(counters, name, len(records))
         for i, n in rv_sorties.items():
-            reg.counter(f"fleet.rv{i}.sorties").inc(n)
+            _inc(counters, f"fleet.rv{i}.sorties", n)
         for i, j in rv_delivered.items():
-            reg.counter(f"fleet.rv{i}.delivered_j").inc(j)
+            _inc(counters, f"fleet.rv{i}.delivered_j", j)
         for mark in self.marks:
             if mark["name"] == VIOLATION:
-                violations.inc()
-                reg.counter(f"monitors.{mark['invariant']}.violations").inc()
+                _inc(counters, "monitors.violations", 1)
+                _inc(counters, f"monitors.{mark['invariant']}.violations", 1)
         backlog = self.series.get("backlog")
-        reg.gauge("gate.backlog").set(backlog[-1][1] if backlog else 0.0)
-        for name, kind in (
-            ("fleet.sortie_stops", EventKind.SORTIE_ASSIGNED),
-            ("fleet.delivered_j", EventKind.NODE_RECHARGED),
-        ):
-            hist = reg.histogram(name)
-            for v in values[kind]:
-                hist.observe(v)
-        for phase, name in TIMED_PHASES.items():
-            timer = reg.timer(name)
-            for d in durations.get(phase, ()):
-                timer.observe(d)
-        return reg.snapshot()
+        return {
+            "counters": counters,
+            "gauges": {"gate.backlog": float(backlog[-1][1]) if backlog else 0.0},
+            "histograms": {
+                name: dict(zip(_HISTOGRAM_FIELDS, _summary(values[kind])))
+                for name, kind in (
+                    ("fleet.sortie_stops", EventKind.SORTIE_ASSIGNED),
+                    ("fleet.delivered_j", EventKind.NODE_RECHARGED),
+                )
+            },
+            "timers": {
+                name: dict(zip(_TIMER_FIELDS, _summary(durations.get(phase, []))))
+                for phase, name in TIMED_PHASES.items()
+            },
+        }
 
     # -- serialization ------------------------------------------------------
 

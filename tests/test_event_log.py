@@ -5,7 +5,8 @@ The parity oracle pins every artefact of one telemetry run (``small``,
 the separate trace recorder, span tracer and live instruments produced
 before they were merged into :class:`repro.obs.EventLog`: the
 ``events.jsonl`` and ``series.csv`` bytes, every counter and histogram,
-the timer names and counts, and the span tree's structure.  The one
+the timer names and counts, the snapshot's key order and number types
+(one sha256), and the span tree's structure.  The one
 intended difference is the ``gate.backlog`` gauge, which used to keep
 the backlog from before the last dispatch; it now reads the last
 ``backlog`` sample.
@@ -74,6 +75,12 @@ SPAN_NAMES = {
 }
 #: sha256 of the JSON list of (name, parent, attrs, event names) rows.
 SPAN_STRUCTURE_SHA256 = "5fcb14d4de14d26b1c7493367419365bbe72d7986bf1a661483da9e253da310f"
+#: sha256 of ``json.dumps`` (insertion order, no ``sort_keys``) of the
+#: snapshot's counters, gauges and histograms plus each timer as
+#: ``(name, count, row keys)``: pins key order and float-vs-int, which
+#: the bytes of ``instruments.csv``, ``metrics.prom`` and
+#: ``manifest.json`` depend on and ``==`` does not see.
+SNAPSHOT_SHA256 = "7701e6a0cdb009c919afd85b2a8781997e7cded50aa6f0112d65d238ecd6e2a4"
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +107,19 @@ class TestTelemetryParity:
         _, snap = parity_run
         assert snap["counters"] == COUNTERS
         assert snap["histograms"] == HISTOGRAMS
+
+    def test_snapshot_bytes(self, parity_run):
+        _, snap = parity_run
+        pinned = {
+            "counters": snap["counters"],
+            "gauges": snap["gauges"],
+            "histograms": snap["histograms"],
+            "timers": [
+                (name, row["count"], list(row)) for name, row in snap["timers"].items()
+            ],
+        }
+        digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+        assert digest == SNAPSHOT_SHA256
 
     def test_backlog_gauge_is_the_final_backlog(self, parity_run):
         _, snap = parity_run

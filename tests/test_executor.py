@@ -3,7 +3,7 @@
 The load-bearing property is determinism: whatever ``jobs`` is, a sweep
 must serialize byte-identically to the serial loop.  The rest covers
 the worker-count knob, grid-order bookkeeping, result-store interplay
-and instrument counters.
+and the executor's counts on the event log.
 """
 
 import json
@@ -18,7 +18,7 @@ from repro.experiments.executor import (
     map_configs,
     sweep_grid,
 )
-from repro.obs import Instruments
+from repro.obs import EventLog
 from repro.sim.runner import run_simulation
 
 #: Small enough that a 4-process fan-out finishes in seconds, big
@@ -128,15 +128,16 @@ def test_executor_counters_and_cache(tmp_path):
     store = ResultStore(tmp_path / "store")
     cfg = TINY.base_config(scheduler="greedy", erp=0.0)
     configs = [cfg.with_overrides(seed=s) for s in TINY.seeds]
-    obs = Instruments()
-    first = map_configs(configs, jobs=1, instruments=obs, store=store)
-    snap = obs.snapshot()["counters"]
-    assert snap["executor.cells"] == 2
-    assert snap["executor.cache_misses"] == 2
+    log = EventLog()
+    first = map_configs(configs, jobs=1, log=log, store=store)
+    (sweep,) = [span for span in log.spans if span.name == "executor.map"]
+    assert sweep.attrs == {"cells": 2, "jobs": 1, "cache_hits": 0}
     # Second pass: everything is a parent-side store hit, no pool work.
-    obs2 = Instruments()
-    second = map_configs(configs, jobs=1, instruments=obs2, store=store)
-    snap2 = obs2.snapshot()["counters"]
-    assert snap2["executor.store_hits"] == 2
-    assert snap2["executor.cache_misses"] == 0
+    log2 = EventLog()
+    second = map_configs(configs, jobs=1, log=log2, store=store)
+    (sweep2,) = [span for span in log2.spans if span.name == "executor.map"]
+    assert sweep2.attrs == {"cells": 2, "jobs": 1, "cache_hits": 2}
+    hits = [m["cell"] for m in log2.marks if m["name"] == "executor.store_hit"]
+    assert hits == [0, 1]
+    assert [span.name for span in log2.spans] == ["executor.map"]  # nothing ran
     assert [s.as_dict() for s in second] == [s.as_dict() for s in first]

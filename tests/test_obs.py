@@ -1,7 +1,7 @@
 """Tests for the repro.obs telemetry layer.
 
-Covers the instrument registry (live and null), the built-in exporters,
-the run manifest, the telemetry runner glue, and the report renderer.
+Covers the derived instrument snapshot, the built-in exporters, the run
+manifest, the telemetry runner glue, and the report renderer.
 """
 
 import csv
@@ -11,15 +11,8 @@ import re
 import pytest
 
 from repro.obs import (
-    Counter,
     EventKind,
     EventLog,
-    Gauge,
-    Histogram,
-    Instruments,
-    NULL_INSTRUMENTS,
-    NullInstruments,
-    PhaseTimer,
     RunManifest,
     TelemetryBundle,
     config_digest,
@@ -50,118 +43,97 @@ def tiny_config(**overrides):
 
 
 class TestInstruments:
+    """The instrument snapshot :meth:`EventLog.snapshot` derives: the
+    ``instruments`` block of a manifest and of every exporter."""
+
     def test_counter(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ValueError):
-            c.inc(-1.0)
+        log = EventLog()
+        log.emit(0.0, EventKind.ROTATION, 0, 2.0)
+        log.emit(1.0, EventKind.ROTATION, 0, 1.5)
+        assert log.snapshot()["counters"]["clusters.handoffs"] == 3.5
+        log.emit(2.0, EventKind.ROTATION, 0, -1.0)  # a counter never decreases
+        with pytest.raises(ValueError, match="clusters.handoffs"):
+            log.snapshot()
 
     def test_gauge(self):
-        g = Gauge("x")
-        g.set(7)
-        assert g.value == 7.0
-        g.set(3.0)
-        assert g.value == 3.0
+        log = EventLog()
+        log.sample(0.0, "backlog", 7)
+        log.sample(1.0, "backlog", 3)
+        assert log.snapshot()["gauges"] == {"gate.backlog": 3.0}
 
     def test_histogram_summary(self):
-        h = Histogram("x")
-        assert h.summary() == {"count": 0, "total": 0.0, "min": 0.0,
-                               "max": 0.0, "mean": 0.0}
-        for v in (1.0, 3.0, 2.0):
-            h.observe(v)
-        s = h.summary()
-        assert s["count"] == 3
-        assert s["min"] == 1.0 and s["max"] == 3.0
-        assert s["mean"] == pytest.approx(2.0)
+        log = EventLog()
+        assert log.snapshot()["histograms"]["fleet.sortie_stops"] == {
+            "count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
+        for stops in (1, 3, 2):
+            log.emit(0.0, EventKind.SORTIE_ASSIGNED, 0, stops)
+        s = log.snapshot()["histograms"]["fleet.sortie_stops"]
+        assert s == {"count": 3, "total": 6.0, "min": 1.0, "max": 3.0, "mean": 2.0}
+        # Integer event values still export as floats ("1.0", not "1").
+        assert [type(v) for v in s.values()] == [int, float, float, float, float]
 
     def test_timer_records_durations(self):
-        t = PhaseTimer("x")
-        with t:
-            pass
-        with t:
-            pass
-        assert t.count == 2
-        assert t.total >= 0.0
-        assert t.min <= t.max
+        log = EventLog()
+        for _ in range(2):
+            with log.phase("energy.recompute"):
+                pass
+        t = log.snapshot()["timers"]["energy.recompute"]
+        assert t["count"] == 2
+        assert t["total_s"] >= 0.0
+        assert t["min_s"] <= t["max_s"]
 
     def test_timer_reentrant(self):
-        t = PhaseTimer("x")
-        with t:
-            with t:
+        log = EventLog()
+        with log.phase("energy.recompute"):
+            with log.phase("energy.recompute"):
                 pass
-        assert t.count == 2
-
-    def test_get_or_create_identity(self):
-        obs = Instruments()
-        assert obs.counter("a") is obs.counter("a")
-        assert obs.timer("t") is obs.timer("t")
-        assert obs.names() == ["a", "t"]
-
-    def test_kind_mismatch_raises(self):
-        obs = Instruments()
-        obs.counter("a")
-        with pytest.raises(ValueError, match="Counter"):
-            obs.gauge("a")
-        # PhaseTimer subclasses Histogram but the binding is exact.
-        obs.timer("t")
-        with pytest.raises(ValueError):
-            obs.histogram("t")
+        assert log.snapshot()["timers"]["energy.recompute"]["count"] == 2
 
     def test_snapshot_groups_by_kind(self):
-        obs = Instruments()
-        obs.counter("c").inc(4)
-        obs.gauge("g").set(2.5)
-        obs.histogram("h").observe(1.0)
-        with obs.timer("t"):
-            pass
-        snap = obs.snapshot()
-        assert snap["counters"] == {"c": 4.0}
-        assert snap["gauges"] == {"g": 2.5}
-        assert snap["histograms"]["h"]["count"] == 1
-        timer = snap["timers"]["t"]
-        assert set(timer) == {"count", "total_s", "min_s", "max_s", "mean_s"}
-        assert timer["count"] == 1
+        snap = EventLog().snapshot()
+        assert list(snap) == ["counters", "gauges", "histograms", "timers"]
+        assert next(iter(snap["counters"])) == "monitors.violations"
+        assert all(type(v) is float for v in snap["counters"].values())
+        assert list(snap["timers"]["world.run"]) == [
+            "count", "total_s", "min_s", "max_s", "mean_s"]
 
     def test_snapshot_json_safe(self):
-        obs = Instruments()
-        obs.counter("c").inc()
-        json.dumps(obs.snapshot())  # must not raise
+        log = EventLog()
+        log.emit(0.0, EventKind.SORTIE_ASSIGNED, 0, 2)
+        log.mark("invariant.violation", invariant="battery_bounds")
+        snap = log.snapshot(n_rvs=1)
+        assert list(snap["counters"])[-3:] == [
+            "fleet.rv0.sorties", "fleet.rv0.delivered_j",
+            "monitors.battery_bounds.violations"]
+        assert json.loads(json.dumps(snap)) == snap
 
 
-class TestNullInstruments:
-    def test_shared_singletons(self):
-        null = NullInstruments()
-        assert null.counter("a") is null.counter("b")
-        assert null.timer("a") is NULL_INSTRUMENTS.timer("z")
-        assert not null.enabled
+def histogram(*values):
+    """One snapshot histogram row over ``values``."""
+    return {"count": len(values), "total": sum(values), "min": min(values),
+            "max": max(values), "mean": sum(values) / len(values)}
 
-    def test_everything_is_noop(self):
-        null = NULL_INSTRUMENTS
-        null.counter("c").inc(5)
-        null.gauge("g").set(9)
-        null.histogram("h").observe(1.0)
-        with null.timer("t"):
-            pass
-        assert null.names() == []
-        assert null.snapshot() == {"counters": {}, "gauges": {},
-                                   "histograms": {}, "timers": {}}
+
+def timer(*durations):
+    """One snapshot timer row over ``durations`` (seconds)."""
+    h = histogram(*durations)
+    return {"count": h["count"], "total_s": h["total"], "min_s": h["min"],
+            "max_s": h["max"], "mean_s": h["mean"]}
 
 
 def sample_bundle():
-    obs = Instruments()
-    obs.counter("fleet.sorties").inc(3)
-    obs.gauge("gate.backlog").set(2)
-    obs.histogram("fleet.delivered_j").observe(120.0)
-    with obs.timer("energy.recompute"):
-        pass
+    snapshot = {
+        "counters": {"fleet.sorties": 3.0},
+        "gauges": {"gate.backlog": 2.0},
+        "histograms": {"fleet.delivered_j": histogram(120.0)},
+        "timers": {"energy.recompute": timer(0.001)},
+    }
     log = EventLog()
     log.emit(1.0, EventKind.NODE_RECHARGED, 4, 80.0)
     log.sample(0.0, "coverage", 0.9)
     log.sample(5.0, "coverage", 0.8)
     return TelemetryBundle(
-        instruments=obs.snapshot(),
+        instruments=snapshot,
         summary={"traveling_energy_j": 42.0},
         config={"seed": 1},
         log=log,
@@ -204,6 +176,8 @@ class TestExporters:
         assert "repro_fleet_sorties_total 3" in text
         assert "repro_gate_backlog 2" in text
         assert "repro_energy_recompute_seconds_count 1" in text
+        assert 'repro_fleet_delivered_j_bucket{le="+Inf"} 1' in text
+        assert "repro_fleet_delivered_j_sum 120" in text
         assert "repro_summary_traveling_energy_j 42" in text
         # every non-comment line is "name value"
         for line in text.splitlines():
@@ -253,15 +227,16 @@ _PROM_SAMPLE_RE = re.compile(
 
 class TestPrometheusSanitization:
     def weird_bundle(self):
-        obs = Instruments()
-        obs.counter("fleet.rv-0.sorties").inc(1)
-        obs.counter("fleet_rv_0.sorties").inc(2)  # collides after sanitizing
-        obs.gauge("0weird..na me!").set(5)
-        obs.histogram("héllo.latency").observe(0.5)
-        with obs.timer("phase one/two"):
-            pass
-        return TelemetryBundle(instruments=obs.snapshot(),
-                               summary={"objective-j": 1.0})
+        snapshot = {
+            "counters": {
+                "fleet.rv-0.sorties": 1.0,
+                "fleet_rv_0.sorties": 2.0,  # collides after sanitizing
+            },
+            "gauges": {"0weird..na me!": 5.0},
+            "histograms": {"héllo.latency": histogram(0.5)},
+            "timers": {"phase one/two": timer(0.001)},
+        }
+        return TelemetryBundle(instruments=snapshot, summary={"objective-j": 1.0})
 
     def test_sanitizes_dots_and_dashes(self):
         from repro.obs.exporters import _prom_name
@@ -290,21 +265,6 @@ class TestPrometheusSanitization:
             seen.add(key)
             float(m.group("value"))
         assert seen
-
-    def test_histogram_series_are_cumulative(self, tmp_path):
-        obs = Instruments()
-        h = obs.histogram("cell.latency", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 0.5, 5.0):
-            h.observe(v)
-        bundle = TelemetryBundle(instruments=obs.snapshot(), summary={})
-        EXPORTERS.build("prometheus").export(tmp_path, bundle)
-        text = (tmp_path / "metrics.prom").read_text()
-        assert "# TYPE repro_cell_latency histogram" in text
-        assert 'repro_cell_latency_bucket{le="0.1"} 1' in text
-        assert 'repro_cell_latency_bucket{le="1"} 3' in text
-        assert 'repro_cell_latency_bucket{le="+Inf"} 4' in text
-        assert "repro_cell_latency_count 4" in text
-        assert "repro_cell_latency_sum 6.05" in text
 
     def test_help_and_type_comments_present(self, tmp_path):
         EXPORTERS.build("prometheus").export(tmp_path, self.weird_bundle())

@@ -13,7 +13,7 @@ from repro.experiments import ExperimentScale
 from repro.experiments.cache import config_key
 from repro.experiments.executor import map_configs
 from repro.experiments.store import ResultStore
-from repro.obs import STORE_STATS, Instruments
+from repro.obs import EventLog
 from repro.sim.runner import run_simulation
 
 TINY = ExperimentScale("tiny", days=1.0, seeds=(1, 2))
@@ -75,14 +75,12 @@ def test_legacy_batch_source_blob_is_a_hit(tmp_path, cell):
     from repro.experiments.executor import iter_configs
 
     config, summary = cell
-    obs = Instruments()
-    store = ResultStore(tmp_path / "store", instruments=obs)
+    store = ResultStore(tmp_path / "store")
     path = store._blob_path(store.put(config, summary))
     path.write_text(json.dumps({**json.loads(path.read_text()), "source": "batch"}))
     assert store.get(config).as_dict() == summary.as_dict()
     assert [src for _, _, src in iter_configs([config], jobs=1, store=store)] == ["store"]
     assert store.stats["corrupt"] == 0 and store.stats["hits"] == 2
-    assert obs.snapshot()["counters"].get("store.corrupt", 0) == 0
     assert path.exists()
 
 
@@ -100,15 +98,13 @@ def test_legacy_batch_source_blob_is_a_hit(tmp_path, cell):
 )
 def test_corrupt_blob_is_a_counted_miss_never_a_crash(tmp_path, cell, mangle):
     config, summary = cell
-    obs = Instruments()
-    store = ResultStore(tmp_path / "store", instruments=obs)
+    store = ResultStore(tmp_path / "store")
     key = store.put(config, summary)
     blob = store._blob_path(key)
     blob.write_bytes(mangle(blob.read_bytes()))
     assert store.get(config) is None
     assert store.stats["corrupt"] == 1
     assert store.stats["misses"] == 1
-    assert obs.snapshot()["counters"]["store.corrupt"] == 1
     assert not blob.exists()  # quarantined
     # The store heals: a fresh put makes the next get a clean hit.
     store.put(config, summary)
@@ -164,15 +160,14 @@ def test_executor_consults_store(tmp_path, cell):
     config, _summary = cell
     configs = [config.with_overrides(seed=s) for s in TINY.seeds]
     store = ResultStore(tmp_path / "store")
-    obs1 = Instruments()
-    first = map_configs(configs, jobs=1, store=store, instruments=obs1)
-    assert obs1.snapshot()["counters"]["executor.cache_misses"] == 2
+    first = map_configs(configs, jobs=1, store=store)
+    assert store.stats["misses"] == 2
     assert store.stats["puts"] == 2
-    obs2 = Instruments()
-    second = map_configs(configs, jobs=1, store=store, instruments=obs2)
-    snap = obs2.snapshot()["counters"]
-    assert snap["executor.store_hits"] == 2
-    assert snap["executor.cache_misses"] == 0
+    log = EventLog()
+    second = map_configs(configs, jobs=1, store=store, log=log)
+    (sweep,) = [span for span in log.spans if span.name == "executor.map"]
+    assert sweep.attrs["cache_hits"] == 2
+    assert store.stats["hits"] == 2 and store.stats["puts"] == 2
     assert [s.as_dict() for s in second] == [s.as_dict() for s in first]
 
 
@@ -217,4 +212,4 @@ def test_concurrent_writers_of_one_store_never_raise(tmp_path, cell):
 
 def test_store_stats_match_declared_schema(tmp_path):
     store = ResultStore(tmp_path / "store")
-    assert list(store.stats) == [f.key for f in STORE_STATS.fields]
+    assert list(store.stats) == ["hits", "misses", "puts", "dedup", "corrupt"]

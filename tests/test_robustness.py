@@ -2,13 +2,17 @@
 
 The simulation must stay well-defined when the deployment is hostile:
 disconnected networks, starved fleets, clusters that die wholesale,
-sorties that cannot fit a single demand.
+sorties that cannot fit a single demand.  Every world runs under
+strict invariant monitors, so a case that breaks energy conservation,
+battery bounds, the ERC release rule or RV capacity fails on the tick
+it happens.
 """
 
 import numpy as np
 import pytest
 
 from repro.energy.recharge import ChargeModel
+from repro.obs import MonitorSet
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.world import World
 
@@ -26,7 +30,7 @@ def run_world(**overrides):
         seed=8,
     )
     defaults.update(overrides)
-    w = World(SimulationConfig(**defaults))
+    w = World(SimulationConfig(**defaults), monitors=MonitorSet(strict=True))
     return w, w.run()
 
 
@@ -111,7 +115,8 @@ class TestWholeClusterDeath:
                 battery_capacity_j=150.0,
                 initial_charge_range=(0.3, 0.5),
                 seed=1,
-            )
+            ),
+            monitors=MonitorSet(strict=True),
         )
         w.state.sim.run_until(2.5 * DAY_S)
         w.energy.advance()
