@@ -79,7 +79,7 @@ class EnergyRequestController:
 
     The per-cluster loop in :meth:`nodes_to_release` is the
     specification of the array scan
-    (:func:`repro.sim.soa.erc_release_scan`) the SoA tick engine runs;
+    (:func:`repro.sim.soa.erc_release`) the SoA tick engine runs;
     subclasses that override it automatically keep their own code (the
     request gate checks :func:`repro.sim.soa.erc_scan_applicable`).
     """

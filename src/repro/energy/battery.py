@@ -163,6 +163,12 @@ class BatteryBank:
         ``rates * dt`` product so the steady-state advance allocates
         nothing (the SoA tick engine passes its preallocated scratch);
         the arithmetic is identical either way.
+
+        The rates are validated here (shape, non-negative) on every
+        call.  The simulator validates its rates where it makes them,
+        once per re-pricing, and advances through
+        :meth:`drain_validated_rates`, the same arithmetic without the
+        checks.
         """
         if dt_s < 0:
             raise ValueError("dt_s must be non-negative")
@@ -171,10 +177,17 @@ class BatteryBank:
             raise ValueError(f"rates shape {rates_w.shape} != bank shape {self.levels_j.shape}")
         if (rates_w < 0).any():
             raise ValueError("power draws must be non-negative")
-        if scratch is not None and scratch.shape == self.levels_j.shape:
-            drained = np.multiply(rates_w, dt_s, out=scratch)
-        else:
-            drained = rates_w * dt_s
+        if scratch is None or scratch.shape != self.levels_j.shape:
+            scratch = np.empty_like(self.levels_j)
+        self.drain_validated_rates(rates_w, dt_s, scratch)
+
+    def drain_validated_rates(
+        self, rates_w: np.ndarray, dt_s: float, scratch: np.ndarray
+    ) -> None:
+        """:meth:`drain_rates` without its checks: ``rates_w`` must be a
+        non-negative float64 array of bank shape, ``dt_s >= 0`` and
+        ``scratch`` a float64 buffer of bank shape."""
+        drained = np.multiply(rates_w, dt_s, out=scratch)
         levels = self.levels_j
         np.subtract(levels, drained, out=levels)
         np.maximum(levels, 0.0, out=levels)
@@ -188,11 +201,13 @@ class BatteryBank:
         self.levels_j[idx] = np.maximum(self.levels_j[idx] - amount_j, 0.0)
 
     def charge_to_full(self, idx) -> float:
-        """Refill the nodes in ``idx``; returns total energy delivered."""
+        """Refill the nodes in ``idx`` (one node id or an index array);
+        returns total energy delivered."""
         before = self.levels_j[idx]
-        delivered = float(np.sum(self.capacity_j - before))
         self.levels_j[idx] = self.capacity_j
-        return delivered
+        if np.ndim(before) == 0:  # one node: the demand itself
+            return float(self.capacity_j - before)
+        return float(np.sum(self.capacity_j - before))
 
     def time_to_level(self, idx: int, level_j: float, rate_w: float) -> float:
         """Seconds until node ``idx`` crosses ``level_j`` draining at

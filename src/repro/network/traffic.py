@@ -6,16 +6,22 @@ rate of packets it forwards for others — each costing one receive plus
 one transmit (its own originations cost only the transmit, which the
 power model charges to the active node).
 
-The load computation is a single pass over vertices in decreasing
-distance-to-base order: by the time a vertex is processed all of its
-subtree has already pushed its rate into it.
+The loads come from the tree's DFS preorder
+(:func:`~repro.network.routing.subtree_index`, the layout the
+simulator's relay counts use too): every subtree is one contiguous preorder range, so one
+``cumsum`` of the rates in preorder gives every vertex's load as the
+difference of two prefix sums.  The sums run in preorder, not in a
+per-vertex order, so the loads match a hop-by-hop accumulation to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from .routing import RoutingTree
+from .routing import RoutingTree, SubtreeIndex, subtree_index
 
 __all__ = ["relay_rates", "subtree_rates"]
 
@@ -34,6 +40,31 @@ def subtree_rates(tree: RoutingTree, origination_rates: np.ndarray) -> np.ndarra
         second carried by each vertex.  The base entry is the total
         delivered rate.
     """
+    index, cs = _preorder_sums(tree, origination_rates)
+    through = np.zeros(len(tree.topology), dtype=np.float64)
+    through[: tree.n_sensors] = cs[index.tout] - cs[index.tin]
+    through[tree.base] = cs[-1]
+    return through
+
+
+def relay_rates(tree: RoutingTree, origination_rates: np.ndarray) -> np.ndarray:
+    """Packets/second each *sensor* forwards on behalf of others.
+
+    ``relay = through - own`` for connected sensors (the rates of the
+    strict subtree); zero otherwise.  The prefix sums of non-negative
+    rates never decrease, so no load comes out negative.
+    """
+    index, cs = _preorder_sums(tree, origination_rates)
+    return cs[index.tout] - cs[index.tsub]
+
+
+def _preorder_sums(
+    tree: RoutingTree, origination_rates: np.ndarray
+) -> Tuple[SubtreeIndex, np.ndarray]:
+    """Validate the rates; return the tree's :class:`SubtreeIndex` and
+    the prefix sums of the rates in its preorder (``cs[0] == 0``).
+    Disconnected sensors are not in the preorder, so their rates count
+    nowhere."""
     origination_rates = np.asarray(origination_rates, dtype=np.float64)
     if origination_rates.shape != (tree.n_sensors,):
         raise ValueError(
@@ -41,30 +72,7 @@ def subtree_rates(tree: RoutingTree, origination_rates: np.ndarray) -> np.ndarra
         )
     if np.any(origination_rates < 0):
         raise ValueError("origination rates must be non-negative")
-    n_total = len(tree.topology)
-    through = np.zeros(n_total, dtype=np.float64)
-    connected = np.isfinite(tree.dist[: tree.n_sensors])
-    through[: tree.n_sensors] = np.where(connected, origination_rates, 0.0)
-    # Farthest-first accumulation along parent pointers.
-    order = np.argsort(tree.dist, kind="stable")[::-1]
-    for v in order:
-        if v == tree.base or not np.isfinite(tree.dist[v]):
-            continue
-        p = tree.parent[v]
-        if p >= 0:
-            through[p] += through[v]
-    return through
-
-
-def relay_rates(tree: RoutingTree, origination_rates: np.ndarray) -> np.ndarray:
-    """Packets/second each *sensor* forwards on behalf of others.
-
-    ``relay = through - own`` for connected sensors; zero otherwise.
-    """
-    origination_rates = np.asarray(origination_rates, dtype=np.float64)
-    through = subtree_rates(tree, origination_rates)
-    connected = np.isfinite(tree.dist[: tree.n_sensors])
-    own = np.where(connected, origination_rates, 0.0)
-    relay = through[: tree.n_sensors] - own
-    # Guard against negative zeros from floating-point subtraction.
-    return np.maximum(relay, 0.0)
+    index = subtree_index(tree.parent, tree.base, tree.n_sensors)
+    cs = np.zeros(len(index.pre) + 1, dtype=np.float64)
+    np.cumsum(origination_rates[index.pre], out=cs[1:])
+    return index, cs

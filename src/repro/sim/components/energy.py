@@ -9,7 +9,8 @@ power model of the whole sensor network:
 * :meth:`advance` drains every battery analytically for the elapsed
   interval and reports depletions (log events + a death callback for
   the ERC policy);
-* :meth:`apply_handoffs` charges rotation notification packets;
+* :meth:`apply_handoffs` charges rotation notification packets (and
+  reports the sensors a notification empties, like drain deaths);
 * :meth:`breakdown` exposes the cumulative per-category Joules.
 
 Between events nothing integrates numerically — the engine only fires
@@ -28,6 +29,11 @@ zero, and the death recompute drops them) and at the top of every
 hand-offs, recharges, relocation, replay restore).  With monitors on,
 every :meth:`advance` checks ``alive == (levels > 0)``.
 
+Each re-pricing also counts the alive sensors.  A drain only lowers
+levels and leaves dead sensors at zero, so its deaths are exactly the
+drop in ``count(levels > 0)`` from that count: :meth:`advance` builds
+the per-sensor death mask only when the count moved.
+
 Rate recomputation
 ------------------
 
@@ -36,10 +42,17 @@ after every recharge.  A full pass prices idle + sensing draw from the
 alive/active masks, then the relay load as integer packet counts,
 priced per packet and scaled by the uplink ETX.  A sensor relays every
 packet originating in its routing subtree; with the static tree laid
-out in DFS preorder once (:func:`repro.sim.soa.subtree_index`), every
-count is the difference of two entries of one ``cumsum``
-(:func:`repro.sim.soa.subtree_counts`), and :meth:`EnergyAccounting.price`
+out in DFS preorder once (:func:`repro.network.routing.subtree_index`),
+every count is the difference of two entries of one prefix sum
+(:func:`repro.sim.soa.relay_counts`), and :meth:`EnergyAccounting.price`
 turns the counts into Watts.
+
+Rates are validated where they are made.  They only change here (the
+pricing, plus leakage), so every re-pricing checks that they are
+non-negative and raises :class:`ValueError` otherwise; :meth:`advance`
+then drains through
+:meth:`~repro.energy.battery.BatteryBank.drain_validated_rates`, the
+bank's one drain arithmetic without the per-call checks.
 
 The re-pricing memo
 -------------------
@@ -64,8 +77,9 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ...network.routing import subtree_index
 from ...obs.log import EventKind
-from ..soa import subtree_counts, subtree_index
+from ..soa import relay_counts
 from .state import SimulationState
 
 __all__ = ["EnergyAccounting"]
@@ -94,12 +108,15 @@ class EnergyAccounting:
         # NodePowerModel is frozen: price every pass from cached scalars.
         self._idle_w = power.idle_power_w
         self._sensing_w = power.active_sensing_power_w
-        self._duty_w = self._idle_w + self._sensing_w
         self._packet_rate_hz = power.packet_rate_hz
         self._per_packet_relay_j = power.relay_power_w(1.0)
         self._notification_j = power.notification_energy_j()
         self._rx_j = power.radio.rx_energy_j(power.payload_bytes)
+        # One (holder, successor) hand-off row: TX to the retiring
+        # sensor, RX to its successor.
+        self._handoff_j = np.array([self._notification_j, self._rx_j])
         self._leak_per_s = state.cfg.self_discharge_fraction_per_day / 86400.0
+        self._leaky = state.cfg.self_discharge_fraction_per_day > 0
         self._last_t = 0.0
         n = state.cfg.n_sensors
         self.rates = np.zeros(n, dtype=np.float64)
@@ -113,15 +130,18 @@ class EnergyAccounting:
             "leakage": 0.0,
             "notifications": 0.0,
         }
-        # Static routing views: the tree in DFS preorder for the relay
-        # counts (the topology never changes during a run).
-        self._connected = np.isfinite(state.routing.dist[:n])
+        # The routing tree in DFS preorder for the relay counts (the
+        # topology never changes during a run).
         self._subtrees = subtree_index(state.routing.parent, state.routing.base, n)
         self._drain_scratch = state.arrays.drain_scratch
         self._died = np.empty(n, dtype=bool)
+        # The alive count of the last re-pricing (see advance).
+        self._n_alive = 0
         # The (alive, active) mask bytes the rates buffer was priced
         # from; None forces the next recompute to re-price.
         self._priced_key: Optional[bytes] = None
+        state.arrays.rates_w = self.rates
+        state.arrays.active = self.active
         self.recompute()
 
     # ------------------------------------------------------------------
@@ -142,56 +162,62 @@ class EnergyAccounting:
         # re-deriving the alive mask here keeps it current.
         alive = np.greater(s.bank.levels_j, 0.0, out=self.alive)
         active = s.activator.active_mask(alive)
-        leaky = s.cfg.self_discharge_fraction_per_day > 0
-        key = None if leaky else alive.tobytes() + active.tobytes()
+        key = None if self._leaky else alive.tobytes() + active.tobytes()
         if key is not None and key == self._priced_key:
             return  # same masks: the buffers already hold this pricing
-        # Relay load: every active connected sensor originates packets,
-        # and each sensor relays those of its subtree (dead relays keep
-        # forwarding in the static tree but draw nothing).
-        origins = active & self._connected
-        relay_w = self.price(alive, active, origins, subtree_counts(origins, self._subtrees))
+        # Relay load: every active sensor with a route to the base
+        # originates packets, and each sensor relays those of its strict
+        # subtree (dead relays keep forwarding in the static tree but
+        # draw nothing).  The subtree index holds only the routed
+        # sensors, so the active mask is the origin mask.
+        relay_w = self.price(alive, active, relay_counts(active, self._subtrees))
         leak_total = 0.0
-        if leaky:
+        if self._leaky:
             # Charge-proportional leakage, frozen at the current level
             # until the next rate recomputation (piecewise-linear
             # approximation of the exponential decay).
-            leak_w = np.where(alive, s.bank.levels_j * self._leak_per_s, 0.0)
+            leak_w = np.multiply(s.bank.levels_j, self._leak_per_s)
+            leak_w *= alive
             self.rates += leak_w
             leak_total = float(leak_w.sum())
+        if self.rates.size and np.minimum.reduce(self.rates) < 0.0:
+            raise ValueError("power draws must be non-negative")
         self.active[...] = active
-        s.arrays.rates_w = self.rates
-        s.arrays.active = self.active
+        n_alive = int(np.count_nonzero(alive))
         self._category_watts = {
-            "idle": float(np.count_nonzero(alive)) * self._idle_w,
+            "idle": float(n_alive) * self._idle_w,
             "sensing": float(np.count_nonzero(active)) * self._sensing_w,
             "relay": float(relay_w.sum()),
             "leakage": leak_total,
         }
+        self._n_alive = n_alive
         self._priced_key = key
 
-    def price(self, alive, active, origins, through) -> np.ndarray:
+    def price(self, alive, active, relay) -> np.ndarray:
         """Per-sensor draw in Watts into :attr:`rates`; returns the relay
         Watts.
 
-        ``through`` holds each sensor's subtree origin count
-        (:func:`~repro.sim.soa.subtree_counts`) and ``origins`` the
-        sensors originating a packet.  The draw is idle, plus sensing
-        when active, plus the relayed packets priced per packet and
-        scaled by the uplink ETX; depleted sensors draw nothing.
+        ``relay`` holds each sensor's relayed packet count
+        (:func:`~repro.sim.soa.relay_counts`).  The draw is idle, plus
+        sensing when active, plus the relayed packets priced per packet
+        and scaled by the uplink ETX; depleted sensors draw nothing.
         """
-        # Counts are far below 2**53, so subtracting in float64 equals
-        # subtracting in int64 and converting; the products then run in
-        # place in the same left-to-right order.
-        relay = np.subtract(through, origins, dtype=np.float64)
-        relay *= self._packet_rate_hz
-        relay *= self._per_packet_relay_j
-        relay *= self.s.uplink_etx
-        relay_w = np.where(alive, relay, 0.0)
-        base = np.where(active, self._duty_w, self._idle_w)
-        base += relay_w
-        # In place: the SoA arrays alias the rates buffer.
-        self.rates[...] = np.where(alive, base, 0.0)
+        # Counts are far below 2**53, so the first multiply converts them
+        # to float64 exactly; the products then run in place in the same
+        # left-to-right order.  The masks enter as multiplies: for finite
+        # x >= 0, x * True == x and x * False == +0.0, the bits np.where
+        # would select.
+        relay_w = np.multiply(relay, self._packet_rate_hz)
+        relay_w *= self._per_packet_relay_j
+        relay_w *= self.s.uplink_etx
+        relay_w *= alive
+        # In place: the SoA arrays alias the rates buffer.  An active
+        # sensor's base draw is sensing + idle, which IEEE addition
+        # makes the same bits as idle + sensing.
+        rates = np.multiply(active, self._sensing_w, out=self.rates)
+        rates += self._idle_w
+        rates += relay_w
+        rates *= alive
         return relay_w
 
     def advance(self) -> None:
@@ -207,43 +233,70 @@ class EnergyAccounting:
     def _advance(self, dt: float) -> None:
         s = self.s
         mon = s.monitors
-        levels_before = s.bank.levels_j.copy() if mon.enabled else None
-        s.bank.drain_rates(self.rates, dt, scratch=self._drain_scratch)
+        levels = s.bank.levels_j
+        levels_before = levels.copy() if mon.enabled else None
+        # The rates were validated when they were priced (_recompute).
+        s.bank.drain_validated_rates(self.rates, dt, self._drain_scratch)
         if mon.enabled:
-            mon.check_energy_conservation(
-                levels_before, s.bank.levels_j, self.rates, dt, s.now
-            )
-            mon.check_battery_bounds(s.bank.levels_j, s.bank.capacity_j, s.now)
+            mon.check_energy_conservation(levels_before, levels, self.rates, dt, s.now)
+            mon.check_battery_bounds(levels, s.bank.capacity_j, s.now)
         for cat, watts in self._category_watts.items():
             self.breakdown_j[cat] += watts * dt
         self._last_t = s.now
-        # A drain only lowers levels, so the alive set can only shrink:
-        # the deaths are the alive sensors now at zero.
-        died = np.less_equal(s.bank.levels_j, 0.0, out=self._died)
+        # A drain only lowers levels and keeps dead sensors at zero, so
+        # the alive set can only shrink: the deaths are the alive sensors
+        # now at zero, and there are some iff the alive count dropped.
+        alive_now = np.greater(levels, 0.0, out=self._died)
+        if np.count_nonzero(alive_now) == self._n_alive:
+            return
+        died = np.less_equal(levels, 0.0, out=self._died)
         np.logical_and(died, self.alive, out=died)
-        n_died = int(np.count_nonzero(died))
-        if n_died:
-            logger.debug("t=%.0fs: %d sensor(s) depleted", s.now, n_died)
-            if s.log.enabled:
-                for v in np.flatnonzero(died):
-                    s.log.emit(s.now, EventKind.SENSOR_DEPLETED, int(v))
-            if self.on_deaths is not None:
-                self.on_deaths(n_died)
+        victims = np.flatnonzero(died)
+        if len(victims):
+            self._report_deaths(victims)
             # Depleted sensors stop sensing and relaying; the recompute
             # also drops them from the alive mask.
             self.recompute()
 
+    def _report_deaths(self, victims: np.ndarray) -> None:
+        """Log the depletion of ``victims`` (ascending sensor ids) and
+        tell the death callback how many there were."""
+        s = self.s
+        n_died = len(victims)
+        logger.debug("t=%.0fs: %d sensor(s) depleted", s.now, n_died)
+        if s.log.enabled:
+            for v in victims:
+                s.log.emit(s.now, EventKind.SENSOR_DEPLETED, int(v))
+        if self.on_deaths is not None:
+            self.on_deaths(n_died)
+
     def apply_handoffs(self, handoffs: np.ndarray) -> None:
         """Charge rotation notifications: TX to the retiring sensor,
-        RX to its successor."""
+        RX to its successor.
+
+        Within one rotation the holders and the successors are distinct
+        sensors (each belongs to one cluster), so one gather, clamp and
+        scatter of the ``(k, 2)`` pairs is elementwise the same as
+        draining each column in turn.  A sensor a notification empties
+        is reported like a drain death; the recompute that follows every
+        rotation drops it from the alive mask.
+        """
         if not len(handoffs):
             return
-        bank = self.s.bank
-        bank.drain_energy(handoffs[:, 0], self._notification_j)
-        bank.drain_energy(handoffs[:, 1], self._rx_j)
+        levels = self.s.bank.levels_j
+        after = levels[handoffs]
+        after -= self._handoff_j
+        np.maximum(after, 0.0, out=after)
+        levels[handoffs] = after
         self.breakdown_j["notifications"] += len(handoffs) * (
             self._notification_j + self._rx_j
         )
+        if np.count_nonzero(after) < after.size:  # levels are >= 0: some hit zero
+            emptied = np.zeros(len(levels), dtype=bool)
+            emptied[handoffs[after <= 0.0]] = True
+            emptied &= self.alive
+            if emptied.any():
+                self._report_deaths(np.flatnonzero(emptied))
 
     def breakdown(self) -> Dict[str, float]:
         """Cumulative network consumption by category (Joules)."""

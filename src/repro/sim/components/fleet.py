@@ -240,7 +240,8 @@ class FleetController:
         rv.move_to(s.sensor_pos[node])
         self._sync_rv(rv)
         s.log.emit(s.now, EventKind.RV_ARRIVED, rv.rv_id, float(node))
-        demand = float(s.bank.demands_j[node])
+        # One element of bank.demands_j: the same subtraction.
+        demand = float(s.bank.capacity_j - s.bank.levels_j[node])
         charge_time = s.cfg.charge_model.charge_time_s(demand)
         s.sim.schedule_in(
             charge_time,
@@ -252,7 +253,7 @@ class FleetController:
         s = self.s
         self.energy.advance()
         was_depleted = bool(s.bank.levels_j[node] <= 0.0)
-        delivered = s.bank.charge_to_full([node])
+        delivered = s.bank.charge_to_full(node)
         s.log.emit(s.now, EventKind.NODE_RECHARGED, int(node), delivered)
         if was_depleted:
             s.log.emit(s.now, EventKind.SENSOR_REVIVED, int(node))

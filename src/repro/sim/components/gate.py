@@ -19,7 +19,7 @@ from ...core.erc import EnergyRequestController
 from ...core.requests import RechargeRequest
 from ...obs.log import EventKind
 from ...registry import ERC_POLICIES, erc_policy_name
-from ..soa import erc_release_scan, erc_scan_applicable
+from ..soa import erc_gate_constants, erc_release, erc_scan_applicable
 from .state import SimulationState
 
 __all__ = ["RequestGate"]
@@ -52,6 +52,9 @@ class RequestGate:
         # The scan inputs right after the last scan's release: a state
         # equal to it releases nothing (see _check).
         self._quiet_key = None
+        # The array scan's GateConstants and their (cluster epoch, erp).
+        self._constants = None
+        self._constants_key = None
 
     @property
     def requests(self):
@@ -86,8 +89,8 @@ class RequestGate:
             if key == self._quiet_key:
                 to_release = []
             else:
-                to_release = erc_release_scan(
-                    a.cluster_id, a.sizes, below, s.requested, self.erc.erp, arrays=a
+                to_release = erc_release(
+                    self._gate_constants(), below, s.requested, a.release_scratch
                 )
         else:
             below = s.bank.below_threshold_mask()
@@ -117,15 +120,27 @@ class RequestGate:
             self._quiet_key = key
         return released
 
+    def _gate_constants(self):
+        """The array scan's :class:`~repro.sim.soa.GateConstants`,
+        derived once per ``(cluster epoch, erp)``."""
+        a = self.s.arrays
+        key = (a.cluster_epoch, self.erc.erp)
+        if key != self._constants_key:
+            self._constants = erc_gate_constants(a.cluster_id, a.sizes, self.erc.erp)
+            self._constants_key = key
+        return self._constants
+
     def _release(self, to_release) -> bool:
         """Put ``to_release`` onto the backlog and update all request
         bookkeeping; returns True if anything was released."""
         s = self.s
+        bank = s.bank
         for node in to_release:
             request = RechargeRequest(
                 node_id=int(node),
                 position=s.sensor_pos[node],
-                demand_j=float(s.bank.demands_j[node]),
+                # One element of bank.demands_j: the same subtraction.
+                demand_j=float(bank.capacity_j - bank.levels_j[node]),
                 cluster_id=s.cluster_set.cluster_of(int(node)),
                 release_time_s=s.now,
             )

@@ -9,24 +9,24 @@ priority queue of timestamped callbacks with deterministic ordering:
   reruns of the same seed replay identically;
 * events can be cancelled (lazy deletion, as in the classic heapq
   recipe).
+
+Heap entries are ``[time, priority, seq, callback]`` lists, so the heap
+compares them in C.  ``seq`` is unique, so two entries never tie on
+the first three fields and a callback is never compared; cancelling
+sets the callback slot to ``None``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 __all__ = ["EventHandle", "Simulator"]
 
-
-@dataclass(order=True)
-class _Entry:
-    time: float
-    priority: int
-    seq: int
-    callback: Optional[Callable[[], None]] = field(compare=False)
+# Slots of a heap entry ``[time, priority, seq, callback]``.
+_TIME, _PRIORITY, _CALLBACK = 0, 1, 3
 
 
 @dataclass
@@ -34,15 +34,16 @@ class EventHandle:
     """Opaque handle returned by :meth:`Simulator.schedule`; pass to
     :meth:`Simulator.cancel` to revoke the event."""
 
-    _entry: _Entry
+    __slots__ = ("_entry",)
+    _entry: list
 
     @property
     def cancelled(self) -> bool:
-        return self._entry.callback is None
+        return self._entry[_CALLBACK] is None
 
     @property
     def time(self) -> float:
-        return self._entry.time
+        return self._entry[_TIME]
 
 
 class Simulator:
@@ -70,7 +71,7 @@ class Simulator:
         """
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} < now {self.now}")
-        entry = _Entry(float(at), priority, next(self._seq), callback)
+        entry = [float(at), priority, next(self._seq), callback]
         heapq.heappush(self._heap, entry)
         return EventHandle(entry)
 
@@ -87,23 +88,23 @@ class Simulator:
 
     def cancel(self, handle: EventHandle) -> None:
         """Revoke a scheduled event (idempotent)."""
-        handle._entry.callback = None
+        handle._entry[_CALLBACK] = None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when the queue is empty."""
-        while self._heap and self._heap[0].callback is None:
+        while self._heap and self._heap[0][_CALLBACK] is None:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][_TIME] if self._heap else None
 
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
         while self._heap:
             entry = heapq.heappop(self._heap)
-            if entry.callback is None:
+            cb = entry[_CALLBACK]
+            if cb is None:
                 continue
-            self.now = entry.time
-            cb = entry.callback
-            entry.callback = None
+            self.now = entry[_TIME]
+            entry[_CALLBACK] = None
             self.events_fired += 1
             cb()
             return True
@@ -115,15 +116,11 @@ class Simulator:
 
         Cancelled entries are skipped (not purged).  Used by the flight
         recorder to decide whether the queue is checkpointable and to
-        serialize it when it is.
+        serialize it when it is.  Entries sort as the heap pops them, so
+        simultaneous events of equal priority keep their insertion order.
         """
-        live = [
-            (e.time, e.priority, e.callback)
-            for e in self._heap
-            if e.callback is not None
-        ]
-        live.sort(key=lambda item: (item[0], item[1]))
-        return live
+        live = sorted(e for e in self._heap if e[_CALLBACK] is not None)
+        return [(e[_TIME], e[_PRIORITY], e[_CALLBACK]) for e in live]
 
     def reset(self, now: float, events_fired: int = 0) -> None:
         """Clear the queue and rebase the clock — checkpoint restore.
@@ -150,17 +147,18 @@ class Simulator:
         if t_end < self.now:
             raise ValueError(f"t_end {t_end} is in the past (now {self.now})")
         heap = self._heap
+        heappop = heapq.heappop
         while heap:
             head = heap[0]
-            if head.callback is None:
-                heapq.heappop(heap)
+            cb = head[_CALLBACK]
+            if cb is None:
+                heappop(heap)
                 continue
-            if head.time > t_end:
+            if head[_TIME] > t_end:
                 break
-            entry = heapq.heappop(heap)
-            self.now = entry.time
-            cb = entry.callback
-            entry.callback = None
+            heappop(heap)  # pops ``head``
+            self.now = head[_TIME]
+            head[_CALLBACK] = None
             self.events_fired += 1
             cb()
         self.now = t_end

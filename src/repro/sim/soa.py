@@ -49,18 +49,27 @@ them once per alive set instead of once per call:
   keyed on ``alive.tobytes()``, exact for any caller's mask;
 * per-epoch consumers key on the integer ``cluster_epoch``, never on
   ``id()`` of an array (ids recur once an array is collected): the
-  world's coverage metrics per ``(alive set, epoch)`` and the request
-  gate's scan skip per ``(below, requested, erp, epoch)``.
+  world's coverage metrics per ``(alive set, epoch)``, the request
+  gate's scan skip per ``(below, requested, erp, epoch)`` and its
+  :class:`GateConstants` per ``(epoch, erp)``;
+* the gate constants are the parts of the ERC scan that depend only on
+  the clusters and the ERP: the ``clustered`` and ``unclustered``
+  masks, each sensor's gather-safe cluster row ``max(membership, 0)``
+  and each cluster's release quorum ``max(ceil(nc * K), 1)``.
+  :func:`erc_gate_constants` derives them and :func:`erc_release` runs
+  the per-scan part, so a scan at a known ``(epoch, erp)`` starts from
+  the threshold mask.
 
 Relay load
 ----------
 
-A sensor relays every packet that originates in its routing subtree.
-:func:`subtree_index` lays the static tree out in DFS preorder once, so
-each sensor's subtree is one contiguous range ``[tin, tout)``, and
-:func:`subtree_counts` turns an origin mask into every sensor's
-through count with one ``cumsum`` and two gathers.  Counts are int64,
-so the result is exact whatever the summation order.
+A sensor relays every packet that originates in its strict routing
+subtree.  :func:`repro.network.routing.subtree_index` lays the static
+tree out in DFS preorder once, so each sensor's subtree is one
+contiguous range ``[tin, tout)`` with the sensor itself at ``tin``, and
+:func:`relay_counts` turns an origin mask into every sensor's relayed
+count with one prefix sum and two gathers: ``cs[tout] - cs[tin + 1]``.
+Counts are int64, so the result is exact whatever the summation order.
 
 Exactness contract
 ------------------
@@ -84,19 +93,20 @@ import numpy as np
 
 from ..core.activation import FullTimeActivator, RoundRobinActivator
 from ..core.erc import EnergyRequestController
+from ..network.routing import SubtreeIndex
 
 __all__ = [
     "ClusterIndex",
+    "GateConstants",
     "RotationTable",
     "StateArrays",
     "SoAFullTimeActivator",
     "SoARoundRobinActivator",
-    "SubtreeIndex",
-    "erc_release_scan",
+    "erc_gate_constants",
+    "erc_release",
     "pack_clusters",
+    "relay_counts",
     "rotation_table",
-    "subtree_counts",
-    "subtree_index",
     "wrap_activator",
 ]
 
@@ -225,7 +235,8 @@ class RotationTable(NamedTuple):
     ``j`` in wrapping rotation order, ``-1`` in a row with no alive
     member.  ``nxt[c, j]`` is the slot the pointer moves to from ``j``:
     the first alive slot after the duty holder's (wrapping), the
-    holder's own slot when it is the row's only alive member.  The
+    holder's own slot when it is the row's only alive member, and ``j``
+    itself in a row with no alive member (its pointer stays).  The
     table is built once per alive set; every rotation and duty query
     under that set is a gather at the flat position ``base + ptr``.
     """
@@ -233,7 +244,6 @@ class RotationTable(NamedTuple):
     cur: np.ndarray  # (m, w) int64 duty-holder member ids, -1 in dead rows
     nxt: np.ndarray  # (m, w) int64 next pointer slot
     pairs: np.ndarray  # (m * w, 2) int64 (holder, successor) ids per flat slot
-    live: np.ndarray  # (m,) bool: the row has an alive member
     hand: np.ndarray  # (k,) int64 rows with >= 2 alive members, ascending
     base: np.ndarray  # (m,) int64 flat offset of each row, c * w
 
@@ -258,12 +268,13 @@ def rotation_table(
     first = at[:, :1]  # first alive slot of each row, w if none
     live = first[:, 0] < w
     slot = np.where(at < w, at, first)
-    slot[~live] = 0  # gather-safe; dead rows never move or hand off
+    slot[~live] = 0  # gather-safe; dead rows never hand off
     nxt = np.take_along_axis(np.roll(slot, -1, axis=1), slot, axis=1)
+    nxt[~live] = ix.offs  # dead rows keep their pointer
     cur = np.where(live[:, None], np.take_along_axis(members, slot, axis=1), -1)
     pairs = np.stack([cur, np.take_along_axis(cur, nxt, axis=1)], axis=-1)
     hand = np.flatnonzero(np.count_nonzero(ok, axis=1) >= 2)
-    return RotationTable(cur, nxt, pairs.reshape(m * w, 2), live, hand, ix.rows * w)
+    return RotationTable(cur, nxt, pairs.reshape(m * w, 2), hand, ix.rows * w)
 
 
 class _SoAActivator:
@@ -331,10 +342,11 @@ class SoARoundRobinActivator(_SoAActivator):
         return table.cur.ravel()[table.base + self.a.ptr]
 
     def active_mask(self, alive: np.ndarray) -> np.ndarray:
-        mask = np.zeros(self.cluster_set.n_sensors, dtype=bool)
-        actives = self.active_sensor_per_cluster(alive)
-        mask[actives[actives >= 0]] = True
-        return mask
+        # One spare slot past the sensors takes the -1 of the clusters
+        # with no alive member.
+        mask = np.zeros(self.cluster_set.n_sensors + 1, dtype=bool)
+        mask[self.active_sensor_per_cluster(alive)] = True
+        return mask[:-1]
 
     def rotate(self, alive: np.ndarray) -> np.ndarray:
         """Advance every cluster's pointer one slot; returns the
@@ -351,10 +363,10 @@ class SoARoundRobinActivator(_SoAActivator):
         # keeps it, and a cluster with none keeps its old pointer.
         pos = t.base + a.ptr
         handoffs = t.pairs[pos[t.hand]]
-        np.copyto(a.ptr, t.nxt.ravel()[pos], where=t.live)
+        a.ptr[...] = t.nxt.ravel()[pos]
         # Refresh the memo for the alive mask just rotated under: the
         # successors now hold the duty.
-        self._actives = t.pairs[:, 1][pos]
+        self._actives = t.pairs[pos, 1]
         self._actives_key = key
         return handoffs
 
@@ -397,32 +409,42 @@ def wrap_activator(activator, arrays: StateArrays):
 # --------------------------------------------------------------------------
 
 
-def erc_release_scan(
-    membership: np.ndarray,
-    sizes: np.ndarray,
-    below: np.ndarray,
-    listed: np.ndarray,
-    erp: float,
-    arrays: StateArrays,
+class GateConstants(NamedTuple):
+    """The ERC scan's inputs that depend only on ``(cluster epoch, erp)``."""
+
+    clustered: np.ndarray  # (n,) bool: the sensor belongs to a cluster
+    unclustered: np.ndarray  # (n,) bool: ~clustered
+    row: np.ndarray  # (n,) int64 cluster id, unclustered clamped to 0 (gather-safe)
+    need: np.ndarray  # (m,) int64 release quorum max(ceil(nc * K), 1)
+
+
+def erc_gate_constants(membership: np.ndarray, sizes: np.ndarray, erp: float) -> GateConstants:
+    """Derive the :class:`GateConstants` of one cluster epoch and ERP."""
+    clustered = membership >= 0
+    # Same elementwise arithmetic as release_count_needed: nc * K is one
+    # float64 multiply either way, then ceil, then the floor of 1.
+    need = np.maximum(np.ceil(sizes * erp).astype(np.int64), 1)
+    return GateConstants(clustered, ~clustered, np.maximum(membership, 0), need)
+
+
+def erc_release(
+    gc: GateConstants, below: np.ndarray, listed: np.ndarray, out: np.ndarray
 ) -> List[int]:
     """Array form of the ERC gate: sensors allowed to request *now*.
 
     Per cluster the needy count (``below`` members, listed or not) is
     one ``bincount``; a cluster releases every needy non-listed member
-    iff the count reaches ``max(ceil(nc * K), 1)``; unclustered needy
+    iff the count reaches its quorum ``gc.need``; unclustered needy
     sensors always release.  Output is ascending sensor ids — exactly
     ``EnergyRequestController.nodes_to_release``'s ``sorted(release)``.
+    ``out`` is a bool scratch buffer of sensor shape.
     """
-    m = len(sizes)
-    clustered = membership >= 0
-    counts = np.bincount(membership[below & clustered], minlength=m)
-    # Same elementwise arithmetic as release_count_needed: nc * K is one
-    # float64 multiply either way, then ceil, then the floor of 1.
-    need = np.maximum(np.ceil(sizes * erp).astype(np.int64), 1)
-    open_gate = counts >= need
-    release = np.logical_and(below, ~listed, out=arrays.release_scratch)
+    release = np.greater(below, listed, out=out)  # below & ~listed
+    m = len(gc.need)
     if m:  # a zero-cluster epoch leaves every sensor unclustered
-        release &= ~clustered | open_gate[np.maximum(membership, 0)]
+        counts = np.bincount(gc.row[below & gc.clustered], minlength=m)
+        open_gate = counts >= gc.need
+        release &= gc.unclustered | open_gate[gc.row]
     return release.nonzero()[0].tolist()
 
 
@@ -439,60 +461,16 @@ def erc_scan_applicable(erc) -> bool:
 # --------------------------------------------------------------------------
 
 
-class SubtreeIndex(NamedTuple):
-    """A static routing tree laid out in DFS preorder.
+def relay_counts(origins: np.ndarray, index: SubtreeIndex) -> np.ndarray:
+    """Per sensor: the ``origins`` in its strict routing subtree, i.e.
+    the packets it relays for others (0 for sensors with no route).
 
-    Sensor ``v``'s subtree is ``pre[tin[v]:tout[v]]``; sensors with no
-    route to the base have the empty range ``tin == tout == 0``.
-    """
-
-    pre: np.ndarray  # (r,) the r reachable sensors in preorder
-    tin: np.ndarray  # (n,) int64 start of each subtree range
-    tout: np.ndarray  # (n,) int64 end (exclusive) of each subtree range
-    cs: np.ndarray  # (r + 1,) int64 prefix-sum scratch, cs[0] == 0
-
-
-def subtree_index(parent: np.ndarray, base: int, n: int) -> SubtreeIndex:
-    """DFS preorder and subtree ranges of the routing tree ``parent``.
-
-    ``parent`` holds each vertex's next hop toward ``base`` (``-1`` at
-    the base and at disconnected vertices); the ``n`` sensors are the
-    vertices other than the base.  Children are visited in ascending id
-    order.  Computed once per routing tree (the topology is static).
-    """
-    parent = np.asarray(parent, dtype=np.int64)
-    # Children of every vertex in ascending id order, as CSR rows.
-    kids = np.flatnonzero(parent >= 0)
-    kids = kids[np.argsort(parent[kids], kind="stable")]
-    bounds = np.searchsorted(parent[kids], np.arange(len(parent) + 1)).tolist()
-    kids = kids.tolist()
-    pre: List[int] = []
-    stack = kids[bounds[base] : bounds[base + 1]][::-1]
-    while stack:
-        v = stack.pop()
-        pre.append(v)
-        stack.extend(kids[bounds[v] : bounds[v + 1]][::-1])
-    # Subtree sizes, children before parents (reverse preorder).
-    up = parent.tolist()
-    size = [1] * len(up)
-    for v in reversed(pre):
-        size[up[v]] += size[v]
-    order = np.asarray(pre, dtype=np.int64)
-    tin = np.zeros(n, dtype=np.int64)
-    tin[order] = np.arange(len(order), dtype=np.int64)
-    tout = tin.copy()
-    tout[order] += np.asarray(size, dtype=np.int64)[order]
-    return SubtreeIndex(order, tin, tout, np.zeros(len(order) + 1, dtype=np.int64))
-
-
-def subtree_counts(origins: np.ndarray, index: SubtreeIndex) -> np.ndarray:
-    """Per sensor: the ``origins`` in its routing subtree.
-
-    That is the sensor's own packet (if it originates one) plus every
-    packet it relays toward the base.  One ``cumsum`` over the origins
-    in preorder, then each count is the difference of two prefix sums.
-    The counts are int64, so they are exact in any summation order.
+    One prefix sum over the origins in preorder into the index's int64
+    scratch (only routed sensors are in the preorder, so an origin with
+    no route counts nowhere), then the difference of two prefix sums
+    per sensor.  The counts are int64, so they are exact in any
+    summation order.
     """
     cs = index.cs
-    origins[index.pre].cumsum(out=cs[1:])
-    return cs[index.tout] - cs[index.tin]
+    np.add.accumulate(origins[index.pre], dtype=np.int64, out=cs[1:])
+    return cs[index.tout] - cs[index.tsub]

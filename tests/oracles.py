@@ -8,7 +8,11 @@ order.  The loops live here, outside the library, as the executable
 specification the parity tests compare the kernels against:
 
 * :func:`relay_walk` — per-origin root-path walk of the relay packet
-  counts (:func:`repro.sim.soa.subtree_counts`);
+  counts (:func:`repro.sim.soa.relay_counts`);
+* the energy path's earlier forms: :func:`price_rates` (``np.where``
+  masks over float through-counts), :func:`drain_handoffs` (one lump
+  drain per column) and :class:`DataclassSimulator` (a heap of
+  ``@dataclass(order=True)`` entries);
 * the scheduling-kernel loops (:mod:`repro.core.kernels`), the scalar
   first-improvement 2-opt (:func:`repro.tsp.two_opt.two_opt`) and the
   per-step nearest-neighbour tour
@@ -28,7 +32,10 @@ whole simulation runs can be compared against the array path.
 from __future__ import annotations
 
 import contextlib
-from typing import List, Optional, Sequence, Tuple
+import heapq
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
@@ -59,14 +66,110 @@ def relay_walk(cnt: np.ndarray, parent: np.ndarray) -> None:
 
 
 def walk_counts(origins: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """:func:`relay_walk` in the shape of
-    :func:`repro.sim.soa.subtree_counts`: per sensor, the origins whose
-    root path passes through it (its own packet included)."""
+    """:func:`relay_walk` per sensor: the origins whose root path passes
+    through it (its own packet included)."""
     n = len(origins)
     cnt = np.zeros(len(parent), dtype=np.int64)
     cnt[:n][origins] = 1
     relay_walk(cnt, parent)
     return cnt[:n]
+
+
+def walk_relay_counts(origins: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """:func:`walk_counts` in the shape of
+    :func:`repro.sim.soa.relay_counts`: the packets each sensor relays
+    for others.  An origin with no route has parent ``-1``, so its walk
+    adds to nothing and it relays nothing."""
+    return walk_counts(origins, parent) - origins
+
+
+# ----------------------------------------------------------------------
+# the energy path's earlier forms
+# ----------------------------------------------------------------------
+
+
+def price_rates(energy, alive, active, origins, through) -> Tuple[np.ndarray, np.ndarray]:
+    """``EnergyAccounting.price`` as a chain of ``np.where`` selections
+    over float through-counts: ``(rates, relay_w)`` for the masks, with
+    ``energy`` supplying the power constants and the uplink ETX."""
+    relay = np.subtract(through, origins, dtype=np.float64)
+    relay *= energy._packet_rate_hz
+    relay *= energy._per_packet_relay_j
+    relay *= energy.s.uplink_etx
+    relay_w = np.where(alive, relay, 0.0)
+    duty_w = energy._idle_w + energy._sensing_w
+    base = np.where(active, duty_w, energy._idle_w)
+    base += relay_w
+    return np.where(alive, base, 0.0), relay_w
+
+
+def reference_pricing(energy, leaky: bool) -> Tuple[np.ndarray, dict]:
+    """The rates and category Watts a full recompute of ``energy``
+    produces for its current alive/active masks and levels, from
+    :func:`price_rates`, :func:`walk_counts` and ``np.where`` leakage."""
+    s = energy.s
+    alive = s.bank.levels_j > 0.0
+    active = s.activator.active_mask(alive)
+    origins = active & np.isfinite(s.routing.dist[: len(alive)])
+    through = walk_counts(origins, s.routing.parent)
+    rates, relay_w = price_rates(energy, alive, active, origins, through)
+    leak_total = 0.0
+    if leaky:
+        leak_w = np.where(alive, s.bank.levels_j * energy._leak_per_s, 0.0)
+        rates += leak_w
+        leak_total = float(leak_w.sum())
+    watts = {
+        "idle": float(np.count_nonzero(alive)) * energy._idle_w,
+        "sensing": float(np.count_nonzero(active)) * energy._sensing_w,
+        "relay": float(relay_w.sum()),
+        "leakage": leak_total,
+    }
+    return rates, watts
+
+
+def drain_handoffs(bank, handoffs: np.ndarray, notification_j: float, rx_j: float) -> None:
+    """Charge hand-off notifications one column at a time through
+    ``BatteryBank.drain_energy``: TX to the holders, then RX to the
+    successors."""
+    bank.drain_energy(handoffs[:, 0], notification_j)
+    bank.drain_energy(handoffs[:, 1], rx_j)
+
+
+@dataclass(order=True)
+class _Entry:
+    time: float
+    priority: int
+    seq: int
+    callback: Optional[Callable[[], None]] = field(compare=False)
+
+
+class DataclassSimulator:
+    """The event queue over ``@dataclass(order=True)`` heap entries: the
+    firing-order oracle for :class:`repro.sim.engine.Simulator`."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._heap: list = []
+        self._seq = itertools.count()
+
+    def schedule(self, at: float, callback, priority: int = 0) -> _Entry:
+        entry = _Entry(float(at), priority, next(self._seq), callback)
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: _Entry) -> None:
+        entry.callback = None
+
+    def run_until(self, t_end: float) -> None:
+        heap = self._heap
+        while heap and heap[0].time <= t_end:
+            entry = heapq.heappop(heap)
+            if entry.callback is None:
+                continue
+            self.now = entry.time
+            cb, entry.callback = entry.callback, None
+            cb()
+        self.now = t_end
 
 
 # ----------------------------------------------------------------------
@@ -449,6 +552,6 @@ def reference_tick_paths():
         "repro.sim.components.energy.subtree_index",
         lambda parent, base, n: np.asarray(parent, dtype=np.int64),
     ), mock.patch(
-        "repro.sim.components.energy.subtree_counts", walk_counts
+        "repro.sim.components.energy.relay_counts", walk_relay_counts
     ):
         yield

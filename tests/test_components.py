@@ -21,7 +21,7 @@ from repro.sim.components import (
     SimulationState,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.soa import erc_release_scan, pack_clusters, wrap_activator
+from repro.sim.soa import erc_gate_constants, erc_release, pack_clusters, wrap_activator
 
 
 def cfg(**overrides):
@@ -382,13 +382,11 @@ class TestGateScanSkip:
             elif op == "erp":
                 gate.erc.erp = float(rng.choice([0.0, 0.2, 0.5, 0.8, 1.0]))
             a = s.arrays
-            want = erc_release_scan(
-                a.cluster_id,
-                a.sizes,
+            want = erc_release(
+                erc_gate_constants(a.cluster_id, a.sizes, gate.erc.erp),
                 s.bank.below_threshold_mask(),
                 s.requested.copy(),
-                gate.erc.erp,
-                arrays=a,
+                a.release_scratch,
             )
             before = s.requested.copy()
             gate.check()

@@ -112,3 +112,14 @@ class TestSimulator:
         sim.schedule(2.0, lambda: None)
         sim.cancel(h)
         assert sim.peek_time() == 2.0
+
+    def test_pending_events_in_firing_order(self):
+        """Ties on (time, priority) list in insertion order, the order
+        they fire in."""
+        sim = Simulator()
+        fired = []
+        for i in range(12):
+            sim.schedule(float(i % 2), lambda i=i: fired.append(i), priority=(i // 4) % 2)
+        pending = [cb for _, _, cb in sim.pending_events()]
+        sim.run_until(5.0)
+        assert [cb.__defaults__[0] for cb in pending] == fired

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.activation import FullTimeActivator, RoundRobinActivator
 from repro.core.clustering import Cluster, ClusterSet
 from repro.core.erc import AdaptiveEnergyRequestController, EnergyRequestController
+from repro.network.routing import subtree_index
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_simulation
 from repro.sim.serialization import snapshot_arrays
@@ -34,17 +35,17 @@ from repro.sim.soa import (
     SoAFullTimeActivator,
     SoARoundRobinActivator,
     StateArrays,
-    erc_release_scan,
+    erc_gate_constants,
+    erc_release,
     erc_scan_applicable,
     pack_clusters,
+    relay_counts,
     rotation_table,
-    subtree_counts,
-    subtree_index,
     wrap_activator,
 )
 from repro.sim.world import World
 
-from oracles import reference_tick_paths, walk_counts
+from oracles import reference_tick_paths, walk_counts, walk_relay_counts
 
 
 def random_cluster_set(rng, n_sensors, n_clusters):
@@ -201,7 +202,6 @@ class TestRotationParity:
                     slot = ref._first_alive_from(c.cluster_id, start, alive)
                     if slot is None:
                         assert table.cur[c.cluster_id, start] == -1
-                        assert not table.live[c.cluster_id]
                         continue
                     after = ref._first_alive_from(c.cluster_id, (slot + 1) % c.size, alive)
                     assert table.cur[c.cluster_id, start] == c.members[slot]
@@ -223,8 +223,11 @@ class TestErcScanParity:
             want = erc.nodes_to_release(cs, below, listed)
             arrays = StateArrays(n, 0)
             pack_clusters(cs, arrays)
-            got = erc_release_scan(
-                cs.membership, arrays.sizes, below, listed, erp, arrays=arrays
+            got = erc_release(
+                erc_gate_constants(cs.membership, arrays.sizes, erp),
+                below,
+                listed,
+                arrays.release_scratch,
             )
             assert got == want
 
@@ -235,7 +238,12 @@ class TestErcScanParity:
         want = EnergyRequestController(0.5).nodes_to_release(cs, below, listed)
         arrays = StateArrays(5, 0)
         pack_clusters(cs, arrays)
-        got = erc_release_scan(cs.membership, arrays.sizes, below, listed, 0.5, arrays)
+        got = erc_release(
+            erc_gate_constants(cs.membership, arrays.sizes, 0.5),
+            below,
+            listed,
+            arrays.release_scratch,
+        )
         assert got == want == [2]
 
     def test_applicability_gate(self):
@@ -280,7 +288,8 @@ def walk_matrix(parent, n):
 
 
 class TestRelayParity:
-    """Prefix-sum subtree counts == the per-origin root-path walk."""
+    """Prefix-sum strict-subtree (relay) counts == the per-origin
+    root-path walk."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_subtree_counts_match_walk(self, seed):
@@ -299,9 +308,9 @@ class TestRelayParity:
             origins = np.zeros(n, dtype=bool)
             origins[rng.random(n) > 0.5] = True
             origins &= np.isfinite(tree.dist[:n])
-            cnt = subtree_counts(origins, index)
+            cnt = relay_counts(origins, index)
             assert cnt.dtype == np.int64
-            assert np.array_equal(cnt, walk_counts(origins, tree.parent))
+            assert np.array_equal(cnt, walk_relay_counts(origins, tree.parent))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_forests_with_disconnected_sensors(self, seed):
@@ -311,10 +320,11 @@ class TestRelayParity:
         index = subtree_index(parent, n, n)
         assert sorted(index.pre.tolist()) == np.flatnonzero(reachable).tolist()
         assert np.all(index.tin[~reachable] == index.tout[~reachable])
+        assert np.all(index.tsub[~reachable] == 0)
         for _ in range(10):
             origins = (rng.random(n) > 0.4) & reachable
             assert np.array_equal(
-                subtree_counts(origins, index), walk_counts(origins, parent)
+                relay_counts(origins, index), walk_relay_counts(origins, parent)
             )
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -325,9 +335,9 @@ class TestRelayParity:
             for bits in range(2**n):
                 origins = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
                 origins &= parent[:n] >= 0
-                got = subtree_counts(origins, index)
+                got = relay_counts(origins, index)
                 assert got.shape == (n,)
-                assert np.array_equal(got, walk_counts(origins, parent))
+                assert np.array_equal(got, walk_relay_counts(origins, parent))
 
     def test_2000_masks_at_paper_scale(self):
         from repro.sim.config import SimulationConfig
@@ -343,7 +353,7 @@ class TestRelayParity:
         masks = (rng.random((2000, n)) < rng.random((2000, 1))) & connected
         want = (masks.astype(np.float64) @ walk.T).astype(np.int64)
         for origins, ref in zip(masks, want):
-            assert np.array_equal(subtree_counts(origins, index), ref)
+            assert np.array_equal(relay_counts(origins, index), ref - origins)
 
 
 def run_snapshotted(reference, checkpoints, **overrides):

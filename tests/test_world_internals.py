@@ -2,12 +2,13 @@
 
 import numpy as np
 
-from repro.obs import MonitorSet
+from repro.obs import EventLog, MonitorSet
+from repro.obs.log import EventKind
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.world import World
 
 
-def make_world(monitors=None, **overrides):
+def make_world(monitors=None, log=None, **overrides):
     defaults = dict(
         n_sensors=30,
         n_targets=2,
@@ -21,7 +22,7 @@ def make_world(monitors=None, **overrides):
         seed=11,
     )
     defaults.update(overrides)
-    return World(SimulationConfig(**defaults), monitors=monitors)
+    return World(SimulationConfig(**defaults), monitors=monitors, log=log)
 
 
 def force_handoff_death(world) -> int:
@@ -124,6 +125,22 @@ class TestHandoffDeath:
         assert not w.energy.alive[victim]
         w.state.sim.run_until(3 * w.cfg.tick_s)
         assert not monitors.violations
+
+    def test_handoff_death_is_reported(self):
+        """The victim's depletion is logged and reaches the death
+        callback (the adaptive ERC's feedback) exactly once, like a
+        drain death."""
+        log = EventLog()
+        w = make_world(log=log)
+        deaths = []
+        w.energy.on_deaths = deaths.append
+        victim = force_handoff_death(w)
+        w.state.sim.run_until(3 * w.cfg.tick_s)
+        assert not w.energy.alive[victim]
+        depleted = log.of_kind(EventKind.SENSOR_DEPLETED)
+        assert [e.subject for e in depleted] == [victim]
+        assert log.snapshot()["counters"]["energy.depletions"] == 1.0
+        assert deaths == [1]
 
 
 class TestRequestLifecycle:
