@@ -6,6 +6,13 @@ RV per group, starting each RV at its group centroid.  We implement
 Lloyd's fixed-point iteration directly — vectorized assignment step,
 WCSS tracking, and deterministic seeding — rather than depending on an
 external implementation, so the reproduction owns its baseline.
+
+The ``n_init`` restarts run as one array pass: centroids of shape
+``(n_init, k, 2)``, one assignment step for all of them, member sums by
+``bincount`` and one WCSS row per restart.  Each restart still stops at
+its own fixed point and gives the bits the one-restart-at-a-time loop
+gives (``tests/oracles.py``): the seeds are drawn in the serial order,
+and every sum adds the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ def kmeans(
         rng: random generator; defaults to a fixed-seed generator so the
             function is deterministic unless told otherwise.
         max_iter: Lloyd iteration cap per restart.
-        n_init: independent restarts.
+        n_init: independent restarts, run side by side; the first one
+            with the lowest WCSS wins.
     """
     points = as_points(points)
     n = len(points)
@@ -106,31 +114,75 @@ def kmeans(
             centroids = np.vstack([centroids, extra])
         return KMeansResult(centroids, labels, 0.0, 0, True)
 
-    best: Optional[KMeansResult] = None
-    for _ in range(n_init):
-        seed_idx = rng.choice(n, size=k, replace=False)
-        centroids = points[seed_idx].copy()
-        labels = kernels._nearest_centroid(points, centroids)
-        converged = False
-        it = 0
-        for it in range(1, max_iter + 1):
-            sizes = np.bincount(labels, minlength=k)
-            for j in range(k):
-                if sizes[j]:
-                    # The member mean, bit for bit: ``mean`` is this sum
-                    # divided by this count, plus Python overhead.
-                    centroids[j] = np.add.reduce(points[labels == j], axis=0) / sizes[j]
-                else:
-                    d = np.sum((points - centroids[j]) ** 2, axis=1)
-                    centroids[j] = points[int(np.argmax(d))]
-            new_labels = kernels._nearest_centroid(points, centroids)
-            if new_labels.tobytes() == labels.tobytes():
-                converged = True
+    # The restarts' Forgy seeds, drawn in the serial order: the
+    # generator ends where n_init one-at-a-time restarts leave it.
+    cells = n_init * k
+    seeds = [rng.choice(n, size=k, replace=False) for _ in range(n_init)]
+    centroids = points[np.array(seeds)]
+    flat_centroids = centroids.reshape(cells, 2)  # a view: (restart, cluster) rows
+    labels = kernels._nearest_centroid(points, centroids)
+    # Restart i's labels index centroid rows i*k .. i*k + k - 1.
+    offsets = np.arange(0, cells, k)[:, None]
+    xs = np.tile(points[:, 0], n_init)
+    ys = np.tile(points[:, 1], n_init)
+    done_centroids = np.empty_like(centroids)
+    done_labels = np.empty_like(labels)
+    n_iter = np.full(n_init, max_iter)
+    converged = np.zeros(n_init, dtype=bool)
+    running = np.ones(n_init, dtype=bool)
+    for it in range(1, max_iter + 1):
+        flat = (labels + offsets).ravel()
+        sizes = np.bincount(flat, minlength=cells)
+        # Member sums in index order: the same sequential additions as
+        # ``np.add.reduce(points[labels == j], axis=0)``, so each mean
+        # is bit for bit the member mean.
+        sx = np.bincount(flat, weights=xs, minlength=cells)
+        sy = np.bincount(flat, weights=ys, minlength=cells)
+        if sizes.all():
+            np.divide(sx, sizes, out=flat_centroids[:, 0])
+            np.divide(sy, sizes, out=flat_centroids[:, 1])
+        else:
+            _update_with_empty(points, flat_centroids, sizes, sx, sy)
+        new_labels = kernels._nearest_centroid(points, centroids)
+        # Each restart stops at its own fixed point; the ones still
+        # running carry on (finished ones are computed but not read).
+        settled = (new_labels == labels).all(axis=1)
+        settled &= running
+        if settled.any():
+            done_centroids[settled] = centroids[settled]
+            done_labels[settled] = labels[settled]
+            n_iter[settled] = it
+            converged |= settled
+            running &= ~settled
+            if not running.any():
                 break
-            labels = new_labels
-        inertia = wcss(points, centroids, labels)
-        candidate = KMeansResult(centroids.copy(), labels.copy(), inertia, it, converged)
-        if best is None or candidate.inertia < best.inertia:
-            best = candidate
-    assert best is not None
-    return best
+        labels = new_labels
+    if running.any():  # max_iter exhausted
+        done_centroids[running] = centroids[running]
+        done_labels[running] = labels[running]
+
+    # Every restart's WCSS (Eq. 15) as one row sum each: a row of
+    # ``(n_init, 2n)`` sums like ``wcss`` sums its ``(n, 2)`` array.
+    diff = points - done_centroids[np.arange(n_init)[:, None], done_labels]
+    diff *= diff
+    inertia = diff.reshape(n_init, 2 * n).sum(axis=1)
+    best = int(np.argmin(inertia))  # the first restart with the lowest WCSS
+    return KMeansResult(
+        done_centroids[best].copy(),
+        done_labels[best].copy(),
+        float(inertia[best]),
+        int(n_iter[best]),
+        bool(converged[best]),
+    )
+
+
+def _update_with_empty(points, flat_centroids, sizes, sx, sy) -> None:
+    """The centroid update when some cluster lost every member: the
+    others move to their member means, and each empty one is re-seeded
+    at the point farthest from where it stood."""
+    filled = sizes > 0
+    np.divide(sx, sizes, out=flat_centroids[:, 0], where=filled)
+    np.divide(sy, sizes, out=flat_centroids[:, 1], where=filled)
+    for cell in np.flatnonzero(~filled):
+        d = np.sum((points - flat_centroids[cell]) ** 2, axis=1)
+        flat_centroids[cell] = points[int(np.argmax(d))]

@@ -93,13 +93,14 @@ def _insertion_order(
         return []
     demands = table.demands
     # Stop/stop and RV/stop distances are measured once per round; every
-    # iteration below slices its gap geometry out of the cached
-    # matrices.  ``np.hypot`` is sign-insensitive, so the sliced values
+    # iteration below gathers its gap geometry out of the cached
+    # matrices.  ``np.hypot`` is sign-insensitive, so the gathered values
     # are bit-identical to a direct per-iteration measurement either
     # direction.
     dist0 = table.cache.from_point(rv_position)
     profits = kernels.profit_vector(demands, dist0, em_j_per_m)
-    costs = em_j_per_m * dist0 + demands / charge_efficiency
+    delivery = demands / charge_efficiency
+    costs = em_j_per_m * dist0 + delivery
 
     # Destination: best profit among affordable live nodes (Alg. 3 line
     # 2, "Update RV's information to reserve energy for the dest node").
@@ -108,25 +109,46 @@ def _insertion_order(
     dest = kernels.masked_argmax(profits, candidates)
     if dest is None:
         return []
-
-    route = [dest]  # stop indices; waypoint list is [rv] + route
+    open_stops = [i for i in table.live if i != dest]
+    if not open_stops:
+        return [dest]
     spent = costs[dest]
-    remaining = [i for i in table.live if i != dest]
-    dmat = table.cache.pairwise if remaining else None
-    while remaining and spent < budget_j:
-        # Evaluate p(s, n) for every gap s and every remaining node n.
-        # Gap s runs waypoint s -> waypoint s+1 of [rv] + route.
+    # The candidate columns stay fixed for the whole loop and inserted
+    # ones are masked out: the open columns keep their order, so the
+    # row-major first maximum picks the same insertion as it would over
+    # the compacted remainder.
+    cand = np.array(open_stops, dtype=np.intp)
+    cand_demands = demands[cand]
+    cand_delivery = delivery[cand]
+    is_open = np.ones(len(cand), dtype=bool)
+    n_open = len(cand)
+    # Waypoint rows: the stops' rows of the round's matrix, plus the RV's
+    # distances as row ``rv_row``.
+    rv_row = len(demands)
+    dist = np.concatenate((table.cache.pairwise, dist0[None, :]))
+    waypoints = [rv_row, dest]
+    while n_open and spent < budget_j:
+        # Evaluate p(s, n) for every gap s and every open stop n.
         p, extra_cost = kernels.insertion_eval(
-            dmat, dist0, demands, route, remaining, em_j_per_m, charge_efficiency
+            dist,
+            np.array(waypoints, dtype=np.intp),
+            cand,
+            cand_demands,
+            cand_delivery,
+            em_j_per_m,
         )
-        feasible = (p > 1e-12) & (spent + extra_cost <= budget_j + 1e-9)
+        feasible = p > 1e-12
+        feasible &= extra_cost + spent <= budget_j + 1e-9
+        feasible &= is_open
         pick = kernels.masked_argmax_2d(p, feasible)
         if pick is None:
             break
-        s0, n0 = pick
-        route.insert(s0, remaining.pop(n0))  # position s0 = after waypoint s0
-        spent += float(extra_cost[s0, n0])
-    return route
+        s0, c0 = pick
+        waypoints.insert(s0 + 1, open_stops[c0])  # after waypoint s0
+        is_open[c0] = False
+        n_open -= 1
+        spent += float(extra_cost[s0, c0])
+    return waypoints[1:]
 
 
 def build_insertion_sequence(
@@ -165,12 +187,12 @@ def _expand(
 ) -> Tuple[List[int], np.ndarray, List[int], List[float]]:
     """Unroll ``order`` into member waypoints.
 
-    Returns the visited node ids, the ``[rv] + members`` waypoint
-    array, and per stop the waypoint count and the running demand after
-    it — a trimmed route is a prefix of the full expansion, since each
-    stop is entered from wherever the previous one ended.
+    ``rv_position`` is a ``(2,)`` float64 array.  Returns the visited
+    node ids, the ``[rv] + members`` waypoint array, and per stop the
+    waypoint count and the running demand after it — a trimmed route is
+    a prefix of the full expansion, since each stop is entered from
+    wherever the previous one ended.
     """
-    rv_position = np.asarray(rv_position, dtype=np.float64).reshape(2)
     node_ids: List[int] = []
     waypoints = [rv_position]
     ends: List[int] = []
@@ -201,6 +223,7 @@ def expand_stops(
     re-measured on the expanded polyline (the planner's centroid
     approximation is replaced by exact member positions).
     """
+    rv_position = np.asarray(rv_position, dtype=np.float64).reshape(2)
     node_ids, wp, _, demands = _expand(stops, order, rv_position)
     travel = float(leg_lengths(wp).sum()) if len(wp) > 1 else 0.0
     demand = demands[-1] if demands else 0.0

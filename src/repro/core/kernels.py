@@ -27,11 +27,11 @@ construction; its rows slice or measure that validated array directly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..geometry.points import as_points, pairwise_distances
+from ..geometry.points import as_points
 
 __all__ = [
     "DistanceCache",
@@ -75,7 +75,9 @@ class DistanceCache:
     def pairwise(self) -> np.ndarray:
         """The full stop/stop distance matrix, computed at most once."""
         if self._pairwise is None:
-            self._pairwise = pairwise_distances(self.points)
+            # pairwise_distances() minus its re-validation of the owned array.
+            d = self.points[:, None, :] - self.points[None, :, :]
+            self._pairwise = np.hypot(d[..., 0], d[..., 1])
         return self._pairwise
 
     def row(self, i: int) -> np.ndarray:
@@ -124,8 +126,6 @@ def profit_vector(
     demands: np.ndarray, dists: np.ndarray, em_j_per_m: float
 ) -> np.ndarray:
     """Per-node one-shot profit ``d_i - em * dist_i`` (Eq. (2) pricing)."""
-    demands = np.asarray(demands, dtype=np.float64)
-    dists = np.asarray(dists, dtype=np.float64)
     return demands - em_j_per_m * dists
 
 
@@ -139,43 +139,36 @@ def greedy_pick(
 
     Ties resolve to the lowest index; ``None`` when nothing is selectable.
     """
-    demands = np.asarray(demands, dtype=np.float64)
-    dists = np.asarray(dists, dtype=np.float64)
-    if len(demands) == 0 or (mask is not None and not np.any(mask)):
+    if len(demands) == 0 or (mask is not None and not mask.any()):
         return None
     profits = demands - em_j_per_m * dists
     if mask is not None:
         profits = np.where(mask, profits, -np.inf)
-    return int(np.argmax(profits))
+    return int(profits.argmax())
 
 
 def masked_argmax(values: np.ndarray, mask: np.ndarray) -> Optional[int]:
     """First index of the maximum of ``values`` where ``mask`` holds."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.any(mask):
+    if not mask.any():
         return None
-    return int(np.argmax(np.where(mask, values, -np.inf)))
+    return int(np.where(mask, values, -np.inf).argmax())
 
 
 def masked_argmax_2d(
     values: np.ndarray, mask: np.ndarray
 ) -> Optional[Tuple[int, int]]:
     """Row-major first ``(row, col)`` of the masked maximum, or ``None``."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.any(mask):
+    if not mask.any():
         return None
-    flat = int(np.argmax(np.where(mask, values, -np.inf)))
-    r, c = np.unravel_index(flat, values.shape)
-    return int(r), int(c)
+    return divmod(int(np.where(mask, values, -np.inf).argmax()), values.shape[1])
 
 
 def masked_argmin(dists: np.ndarray, mask: Optional[np.ndarray] = None) -> Optional[int]:
     """First index of the minimum of ``dists`` where ``mask`` holds."""
-    dists = np.asarray(dists, dtype=np.float64)
-    if len(dists) == 0 or (mask is not None and not np.any(mask)):
+    if len(dists) == 0 or (mask is not None and not mask.any()):
         return None
     d = dists if mask is None else np.where(mask, dists, np.inf)
-    return int(np.argmin(d))
+    return int(d.argmin())
 
 
 # ----------------------------------------------------------------------
@@ -184,48 +177,43 @@ def masked_argmin(dists: np.ndarray, mask: Optional[np.ndarray] = None) -> Optio
 
 
 def insertion_eval(
-    dmat: np.ndarray,
-    dist0: np.ndarray,
+    dist: np.ndarray,
+    waypoints: np.ndarray,
+    candidates: np.ndarray,
     demands: np.ndarray,
-    route: Sequence[int],
-    remaining: Sequence[int],
+    delivery_j: np.ndarray,
     em_j_per_m: float,
-    charge_efficiency: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Profit difference and budget debit of every candidate insertion.
 
-    Gap ``s`` runs waypoint ``s`` → waypoint ``s + 1`` of the route
-    ``[rv] + route``; candidate ``n`` ranges over ``remaining``.  For
-    each pair this evaluates the paper's
+    Gap ``s`` runs waypoint ``s`` → waypoint ``s + 1``; candidate ``c``
+    is stop ``candidates[c]``.  For each pair this evaluates the paper's
     ``p(s, n) = D(n) - em * delta_d(s)`` and the budget debit
     ``em * delta_d(s) + D(n) / efficiency``.
 
     Args:
-        dmat: stop/stop distance matrix (``DistanceCache.pairwise``).
-        dist0: RV-to-stop distances (``DistanceCache.from_point``).
-        demands: per-stop demand vector.
-        route: current visit order (stop indices), destination last.
-        remaining: unscheduled stop indices.
+        dist: distances from every waypoint row to every stop column:
+            the round's stop/stop matrix with the RV's row of
+            distances appended (:mod:`repro.core.insertion`).
+        waypoints: ``intp`` rows of ``dist`` in visit order, the RV
+            first and the destination last.
+        candidates: ``intp`` stop columns to evaluate.
+        demands: each candidate's demand ``D(n)``.
+        delivery_j: each candidate's ``D(n) / efficiency``.
 
     Returns:
         ``(p, extra_cost)`` — both of shape
-        ``(len(route), len(remaining))``.
+        ``(len(waypoints) - 1, len(candidates))``.
     """
-    route = list(route)
-    remaining = list(remaining)
-    demands = np.asarray(demands, dtype=np.float64)
-    heads = route[:-1]  # gap-start stops beyond the RV itself
-    if heads:
-        d_ac = np.vstack([dist0[remaining], dmat[np.ix_(heads, remaining)]])
-        d_ab = np.concatenate(([dist0[route[0]]], dmat[heads, route[1:]]))
-    else:
-        d_ac = dist0[remaining][None, :]
-        d_ab = dist0[[route[0]]]
-    d_cb = dmat[np.ix_(route, remaining)]
-    detour = d_ac + d_cb - d_ab[:, None]  # (gaps, candidates)
-    dem = demands[remaining]
+    # One gather serves both ends of every gap: row s is d(w_s, n), so
+    # rows [:-1] are the gap heads' legs and rows [1:] the tails'.
+    legs = dist[waypoints[:, None], candidates]
+    detour = legs[:-1] + legs[1:]
+    detour -= dist[waypoints[:-1], waypoints[1:]][:, None]  # (gaps, candidates)
     travel_j = em_j_per_m * detour
-    return dem - travel_j, travel_j + dem / charge_efficiency
+    p = demands - travel_j
+    travel_j += delivery_j
+    return p, travel_j
 
 
 # ----------------------------------------------------------------------
@@ -242,11 +230,16 @@ def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """:func:`kmeans_assign` on arrays the caller already validated
-    (the Lloyd loop of :func:`repro.cluster.kmeans.kmeans`)."""
-    diff = points[:, None, :] - centroids[None, :, :]
+    """:func:`kmeans_assign` on arrays the caller already validated.
+
+    ``centroids`` may carry leading axes: the Lloyd loop of
+    :func:`repro.cluster.kmeans.kmeans` passes every restart's
+    ``(k, 2)`` centroids at once as ``(n_init, k, 2)`` and gets
+    ``(n_init, n)`` labels back, each row computed as a 2-D call would.
+    """
+    diff = points[:, None, :] - centroids[..., None, :, :]
     dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    return np.argmin(dist2, axis=1).astype(np.intp, copy=False)
+    return np.argmin(dist2, axis=-1).astype(np.intp, copy=False)
 
 
 # ----------------------------------------------------------------------

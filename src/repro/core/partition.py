@@ -79,7 +79,9 @@ class PartitionScheduler:
         groups = partition_requests(positions, self.fleet_size, rng)
         if not groups:
             return plans
-        centroids = np.array([positions[g].mean(axis=0) for g in groups])
+        # ``positions[g].mean(axis=0)`` bit for bit, without ``mean``'s
+        # Python overhead.
+        centroids = np.array([np.add.reduce(positions[g], axis=0) / len(g) for g in groups])
         unclaimed = list(range(len(groups)))
         for rv in idle_rvs:
             if not unclaimed:

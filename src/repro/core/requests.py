@@ -176,17 +176,19 @@ class AggregatedRequest:
         return self._member_pts
 
     def _tour_from(self, entry: np.ndarray) -> tuple:
-        """Member requests in nearest-neighbour order from ``entry``.
+        """Member requests in nearest-neighbour order from ``entry``, a
+        ``(2,)`` float64 position (a waypoint of the planner's route).
 
         This is the paper's O(nc^2) intra-cluster tour.  Tours are
         memoized per entry point (requests are immutable), so repeated
-        expansion re-measures nothing.
+        expansion re-measures nothing; a lone member is its own tour.
         """
-        entry = np.asarray(entry, dtype=np.float64).reshape(2)
+        members = self.members
+        if len(members) == 1:
+            return members
         key = entry.tobytes()
         hit = self._tour_memo.get(key)
         if hit is None:
-            members = self.members
             order = nearest_neighbor_order(self.member_positions(), start=entry)
             hit = tuple(members[i] for i in order)
             self._tour_memo[key] = hit
@@ -194,6 +196,7 @@ class AggregatedRequest:
 
     def visit_order_from(self, entry: np.ndarray) -> List[int]:
         """Member node ids in nearest-neighbour order from ``entry``."""
+        entry = np.asarray(entry, dtype=np.float64).reshape(2)
         return [r.node_id for r in self._tour_from(entry)]
 
 
@@ -204,7 +207,6 @@ def aggregate_by_cluster(requests: Iterable[RechargeRequest]) -> List[Aggregated
     appearance in the input, keeping scheduling deterministic.
     """
     groups: Dict[int, List[RechargeRequest]] = {}
-    order: List[int] = []
     next_singleton = -2  # each unclustered node gets its own key
     for r in requests:
         if r.cluster_id == UNCLUSTERED:
@@ -212,22 +214,32 @@ def aggregate_by_cluster(requests: Iterable[RechargeRequest]) -> List[Aggregated
             next_singleton -= 1
         else:
             key = r.cluster_id
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
-    result = []
-    for key in order:
-        members = tuple(groups[key])
-        pts = np.array([m.position for m in members])
-        result.append(
-            AggregatedRequest(
-                # ``pts.mean(axis=0)`` bit for bit: the same sum divided
-                # by the same count, minus ``mean``'s Python overhead.
-                position=np.add.reduce(pts, axis=0) / len(members),
-                demand_j=float(sum(m.demand_j for m in members)),
-                members=members,
-                cluster_id=members[0].cluster_id,
-            )
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [r]
+        else:
+            members.append(r)
+    if not groups:
+        return []
+    # Every centroid in one pass: bincount sums each group's members in
+    # index order from +0.0, the same additions as
+    # ``np.add.reduce(pts, axis=0)`` over the group's own rows, so each
+    # position is ``pts.mean(axis=0)`` bit for bit.
+    grouped = [m for members in groups.values() for m in members]
+    group_of = np.repeat(
+        np.arange(len(groups)), [len(members) for members in groups.values()]
+    )
+    pts = np.array([m.position for m in grouped])
+    sizes = np.bincount(group_of)
+    centroids = np.empty((len(groups), 2))
+    np.divide(np.bincount(group_of, weights=pts[:, 0]), sizes, out=centroids[:, 0])
+    np.divide(np.bincount(group_of, weights=pts[:, 1]), sizes, out=centroids[:, 1])
+    return [
+        AggregatedRequest(
+            position=centroid,
+            demand_j=float(sum(m.demand_j for m in members)),
+            members=tuple(members),
+            cluster_id=members[0].cluster_id,
         )
-    return result
+        for centroid, members in zip(centroids, groups.values())
+    ]

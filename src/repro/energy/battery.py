@@ -167,8 +167,8 @@ class BatteryBank:
         The rates are validated here (shape, non-negative) on every
         call.  The simulator validates its rates where it makes them,
         once per re-pricing, and advances through
-        :meth:`drain_validated_rates`, the same arithmetic without the
-        checks.
+        :meth:`drain_unclamped`, the same arithmetic without the checks,
+        clamping only when a sensor died.
         """
         if dt_s < 0:
             raise ValueError("dt_s must be non-negative")
@@ -179,19 +179,23 @@ class BatteryBank:
             raise ValueError("power draws must be non-negative")
         if scratch is None or scratch.shape != self.levels_j.shape:
             scratch = np.empty_like(self.levels_j)
-        self.drain_validated_rates(rates_w, dt_s, scratch)
-
-    def drain_validated_rates(
-        self, rates_w: np.ndarray, dt_s: float, scratch: np.ndarray
-    ) -> None:
-        """:meth:`drain_rates` without its checks: ``rates_w`` must be a
-        non-negative float64 array of bank shape, ``dt_s >= 0`` and
-        ``scratch`` a float64 buffer of bank shape."""
-        drained = np.multiply(rates_w, dt_s, out=scratch)
+        self.drain_unclamped(rates_w, dt_s, scratch)
         levels = self.levels_j
-        np.subtract(levels, drained, out=levels)
         np.maximum(levels, 0.0, out=levels)
         np.minimum(levels, self.capacity_j, out=levels)
+
+    def drain_unclamped(
+        self, rates_w: np.ndarray, dt_s: float, scratch: np.ndarray
+    ) -> None:
+        """The drain arithmetic of :meth:`drain_rates`, without its
+        checks and clamps: ``levels -= rates_w * dt_s``.
+
+        ``rates_w`` must be a non-negative float64 array of bank shape,
+        ``dt_s >= 0`` and ``scratch`` a float64 buffer of bank shape.
+        A level may end below zero; the caller clamps it at empty.
+        """
+        drained = np.multiply(rates_w, dt_s, out=scratch)
+        np.subtract(self.levels_j, drained, out=self.levels_j)
 
     def drain_energy(self, idx, amount_j: float) -> None:
         """Subtract a lump ``amount_j`` from the nodes in ``idx``

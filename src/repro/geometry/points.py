@@ -50,9 +50,13 @@ def as_points(pts: np.ndarray) -> np.ndarray:
 
 
 def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two single points."""
-    a = np.asarray(a, dtype=np.float64).reshape(2)
-    b = np.asarray(b, dtype=np.float64).reshape(2)
+    """Euclidean distance between two single points.
+
+    Each point is a ``(2,)`` float64 array (every position in the
+    library is one) or an ``(x, y)`` pair of floats; the coordinates are
+    indexed directly, with no conversion, and measured with ``np.hypot``
+    like every other distance here.
+    """
     return float(np.hypot(a[0] - b[0], a[1] - b[1]))
 
 

@@ -29,10 +29,15 @@ zero, and the death recompute drops them) and at the top of every
 hand-offs, recharges, relocation, replay restore).  With monitors on,
 every :meth:`advance` checks ``alive == (levels > 0)``.
 
-Each re-pricing also counts the alive sensors.  A drain only lowers
-levels and leaves dead sensors at zero, so its deaths are exactly the
-drop in ``count(levels > 0)`` from that count: :meth:`advance` builds
-the per-sensor death mask only when the count moved.
+The alive sensors are counted once per alive set, when its pricing
+tables are built.  A drain only lowers levels and leaves dead sensors
+at zero, so its deaths are exactly the drop in ``count(levels > 0)``
+from that count: :meth:`advance` builds the per-sensor death mask only
+when the count moved.  The same count decides the drain's clamp: with
+no drop, no level went below zero, so the clamp at empty is applied
+(before the monitors check the levels) only when the count drops, and
+the clamp at capacity never binds, since non-negative rates never raise
+a level and levels start at or below capacity.
 
 Rate recomputation
 ------------------
@@ -47,12 +52,25 @@ every count is the difference of two entries of one prefix sum
 (:func:`repro.sim.soa.relay_counts`), and :meth:`EnergyAccounting.price`
 turns the counts into Watts.
 
-Rates are validated where they are made.  They only change here (the
-pricing, plus leakage), so every re-pricing checks that they are
-non-negative and raises :class:`ValueError` otherwise; :meth:`advance`
-then drains through
-:meth:`~repro.energy.battery.BatteryBank.drain_validated_rates`, the
-bank's one drain arithmetic without the per-call checks.
+Everything in the pricing except the active mask and the counts is
+fixed for one alive set, so it comes from tables: the relay Watts per
+packet count (``(c * rate) * per_packet``, built once per run), and,
+per alive set, the uplink ETX times the alive mask and each sensor's
+idle and duty (sensing + idle) draw times the alive mask.  A pricing is
+then a ``take`` of the counts, one multiply, two ``copyto`` and one add,
+with the same products in the same order as the full expression.  The
+tables are rebuilt when the alive set changes and whenever the memo is
+forced (``_priced_key = None``), so a patched ETX is priced.
+
+Rates are validated where they are made.  A rate is a non-negative base
+draw plus a per-count Watts times an ETX (plus leakage, which is
+non-negative for non-negative levels), so the pricing checks its
+factors: the power constants when the component is built and the ETX
+table once per alive set, raising :class:`ValueError` on a negative
+one; non-negative factors make every rate non-negative.
+:meth:`advance` then drains through
+:meth:`~repro.energy.battery.BatteryBank.drain_unclamped`, the bank's
+one drain arithmetic without the per-call checks.
 
 The re-pricing memo
 -------------------
@@ -135,10 +153,29 @@ class EnergyAccounting:
         self._subtrees = subtree_index(state.routing.parent, state.routing.base, n)
         self._drain_scratch = state.arrays.drain_scratch
         self._died = np.empty(n, dtype=bool)
-        # The alive count of the last re-pricing (see advance).
+        # Relay Watts per relayed packet count c <= n: the first two
+        # factors of the pricing, (c * rate) * per-packet Joules, once.
+        self._count_w = np.arange(n + 1, dtype=np.float64)
+        self._count_w *= self._packet_rate_hz
+        self._count_w *= self._per_packet_relay_j
+        # Every rate is a base draw plus a per-count product times an
+        # ETX (plus leakage, >= 0 from levels >= 0), so non-negative
+        # tables make non-negative rates: check the scalar factors here
+        # and the ETX table per alive set (_price_alive_set).
+        if (
+            self._idle_w < 0.0
+            or self._sensing_w + self._idle_w < 0.0
+            or np.minimum.reduce(self._count_w) < 0.0
+        ):
+            raise ValueError("power draws must be non-negative")
+        # The per-alive-set pricing tables, the alive count (see
+        # advance) and the alive mask bytes they were built for; the
+        # first recompute builds them.
+        self._etx_alive = self._idle_alive = self._duty_alive = None
         self._n_alive = 0
-        # The (alive, active) mask bytes the rates buffer was priced
-        # from; None forces the next recompute to re-price.
+        self._alive_key: Optional[bytes] = None
+        # The mask bytes the rates buffer was priced from; None forces
+        # the next recompute to re-price and rebuild the tables.
         self._priced_key: Optional[bytes] = None
         state.arrays.rates_w = self.rates
         state.arrays.active = self.active
@@ -162,15 +199,21 @@ class EnergyAccounting:
         # re-deriving the alive mask here keeps it current.
         alive = np.greater(s.bank.levels_j, 0.0, out=self.alive)
         active = s.activator.active_mask(alive)
-        key = None if self._leaky else alive.tobytes() + active.tobytes()
-        if key is not None and key == self._priced_key:
-            return  # same masks: the buffers already hold this pricing
+        alive_key = alive.tobytes()
+        if self._leaky:
+            key = alive_key  # the rates follow the levels: no memo
+        else:
+            key = alive_key + active.tobytes()
+            if key == self._priced_key:
+                return  # same masks: the buffers already hold this pricing
+        if self._priced_key is None or alive_key != self._alive_key:
+            self._price_alive_set(alive, alive_key)
         # Relay load: every active sensor with a route to the base
         # originates packets, and each sensor relays those of its strict
         # subtree (dead relays keep forwarding in the static tree but
         # draw nothing).  The subtree index holds only the routed
         # sensors, so the active mask is the origin mask.
-        relay_w = self.price(alive, active, relay_counts(active, self._subtrees))
+        relay_w = self.price(active, relay_counts(active, self._subtrees))
         leak_total = 0.0
         if self._leaky:
             # Charge-proportional leakage, frozen at the current level
@@ -180,20 +223,39 @@ class EnergyAccounting:
             leak_w *= alive
             self.rates += leak_w
             leak_total = float(leak_w.sum())
-        if self.rates.size and np.minimum.reduce(self.rates) < 0.0:
-            raise ValueError("power draws must be non-negative")
         self.active[...] = active
-        n_alive = int(np.count_nonzero(alive))
         self._category_watts = {
-            "idle": float(n_alive) * self._idle_w,
+            "idle": float(self._n_alive) * self._idle_w,
             "sensing": float(np.count_nonzero(active)) * self._sensing_w,
-            "relay": float(relay_w.sum()),
+            "relay": float(np.add.reduce(relay_w)),
             "leakage": leak_total,
         }
-        self._n_alive = n_alive
         self._priced_key = key
 
-    def price(self, alive, active, relay) -> np.ndarray:
+    def _price_alive_set(self, alive: np.ndarray, alive_key: bytes) -> None:
+        """Build the pricing tables of one alive set (and its count).
+
+        Each table folds the final ``* alive`` of the pricing into a
+        factor: for finite ``x``, ``(x * etx) * a == x * (etx * a)`` for
+        ``a`` in ``{0, 1}`` (signed zeros included), and a depleted
+        sensor's base draw ``(base + relay) * 0`` is the ``+0.0`` that
+        ``base * 0 + relay * 0`` gives.
+
+        Rates are validated here: with the scalar factors checked at
+        construction, a non-negative ETX table makes every rate priced
+        from these tables non-negative, so a re-pricing needs no check
+        of its own.  Rebuilt whenever the alive set changes or the memo
+        is forced (``_priced_key = None``).
+        """
+        self._etx_alive = np.multiply(self.s.uplink_etx, alive)
+        if self._etx_alive.size and np.minimum.reduce(self._etx_alive) < 0.0:
+            raise ValueError("power draws must be non-negative")
+        self._idle_alive = np.multiply(alive, self._idle_w)
+        self._duty_alive = np.multiply(alive, self._sensing_w + self._idle_w)
+        self._n_alive = int(np.count_nonzero(alive))
+        self._alive_key = alive_key
+
+    def price(self, active, relay) -> np.ndarray:
         """Per-sensor draw in Watts into :attr:`rates`; returns the relay
         Watts.
 
@@ -201,23 +263,21 @@ class EnergyAccounting:
         (:func:`~repro.sim.soa.relay_counts`).  The draw is idle, plus
         sensing when active, plus the relayed packets priced per packet
         and scaled by the uplink ETX; depleted sensors draw nothing.
+        The alive mask enters through the tables of the current alive
+        set (:meth:`_price_alive_set`).
         """
-        # Counts are far below 2**53, so the first multiply converts them
-        # to float64 exactly; the products then run in place in the same
-        # left-to-right order.  The masks enter as multiplies: for finite
-        # x >= 0, x * True == x and x * False == +0.0, the bits np.where
-        # would select.
-        relay_w = np.multiply(relay, self._packet_rate_hz)
-        relay_w *= self._per_packet_relay_j
-        relay_w *= self.s.uplink_etx
-        relay_w *= alive
+        # The same products as ``((relay * rate) * per_packet) * etx *
+        # alive``, left to right: the first two come from the per-count
+        # table (counts are far below 2**53, so exact as float64).
+        relay_w = self._count_w.take(relay)
+        relay_w *= self._etx_alive
         # In place: the SoA arrays alias the rates buffer.  An active
         # sensor's base draw is sensing + idle, which IEEE addition
         # makes the same bits as idle + sensing.
-        rates = np.multiply(active, self._sensing_w, out=self.rates)
-        rates += self._idle_w
+        rates = self.rates
+        np.copyto(rates, self._idle_alive)
+        np.copyto(rates, self._duty_alive, where=active)
         rates += relay_w
-        rates *= alive
         return relay_w
 
     def advance(self) -> None:
@@ -236,19 +296,25 @@ class EnergyAccounting:
         levels = s.bank.levels_j
         levels_before = levels.copy() if mon.enabled else None
         # The rates were validated when they were priced (_recompute).
-        s.bank.drain_validated_rates(self.rates, dt, self._drain_scratch)
+        s.bank.drain_unclamped(self.rates, dt, self._drain_scratch)
+        # The drain's clamps, only where they can bind.  Non-negative
+        # rates never raise a level, and levels start at or below
+        # capacity, so the upper clamp never changes one.  A drain keeps
+        # dead sensors at zero, so a level went below zero only if the
+        # alive count dropped from the last pricing's.
+        alive_now = np.greater(levels, 0.0, out=self._died)
+        deaths = np.count_nonzero(alive_now) != self._n_alive
+        if deaths:
+            np.maximum(levels, 0.0, out=levels)
         if mon.enabled:
             mon.check_energy_conservation(levels_before, levels, self.rates, dt, s.now)
             mon.check_battery_bounds(levels, s.bank.capacity_j, s.now)
         for cat, watts in self._category_watts.items():
             self.breakdown_j[cat] += watts * dt
         self._last_t = s.now
-        # A drain only lowers levels and keeps dead sensors at zero, so
-        # the alive set can only shrink: the deaths are the alive sensors
-        # now at zero, and there are some iff the alive count dropped.
-        alive_now = np.greater(levels, 0.0, out=self._died)
-        if np.count_nonzero(alive_now) == self._n_alive:
+        if not deaths:
             return
+        # The deaths are the alive sensors now at zero.
         died = np.less_equal(levels, 0.0, out=self._died)
         np.logical_and(died, self.alive, out=died)
         victims = np.flatnonzero(died)

@@ -13,9 +13,14 @@ specification the parity tests compare the kernels against:
   masks over float through-counts), :func:`drain_handoffs` (one lump
   drain per column) and :class:`DataclassSimulator` (a heap of
   ``@dataclass(order=True)`` entries);
-* the scheduling-kernel loops (:mod:`repro.core.kernels`), the scalar
-  first-improvement 2-opt (:func:`repro.tsp.two_opt.two_opt`) and the
-  per-step nearest-neighbour tour
+* :func:`distance`, converting both points before measuring
+  (:func:`repro.geometry.points.distance` indexes them directly);
+* the scheduling-kernel loops (:mod:`repro.core.kernels`), the serial
+  Lloyd loop :func:`kmeans_serial` (one restart and one centroid at a
+  time; :func:`repro.cluster.kmeans.kmeans` runs every restart in one
+  array pass), the scalar first-improvement 2-opt
+  (:func:`repro.tsp.two_opt.two_opt`) and the per-step
+  nearest-neighbour tour
   (:func:`repro.tsp.nearest_neighbor.nearest_neighbor_order`);
 * the re-aggregating chained planners (:func:`insertion_assign`,
   :func:`partition_assign`, :func:`deadline_assign`): every RV and
@@ -173,6 +178,19 @@ class DataclassSimulator:
 
 
 # ----------------------------------------------------------------------
+# geometry
+# ----------------------------------------------------------------------
+
+
+def distance(a, b) -> float:
+    """:func:`repro.geometry.points.distance` converting both points to
+    ``(2,)`` float64 arrays first."""
+    a = np.asarray(a, dtype=np.float64).reshape(2)
+    b = np.asarray(b, dtype=np.float64).reshape(2)
+    return float(np.hypot(a[0] - b[0], a[1] - b[1]))
+
+
+# ----------------------------------------------------------------------
 # scheduling kernels
 # ----------------------------------------------------------------------
 
@@ -247,23 +265,19 @@ def masked_argmin(dists, mask=None) -> Optional[int]:
 
 
 def insertion_eval(
-    dmat, dist0, demands, route, remaining, em_j_per_m, charge_efficiency
+    dist, waypoints, candidates, demands, delivery_j, em_j_per_m
 ) -> Tuple[np.ndarray, np.ndarray]:
-    route = list(route)
-    remaining = list(remaining)
-    demands = np.asarray(demands, dtype=np.float64)
-    k, r = len(route), len(remaining)
+    k, r = len(waypoints) - 1, len(candidates)
     p = np.empty((k, r), dtype=np.float64)
     extra = np.empty((k, r), dtype=np.float64)
     for s in range(k):
-        d_ab = dist0[route[0]] if s == 0 else dmat[route[s - 1], route[s]]
+        a, b = waypoints[s], waypoints[s + 1]
+        d_ab = dist[a, b]
         for c in range(r):
-            n = remaining[c]
-            d_ac = dist0[n] if s == 0 else dmat[route[s - 1], n]
-            d_cb = dmat[route[s], n]
-            detour = d_ac + d_cb - d_ab
-            p[s, c] = demands[n] - em_j_per_m * detour
-            extra[s, c] = em_j_per_m * detour + demands[n] / charge_efficiency
+            n = candidates[c]
+            detour = dist[a, n] + dist[b, n] - d_ab
+            p[s, c] = demands[c] - em_j_per_m * detour
+            extra[s, c] = em_j_per_m * detour + delivery_j[c]
     return p, extra
 
 
@@ -283,6 +297,60 @@ def kmeans_assign(points, centroids) -> np.ndarray:
                 best_j = j
         labels[i] = best_j
     return labels
+
+
+def kmeans_serial(points, k: int, rng=None, max_iter: int = 100, n_init: int = 4):
+    """One restart at a time, one centroid at a time: the Lloyd loop
+    :func:`repro.cluster.kmeans.kmeans` runs as one array pass over all
+    restarts, with :func:`kmeans_assign` as its assignment step."""
+    from repro.cluster.kmeans import KMeansResult
+
+    points = as_points(points)
+    n = len(points)
+    if n == 0:
+        raise ValueError("cannot cluster an empty point set")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if n_init < 1:
+        raise ValueError("n_init must be >= 1")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if k >= n:
+        centroids = points.copy()
+        labels = np.arange(n, dtype=np.intp)
+        if k > n:
+            extra = points[rng.integers(0, n, size=k - n)]
+            centroids = np.vstack([centroids, extra])
+        return KMeansResult(centroids, labels, 0.0, 0, True)
+
+    best = None
+    for _ in range(n_init):
+        seed_idx = rng.choice(n, size=k, replace=False)
+        centroids = points[seed_idx].copy()
+        labels = kmeans_assign(points, centroids)
+        converged = False
+        it = 0
+        for it in range(1, max_iter + 1):
+            sizes = np.bincount(labels, minlength=k)
+            for j in range(k):
+                if sizes[j]:
+                    centroids[j] = np.add.reduce(points[labels == j], axis=0) / sizes[j]
+                else:
+                    d = np.sum((points - centroids[j]) ** 2, axis=1)
+                    centroids[j] = points[int(np.argmax(d))]
+            new_labels = kmeans_assign(points, centroids)
+            if new_labels.tobytes() == labels.tobytes():
+                converged = True
+                break
+            labels = new_labels
+        diff = points - centroids[labels]
+        inertia = float(np.sum(diff * diff))
+        candidate = KMeansResult(centroids.copy(), labels.copy(), inertia, it, converged)
+        if best is None or candidate.inertia < best.inertia:
+            best = candidate
+    return best
 
 
 def uplink_etx_vector(points, parent, n_sensors: int, comm_range_m: float) -> np.ndarray:
@@ -350,6 +418,51 @@ def nearest_neighbor_order(points, start=None) -> List[int]:
         order.append(current)
         remaining[current] = False
     return order
+
+
+def insertion_order(stops, rv_position, budget_j, em_j_per_m, charge_efficiency) -> List[int]:
+    """Algorithm 3 one scalar at a time: every distance measured when
+    it is needed, the pick popped from the remaining list and inserted
+    into the route (:func:`repro.core.insertion.build_insertion_sequence`
+    keeps its candidate columns fixed and gathers from one matrix)."""
+
+    def dist(p, q) -> float:
+        d = p - q
+        return float(np.hypot(d[0], d[1]))
+
+    rv = np.asarray(rv_position, dtype=np.float64).reshape(2)
+    pos = [s.position for s in stops]
+    dem = [s.demand_j for s in stops]
+    if not stops or budget_j <= 0:
+        return []
+    dest, best = None, -np.inf
+    for i in range(len(stops)):
+        d0 = dist(pos[i], rv)
+        profit = dem[i] - em_j_per_m * d0
+        if em_j_per_m * d0 + dem[i] / charge_efficiency <= budget_j + 1e-9 and profit > best:
+            dest, best = i, profit
+    if dest is None:
+        return []
+    spent = em_j_per_m * dist(pos[dest], rv) + dem[dest] / charge_efficiency
+    route = [dest]
+    remaining = [i for i in range(len(stops)) if i != dest]
+    while remaining and spent < budget_j:
+        pick, best = None, -np.inf
+        for s in range(len(route)):
+            a = rv if s == 0 else pos[route[s - 1]]
+            b = pos[route[s]]
+            d_ab = dist(a, b)
+            for c, n in enumerate(remaining):
+                detour = dist(a, pos[n]) + dist(b, pos[n]) - d_ab
+                p = dem[n] - em_j_per_m * detour
+                extra = em_j_per_m * detour + dem[n] / charge_efficiency
+                if p > 1e-12 and spent + extra <= budget_j + 1e-9 and p > best:
+                    pick, best, pick_extra = (s, c), p, extra
+        if pick is None:
+            break
+        route.insert(pick[0], remaining.pop(pick[1]))
+        spent += pick_extra
+    return route
 
 
 # ----------------------------------------------------------------------
@@ -520,10 +633,9 @@ def reference_kernels():
     with contextlib.ExitStack() as stack:
         for name in _KERNEL_NAMES:
             stack.enter_context(mock.patch.object(kernels_mod, name, oracles[name]))
-        # K-means' Lloyd loop calls the unvalidated form of the kernel.
-        stack.enter_context(
-            mock.patch.object(kernels_mod, "_nearest_centroid", kmeans_assign)
-        )
+        # The Partition-Scheme's K-means: the serial Lloyd loop over the
+        # scalar assignment step.
+        stack.enter_context(mock.patch("repro.core.partition.kmeans", kmeans_serial))
         stack.enter_context(
             mock.patch("repro.core.requests.nearest_neighbor_order", nearest_neighbor_order)
         )

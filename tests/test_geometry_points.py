@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import oracles
 from repro.geometry.points import (
     as_points,
     distance,
@@ -49,6 +50,11 @@ class TestAsPoints:
         assert pts.shape == (0, 2)
 
 
+# Finite coordinates whose differences do not overflow, signed zeros
+# and subnormals included.
+_coord = st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300])
+
+
 class TestDistance:
     def test_pythagorean(self):
         assert distance([0, 0], [3, 4]) == pytest.approx(5.0)
@@ -59,6 +65,22 @@ class TestDistance:
     def test_symmetry(self):
         a, b = [1.0, 7.0], [-2.0, 3.0]
         assert distance(a, b) == pytest.approx(distance(b, a))
+
+    @given(
+        st.lists(_coord, min_size=4, max_size=4),
+        st.sampled_from(["array", "pair"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_converting_form(self, xy, form):
+        """Indexing the coordinates directly measures the same
+        ``np.hypot`` bits as converting both points first."""
+        a, b = xy[:2], xy[2:]
+        if form == "array":
+            a, b = np.array(a), np.array(b)
+        got = distance(a, b)
+        want = oracles.distance(a, b)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestDistancesFrom:

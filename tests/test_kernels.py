@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import kernels
-from repro.core.requests import RechargeNodeList, RechargeRequest
+from repro.core.insertion import build_insertion_sequence
+from repro.core.requests import RechargeNodeList, RechargeRequest, aggregate_by_cluster
 from repro.core.scheduling import RVView
 from repro.geometry.points import distances_from, pairwise_distances
 from repro.registry import SCHEDULERS
@@ -154,15 +155,16 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 80, size=(n, 2))
         demands = rng.uniform(1, 100, size=n)
-        dmat = pairwise_distances(pts)
         rv = rng.uniform(0, 80, size=2)
-        dist0 = distances_from(rv, pts)
+        # The stop/stop matrix with the RV's distances as row n.
+        dist = np.concatenate((pairwise_distances(pts), distances_from(rv, pts)[None, :]))
         split = int(rng.integers(1, n + 1))
-        route = list(rng.permutation(n)[:split])
-        remaining = [i for i in range(n) if i not in route]
-        if not remaining:
+        route = [int(i) for i in rng.permutation(n)[:split]]
+        remaining = np.array([i for i in range(n) if i not in route], dtype=np.intp)
+        if not len(remaining):
             return
-        args = (dmat, dist0, demands, route, remaining, 5.6, 0.8)
+        waypoints = np.array([n] + route, dtype=np.intp)
+        args = (dist, waypoints, remaining, demands[remaining], demands[remaining] / 0.8, 5.6)
         vec = kernels.insertion_eval(*args)
         ref = oracles.insertion_eval(*args)
         assert np.array_equal(vec[0], ref[0])
@@ -287,6 +289,19 @@ class TestUplinkEtxEndToEnd:
         assert np.array_equal(etx[False], etx[True])
         assert np.all(etx[False] >= 1.0)
         assert np.any(etx[False] > 1.0)  # grey-zone links exist at this density
+
+
+class TestInsertionOrderAgainstScalarLoop:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_same_sequence(self, seed):
+        """Fixed candidate columns with the inserted ones masked out
+        pick what popping from a compacted remainder picks."""
+        requests, views = _random_instance(seed)
+        stops = aggregate_by_cluster(requests)
+        rv = views[0]
+        args = (stops, rv.position, rv.budget_j, rv.em_j_per_m, rv.charge_efficiency)
+        assert build_insertion_sequence(*args) == oracles.insertion_order(*args)
 
 
 class TestSchedulersVectorizedVsReference:
