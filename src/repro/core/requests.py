@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from ..tsp.nearest_neighbor import nearest_neighbor_order
+from ..tsp.nearest_neighbor import nearest_neighbor_from
 
 __all__ = ["RechargeRequest", "RechargeNodeList", "AggregatedRequest", "aggregate_by_cluster"]
 
@@ -157,12 +157,7 @@ class AggregatedRequest:
         object.__setattr__(
             self, "position", np.asarray(self.position, dtype=np.float64).reshape(2)
         )
-        # Tour memo: a round's stop table reuses the same stops across
-        # chained sequences and RVs, and trimming re-expands them from
-        # the same entry points, so each (stop, entry) tour is walked
-        # once.
         object.__setattr__(self, "_member_pts", None)
-        object.__setattr__(self, "_tour_memo", {})
 
     def member_ids(self) -> List[int]:
         return [r.node_id for r in self.members]
@@ -179,20 +174,15 @@ class AggregatedRequest:
         """Member requests in nearest-neighbour order from ``entry``, a
         ``(2,)`` float64 position (a waypoint of the planner's route).
 
-        This is the paper's O(nc^2) intra-cluster tour.  Tours are
-        memoized per entry point (requests are immutable), so repeated
-        expansion re-measures nothing; a lone member is its own tour.
+        This is the paper's O(nc^2) intra-cluster tour; a lone member
+        is its own tour.  The member positions were validated when the
+        requests were made, so the tour skips the per-call checks.
         """
         members = self.members
         if len(members) == 1:
             return members
-        key = entry.tobytes()
-        hit = self._tour_memo.get(key)
-        if hit is None:
-            order = nearest_neighbor_order(self.member_positions(), start=entry)
-            hit = tuple(members[i] for i in order)
-            self._tour_memo[key] = hit
-        return hit
+        order = nearest_neighbor_from(self.member_positions(), entry)
+        return tuple(members[i] for i in order)
 
     def visit_order_from(self, entry: np.ndarray) -> List[int]:
         """Member node ids in nearest-neighbour order from ``entry``."""

@@ -5,9 +5,10 @@ misses on a :class:`WarmPool` opened for that call and closed, workers
 joined, before the call returns — one pool lifecycle.  Within the call:
 
 * **warm workers** — each worker imports the simulator once and then
-  serves tasks until the pool closes, so module-level caches (the
-  Dijkstra weight-validation cache, ...) stay hot across the cells of
-  one fan-out;
+  serves tasks until the pool closes, so module-level memos (the
+  static network of each deployment, see
+  :func:`repro.sim.components.state.static_network`) stay hot across
+  the cells of one fan-out;
 * **crash recovery** — the parent dispatches tasks over a dedicated
   duplex pipe per worker (one task outstanding each), so it always
   knows which task a worker holds: a worker that dies mid-task is

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .points import as_points, neighbors_within
+from .points import _within, as_points, neighbors_within
 
 __all__ = [
     "detection_matrix",
@@ -23,7 +23,9 @@ def detection_matrix(sensors: np.ndarray, targets: np.ndarray, sensing_range: fl
     """Boolean ``(n_sensors, n_targets)`` matrix: sensor i detects target j.
 
     This is the paper's indicator :math:`I_{ij}` *before* cluster
-    assignment restricts each sensor to at most one target.
+    assignment restricts each sensor to at most one target.  It applies
+    the squared-length test of :func:`detectors_of_targets`, so the two
+    agree on points next to the sensing circle.
     """
     sensors = as_points(sensors)
     targets = as_points(targets)
@@ -31,9 +33,9 @@ def detection_matrix(sensors: np.ndarray, targets: np.ndarray, sensing_range: fl
         raise ValueError("sensing_range must be non-negative")
     if len(sensors) == 0 or len(targets) == 0:
         return np.zeros((len(sensors), len(targets)), dtype=bool)
-    diff = sensors[:, None, :] - targets[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    return dist <= sensing_range
+    return _within(
+        sensors[:, None, 0], sensors[:, None, 1], targets[:, 0], targets[:, 1], sensing_range
+    )
 
 
 def detectors_of_targets(sensors: np.ndarray, targets: np.ndarray, sensing_range: float) -> list:

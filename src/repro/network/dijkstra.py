@@ -11,40 +11,11 @@ heap; the test suite cross-validates it against
 from __future__ import annotations
 
 import heapq
-import weakref
-from collections import OrderedDict
 from typing import Tuple
 
 import numpy as np
 
 __all__ = ["shortest_paths"]
-
-# Weight arrays already scanned for negative entries, keyed on array
-# identity (an LRU-bounded OrderedDict whose weakrefs guard against
-# id() reuse after eviction).  A Topology runs one
-# Dijkstra per sensor against the same weight array; validating it once
-# instead of n times removes an O(E) scan from every source.  Weights
-# are treated as immutable after the first call, like every other
-# position/weight array in this library.
-_VALIDATED_WEIGHTS: "OrderedDict[int, weakref.ref]" = OrderedDict()
-_VALIDATED_WEIGHTS_MAX = 64
-
-
-def _check_nonnegative(weights: np.ndarray) -> None:
-    key = id(weights)
-    hit = _VALIDATED_WEIGHTS.get(key)
-    if hit is not None and hit() is weights:
-        _VALIDATED_WEIGHTS.move_to_end(key)
-        return
-    if np.any(weights < 0):
-        raise ValueError("Dijkstra requires non-negative weights")
-    try:
-        ref = weakref.ref(weights)
-    except TypeError:  # non-weakref-able input (e.g. a list): skip caching
-        return
-    _VALIDATED_WEIGHTS[key] = ref
-    while len(_VALIDATED_WEIGHTS) > _VALIDATED_WEIGHTS_MAX:
-        _VALIDATED_WEIGHTS.popitem(last=False)
 
 
 def shortest_paths(
@@ -58,7 +29,8 @@ def shortest_paths(
     Args:
         indptr: CSR row pointer, length ``n + 1``.
         indices: CSR column indices (directed arcs).
-        weights: non-negative arc lengths aligned with ``indices``.
+        weights: non-negative arc lengths aligned with ``indices``
+            (``ValueError`` on a negative or NaN entry).
         source: start vertex.
 
     Returns:
@@ -70,7 +42,10 @@ def shortest_paths(
     n = len(indptr) - 1
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
-    _check_nonnegative(weights)
+    # One scan per call; ``>= 0`` is False for NaN, so a NaN arc raises
+    # here instead of silently losing every relaxation through it.
+    if not (np.asarray(weights) >= 0).all():
+        raise ValueError("Dijkstra requires non-negative weights")
     dist = np.full(n, np.inf, dtype=np.float64)
     parent = np.full(n, -1, dtype=np.intp)
     done = np.zeros(n, dtype=bool)

@@ -14,12 +14,19 @@ internals.
 :meth:`SimulationState.from_config` is the deterministic constructor:
 the RNG draw order (sensor deployment, initial charge levels, target
 placement) is part of the reproducibility contract — goldens pin it.
+
+The static network (unit-disk graph, Dijkstra tree, uplink ETX) depends
+only on the deployment, so :func:`static_network` builds it once per
+deployment and process: every cell of a sweep that shares a seed shares
+one network.  Its arrays are read-only, so an in-place write raises
+instead of leaking into the next world of that deployment.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,11 +49,14 @@ from ..metrics import MetricsCollector
 from ..soa import StateArrays
 
 __all__ = [
+    "NETWORK_MEMO_SIZE",
     "PRIO_DISPATCH",
     "PRIO_RELOCATE",
     "PRIO_RV",
     "PRIO_TICK",
     "SimulationState",
+    "StaticNetwork",
+    "static_network",
 ]
 
 # Event priorities: energy/structure updates before scheduling.
@@ -54,6 +64,64 @@ PRIO_RELOCATE = 0
 PRIO_TICK = 1
 PRIO_DISPATCH = 2
 PRIO_RV = 3
+
+#: Deployments whose static network one process keeps.  ``map_cells``
+#: varies the seed fastest, so this must be at least the number of
+#: seeds in a grid (the built-in scales use at most 3).
+NETWORK_MEMO_SIZE = 8
+
+
+class StaticNetwork(NamedTuple):
+    """The static network of one deployment; every array is read-only."""
+
+    topology: Topology  # the unit-disk graph (plain lengths)
+    routing: RoutingTree  # the Dijkstra tree to the base station
+    uplink_etx: np.ndarray  # (n,) expected transmissions per uplink
+
+
+def static_network(
+    sensor_pos: np.ndarray,
+    comm_range_m: float,
+    base_station: np.ndarray,
+    routing_metric: str,
+) -> StaticNetwork:
+    """The deployment's static network, built once per process.
+
+    Keyed on the deployment's content (position bytes, range, base
+    station, metric) in a memo of :data:`NETWORK_MEMO_SIZE` entries.
+    """
+    return _build_network(
+        np.ascontiguousarray(sensor_pos, dtype=np.float64).tobytes(),
+        float(comm_range_m),
+        np.asarray(base_station, dtype=np.float64).reshape(2).tobytes(),
+        routing_metric,
+    )
+
+
+@functools.lru_cache(maxsize=NETWORK_MEMO_SIZE)
+def _build_network(
+    positions: bytes, comm_range_m: float, base_station: bytes, routing_metric: str
+) -> StaticNetwork:
+    sensor_pos = np.frombuffer(positions).reshape(-1, 2)
+    n = len(sensor_pos)
+    topology = Topology(sensor_pos, comm_range_m, base_station=np.frombuffer(base_station))
+    if routing_metric == "etx":
+        etx_topology, _ = apply_etx_metric(topology)
+        routing = RoutingTree(etx_topology)
+        # Expected transmissions on each sensor's uplink: packets
+        # relayed over a grey-zone link cost ETX times the energy.
+        uplink_etx = kernels.uplink_etx_vector(
+            topology.points, routing.parent, n, comm_range_m
+        )
+    else:
+        routing = RoutingTree(topology)
+        uplink_etx = np.ones(n, dtype=np.float64)
+    for arr in (
+        topology.points, topology.indptr, topology.indices, topology.weights,
+        routing.topology.weights, routing.dist, routing.parent, uplink_etx,
+    ):
+        arr.flags.writeable = False
+    return StaticNetwork(topology, routing, uplink_etx)
 
 
 @dataclass
@@ -141,21 +209,9 @@ class SimulationState:
             rng.uniform(lo, hi, size=config.n_sensors) * config.battery_capacity_j
         )
 
-        topology = Topology(
-            sensor_pos, config.comm_range_m, base_station=fld.base_station
+        topology, routing, uplink_etx = static_network(
+            sensor_pos, config.comm_range_m, fld.base_station, config.routing_metric
         )
-        n = config.n_sensors
-        if config.routing_metric == "etx":
-            etx_topology, _ = apply_etx_metric(topology)
-            routing = RoutingTree(etx_topology)
-            # Expected transmissions on each sensor's uplink: packets
-            # relayed over a grey-zone link cost ETX times the energy.
-            uplink_etx = kernels.uplink_etx_vector(
-                topology.points, routing.parent, n, config.comm_range_m
-            )
-        else:
-            routing = RoutingTree(topology)
-            uplink_etx = np.ones(n, dtype=np.float64)
 
         targets = MOBILITY_MODELS.build(
             config.target_mobility, field=fld, config=config, rng=rng

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..geometry.points import as_points
 
-__all__ = ["nearest_neighbor_order"]
+__all__ = ["nearest_neighbor_from", "nearest_neighbor_order"]
 
 
 def nearest_neighbor_order(
@@ -41,13 +41,26 @@ def nearest_neighbor_order(
         the lowest index, keeping the heuristic deterministic.
     """
     points = as_points(points)
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64).reshape(2)
+    return nearest_neighbor_from(points, start)
+
+
+def nearest_neighbor_from(points: np.ndarray, start: Optional[np.ndarray]) -> List[int]:
+    """:func:`nearest_neighbor_order` on inputs that are already valid.
+
+    ``points`` is an ``(n, 2)`` float64 array of finite coordinates and
+    ``start`` is ``None`` or a ``(2,)`` float64 array.  The planners pass
+    member positions that :class:`~repro.core.requests.RechargeRequest`
+    validated when it was made, so they skip the per-call checks.
+    """
     n = len(points)
     if n <= 1:
         return list(range(n))
     if start is None:
         current = 0
     else:
-        gap = points - np.asarray(start, dtype=np.float64).reshape(2)
+        gap = points - start
         current = int(np.argmin(np.hypot(gap[:, 0], gap[:, 1])))
     diff = points[:, None, :] - points[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])

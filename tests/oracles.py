@@ -628,16 +628,22 @@ def reference_kernels():
     those attributes swaps the whole decision path.
     """
     import repro.core.kernels as kernels_mod
+    from repro.sim.components import state as state_mod
 
     oracles = globals()
     with contextlib.ExitStack() as stack:
+        # Worlds built inside the block derive their static network with
+        # the oracle kernels, not from a network memoized outside it (and
+        # leave none behind).
+        state_mod._build_network.cache_clear()
+        stack.callback(state_mod._build_network.cache_clear)
         for name in _KERNEL_NAMES:
             stack.enter_context(mock.patch.object(kernels_mod, name, oracles[name]))
         # The Partition-Scheme's K-means: the serial Lloyd loop over the
         # scalar assignment step.
         stack.enter_context(mock.patch("repro.core.partition.kmeans", kmeans_serial))
         stack.enter_context(
-            mock.patch("repro.core.requests.nearest_neighbor_order", nearest_neighbor_order)
+            mock.patch("repro.core.requests.nearest_neighbor_from", nearest_neighbor_order)
         )
         stack.enter_context(mock.patch("repro.core.extensions.two_opt", two_opt))
         yield

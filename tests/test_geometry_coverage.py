@@ -29,6 +29,21 @@ class TestDetectionMatrix:
         with pytest.raises(ValueError):
             detection_matrix([[0, 0]], [[1, 1]], -1.0)
 
+    def test_same_predicate_as_detectors_next_to_the_circle(self):
+        """Sensors within a few ulps of the sensing circle: the matrix
+        (which sets ``coverable``) and the candidate sets of Algorithm 1
+        must call every one of them the same way."""
+        rng = np.random.default_rng(0)
+        r = 14.0
+        theta = rng.uniform(0.0, 2.0 * np.pi, 2000)
+        rad = r * (1.0 + rng.uniform(-4e-16, 4e-16, 2000))
+        target = np.array([[50.0, 50.0]])
+        sensors = target + np.column_stack([rad * np.cos(theta), rad * np.sin(theta)])
+        m = detection_matrix(sensors, target, r)
+        det = detectors_of_targets(sensors, target, r)
+        assert 0 < len(det[0]) < len(sensors)  # both sides of the circle occur
+        assert np.flatnonzero(m[:, 0]).tolist() == det[0].tolist()
+
 
 class TestDetectorsOfTargets:
     def test_matches_matrix(self, rng):

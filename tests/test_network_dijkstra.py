@@ -71,16 +71,25 @@ class TestShortestPaths:
         assert np.allclose(dist, sp_dist, equal_nan=True)
 
     def test_negative_check_not_fooled_by_cache(self):
-        """A fresh negative array must still raise even after valid
-        arrays of the same shape were validated (identity keying)."""
+        """Every call validates its own weights: a fresh negative array
+        raises even after valid arrays of the same shape passed."""
         indptr = np.array([0, 1, 2])
         indices = np.array([1, 0], dtype=np.intp)
         good = np.array([1.0, 1.0])
         shortest_paths(indptr, indices, good, 0)
-        shortest_paths(indptr, indices, good, 0)  # second call hits the cache
+        shortest_paths(indptr, indices, good, 0)
         bad = np.array([-1.0, 1.0])
         with pytest.raises(ValueError):
             shortest_paths(indptr, indices, bad, 0)
+
+    def test_nan_weight_rejected(self):
+        """On the path 0-1-2 a NaN on arc 1-2 would fail every ``<``
+        relaxation and report the connected vertex 2 unreachable."""
+        indptr = np.array([0, 1, 3, 4])
+        indices = np.array([1, 0, 2, 1], dtype=np.intp)
+        weights = np.array([1.0, 1.0, np.nan, np.nan])
+        with pytest.raises(ValueError, match="non-negative"):
+            shortest_paths(indptr, indices, weights, 0)
 
     def test_parent_pointers_consistent(self, rng):
         pts = rng.uniform(0, 30, size=(50, 2))
