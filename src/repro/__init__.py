@@ -14,47 +14,41 @@ Quickstart::
     cfg = SimulationConfig.small(scheduler="partition", erp=0.6)
     summary = run_simulation(cfg)
     print(summary.traveling_energy_mj, summary.avg_coverage_ratio)
+
+The names below resolve on first access (:mod:`repro._lazy`), so
+importing the package loads none of its submodules.
 """
 
-from .core import (
-    CombinedScheduler,
-    EnergyRequestController,
-    FullTimeActivator,
-    GreedyScheduler,
-    InsertionScheduler,
-    PartitionScheduler,
-    RechargeInstance,
-    RechargeNodeList,
-    RechargeRequest,
-    RoundRobinActivator,
-    balanced_clustering,
-    nearest_target_clustering,
-    solve_exact_single_rv,
-    verify_routes,
-)
-from .geometry import Field, minimum_sensors_eq1
-from .obs import EventLog, RunManifest
-from .registry import (
-    ACTIVATORS,
-    CLUSTERINGS,
-    ERC_POLICIES,
-    EXPORTERS,
-    MOBILITY_MODELS,
-    SCHEDULERS,
-    ComponentSpec,
-    Registry,
-)
-from .sim import (
-    DAY_S,
-    HOUR_S,
-    SimulationConfig,
-    SimulationSummary,
-    World,
-    make_scheduler,
-    run_seeds,
-    run_simulation,
-    run_with_telemetry,
-)
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.activation": ("FullTimeActivator", "RoundRobinActivator"),
+    ".core.clustering": ("balanced_clustering", "nearest_target_clustering"),
+    ".core.combined": ("CombinedScheduler",),
+    ".core.erc": ("EnergyRequestController",),
+    ".core.greedy": ("GreedyScheduler",),
+    ".core.insertion": ("InsertionScheduler",),
+    ".core.mip": ("RechargeInstance", "solve_exact_single_rv", "verify_routes"),
+    ".core.partition": ("PartitionScheduler",),
+    ".core.requests": ("RechargeNodeList", "RechargeRequest"),
+    ".geometry.field": ("Field", "minimum_sensors_eq1"),
+    ".obs.log": ("EventLog",),
+    ".obs.manifest": ("RunManifest",),
+    ".registry": (
+        "ACTIVATORS",
+        "CLUSTERINGS",
+        "ERC_POLICIES",
+        "EXPORTERS",
+        "MOBILITY_MODELS",
+        "SCHEDULERS",
+        "ComponentSpec",
+        "Registry",
+    ),
+    ".sim.config": ("DAY_S", "HOUR_S", "SimulationConfig"),
+    ".sim.metrics": ("SimulationSummary",),
+    ".sim.runner": ("make_scheduler", "run_seeds", "run_simulation", "run_with_telemetry"),
+    ".sim.world": ("World",),
+})
 
 __version__ = "1.0.0"
 

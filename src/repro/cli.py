@@ -4,7 +4,8 @@ Commands:
 
 * ``run`` — run one simulation and print (or JSON-dump) the summary;
   ``--telemetry DIR`` archives a manifest + instrument exports,
-  ``--profile`` prints the cProfile hot spots.
+  ``--profile`` prints the cProfile hot spots (under ``--json``, as the
+  payload's ``profile`` list).
 * ``estimate`` — closed-form deployment estimates, no simulation.
 * ``map`` — run part of a simulation and draw the field (ASCII or SVG).
 * ``figure`` — regenerate one paper figure's table.
@@ -23,6 +24,10 @@ Every simulation command accepts ``--preset {small,experiment,paper}``
 plus individual overrides, or ``--config file.json`` (see
 :mod:`repro.sim.serialization`).  Global flags: ``--version`` and
 ``--log-level`` (configures stdlib ``logging`` for every subcommand).
+
+Each subcommand imports what only it uses (the estimators, the table
+renderer, the experiment drivers, the recorder stack) inside its
+handler, so ``repro run`` loads the simulator and nothing else.
 """
 
 from __future__ import annotations
@@ -35,12 +40,10 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .analysis.estimators import DeploymentModel
 from .registry import ACTIVATORS, EXPORTERS, SCHEDULERS
 from .sim.config import DAY_S, SimulationConfig
 from .sim.runner import run_simulation, run_with_telemetry
 from .sim.serialization import config_from_dict, config_to_dict
-from .utils.tables import format_table
 
 __all__ = ["main", "build_parser"]
 
@@ -109,8 +112,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return run_recorded(cfg, args.postmortem, strict=args.strict_monitors)
         return run_simulation(cfg)
 
-    from .obs import InvariantViolation
+    # Only armed monitors raise InvariantViolation, so an unarmed run
+    # catches nothing here and never loads the monitors.
+    violation: tuple = ()
+    if args.telemetry or args.postmortem:
+        from .obs.monitors import InvariantViolation
 
+        violation = (InvariantViolation,)
     try:
         if args.profile:
             from .utils.profiling import profile_call
@@ -118,7 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             summary, hot_rows = profile_call(_run, top=args.profile_top)
         else:
             summary, hot_rows = _run(), None
-    except InvariantViolation as exc:
+    except violation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         if args.postmortem:
             print(f"postmortem bundle written to {args.postmortem} "
@@ -129,14 +137,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         payload = {"config": config_to_dict(cfg), "summary": summary.as_dict()}
         if manifest is not None:
             payload["telemetry_dir"] = args.telemetry
+        if hot_rows is not None:
+            payload["profile"] = [
+                {"function": loc, "ncalls": ncalls, "tottime_s": tot, "cumtime_s": cum}
+                for loc, ncalls, tot, cum in hot_rows
+            ]
         print(json.dumps(payload, indent=2))
-    else:
-        rows = [[k, v] for k, v in summary.as_dict().items()]
-        print(format_table(["metric", "value"], rows, precision=4,
-                           title=f"{cfg.scheduler} / {cfg.activation} / ERP {cfg.erp}"))
-        if manifest is not None:
-            print(f"\ntelemetry written to {args.telemetry} "
-                  f"({', '.join(manifest.exporters)}; manifest.json)")
+        return 0
+    from .utils.tables import format_table
+
+    rows = [[k, v] for k, v in summary.as_dict().items()]
+    print(format_table(["metric", "value"], rows, precision=4,
+                       title=f"{cfg.scheduler} / {cfg.activation} / ERP {cfg.erp}"))
+    if manifest is not None:
+        print(f"\ntelemetry written to {args.telemetry} "
+              f"({', '.join(manifest.exporters)}; manifest.json)")
     if hot_rows is not None:
         prof = [[loc, ncalls, tot, cum] for loc, ncalls, tot, cum in hot_rows]
         print("\n" + format_table(
@@ -216,6 +231,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from .analysis.estimators import DeploymentModel
+    from .utils.tables import format_table
+
     cfg = _build_config(args)
     model = DeploymentModel.from_config(cfg)
     rows = [
@@ -321,6 +339,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.executor import map_configs
     from .utils.stats import mean_std
+    from .utils.tables import format_table
 
     _apply_jobs(args)
     base = _build_config(args)

@@ -145,7 +145,8 @@ def _run_cell_recorded(
     is keyed by grid index in the parent, so reruns land in the same
     place regardless of pool scheduling.
     """
-    from ..obs import BlackBoxRecorder, MonitorSet
+    from ..obs.blackbox import BlackBoxRecorder
+    from ..obs.monitors import MonitorSet
     from ..sim.runner import _flush_postmortem
 
     config, bundle_dir, traced = task

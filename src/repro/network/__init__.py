@@ -1,10 +1,14 @@
 """Multi-hop network substrate: topology, routing, traffic accounting."""
 
-from .dijkstra import shortest_paths
-from .linkquality import apply_etx_metric, etx_weights, prr_from_distance
-from .routing import RoutingTree, SubtreeIndex, subtree_index
-from .topology import Topology
-from .traffic import relay_rates, subtree_rates
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".dijkstra": ("shortest_paths",),
+    ".linkquality": ("apply_etx_metric", "etx_weights", "prr_from_distance"),
+    ".routing": ("RoutingTree", "SubtreeIndex", "subtree_index"),
+    ".topology": ("Topology",),
+    ".traffic": ("relay_rates", "subtree_rates"),
+})
 
 __all__ = [
     "RoutingTree",

@@ -32,7 +32,9 @@ and the worker pool keep their lifetime totals in their own plain
 
 The package deliberately never imports :mod:`repro.sim` — the
 simulation state holds ``log``/``monitors``/``blackbox`` references,
-so the dependency points one way.  The run-level glue lives in
+so the dependency points one way.  The names below resolve on first
+use (:mod:`repro._lazy`), and the simulation imports only
+:mod:`repro.obs.log`, so a run without telemetry never loads the rest.  The run-level glue lives in
 :func:`repro.sim.runner.run_with_telemetry`.
 
 Quickstart::
@@ -48,38 +50,44 @@ Quickstart::
     # spans.jsonl
 """
 
-from .blackbox import (
-    NULL_BLACKBOX,
-    BlackBoxRecorder,
-    NullBlackBox,
-    PostmortemBundle,
-    blackbox_enabled,
-    digest_rng,
-    digest_state,
-    format_postmortem,
-    load_bundle,
-)
-from .drift import diff_metrics, format_drift, load_metrics
-from .exporters import (
-    DEFAULT_EXPORTERS,
-    CsvExporter,
-    JsonlExporter,
-    PrometheusExporter,
-    SpansExporter,
-    SqliteExporter,
-    TelemetryBundle,
-    prometheus_lines,
-)
-from .log import NULL_LOG, EventKind, EventLog, TraceEvent
-from .manifest import RunManifest, config_digest, git_revision
-from .monitors import (
-    NULL_MONITORS,
-    InvariantViolation,
-    MonitorSet,
-    NullMonitors,
-)
-from .report import format_report, load_report
-from .spans import Span, load_spans, render_span_tree, spans_to_jsonl_lines
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".blackbox": (
+        "BlackBoxRecorder",
+        "PostmortemBundle",
+        "blackbox_enabled",
+        "digest_rng",
+        "digest_state",
+        "format_postmortem",
+        "load_bundle",
+    ),
+    ".drift": ("diff_metrics", "format_drift", "load_metrics"),
+    ".exporters": (
+        "DEFAULT_EXPORTERS",
+        "CsvExporter",
+        "JsonlExporter",
+        "PrometheusExporter",
+        "SpansExporter",
+        "SqliteExporter",
+        "TelemetryBundle",
+        "prometheus_lines",
+    ),
+    ".log": (
+        "NULL_BLACKBOX",
+        "NULL_LOG",
+        "NULL_MONITORS",
+        "EventKind",
+        "EventLog",
+        "NullBlackBox",
+        "NullMonitors",
+        "TraceEvent",
+    ),
+    ".manifest": ("RunManifest", "config_digest", "git_revision"),
+    ".monitors": ("InvariantViolation", "MonitorSet"),
+    ".report": ("format_report", "load_report"),
+    ".spans": ("Span", "load_spans", "render_span_tree", "spans_to_jsonl_lines"),
+})
 
 __all__ = [
     "BlackBoxRecorder",

@@ -20,8 +20,9 @@ recorded ones.
 This module follows the layering rule of the package: it never imports
 :mod:`repro.sim`.  Records and checkpoints are opaque dicts; the
 simulation side (``repro.sim.replay``) owns their schema.  The default
-:data:`NULL_BLACKBOX` mirrors ``NULL_LOG``: one ``enabled`` attribute
-load is the entire disabled-path cost.
+:data:`NULL_BLACKBOX` (defined next to ``NULL_LOG`` in
+:mod:`repro.obs.log`, re-exported here) costs one ``enabled`` attribute
+load on the disabled path.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
 from ..utils.tables import format_table
+from .log import NULL_BLACKBOX, NullBlackBox
 from .manifest import config_digest
 
 __all__ = [
@@ -377,47 +379,6 @@ def _coerce(value: Any) -> Any:
             return _json_safe(value)
         except TypeError:
             return str(value)
-
-
-class NullBlackBox:
-    """The zero-overhead default (mirrors ``NULL_LOG``).
-
-    ``enabled`` is False; components guard every recording touch point
-    on it, so the disabled path costs one attribute load.  The methods
-    remain callable no-ops for defensive call sites.
-    """
-
-    enabled = False
-    seq = 0
-    capacity = 0
-    checkpoint_every = 0
-    checkpoints: Iterable[Dict[str, Any]] = ()
-    violations: Iterable[Dict[str, Any]] = ()
-
-    def note(self, key: str, value: Any) -> None:
-        pass
-
-    def note_violation(self, record: Dict[str, Any]) -> None:
-        pass
-
-    def record(self, *args: Any, **kwargs: Any) -> int:
-        return 0
-
-    def should_checkpoint(self) -> bool:
-        return False
-
-    def add_checkpoint(self, checkpoint: Dict[str, Any]) -> None:
-        pass
-
-    def rows(self) -> List[Dict[str, Any]]:
-        return []
-
-    def flush(self, *args: Any, **kwargs: Any) -> Path:
-        raise RuntimeError("the black box is disabled; nothing to flush")
-
-
-#: Shared stateless instance — the default wherever no recorder is wired.
-NULL_BLACKBOX = NullBlackBox()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ snapshot, the final summary, the configuration, and (optionally) the
 run's :class:`~repro.obs.log.EventLog` — into files inside a telemetry
 directory.  Exporters register in :data:`repro.registry.EXPORTERS`
 exactly like schedulers register in ``SCHEDULERS``, so third parties
-can add formats without touching the runner or the CLI::
+can add formats without touching the runner or the CLI (the built-ins
+below are registered there too, and this module loads on their first
+build)::
 
     from repro.registry import EXPORTERS
 
@@ -40,8 +42,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from ..registry import EXPORTERS
 
 __all__ = [
     "CsvExporter",
@@ -349,30 +349,3 @@ class SqliteExporter:
         finally:
             conn.close()
         return [path]
-
-
-EXPORTERS.register(
-    "jsonl",
-    JsonlExporter,
-    doc="events.jsonl + metrics.jsonl (the event log's round-trip format).",
-)
-EXPORTERS.register(
-    "prometheus",
-    PrometheusExporter,
-    doc="metrics.prom: Prometheus text-format snapshot.",
-)
-EXPORTERS.register(
-    "csv",
-    CsvExporter,
-    doc="series.csv + instruments.csv time-series tables.",
-)
-EXPORTERS.register(
-    "spans",
-    SpansExporter,
-    doc="spans.jsonl: hierarchical span tree (flight-recorder trace).",
-)
-EXPORTERS.register(
-    "sqlite",
-    SqliteExporter,
-    doc="telemetry.sqlite: instruments + spans as queryable tables.",
-)

@@ -29,7 +29,12 @@ once, so an unobserved run pays one method call per touch point.
 event (an invariant violation, a result-store hit) on the open phase.
 
 The module never imports :mod:`repro.sim`; :class:`EventKind` lives
-here so the simulation can import it.
+here so the simulation can import it.  So do :data:`NULL_MONITORS` and
+:data:`NULL_BLACKBOX`, the disabled stand-ins for a
+:class:`~repro.obs.monitors.MonitorSet` and a
+:class:`~repro.obs.blackbox.BlackBoxRecorder`: the simulation core
+imports nothing else from :mod:`repro.obs`, and an unobserved run never
+loads the recorder stack.
 """
 
 from __future__ import annotations
@@ -48,7 +53,11 @@ __all__ = [
     "EVENT_COUNTERS",
     "EventKind",
     "EventLog",
+    "NULL_BLACKBOX",
     "NULL_LOG",
+    "NULL_MONITORS",
+    "NullBlackBox",
+    "NullMonitors",
     "TIMED_PHASES",
     "TraceEvent",
 ]
@@ -458,3 +467,89 @@ class EventLog:
 
 #: The shared disabled log: the default wherever no log is attached.
 NULL_LOG = EventLog(enabled=False)
+
+
+class NullMonitors:
+    """The zero-overhead fast path.
+
+    ``enabled`` is False, so components skip the pre-copy work
+    (battery snapshots, backlog maps) entirely; the check methods are
+    still callable no-ops for defensive call sites.
+    """
+
+    enabled = False
+    strict = False
+    violations: Iterable[Dict[str, Any]] = ()
+
+    def check_battery_bounds(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def check_alive_mask(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def check_energy_conservation(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def check_erc_release(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def check_erc_release_arrays(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def check_plan_capacity(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def check_atomic_service(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def summary(self) -> Dict[str, Any]:
+        return {"total": 0, "by_invariant": {}}
+
+    def describe(self) -> Dict[str, Any]:
+        return {"strict": False}
+
+
+#: The shared default; simulation state falls back to it when no
+#: monitors are attached (one instance is enough — it holds no state).
+NULL_MONITORS = NullMonitors()
+
+
+class NullBlackBox:
+    """The zero-overhead default (mirrors ``NULL_LOG``).
+
+    ``enabled`` is False; components guard every recording touch point
+    on it, so the disabled path costs one attribute load.  The methods
+    remain callable no-ops for defensive call sites.
+    """
+
+    enabled = False
+    seq = 0
+    capacity = 0
+    checkpoint_every = 0
+    checkpoints: Iterable[Dict[str, Any]] = ()
+    violations: Iterable[Dict[str, Any]] = ()
+
+    def note(self, key: str, value: Any) -> None:
+        pass
+
+    def note_violation(self, record: Dict[str, Any]) -> None:
+        pass
+
+    def record(self, *args: Any, **kwargs: Any) -> int:
+        return 0
+
+    def should_checkpoint(self) -> bool:
+        return False
+
+    def add_checkpoint(self, checkpoint: Dict[str, Any]) -> None:
+        pass
+
+    def rows(self) -> List[Dict[str, Any]]:
+        return []
+
+    def flush(self, *args: Any, **kwargs: Any) -> Path:
+        raise RuntimeError("the black box is disabled; nothing to flush")
+
+
+#: Shared stateless instance — the default wherever no recorder is wired.
+NULL_BLACKBOX = NullBlackBox()

@@ -19,7 +19,8 @@ end-of-run counters cannot see being broken mid-run:
 
 A :class:`MonitorSet` attaches to the simulation state next to the
 event log; components guard the extra work with ``monitors.enabled``
-so the default :class:`NullMonitors` costs one attribute load per
+so the default :class:`NullMonitors` (defined next to ``NULL_LOG`` in
+:mod:`repro.obs.log`, re-exported here) costs one attribute load per
 touch point.  Violations are recorded on the ``violations`` list,
 marked on the run's :class:`~repro.obs.log.EventLog` (its snapshot
 counts them under ``monitors.*``), and — with
@@ -31,11 +32,11 @@ producing a plausible table.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .log import NULL_LOG, VIOLATION
+from .log import NULL_LOG, NULL_MONITORS, VIOLATION, NullMonitors
 
 __all__ = [
     "InvariantViolation",
@@ -372,48 +373,3 @@ class MonitorSet:
             "energy_rtol": float(self.ENERGY_RTOL),
             "plan_atol_j": float(self.PLAN_ATOL_J),
         }
-
-
-class NullMonitors:
-    """The zero-overhead fast path.
-
-    ``enabled`` is False, so components skip the pre-copy work
-    (battery snapshots, backlog maps) entirely; the check methods are
-    still callable no-ops for defensive call sites.
-    """
-
-    enabled = False
-    strict = False
-    violations: Iterable[Dict[str, Any]] = ()
-
-    def check_battery_bounds(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def check_alive_mask(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def check_energy_conservation(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def check_erc_release(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def check_erc_release_arrays(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def check_plan_capacity(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def check_atomic_service(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def summary(self) -> Dict[str, Any]:
-        return {"total": 0, "by_invariant": {}}
-
-    def describe(self) -> Dict[str, Any]:
-        return {"strict": False}
-
-
-#: The shared default; simulation state falls back to it when no
-#: monitors are attached (one instance is enough — it holds no state).
-NULL_MONITORS = NullMonitors()

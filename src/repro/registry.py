@@ -29,21 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
+from ._lazy import import_module
 from .core.activation import FullTimeActivator, RoundRobinActivator
 from .core.clustering import balanced_clustering, nearest_target_clustering
-from .core.combined import CombinedScheduler
 from .core.erc import AdaptiveEnergyRequestController, EnergyRequestController
-from .core.extensions import (
-    DeadlineAwareScheduler,
-    FCFSScheduler,
-    NearestFirstScheduler,
-    TwoOptInsertionScheduler,
-)
-from .core.greedy import GreedyScheduler
-from .core.insertion import InsertionScheduler
-from .core.partition import PartitionScheduler
 from .mobility.targets import TargetProcess
-from .mobility.waypoint import RandomWaypointProcess
 
 __all__ = [
     "ACTIVATORS",
@@ -206,8 +196,8 @@ MOBILITY_MODELS = Registry("target mobility model")
 
 #: Telemetry exporters; factories take no arguments and return objects
 #: with ``export(out_dir, bundle) -> List[Path]``.  The built-ins
-#: (``jsonl``, ``prometheus``, ``csv``) register on import of
-#: :mod:`repro.obs.exporters` (pulled in by the ``repro`` package).
+#: (``jsonl``, ``prometheus``, ``csv``, ``spans``, ``sqlite``) are
+#: registered below and load :mod:`repro.obs.exporters` on first build.
 EXPORTERS = Registry("telemetry exporter")
 
 
@@ -216,19 +206,32 @@ def erc_policy_name(adaptive_erp: bool) -> str:
     return "adaptive" if adaptive_erp else "static"
 
 
+def _load(target: str) -> Any:
+    """The object at ``"module:name"`` (``module`` relative to ``repro``).
+
+    Built-in factories resolve their class through this when they are
+    called, so the modules of the schedulers, mobility models and
+    exporters a process never builds are never imported.  The
+    components every run uses (activation, ERC, clustering, the jump
+    model) are imported with this module.
+    """
+    module, _, name = target.partition(":")
+    return getattr(import_module(f"{__package__}.{module}"), name)
+
+
 # -- built-in schedulers (paper first, then extensions) ---------------
 
 _FLEET_SCHEMA = {"fleet_size": "number of recharging vehicles"}
 
 SCHEDULERS.register(
     "greedy",
-    lambda fleet_size: GreedyScheduler(),
+    lambda fleet_size: _load("core.greedy:GreedyScheduler")(),
     schema=_FLEET_SCHEMA,
     doc="Online Algorithm 2: each RV chases its max-profit node.",
 )
 SCHEDULERS.register(
     "insertion",
-    lambda fleet_size: InsertionScheduler(),
+    lambda fleet_size: _load("core.insertion:InsertionScheduler")(),
     schema=_FLEET_SCHEMA,
     doc="Online Algorithm 3: profit-ordered route insertion (single RV).",
 )
@@ -236,37 +239,37 @@ SCHEDULERS.register(
     "partition",
     # An empty fleet never reaches assign(), so a 1-partition planner
     # is inert — but construction must not blow up for n_rvs = 0.
-    lambda fleet_size: PartitionScheduler(max(fleet_size, 1)),
+    lambda fleet_size: _load("core.partition:PartitionScheduler")(max(fleet_size, 1)),
     schema=_FLEET_SCHEMA,
     doc="Partition-Scheme: K-means split, one insertion route per part.",
 )
 SCHEDULERS.register(
     "combined",
-    lambda fleet_size: CombinedScheduler(),
+    lambda fleet_size: _load("core.combined:CombinedScheduler")(),
     schema=_FLEET_SCHEMA,
     doc="Combined-Scheme: sequential global insertion over the fleet.",
 )
 SCHEDULERS.register(
     "fcfs",
-    lambda fleet_size: FCFSScheduler(),
+    lambda fleet_size: _load("core.extensions:FCFSScheduler")(),
     schema=_FLEET_SCHEMA,
     doc="Extension: serve requests strictly in release order.",
 )
 SCHEDULERS.register(
     "nearest",
-    lambda fleet_size: NearestFirstScheduler(),
+    lambda fleet_size: _load("core.extensions:NearestFirstScheduler")(),
     schema=_FLEET_SCHEMA,
     doc="Extension: each RV repeatedly serves the nearest request.",
 )
 SCHEDULERS.register(
     "insertion+2opt",
-    lambda fleet_size: TwoOptInsertionScheduler(),
+    lambda fleet_size: _load("core.extensions:TwoOptInsertionScheduler")(),
     schema=_FLEET_SCHEMA,
     doc="Extension: Algorithm 3 plus a 2-opt post-pass per route.",
 )
 SCHEDULERS.register(
     "deadline",
-    lambda fleet_size: DeadlineAwareScheduler(),
+    lambda fleet_size: _load("core.extensions:DeadlineAwareScheduler")(),
     schema=_FLEET_SCHEMA,
     doc="Extension: insertion scheduling with a starvation guard.",
 )
@@ -334,7 +337,7 @@ MOBILITY_MODELS.register(
 )
 MOBILITY_MODELS.register(
     "waypoint",
-    lambda field, config, rng: RandomWaypointProcess(
+    lambda field, config, rng: _load("mobility.waypoint:RandomWaypointProcess")(
         field,
         config.n_targets,
         config.target_period_s,
@@ -343,4 +346,32 @@ MOBILITY_MODELS.register(
     ),
     schema={"field": "the sensing Field", "config": "SimulationConfig", "rng": "Generator"},
     doc="Random-waypoint motion with per-leg speed (extension).",
+)
+
+# -- built-in telemetry exporters (see repro.obs.exporters) -----------
+
+EXPORTERS.register(
+    "jsonl",
+    lambda: _load("obs.exporters:JsonlExporter")(),
+    doc="events.jsonl + metrics.jsonl (the event log's round-trip format).",
+)
+EXPORTERS.register(
+    "prometheus",
+    lambda: _load("obs.exporters:PrometheusExporter")(),
+    doc="metrics.prom: Prometheus text-format snapshot.",
+)
+EXPORTERS.register(
+    "csv",
+    lambda: _load("obs.exporters:CsvExporter")(),
+    doc="series.csv + instruments.csv time-series tables.",
+)
+EXPORTERS.register(
+    "spans",
+    lambda: _load("obs.exporters:SpansExporter")(),
+    doc="spans.jsonl: hierarchical span tree (flight-recorder trace).",
+)
+EXPORTERS.register(
+    "sqlite",
+    lambda: _load("obs.exporters:SqliteExporter")(),
+    doc="telemetry.sqlite: instruments + spans as queryable tables.",
 )

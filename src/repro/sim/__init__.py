@@ -1,23 +1,25 @@
 """Discrete-event simulation of the WRSN world."""
 
-from .components import (
-    ClusterManager,
-    EnergyAccounting,
-    FleetController,
-    RequestGate,
-    SimulationState,
-)
-from .config import DAY_S, HOUR_S, SimulationConfig
-from .engine import EventHandle, Simulator
-from .metrics import MetricsCollector, SimulationSummary
-from .runner import (
-    average_summaries,
-    make_scheduler,
-    run_seeds,
-    run_simulation,
-    run_with_telemetry,
-)
-from .world import World
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".components.clusters": ("ClusterManager",),
+    ".components.energy": ("EnergyAccounting",),
+    ".components.fleet": ("FleetController",),
+    ".components.gate": ("RequestGate",),
+    ".components.state": ("SimulationState",),
+    ".config": ("DAY_S", "HOUR_S", "SimulationConfig"),
+    ".engine": ("EventHandle", "Simulator"),
+    ".metrics": ("MetricsCollector", "SimulationSummary"),
+    ".runner": (
+        "average_summaries",
+        "make_scheduler",
+        "run_seeds",
+        "run_simulation",
+        "run_with_telemetry",
+    ),
+    ".world": ("World",),
+})
 
 __all__ = [
     "ClusterManager",

@@ -36,12 +36,9 @@ from ...energy.battery import BatteryBank
 from ...energy.consumption import NodePowerModel
 from ...geometry.field import Field
 from ...core import kernels
-from ...network.linkquality import apply_etx_metric
 from ...network.routing import RoutingTree
 from ...network.topology import Topology
-from ...obs.blackbox import NULL_BLACKBOX
-from ...obs.log import NULL_LOG
-from ...obs.monitors import NULL_MONITORS
+from ...obs.log import NULL_BLACKBOX, NULL_LOG, NULL_MONITORS
 from ...registry import MOBILITY_MODELS
 from ..config import SimulationConfig
 from ..engine import Simulator
@@ -106,6 +103,8 @@ def _build_network(
     n = len(sensor_pos)
     topology = Topology(sensor_pos, comm_range_m, base_station=np.frombuffer(base_station))
     if routing_metric == "etx":
+        from ...network.linkquality import apply_etx_metric  # the etx metric only
+
         etx_topology, _ = apply_etx_metric(topology)
         routing = RoutingTree(etx_topology)
         # Expected transmissions on each sensor's uplink: packets

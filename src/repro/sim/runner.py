@@ -13,25 +13,21 @@ from __future__ import annotations
 import logging
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.scheduling import Scheduler
-from ..obs import (
-    DEFAULT_EXPORTERS,
-    BlackBoxRecorder,
-    EventLog,
-    MonitorSet,
-    RunManifest,
-    TelemetryBundle,
-    blackbox_enabled,
-)
+from ..obs.log import EventLog
 from ..registry import EXPORTERS, SCHEDULERS
 from .config import SimulationConfig
 from .metrics import SimulationSummary
 from .serialization import config_to_dict
 from .world import World
+
+if TYPE_CHECKING:
+    from ..obs.blackbox import BlackBoxRecorder
+    from ..obs.manifest import RunManifest
 
 __all__ = [
     "make_scheduler",
@@ -90,6 +86,8 @@ def _make_blackbox(blackbox) -> Optional[BlackBoxRecorder]:
     """Resolve the ``blackbox`` argument convention shared by the run
     helpers: ``None`` consults ``REPRO_BLACKBOX``, ``True``/``False``
     force it on/off, and a recorder instance is used as-is."""
+    from ..obs.blackbox import BlackBoxRecorder, blackbox_enabled
+
     if blackbox is None:
         return BlackBoxRecorder() if blackbox_enabled() else None
     if blackbox is True:
@@ -154,6 +152,9 @@ def run_recorded(
     ``requested`` for a clean run.  ``strict`` arms strict monitors
     (``None`` consults ``REPRO_STRICT_MONITORS``).
     """
+    from ..obs.blackbox import BlackBoxRecorder
+    from ..obs.monitors import MonitorSet
+
     recorder = BlackBoxRecorder()
     monitors = MonitorSet(strict=strict, blackbox=recorder)
     world = World(config, monitors=monitors, blackbox=recorder)
@@ -206,6 +207,10 @@ def run_with_telemetry(
     Returns:
         ``(summary, manifest)``.
     """
+    from ..obs.exporters import DEFAULT_EXPORTERS, TelemetryBundle
+    from ..obs.manifest import RunManifest
+    from ..obs.monitors import MonitorSet
+
     names = list(exporters) if exporters is not None else list(DEFAULT_EXPORTERS)
     for name in names:
         EXPORTERS.check(name)

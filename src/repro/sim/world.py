@@ -18,7 +18,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..core.scheduling import Scheduler
-from ..obs.blackbox import digest_fields, digest_rng, digest_state
 from ..registry import SCHEDULERS
 from .components import (
     PRIO_DISPATCH,
@@ -143,7 +142,11 @@ class World:
         divergence near those points names the exact drifted array.
         The choice is a pure function of the record's ``seq``, which
         keeps replayed records structurally identical to recorded ones.
+        Only an armed recorder gets here, so the digest helpers are
+        imported here and an unarmed run never loads the recorder.
         """
+        from ..obs.blackbox import digest_fields, digest_rng, digest_state
+
         s = self.state
         bb = s.blackbox
         wall = perf_counter()

@@ -1,8 +1,12 @@
 """Shared utilities: table rendering and run statistics."""
 
-from .profiling import Timer, profile_call
-from .stats import mean_std, summarize_runs, t_confidence_interval
-from .tables import format_series, format_table
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".profiling": ("Timer", "profile_call"),
+    ".stats": ("mean_std", "summarize_runs", "t_confidence_interval"),
+    ".tables": ("format_series", "format_table"),
+})
 
 __all__ = [
     "Timer",

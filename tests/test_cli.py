@@ -166,3 +166,15 @@ class TestTelemetryCommands:
                    "--profile", "--profile-top", "5"])
         assert rc == 0
         assert "cProfile" in capsys.readouterr().out
+
+    def test_run_json_profile_is_one_json_document(self, capsys):
+        rc = main(["run", "--preset", "small", "--days", "0.1", "--seed", "2",
+                   "--json", "--profile", "--profile-top", "5"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"config", "summary", "profile"}
+        rows = payload["profile"]
+        assert len(rows) == 5
+        assert set(rows[0]) == {"function", "ncalls", "tottime_s", "cumtime_s"}
+        cum = [row["cumtime_s"] for row in rows]
+        assert cum == sorted(cum, reverse=True)
