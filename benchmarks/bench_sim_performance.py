@@ -41,6 +41,22 @@ def _best_of(fn, rounds=3):
     return best, result
 
 
+def _best_interleaved(legs, rounds=5):
+    """``(best seconds, last result)`` per leg, timed round by round.
+
+    Each round runs every leg once, so a slow stretch of a shared host
+    lands on all legs alike instead of on one leg's whole block.
+    """
+    best = [float("inf")] * len(legs)
+    results = [None] * len(legs)
+    for _ in range(rounds):
+        for j, fn in enumerate(legs):
+            t0 = time.perf_counter()
+            results[j] = fn()
+            best[j] = min(best[j], time.perf_counter() - t0)
+    return list(zip(best, results))
+
+
 def bench_telemetry_overhead():
     """Guardrail: the event log must be free when disabled.
 
@@ -105,7 +121,8 @@ def bench_blackbox_overhead():
 
     Times the same fixed-seed run three ways — null defaults, recorder
     armed (ring + per-event digests + periodic checkpoints), and
-    recorder armed without checkpoints — asserts all three summaries
+    recorder armed without checkpoints, interleaved round by round and
+    best of 5 each — asserts all three summaries
     are bit-identical (recording never touches the trajectory), and
     records the timings in benchmark history.  The armed run is held
     under ``_BLACKBOX_OVERHEAD_MAX``x the null run.
@@ -115,14 +132,13 @@ def bench_blackbox_overhead():
     cfg = SimulationConfig.small(sim_time_s=0.5 * DAY_S, seed=1)
     run_simulation(cfg)  # warm imports and numpy caches off the clock
 
-    t_null, plain = _best_of(lambda: run_simulation(cfg))
-
     def recorded(checkpoint_every):
         bb = BlackBoxRecorder(checkpoint_every=checkpoint_every)
         return World(cfg, blackbox=bb).run()
 
-    t_armed, flown = _best_of(lambda: recorded(64))
-    t_nockpt, flown2 = _best_of(lambda: recorded(0))
+    (t_null, plain), (t_armed, flown), (t_nockpt, flown2) = _best_interleaved(
+        [lambda: run_simulation(cfg), lambda: recorded(64), lambda: recorded(0)]
+    )
 
     assert flown.as_dict() == plain.as_dict()
     assert flown2.as_dict() == plain.as_dict()
@@ -136,7 +152,7 @@ def bench_blackbox_overhead():
             ["armed (no checkpoints)", round(t_nockpt, 4)],
             ["overhead ratio", round(ratio, 2)],
         ],
-        title="Flight-recorder overhead (0.5-day small run, best of 3)",
+        title="Flight-recorder overhead (0.5-day small run, best of 5)",
     )
     emit("blackbox_overhead", table,
          extra={"t_null_s": t_null, "t_armed_s": t_armed,

@@ -20,6 +20,10 @@ Commands:
   deterministically, diffing every replayed tick against the recorded
   state digests; exit 1 on divergence.
 
+A reader that closes stdout early (``repro estimate | head -1``) ends
+any command quietly with exit code 141 (128 + ``SIGPIPE``, what a shell
+reports for a process killed by a broken pipe), no traceback.
+
 Every simulation command accepts ``--preset {small,experiment,paper}``
 plus individual overrides, or ``--config file.json`` (see
 :mod:`repro.sim.serialization`).  Global flags: ``--version`` and
@@ -48,6 +52,9 @@ from .sim.serialization import config_from_dict, config_to_dict
 __all__ = ["main", "build_parser"]
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+#: Exit code when stdout's reader goes away mid-output (128 + SIGPIPE).
+EXIT_BROKEN_PIPE = 141
 
 _PRESETS = {
     "small": SimulationConfig.small,
@@ -536,7 +543,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             format="%(asctime)s %(levelname)-7s %(name)s: %(message)s",
             force=True,
         )
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro estimate | head -1``).
+        # The recipe of the Python docs' "Note on SIGPIPE": point stdout
+        # at devnull so the interpreter's own final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

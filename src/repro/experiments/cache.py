@@ -29,10 +29,16 @@ from ..sim.serialization import config_to_dict
 
 __all__ = [
     "cache_lookup",
+    "canonical_json",
     "code_token",
     "config_key",
     "summary_from_dict",
 ]
+
+#: The one sort-keys JSON encoder behind every cache key, blob digest
+#: and blob: the text ``json.dumps(obj, sort_keys=True)`` gives, without
+#: building a fresh :class:`json.JSONEncoder` per call.
+canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 
 _CODE_TOKEN: Optional[Dict[str, Optional[str]]] = None
@@ -64,9 +70,7 @@ def config_key(config: SimulationConfig) -> str:
     agree on the key; a different package version or git revision never
     collides with previously stored cells.
     """
-    payload = json.dumps(
-        {"config": config_to_dict(config), "code": code_token()}, sort_keys=True
-    )
+    payload = canonical_json({"config": config_to_dict(config), "code": code_token()})
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -81,12 +85,15 @@ def summary_from_dict(data: dict) -> SimulationSummary:
     return SimulationSummary(**kwargs)
 
 
-def cache_lookup(config: SimulationConfig, store) -> Optional[SimulationSummary]:
+def cache_lookup(
+    config: SimulationConfig, store, key: Optional[str] = None
+) -> Optional[SimulationSummary]:
     """The stored summary for ``config``, or None (a miss, or no store).
 
     ``store`` is a :class:`repro.experiments.store.ResultStore` or None;
-    it is read exactly once per call.
+    it is read exactly once per call.  ``key`` is ``config``'s
+    :func:`config_key` when the caller already holds it.
     """
     if store is None:
         return None
-    return store.get(config)
+    return store.get(config, key)

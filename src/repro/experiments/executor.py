@@ -13,6 +13,7 @@ keeping the output *bit-identical* to the serial path:
   :func:`repro.experiments.cache.cache_lookup`) happen in the parent —
   only misses are shipped to the pool — and completed cells are stored
   by the parent, so workers stay pure functions of their configuration;
+  each cell's store key is derived once, for its lookup and its put;
 * the worker entry point is the module-level
   :func:`repro.sim.runner.run_simulation` over a picklable frozen
   ``SimulationConfig``, which makes the pool safe under both ``fork``
@@ -240,9 +241,13 @@ def _stream(
     n_jobs = _resolve_jobs(jobs)
     store = _resolve_store(store)
 
+    # Each cell's key is derived once, for its lookup and (on a miss) its put.
+    keys: List[Optional[str]] = (
+        [None] * len(configs) if store is None else [store.key_for(c) for c in configs]
+    )
     misses: List[int] = []
     for i, cfg in enumerate(configs):
-        hit = cache.cache_lookup(cfg, store)
+        hit = cache.cache_lookup(cfg, store, keys[i])
         if hit is None:
             misses.append(i)
             continue
@@ -271,7 +276,7 @@ def _stream(
         i = misses[j]
         summary, rows = (out, None) if kind == "run" else out
         if store is not None:
-            store.put(configs[i], summary)
+            store.put(configs[i], summary, keys[i])
         yield i, summary, "run", rows
 
 
@@ -369,12 +374,12 @@ def grid_configs(
     **overrides,
 ) -> Tuple[List[CellKey], List[SimulationConfig]]:
     """The grid's keys plus the exact configurations the serial
-    :func:`repro.experiments.common.run_cell` loop would build."""
+    :func:`repro.experiments.common.run_cell` loop would build
+    (``base_config(...).with_overrides(seed=...)``), each built in one
+    construction."""
     keys = sweep_grid(scale, schedulers, erps)
     configs = [
-        scale.base_config(scheduler=sched, erp=erp, **overrides).with_overrides(
-            seed=seed
-        )
+        scale.base_config(scheduler=sched, erp=erp, **overrides, seed=seed)
         for sched, erp, seed in keys
     ]
     return keys, configs

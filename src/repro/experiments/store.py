@@ -21,6 +21,11 @@ named temp file in the blob's directory and renames it into place, so
 concurrent writers of one key (several processes sharing a store)
 neither corrupt nor trip over each other.
 
+A hit does the fixed per-cell work once and nothing more: the caller
+may pass the key it already derived, the blob is read from disk as
+bytes and its digest re-checked every time (no in-memory memo), and the
+blob's mtime is touched.
+
 Eviction is explicit and LRU: hits touch the blob's mtime, and
 :meth:`evict` drops the oldest blobs until the store fits the given
 entry/byte caps.
@@ -42,20 +47,22 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationSummary
-from .cache import config_key, summary_from_dict
+from .cache import canonical_json, config_key, summary_from_dict
 
 __all__ = ["ResultStore"]
 
 
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _payload_digest(summary_dict: Dict[str, float]) -> str:
     """The integrity hash stored inside each blob."""
-    return hashlib.sha256(
-        json.dumps(summary_dict, sort_keys=True).encode()
-    ).hexdigest()
+    return _text_digest(canonical_json(summary_dict))
 
 
 class ResultStore:
@@ -66,6 +73,7 @@ class ResultStore:
 
     def __init__(self, root) -> None:
         self.root = pathlib.Path(root)
+        self._objects = os.path.join(os.fspath(root), "objects")
         self.stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "puts": 0, "dedup": 0, "corrupt": 0,
         }
@@ -88,22 +96,29 @@ class ResultStore:
         """The cell's content address (config + code version digest)."""
         return config_key(config)
 
+    def _blob_file(self, key: str) -> str:
+        return os.path.join(self._objects, key[:2], key + ".json")
+
     def _blob_path(self, key: str) -> pathlib.Path:
-        return self.root / "objects" / key[:2] / f"{key}.json"
+        return pathlib.Path(self._blob_file(key))
 
     # -- read/write ---------------------------------------------------
 
-    def get(self, config: SimulationConfig) -> Optional[SimulationSummary]:
+    def get(
+        self, config: SimulationConfig, key: Optional[str] = None
+    ) -> Optional[SimulationSummary]:
         """The stored summary for ``config``, or None on miss.
 
-        A blob that fails to parse or whose integrity hash mismatches
-        is quarantined (best-effort unlink), counted as ``corrupt``
-        *and* as a miss — corruption degrades to recomputation, never
-        to an exception.
+        ``key`` is ``config``'s :meth:`key_for` when the caller already
+        holds it.  A blob that fails to parse or whose integrity hash
+        mismatches is quarantined (best-effort unlink), counted as
+        ``corrupt`` *and* as a miss — corruption degrades to
+        recomputation, never to an exception.
         """
-        path = self._blob_path(self.key_for(config))
+        path = self._blob_file(key or self.key_for(config))
         try:
-            blob = json.loads(path.read_text())
+            with open(path, "rb") as handle:  # a binary read skips TextIOWrapper
+                blob = json.loads(handle.read().decode())
             summary_dict = blob["summary"]
             if blob.get("sha256") != _payload_digest(summary_dict):
                 raise ValueError("integrity hash mismatch")
@@ -115,7 +130,7 @@ class ResultStore:
             self.stats["corrupt"] += 1
             self.stats["misses"] += 1
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return None
@@ -126,32 +141,39 @@ class ResultStore:
             pass
         return summary
 
-    def put(self, config: SimulationConfig, summary: SimulationSummary) -> str:
+    def put(
+        self,
+        config: SimulationConfig,
+        summary: SimulationSummary,
+        key: Optional[str] = None,
+    ) -> str:
         """Store a completed cell; returns its content address.
 
-        Content addressing makes re-puts no-ops (counted as
+        ``key`` is ``config``'s :meth:`key_for` when the caller already
+        holds it.  Content addressing makes re-puts no-ops (counted as
         ``dedup``): the key pins config *and* code version, so an
         existing blob already holds this exact payload.
         """
-        key = self.key_for(config)
-        path = self._blob_path(key)
-        if path.exists():
+        key = key or self.key_for(config)
+        path = self._blob_file(key)
+        if os.path.exists(path):
             self.stats["dedup"] += 1
             return key
-        path.parent.mkdir(parents=True, exist_ok=True)
-        summary_dict = summary.as_dict()
-        blob = {
-            "key": key,
-            "summary": summary_dict,
-            "sha256": _payload_digest(summary_dict),
-        }
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        # The summary is encoded once: the digest and the blob share the
+        # text, and the blob is what ``canonical_json`` makes of
+        # ``{"key", "sha256", "summary"}`` (keys in sorted order).
+        summary_text = canonical_json(summary.as_dict())
+        digest = _text_digest(summary_text)
+        text = f'{{"key": "{key}", "sha256": "{digest}", "summary": {summary_text}}}'
         # A private temp name per writer: a shared ``<key>.tmp`` lets one
         # writer's rename move another's file out from under it.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"{key}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 os.fchmod(fd, 0o644)  # mkstemp's 0600 would hide blobs from other readers
-                handle.write(json.dumps(blob, sort_keys=True))
+                handle.write(text.encode())
             os.replace(tmp, path)  # atomic on POSIX
         except BaseException:
             try:
@@ -163,7 +185,7 @@ class ResultStore:
         return key
 
     def __contains__(self, config: SimulationConfig) -> bool:
-        return self._blob_path(self.key_for(config)).exists()
+        return os.path.exists(self._blob_file(self.key_for(config)))
 
     # -- inventory and eviction ---------------------------------------
 
@@ -172,6 +194,22 @@ class ResultStore:
         if not objects.is_dir():
             return []
         return sorted(objects.glob("*/*.json"))
+
+    def _blob_stats(self) -> List[Tuple[float, int, pathlib.Path]]:
+        """``(mtime, size, path)`` per blob, one ``stat`` each.
+
+        A blob that vanishes between the listing and its ``stat`` (a
+        concurrent quarantine or eviction by another process sharing
+        the store) is skipped.
+        """
+        out = []
+        for path in self._blobs():
+            try:
+                st = path.stat()
+            except FileNotFoundError:
+                continue
+            out.append((st.st_mtime, st.st_size, path))
+        return out
 
     def keys(self) -> List[str]:
         """Every stored content address (sorted)."""
@@ -182,11 +220,16 @@ class ResultStore:
 
     def total_bytes(self) -> int:
         """Bytes of blob payload currently on disk."""
-        return sum(p.stat().st_size for p in self._blobs())
+        return sum(size for _, size, _ in self._blob_stats())
 
     def describe(self) -> Dict[str, int]:
         """A JSON-friendly snapshot (entries, bytes, lifetime totals)."""
-        return {"entries": len(self), "bytes": self.total_bytes(), **self.stats}
+        blobs = self._blob_stats()
+        return {
+            "entries": len(blobs),
+            "bytes": sum(size for _, size, _ in blobs),
+            **self.stats,
+        }
 
     def evict(
         self,
@@ -200,7 +243,7 @@ class ResultStore:
         """
         if max_entries is None and max_bytes is None:
             return 0
-        blobs = [(p.stat().st_mtime, p.stat().st_size, p) for p in self._blobs()]
+        blobs = self._blob_stats()
         blobs.sort()  # oldest (least recently hit) first
         entries = len(blobs)
         total = sum(size for _, size, _ in blobs)

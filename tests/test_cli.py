@@ -2,6 +2,9 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -178,3 +181,24 @@ class TestTelemetryCommands:
         assert set(rows[0]) == {"function", "ncalls", "tottime_s", "cumtime_s"}
         cum = [row["cumtime_s"] for row in rows]
         assert cum == sorted(cum, reverse=True)
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe early (``repro estimate | true``)
+    gets exit code 141 and no traceback on stderr."""
+    from repro.cli import EXIT_BROKEN_PIPE
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "estimate"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr

@@ -144,6 +144,31 @@ def test_hit_refreshes_lru_position(tmp_path, cell):
     assert not store._blob_path(keys[1]).exists()
 
 
+def test_inventory_survives_a_blob_vanishing_mid_scan(tmp_path, cell, monkeypatch):
+    """Another process sharing the store may quarantine or evict a blob
+    between the listing and its ``stat``: the inventory skips it."""
+    config, summary = cell
+    store = ResultStore(tmp_path / "store")
+    keys = [store.put(config.with_overrides(seed=s), summary) for s in (1, 2, 3)]
+    size = store._blob_path(keys[1]).stat().st_size
+    listing = ResultStore._blobs
+
+    def listing_then_unlink(self):
+        paths = listing(self)
+        if self._blob_path(keys[0]).exists():
+            self._blob_path(keys[0]).unlink()
+        return paths
+
+    monkeypatch.setattr(ResultStore, "_blobs", listing_then_unlink)
+    assert store.total_bytes() == 2 * size
+    described = store.describe()
+    assert (described["entries"], described["bytes"]) == (2, 2 * size)
+    store.put(config.with_overrides(seed=1), summary)  # back for evict's scan
+    assert store.evict(max_entries=1) == 1
+    monkeypatch.setattr(ResultStore, "_blobs", listing)
+    assert len(store) == 1
+
+
 def test_from_env(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     assert ResultStore.from_env() is None
