@@ -17,9 +17,9 @@ Run:  python examples/animal_monitoring.py
 import numpy as np
 
 from repro import SimulationConfig, World, balanced_clustering
-from repro.core.activation import RoundRobinActivator
 from repro.geometry import Field
 from repro.sim import DAY_S
+from repro.sim.soa import RoundRobinActivator, StateArrays
 
 
 def cluster_map() -> None:
@@ -46,7 +46,9 @@ def rotation_trace() -> None:
     sensors = field.deploy_uniform(150, rng)
     animals = field.random_points(4, rng)
     clusters = balanced_clustering(sensors, animals, sensing_range=14.0)
-    act = RoundRobinActivator(clusters)
+    # The activator keeps its rotation pointers in the flat per-cluster
+    # arrays a simulation shares with its other components.
+    act = RoundRobinActivator(clusters, StateArrays(150, 0))
     alive = np.ones(150, dtype=bool)
     for slot in range(6):
         on_duty = act.active_sensor_per_cluster(alive)

@@ -22,7 +22,6 @@ importing the package loads none of its submodules.
 from ._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".core.activation": ("FullTimeActivator", "RoundRobinActivator"),
     ".core.clustering": ("balanced_clustering", "nearest_target_clustering"),
     ".core.combined": ("CombinedScheduler",),
     ".core.erc": ("EnergyRequestController",),
@@ -47,6 +46,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".sim.config": ("DAY_S", "HOUR_S", "SimulationConfig"),
     ".sim.metrics": ("SimulationSummary",),
     ".sim.runner": ("make_scheduler", "run_seeds", "run_simulation", "run_with_telemetry"),
+    ".sim.soa": ("FullTimeActivator", "RoundRobinActivator"),
     ".sim.world": ("World",),
 })
 

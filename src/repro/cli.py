@@ -56,6 +56,10 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 #: Exit code when stdout's reader goes away mid-output (128 + SIGPIPE).
 EXIT_BROKEN_PIPE = 141
 
+#: Exit code of a configuration the CLI cannot build (argparse's code
+#: for a bad argument).
+EXIT_USAGE = 2
+
 _PRESETS = {
     "small": SimulationConfig.small,
     "experiment": SimulationConfig.experiment,
@@ -79,20 +83,34 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--targets", type=int, dest="n_targets")
 
 
+class _ConfigError(Exception):
+    """The command line or its ``--config`` file names no valid
+    configuration; :func:`main` reports it in one line."""
+
+
 def _build_config(args: argparse.Namespace) -> SimulationConfig:
-    if args.config:
-        with open(args.config) as f:
-            cfg = config_from_dict(json.load(f))
-    else:
-        cfg = _PRESETS[args.preset]()
-    overrides = {}
-    for key in ("scheduler", "activation", "erp", "seed", "n_rvs", "n_sensors", "n_targets"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "days", None) is not None:
-        overrides["sim_time_s"] = args.days * DAY_S
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    try:
+        if args.config:
+            with open(args.config) as f:
+                data = json.load(f)
+            if not isinstance(data, dict):
+                raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+            cfg = config_from_dict(data)
+        else:
+            cfg = _PRESETS[args.preset]()
+        overrides = {}
+        for key in ("scheduler", "activation", "erp", "seed", "n_rvs", "n_sensors", "n_targets"):
+            value = getattr(args, key, None)
+            if value is not None:
+                overrides[key] = value
+        if getattr(args, "days", None) is not None:
+            overrides["sim_time_s"] = args.days * DAY_S
+        return cfg.with_overrides(**overrides) if overrides else cfg
+    except OSError as exc:
+        raise _ConfigError(f"cannot read config: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        where = f"config {args.config}" if args.config else "config"
+        raise _ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -546,6 +564,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except _ConfigError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout early (``repro estimate | head -1``).
         # The recipe of the Python docs' "Note on SIGPIPE": point stdout

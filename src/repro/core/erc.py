@@ -19,11 +19,7 @@ instead of ``2 * nc * dist`` to keep a cluster alive.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
-
-from .clustering import ClusterSet
 
 __all__ = [
     "AdaptiveEnergyRequestController",
@@ -65,67 +61,21 @@ def erc_travel_energy_bound(
 
 
 class EnergyRequestController:
-    """Per-cluster gate between "below threshold" and "request sent".
+    """The paper's ERC policy: a fixed ERP.
 
     Args:
         erp: the Energy Request Percentage ``K`` in ``[0, 1]``.
 
-    The controller is stateless w.r.t. the cluster epoch: call
-    :meth:`nodes_to_release` with the current cluster set and masks, and
-    it answers which sensors may send requests *now*.  Tracking which
-    sensors already requested is the caller's job (the request gate —
-    :class:`repro.sim.components.gate.RequestGate` — keeps that mask;
-    a sensor leaves it when an RV refills it).
-
-    The per-cluster loop in :meth:`nodes_to_release` is the
-    specification of the array scan
-    (:func:`repro.sim.soa.erc_release`) the SoA tick engine runs;
-    subclasses that override it automatically keep their own code (the
-    request gate checks :func:`repro.sim.soa.erc_scan_applicable`).
+    A policy only carries ``K``; the request gate
+    (:class:`repro.sim.components.gate.RequestGate`) applies it with
+    the scan :func:`repro.sim.soa.erc_release` and reads ``erp`` on
+    every scan, so a policy may retune it between scans.
     """
 
     def __init__(self, erp: float) -> None:
         if not 0.0 <= erp <= 1.0:
             raise ValueError("erp must lie in [0, 1]")
         self.erp = float(erp)
-
-    def nodes_to_release(
-        self,
-        cluster_set: ClusterSet,
-        below_threshold: np.ndarray,
-        already_requested: np.ndarray,
-    ) -> List[int]:
-        """Sensors allowed to send their recharge request now.
-
-        Args:
-            cluster_set: current clustering.
-            below_threshold: boolean per sensor, battery below ``Eth``.
-            already_requested: boolean per sensor, request already on
-                the base station's list (these never re-release).
-
-        Returns:
-            Sorted sensor ids to add to the recharge node list.  For a
-            cluster, either every needy non-listed member releases (the
-            gate opened) or none does.  Unclustered needy sensors always
-            release.
-        """
-        below = np.asarray(below_threshold, dtype=bool)
-        listed = np.asarray(already_requested, dtype=bool)
-        if below.shape != (cluster_set.n_sensors,) or listed.shape != (cluster_set.n_sensors,):
-            raise ValueError("masks must have one entry per sensor")
-        release: List[int] = []
-        for c in cluster_set:
-            if c.size == 0:
-                continue
-            needy = c.members[below[c.members]]
-            # The ERP gate counts every member below threshold,
-            # including those already on the list (they "have fallen
-            # below the threshold" in the paper's definition).
-            if len(needy) >= release_count_needed(c.size, self.erp):
-                release.extend(int(s) for s in needy if not listed[s])
-        unclustered = ~cluster_set.clustered_mask()
-        release.extend(int(s) for s in np.flatnonzero(unclustered & below & ~listed))
-        return sorted(release)
 
 
 class AdaptiveEnergyRequestController(EnergyRequestController):

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from ._lazy import import_module
-from .core.activation import FullTimeActivator, RoundRobinActivator
 from .core.clustering import balanced_clustering, nearest_target_clustering
 from .core.erc import AdaptiveEnergyRequestController, EnergyRequestController
 from .mobility.targets import TargetProcess
@@ -181,10 +180,20 @@ class Registry:
 #: Recharge schedulers; factories take ``fleet_size`` (the RV count).
 SCHEDULERS = Registry("scheduler")
 
-#: Sensor activation schemes; factories take ``cluster_set``.
+#: Sensor activation schemes; factories take ``cluster_set`` and
+#: ``arrays`` (the world's :class:`~repro.sim.soa.StateArrays`) and
+#: return an object with the four methods of
+#: :class:`repro.sim.soa.RoundRobinActivator`: ``active_mask``,
+#: ``active_sensor_per_cluster``, ``covered_mask`` and ``rotate``.
+#: ``covered_mask`` must depend only on the alive mask and the cluster
+#: epoch: the world derives its coverage metric once per such pair.
+#: A ``rotates = False`` attribute skips the tick's rotation.
 ACTIVATORS = Registry("activation scheme")
 
-#: Energy Request Control policies; factories take ``config``.
+#: Energy Request Control policies; factories take ``config`` and
+#: return an object with a validated ``erp`` in ``[0, 1]`` (the gate's
+#: ``K``, read on every scan), plus optional ``observe_deaths(count)``
+#: and ``maybe_adjust(now_s)`` hooks.
 ERC_POLICIES = Registry("ERC policy")
 
 #: Clustering algorithms; the factory *is* the algorithm
@@ -212,8 +221,9 @@ def _load(target: str) -> Any:
     Built-in factories resolve their class through this when they are
     called, so the modules of the schedulers, mobility models and
     exporters a process never builds are never imported.  The
-    components every run uses (activation, ERC, clustering, the jump
-    model) are imported with this module.
+    components every run uses (ERC, clustering, the jump model) are
+    imported with this module.  The activators are resolved here too:
+    they live with the array state they run on, in :mod:`repro.sim.soa`.
     """
     module, _, name = target.partition(":")
     return getattr(import_module(f"{__package__}.{module}"), name)
@@ -276,16 +286,21 @@ SCHEDULERS.register(
 
 # -- built-in activation schemes --------------------------------------
 
+_ACTIVATOR_SCHEMA = {
+    "cluster_set": "the current ClusterSet",
+    "arrays": "the world's StateArrays (packed clusters, rotation pointers)",
+}
+
 ACTIVATORS.register(
     "round_robin",
-    lambda cluster_set: RoundRobinActivator(cluster_set),
-    schema={"cluster_set": "the current ClusterSet"},
+    lambda cluster_set, arrays: _load("sim.soa:RoundRobinActivator")(cluster_set, arrays),
+    schema=_ACTIVATOR_SCHEMA,
     doc="The paper's scheme: one member monitors per rotation slot.",
 )
 ACTIVATORS.register(
     "full_time",
-    lambda cluster_set: FullTimeActivator(cluster_set),
-    schema={"cluster_set": "the current ClusterSet"},
+    lambda cluster_set, arrays: _load("sim.soa:FullTimeActivator")(cluster_set, arrays),
+    schema=_ACTIVATOR_SCHEMA,
     doc="Prior-work baseline: every alive member monitors continuously.",
 )
 

@@ -18,7 +18,7 @@ from ...core.clustering import Cluster, ClusterSet
 from ...geometry.coverage import detection_matrix
 from ...obs.log import EventKind
 from ...registry import ACTIVATORS, CLUSTERINGS
-from ..soa import pack_clusters, wrap_activator
+from ..soa import pack_clusters
 from .state import SimulationState
 
 __all__ = ["ClusterManager"]
@@ -59,14 +59,12 @@ class ClusterManager:
             for c in local
         ]
         s.cluster_set = ClusterSet(clusters, s.cfg.n_sensors)
-        # Repack the padded member matrix for the new epoch — the gate's
-        # array ERC scan reads it even when the activator is a plugin
-        # the SoA engine doesn't wrap.
+        # Repack the padded member matrix for the new epoch: the
+        # activator and the gate's ERC scan read it.
         pack_clusters(s.cluster_set, s.arrays)
-        activator = ACTIVATORS.build(s.cfg.activation, cluster_set=s.cluster_set)
-        # The built-in activators are swapped for their array twins
-        # (plugins run unchanged).
-        s.activator = wrap_activator(activator, s.arrays)
+        s.activator = ACTIVATORS.build(
+            s.cfg.activation, cluster_set=s.cluster_set, arrays=s.arrays
+        )
 
     def relocate(self) -> None:
         """Move targets to their next epoch and rebuild the clusters."""

@@ -4,8 +4,9 @@
 the configured ERC policy over the below-threshold mask, releases
 requests onto the shared :class:`~repro.core.requests.RechargeNodeList`,
 keeps the per-sensor ``requested`` flags, and clears both when an RV
-refills a node.  Adaptive policies get their depletion feedback and
-periodic adjustment hook through here as well, so the rest of the
+refills a node.  The gate is the scan :func:`~repro.sim.soa.erc_release`
+at the policy's ``erp``; adaptive policies get their depletion feedback
+and periodic adjustment hook through here as well, so the rest of the
 system never touches the ERC object directly.
 """
 
@@ -19,7 +20,7 @@ from ...core.erc import EnergyRequestController
 from ...core.requests import RechargeRequest
 from ...obs.log import EventKind
 from ...registry import ERC_POLICIES, erc_policy_name
-from ..soa import erc_gate_constants, erc_release, erc_scan_applicable
+from ..soa import erc_gate_constants, erc_release
 from .state import SimulationState
 
 __all__ = ["RequestGate"]
@@ -33,8 +34,10 @@ class RequestGate:
     Args:
         state: the shared simulation state (the gate maintains
             ``state.requests`` and ``state.requested``).
-        erc: an ERC policy instance; built from the registry
-            (``static`` or ``adaptive`` per the config) when omitted.
+        erc: an ERC policy (the protocol of
+            :data:`repro.registry.ERC_POLICIES`); built from the
+            registry (``static`` or ``adaptive`` per the config) when
+            omitted.
     """
 
     def __init__(
@@ -46,13 +49,10 @@ class RequestGate:
                 erc_policy_name(state.cfg.adaptive_erp), config=state.cfg
             )
         self.erc = erc
-        # The array ERC scan replays exactly the base gate semantics; a
-        # policy that overrides nodes_to_release keeps its own code.
-        self.array_scan = erc_scan_applicable(self.erc)
         # The scan inputs right after the last scan's release: a state
         # equal to it releases nothing (see _check).
         self._quiet_key = None
-        # The array scan's GateConstants and their (cluster epoch, erp).
+        # The scan's GateConstants and their (cluster epoch, erp).
         self._constants = None
         self._constants_key = None
 
@@ -75,53 +75,43 @@ class RequestGate:
 
     def _check(self) -> bool:
         s = self.s
-        key = None
-        if self.array_scan:
-            a = s.arrays
-            # Same elementwise `<` as below_threshold_mask, written into
-            # the preallocated gate scratch.
-            below = np.less(s.bank.levels_j, s.bank.threshold_j, out=a.below_scratch)
-            # The release set is a function of exactly (below, requested,
-            # erp, cluster epoch).  Right after a scan's release every
-            # sensor it released is listed, so those inputs release
-            # nothing: while they recur the scan is skipped.
-            key = (below.tobytes(), s.requested.tobytes(), self.erc.erp, a.cluster_epoch)
-            if key == self._quiet_key:
-                to_release = []
-            else:
-                to_release = erc_release(
-                    self._gate_constants(), below, s.requested, a.release_scratch
-                )
+        a = s.arrays
+        # Same elementwise `<` as below_threshold_mask, written into the
+        # preallocated gate scratch.
+        below = np.less(s.bank.levels_j, s.bank.threshold_j, out=a.below_scratch)
+        # The release set is a function of exactly (below, requested,
+        # erp, cluster epoch).  Right after a scan's release every
+        # sensor it released is listed, so those inputs release
+        # nothing: while they recur the scan is skipped.
+        key = (below.tobytes(), s.requested.tobytes(), self.erc.erp, a.cluster_epoch)
+        if key == self._quiet_key:
+            to_release = []
         else:
-            below = s.bank.below_threshold_mask()
-            to_release = self.erc.nodes_to_release(s.cluster_set, below, s.requested)
+            to_release = erc_release(
+                self._gate_constants(), below, s.requested, a.release_scratch
+            )
         if s.monitors.enabled:
             # Independent re-derivation of the max(ceil(nc*K), 1) gate,
             # before the masks below are mutated by the release loop.
-            if self.array_scan:
-                s.monitors.check_erc_release_arrays(
-                    s.arrays.cluster_id,
-                    s.arrays.sizes,
-                    below,
-                    s.requested,
-                    to_release,
-                    self.erc.erp,
-                    s.now,
-                    cluster_set=s.cluster_set,
-                )
-            else:
-                s.monitors.check_erc_release(
-                    s.cluster_set, below, s.requested, to_release, self.erc.erp, s.now
-                )
+            s.monitors.check_erc_release_arrays(
+                a.cluster_id,
+                a.sizes,
+                below,
+                s.requested,
+                to_release,
+                self.erc.erp,
+                s.now,
+                cluster_set=s.cluster_set,
+            )
         released = self._release(to_release)
-        if key is not None and key != self._quiet_key:
+        if key != self._quiet_key:
             if released:  # the released sensors are listed now
                 key = (key[0], s.requested.tobytes(), key[2], key[3])
             self._quiet_key = key
         return released
 
     def _gate_constants(self):
-        """The array scan's :class:`~repro.sim.soa.GateConstants`,
+        """The scan's :class:`~repro.sim.soa.GateConstants`,
         derived once per ``(cluster epoch, erp)``."""
         a = self.s.arrays
         key = (a.cluster_epoch, self.erc.erp)

@@ -24,23 +24,6 @@ DAY_S = 24 * HOUR_S
 
 ROUTING_METRICS = ("distance", "etx")
 
-# Legacy name tuples (pre-registry API).  These are *live* views of the
-# registries, so plugin registrations show up and the values can never
-# drift from the single source of truth in :mod:`repro.registry`.
-_LEGACY_NAME_TUPLES = {
-    "SCHEDULERS": SCHEDULERS,
-    "ACTIVATIONS": ACTIVATORS,
-    "CLUSTERINGS": CLUSTERINGS,
-    "TARGET_MOBILITIES": MOBILITY_MODELS,
-}
-
-
-def __getattr__(name: str):
-    registry = _LEGACY_NAME_TUPLES.get(name)
-    if registry is not None:
-        return registry.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:

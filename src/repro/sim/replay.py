@@ -66,12 +66,7 @@ from ..registry import ACTIVATORS
 from ..utils.tables import format_table
 from .components.state import PRIO_DISPATCH, PRIO_RELOCATE, PRIO_TICK
 from .serialization import config_from_dict, restore_arrays, snapshot_arrays
-from .soa import (
-    SoAFullTimeActivator,
-    SoARoundRobinActivator,
-    pack_clusters,
-    wrap_activator,
-)
+from .soa import FullTimeActivator, RoundRobinActivator, pack_clusters
 
 __all__ = [
     "ReplayResult",
@@ -95,7 +90,7 @@ _PERIODIC_HANDLERS = {
 #: simply skips the checkpoint; records still flow).
 _ERC_TYPES = (EnergyRequestController, AdaptiveEnergyRequestController)
 _TARGET_TYPES = (TargetProcess, RandomWaypointProcess)
-_ACTIVATOR_TYPES = (SoARoundRobinActivator, SoAFullTimeActivator)
+_ACTIVATOR_TYPES = (RoundRobinActivator, FullTimeActivator)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +266,9 @@ def restore_world(
     det = detection_matrix(s.sensor_pos, s.targets.positions, config.sensing_range_m)
     s.coverable = det.any(axis=0)
     pack_clusters(s.cluster_set, s.arrays)
-    activator = ACTIVATORS.build(config.activation, cluster_set=s.cluster_set)
-    s.activator = wrap_activator(activator, s.arrays)
+    s.activator = ACTIVATORS.build(
+        config.activation, cluster_set=s.cluster_set, arrays=s.arrays
+    )
     if "ptr" in arrays:
         s.arrays.ptr[:] = np.asarray(arrays["ptr"], dtype=np.int64)
 

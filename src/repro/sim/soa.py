@@ -44,7 +44,7 @@ them once per alive set instead of once per call:
   metrics;
 * the array activators build a :class:`RotationTable` per alive set:
   ``(m, w)`` tables of the duty holder from every start slot and the
-  slot the pointer moves to, so :meth:`SoARoundRobinActivator.rotate`
+  slot the pointer moves to, so :meth:`RoundRobinActivator.rotate`
   is a handful of gathers at ``ptr``.  Tables and the duty memo are
   keyed on ``alive.tobytes()``, exact for any caller's mask;
 * per-epoch consumers key on the integer ``cluster_epoch``, never on
@@ -74,15 +74,16 @@ Counts are int64, so the result is exact whatever the summation order.
 Exactness contract
 ------------------
 
-Every kernel here selects the *same indices* with the same tie-breaks
-as the per-cluster loops of :mod:`repro.core.activation` and
-:mod:`repro.core.erc`, and then performs the identical IEEE-754
-arithmetic per element.  Those classes stay in the library as the path
-plugin activators and ERC policies that override ``nodes_to_release``
-take (:func:`wrap_activator` and :func:`erc_scan_applicable` pick the
-path from the object's type), and the tier-1 parity tests compare the
-kernels against them.  The relay counts are compared against a
-per-origin root-path walk (the test oracle in ``tests/oracles.py``).
+The array classes here are the simulator's only activators and
+:func:`erc_release` its only ERC scan.  Each selects the *same indices*
+with the same tie-breaks as a plain per-cluster loop and then performs
+the identical IEEE-754 arithmetic per element.  Those loops live in
+``tests/oracles.py`` as the executable specification: the tier-1
+parity tests compare the kernels against them, and whole runs on the
+array path against runs with the loops patched in.  The relay counts
+are compared against a per-origin root-path walk there too.  Plugin
+activators follow the protocol documented at
+:data:`repro.registry.ACTIVATORS`.
 """
 
 from __future__ import annotations
@@ -91,23 +92,20 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from ..core.activation import FullTimeActivator, RoundRobinActivator
-from ..core.erc import EnergyRequestController
 from ..network.routing import SubtreeIndex
 
 __all__ = [
     "ClusterIndex",
+    "FullTimeActivator",
     "GateConstants",
     "RotationTable",
+    "RoundRobinActivator",
     "StateArrays",
-    "SoAFullTimeActivator",
-    "SoARoundRobinActivator",
     "erc_gate_constants",
     "erc_release",
     "pack_clusters",
     "relay_counts",
     "rotation_table",
-    "wrap_activator",
 ]
 
 
@@ -207,8 +205,8 @@ def pack_clusters(cluster_set, arrays: StateArrays) -> None:
 
     Members stay in their per-cluster sorted order (the rotation order
     of Section III-C); rows are padded with ``-1`` and the rotation
-    pointers reset to slot 0, exactly as a fresh :class:`RoundRobinActivator`
-    would start.  The epoch's :class:`ClusterIndex` is derived here.
+    pointers reset to slot 0, so the rotation starts from the lowest
+    ID.  The epoch's :class:`ClusterIndex` is derived here.
     """
     sizes = cluster_set.sizes()
     width = int(sizes.max()) if len(sizes) else 0
@@ -255,8 +253,8 @@ def rotation_table(
 
     A reversed ``np.minimum.accumulate`` over the alive slot numbers
     gives the next alive slot at or after each ``j``; slots past a
-    row's last alive member wrap to its first: the vectorized
-    ``RoundRobinActivator._first_alive_from``.  The successor of the
+    row's last alive member wrap to its first (a depleted member never
+    acknowledges the notification, so the duty skips it).  The successor of the
     duty holder at ``j`` is the same array shifted by one slot (the
     last slot wrapping to the first) and gathered at the holder's slot.
     O(m·w) work and memory.
@@ -313,6 +311,7 @@ class _SoAActivator:
         return self._table
 
     def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
+        """The sensor monitoring each target right now (-1 if none alive)."""
         key = alive.tobytes()
         if key != self._actives_key:
             m, w = self.a.members.shape
@@ -324,12 +323,19 @@ class _SoAActivator:
         return self._actives
 
     def covered_mask(self, alive: np.ndarray) -> np.ndarray:
+        """Boolean per target: someone alive is monitoring it."""
         return self.active_sensor_per_cluster(alive) >= 0
 
 
-class SoARoundRobinActivator(_SoAActivator):
-    """Array round-robin rotation, bit-exact to
-    :class:`~repro.core.activation.RoundRobinActivator`.
+class RoundRobinActivator(_SoAActivator):
+    """Distributed round-robin activation within every cluster
+    (Section III-C).
+
+    Exactly one member monitors per slot.  Each cluster's rotation
+    pointer starts at its lowest sensor ID and walks the ID-sorted
+    member list one step per slot; depleted members are skipped,
+    emulating the unacknowledged-notification fallback.  Hand-offs are
+    reported so the simulator can charge the notification packets.
 
     All per-cluster state lives in the ``(members, sizes, ptr)`` block
     of a :class:`StateArrays`; every query is a gather at ``ptr`` from
@@ -342,6 +348,7 @@ class SoARoundRobinActivator(_SoAActivator):
         return table.cur.ravel()[table.base + self.a.ptr]
 
     def active_mask(self, alive: np.ndarray) -> np.ndarray:
+        """Boolean mask over sensors: actively sensing right now."""
         # One spare slot past the sensors takes the -1 of the clusters
         # with no alive member.
         mask = np.zeros(self.cluster_set.n_sensors + 1, dtype=bool)
@@ -349,9 +356,13 @@ class SoARoundRobinActivator(_SoAActivator):
         return mask[:-1]
 
     def rotate(self, alive: np.ndarray) -> np.ndarray:
-        """Advance every cluster's pointer one slot; returns the
-        ``(k, 2)`` hand-off pairs in cluster-id order (the
-        :class:`RoundRobinActivator` append order)."""
+        """Advance every cluster's pointer one slot.
+
+        Returns the ``(k, 2)`` hand-offs ``(retiring_sensor,
+        successor_sensor)``, in cluster-id order, of the clusters whose
+        duty moved between two alive sensors: each costs the retiring
+        node a notification TX and the successor an RX.
+        """
         a = self.a
         m, w = a.members.shape
         if m == 0 or w == 0:
@@ -371,9 +382,9 @@ class SoARoundRobinActivator(_SoAActivator):
         return handoffs
 
 
-class SoAFullTimeActivator(_SoAActivator):
-    """Array full-time activation, bit-exact to
-    :class:`~repro.core.activation.FullTimeActivator`."""
+class FullTimeActivator(_SoAActivator):
+    """All alive cluster members monitor simultaneously: the prior
+    recharging literature's baseline the paper compares against."""
 
     rotates = False
 
@@ -383,25 +394,12 @@ class SoAFullTimeActivator(_SoAActivator):
         return table.cur[:, 0]
 
     def active_mask(self, alive: np.ndarray) -> np.ndarray:
+        """Boolean mask over sensors: every alive cluster member."""
         return self.cluster_set.clustered_mask() & alive
 
     def rotate(self, alive: np.ndarray) -> np.ndarray:
+        """No rotation: returns no hand-offs."""
         return np.empty((0, 2), dtype=np.int64)
-
-
-def wrap_activator(activator, arrays: StateArrays):
-    """Swap a freshly built built-in activator for its SoA equivalent.
-
-    Only the two built-in schemes have array twins; anything else (a
-    plugin activator) runs its own code unchanged.  Called by the
-    cluster manager on every rebuild, so the rotation state starts from
-    slot 0 exactly like a freshly built activator.
-    """
-    if type(activator) is RoundRobinActivator:
-        return SoARoundRobinActivator(activator.cluster_set, arrays)
-    if type(activator) is FullTimeActivator:
-        return SoAFullTimeActivator(activator.cluster_set, arrays)
-    return activator
 
 
 # --------------------------------------------------------------------------
@@ -435,9 +433,8 @@ def erc_release(
     Per cluster the needy count (``below`` members, listed or not) is
     one ``bincount``; a cluster releases every needy non-listed member
     iff the count reaches its quorum ``gc.need``; unclustered needy
-    sensors always release.  Output is ascending sensor ids — exactly
-    ``EnergyRequestController.nodes_to_release``'s ``sorted(release)``.
-    ``out`` is a bool scratch buffer of sensor shape.
+    sensors always release.  Output is ascending sensor ids.  ``out``
+    is a bool scratch buffer of sensor shape.
     """
     release = np.greater(below, listed, out=out)  # below & ~listed
     m = len(gc.need)
@@ -446,14 +443,6 @@ def erc_release(
         open_gate = counts >= gc.need
         release &= gc.unclustered | open_gate[gc.row]
     return release.nonzero()[0].tolist()
-
-
-def erc_scan_applicable(erc) -> bool:
-    """The array scan replays exactly the *base* gate semantics; a
-    policy that overrides ``nodes_to_release`` keeps its own code."""
-    return (
-        type(erc).nodes_to_release is EnergyRequestController.nodes_to_release
-    )
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .components import (
 from .config import SimulationConfig
 from .metrics import SimulationSummary
 from .serialization import snapshot_arrays
-from .soa import SoAFullTimeActivator, SoARoundRobinActivator
 
 __all__ = ["World"]
 
@@ -40,8 +39,6 @@ __all__ = ["World"]
 #: :meth:`World._flight_record`); plain ticks in between carry only the
 #: combined state digest.
 _FULL_DIGEST_EVERY = 16
-
-_ARRAY_ACTIVATORS = (SoARoundRobinActivator, SoAFullTimeActivator)
 
 
 class World:
@@ -175,14 +172,12 @@ class World:
     def _record_metrics(self) -> None:
         s = self.state
         alive = s.arrays.alive
-        # The array activators cover a cluster iff it has an alive
-        # member, so the three fields are a function of the alive set
-        # and the cluster epoch (which also fixes ``coverable``): they
-        # are derived once per key.  Plugin activators derive every time.
-        key = None
-        if type(s.activator) in _ARRAY_ACTIVATORS:
-            key = (alive.tobytes(), s.arrays.cluster_epoch)
-        if key is None or key != self._metrics_key:
+        # An activator's covered mask is a function of the alive set
+        # and the cluster epoch (the plugin protocol of repro.sim.soa),
+        # and the epoch also fixes ``coverable``: the three fields are
+        # derived once per key.
+        key = (alive.tobytes(), s.arrays.cluster_epoch)
+        if key != self._metrics_key:
             self._metrics_key = key
             self._metrics_fields = self._derive_metrics(alive)
         coverage, nonfunctional, operational = self._metrics_fields

@@ -9,6 +9,10 @@ specification the parity tests compare the kernels against:
 
 * :func:`relay_walk` — per-origin root-path walk of the relay packet
   counts (:func:`repro.sim.soa.relay_counts`);
+* :class:`RoundRobinLoop`, :class:`FullTimeLoop` and
+  :func:`nodes_to_release` — the per-cluster activation and ERC gate
+  loops (the activators of :mod:`repro.sim.soa` and
+  :func:`repro.sim.soa.erc_release`);
 * the energy path's earlier forms: :func:`price_rates` (``np.where``
   masks over float through-counts), :func:`drain_handoffs` (one lump
   drain per column) and :class:`DataclassSimulator` (a heap of
@@ -29,17 +33,17 @@ specification the parity tests compare the kernels against:
   table (:mod:`repro.core.insertion`).
 
 :func:`reference_kernels` and :func:`reference_tick_paths` patch the
-oracles (and the per-cluster activation / ERC classes that stay in the
-library for plugins) into the call sites, so whole scheduler calls and
-whole simulation runs can be compared against the array path.
+oracles into the call sites, so whole scheduler calls and whole
+simulation runs can be compared against the array path.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 from unittest import mock
 
@@ -86,6 +90,123 @@ def walk_relay_counts(origins: np.ndarray, parent: np.ndarray) -> np.ndarray:
     for others.  An origin with no route has parent ``-1``, so its walk
     adds to nothing and it relays nothing."""
     return walk_counts(origins, parent) - origins
+
+
+# ----------------------------------------------------------------------
+# activation and the ERC gate (Sections III-B and III-C)
+# ----------------------------------------------------------------------
+
+
+class FullTimeLoop:
+    """Full-time activation, one cluster at a time
+    (:class:`repro.sim.soa.FullTimeActivator`): every alive member
+    monitors, the lowest-ID alive one is reported per cluster."""
+
+    rotates = False
+
+    def __init__(self, cluster_set, arrays=None) -> None:
+        self.cluster_set = cluster_set
+
+    def active_mask(self, alive: np.ndarray) -> np.ndarray:
+        return self.cluster_set.clustered_mask() & alive
+
+    def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
+        out = np.full(len(self.cluster_set), -1, dtype=np.int64)
+        for c in self.cluster_set:
+            alive_members = c.members[alive[c.members]]
+            if len(alive_members) > 0:
+                out[c.cluster_id] = alive_members[0]
+        return out
+
+    def covered_mask(self, alive: np.ndarray) -> np.ndarray:
+        return self.active_sensor_per_cluster(alive) >= 0
+
+    def rotate(self, alive: np.ndarray) -> np.ndarray:
+        return np.empty((0, 2), dtype=np.int64)
+
+
+class RoundRobinLoop:
+    """Round-robin activation, one cluster at a time
+    (:class:`repro.sim.soa.RoundRobinActivator`).
+
+    Each cluster's pointer walks its ID-sorted member list one slot per
+    rotation, starting at the lowest ID; depleted members are skipped
+    (no acknowledgement of the notification), and every move of the
+    duty between two alive members is reported as a hand-off.
+    """
+
+    rotates = True
+
+    def __init__(self, cluster_set, arrays=None) -> None:
+        self.cluster_set = cluster_set
+        self._ptr = np.zeros(len(cluster_set), dtype=np.int64)
+
+    def _first_alive_from(self, cluster_id: int, start: int, alive: np.ndarray) -> Optional[int]:
+        """Member *slot* of the first alive member at or after ``start``
+        (wrapping), or None if the cluster is entirely depleted."""
+        members = self.cluster_set[cluster_id].members
+        nc = len(members)
+        for step in range(nc):
+            slot = (start + step) % nc
+            if alive[members[slot]]:
+                return slot
+        return None
+
+    def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
+        out = np.full(len(self.cluster_set), -1, dtype=np.int64)
+        for c in self.cluster_set:
+            slot = self._first_alive_from(c.cluster_id, int(self._ptr[c.cluster_id]), alive)
+            if slot is not None:
+                out[c.cluster_id] = c.members[slot]
+        return out
+
+    def active_mask(self, alive: np.ndarray) -> np.ndarray:
+        mask = np.zeros(self.cluster_set.n_sensors, dtype=bool)
+        actives = self.active_sensor_per_cluster(alive)
+        mask[actives[actives >= 0]] = True
+        return mask
+
+    def covered_mask(self, alive: np.ndarray) -> np.ndarray:
+        return self.active_sensor_per_cluster(alive) >= 0
+
+    def rotate(self, alive: np.ndarray) -> np.ndarray:
+        handoffs = []
+        for c in self.cluster_set:
+            nc = c.size
+            if nc == 0:
+                continue
+            cur_slot = self._first_alive_from(c.cluster_id, int(self._ptr[c.cluster_id]), alive)
+            if cur_slot is None:
+                continue
+            nxt_slot = self._first_alive_from(c.cluster_id, (cur_slot + 1) % nc, alive)
+            self._ptr[c.cluster_id] = nxt_slot if nxt_slot is not None else cur_slot
+            if nxt_slot is not None and nxt_slot != cur_slot:
+                handoffs.append((int(c.members[cur_slot]), int(c.members[nxt_slot])))
+        if not handoffs:
+            return np.empty((0, 2), dtype=np.int64)
+        return np.array(handoffs, dtype=np.int64)
+
+
+def nodes_to_release(erp: float, cluster_set, below: np.ndarray, listed: np.ndarray) -> List[int]:
+    """The ERC gate one cluster at a time (:func:`repro.sim.soa.erc_release`).
+
+    A cluster releases every needy (``below``) non-listed member once
+    ``release_count_needed(nc, erp)`` of its members are needy, listed
+    ones included; unclustered needy sensors always release.  Returns
+    ascending sensor ids.
+    """
+    from repro.core.erc import release_count_needed
+
+    release: List[int] = []
+    for c in cluster_set:
+        if c.size == 0:
+            continue
+        needy = c.members[below[c.members]]
+        if len(needy) >= release_count_needed(c.size, erp):
+            release.extend(int(s) for s in needy if not listed[s])
+    unclustered = ~cluster_set.clustered_mask()
+    release.extend(int(s) for s in np.flatnonzero(unclustered & below & ~listed))
+    return sorted(release)
 
 
 # ----------------------------------------------------------------------
@@ -651,25 +772,49 @@ def reference_kernels():
 
 @contextlib.contextmanager
 def reference_tick_paths():
-    """Build worlds whose tick runs the per-object reference code.
+    """Build worlds whose tick runs the per-cluster reference loops.
 
-    Inside the block, newly built worlds keep the per-cluster
-    :class:`~repro.core.activation.RoundRobinActivator` /
-    :class:`~repro.core.activation.FullTimeActivator` loops (the path a
-    plugin activator takes), gate requests through
-    :meth:`~repro.core.erc.EnergyRequestController.nodes_to_release`
-    (the path an overriding ERC policy takes), and count relay packets
-    with :func:`relay_walk` over the routing parents — no preorder is
-    built, so the relay counts are checked independently.
+    Inside the block, newly built worlds get their activators from
+    :class:`RoundRobinLoop` / :class:`FullTimeLoop` (through the
+    registry's factories), gate requests through
+    :func:`nodes_to_release` over the state's cluster set and the
+    policy's ``erp``, and count relay packets with :func:`relay_walk`
+    over the routing parents — no preorder is built, so the relay
+    counts are checked independently.  Yields a
+    :class:`collections.Counter` of the oracle calls (``round_robin``,
+    ``full_time`` builds and ``erc`` scans), so a caller can check the
+    loops really ran.
     """
-    with mock.patch(
-        "repro.sim.components.clusters.wrap_activator", lambda act, arrays: act
+    from repro.registry import ACTIVATORS
+    from repro.sim.components.gate import RequestGate
+
+    calls = collections.Counter()
+
+    def loop_factory(name, cls):
+        def build(cluster_set, arrays):
+            calls[name] += 1
+            return cls(cluster_set, arrays)
+
+        return replace(ACTIVATORS.spec(name), factory=build)
+
+    def release(gate_inputs, below, listed, out):
+        calls["erc"] += 1
+        erp, cluster_set = gate_inputs
+        return nodes_to_release(erp, cluster_set, below, listed)
+
+    with mock.patch.dict(ACTIVATORS._specs, {
+        "round_robin": loop_factory("round_robin", RoundRobinLoop),
+        "full_time": loop_factory("full_time", FullTimeLoop),
+    }), mock.patch.object(
+        # The oracle reads the policy's erp and the ClusterSet itself,
+        # not the packed GateConstants.
+        RequestGate, "_gate_constants", lambda gate: (gate.erc.erp, gate.s.cluster_set)
     ), mock.patch(
-        "repro.sim.components.gate.erc_scan_applicable", lambda erc: False
+        "repro.sim.components.gate.erc_release", release
     ), mock.patch(
         "repro.sim.components.energy.subtree_index",
         lambda parent, base, n: np.asarray(parent, dtype=np.int64),
     ), mock.patch(
         "repro.sim.components.energy.relay_counts", walk_relay_counts
     ):
-        yield
+        yield calls

@@ -6,6 +6,7 @@ import pytest
 from repro.core.clustering import Cluster, ClusterSet
 from repro.core.erc import AdaptiveEnergyRequestController
 from repro.sim.config import DAY_S, SimulationConfig
+from repro.sim.soa import StateArrays, erc_gate_constants, erc_release, pack_clusters
 from repro.sim.world import World
 
 
@@ -60,10 +61,14 @@ class TestAdaptiveController:
     def test_gate_still_works(self):
         ctl = self.make(initial_erp=1.0)
         cs = ClusterSet([Cluster(0, [0, 1])], n_sensors=2)
+        arrays = StateArrays(2, 0)
+        pack_clusters(cs, arrays)
+        constants = erc_gate_constants(cs.membership, arrays.sizes, ctl.erp)
         below = np.array([True, False])
-        assert ctl.nodes_to_release(cs, below, np.zeros(2, bool)) == []
+        listed = np.zeros(2, bool)
+        assert erc_release(constants, below, listed, arrays.release_scratch) == []
         below[1] = True
-        assert ctl.nodes_to_release(cs, below, np.zeros(2, bool)) == [0, 1]
+        assert erc_release(constants, below, listed, arrays.release_scratch) == [0, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ SUBPACKAGES = [
 
 MODULES = [
     "repro.cli",
-    "repro.core.activation",
     "repro.core.clustering",
     "repro.core.combined",
     "repro.core.erc",
@@ -68,6 +67,7 @@ MODULES = [
     "repro.sim.metrics",
     "repro.sim.runner",
     "repro.sim.serialization",
+    "repro.sim.soa",
     "repro.sim.world",
     "repro.tsp.nearest_neighbor",
     "repro.tsp.tour",

@@ -183,6 +183,41 @@ class TestTelemetryCommands:
         assert cum == sorted(cum, reverse=True)
 
 
+class TestBadInput:
+    """A configuration the CLI cannot build ends in one ``repro: error:``
+    line on stderr and exit code 2 (argparse's), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "flags, config_text",
+        [
+            (["--erp", "2"], None),
+            (["--days", "-1"], None),
+            (["--config", "{missing}"], None),
+            (["--config", os.devnull], None),
+            (["--config", "{file}"], '{"bogus": 1}'),
+            (["--config", "{file}"], "[1]"),
+        ],
+        ids=[
+            "erp-2", "negative-days", "missing-file", "empty-file", "unknown-key",
+            "not-an-object",
+        ],
+    )
+    def test_one_line_error_and_exit_2(self, tmp_path, capsys, flags, config_text):
+        path = tmp_path / "cfg.json"
+        if config_text is not None:
+            path.write_text(config_text)
+        flags = [
+            f.format(missing=tmp_path / "nonexistent.json", file=path) for f in flags
+        ]
+        rc = main(["run", "--preset", "small", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro: error: ")
+
+
 def test_closed_stdout_ends_quietly():
     """A reader that closes the pipe early (``repro estimate | true``)
     gets exit code 141 and no traceback on stderr."""

@@ -21,7 +21,7 @@ from repro.sim.components import (
     SimulationState,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.soa import erc_gate_constants, erc_release, pack_clusters, wrap_activator
+from repro.sim.soa import erc_gate_constants, erc_release, pack_clusters
 
 
 def cfg(**overrides):
@@ -298,8 +298,8 @@ def repartition(s, groups):
         s.cfg.n_sensors,
     )
     pack_clusters(s.cluster_set, s.arrays)
-    s.activator = wrap_activator(
-        ACTIVATORS.build(s.cfg.activation, cluster_set=s.cluster_set), s.arrays
+    s.activator = ACTIVATORS.build(
+        s.cfg.activation, cluster_set=s.cluster_set, arrays=s.arrays
     )
 
 

@@ -1,4 +1,8 @@
-"""Unit tests for Energy Request Control (Section III-B)."""
+"""Unit tests for Energy Request Control (Section III-B).
+
+The gate cases run the scan the request gate uses,
+:func:`repro.sim.soa.erc_release`, at the policy's ``erp``.
+"""
 
 import numpy as np
 import pytest
@@ -9,10 +13,19 @@ from repro.core.erc import (
     erc_travel_energy_bound,
     release_count_needed,
 )
+from repro.sim.soa import StateArrays, erc_gate_constants, erc_release, pack_clusters
 
 
 def make_cs():
     return ClusterSet([Cluster(0, [0, 1, 2, 3]), Cluster(1, [4, 5])], n_sensors=8)
+
+
+def release(ctl, cs, below, listed):
+    """Sensors the gate releases at ``ctl.erp`` over ``cs``."""
+    arrays = StateArrays(cs.n_sensors, 0)
+    pack_clusters(cs, arrays)
+    constants = erc_gate_constants(cs.membership, arrays.sizes, ctl.erp)
+    return erc_release(constants, below, listed, arrays.release_scratch)
 
 
 class TestReleaseCount:
@@ -59,22 +72,22 @@ class TestController:
         ctl = EnergyRequestController(0.0)
         below = np.zeros(8, dtype=bool)
         below[1] = True
-        out = ctl.nodes_to_release(make_cs(), below, np.zeros(8, dtype=bool))
+        out = release(ctl, make_cs(), below, np.zeros(8, dtype=bool))
         assert out == [1]
 
     def test_gate_holds_until_count(self):
         ctl = EnergyRequestController(0.75)  # needs 3 of 4 in cluster 0
         below = np.zeros(8, dtype=bool)
         below[[0, 1]] = True
-        assert ctl.nodes_to_release(make_cs(), below, np.zeros(8, dtype=bool)) == []
+        assert release(ctl, make_cs(), below, np.zeros(8, dtype=bool)) == []
         below[2] = True
-        assert ctl.nodes_to_release(make_cs(), below, np.zeros(8, dtype=bool)) == [0, 1, 2]
+        assert release(ctl, make_cs(), below, np.zeros(8, dtype=bool)) == [0, 1, 2]
 
     def test_whole_backlog_released_at_once(self):
         ctl = EnergyRequestController(1.0)
         below = np.zeros(8, dtype=bool)
         below[[4, 5]] = True
-        assert ctl.nodes_to_release(make_cs(), below, np.zeros(8, dtype=bool)) == [4, 5]
+        assert release(ctl, make_cs(), below, np.zeros(8, dtype=bool)) == [4, 5]
 
     def test_already_requested_not_rereleased(self):
         ctl = EnergyRequestController(0.0)
@@ -82,7 +95,7 @@ class TestController:
         below[[0, 1]] = True
         listed = np.zeros(8, dtype=bool)
         listed[0] = True
-        assert ctl.nodes_to_release(make_cs(), below, listed) == [1]
+        assert release(ctl, make_cs(), below, listed) == [1]
 
     def test_listed_nodes_count_toward_gate(self):
         """A member already on the list still counts as 'below threshold'
@@ -92,18 +105,18 @@ class TestController:
         below[[0, 1]] = True
         listed = np.zeros(8, dtype=bool)
         listed[0] = True
-        assert ctl.nodes_to_release(make_cs(), below, listed) == [1]
+        assert release(ctl, make_cs(), below, listed) == [1]
 
     def test_unclustered_always_release(self):
         ctl = EnergyRequestController(1.0)
         below = np.zeros(8, dtype=bool)
         below[[6, 7]] = True  # unclustered sensors
-        assert ctl.nodes_to_release(make_cs(), below, np.zeros(8, dtype=bool)) == [6, 7]
+        assert release(ctl, make_cs(), below, np.zeros(8, dtype=bool)) == [6, 7]
 
     def test_mask_shape_validation(self):
         ctl = EnergyRequestController(0.5)
         with pytest.raises(ValueError):
-            ctl.nodes_to_release(make_cs(), np.zeros(3, dtype=bool), np.zeros(8, dtype=bool))
+            release(ctl, make_cs(), np.zeros(3, dtype=bool), np.zeros(8, dtype=bool))
 
     def test_erp_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +131,6 @@ class TestController:
         rng = np.random.default_rng(3)
         for _ in range(20):
             below = rng.random(8) < 0.5
-            lo = set(EnergyRequestController(0.2).nodes_to_release(cs, below, np.zeros(8, bool)))
-            hi = set(EnergyRequestController(0.9).nodes_to_release(cs, below, np.zeros(8, bool)))
+            lo = set(release(EnergyRequestController(0.2), cs, below, np.zeros(8, bool)))
+            hi = set(release(EnergyRequestController(0.9), cs, below, np.zeros(8, bool)))
             assert hi <= lo

@@ -148,7 +148,7 @@ class TestRegistryRoundTrip:
             )
             summary = run_simulation(cfg)
             assert summary.n_recharges > 0
-            # The legacy config tuple reflects the registration too.
+            # Config validation reads the same registry.
             from repro.sim import config as config_module
 
             assert "everyone-home" in config_module.SCHEDULERS
@@ -156,3 +156,104 @@ class TestRegistryRoundTrip:
             SCHEDULERS.unregister("everyone-home")
         with pytest.raises(ValueError):
             SimulationConfig(scheduler="everyone-home")
+
+
+class _LowestAliveActivator:
+    """Plugin activator: the lowest-ID alive member of each cluster
+    monitors, with no rotation (the documented four-method protocol)."""
+
+    rotates = False
+
+    def __init__(self, cluster_set, arrays):
+        self.cluster_set = cluster_set
+        self.arrays = arrays
+
+    def active_sensor_per_cluster(self, alive):
+        out = np.full(len(self.cluster_set), -1, dtype=np.int64)
+        for c in self.cluster_set:
+            live = c.members[alive[c.members]]
+            if len(live):
+                out[c.cluster_id] = live[0]
+        return out
+
+    def active_mask(self, alive):
+        mask = np.zeros(self.cluster_set.n_sensors, dtype=bool)
+        on = self.active_sensor_per_cluster(alive)
+        mask[on[on >= 0]] = True
+        return mask
+
+    def covered_mask(self, alive):
+        # A function of the alive mask and the cluster epoch only.
+        return self.active_sensor_per_cluster(alive) >= 0
+
+    def rotate(self, alive):
+        return np.empty((0, 2), dtype=np.int64)
+
+
+class _HalvingPolicy:
+    """Plugin ERC policy: a validated ``erp`` that halves every time a
+    sensor dies, plus the two optional hooks."""
+
+    def __init__(self, erp):
+        if not 0.0 <= erp <= 1.0:
+            raise ValueError("erp must lie in [0, 1]")
+        self.erp = erp
+        self.deaths = 0
+        self.adjust_calls = 0
+
+    def observe_deaths(self, count):
+        self.deaths += count
+
+    def maybe_adjust(self, now_s):
+        self.adjust_calls += 1
+        if self.deaths:
+            self.erp /= 2
+
+
+class TestPluginProtocol:
+    def test_plugin_activator_and_erc_policy_run_strict(self):
+        """A plugin activator and a plugin ERC policy, registered under
+        the documented protocol, run a 1-day world under strict
+        monitors.  The config picks its ERC policy by ``adaptive_erp``,
+        so the plugin takes the ``static`` name for the test and the
+        built-in is restored after it."""
+        from repro.obs.monitors import MonitorSet
+        from repro.sim.config import DAY_S
+        from repro.sim.world import World
+
+        static = ERC_POLICIES.spec("static")
+        ACTIVATORS.register(
+            "lowest-alive",
+            lambda cluster_set, arrays: _LowestAliveActivator(cluster_set, arrays),
+            schema={"cluster_set": "the current ClusterSet", "arrays": "StateArrays"},
+        )
+        ERC_POLICIES.register(
+            "static", lambda config: _HalvingPolicy(config.erp), replace=True
+        )
+        try:
+            cfg = SimulationConfig.small(
+                activation="lowest-alive", erp=0.5, sim_time_s=DAY_S, seed=5
+            )
+            monitors = MonitorSet(strict=True)
+            world = World(cfg, monitors=monitors)
+            summary = world.run()
+            s = world.state
+            assert isinstance(s.activator, _LowestAliveActivator)
+            assert s.activator.arrays is s.arrays
+            assert isinstance(world.gate.erc, _HalvingPolicy)
+            assert world.gate.erc.adjust_calls > 0
+            assert summary.n_requests > 0
+            assert monitors.violations == []
+            # One monitoring member per cluster with an alive member.
+            on = s.activator.active_mask(s.arrays.alive)
+            assert np.count_nonzero(on) == np.count_nonzero(
+                s.activator.covered_mask(s.arrays.alive)
+            )
+        finally:
+            ACTIVATORS.unregister("lowest-alive")
+            ERC_POLICIES.register(
+                "static", static.factory, schema=static.schema, doc=static.doc, replace=True
+            )
+        assert ERC_POLICIES.spec("static") == static
+        with pytest.raises(ValueError):
+            SimulationConfig(activation="lowest-alive")

@@ -9,7 +9,7 @@ the per-object loops specify:
 * engine equivalence — whole runs and random tick sequences produce
   identical snapshots and summaries on the array path and on the
   reference tick paths (``oracles.reference_tick_paths``: the
-  activation / ERC classes plugins run, plus the relay walk),
+  per-cluster activation and ERC loops, plus the relay walk),
   including a hypothesis property test;
 * allocation discipline — every buffer of the SoA block is the same
   object across steady-state ticks, proving the preallocated scratch
@@ -24,28 +24,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.activation import FullTimeActivator, RoundRobinActivator
 from repro.core.clustering import Cluster, ClusterSet
 from repro.core.erc import AdaptiveEnergyRequestController, EnergyRequestController
 from repro.network.routing import subtree_index
+from repro.registry import ACTIVATORS
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_simulation
 from repro.sim.serialization import snapshot_arrays
 from repro.sim.soa import (
-    SoAFullTimeActivator,
-    SoARoundRobinActivator,
+    FullTimeActivator,
+    RoundRobinActivator,
     StateArrays,
     erc_gate_constants,
     erc_release,
-    erc_scan_applicable,
     pack_clusters,
     relay_counts,
     rotation_table,
-    wrap_activator,
 )
 from repro.sim.world import World
 
-from oracles import reference_tick_paths, walk_counts, walk_relay_counts
+from oracles import (
+    FullTimeLoop,
+    RoundRobinLoop,
+    nodes_to_release,
+    reference_tick_paths,
+    walk_counts,
+    walk_relay_counts,
+)
 
 
 def random_cluster_set(rng, n_sensors, n_clusters):
@@ -85,8 +90,8 @@ class TestRotationParity:
         m = int(rng.integers(1, 8))
         cs = random_cluster_set(rng, n, m)
         arrays = StateArrays(n, 0)
-        ref = RoundRobinActivator(cs)
-        soa = SoARoundRobinActivator(cs, arrays)
+        ref = RoundRobinLoop(cs)
+        soa = RoundRobinActivator(cs, arrays)
         for _ in range(40):
             alive = rng.random(n) > rng.uniform(0.0, 0.6)
             assert np.array_equal(
@@ -116,8 +121,8 @@ class TestRotationParity:
             n,
         )
         arrays = StateArrays(n, 0)
-        ref = RoundRobinActivator(cs)
-        soa = SoARoundRobinActivator(cs, arrays)
+        ref = RoundRobinLoop(cs)
+        soa = RoundRobinActivator(cs, arrays)
         alive = rng.random(n) > 0.3
         alive[cs[3].members] = False
         for _ in range(8):
@@ -143,8 +148,8 @@ class TestRotationParity:
         n = int(rng.integers(5, 50))
         cs = random_cluster_set(rng, n, int(rng.integers(1, 6)))
         arrays = StateArrays(n, 0)
-        ref = FullTimeActivator(cs)
-        soa = SoAFullTimeActivator(cs, arrays)
+        ref = FullTimeLoop(cs)
+        soa = FullTimeActivator(cs, arrays)
         for _ in range(10):
             alive = rng.random(n) > 0.3
             assert np.array_equal(soa.active_mask(alive), ref.active_mask(alive))
@@ -158,8 +163,8 @@ class TestRotationParity:
     def test_all_dead_cluster_keeps_pointer(self):
         cs = ClusterSet([Cluster(0, np.array([0, 1, 2]))], 3)
         arrays = StateArrays(3, 0)
-        soa = SoARoundRobinActivator(cs, arrays)
-        ref = RoundRobinActivator(cs)
+        soa = RoundRobinActivator(cs, arrays)
+        ref = RoundRobinLoop(cs)
         alive = np.ones(3, dtype=bool)
         soa.rotate(alive)
         ref.rotate(alive)
@@ -168,20 +173,34 @@ class TestRotationParity:
         assert np.array_equal(arrays.ptr, ref._ptr)
 
     def test_wrap_activator_dispatch(self):
+        """Activation dispatch by name: the registry builds the array
+        classes over the shared StateArrays directly, and a plugin class
+        (even a subclass of a built-in) is built and kept as itself."""
         cs = ClusterSet([Cluster(0, np.array([0, 1]))], 2)
         arrays = StateArrays(2, 0)
-        assert isinstance(
-            wrap_activator(RoundRobinActivator(cs), arrays), SoARoundRobinActivator
-        )
-        assert isinstance(
-            wrap_activator(FullTimeActivator(cs), arrays), SoAFullTimeActivator
-        )
+        for name, cls in (
+            ("round_robin", RoundRobinActivator),
+            ("full_time", FullTimeActivator),
+        ):
+            built = ACTIVATORS.build(name, cluster_set=cs, arrays=arrays)
+            assert type(built) is cls
+            assert built.a is arrays
 
         class PluginActivator(RoundRobinActivator):
             pass
 
-        plugin = PluginActivator(cs)
-        assert wrap_activator(plugin, arrays) is plugin
+        ACTIVATORS.register(
+            "plugin-round-robin",
+            lambda cluster_set, arrays: PluginActivator(cluster_set, arrays),
+        )
+        try:
+            world = World(
+                SimulationConfig(**{**SMALL_CONFIG, "activation": "plugin-round-robin"})
+            )
+            assert type(world.state.activator) is PluginActivator
+            assert world.state.activator.a is world.state.arrays
+        finally:
+            ACTIVATORS.unregister("plugin-round-robin")
 
     def test_rotation_table_matches_scan(self):
         """Every entry of the table, not just the ones a pointer walk
@@ -193,7 +212,7 @@ class TestRotationParity:
             cs = random_cluster_set(rng, n, int(rng.integers(1, 6)))
             arrays = StateArrays(n, 0)
             pack_clusters(cs, arrays)
-            ref = RoundRobinActivator(cs)
+            ref = RoundRobinLoop(cs)
             alive = rng.random(n) > 0.4
             table = rotation_table(arrays.members, alive, arrays.cluster_index)
             assert table.cur.shape == table.nxt.shape == arrays.members.shape
@@ -214,13 +233,12 @@ class TestErcScanParity:
     @pytest.mark.parametrize("erp", [0.0, 0.3, 0.5, 1.0])
     def test_random_masks(self, erp):
         rng = np.random.default_rng(int(erp * 10) + 1)
-        erc = EnergyRequestController(erp)
         for _ in range(25):
             n = int(rng.integers(3, 50))
             cs = random_cluster_set(rng, n, int(rng.integers(1, 7)))
             below = rng.random(n) > 0.5
             listed = (rng.random(n) > 0.7) & below
-            want = erc.nodes_to_release(cs, below, listed)
+            want = nodes_to_release(erp, cs, below, listed)
             arrays = StateArrays(n, 0)
             pack_clusters(cs, arrays)
             got = erc_release(
@@ -235,7 +253,7 @@ class TestErcScanParity:
         cs = ClusterSet([], 5)
         below = np.array([True, False, True, False, False])
         listed = np.array([True, False, False, False, False])
-        want = EnergyRequestController(0.5).nodes_to_release(cs, below, listed)
+        want = nodes_to_release(0.5, cs, below, listed)
         arrays = StateArrays(5, 0)
         pack_clusters(cs, arrays)
         got = erc_release(
@@ -247,14 +265,37 @@ class TestErcScanParity:
         assert got == want == [2]
 
     def test_applicability_gate(self):
-        assert erc_scan_applicable(EnergyRequestController(0.5))
-        assert erc_scan_applicable(AdaptiveEnergyRequestController())
+        """The array scan gates every ERC policy: built-in, adaptive, a
+        subclass that defines its own ``nodes_to_release`` (no longer a
+        hook) and a bare object carrying only ``erp``.  Each releases
+        what the per-cluster oracle releases at the policy's ``erp``."""
 
         class CustomPolicy(EnergyRequestController):
             def nodes_to_release(self, cluster_set, below, listed):
                 return []
 
-        assert not erc_scan_applicable(CustomPolicy(0.5))
+        class BarePolicy:
+            erp = 0.3
+
+        policies = [
+            EnergyRequestController(0.5),
+            AdaptiveEnergyRequestController(),
+            CustomPolicy(0.5),
+            BarePolicy(),
+        ]
+        rng = np.random.default_rng(11)
+        for policy in policies:
+            world = World(SimulationConfig(**SMALL_CONFIG))
+            s = world.state
+            world.gate.erc = policy
+            below = rng.random(len(s.bank)) > 0.5
+            s.bank.levels_j[:] = s.bank.capacity_j
+            s.bank.levels_j[below] = 0.5 * s.bank.threshold_j
+            listed = s.requested.copy()
+            want = nodes_to_release(policy.erp, s.cluster_set, below, listed)
+            assert want  # the draw exercises the gate
+            assert world.gate.check()
+            assert np.flatnonzero(s.requested & ~listed).tolist() == want
 
 
 def random_forest(rng, n):
@@ -360,19 +401,23 @@ def run_snapshotted(reference, checkpoints, **overrides):
     """Snapshots of one run at ``checkpoints``, on the array tick path
     or (``reference=True``) on the reference tick paths."""
     cfg = SimulationConfig(**{**SMALL_CONFIG, **overrides})
-    with reference_tick_paths() if reference else contextlib.nullcontext():
+    with reference_tick_paths() if reference else contextlib.nullcontext() as calls:
         world = World(cfg)
-        if reference:
-            assert type(world.state.activator) in (
-                RoundRobinActivator,
-                FullTimeActivator,
-            )
-            assert not world.gate.array_scan
         snaps = []
         for t in checkpoints:
             world.state.sim.run_until(t)
             world.energy.advance()
             snaps.append(snapshot_arrays(world.state))
+    loops = {"round_robin": RoundRobinLoop, "full_time": FullTimeLoop}
+    if reference:
+        # The oracle loops really ran: the registry built them and the
+        # gate scanned through nodes_to_release whenever it checked.
+        assert type(world.state.activator) is loops[cfg.activation]
+        assert calls[cfg.activation] >= 1
+        if checkpoints[-1] >= cfg.tick_s:  # the gate checked at least once
+            assert calls["erc"] >= 1
+    else:
+        assert type(world.state.activator) is not loops[cfg.activation]
     return snaps
 
 
@@ -427,8 +472,9 @@ class TestEngineEquivalence:
                 "adaptive_erp": True,
             }
         )
-        with reference_tick_paths():
+        with reference_tick_paths() as calls:
             ref = run_simulation(cfg).as_dict()
+        assert calls["round_robin"] >= 1 and calls["erc"] >= 1
         soa = run_simulation(cfg).as_dict()
         assert ref == soa
 
