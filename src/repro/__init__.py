@@ -37,7 +37,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ACTIVATORS",
         "CLUSTERINGS",
         "ERC_POLICIES",
-        "EXPORTERS",
         "MOBILITY_MODELS",
         "SCHEDULERS",
         "ComponentSpec",
@@ -59,7 +58,6 @@ __all__ = [
     "CombinedScheduler",
     "DAY_S",
     "ERC_POLICIES",
-    "EXPORTERS",
     "MOBILITY_MODELS",
     "Registry",
     "SCHEDULERS",

@@ -3,7 +3,7 @@
 Commands:
 
 * ``run`` — run one simulation and print (or JSON-dump) the summary;
-  ``--telemetry DIR`` archives a manifest + instrument exports,
+  ``--telemetry DIR`` archives a manifest and the run's event log,
   ``--profile`` prints the cProfile hot spots (under ``--json``, as the
   payload's ``profile`` list).
 * ``estimate`` — closed-form deployment estimates, no simulation.
@@ -44,7 +44,7 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .registry import ACTIVATORS, EXPORTERS, SCHEDULERS
+from .registry import ACTIVATORS, SCHEDULERS
 from .sim.config import DAY_S, SimulationConfig
 from .sim.runner import run_simulation, run_with_telemetry
 from .sim.serialization import config_from_dict, config_to_dict
@@ -120,11 +120,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     def _run():
         nonlocal manifest
         if args.telemetry:
-            exporters = None
-            if args.exporters:
-                exporters = [e.strip() for e in args.exporters.split(",") if e.strip()]
             summary, manifest = run_with_telemetry(
-                cfg, args.telemetry, exporters,
+                cfg, args.telemetry,
                 # An explicit --postmortem arms the recorder even
                 # without REPRO_BLACKBOX; the bundle lands at DIR.
                 blackbox=True if args.postmortem else None,
@@ -176,7 +173,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                        title=f"{cfg.scheduler} / {cfg.activation} / ERP {cfg.erp}"))
     if manifest is not None:
         print(f"\ntelemetry written to {args.telemetry} "
-              f"({', '.join(manifest.exporters)}; manifest.json)")
+              f"({', '.join(['manifest.json', *manifest.files])})")
     if hot_rows is not None:
         prof = [[loc, ncalls, tot, cum] for loc, ncalls, tot, cum in hot_rows]
         print("\n" + format_table(
@@ -224,6 +221,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"no telemetry manifest found under {args.directory!r} "
               f"(expected manifest.json; run `repro run --telemetry DIR` first)",
               file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
+        print(f"report: {exc}", file=sys.stderr)
         return 2
     print(format_report(data))
     return 0
@@ -419,12 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p_run.add_argument(
         "--telemetry", metavar="DIR",
-        help="archive a run manifest + instrument exports into DIR",
-    )
-    p_run.add_argument(
-        "--exporters", metavar="NAMES",
-        help=f"comma-separated telemetry exporters (default: all; "
-             f"registered: {', '.join(EXPORTERS.names())})",
+        help="archive the run's manifest.json, events.jsonl, series.csv "
+             "and spans.jsonl into DIR",
     )
     p_run.add_argument(
         "--postmortem", metavar="DIR",

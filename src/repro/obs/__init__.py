@@ -10,10 +10,11 @@ tree (:mod:`repro.obs.spans`) that replays the run tick by tick, and
 the counters, gauge, histograms and phase timers of the instrument
 snapshot (:meth:`EventLog.snapshot`).  Runtime invariant monitors
 (:mod:`repro.obs.monitors`) trip on conservation/threshold/capacity
-violations and mark them on the log.  The files come out of
-pluggable, registry-named exporters (:mod:`repro.obs.exporters`:
-``jsonl``, ``prometheus``, ``csv``, ``spans``, ``sqlite``), archived
-with a provenance :class:`RunManifest` (:mod:`repro.obs.manifest`).
+violations and mark them on the log.  A telemetry directory holds four
+files: the log writes ``events.jsonl``, ``series.csv`` and
+``spans.jsonl`` (:meth:`EventLog.write_files`), and a provenance
+:class:`RunManifest` (:mod:`repro.obs.manifest`) carries the
+instrument snapshot in ``manifest.json``.
 ``repro report DIR`` renders an archived directory back into tables
 and a span tree (:mod:`repro.obs.report`); ``repro drift A B`` diffs
 two archives down to the first differing event
@@ -46,8 +47,7 @@ Quickstart::
         SimulationConfig.small(), "telemetry_out"
     )
     # telemetry_out/ now holds manifest.json, events.jsonl,
-    # metrics.jsonl, metrics.prom, series.csv, instruments.csv,
-    # spans.jsonl
+    # series.csv and spans.jsonl
 """
 
 from .._lazy import lazy_exports
@@ -63,16 +63,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "load_bundle",
     ),
     ".drift": ("diff_metrics", "format_drift", "load_metrics"),
-    ".exporters": (
-        "DEFAULT_EXPORTERS",
-        "CsvExporter",
-        "JsonlExporter",
-        "PrometheusExporter",
-        "SpansExporter",
-        "SqliteExporter",
-        "TelemetryBundle",
-        "prometheus_lines",
-    ),
     ".log": (
         "NULL_BLACKBOX",
         "NULL_LOG",
@@ -86,17 +76,14 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".manifest": ("RunManifest", "config_digest", "git_revision"),
     ".monitors": ("InvariantViolation", "MonitorSet"),
     ".report": ("format_report", "load_report"),
-    ".spans": ("Span", "load_spans", "render_span_tree", "spans_to_jsonl_lines"),
+    ".spans": ("Span", "load_spans", "render_span_tree"),
 })
 
 __all__ = [
     "BlackBoxRecorder",
-    "CsvExporter",
-    "DEFAULT_EXPORTERS",
     "EventKind",
     "EventLog",
     "InvariantViolation",
-    "JsonlExporter",
     "MonitorSet",
     "NULL_BLACKBOX",
     "NULL_LOG",
@@ -104,12 +91,8 @@ __all__ = [
     "NullBlackBox",
     "NullMonitors",
     "PostmortemBundle",
-    "PrometheusExporter",
     "RunManifest",
     "Span",
-    "SpansExporter",
-    "SqliteExporter",
-    "TelemetryBundle",
     "TraceEvent",
     "blackbox_enabled",
     "config_digest",
@@ -124,7 +107,5 @@ __all__ = [
     "load_metrics",
     "load_report",
     "load_spans",
-    "prometheus_lines",
     "render_span_tree",
-    "spans_to_jsonl_lines",
 ]

@@ -15,13 +15,14 @@ handle (``World(config, log=EventLog())``), with three calls:
   (``coverage``, ``backlog``...).
 
 Everything a telemetry run writes is derived from that one record at
-export time: ``events.jsonl`` and ``series.csv`` are the events and
-samples, ``spans.jsonl`` the phases, and :meth:`EventLog.snapshot`
-builds the run's counters, gauge, histograms and phase timers as one
-plain dict from the events and phase durations (the derivation table
-is :data:`EVENT_COUNTERS`, :data:`TIMED_PHASES` and the body of
-:meth:`~EventLog.snapshot`).  Nothing is counted twice, and no number
-in the snapshot can disagree with the event stream.
+export time, and this module owns every file format involved
+(:meth:`EventLog.write_files`): ``events.jsonl`` and ``series.csv`` are
+the events and samples, ``spans.jsonl`` the phases, and
+:meth:`EventLog.snapshot` builds the run's counters, gauge, histograms
+and phase timers as one plain dict from the events and phase durations
+(the derivation table is :data:`EVENT_COUNTERS`, :data:`TIMED_PHASES`
+and the body of :meth:`~EventLog.snapshot`).  Nothing is counted twice,
+and no number in the snapshot can disagree with the event stream.
 
 :data:`NULL_LOG` is the shared disabled log: every call returns at
 once, so an unobserved run pays one method call per touch point.
@@ -47,7 +48,7 @@ from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tu
 
 import numpy as np
 
-from .spans import Span, json_safe, spans_to_jsonl_lines
+from .spans import Span, json_safe
 
 __all__ = [
     "EVENT_COUNTERS",
@@ -461,8 +462,39 @@ class EventLog:
         return [span.to_row() for span in self.spans]
 
     def span_lines(self) -> List[str]:
-        """``spans.jsonl``, one line per span."""
-        return spans_to_jsonl_lines(self.span_rows())
+        """``spans.jsonl``, one line per span.
+
+        Rows have a canonical key order and JSON floats are
+        shortest-round-trip, so re-dumping rows read back with
+        :func:`~repro.obs.spans.load_spans` reproduces the lines byte
+        for byte.
+        """
+        return [json.dumps(row) for row in self.span_rows()]
+
+    def write_files(self, directory: Union[str, Path]) -> List[str]:
+        """Write the log's three telemetry files into ``directory``.
+
+        * ``events.jsonl`` — :meth:`to_jsonl_lines`;
+        * ``series.csv`` — the named time series in long format
+          (``series,time_s,value``, floats as ``repr``);
+        * ``spans.jsonl`` — :meth:`span_lines`.
+
+        Returns the file names, in that order.
+        """
+        import csv
+
+        directory = Path(directory)
+        self.write_jsonl(directory / "events.jsonl")
+        with open(directory / "series.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["series", "time_s", "value"])
+            for name, samples in self.series.items():
+                for t, v in samples:
+                    writer.writerow([name, repr(float(t)), repr(float(v))])
+        with open(directory / "spans.jsonl", "w") as f:
+            for line in self.span_lines():
+                f.write(line + "\n")
+        return ["events.jsonl", "series.csv", "spans.jsonl"]
 
 
 #: The shared disabled log: the default wherever no log is attached.

@@ -4,15 +4,16 @@ A :class:`RunManifest` answers "what exactly produced these numbers?"
 — the full configuration and its digest, the seed, the package version,
 the git revision of the working tree (best-effort, read straight from
 ``.git`` without spawning a process), wall-clock cost, the instrument
-snapshot and the exporter files.  ``manifest.json`` is written alongside
-the telemetry exports, so archived runs stay self-describing.
+snapshot and the names of the log files beside it.  ``manifest.json``
+is written last into the telemetry directory, so archived runs stay
+self-describing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -76,8 +77,7 @@ class RunManifest:
     wall_time_s: float
     summary: Dict[str, float] = field(default_factory=dict)
     instruments: Dict[str, Any] = field(default_factory=dict)
-    exporters: List[str] = field(default_factory=list)
-    files: Dict[str, List[str]] = field(default_factory=dict)
+    files: List[str] = field(default_factory=list)
 
     @classmethod
     def create(
@@ -87,8 +87,7 @@ class RunManifest:
         wall_time_s: float,
         summary: Optional[Dict[str, float]] = None,
         instruments: Optional[Dict[str, Any]] = None,
-        exporters: Optional[List[str]] = None,
-        files: Optional[Dict[str, List[str]]] = None,
+        files: Optional[List[str]] = None,
     ) -> "RunManifest":
         """Stamp a manifest for ``config``: digest, version, git rev, time."""
         from .. import __version__
@@ -103,8 +102,7 @@ class RunManifest:
             wall_time_s=wall_time_s,
             summary=dict(summary or {}),
             instruments=dict(instruments or {}),
-            exporters=list(exporters or []),
-            files=dict(files or {}),
+            files=list(files or []),
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -113,9 +111,31 @@ class RunManifest:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
         """Load a manifest dict; keys this version does not know (such
-        as the ``engine`` block earlier versions wrote) are ignored."""
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        as the ``engine`` block or the ``exporters`` list earlier
+        versions wrote) are ignored.
+
+        Earlier versions indexed ``files`` per exporter
+        (``{"jsonl": ["events.jsonl", ...], ...}``); that form loads as
+        the flat list of its file names.  Raises ``ValueError`` for a
+        non-object or a manifest missing a required field.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a manifest is a JSON object, not {type(data).__name__}"
+            )
+        fields = cls.__dataclass_fields__
+        missing = [
+            name for name, f in fields.items()
+            if name not in data and f.default is MISSING
+            and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"manifest lacks {', '.join(missing)}")
+        kwargs = {k: v for k, v in data.items() if k in fields}
+        files = kwargs.get("files")
+        if isinstance(files, dict):
+            kwargs["files"] = [name for names in files.values() for name in names]
+        return cls(**kwargs)
 
     def write(self, path: Union[str, Path]) -> Path:
         """Write the manifest as JSON; returns the path written.
@@ -130,8 +150,17 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunManifest":
-        """Read a manifest from a JSON file (or a telemetry directory)."""
+        """Read a manifest from a JSON file (or a telemetry directory).
+
+        Raises ``OSError`` for an unreadable file and ``ValueError``
+        naming the file for one that holds no manifest (truncated JSON,
+        a non-object, a missing field).
+        """
         path = Path(path)
         if path.is_dir():
             path = path / MANIFEST_FILENAME
-        return cls.from_dict(json.loads(path.read_text()))
+        text = path.read_text()
+        try:
+            return cls.from_dict(json.loads(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -3,8 +3,8 @@
 ``repro report DIR`` renders what :func:`repro.sim.runner.run_with_telemetry`
 wrote: the manifest's provenance block, the headline summary metrics,
 the phase timers and the busiest counters, plus event counts from
-``events.jsonl`` when the JSONL exporter ran.  Everything is read back
-from disk — reporting needs no simulation objects, so it works on
+``events.jsonl`` and the span tree from ``spans.jsonl``.  Everything is
+read back from disk — reporting needs no simulation objects, so it works on
 directories produced by other machines (or other versions).
 """
 
@@ -30,20 +30,15 @@ def load_report(directory: Union[str, Path]) -> Dict[str, Any]:
     Raises ``FileNotFoundError`` if the directory has no manifest.
 
     An archived directory that lost files (partial copy, interrupted
-    run, pruned exports) still reports: missing or truncated telemetry
+    run, pruned files) still reports: missing or truncated telemetry
     files are skipped and listed under ``"missing"`` instead of
     raising.
     """
     directory = Path(directory)
     manifest = RunManifest.load(directory)
     out: Dict[str, Any] = {"manifest": manifest, "directory": directory}
-    missing: List[str] = sorted(
-        {
-            name
-            for names in manifest.files.values()
-            for name in names
-            if not (directory / name).is_file()
-        }
+    missing = sorted(
+        {name for name in manifest.files if not (directory / name).is_file()}
     )
     spans_path = directory / "spans.jsonl"
     if spans_path.is_file():
@@ -90,7 +85,7 @@ def format_report(data: Dict[str, Any]) -> str:
         ["scheduler", str(manifest.config.get("scheduler", "?"))],
         ["activation", str(manifest.config.get("activation", "?"))],
         ["wall time (s)", manifest.wall_time_s],
-        ["exporters", ", ".join(manifest.exporters) or "(none)"],
+        ["files", ", ".join(manifest.files) or "(none)"],
     ]
     blocks.append(format_table(["run", "value"], provenance, precision=3,
                                title=f"Telemetry report: {data['directory']}"))

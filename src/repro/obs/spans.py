@@ -1,4 +1,4 @@
-"""Span rows: the ``spans.jsonl`` record, its JSONL helpers, the tree.
+"""Span rows: the ``spans.jsonl`` record, its reader, the tree.
 
 A *span* is one timed piece of work with a name, a parent, structured
 attributes and point-in-time events.  The run's
@@ -9,8 +9,9 @@ tick/dispatch/relocation event and each component phase:
 decision* produced a result.
 
 Serialization round-trips exactly: :meth:`Span.to_row` has a fixed key
-order, :func:`load_spans` reads rows back, and re-dumping loaded rows
-with :func:`spans_to_jsonl_lines` reproduces the file byte for byte
+order (:meth:`~repro.obs.log.EventLog.span_lines` writes it),
+:func:`load_spans` reads rows back, and re-dumping loaded rows
+with ``json.dumps`` reproduces the file byte for byte
 (JSON floats are shortest-round-trip).  Attribute values are coerced to
 JSON-native types at record time so live rows and reloaded rows are
 interchangeable.
@@ -26,7 +27,6 @@ __all__ = [
     "Span",
     "load_spans",
     "render_span_tree",
-    "spans_to_jsonl_lines",
 ]
 
 
@@ -128,16 +128,6 @@ class Span:
             f"Span({self.span_id}, parent={self.parent_id}, {self.name!r}, "
             f"{self.duration_s:.6f}s)"
         )
-
-
-def spans_to_jsonl_lines(rows: Iterable[Dict[str, Any]]) -> List[str]:
-    """Serialize span rows as ``spans.jsonl`` lines.
-
-    ``json.dumps`` with default separators over rows whose key order is
-    canonical — dumping loaded rows reproduces the original lines byte
-    for byte.
-    """
-    return [json.dumps(row) for row in rows]
 
 
 def load_spans(

@@ -39,7 +39,6 @@ __all__ = [
     "CLUSTERINGS",
     "ComponentSpec",
     "ERC_POLICIES",
-    "EXPORTERS",
     "MOBILITY_MODELS",
     "Registry",
     "SCHEDULERS",
@@ -203,12 +202,6 @@ CLUSTERINGS = Registry("clustering algorithm")
 #: Target mobility models; factories take ``field``, ``config``, ``rng``.
 MOBILITY_MODELS = Registry("target mobility model")
 
-#: Telemetry exporters; factories take no arguments and return objects
-#: with ``export(out_dir, bundle) -> List[Path]``.  The built-ins
-#: (``jsonl``, ``prometheus``, ``csv``, ``spans``, ``sqlite``) are
-#: registered below and load :mod:`repro.obs.exporters` on first build.
-EXPORTERS = Registry("telemetry exporter")
-
 
 def erc_policy_name(adaptive_erp: bool) -> str:
     """The registered ERC-policy name a configuration selects."""
@@ -219,10 +212,10 @@ def _load(target: str) -> Any:
     """The object at ``"module:name"`` (``module`` relative to ``repro``).
 
     Built-in factories resolve their class through this when they are
-    called, so the modules of the schedulers, mobility models and
-    exporters a process never builds are never imported.  The
-    components every run uses (ERC, clustering, the jump model) are
-    imported with this module.  The activators are resolved here too:
+    called, so the modules of the schedulers and mobility models a
+    process never builds are never imported.  The components every run
+    uses (ERC, clustering, the jump model) are imported with this
+    module.  The activators are resolved here too:
     they live with the array state they run on, in :mod:`repro.sim.soa`.
     """
     module, _, name = target.partition(":")
@@ -361,32 +354,4 @@ MOBILITY_MODELS.register(
     ),
     schema={"field": "the sensing Field", "config": "SimulationConfig", "rng": "Generator"},
     doc="Random-waypoint motion with per-leg speed (extension).",
-)
-
-# -- built-in telemetry exporters (see repro.obs.exporters) -----------
-
-EXPORTERS.register(
-    "jsonl",
-    lambda: _load("obs.exporters:JsonlExporter")(),
-    doc="events.jsonl + metrics.jsonl (the event log's round-trip format).",
-)
-EXPORTERS.register(
-    "prometheus",
-    lambda: _load("obs.exporters:PrometheusExporter")(),
-    doc="metrics.prom: Prometheus text-format snapshot.",
-)
-EXPORTERS.register(
-    "csv",
-    lambda: _load("obs.exporters:CsvExporter")(),
-    doc="series.csv + instruments.csv time-series tables.",
-)
-EXPORTERS.register(
-    "spans",
-    lambda: _load("obs.exporters:SpansExporter")(),
-    doc="spans.jsonl: hierarchical span tree (flight-recorder trace).",
-)
-EXPORTERS.register(
-    "sqlite",
-    lambda: _load("obs.exporters:SqliteExporter")(),
-    doc="telemetry.sqlite: instruments + spans as queryable tables.",
 )

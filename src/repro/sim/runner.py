@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.scheduling import Scheduler
 from ..obs.log import EventLog
-from ..registry import EXPORTERS, SCHEDULERS
+from ..registry import SCHEDULERS
 from .config import SimulationConfig
 from .metrics import SimulationSummary
 from .serialization import config_to_dict
@@ -176,7 +176,7 @@ def run_recorded(
 def run_with_telemetry(
     config: SimulationConfig,
     out_dir: Union[str, Path],
-    exporters: Optional[Sequence[str]] = None,
+    *,
     blackbox=None,
     postmortem: Optional[Union[str, Path]] = None,
 ) -> Tuple[SimulationSummary, RunManifest]:
@@ -184,14 +184,13 @@ def run_with_telemetry(
 
     The run is wired with an :class:`~repro.obs.EventLog` and a
     :class:`~repro.obs.MonitorSet` (runtime invariant monitors;
-    ``REPRO_STRICT_MONITORS=1`` makes violations raise).  The log's
-    instrument snapshot is derived once the run ends, then every
-    requested exporter (names from :data:`repro.registry.EXPORTERS`;
-    the defaults otherwise) writes its files into ``out_dir``, and a
-    ``manifest.json``
+    ``REPRO_STRICT_MONITORS=1`` makes violations raise).  Once the run
+    ends the log writes ``events.jsonl``, ``series.csv`` and
+    ``spans.jsonl`` into ``out_dir``
+    (:meth:`~repro.obs.EventLog.write_files`), and a ``manifest.json``
     (:class:`~repro.obs.RunManifest`: config digest, seed, version, git
-    revision, wall time, instrument snapshot, file index) is written
-    last so a complete directory always has one.
+    revision, wall time, the log's instrument snapshot, file index) is
+    written last so a complete directory always has one.
 
     Telemetry never touches the trajectory: the summary returned here
     is bit-identical to ``run_simulation(config)``.
@@ -207,13 +206,9 @@ def run_with_telemetry(
     Returns:
         ``(summary, manifest)``.
     """
-    from ..obs.exporters import DEFAULT_EXPORTERS, TelemetryBundle
     from ..obs.manifest import RunManifest
     from ..obs.monitors import MonitorSet
 
-    names = list(exporters) if exporters is not None else list(DEFAULT_EXPORTERS)
-    for name in names:
-        EXPORTERS.check(name)
     recorder = _make_blackbox(blackbox)
     log = EventLog()
     monitors = MonitorSet(log=log, blackbox=recorder)
@@ -247,30 +242,17 @@ def run_with_telemetry(
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = log.snapshot(config.n_rvs)
-    bundle = TelemetryBundle(
-        instruments=snapshot,
-        summary=summary.as_dict(),
-        config=config_to_dict(config),
-        log=log,
-    )
-    files: Dict[str, List[str]] = {}
-    for name in names:
-        written = EXPORTERS.build(name).export(out, bundle)
-        files[name] = [p.name for p in written]
     manifest = RunManifest.create(
-        config=bundle.config,
+        config=config_to_dict(config),
         seed=config.seed,
         wall_time_s=wall_time_s,
-        summary=bundle.summary,
-        instruments=snapshot,
-        exporters=names,
-        files=files,
+        summary=summary.as_dict(),
+        instruments=log.snapshot(config.n_rvs),
+        files=log.write_files(out),
     )
     manifest.write(out)
     logger.info(
-        "telemetry archived to %s (%d exporter(s), %.3fs simulated wall time)",
-        out, len(names), wall_time_s,
+        "telemetry archived to %s (%.3fs simulated wall time)", out, wall_time_s,
     )
     return summary, manifest
 

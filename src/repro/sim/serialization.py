@@ -7,6 +7,7 @@ JSON files, launched from the CLI, and archived next to their results.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Dict
 
 import numpy as np
@@ -80,9 +81,22 @@ def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
     }
 
 
+def _build(cls, kwargs: Dict[str, Any], where: str):
+    """``cls(**kwargs)``, or ``ValueError`` naming every key ``cls``
+    does not take (``where`` names the block in the message)."""
+    unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return cls(**kwargs)
+
+
 def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
     """Rebuild a :class:`SimulationConfig` from :func:`config_to_dict`
-    output (missing keys fall back to the defaults)."""
+    output (missing keys fall back to the defaults).
+
+    Raises ``ValueError`` naming any key no configuration field takes,
+    at the top level or in a nested model block.
+    """
     data = dict(data)
     charge = data.pop("charge_model", None)
     power = data.pop("power_model", None)
@@ -90,13 +104,15 @@ def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
     if "initial_charge_range" in kwargs:
         kwargs["initial_charge_range"] = tuple(kwargs["initial_charge_range"])
     if charge is not None:
-        kwargs["charge_model"] = ChargeModel(**charge)
+        kwargs["charge_model"] = _build(ChargeModel, charge, "charge_model")
     if power is not None:
         power = dict(power)
-        radio = RadioModel(**power.pop("radio", {}))
-        sensing = SensingModel(**power.pop("sensing", {}))
-        kwargs["power_model"] = NodePowerModel(radio=radio, sensing=sensing, **power)
-    return SimulationConfig(**kwargs)
+        radio = _build(RadioModel, power.pop("radio", {}), "power_model.radio")
+        sensing = _build(SensingModel, power.pop("sensing", {}), "power_model.sensing")
+        kwargs["power_model"] = _build(
+            NodePowerModel, dict(power, radio=radio, sensing=sensing), "power_model"
+        )
+    return _build(SimulationConfig, kwargs, "config")
 
 
 def summary_to_dict(summary: SimulationSummary) -> Dict[str, float]:

@@ -30,6 +30,18 @@ class TestSerialization:
         payload = json.dumps(config_to_dict(cfg))
         assert config_from_dict(json.loads(payload)) == cfg
 
+    @pytest.mark.parametrize("block", [
+        None, "charge_model", "power_model", "power_model.radio", "power_model.sensing",
+    ])
+    def test_unknown_key_is_named(self, block):
+        data = config_to_dict(SimulationConfig.small())
+        target = data
+        for key in block.split(".") if block else ():
+            target = target[key]
+        target["bogus"] = 1
+        with pytest.raises(ValueError, match=rf"unknown {block or 'config'} key\(s\): bogus"):
+            config_from_dict(data)
+
     def test_partial_dict_uses_defaults(self):
         cfg = config_from_dict({"n_sensors": 10, "scheduler": "greedy"})
         assert cfg.n_sensors == 10
@@ -143,21 +155,58 @@ class TestTelemetryCommands:
         for line in (out / "events.jsonl").read_text().splitlines():
             assert json.loads(line)["type"] in ("event", "sample")
 
+        assert sorted(p.name for p in out.iterdir()) == [
+            "events.jsonl", "manifest.json", "series.csv", "spans.jsonl"]
+
         rc = main(["report", str(out)])
         assert rc == 0
         report = capsys.readouterr().out
         assert "Telemetry report" in report
         assert "Phase timings" in report
+        assert "Span tree" in report
 
-    def test_run_telemetry_exporter_subset(self, tmp_path, capsys):
-        out = tmp_path / "tele"
-        rc = main(["run", "--preset", "small", "--days", "0.2", "--json",
-                   "--telemetry", str(out), "--exporters", "prometheus"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["telemetry_dir"] == str(out)
-        assert (out / "metrics.prom").is_file()
-        assert not (out / "events.jsonl").exists()
+    @pytest.mark.parametrize("breakage", ["truncated", "not-an-object", "unreadable"])
+    def test_report_broken_manifest_is_one_line(self, tmp_path, capsys, breakage):
+        path = tmp_path / "manifest.json"
+        if breakage == "truncated":
+            path.write_text('{"created_utc": "2024-')
+        elif breakage == "not-an-object":
+            path.write_text("[1, 2]")
+        else:
+            path.mkdir()
+        assert main(["report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("report: ") and "manifest.json" in lines[0]
+
+    def test_archive_in_the_per_exporter_format_still_reads(self, tmp_path, capsys):
+        """A directory written when each exporter had its own entry in
+        the manifest (and its own files) reports and drifts as before."""
+        argv = ["run", "--preset", "small", "--days", "0.1", "--seed", "4"]
+        old, new = tmp_path / "old", tmp_path / "new"
+        assert main([*argv, "--telemetry", str(old)]) == 0
+        assert main([*argv, "--telemetry", str(new)]) == 0
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["exporters"] = ["jsonl", "prometheus", "csv", "spans"]
+        manifest["files"] = {
+            "jsonl": ["events.jsonl", "metrics.jsonl"],
+            "prometheus": ["metrics.prom"],
+            "csv": ["series.csv", "instruments.csv"],
+            "spans": ["spans.jsonl"],
+        }
+        (old / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        (old / "metrics.jsonl").write_text('{"instrument": "counter"}\n')
+        (old / "metrics.prom").write_text("repro_fleet_sorties_total 1\n")
+        (old / "instruments.csv").write_text("kind,name,field,value\n")
+        capsys.readouterr()
+
+        assert main(["report", str(old)]) == 0
+        report = capsys.readouterr().out
+        assert "metrics.prom" in report and "Span tree" in report
+        assert "WARNING" not in report
+        assert main(["drift", str(old), str(new)]) == 0
 
     def test_report_missing_dir_is_error(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nothing")])
@@ -216,6 +265,28 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1, captured.err
         assert lines[0].startswith("repro: error: ")
+
+    def test_run_config_names_the_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(config_to_dict(SimulationConfig.small()), bogus=1)))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "unknown config key(s): bogus" in err
+
+    def test_replay_bundle_with_an_unknown_config_key(self, tmp_path, capsys):
+        bundle = tmp_path / "pm"
+        assert main(["run", "--preset", "small", "--days", "0.05", "--seed", "3",
+                     "--postmortem", str(bundle)]) == 0
+        config_path = bundle / "config.json"
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps(dict(config, bogus=1)))
+        capsys.readouterr()
+        assert main(["replay", str(bundle)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("replay: ") and "bogus" in lines[0]
 
 
 def test_closed_stdout_ends_quietly():

@@ -30,8 +30,7 @@ TINY = dict(
 
 def telemetry_dir(tmp_path, name, **overrides):
     out = tmp_path / name
-    run_with_telemetry(SimulationConfig(**dict(TINY, **overrides)), out,
-                       exporters=["jsonl"])
+    run_with_telemetry(SimulationConfig(**dict(TINY, **overrides)), out)
     return out
 
 

@@ -1,7 +1,7 @@
 """The event log as the one source of a run's telemetry.
 
 The parity oracle pins every artefact of one telemetry run (``small``,
-2 days, seed 1, Combined-Scheme, ERP 0.6, all exporters) to the values
+2 days, seed 1, Combined-Scheme, ERP 0.6) to the values
 the separate trace recorder, span tracer and live instruments produced
 before they were merged into :class:`repro.obs.EventLog`: the
 ``events.jsonl`` and ``series.csv`` bytes, every counter and histogram,
@@ -22,8 +22,6 @@ from repro.obs import EventKind, EventLog, load_spans
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.runner import run_with_telemetry
 from repro.sim.world import World
-
-ALL_EXPORTERS = ["jsonl", "prometheus", "csv", "spans", "sqlite"]
 
 EVENTS_SHA256 = "10e9699a7310d855a88f118316d58d015037452f36c39efeb92c1ef95cd26540"
 SERIES_SHA256 = "44177bb8b09824335d6eeb8e4017d37bc9bf1089bdccb235f1246e433563ad33"
@@ -78,8 +76,7 @@ SPAN_STRUCTURE_SHA256 = "5fcb14d4de14d26b1c7493367419365bbe72d7986bf1a661483da9e
 #: sha256 of ``json.dumps`` (insertion order, no ``sort_keys``) of the
 #: snapshot's counters, gauges and histograms plus each timer as
 #: ``(name, count, row keys)``: pins key order and float-vs-int, which
-#: the bytes of ``instruments.csv``, ``metrics.prom`` and
-#: ``manifest.json`` depend on and ``==`` does not see.
+#: the bytes of ``manifest.json`` depend on and ``==`` does not see.
 SNAPSHOT_SHA256 = "7701e6a0cdb009c919afd85b2a8781997e7cded50aa6f0112d65d238ecd6e2a4"
 
 
@@ -89,7 +86,7 @@ def parity_run(tmp_path_factory):
     cfg = SimulationConfig.small(
         scheduler="combined", erp=0.6, seed=1, sim_time_s=2 * DAY_S
     )
-    _, manifest = run_with_telemetry(cfg, out, ALL_EXPORTERS)
+    _, manifest = run_with_telemetry(cfg, out)
     return out, manifest.instruments
 
 

@@ -22,7 +22,7 @@ import sys
 #: ``python -X importtime`` output for the same pattern.
 RUN_DENY = re.compile(
     r"repro\.("
-    r"obs\.(blackbox|monitors|exporters|manifest|drift|report)"
+    r"obs\.(blackbox|monitors|manifest|drift|report)"
     r"|core\.(mip|extensions)"
     r"|experiments|analysis|viz"
     r"|sim\.replay"

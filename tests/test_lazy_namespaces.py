@@ -31,7 +31,6 @@ SCHEDULER_NAMES = (
     "greedy", "insertion", "partition", "combined",
     "fcfs", "nearest", "insertion+2opt", "deadline",
 )
-EXPORTER_NAMES = ("jsonl", "prometheus", "csv", "spans", "sqlite")
 
 
 def _submodules(package):
@@ -93,25 +92,19 @@ def test_from_import_of_a_submodule_still_works():
 def test_registries_list_builtins_in_a_fresh_interpreter():
     code = (
         "import json\n"
-        "from repro.registry import EXPORTERS, SCHEDULERS\n"
-        "print(json.dumps([list(SCHEDULERS.names()), list(EXPORTERS.names())]))\n"
+        "from repro.registry import SCHEDULERS\n"
+        "print(json.dumps(list(SCHEDULERS.names())))\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
     )
-    schedulers, exporters = json.loads(out.stdout)
-    assert tuple(schedulers) == SCHEDULER_NAMES
-    assert tuple(exporters) == EXPORTER_NAMES
+    assert tuple(json.loads(out.stdout)) == SCHEDULER_NAMES
 
 
 def test_builtin_factories_build_their_classes():
-    from repro.obs import exporters
-    from repro.registry import EXPORTERS, SCHEDULERS
-
-    assert type(EXPORTERS.build("sqlite")) is exporters.SqliteExporter
-    assert type(EXPORTERS.build("jsonl")) is exporters.JsonlExporter
+    from repro.registry import SCHEDULERS
     from repro.core.extensions import DeadlineAwareScheduler
     from repro.core.partition import PartitionScheduler
 
@@ -119,15 +112,15 @@ def test_builtin_factories_build_their_classes():
     assert type(SCHEDULERS.build("partition", fleet_size=0)) is PartitionScheduler
 
 
-def test_plugin_exporter_shows_in_run_help(capsys):
+def test_plugin_scheduler_shows_in_run_help(capsys):
     from repro.cli import main
-    from repro.registry import EXPORTERS
+    from repro.registry import SCHEDULERS
 
-    EXPORTERS.register("test-plugin-fmt", lambda: None, doc="test plugin")
+    SCHEDULERS.register("test_plugin_sched", lambda fleet_size: None, doc="test plugin")
     try:
         with pytest.raises(SystemExit):
             main(["run", "--help"])
     finally:
-        EXPORTERS.unregister("test-plugin-fmt")
-    assert "test-plugin-fmt" in capsys.readouterr().out
+        SCHEDULERS.unregister("test_plugin_sched")
+    assert "test_plugin_sched" in capsys.readouterr().out
 

@@ -1,12 +1,11 @@
 """Tests for the repro.obs telemetry layer.
 
-Covers the derived instrument snapshot, the built-in exporters, the run
-manifest, the telemetry runner glue, and the report renderer.
+Covers the derived instrument snapshot, the event log's telemetry files,
+the run manifest, the telemetry runner glue, and the report renderer.
 """
 
 import csv
 import json
-import re
 
 import pytest
 
@@ -14,12 +13,10 @@ from repro.obs import (
     EventKind,
     EventLog,
     RunManifest,
-    TelemetryBundle,
     config_digest,
     git_revision,
 )
 from repro.obs.report import format_report, load_report
-from repro.registry import EXPORTERS
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.runner import run_simulation, run_with_telemetry
 
@@ -44,7 +41,7 @@ def tiny_config(**overrides):
 
 class TestInstruments:
     """The instrument snapshot :meth:`EventLog.snapshot` derives: the
-    ``instruments`` block of a manifest and of every exporter."""
+    ``instruments`` block of a manifest."""
 
     def test_counter(self):
         log = EventLog()
@@ -108,229 +105,53 @@ class TestInstruments:
         assert json.loads(json.dumps(snap)) == snap
 
 
-def histogram(*values):
-    """One snapshot histogram row over ``values``."""
-    return {"count": len(values), "total": sum(values), "min": min(values),
-            "max": max(values), "mean": sum(values) / len(values)}
-
-
-def timer(*durations):
-    """One snapshot timer row over ``durations`` (seconds)."""
-    h = histogram(*durations)
-    return {"count": h["count"], "total_s": h["total"], "min_s": h["min"],
-            "max_s": h["max"], "mean_s": h["mean"]}
-
-
-def sample_bundle():
-    snapshot = {
-        "counters": {"fleet.sorties": 3.0},
-        "gauges": {"gate.backlog": 2.0},
-        "histograms": {"fleet.delivered_j": histogram(120.0)},
-        "timers": {"energy.recompute": timer(0.001)},
-    }
+def sample_log():
     log = EventLog()
     log.emit(1.0, EventKind.NODE_RECHARGED, 4, 80.0)
     log.sample(0.0, "coverage", 0.9)
     log.sample(5.0, "coverage", 0.8)
-    return TelemetryBundle(
-        instruments=snapshot,
-        summary={"traveling_energy_j": 42.0},
-        config={"seed": 1},
-        log=log,
-    )
+    return log
 
 
-class TestExporters:
-    def test_builtins_registered(self):
-        for name in ("jsonl", "prometheus", "csv", "spans", "sqlite"):
-            assert name in EXPORTERS
+class TestLogFiles:
+    """:meth:`EventLog.write_files`: the three log files of a telemetry
+    directory."""
 
-    def test_jsonl_exporter(self, tmp_path):
-        written = EXPORTERS.build("jsonl").export(tmp_path, sample_bundle())
-        names = {p.name for p in written}
-        assert names == {"events.jsonl", "metrics.jsonl"}
-        metric_lines = [json.loads(line) for line in
-                        (tmp_path / "metrics.jsonl").read_text().splitlines()]
-        kinds = {r["instrument"] for r in metric_lines}
-        assert kinds == {"counter", "gauge", "histogram", "timer"}
-        by_name = {r["name"]: r for r in metric_lines}
-        assert by_name["fleet.sorties"]["value"] == 3.0
+    def test_writes_the_three_files(self, tmp_path):
+        names = sample_log().write_files(tmp_path)
+        assert names == ["events.jsonl", "series.csv", "spans.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        # A log that opened no phase still writes its (empty) span file.
+        assert (tmp_path / "spans.jsonl").read_text() == ""
 
-    def test_jsonl_events_round_trip(self, tmp_path):
-        bundle = sample_bundle()
-        EXPORTERS.build("jsonl").export(tmp_path, bundle)
+    def test_events_jsonl_round_trip(self, tmp_path):
+        log = sample_log()
+        log.write_files(tmp_path)
         back = EventLog.read_jsonl(tmp_path / "events.jsonl")
-        assert back.events == bundle.log.events
-        assert back.series == bundle.log.series
+        assert back.events == log.events
+        assert back.series == log.series
 
-    def test_jsonl_without_trace(self, tmp_path):
-        bundle = sample_bundle()
-        bundle.log = None
-        written = EXPORTERS.build("jsonl").export(tmp_path, bundle)
-        assert {p.name for p in written} == {"metrics.jsonl"}
-
-    def test_prometheus_exporter(self, tmp_path):
-        EXPORTERS.build("prometheus").export(tmp_path, sample_bundle())
-        text = (tmp_path / "metrics.prom").read_text()
-        assert "# TYPE repro_fleet_sorties_total counter" in text
-        assert "repro_fleet_sorties_total 3" in text
-        assert "repro_gate_backlog 2" in text
-        assert "repro_energy_recompute_seconds_count 1" in text
-        assert 'repro_fleet_delivered_j_bucket{le="+Inf"} 1' in text
-        assert "repro_fleet_delivered_j_sum 120" in text
-        assert "repro_summary_traveling_energy_j 42" in text
-        # every non-comment line is "name value"
-        for line in text.splitlines():
-            if line and not line.startswith("#"):
-                name, value = line.split()
-                float(value)
-
-    def test_csv_exporter(self, tmp_path):
-        EXPORTERS.build("csv").export(tmp_path, sample_bundle())
+    def test_series_csv_rows(self, tmp_path):
+        sample_log().write_files(tmp_path)
         with open(tmp_path / "series.csv", newline="") as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["series", "time_s", "value"]
-        assert ["coverage", "0.0", "0.9"] in rows
-        with open(tmp_path / "instruments.csv", newline="") as f:
-            inst = list(csv.reader(f))
-        assert inst[0] == ["kind", "name", "field", "value"]
-        assert ["counter", "fleet.sorties", "value", "3.0"] in inst
+        assert rows == [
+            ["series", "time_s", "value"],
+            ["coverage", "0.0", "0.9"],
+            ["coverage", "5.0", "0.8"],
+        ]
 
-    def test_custom_exporter_pluggable(self, tmp_path):
-        class OneFile:
-            def export(self, out_dir, bundle):
-                p = out_dir / "one.txt"
-                p.write_text(str(len(bundle.summary)))
-                return [p]
+    def test_spans_jsonl_round_trips(self, tmp_path):
+        from repro.obs import load_spans
 
-        EXPORTERS.register("test-onefile", OneFile)
-        try:
-            _, manifest = run_with_telemetry(
-                tiny_config(sim_time_s=0.05 * DAY_S), tmp_path,
-                exporters=["test-onefile"],
-            )
-            assert manifest.files == {"test-onefile": ["one.txt"]}
-            assert (tmp_path / "one.txt").is_file()
-        finally:
-            EXPORTERS.unregister("test-onefile")
-
-
-# Exposition format 0.0.4: a sample line is "name[{labels}] value", the
-# name from this grammar.  The lint below holds for arbitrary
-# instrument names; histogram ``_bucket`` series repeat the same name
-# with distinct ``le`` labels, so uniqueness applies to (name, labels).
-_PROM_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_PROM_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>\{[^}]*\})? (?P<value>\S+)$"
-)
-
-
-class TestPrometheusSanitization:
-    def weird_bundle(self):
-        snapshot = {
-            "counters": {
-                "fleet.rv-0.sorties": 1.0,
-                "fleet_rv_0.sorties": 2.0,  # collides after sanitizing
-            },
-            "gauges": {"0weird..na me!": 5.0},
-            "histograms": {"héllo.latency": histogram(0.5)},
-            "timers": {"phase one/two": timer(0.001)},
-        }
-        return TelemetryBundle(instruments=snapshot, summary={"objective-j": 1.0})
-
-    def test_sanitizes_dots_and_dashes(self):
-        from repro.obs.exporters import _prom_name
-
-        assert _prom_name("fleet.rv-0.delivered-j") == "repro_fleet_rv_0_delivered_j"
-        assert _prom_name("a..b--c") == "repro_a_b_c"
-        assert _prom_name("0starts.with.digit") == "repro_0starts_with_digit"
-
-    def test_collisions_get_suffixes(self, tmp_path):
-        EXPORTERS.build("prometheus").export(tmp_path, self.weird_bundle())
-        text = (tmp_path / "metrics.prom").read_text()
-        assert "repro_fleet_rv_0_sorties_total 1" in text
-        assert "repro_fleet_rv_0_sorties_total_dup2 2" in text
-
-    def test_exposition_grammar(self, tmp_path):
-        EXPORTERS.build("prometheus").export(tmp_path, self.weird_bundle())
-        seen = set()
-        for line in (tmp_path / "metrics.prom").read_text().splitlines():
-            if not line or line.startswith("#"):
-                continue
-            m = _PROM_SAMPLE_RE.match(line)
-            assert m, f"unparseable sample line {line!r}"
-            assert _PROM_NAME_RE.match(m.group("name")), m.group("name")
-            key = (m.group("name"), m.group("labels"))
-            assert key not in seen, f"duplicate sample {key}"
-            seen.add(key)
-            float(m.group("value"))
-        assert seen
-
-    def test_help_and_type_comments_present(self, tmp_path):
-        EXPORTERS.build("prometheus").export(tmp_path, self.weird_bundle())
-        text = (tmp_path / "metrics.prom").read_text()
-        assert "# HELP repro_fleet_rv_0_sorties_total" in text
-        assert "# TYPE repro_fleet_rv_0_sorties_total counter" in text
-        assert "# TYPE repro_h_llo_latency histogram" in text
-
-
-class TestSpansAndSqliteExporters:
-    def spans_bundle(self):
-        bundle = sample_bundle()
-        log = bundle.log
+        log = sample_log()
         with log.phase("run", seed=1):
             with log.phase("tick", t=0.0):
                 log.mark("sortie.assigned", rv_id=0)
-        return bundle, log
-
-    def test_spans_exporter_round_trips(self, tmp_path):
-        from repro.obs import load_spans
-
-        bundle, log = self.spans_bundle()
-        written = EXPORTERS.build("spans").export(tmp_path, bundle)
-        assert [p.name for p in written] == ["spans.jsonl"]
+        log.write_files(tmp_path)
+        text = (tmp_path / "spans.jsonl").read_text()
         assert load_spans(tmp_path / "spans.jsonl") == log.span_rows()
-
-    def test_spans_exporter_skips_without_spans(self, tmp_path):
-        assert EXPORTERS.build("spans").export(tmp_path, sample_bundle()) == []
-
-    def test_sqlite_tables(self, tmp_path):
-        import sqlite3
-
-        bundle, _ = self.spans_bundle()
-        written = EXPORTERS.build("sqlite").export(tmp_path, bundle)
-        assert [p.name for p in written] == ["telemetry.sqlite"]
-        conn = sqlite3.connect(tmp_path / "telemetry.sqlite")
-        try:
-            inst = dict(conn.execute(
-                "SELECT name, value FROM instruments WHERE kind='counter'"
-            ).fetchall())
-            assert inst["fleet.sorties"] == 3.0
-            summary = dict(conn.execute(
-                "SELECT name, value FROM instruments WHERE kind='summary'"
-            ).fetchall())
-            assert summary["traveling_energy_j"] == 42.0
-            spans = conn.execute(
-                "SELECT span_id, parent_id, name, attrs FROM spans ORDER BY span_id"
-            ).fetchall()
-            assert [(r[0], r[1], r[2]) for r in spans] == [
-                (1, None, "run"), (2, 1, "tick")]
-            assert json.loads(spans[0][3]) == {"seed": 1}
-        finally:
-            conn.close()
-
-    def test_sqlite_reexport_idempotent(self, tmp_path):
-        bundle, _ = self.spans_bundle()
-        EXPORTERS.build("sqlite").export(tmp_path, bundle)
-        EXPORTERS.build("sqlite").export(tmp_path, bundle)
-        import sqlite3
-
-        conn = sqlite3.connect(tmp_path / "telemetry.sqlite")
-        try:
-            (n,) = conn.execute("SELECT COUNT(*) FROM spans").fetchone()
-            assert n == 2
-        finally:
-            conn.close()
+        assert "".join(line + "\n" for line in log.span_lines()) == text
 
 
 class TestManifest:
@@ -352,9 +173,33 @@ class TestManifest:
 
     def test_round_trip(self):
         m = RunManifest.create(config={"seed": 3}, seed=3, wall_time_s=1.5,
-                               summary={"m": 1.0}, exporters=["jsonl"])
+                               summary={"m": 1.0}, files=["events.jsonl"])
         back = RunManifest.from_dict(m.as_dict())
         assert back == m
+
+    def test_from_dict_reads_per_exporter_files(self):
+        m = RunManifest.create(config={}, seed=0, wall_time_s=0.0)
+        data = m.as_dict()
+        data["exporters"] = ["jsonl", "prometheus"]
+        data["files"] = {"jsonl": ["events.jsonl", "metrics.jsonl"],
+                         "prometheus": ["metrics.prom"]}
+        back = RunManifest.from_dict(data)
+        assert back.files == ["events.jsonl", "metrics.jsonl", "metrics.prom"]
+
+    @pytest.mark.parametrize("data, match", [
+        ([], "JSON object"),
+        ({"seed": 1}, "lacks created_utc"),
+    ])
+    def test_from_dict_rejects_non_manifests(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            RunManifest.from_dict(data)
+
+    def test_load_names_a_truncated_file(self, tmp_path):
+        m = RunManifest.create(config={}, seed=0, wall_time_s=0.0)
+        path = m.write(tmp_path)
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(ValueError, match="manifest.json"):
+            RunManifest.load(tmp_path)
 
     def test_from_dict_ignores_unknown_keys(self):
         m = RunManifest.create(config={}, seed=0, wall_time_s=0.0)
@@ -379,14 +224,9 @@ class TestRunWithTelemetry:
 
     def test_all_files_written(self, run_dir):
         out, _, manifest = run_dir
-        expected = {"manifest.json", "events.jsonl", "metrics.jsonl",
-                    "metrics.prom", "series.csv", "instruments.csv",
-                    "spans.jsonl"}
-        assert expected <= {p.name for p in out.iterdir()}
-        assert manifest.exporters == ["jsonl", "prometheus", "csv", "spans"]
-        for names in manifest.files.values():
-            for name in names:
-                assert (out / name).is_file()
+        assert {p.name for p in out.iterdir()} == {
+            "manifest.json", "events.jsonl", "series.csv", "spans.jsonl"}
+        assert manifest.files == ["events.jsonl", "series.csv", "spans.jsonl"]
 
     def test_manifest_provenance(self, run_dir):
         out, _, manifest = run_dir
@@ -416,19 +256,6 @@ class TestRunWithTelemetry:
         assert len(back.events) > 0
         assert "coverage" in back.series
 
-    def test_exporter_subset(self, tmp_path):
-        _, manifest = run_with_telemetry(
-            tiny_config(sim_time_s=0.05 * DAY_S), tmp_path,
-            exporters=["prometheus"],
-        )
-        assert manifest.exporters == ["prometheus"]
-        assert (tmp_path / "metrics.prom").is_file()
-        assert not (tmp_path / "events.jsonl").exists()
-
-    def test_unknown_exporter_rejected_before_running(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown telemetry exporter"):
-            run_with_telemetry(tiny_config(), tmp_path, exporters=["nope"])
-        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestReport:
@@ -449,8 +276,9 @@ class TestReport:
             load_report(tmp_path)
 
     def test_format_without_events(self, tmp_path):
-        run_with_telemetry(tiny_config(sim_time_s=0.05 * DAY_S), tmp_path,
-                           exporters=["prometheus"])
+        run_with_telemetry(tiny_config(sim_time_s=0.05 * DAY_S), tmp_path)
+        (tmp_path / "events.jsonl").unlink()
         data = load_report(tmp_path)
         assert "event_counts" not in data
+        assert data["missing"] == ["events.jsonl"]
         assert "Telemetry report" in format_report(data)

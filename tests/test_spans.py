@@ -15,13 +15,10 @@ from repro.obs import (
     NULL_LOG,
     EventKind,
     EventLog,
-    TelemetryBundle,
     load_spans,
     render_span_tree,
-    spans_to_jsonl_lines,
 )
 from repro.experiments.executor import map_configs
-from repro.registry import EXPORTERS
 from repro.sim.config import DAY_S, SimulationConfig
 
 TINY = dict(
@@ -111,7 +108,7 @@ class TestSpanTracer:
         original = path.read_text()
         loaded = load_spans(path)
         assert loaded == log.span_rows()
-        assert "\n".join(spans_to_jsonl_lines(loaded)) + "\n" == original
+        assert "".join(json.dumps(row) + "\n" for row in loaded) == original
 
     def test_load_spans_from_lines_and_fileobj(self, tmp_path):
         log = EventLog()
@@ -172,9 +169,9 @@ class TestNullTracer:
         assert NULL_LOG.phase("a") is NULL_LOG.phase("b")
 
     def test_write_jsonl_writes_nothing(self, tmp_path):
-        bundle = TelemetryBundle(log=NULL_LOG)
-        assert EXPORTERS.build("spans").export(tmp_path, bundle) == []
-        assert not (tmp_path / "spans.jsonl").exists()
+        NULL_LOG.write_files(tmp_path)
+        assert (tmp_path / "events.jsonl").read_text() == ""
+        assert (tmp_path / "spans.jsonl").read_text() == ""
 
 
 class TestRenderTree:
