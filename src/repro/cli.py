@@ -4,7 +4,9 @@ Commands:
 
 * ``run`` — run one simulation and print (or JSON-dump) the summary;
   ``--telemetry DIR`` archives a manifest and the run's event log,
-  ``--profile`` prints the cProfile hot spots (under ``--json``, as the
+  ``--postmortem DIR`` writes a flight-recorder bundle,
+  ``--strict-monitors`` exits 1 on the first invariant violation (each
+  of the three arms the run's log and monitors), ``--profile`` prints the cProfile hot spots (under ``--json``, as the
   payload's ``profile`` list).
 * ``estimate`` — closed-form deployment estimates, no simulation.
 * ``map`` — run part of a simulation and draw the field (ASCII or SVG).
@@ -116,28 +118,24 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     manifest = None
+    # Each of these flags arms the run (event log + monitors, and the
+    # flight recorder with --postmortem); a plain run builds none.
+    armed = bool(args.telemetry or args.postmortem or args.strict_monitors)
 
     def _run():
         nonlocal manifest
-        if args.telemetry:
+        if armed:
             summary, manifest = run_with_telemetry(
                 cfg, args.telemetry,
-                # An explicit --postmortem arms the recorder even
-                # without REPRO_BLACKBOX; the bundle lands at DIR.
-                blackbox=True if args.postmortem else None,
-                postmortem=args.postmortem,
+                postmortem=args.postmortem, strict=args.strict_monitors,
             )
             return summary
-        if args.postmortem:
-            from .sim.runner import run_recorded
-
-            return run_recorded(cfg, args.postmortem, strict=args.strict_monitors)
         return run_simulation(cfg)
 
     # Only armed monitors raise InvariantViolation, so an unarmed run
     # catches nothing here and never loads the monitors.
     violation: tuple = ()
-    if args.telemetry or args.postmortem:
+    if armed:
         from .obs.monitors import InvariantViolation
 
         violation = (InvariantViolation,)
@@ -425,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--postmortem", metavar="DIR",
         help="arm the flight recorder and write a postmortem bundle to "
-             "DIR (guaranteed without --telemetry; with --telemetry, "
-             "flushed on failure, violation, or run end)",
+             "DIR on failure, violation, or run end",
     )
     p_run.add_argument(
         "--strict-monitors", action=argparse.BooleanOptionalAction, default=None,
-        help="make invariant violations raise (default: REPRO_STRICT_MONITORS)",
+        help="arm the invariant monitors and make a violation raise "
+             "(default: REPRO_STRICT_MONITORS)",
     )
     p_run.add_argument(
         "--profile", action="store_true",

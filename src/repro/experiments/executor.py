@@ -35,9 +35,10 @@ let alone spawned — before the first multi-worker fan-out.
 One miss loop: :func:`iter_configs` yields ``(index, summary, source)``
 per cell *as cells finish*; :func:`map_configs` is the grid-order
 reassembly of the same stream.  Every miss is one serial
-:class:`~repro.sim.world.World` run, in one of three task kinds: plain
-(``run``), under an event log (``traced``) or with the flight recorder
-armed (``recorded``).
+:class:`~repro.sim.world.World` run, in one of two task kinds: plain
+(``run``) or under an event log (``traced``).  A grid never arms the
+flight recorder; to record one cell, rerun its configuration through
+:func:`repro.sim.runner.run_with_telemetry` with ``postmortem=``.
 
 Observability: pass an :class:`repro.obs.EventLog` as ``log`` to
 :func:`map_configs` and the fan-out becomes part of its span tree.
@@ -55,8 +56,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.log import NULL_LOG, EventLog
 from ..sim.config import SimulationConfig
@@ -133,51 +133,12 @@ def _run_cell_traced(
     return summary, log.span_rows()
 
 
-def _run_cell_recorded(
-    task: Tuple[SimulationConfig, str, bool],
-) -> Tuple[SimulationSummary, Optional[List[Dict[str, Any]]]]:
-    """Pool worker: run one cell with the flight recorder armed.
-
-    ``task`` is ``(config, bundle_dir, traced)`` — a single tuple so
-    the worker stays a one-argument, picklable ``pool.map`` target.  On
-    any exception the recorder flushes a postmortem bundle to
-    ``bundle_dir`` before the exception propagates to the parent; a
-    clean run with monitor violations flushes one too.  The bundle path
-    is keyed by grid index in the parent, so reruns land in the same
-    place regardless of pool scheduling.
-    """
-    from ..obs.blackbox import BlackBoxRecorder
-    from ..obs.monitors import MonitorSet
-    from ..sim.runner import _flush_postmortem
-
-    config, bundle_dir, traced = task
-    recorder = BlackBoxRecorder()
-    log = EventLog() if traced else None
-    monitors = MonitorSet(log=log, blackbox=recorder)
-    world = World(config, log=log, monitors=monitors, blackbox=recorder)
-    try:
-        summary = world.run()
-    except BaseException as exc:
-        _flush_postmortem(
-            recorder, bundle_dir, reason="exception", config=config,
-            monitors=monitors, log=log, world=world, error=exc,
-        )
-        raise
-    if monitors.violations:
-        _flush_postmortem(
-            recorder, bundle_dir, reason="violation", config=config,
-            monitors=monitors, log=log,
-        )
-    return summary, log.span_rows() if log is not None else None
-
-
 #: Miss-execution worker functions by task kind.  The pool resolves
 #: the same table by name inside its workers, so serial and pooled
 #: execution run exactly the same code over the same payloads.
 _TASK_FNS = {
     "run": run_simulation,
     "traced": _run_cell_traced,
-    "recorded": _run_cell_recorded,
 }
 
 
@@ -227,7 +188,6 @@ def _stream(
     jobs: Optional[int],
     store,
     log,
-    postmortem_dir: Optional[Union[str, Path]],
 ) -> Iterator[Tuple[int, SimulationSummary, str, Optional[List[Dict[str, Any]]]]]:
     """The one miss loop: lookup, payloads, execute, store.
 
@@ -259,18 +219,8 @@ def _stream(
         yield i, hit, "store", None
     if not misses:
         return
-    if postmortem_dir is not None:
-        root = Path(postmortem_dir)
-        kind = "recorded"
-        payloads: List[Any] = [
-            (configs[i], str(root / f"cell-{i:04d}"), log.enabled) for i in misses
-        ]
-    elif log.enabled:
-        kind = "traced"
-        payloads = [configs[i] for i in misses]
-    else:
-        kind = "run"
-        payloads = [configs[i] for i in misses]
+    kind = "traced" if log.enabled else "run"
+    payloads = [configs[i] for i in misses]
 
     for j, out in _execute(kind, payloads, n_jobs):
         i = misses[j]
@@ -284,7 +234,6 @@ def map_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
     log=None,
-    postmortem_dir: Optional[Union[str, Path]] = None,
     store=None,
 ) -> List[SimulationSummary]:
     """Run every configuration through the result store and the pool;
@@ -304,11 +253,6 @@ def map_configs(
     its own log whose span rows are absorbed under it in miss order
     (deterministic id renumbering) once every cell is in — the merged
     trace is identical in structure for any ``jobs`` value.
-
-    With ``postmortem_dir``, every miss runs with the flight recorder
-    armed and writes ``<postmortem_dir>/cell-<grid index>`` bundles on
-    failure or monitor violation — keyed by grid index, so a crashing
-    cell lands at the same path however the pool schedules it.
     """
     log = log if log is not None else NULL_LOG
     results: List[Optional[SimulationSummary]] = [None] * len(configs)
@@ -316,9 +260,7 @@ def map_configs(
     n_jobs = _resolve_jobs(jobs)
     with log.phase("executor.map", cells=len(configs), jobs=n_jobs) as sweep_span:
         hits = 0
-        for i, summary, source, rows in _stream(
-            configs, n_jobs, store, log, postmortem_dir
-        ):
+        for i, summary, source, rows in _stream(configs, n_jobs, store, log):
             results[i] = summary
             hits += source == "store"
             if rows is not None:
@@ -333,7 +275,6 @@ def iter_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
     store=None,
-    postmortem_dir: Optional[Union[str, Path]] = None,
 ) -> Iterator[Tuple[int, SimulationSummary, str]]:
     """Stream per-cell results as they finish.
 
@@ -342,13 +283,9 @@ def iter_configs(
     are yielded first (in index order); misses follow in *completion*
     order — callers that need the serial sequence reassemble by index
     (:func:`map_configs` does).  Fresh results are stored as they
-    arrive, so a second identical submission is all hits.  With
-    ``postmortem_dir``, misses run with the flight recorder armed, same
-    bundle layout as :func:`map_configs`.
+    arrive, so a second identical submission is all hits.
     """
-    for i, summary, source, _rows in _stream(
-        configs, jobs, store, NULL_LOG, postmortem_dir
-    ):
+    for i, summary, source, _rows in _stream(configs, jobs, store, NULL_LOG):
         yield i, summary, source
 
 
@@ -391,7 +328,6 @@ def map_cells(
     erps: Sequence[float],
     jobs: Optional[int] = None,
     log=None,
-    postmortem_dir: Optional[Union[str, Path]] = None,
     store=None,
     **overrides,
 ) -> Dict[CellKey, SimulationSummary]:
@@ -405,7 +341,5 @@ def map_cells(
     ``sweep_grid`` order is bit-identical to the serial sweep.
     """
     keys, configs = grid_configs(scale, schedulers, erps, **overrides)
-    summaries = map_configs(
-        configs, jobs=jobs, log=log, postmortem_dir=postmortem_dir, store=store,
-    )
+    summaries = map_configs(configs, jobs=jobs, log=log, store=store)
     return dict(zip(keys, summaries))

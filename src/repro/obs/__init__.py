@@ -21,22 +21,24 @@ two archives down to the first differing event
 (:mod:`repro.obs.drift`).  A :class:`BlackBoxRecorder`
 (:mod:`repro.obs.blackbox`) keeps a bounded ring of per-tick state
 digests plus periodic checkpoints and flushes a self-contained
-postmortem bundle on failure; ``repro postmortem`` renders it and
-``repro replay`` re-executes it deterministically.
+postmortem bundle, the run's event log included, on failure;
+``repro postmortem`` renders it and ``repro replay`` re-executes it
+deterministically.
 
 One thing stays outside the log: the black box's records, which need
-state digests and checkpoints rather than events.  The experiment
-layer counts on the same log — a sweep's ``executor.map`` phase
-carries its cell, job and store-hit counts — while the result store
-and the worker pool keep their lifetime totals in their own plain
-``stats`` dicts.
+state digests and checkpoints rather than events; the world writes
+them, the components never do.  The experiment layer counts on the
+same log — a sweep's ``executor.map`` phase carries its cell, job and
+store-hit counts — while the result store and the worker pool keep
+their lifetime totals in their own plain ``stats`` dicts.
 
 The package deliberately never imports :mod:`repro.sim` — the
-simulation state holds ``log``/``monitors``/``blackbox`` references,
-so the dependency points one way.  The names below resolve on first
-use (:mod:`repro._lazy`), and the simulation imports only
-:mod:`repro.obs.log`, so a run without telemetry never loads the rest.  The run-level glue lives in
-:func:`repro.sim.runner.run_with_telemetry`.
+simulation state holds ``log``/``monitors`` references and the world a
+``blackbox`` one, so the dependency points one way.  The names below
+resolve on first use (:mod:`repro._lazy`), and the simulation imports
+only :mod:`repro.obs.log`, so a run without telemetry never loads the
+rest.  The one function that arms log, monitors and recorder for a run
+is :func:`repro.sim.runner.run_with_telemetry`.
 
 Quickstart::
 
@@ -56,7 +58,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".blackbox": (
         "BlackBoxRecorder",
         "PostmortemBundle",
-        "blackbox_enabled",
         "digest_rng",
         "digest_state",
         "format_postmortem",
@@ -64,12 +65,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".drift": ("diff_metrics", "format_drift", "load_metrics"),
     ".log": (
-        "NULL_BLACKBOX",
         "NULL_LOG",
         "NULL_MONITORS",
         "EventKind",
         "EventLog",
-        "NullBlackBox",
         "NullMonitors",
         "TraceEvent",
     ),
@@ -85,16 +84,13 @@ __all__ = [
     "EventLog",
     "InvariantViolation",
     "MonitorSet",
-    "NULL_BLACKBOX",
     "NULL_LOG",
     "NULL_MONITORS",
-    "NullBlackBox",
     "NullMonitors",
     "PostmortemBundle",
     "RunManifest",
     "Span",
     "TraceEvent",
-    "blackbox_enabled",
     "config_digest",
     "diff_metrics",
     "digest_rng",

@@ -1,15 +1,15 @@
 """Black-box flight recorder: bounded event records + postmortem bundles.
 
 A :class:`BlackBoxRecorder` keeps the last N per-event records of a run
-(state digests, RNG digests, component decisions fed in through
-:meth:`~BlackBoxRecorder.note`) in a bounded ring buffer, plus a short
-deque of full-state checkpoints captured by the simulation layer.  On a
-monitor violation, an unhandled exception, or an explicit request, the
-recorder flushes a self-contained *postmortem bundle* to disk: the
-config, a manifest (reason, seed, config digest, monitor tolerances,
-violations), the surviving records, the retained checkpoints, and the
-spans/instruments of the run's event log when the caller hands them
-over.
+(state and RNG digests) in a bounded ring buffer, plus a short deque of
+full-state checkpoints captured by the simulation layer.  What the
+components decided is not recorded here: the run's
+:class:`~repro.obs.log.EventLog` holds it.  On a monitor violation, an
+unhandled exception, or an explicit request, the recorder flushes a
+self-contained *postmortem bundle* to disk: the config, a manifest
+(reason, seed, config digest, monitor tolerances, violations), the
+surviving records, the retained checkpoints, and the run's event log
+(``events.jsonl``, ``spans.jsonl`` and its instrument snapshot).
 
 ``repro postmortem <bundle>`` renders the bundle as an incident report
 (:func:`format_postmortem`); ``repro replay <bundle>`` restores the
@@ -19,10 +19,10 @@ recorded ones.
 
 This module follows the layering rule of the package: it never imports
 :mod:`repro.sim`.  Records and checkpoints are opaque dicts; the
-simulation side (``repro.sim.replay``) owns their schema.  The default
-:data:`NULL_BLACKBOX` (defined next to ``NULL_LOG`` in
-:mod:`repro.obs.log`, re-exported here) costs one ``enabled`` attribute
-load on the disabled path.
+simulation side (``repro.sim.replay``) owns their schema.  Only an
+armed run imports it: the recorder lives on the
+:class:`~repro.sim.world.World`, which tests it for ``None`` once per
+periodic event.
 """
 
 from __future__ import annotations
@@ -39,16 +39,13 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..utils.tables import format_table
-from .log import NULL_BLACKBOX, NullBlackBox
+from .log import EventLog
 from .manifest import config_digest
 
 __all__ = [
     "BUNDLE_MANIFEST_FILENAME",
     "BlackBoxRecorder",
-    "NULL_BLACKBOX",
-    "NullBlackBox",
     "PostmortemBundle",
-    "blackbox_enabled",
     "checkpoint_interval_default",
     "digest_array",
     "digest_fields",
@@ -62,13 +59,9 @@ __all__ = [
 #: Manifest file at the root of every postmortem bundle.
 BUNDLE_MANIFEST_FILENAME = "blackbox.json"
 RECORDS_FILENAME = "records.jsonl"
+EVENTS_FILENAME = "events.jsonl"
 CHECKPOINT_DIRNAME = "checkpoints"
 BUNDLE_FORMAT = 1
-
-
-def blackbox_enabled() -> bool:
-    """``REPRO_BLACKBOX=1``: record flight data (default: off)."""
-    return os.environ.get("REPRO_BLACKBOX", "") not in ("", "0")
 
 
 def ring_capacity_default() -> int:
@@ -181,8 +174,8 @@ class BlackBoxRecorder:
             dropped, keeping flush cost and bundle size bounded.
 
     Records are opaque dicts with a monotone ``seq`` assigned here; the
-    simulation layer decides what goes in them (state digests, RNG
-    digests, per-component notes).  Everything stays in memory until
+    simulation layer decides what goes in them (state and RNG digests,
+    wall time, backlog).  Everything stays in memory until
     :meth:`flush` — the recorder never touches disk mid-run, which is
     what keeps the enabled-path overhead in budget.
     """
@@ -205,27 +198,10 @@ class BlackBoxRecorder:
         )
         self.seq = 0
         self._ring: deque = deque(maxlen=self.capacity)
-        self._pending: Dict[str, Any] = {}
         self.checkpoints: deque = deque(maxlen=max(1, int(max_checkpoints)))
         self._last_checkpoint_seq = 0
-        self.violations: List[Dict[str, Any]] = []
 
     # -- feeding ------------------------------------------------------
-
-    def note(self, key: str, value: Any) -> None:
-        """Attach ``key=value`` to the *next* record.
-
-        Components call this at decision points (ERC releases, dispatch
-        plans, relocations); the accumulated notes are merged into the
-        next :meth:`record` and cleared.
-        """
-        self._pending[key] = value
-
-    def note_violation(self, record: Dict[str, Any]) -> None:
-        """Register a monitor violation (kept for the bundle manifest
-        and attached to the next record)."""
-        self.violations.append(dict(record))
-        self._pending.setdefault("violations", []).append(dict(record))
 
     def record(
         self,
@@ -240,7 +216,6 @@ class BlackBoxRecorder:
         ``kind`` names the periodic event (``tick`` / ``dispatch`` /
         ``relocate``; replay also appends ``abort``), ``digests`` is a
         :func:`digest_state` dict, ``rng`` a :func:`digest_rng` string.
-        Pending :meth:`note` attributes are merged in and cleared.
         """
         self.seq += 1
         row: Dict[str, Any] = {
@@ -251,10 +226,6 @@ class BlackBoxRecorder:
         }
         if rng is not None:
             row["rng"] = rng
-        if self._pending:
-            for key, value in self._pending.items():
-                row.setdefault(key, value)
-            self._pending.clear()
         row.update(attrs)
         self._ring.append(row)
         return self.seq
@@ -288,9 +259,8 @@ class BlackBoxRecorder:
         *,
         reason: str,
         config: Optional[Dict[str, Any]] = None,
-        monitors: Optional[Dict[str, Any]] = None,
-        spans: Optional[List[str]] = None,
-        instruments: Optional[Dict[str, Any]] = None,
+        monitors=None,
+        log: Optional[EventLog] = None,
         error: Optional[str] = None,
         final_record: Optional[Dict[str, Any]] = None,
     ) -> Path:
@@ -301,10 +271,13 @@ class BlackBoxRecorder:
                 ``requested``).
             config: ``config_to_dict`` output (serialized verbatim and
                 digest-stamped into the manifest).
-            monitors: monitor configuration (strictness + tolerances) so
-                replay can arm identical tripwires.
-            spans: ``spans.jsonl`` lines (``EventLog.span_lines()``).
-            instruments: an instruments snapshot dict.
+            monitors: the run's :class:`~repro.obs.monitors.MonitorSet`;
+                its strictness and tolerances (so replay can arm
+                identical tripwires) and its violations go into the
+                manifest.
+            log: the run's event log, written as ``events.jsonl`` (the
+                bytes of the telemetry file), ``spans.jsonl`` and
+                ``instruments.json`` (its snapshot).
             error: stringified exception, if the run died.
             final_record: an extra record appended after the ring (the
                 ``abort`` record digesting state at the failure point).
@@ -338,12 +311,15 @@ class BlackBoxRecorder:
                 })
         if config is not None:
             (out / "config.json").write_text(json.dumps(config, indent=2))
-        if spans:
-            (out / "spans.jsonl").write_text("\n".join(spans) + "\n")
-        if instruments is not None:
-            (out / "instruments.json").write_text(
-                json.dumps(instruments, indent=2, default=_json_safe)
-            )
+        if log is not None:
+            log.write_jsonl(out / EVENTS_FILENAME)
+            spans = log.span_lines()
+            if spans:
+                (out / "spans.jsonl").write_text("\n".join(spans) + "\n")
+            (out / "instruments.json").write_text(json.dumps(
+                log.snapshot(int((config or {}).get("n_rvs", 0))),
+                indent=2, default=_json_safe,
+            ))
         manifest = {
             "format": BUNDLE_FORMAT,
             "reason": reason,
@@ -355,11 +331,12 @@ class BlackBoxRecorder:
             "records": len(records),
             "first_seq": int(records[0]["seq"]) if records else 0,
             "last_seq": int(records[-1]["seq"]) if records else 0,
-            "monitors": monitors or {},
+            "monitors": monitors.describe() if monitors is not None else {},
             "config_digest": config_digest(config) if config is not None else None,
             "seed": (config or {}).get("seed"),
             "violations": [
-                {k: _coerce(v) for k, v in rec.items()} for rec in self.violations
+                {k: _coerce(v) for k, v in rec.items()}
+                for rec in (monitors.violations if monitors is not None else ())
             ],
             "checkpoints": ckpt_index,
         }
@@ -456,10 +433,6 @@ def load_bundle(path: Union[str, Path]) -> PostmortemBundle:
 # the incident report
 # ---------------------------------------------------------------------------
 
-#: Record keys rendered in their own columns (everything else is a note).
-_CORE_KEYS = frozenset({"seq", "kind", "t", "digests", "rng"})
-
-
 def format_postmortem(
     bundle: PostmortemBundle, max_records: int = 12
 ) -> str:
@@ -500,23 +473,33 @@ def format_postmortem(
 
     if bundle.records:
         tail = bundle.records[-max_records:]
-        rows = []
-        for rec in tail:
-            notes = ", ".join(
-                f"{k}={_summ(v)}" for k, v in rec.items() if k not in _CORE_KEYS
-            )
-            rows.append([
+        rows = [
+            [
                 rec.get("seq", "?"),
                 rec.get("kind", "?"),
                 f"{rec.get('t', 0.0):.1f}",
                 (rec.get("digests", {}).get("state") or "?")[:12],
                 (rec.get("rng") or "?")[:12],
-                notes[:60],
-            ])
+            ]
+            for rec in tail
+        ]
         blocks.append(format_table(
-            ["seq", "kind", "t (s)", "state digest", "rng digest", "notes"],
+            ["seq", "kind", "t (s)", "state digest", "rng digest"],
             rows, title=f"Last {len(tail)} flight record(s)",
         ))
+
+    events_path = bundle.path / EVENTS_FILENAME
+    if events_path.is_file():
+        events = EventLog.read_jsonl(events_path).events[-max_records:]
+        if events:
+            rows = [
+                [f"{e.time_s:.1f}", e.kind.value, e.subject, f"{e.value:.4g}"]
+                for e in events
+            ]
+            blocks.append(format_table(
+                ["t (s)", "event", "subject", "value"],
+                rows, title=f"Last {len(events)} event(s) of the run's log",
+            ))
 
     if m.get("checkpoints"):
         lines = [
@@ -542,11 +525,3 @@ def format_postmortem(
     blocks.append(replay_hint)
     return "\n\n".join(blocks)
 
-
-def _summ(value: Any) -> str:
-    """Compact value rendering for the notes column."""
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    if isinstance(value, (list, tuple)):
-        return f"[{len(value)}]"
-    return str(value)

@@ -30,12 +30,10 @@ once, so an unobserved run pays one method call per touch point.
 event (an invariant violation, a result-store hit) on the open phase.
 
 The module never imports :mod:`repro.sim`; :class:`EventKind` lives
-here so the simulation can import it.  So do :data:`NULL_MONITORS` and
-:data:`NULL_BLACKBOX`, the disabled stand-ins for a
-:class:`~repro.obs.monitors.MonitorSet` and a
-:class:`~repro.obs.blackbox.BlackBoxRecorder`: the simulation core
-imports nothing else from :mod:`repro.obs`, and an unobserved run never
-loads the recorder stack.
+here so the simulation can import it.  So does :data:`NULL_MONITORS`,
+the disabled stand-in for a :class:`~repro.obs.monitors.MonitorSet`:
+the simulation core imports nothing else from :mod:`repro.obs`, and an
+unobserved run never loads the monitors or the flight recorder.
 """
 
 from __future__ import annotations
@@ -54,10 +52,8 @@ __all__ = [
     "EVENT_COUNTERS",
     "EventKind",
     "EventLog",
-    "NULL_BLACKBOX",
     "NULL_LOG",
     "NULL_MONITORS",
-    "NullBlackBox",
     "NullMonitors",
     "TIMED_PHASES",
     "TraceEvent",
@@ -522,9 +518,6 @@ class NullMonitors:
     def check_energy_conservation(self, *args: Any, **kwargs: Any) -> None:
         pass
 
-    def check_erc_release(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
     def check_erc_release_arrays(self, *args: Any, **kwargs: Any) -> None:
         pass
 
@@ -545,43 +538,3 @@ class NullMonitors:
 #: monitors are attached (one instance is enough — it holds no state).
 NULL_MONITORS = NullMonitors()
 
-
-class NullBlackBox:
-    """The zero-overhead default (mirrors ``NULL_LOG``).
-
-    ``enabled`` is False; components guard every recording touch point
-    on it, so the disabled path costs one attribute load.  The methods
-    remain callable no-ops for defensive call sites.
-    """
-
-    enabled = False
-    seq = 0
-    capacity = 0
-    checkpoint_every = 0
-    checkpoints: Iterable[Dict[str, Any]] = ()
-    violations: Iterable[Dict[str, Any]] = ()
-
-    def note(self, key: str, value: Any) -> None:
-        pass
-
-    def note_violation(self, record: Dict[str, Any]) -> None:
-        pass
-
-    def record(self, *args: Any, **kwargs: Any) -> int:
-        return 0
-
-    def should_checkpoint(self) -> bool:
-        return False
-
-    def add_checkpoint(self, checkpoint: Dict[str, Any]) -> None:
-        pass
-
-    def rows(self) -> List[Dict[str, Any]]:
-        return []
-
-    def flush(self, *args: Any, **kwargs: Any) -> Path:
-        raise RuntimeError("the black box is disabled; nothing to flush")
-
-
-#: Shared stateless instance — the default wherever no recorder is wired.
-NULL_BLACKBOX = NullBlackBox()

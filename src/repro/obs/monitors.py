@@ -65,9 +65,6 @@ class MonitorSet:
             snapshot).
         strict: raise :class:`InvariantViolation` on the first
             violation.  ``None`` consults ``REPRO_STRICT_MONITORS``.
-        blackbox: a :class:`~repro.obs.blackbox.BlackBoxRecorder`;
-            violations are registered on it so a postmortem bundle
-            carries them.
 
     ``REPRO_MONITOR_ATOL_J`` overrides the per-instance energy
     tolerance — its intended use is *forcing* a violation (a negative
@@ -85,15 +82,9 @@ class MonitorSet:
     #: Absolute slack (Joules) for plan-cost feasibility.
     PLAN_ATOL_J = 1e-3
 
-    def __init__(
-        self,
-        log=None,
-        strict: Optional[bool] = None,
-        blackbox=None,
-    ) -> None:
+    def __init__(self, log=None, strict: Optional[bool] = None) -> None:
         self.log = log if log is not None else NULL_LOG
         self.strict = strict_monitors_default() if strict is None else bool(strict)
-        self.blackbox = blackbox
         atol = os.environ.get("REPRO_MONITOR_ATOL_J")
         if atol is not None:
             self.ENERGY_ATOL_J = float(atol)
@@ -110,8 +101,6 @@ class MonitorSet:
         record.update(attrs)
         self.violations.append(record)
         self.log.mark(VIOLATION, invariant=invariant, t_sim=float(t), message=message)
-        if self.blackbox is not None and self.blackbox.enabled:
-            self.blackbox.note_violation(record)
         if self.strict:
             raise InvariantViolation(f"[{invariant}] t={t:.1f}s: {message}")
 
@@ -190,9 +179,10 @@ class MonitorSet:
                 dt=float(dt),
             )
 
-    def check_erc_release(
+    def check_erc_release_arrays(
         self,
-        cluster_set,
+        membership: np.ndarray,
+        sizes: np.ndarray,
         below_threshold: np.ndarray,
         already_requested: np.ndarray,
         released: Sequence[int],
@@ -203,71 +193,11 @@ class MonitorSet:
 
         A cluster releases either every needy non-listed member (gate
         open: needy count at or above the threshold) or none (gate
-        closed); unclustered needy sensors always release.
-        """
-        from ..core.erc import release_count_needed
-
-        below = np.asarray(below_threshold, dtype=bool)
-        listed = np.asarray(already_requested, dtype=bool)
-        released_set = set(int(n) for n in released)
-        for c in cluster_set:
-            if c.size == 0:
-                continue
-            members = np.asarray(c.members)
-            needy = members[below[members]]
-            expected_open = len(needy) >= release_count_needed(c.size, erp)
-            due = set(int(s) for s in needy if not listed[s])
-            got = released_set & set(int(m) for m in members)
-            if expected_open and got != due:
-                self._violate(
-                    "erc_release",
-                    f"cluster {c.cluster_id} gate open "
-                    f"({len(needy)}/{c.size} needy, erp={erp:g}) but released "
-                    f"{sorted(got)} instead of {sorted(due)}",
-                    t,
-                    cluster_id=int(c.cluster_id),
-                )
-            elif not expected_open and got:
-                self._violate(
-                    "erc_release",
-                    f"cluster {c.cluster_id} released {sorted(got)} with only "
-                    f"{len(needy)}/{c.size} needy "
-                    f"(threshold {release_count_needed(c.size, erp)}, erp={erp:g})",
-                    t,
-                    cluster_id=int(c.cluster_id),
-                )
-        unclustered = ~cluster_set.clustered_mask()
-        due_uncl = set(
-            int(s) for s in np.flatnonzero(unclustered & below & ~listed)
-        )
-        got_uncl = released_set & set(int(s) for s in np.flatnonzero(unclustered))
-        if got_uncl != due_uncl:
-            self._violate(
-                "erc_release",
-                f"unclustered release mismatch: {sorted(got_uncl)} "
-                f"instead of {sorted(due_uncl)}",
-                t,
-            )
-
-    def check_erc_release_arrays(
-        self,
-        membership: np.ndarray,
-        sizes: np.ndarray,
-        below_threshold: np.ndarray,
-        already_requested: np.ndarray,
-        released: Sequence[int],
-        erp: float,
-        t: float,
-        cluster_set=None,
-    ) -> None:
-        """Array form of :meth:`check_erc_release` for the SoA engine.
-
-        Re-derives the expected release set with one vectorized pass
-        over the flat ``membership`` / ``sizes`` arrays (no per-cluster
-        Python loop), so strict-monitor runs don't deoptimize the fast
-        tick path.  On a mismatch it delegates to the per-cluster walk
-        (when ``cluster_set`` is supplied) to produce the same detailed
-        violation messages as the reference path.
+        closed); unclustered needy sensors always release.  The
+        expected release set is re-derived in one vectorized pass over
+        the flat ``membership`` (cluster id per sensor, -1 when
+        unclustered) and ``sizes`` arrays, so a monitored run keeps the
+        fast tick path; a mismatch names the first diverging cluster.
         """
         from ..core.erc import release_count_needed
 
@@ -298,17 +228,25 @@ class MonitorSet:
                     t,
                 )
             return
-        if cluster_set is not None:
-            # Divergence: fall back to the slow walk for the detailed
-            # per-cluster message the reference check would have given.
-            self.check_erc_release(cluster_set, below, listed, released, erp, t)
+        cid = int(membership[np.flatnonzero(expected != got)[0]])
+        group = membership == cid
+        due = np.flatnonzero(group & expected).tolist()
+        got_ids = np.flatnonzero(group & got).tolist()
+        if cid < 0:
+            self._violate(
+                "erc_release",
+                f"unclustered release mismatch: {got_ids} instead of {due}",
+                t,
+            )
             return
-        diff = np.flatnonzero(expected != got)
         self._violate(
             "erc_release",
-            f"release set mismatch on {diff.size} sensor(s) "
-            f"(first {diff[:5].tolist()}; erp={erp:g})",
+            f"cluster {cid} gate {'open' if open_gate[cid] else 'closed'} "
+            f"({int(counts[cid])}/{int(sizes[cid])} needy, threshold "
+            f"{int(need[cid])}, erp={erp:g}) but released {got_ids} "
+            f"instead of {due}",
             t,
+            cluster_id=cid,
         )
 
     def check_plan_capacity(self, plan, view, t: float) -> None:

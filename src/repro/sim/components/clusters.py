@@ -72,8 +72,6 @@ class ClusterManager:
         s.targets.relocate()
         logger.debug("t=%.0fs: targets relocated (epoch %d)", s.now, s.targets.epoch)
         s.log.emit(s.now, EventKind.TARGETS_RELOCATED, s.targets.epoch)
-        if s.blackbox.enabled:
-            s.blackbox.note("relocated_epoch", int(s.targets.epoch))
         self.rebuild()
 
     def rotate(self) -> np.ndarray:
@@ -86,7 +84,5 @@ class ClusterManager:
         s = self.s
         handoffs = s.activator.rotate(s.arrays.alive)
         if len(handoffs):
-            if s.blackbox.enabled:
-                s.blackbox.note("handoffs", int(len(handoffs)))
             s.log.emit(s.now, EventKind.ROTATION, -1, float(len(handoffs)))
         return handoffs

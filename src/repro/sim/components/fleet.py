@@ -139,14 +139,6 @@ class FleetController:
             "t=%.0fs: dispatch round, %d request(s), %d idle RV(s), %d sortie(s)",
             s.now, len(s.requests), len(views), len(plans),
         )
-        if s.blackbox.enabled and plans:
-            s.blackbox.note(
-                "dispatched",
-                {
-                    str(rv_id): [int(n) for n in plan.node_ids]
-                    for rv_id, plan in plans.items()
-                },
-            )
         atomic = getattr(self.scheduler, "atomic_cluster_service", False)
         for rv_id, plan in plans.items():
             if mon.enabled:

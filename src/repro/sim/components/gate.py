@@ -101,7 +101,6 @@ class RequestGate:
                 to_release,
                 self.erc.erp,
                 s.now,
-                cluster_set=s.cluster_set,
             )
         released = self._release(to_release)
         if key != self._quiet_key:
@@ -143,9 +142,6 @@ class RequestGate:
                 "t=%.0fs: ERC released %d request(s), backlog %d",
                 s.now, len(to_release), len(s.requests),
             )
-            if s.blackbox.enabled:
-                s.blackbox.note("erc_released", [int(n) for n in to_release])
-                s.blackbox.note("erp", float(self.erc.erp))
         return bool(to_release)
 
     def mark_recharged(self, node: int) -> None:

@@ -38,7 +38,7 @@ from ...geometry.field import Field
 from ...core import kernels
 from ...network.routing import RoutingTree
 from ...network.topology import Topology
-from ...obs.log import NULL_BLACKBOX, NULL_LOG, NULL_MONITORS
+from ...obs.log import NULL_LOG, NULL_MONITORS
 from ...registry import MOBILITY_MODELS
 from ..config import SimulationConfig
 from ..engine import Simulator
@@ -154,7 +154,6 @@ class SimulationState:
     # -- observability (NULL_* defaults = zero-overhead no-ops) ------
     log: object = NULL_LOG
     monitors: object = NULL_MONITORS
-    blackbox: object = NULL_BLACKBOX
 
     def __post_init__(self) -> None:
         if self.requested is None:
@@ -163,8 +162,6 @@ class SimulationState:
             self.log = NULL_LOG
         if self.monitors is None:
             self.monitors = NULL_MONITORS
-        if self.blackbox is None:
-            self.blackbox = NULL_BLACKBOX
         # Per-sensor views alias the canonical buffers: the arrays *are*
         # the state, not a copy of it.
         self.arrays.positions = self.sensor_pos
@@ -185,7 +182,6 @@ class SimulationState:
         config: SimulationConfig,
         log=None,
         monitors=None,
-        blackbox=None,
     ) -> "SimulationState":
         """Deploy sensors, build the static network and the targets.
 
@@ -231,5 +227,4 @@ class SimulationState:
             targets=targets,
             log=log,
             monitors=monitors,
-            blackbox=blackbox,
         )

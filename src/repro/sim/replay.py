@@ -194,7 +194,7 @@ def abort_record(world, error: BaseException) -> Dict[str, Any]:
     that re-raises at the identical point produces identical digests."""
     s = world.state
     return {
-        "seq": int(s.blackbox.seq) + 1,
+        "seq": int(world.blackbox.seq) + 1,
         "kind": "abort",
         "t": float(s.now),
         "digests": digest_state(snapshot_arrays(s)),
@@ -337,8 +337,8 @@ def restore_world(
     for ev in scalars["pending"]:
         s.sim.schedule(ev["time"], handlers[ev["name"]], priority=ev["priority"])
 
-    if blackbox is not None and getattr(blackbox, "enabled", False):
-        blackbox.seq = int(scalars["seq"])
+    if world.blackbox is not None:
+        world.blackbox.seq = int(scalars["seq"])
     world._record_metrics()
     return world
 

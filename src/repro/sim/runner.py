@@ -26,13 +26,11 @@ from .serialization import config_to_dict
 from .world import World
 
 if TYPE_CHECKING:
-    from ..obs.blackbox import BlackBoxRecorder
     from ..obs.manifest import RunManifest
 
 __all__ = [
     "make_scheduler",
     "run_simulation",
-    "run_recorded",
     "run_seeds",
     "run_with_telemetry",
     "average_summaries",
@@ -82,37 +80,18 @@ def run_seeds(
     return map_configs([config.with_overrides(seed=s) for s in seeds], jobs=jobs)
 
 
-def _make_blackbox(blackbox) -> Optional[BlackBoxRecorder]:
-    """Resolve the ``blackbox`` argument convention shared by the run
-    helpers: ``None`` consults ``REPRO_BLACKBOX``, ``True``/``False``
-    force it on/off, and a recorder instance is used as-is."""
-    from ..obs.blackbox import BlackBoxRecorder, blackbox_enabled
-
-    if blackbox is None:
-        return BlackBoxRecorder() if blackbox_enabled() else None
-    if blackbox is True:
-        return BlackBoxRecorder()
-    if blackbox is False:
-        return None
-    return blackbox
-
-
 def _flush_postmortem(
-    recorder: BlackBoxRecorder,
+    world: World,
     directory: Union[str, Path],
-    *,
     reason: str,
-    config: SimulationConfig,
-    monitors=None,
-    log=None,
-    world=None,
     error: Optional[BaseException] = None,
-) -> Path:
-    """Write a postmortem bundle, with ``log``'s spans and instrument
-    snapshot when a log is given; never raises (a failing flush must
-    not mask the original failure)."""
+) -> None:
+    """Write ``world``'s postmortem bundle, with its monitors' violations
+    and its event log, plus an ``abort`` record when the run died with
+    ``error``; never raises (a failing flush must not mask the original
+    failure)."""
     final = None
-    if error is not None and world is not None:
+    if error is not None:
         from .replay import abort_record
 
         try:
@@ -120,126 +99,87 @@ def _flush_postmortem(
         except Exception:  # state too broken to digest — flush without
             logger.exception("could not digest state for the abort record")
     try:
-        path = recorder.flush(
+        world.blackbox.flush(
             directory,
             reason=reason,
-            config=config_to_dict(config),
-            monitors=monitors.describe() if monitors is not None else None,
-            spans=log.span_lines() if log is not None else None,
-            instruments=log.snapshot(config.n_rvs) if log is not None else None,
+            config=config_to_dict(world.cfg),
+            monitors=world.state.monitors,
+            log=world.state.log,
             error=f"{type(error).__name__}: {error}" if error is not None else None,
             final_record=final,
         )
-        logger.warning("postmortem bundle written to %s (reason: %s)", path, reason)
-        return Path(directory)
+        logger.warning("postmortem bundle written to %s (reason: %s)", directory, reason)
     except Exception:
         logger.exception("failed to flush the postmortem bundle to %s", directory)
-        return Path(directory)
-
-
-def run_recorded(
-    config: SimulationConfig,
-    bundle_dir: Union[str, Path],
-    strict: Optional[bool] = None,
-) -> SimulationSummary:
-    """Run one simulation with the flight recorder armed and a
-    postmortem bundle guaranteed at ``bundle_dir``.
-
-    The bundle's reason reflects the outcome: ``exception`` when the
-    run died (the exception is re-raised after the flush, with an
-    ``abort`` record digesting the state at the failure point),
-    ``violation`` when non-strict monitors recorded violations, and
-    ``requested`` for a clean run.  ``strict`` arms strict monitors
-    (``None`` consults ``REPRO_STRICT_MONITORS``).
-    """
-    from ..obs.blackbox import BlackBoxRecorder
-    from ..obs.monitors import MonitorSet
-
-    recorder = BlackBoxRecorder()
-    monitors = MonitorSet(strict=strict, blackbox=recorder)
-    world = World(config, monitors=monitors, blackbox=recorder)
-    try:
-        summary = world.run()
-    except BaseException as exc:
-        _flush_postmortem(
-            recorder, bundle_dir, reason="exception", config=config,
-            monitors=monitors, world=world, error=exc,
-        )
-        raise
-    reason = "violation" if monitors.violations else "requested"
-    _flush_postmortem(
-        recorder, bundle_dir, reason=reason, config=config, monitors=monitors,
-    )
-    return summary
 
 
 def run_with_telemetry(
     config: SimulationConfig,
-    out_dir: Union[str, Path],
+    out_dir: Optional[Union[str, Path]] = None,
     *,
-    blackbox=None,
     postmortem: Optional[Union[str, Path]] = None,
-) -> Tuple[SimulationSummary, RunManifest]:
-    """Run one simulation with full telemetry archived to ``out_dir``.
+    strict: Optional[bool] = None,
+) -> Tuple[SimulationSummary, Optional[RunManifest]]:
+    """Run one simulation armed: event log, invariant monitors and,
+    with ``postmortem``, the flight recorder.
 
-    The run is wired with an :class:`~repro.obs.EventLog` and a
-    :class:`~repro.obs.MonitorSet` (runtime invariant monitors;
-    ``REPRO_STRICT_MONITORS=1`` makes violations raise).  Once the run
-    ends the log writes ``events.jsonl``, ``series.csv`` and
-    ``spans.jsonl`` into ``out_dir``
+    This is the one way to arm a run.  The run is wired with an
+    :class:`~repro.obs.EventLog` and a :class:`~repro.obs.MonitorSet`
+    (runtime invariant monitors; ``strict`` makes a violation raise,
+    ``None`` consults ``REPRO_STRICT_MONITORS``).
+
+    With ``out_dir``, once the run ends the log writes
+    ``events.jsonl``, ``series.csv`` and ``spans.jsonl`` into it
     (:meth:`~repro.obs.EventLog.write_files`), and a ``manifest.json``
     (:class:`~repro.obs.RunManifest`: config digest, seed, version, git
     revision, wall time, the log's instrument snapshot, file index) is
     written last so a complete directory always has one.
 
-    Telemetry never touches the trajectory: the summary returned here
-    is bit-identical to ``run_simulation(config)``.
+    With ``postmortem``, a :class:`~repro.obs.BlackBoxRecorder` rides
+    along and a bundle is always flushed to that directory: reason
+    ``exception`` when the run died (with an ``abort`` record digesting
+    the state at the failure point, before the exception propagates),
+    ``violation`` when non-strict monitors recorded violations, and
+    ``requested`` for a clean run.
 
-    ``blackbox`` arms the flight recorder (``None`` consults
-    ``REPRO_BLACKBOX``; ``True`` forces it; a
-    :class:`~repro.obs.BlackBoxRecorder` instance is used as-is).  With
-    a recorder armed, any exception or monitor violation flushes a
-    postmortem bundle to ``postmortem`` (default:
-    ``out_dir/postmortem``) before the exception propagates; passing
-    ``postmortem`` explicitly also flushes a bundle for clean runs.
+    Arming never touches the trajectory: the summary returned here is
+    bit-identical to ``run_simulation(config)``.
 
     Returns:
-        ``(summary, manifest)``.
+        ``(summary, manifest)``; the manifest is None without
+        ``out_dir``.
     """
-    from ..obs.manifest import RunManifest
     from ..obs.monitors import MonitorSet
 
-    recorder = _make_blackbox(blackbox)
     log = EventLog()
-    monitors = MonitorSet(log=log, blackbox=recorder)
+    monitors = MonitorSet(log=log, strict=strict)
+    recorder = None
+    if postmortem is not None:
+        from ..obs.blackbox import BlackBoxRecorder
+
+        recorder = BlackBoxRecorder()
     wall0 = time.perf_counter()
     world = World(config, log=log, monitors=monitors, blackbox=recorder)
     try:
         summary = world.run()
     except BaseException as exc:
         if recorder is not None:
-            _flush_postmortem(
-                recorder,
-                Path(postmortem) if postmortem is not None
-                else Path(out_dir) / "postmortem",
-                reason="exception", config=config, monitors=monitors,
-                log=log, world=world, error=exc,
-            )
+            _flush_postmortem(world, postmortem, "exception", exc)
         raise
     wall_time_s = time.perf_counter() - wall0
-    if recorder is not None and (postmortem is not None or monitors.violations):
+    if recorder is not None:
         _flush_postmortem(
-            recorder,
-            Path(postmortem) if postmortem is not None
-            else Path(out_dir) / "postmortem",
-            reason="violation" if monitors.violations else "requested",
-            config=config, monitors=monitors, log=log,
+            world, postmortem, "violation" if monitors.violations else "requested"
         )
     if monitors.violations:
         logger.warning(
             "run completed with %d invariant violation(s): %s",
             len(monitors.violations), monitors.summary()["by_invariant"],
         )
+    if out_dir is None:
+        return summary, None
+    from ..obs.manifest import RunManifest
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.create(

@@ -50,9 +50,11 @@ class World:
     (run → tick → component phase), semantic event and series sample,
     from which the run's spans and instruments derive; ``monitors``
     (:class:`repro.obs.MonitorSet`) trips on runtime invariant
-    violations.  The wired components are exposed as ``world.energy``,
-    ``world.clusters``, ``world.gate`` and ``world.fleet``; the shared
-    state as ``world.state``.
+    violations; ``blackbox`` (:class:`repro.obs.BlackBoxRecorder`)
+    receives one flight record per periodic event, written here and
+    nowhere else.  The wired components are exposed as
+    ``world.energy``, ``world.clusters``, ``world.gate`` and
+    ``world.fleet``; the shared state as ``world.state``.
     """
 
     def __init__(
@@ -64,9 +66,8 @@ class World:
         blackbox=None,
     ) -> None:
         self.cfg = config
-        self.state = SimulationState.from_config(
-            config, log=log, monitors=monitors, blackbox=blackbox
-        )
+        self.state = SimulationState.from_config(config, log=log, monitors=monitors)
+        self.blackbox = blackbox
         self._bb_wall = perf_counter()
         self.clusters = ClusterManager(self.state)
         if scheduler is None:
@@ -96,7 +97,7 @@ class World:
             self.gate.check()
             self._record_metrics()
         self.state.sim.schedule_in(self.cfg.tick_s, self._on_tick, priority=PRIO_TICK)
-        if self.state.blackbox.enabled:
+        if self.blackbox is not None:
             self._flight_record("tick")
 
     def _on_dispatch_round(self) -> None:
@@ -109,7 +110,7 @@ class World:
         self.state.sim.schedule_in(
             self.cfg.dispatch_period_s, self._on_dispatch_round, priority=PRIO_DISPATCH
         )
-        if self.state.blackbox.enabled:
+        if self.blackbox is not None:
             self._flight_record("dispatch")
 
     def _on_relocate(self) -> None:
@@ -122,7 +123,7 @@ class World:
         self.state.sim.schedule_in(
             self.cfg.target_period_s, self._on_relocate, priority=PRIO_RELOCATE
         )
-        if self.state.blackbox.enabled:
+        if self.blackbox is not None:
             self._flight_record("relocate")
 
     def _flight_record(self, kind: str) -> None:
@@ -145,7 +146,7 @@ class World:
         from ..obs.blackbox import digest_fields, digest_rng, digest_state
 
         s = self.state
-        bb = s.blackbox
+        bb = self.blackbox
         wall = perf_counter()
         snap = snapshot_arrays(s)
         if kind != "tick" or (bb.seq + 1) % _FULL_DIGEST_EVERY == 0:

@@ -9,10 +9,11 @@ specification the parity tests compare the kernels against:
 
 * :func:`relay_walk` — per-origin root-path walk of the relay packet
   counts (:func:`repro.sim.soa.relay_counts`);
-* :class:`RoundRobinLoop`, :class:`FullTimeLoop` and
-  :func:`nodes_to_release` — the per-cluster activation and ERC gate
-  loops (the activators of :mod:`repro.sim.soa` and
-  :func:`repro.sim.soa.erc_release`);
+* :class:`RoundRobinLoop`, :class:`FullTimeLoop`,
+  :func:`nodes_to_release` and :func:`erc_release_mismatches` — the
+  per-cluster activation, ERC gate and ERC monitor loops (the
+  activators of :mod:`repro.sim.soa`, :func:`repro.sim.soa.erc_release`
+  and :meth:`repro.obs.MonitorSet.check_erc_release_arrays`);
 * the energy path's earlier forms: :func:`price_rates` (``np.where``
   masks over float through-counts), :func:`drain_handoffs` (one lump
   drain per column) and :class:`DataclassSimulator` (a heap of
@@ -207,6 +208,47 @@ def nodes_to_release(erp: float, cluster_set, below: np.ndarray, listed: np.ndar
     unclustered = ~cluster_set.clustered_mask()
     release.extend(int(s) for s in np.flatnonzero(unclustered & below & ~listed))
     return sorted(release)
+
+
+def erc_release_mismatches(
+    cluster_set, below: np.ndarray, listed: np.ndarray, released: Sequence[int], erp: float
+) -> List[str]:
+    """The ERC monitor one cluster at a time
+    (:meth:`repro.obs.MonitorSet.check_erc_release_arrays`).
+
+    A cluster releases either every needy non-listed member (gate open:
+    at least ``release_count_needed(nc, erp)`` needy members) or none;
+    unclustered needy sensors always release.  Returns one message per
+    cluster whose release disagrees (plus one for the unclustered
+    sensors); empty when ``released`` honors the gate.
+    """
+    from repro.core.erc import release_count_needed
+
+    below = np.asarray(below, dtype=bool)
+    listed = np.asarray(listed, dtype=bool)
+    released_set = set(int(n) for n in released)
+    out: List[str] = []
+    for c in cluster_set:
+        if c.size == 0:
+            continue
+        members = np.asarray(c.members)
+        needy = members[below[members]]
+        threshold = release_count_needed(c.size, erp)
+        due = set(int(s) for s in needy if not listed[s])
+        got = released_set & set(int(m) for m in members)
+        if len(needy) >= threshold and got != due:
+            out.append(f"cluster {c.cluster_id} gate open but released "
+                       f"{sorted(got)} instead of {sorted(due)}")
+        elif len(needy) < threshold and got:
+            out.append(f"cluster {c.cluster_id} released {sorted(got)} with only "
+                       f"{len(needy)}/{c.size} needy (threshold {threshold})")
+    unclustered = ~cluster_set.clustered_mask()
+    due_uncl = set(int(s) for s in np.flatnonzero(unclustered & below & ~listed))
+    got_uncl = released_set & set(int(s) for s in np.flatnonzero(unclustered))
+    if got_uncl != due_uncl:
+        out.append(f"unclustered release mismatch: {sorted(got_uncl)} "
+                   f"instead of {sorted(due_uncl)}")
+    return out
 
 
 # ----------------------------------------------------------------------

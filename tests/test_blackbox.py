@@ -1,9 +1,10 @@
 """Tests for the flight recorder, postmortem bundles, and replay.
 
-Covers the ring/notes/checkpoint mechanics of
-:class:`repro.obs.BlackBoxRecorder`, the zero-overhead null default,
-bundle round-trips through :func:`repro.obs.load_bundle`, deterministic
-replay from checkpoints
+Covers the ring/checkpoint mechanics of
+:class:`repro.obs.BlackBoxRecorder`, bundle round-trips through
+:func:`repro.obs.load_bundle` (the run's event log included, and
+bundles in the older per-record-notes format), deterministic replay
+from checkpoints
 (:mod:`repro.sim.replay`), the forced-violation acceptance path
 (``REPRO_MONITOR_ATOL_J`` + strict monitors), and the ``repro
 postmortem`` / ``repro replay`` CLI exit codes.  Also pins the
@@ -17,15 +18,15 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (
-    NULL_BLACKBOX,
     BlackBoxRecorder,
     InvariantViolation,
+    MonitorSet,
     format_postmortem,
     load_bundle,
 )
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.replay import format_replay, replay_bundle
-from repro.sim.runner import run_recorded, run_simulation, run_with_telemetry
+from repro.sim.runner import run_simulation, run_with_telemetry
 
 TINY = dict(
     n_sensors=30,
@@ -51,7 +52,7 @@ def recorded_bundle(tmp_path, name="bundle", checkpoint_every="3", **overrides):
     os.environ["REPRO_BLACKBOX_CHECKPOINT"] = checkpoint_every
     try:
         out = tmp_path / name
-        run_recorded(tiny_config(**overrides), out)
+        run_with_telemetry(tiny_config(**overrides), None, postmortem=out)
         return out
     finally:
         os.environ.pop("REPRO_BLACKBOX_CHECKPOINT", None)
@@ -67,21 +68,17 @@ class TestRecorder:
         assert [r["seq"] for r in rows] == [8, 9, 10]
         assert bb.seq == 10  # seq keeps counting past evictions
 
-    def test_notes_merge_into_next_record_only(self):
+    def test_violation_feeds_manifest(self, tmp_path):
         bb = BlackBoxRecorder(capacity=8, checkpoint_every=0)
-        bb.note("erc_released", [1, 2])
         bb.record("tick", 0.0, {"state": "a"})
-        bb.record("tick", 1.0, {"state": "b"})
-        first, second = bb.rows()
-        assert first["erc_released"] == [1, 2]
-        assert "erc_released" not in second
-
-    def test_violation_feeds_manifest_and_next_record(self):
-        bb = BlackBoxRecorder(capacity=8, checkpoint_every=0)
-        bb.note_violation({"invariant": "x", "t": 0.0, "message": "boom"})
-        bb.record("tick", 0.0, {"state": "a"})
-        assert bb.violations[0]["invariant"] == "x"
-        assert bb.rows()[0]["violations"][0]["message"] == "boom"
+        monitors = MonitorSet(strict=False)
+        monitors.check_battery_bounds(np.array([-5.0]), 1.0, t=0.0)
+        bundle = load_bundle(bb.flush(tmp_path / "b", reason="violation", monitors=monitors))
+        violations = bundle.manifest["violations"]
+        assert [v["invariant"] for v in violations] == ["battery_bounds"]
+        assert bundle.manifest["monitors"]["strict"] is False
+        # The records carry digests only; the violation lives in the manifest.
+        assert set(bundle.records[0]) == {"seq", "kind", "t", "digests"}
 
     def test_checkpoint_cadence(self):
         bb = BlackBoxRecorder(capacity=64, checkpoint_every=4)
@@ -98,20 +95,14 @@ class TestRecorder:
             bb.add_checkpoint({"seq": i, "t": 0.0, "arrays": {}, "scalars": {}})
         assert [c["seq"] for c in bb.checkpoints] == [3, 4]
 
-    def test_null_blackbox_is_disabled_and_inert(self):
-        assert NULL_BLACKBOX.enabled is False
-        NULL_BLACKBOX.note("k", 1)
-        NULL_BLACKBOX.record("tick", 0.0, {})
-        with pytest.raises(RuntimeError):
-            NULL_BLACKBOX.flush("/nonexistent", reason="requested")
-
 
 class TestTrajectoryInvariance:
     def test_recording_never_touches_the_trajectory(self, tmp_path):
         cfg = tiny_config()
         plain = run_simulation(cfg)
-        recorded = run_recorded(cfg, tmp_path / "bundle")
+        recorded, manifest = run_with_telemetry(cfg, None, postmortem=tmp_path / "b")
         assert plain.as_dict() == recorded.as_dict()
+        assert manifest is None and not (tmp_path / "b" / "manifest.json").exists()
 
 
 class TestBundleRoundTrip:
@@ -147,6 +138,34 @@ class TestBundleRoundTrip:
         assert "Postmortem bundle" in text
         assert "flight record(s)" in text
         assert "repro replay" in text
+        assert "event(s) of the run's log" in text
+
+    def test_bundle_events_are_the_telemetry_bytes(self, tmp_path):
+        tel, pm = tmp_path / "tel", tmp_path / "pm"
+        run_with_telemetry(tiny_config(), tel, postmortem=pm)
+        events = (pm / "events.jsonl").read_bytes()
+        assert events and events == (tel / "events.jsonl").read_bytes()
+        assert (pm / "spans.jsonl").is_file()
+
+    def test_bundle_in_the_per_record_notes_format_still_reads(self, tmp_path, capsys):
+        """Bundles written before the event log joined them carry
+        component notes on their records and no ``events.jsonl``; they
+        still render and replay bit-identically."""
+        out = recorded_bundle(tmp_path)
+        (out / "events.jsonl").unlink()
+        records_path = out / "records.jsonl"
+        rows = [json.loads(l) for l in records_path.read_text().splitlines()]
+        for row in rows:
+            row.update(
+                erc_released=[1, 2], erp=0.5, handoffs=3,
+                dispatched={"0": [1, 2]},
+                violations=[{"invariant": "x", "t": row["t"], "message": "m"}],
+            )
+        records_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["postmortem", str(out)]) == 0
+        assert "flight record(s)" in capsys.readouterr().out
+        assert main(["replay", str(out)]) == 0
+        assert "bit-identical" in capsys.readouterr().out
 
     def test_legacy_engine_block_still_renders_and_replays(self, tmp_path):
         """Bundles written before the batched engine was removed carry
@@ -212,7 +231,7 @@ class TestForcedViolation:
         monkeypatch.setenv("REPRO_MONITOR_ATOL_J", "-1")
         out = tmp_path / "viol"
         with pytest.raises(InvariantViolation):
-            run_recorded(tiny_config(), out, strict=True)
+            run_with_telemetry(tiny_config(), None, postmortem=out, strict=True)
         monkeypatch.delenv("REPRO_MONITOR_ATOL_J")
         return out
 
@@ -265,32 +284,6 @@ class TestCli:
         assert "postmortem:" in capsys.readouterr().err
         assert main(["replay", str(tmp_path / "nope")]) == 2
         assert "replay:" in capsys.readouterr().err
-
-
-class TestExecutorPostmortem:
-    def test_failing_cell_writes_deterministic_bundle(self, tmp_path, monkeypatch):
-        from repro.experiments.executor import map_configs
-
-        monkeypatch.setenv("REPRO_MONITOR_ATOL_J", "-1")
-        monkeypatch.setenv("REPRO_STRICT_MONITORS", "1")
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        pm = tmp_path / "pm"
-        with pytest.raises(InvariantViolation):
-            map_configs([tiny_config(), tiny_config(seed=7)], jobs=1,
-                        postmortem_dir=pm)
-        # The first (crashing) cell lands at its grid-indexed path.
-        bundle = load_bundle(pm / "cell-0000")
-        assert bundle.manifest["reason"] == "exception"
-        assert "InvariantViolation" in bundle.manifest["error"]
-
-    def test_clean_cells_write_no_bundles(self, tmp_path, monkeypatch):
-        from repro.experiments.executor import map_configs
-
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        pm = tmp_path / "pm"
-        summaries = map_configs([tiny_config()], jobs=1, postmortem_dir=pm)
-        assert summaries[0].as_dict() == run_simulation(tiny_config()).as_dict()
-        assert not pm.exists()
 
 
 class TestReportDegradation:

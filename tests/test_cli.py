@@ -165,6 +165,19 @@ class TestTelemetryCommands:
         assert "Phase timings" in report
         assert "Span tree" in report
 
+    @pytest.mark.parametrize("armed", [["--telemetry", "{tmp}/tele"], []],
+                             ids=["telemetry", "flag-alone"])
+    def test_strict_monitors_flag_fails_the_run(self, tmp_path, capsys, monkeypatch, armed):
+        """``--strict-monitors`` arms strict monitors with or without
+        ``--telemetry``: a forced violation exits 1 in one line."""
+        monkeypatch.setenv("REPRO_MONITOR_ATOL_J", "-1")
+        monkeypatch.delenv("REPRO_STRICT_MONITORS", raising=False)
+        flags = [f.format(tmp=tmp_path) for f in armed]
+        rc = main(["run", "--preset", "small", "--days", "0.05", "--seed", "1",
+                   *flags, "--strict-monitors"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("invariant violation:")
+
     @pytest.mark.parametrize("breakage", ["truncated", "not-an-object", "unreadable"])
     def test_report_broken_manifest_is_one_line(self, tmp_path, capsys, breakage):
         path = tmp_path / "manifest.json"

@@ -12,7 +12,6 @@ import re
 #: Every ``REPRO_*`` name that appears anywhere under ``src/repro``,
 #: sorted.
 KNOBS = [
-    "REPRO_BLACKBOX",
     "REPRO_BLACKBOX_CHECKPOINT",
     "REPRO_BLACKBOX_TICKS",
     "REPRO_JOBS",

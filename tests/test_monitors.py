@@ -8,6 +8,8 @@ every registered scheduler.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     EventLog,
@@ -19,6 +21,8 @@ from repro.obs.monitors import strict_monitors_default
 from repro.registry import SCHEDULERS
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.world import World
+
+from oracles import erc_release_mismatches, nodes_to_release
 
 
 class FakePlan:
@@ -133,83 +137,82 @@ class TestEnergyConservation:
         assert len(m.violations) == 1
 
 
-class _Cluster:
-    def __init__(self, cluster_id, members):
-        self.cluster_id = cluster_id
-        self.members = np.asarray(members, dtype=int)
-
-    @property
-    def size(self):
-        return len(self.members)
-
-
-class _ClusterSet:
-    def __init__(self, clusters, n_sensors):
-        self._clusters = clusters
-        self._n = n_sensors
-
-    def __iter__(self):
-        return iter(self._clusters)
-
-    def clustered_mask(self):
-        mask = np.zeros(self._n, dtype=bool)
-        for c in self._clusters:
-            mask[c.members] = True
-        return mask
-
-
 class TestErcRelease:
     """Re-derives max(ceil(nc*K), 1) against the gate's actual output."""
 
-    def setup_method(self):
-        # Cluster 0: sensors 0-3; cluster 1: sensors 4-6; sensor 7 free.
-        self.cs = _ClusterSet(
-            [_Cluster(0, [0, 1, 2, 3]), _Cluster(1, [4, 5, 6])], 8
+    # Cluster 0: sensors 0-3; cluster 1: sensors 4-6; sensor 7 free.
+    MEMBERSHIP = np.array([0, 0, 0, 0, 1, 1, 1, -1])
+    SIZES = np.array([4, 3])
+
+    def check(self, below, released, listed=None):
+        m = monitors()
+        listed = np.zeros(8, dtype=bool) if listed is None else np.asarray(listed, dtype=bool)
+        m.check_erc_release_arrays(
+            self.MEMBERSHIP, self.SIZES, np.asarray(below, dtype=bool), listed,
+            released, erp=0.5, t=0.0,
         )
+        return m.violations
 
     def test_clean_gate_open(self):
-        m = monitors()
-        below = np.array([1, 1, 0, 0, 0, 0, 0, 1], dtype=bool)
-        listed = np.zeros(8, dtype=bool)
         # erp=0.5 -> cluster 0 needs ceil(4*0.5)=2 needy; has 2 -> release
         # both; cluster 1 has none; sensor 7 is unclustered and needy.
-        m.check_erc_release(self.cs, below, listed, [0, 1, 7], erp=0.5, t=0.0)
-        assert m.violations == []
+        assert self.check([1, 1, 0, 0, 0, 0, 0, 1], [0, 1, 7]) == []
 
     def test_clean_gate_closed(self):
-        m = monitors()
-        below = np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=bool)
-        listed = np.zeros(8, dtype=bool)
-        m.check_erc_release(self.cs, below, listed, [], erp=0.5, t=0.0)
-        assert m.violations == []
+        assert self.check([1, 0, 0, 0, 0, 0, 0, 0], []) == []
 
     def test_fires_on_premature_release(self):
-        m = monitors()
-        below = np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=bool)
-        listed = np.zeros(8, dtype=bool)
-        m.check_erc_release(self.cs, below, listed, [0], erp=0.5, t=0.0)
-        assert [v["invariant"] for v in m.violations] == ["erc_release"]
+        violations = self.check([1, 0, 0, 0, 0, 0, 0, 0], [0])
+        assert [v["invariant"] for v in violations] == ["erc_release"]
+        assert violations[0]["cluster_id"] == 0
+        assert "cluster 0 gate closed (1/4 needy, threshold 2" in violations[0]["message"]
 
     def test_fires_on_partial_release(self):
-        m = monitors()
-        below = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=bool)
-        listed = np.zeros(8, dtype=bool)
-        m.check_erc_release(self.cs, below, listed, [0], erp=0.5, t=0.0)
-        assert len(m.violations) == 1
+        violations = self.check([1, 1, 0, 0, 0, 0, 0, 0], [0])
+        assert len(violations) == 1
+        assert "cluster 0 gate open (2/4 needy" in violations[0]["message"]
+        assert "released [0] instead of [0, 1]" in violations[0]["message"]
 
     def test_listed_members_not_re_released(self):
-        m = monitors()
-        below = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=bool)
-        listed = np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=bool)
-        m.check_erc_release(self.cs, below, listed, [1], erp=0.5, t=0.0)
-        assert m.violations == []
+        assert self.check([1, 1, 0, 0, 0, 0, 0, 0], [1], listed=[1, 0, 0, 0, 0, 0, 0, 0]) == []
 
     def test_fires_on_missed_unclustered(self):
-        m = monitors()
-        below = np.array([0, 0, 0, 0, 0, 0, 0, 1], dtype=bool)
-        listed = np.zeros(8, dtype=bool)
-        m.check_erc_release(self.cs, below, listed, [], erp=0.5, t=0.0)
-        assert [v["invariant"] for v in m.violations] == ["erc_release"]
+        violations = self.check([0, 0, 0, 0, 0, 0, 0, 1], [])
+        assert [v["invariant"] for v in violations] == ["erc_release"]
+        assert "unclustered release mismatch: [] instead of [7]" in violations[0]["message"]
+
+
+@st.composite
+def _erc_cases(draw):
+    """A random cluster epoch with random needy/listed masks and a
+    release set that is either the gate's own answer or a perturbation
+    of it."""
+    from repro.core.clustering import Cluster, ClusterSet
+
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(0, 5))
+    membership = np.array(draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n)))
+    below = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    listed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    erp = draw(st.sampled_from([0.0, 0.2, 0.5, 0.75, 1.0]))
+    cluster_set = ClusterSet(
+        [Cluster(cid, np.flatnonzero(membership == cid)) for cid in range(m)], n
+    )
+    released = nodes_to_release(erp, cluster_set, below, listed)
+    flips = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    released = sorted(set(released) ^ set(flips))
+    sizes = np.bincount(membership[membership >= 0], minlength=m)
+    return membership, sizes, cluster_set, below, listed, released, erp
+
+
+@settings(max_examples=300, deadline=None)
+@given(_erc_cases())
+def test_erc_array_check_agrees_with_the_per_cluster_oracle(case):
+    membership, sizes, cluster_set, below, listed, released, erp = case
+    m = monitors()
+    m.check_erc_release_arrays(membership, sizes, below, listed, released, erp, t=0.0)
+    oracle = erc_release_mismatches(cluster_set, below, listed, released, erp)
+    assert bool(m.violations) == bool(oracle), (m.violations, oracle)
 
 
 class TestPlanCapacity:
