@@ -51,9 +51,8 @@ def lazy_exports(
     name raises ``AttributeError``, which also lets ``from package
     import submodule`` fall through to the import system.
 
-    A name that is also a submodule's name (``repro.tsp.two_opt``)
-    must stay an eager import: importing the submodule first would bind
-    the module under that name.
+    A name that is also a submodule's name cannot be lazy: importing
+    the submodule first would bind the module under that name.
     """
     where = {name: module for module, names in table.items() for name in names}
     namespace = sys.modules[package].__dict__

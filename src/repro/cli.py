@@ -13,14 +13,15 @@ Commands:
 * ``figure`` — regenerate one paper figure's table.
 * ``report`` — render an archived telemetry directory as tables.
 * ``drift`` — diff two telemetry/manifest directories (or a benchmark
-  history file) for metric drift, naming the first diverging event when
-  both directories hold an event log; exit 1 when any metric drifted.
+  history file) for metric drift, naming the first diverging digest row
+  and event when both directories hold an event log; exit 1 when any
+  metric drifted.
 * ``postmortem`` — render a flight-recorder bundle (written by
   ``run --postmortem DIR`` or flushed automatically on a crash or
   monitor violation) as a human-readable incident report.
 * ``replay`` — restore a bundle's checkpoint and re-execute it
-  deterministically, diffing every replayed tick against the recorded
-  state digests; exit 1 on divergence.
+  deterministically, diffing every replayed digest row against the
+  recorded one; exit 1 on divergence.
 
 A reader that closes stdout early (``repro estimate | head -1``) ends
 any command quietly with exit code 141 (128 + ``SIGPIPE``, what a shell
@@ -417,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p_run.add_argument(
         "--telemetry", metavar="DIR",
-        help="archive the run's manifest.json, events.jsonl, series.csv "
-             "and spans.jsonl into DIR",
+        help="archive the run's manifest.json, events.jsonl (events, samples "
+             "and, with --postmortem, digest rows) and spans.jsonl into DIR",
     )
     p_run.add_argument(
         "--postmortem", metavar="DIR",
@@ -482,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pm.add_argument("bundle", help="bundle directory (holds blackbox.json)")
     p_pm.add_argument(
         "--records", type=int, default=12, metavar="N",
-        help="flight records to show from the tail of the ring (default: 12)",
+        help="digest rows and events to show from the end of the bundle's "
+             "events.jsonl (default: 12)",
     )
     p_pm.set_defaults(func=_cmd_postmortem)
 
@@ -493,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("bundle", help="bundle directory (holds blackbox.json)")
     p_replay.add_argument(
         "--to-tick", type=int, default=None, metavar="T",
-        help="replay up to record seq T (default: the bundle's last record)",
+        help="replay up to digest row seq T (default: the bundle's last row)",
     )
     p_replay.set_defaults(func=_cmd_replay)
 

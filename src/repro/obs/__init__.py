@@ -3,34 +3,34 @@
 An observed run answers *why* a result looks the way it does.  The
 simulation reports into one :class:`EventLog` (:mod:`repro.obs.log`):
 a phase per timed piece of work, an event per semantic occurrence
-(request released, sortie assigned, node recharged...) and a sample
-per time-series point.  Everything a telemetry directory holds is
-derived from that record at export: the events and series, the span
-tree (:mod:`repro.obs.spans`) that replays the run tick by tick, and
-the counters, gauge, histograms and phase timers of the instrument
+(request released, sortie assigned, node recharged...), a sample per
+time-series point and, when the flight recorder is armed, a digest row
+per periodic event.  Everything a telemetry directory holds is derived
+from that record at export: the events, samples and digest rows, the
+span tree (:mod:`repro.obs.spans`) that replays the run tick by tick,
+and the counters, gauge, histograms and phase timers of the instrument
 snapshot (:meth:`EventLog.snapshot`).  Runtime invariant monitors
 (:mod:`repro.obs.monitors`) trip on conservation/threshold/capacity
-violations and mark them on the log.  A telemetry directory holds four
-files: the log writes ``events.jsonl``, ``series.csv`` and
-``spans.jsonl`` (:meth:`EventLog.write_files`), and a provenance
-:class:`RunManifest` (:mod:`repro.obs.manifest`) carries the
-instrument snapshot in ``manifest.json``.
+violations and mark them on the log.  A telemetry directory holds
+three files: the log writes ``events.jsonl`` and ``spans.jsonl``
+(:meth:`EventLog.write_files`), and a provenance :class:`RunManifest`
+(:mod:`repro.obs.manifest`) carries the instrument snapshot in
+``manifest.json``.
 ``repro report DIR`` renders an archived directory back into tables
 and a span tree (:mod:`repro.obs.report`); ``repro drift A B`` diffs
-two archives down to the first differing event
+two archives down to the first differing digest row and event
 (:mod:`repro.obs.drift`).  A :class:`BlackBoxRecorder`
-(:mod:`repro.obs.blackbox`) keeps a bounded ring of per-tick state
-digests plus periodic checkpoints and flushes a self-contained
-postmortem bundle, the run's event log included, on failure;
-``repro postmortem`` renders it and ``repro replay`` re-executes it
-deterministically.
+(:mod:`repro.obs.blackbox`) writes the digest rows into the run's log,
+keeps a few full-state checkpoints, and flushes a self-contained
+postmortem bundle — the checkpoints plus the log's rows since the
+oldest one — on failure; ``repro postmortem`` renders it and ``repro
+replay`` re-executes it deterministically.
 
-One thing stays outside the log: the black box's records, which need
-state digests and checkpoints rather than events; the world writes
-them, the components never do.  The experiment layer counts on the
-same log — a sweep's ``executor.map`` phase carries its cell, job and
-store-hit counts — while the result store and the worker pool keep
-their lifetime totals in their own plain ``stats`` dicts.
+The world, not the components, writes the digest rows.  The experiment
+layer counts on the same log — a sweep's ``executor.map`` phase
+carries its cell, job and store-hit counts — while the result store
+and the worker pool keep their lifetime totals in their own plain
+``stats`` dicts.
 
 The package deliberately never imports :mod:`repro.sim` — the
 simulation state holds ``log``/``monitors`` references and the world a
@@ -48,8 +48,8 @@ Quickstart::
     summary, manifest = run_with_telemetry(
         SimulationConfig.small(), "telemetry_out"
     )
-    # telemetry_out/ now holds manifest.json, events.jsonl,
-    # series.csv and spans.jsonl
+    # telemetry_out/ now holds manifest.json, events.jsonl and
+    # spans.jsonl
 """
 
 from .._lazy import lazy_exports
@@ -70,12 +70,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "EventKind",
         "EventLog",
         "NullMonitors",
+        "Span",
         "TraceEvent",
     ),
     ".manifest": ("RunManifest", "config_digest", "git_revision"),
     ".monitors": ("InvariantViolation", "MonitorSet"),
     ".report": ("format_report", "load_report"),
-    ".spans": ("Span", "load_spans", "render_span_tree"),
+    ".spans": ("load_spans", "render_span_tree"),
 })
 
 __all__ = [

@@ -1,24 +1,28 @@
-"""Black-box flight recorder: bounded event records + postmortem bundles.
+"""Black-box flight recorder: state-digest rows + postmortem bundles.
 
-A :class:`BlackBoxRecorder` keeps the last N per-event records of a run
-(state and RNG digests) in a bounded ring buffer, plus a short deque of
-full-state checkpoints captured by the simulation layer.  What the
-components decided is not recorded here: the run's
-:class:`~repro.obs.log.EventLog` holds it.  On a monitor violation, an
-unhandled exception, or an explicit request, the recorder flushes a
-self-contained *postmortem bundle* to disk: the config, a manifest
-(reason, seed, config digest, monitor tolerances, violations), the
-surviving records, the retained checkpoints, and the run's event log
-(``events.jsonl``, ``spans.jsonl`` and its instrument snapshot).
+A :class:`BlackBoxRecorder` writes one *digest row* per periodic event
+of a run into an :class:`~repro.obs.log.EventLog` — the run's own log
+when it has one, a private one otherwise — and keeps a short deque of
+full-state checkpoints captured by the simulation layer.  A digest row
+is ``{"type": "digest", "seq", "t", "kind", "state", "rng"}``, plus
+per-field ``"fields"`` digests on decision events and every
+:data:`FULL_DIGEST_EVERY`-th row; the log writes these rows after its
+samples in ``events.jsonl``, so the state digests and the decisions of
+a run share one stream.  On a monitor violation, an unhandled
+exception, or an explicit request, the recorder flushes a
+self-contained *postmortem bundle* to disk: a manifest (reason, seed,
+config digest, monitor tolerances, violations, checkpoint index), the
+config, the retained checkpoints, and the log's rows from the oldest
+kept checkpoint onwards (``events.jsonl``).
 
 ``repro postmortem <bundle>`` renders the bundle as an incident report
 (:func:`format_postmortem`); ``repro replay <bundle>`` restores the
 nearest checkpoint and re-executes deterministically
-(:mod:`repro.sim.replay`), diffing replayed state digests against the
+(:mod:`repro.sim.replay`), diffing replayed digest rows against the
 recorded ones.
 
 This module follows the layering rule of the package: it never imports
-:mod:`repro.sim`.  Records and checkpoints are opaque dicts; the
+:mod:`repro.sim`.  Snapshots and checkpoints are opaque dicts; the
 simulation side (``repro.sim.replay``) owns their schema.  Only an
 armed run imports it: the recorder lives on the
 :class:`~repro.sim.world.World`, which tests it for ``None`` once per
@@ -29,55 +33,64 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..utils.tables import format_table
-from .log import EventLog
+from .log import EventLog, json_safe
 from .manifest import config_digest
 
 __all__ = [
     "BUNDLE_MANIFEST_FILENAME",
     "BlackBoxRecorder",
     "PostmortemBundle",
-    "checkpoint_interval_default",
     "digest_array",
     "digest_fields",
     "digest_rng",
+    "digest_row",
     "digest_state",
     "format_postmortem",
     "load_bundle",
-    "ring_capacity_default",
 ]
 
 #: Manifest file at the root of every postmortem bundle.
 BUNDLE_MANIFEST_FILENAME = "blackbox.json"
-RECORDS_FILENAME = "records.jsonl"
 EVENTS_FILENAME = "events.jsonl"
+#: The digest rows of bundles written before they joined the event log.
+LEGACY_RECORDS_FILENAME = "records.jsonl"
 CHECKPOINT_DIRNAME = "checkpoints"
-BUNDLE_FORMAT = 1
+BUNDLE_FORMAT = 2
 
-
-def ring_capacity_default() -> int:
-    """Ring size from ``REPRO_BLACKBOX_TICKS`` (default 256 records)."""
-    return int(os.environ.get("REPRO_BLACKBOX_TICKS", "256"))
-
-
-def checkpoint_interval_default() -> int:
-    """Checkpoint cadence, in tick records, from
-    ``REPRO_BLACKBOX_CHECKPOINT`` (default every 64; 0 disables)."""
-    return int(os.environ.get("REPRO_BLACKBOX_CHECKPOINT", "64"))
+#: Take a full-state checkpoint every this many digest rows (at the
+#: first safe tick after that).
+CHECKPOINT_EVERY = 64
+#: Cadence of full per-field digests on plain ticks (decision events
+#: always carry them); a pure function of ``seq``, so replayed rows
+#: line up structurally with recorded ones.
+FULL_DIGEST_EVERY = 16
 
 
 # ---------------------------------------------------------------------------
 # digests
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1024)
+def _array_prefix(dtype: np.dtype, shape: Tuple[int, ...]) -> bytes:
+    """``str(dtype) + str(shape)``, encoded and remembered: formatting a
+    dtype or a shape costs more than hashing a small array."""
+    return f"{dtype}{shape}".encode()
+
+
+@lru_cache(maxsize=1024)
+def _field_prefix(name: str, dtype: np.dtype, shape: Tuple[int, ...]) -> bytes:
+    """A field's name, ``dtype.str`` and shape, encoded and remembered."""
+    return f"{name}{dtype.str}{shape}".encode()
 
 
 def digest_array(value: Any) -> str:
@@ -87,29 +100,23 @@ def digest_array(value: Any) -> str:
     dtype and shape, collapsed to one comparable string.
     """
     a = np.ascontiguousarray(value)
-    h = hashlib.sha256()
-    h.update(str(a.dtype).encode())
-    h.update(str(a.shape).encode())
-    h.update(a.tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(_array_prefix(a.dtype, a.shape) + a.tobytes()).hexdigest()
 
 
 def digest_fields(snapshot: Dict[str, Any]) -> str:
     """One combined digest over a snapshot dict, name-sorted.
 
-    A single hasher fed every field's name, dtype, shape and raw bytes
+    A single hash over every field's name, dtype, shape and raw bytes
     — the per-event hot path of the flight recorder, an order of
     magnitude cheaper than hashing each field separately.  The value
     equals ``digest_state(snapshot)["state"]`` by construction.
     """
-    h = hashlib.sha256()
-    for key in sorted(snapshot):
-        a = np.asarray(snapshot[key])
-        h.update(key.encode())
-        h.update(a.dtype.str.encode())
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
+    parts = []
+    for name in sorted(snapshot):
+        a = np.asarray(snapshot[name])
+        parts.append(_field_prefix(name, a.dtype, a.shape))
+        parts.append(a.tobytes())
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 def digest_state(snapshot: Dict[str, Any]) -> Dict[str, str]:
@@ -134,25 +141,46 @@ def digest_rng(state: Dict[str, Any]) -> str:
         # directly — several times cheaper than a canonical JSON dump
         # on the per-event path.  Bit generators whose state holds
         # arrays (MT19937) take the JSON route below.
-        payload = "|".join(f"{k}:{inner[k]}" for k in sorted(inner)) + (
+        return _digest_int_words(
+            tuple(sorted(inner.items())),
             f"|{state.get('bit_generator')}"
-            f"|{state.get('has_uint32')}|{state.get('uinteger')}"
+            f"|{state.get('has_uint32')}|{state.get('uinteger')}",
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
     return hashlib.sha256(
         json.dumps(state, sort_keys=True, default=int).encode()
     ).hexdigest()
 
 
-def _json_safe(value: Any) -> Any:
-    """Coerce numpy scalars/arrays so records serialize as plain JSON."""
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
+@lru_cache(maxsize=1)
+def _digest_int_words(words: Tuple[Tuple[str, int], ...], tail: str) -> str:
+    """:func:`digest_rng` of plain-int state words; remembers the last
+    state, since most periodic events draw no random number."""
+    payload = "|".join(f"{k}:{v}" for k, v in words) + tail
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def digest_row(
+    seq: int,
+    kind: str,
+    t: float,
+    snapshot: Dict[str, Any],
+    rng_state: Dict[str, Any],
+    full: bool,
+) -> Dict[str, Any]:
+    """One digest row: the combined state digest of ``snapshot`` (a
+    ``snapshot_arrays`` dict) and the RNG digest, plus the per-field
+    digests when ``full``."""
+    row: Dict[str, Any] = {
+        "type": "digest",
+        "seq": seq,
+        "t": float(t),
+        "kind": kind,
+        "state": digest_fields(snapshot),
+        "rng": digest_rng(rng_state),
+    }
+    if full:
+        row["fields"] = {key: digest_array(snapshot[key]) for key in sorted(snapshot)}
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -161,74 +189,60 @@ def _json_safe(value: Any) -> Any:
 
 
 class BlackBoxRecorder:
-    """Bounded flight recorder for one run.
+    """Flight recorder for one run.
 
     Args:
-        capacity: ring size in records (``REPRO_BLACKBOX_TICKS``
-            otherwise).  Older records are evicted silently.
         checkpoint_every: take a full-state checkpoint every this many
-            *tick* records (``REPRO_BLACKBOX_CHECKPOINT`` otherwise;
-            ``0`` disables checkpointing — replay then starts from
-            genesis).
+            digest rows (:data:`CHECKPOINT_EVERY` otherwise; ``0``
+            disables checkpointing — replay then starts from genesis).
         max_checkpoints: checkpoints retained in memory; older ones are
             dropped, keeping flush cost and bundle size bounded.
+        log: the event log the digest rows go to — the run's own, so
+            one stream holds decisions and state; a private log when
+            omitted.
 
-    Records are opaque dicts with a monotone ``seq`` assigned here; the
-    simulation layer decides what goes in them (state and RNG digests,
-    wall time, backlog).  Everything stays in memory until
-    :meth:`flush` — the recorder never touches disk mid-run, which is
-    what keeps the enabled-path overhead in budget.
+    Everything stays in memory until :meth:`flush` — the recorder never
+    touches disk mid-run, which is what keeps the armed-path overhead
+    in budget.
     """
-
-    enabled = True
 
     def __init__(
         self,
-        capacity: Optional[int] = None,
         checkpoint_every: Optional[int] = None,
         max_checkpoints: int = 4,
+        log: Optional[EventLog] = None,
     ) -> None:
-        self.capacity = int(capacity) if capacity is not None else ring_capacity_default()
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.checkpoint_every = (
-            int(checkpoint_every)
-            if checkpoint_every is not None
-            else checkpoint_interval_default()
+            CHECKPOINT_EVERY if checkpoint_every is None else int(checkpoint_every)
         )
+        self.log = log if log is not None else EventLog()
         self.seq = 0
-        self._ring: deque = deque(maxlen=self.capacity)
         self.checkpoints: deque = deque(maxlen=max(1, int(max_checkpoints)))
         self._last_checkpoint_seq = 0
-
-    # -- feeding ------------------------------------------------------
 
     def record(
         self,
         kind: str,
         t: float,
-        digests: Dict[str, str],
-        rng: Optional[str] = None,
-        **attrs: Any,
-    ) -> int:
-        """Append one event record; returns its sequence number.
+        snapshot: Dict[str, Any],
+        rng_state: Dict[str, Any],
+        error: Optional[str] = None,
+    ) -> Dict[str, Any]:
+        """Append the next digest row to the log and return it.
 
         ``kind`` names the periodic event (``tick`` / ``dispatch`` /
-        ``relocate``; replay also appends ``abort``), ``digests`` is a
-        :func:`digest_state` dict, ``rng`` a :func:`digest_rng` string.
+        ``relocate``); an ``abort`` row, which carries the ``error``,
+        digests the state where a run died.
         """
         self.seq += 1
-        row: Dict[str, Any] = {
-            "seq": self.seq,
-            "kind": kind,
-            "t": float(t),
-            "digests": dict(digests),
-        }
-        if rng is not None:
-            row["rng"] = rng
-        row.update(attrs)
-        self._ring.append(row)
-        return self.seq
+        row = digest_row(
+            self.seq, kind, t, snapshot, rng_state,
+            full=kind != "tick" or self.seq % FULL_DIGEST_EVERY == 0,
+        )
+        if error is not None:
+            row["error"] = error
+        self.log.digests.append(row)
+        return row
 
     # -- checkpoints ---------------------------------------------------
 
@@ -245,12 +259,6 @@ class BlackBoxRecorder:
         self.checkpoints.append(checkpoint)
         self._last_checkpoint_seq = int(checkpoint.get("seq", self.seq))
 
-    # -- reading -------------------------------------------------------
-
-    def rows(self) -> List[Dict[str, Any]]:
-        """The surviving records, oldest first."""
-        return list(self._ring)
-
     # -- flushing ------------------------------------------------------
 
     def flush(
@@ -260,9 +268,7 @@ class BlackBoxRecorder:
         reason: str,
         config: Optional[Dict[str, Any]] = None,
         monitors=None,
-        log: Optional[EventLog] = None,
         error: Optional[str] = None,
-        final_record: Optional[Dict[str, Any]] = None,
     ) -> Path:
         """Write a self-contained postmortem bundle to ``directory``.
 
@@ -275,23 +281,15 @@ class BlackBoxRecorder:
                 its strictness and tolerances (so replay can arm
                 identical tripwires) and its violations go into the
                 manifest.
-            log: the run's event log, written as ``events.jsonl`` (the
-                bytes of the telemetry file), ``spans.jsonl`` and
-                ``instruments.json`` (its snapshot).
             error: stringified exception, if the run died.
-            final_record: an extra record appended after the ring (the
-                ``abort`` record digesting state at the failure point).
 
-        Returns the bundle directory path.
+        The bundle's ``events.jsonl`` holds the log's rows from the
+        oldest kept checkpoint onwards (all of them without one): the
+        rows of the telemetry file from that time on.  Returns the
+        bundle directory path.
         """
         out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
-        records = self.rows()
-        if final_record is not None:
-            records = records + [dict(final_record)]
-        with open(out / RECORDS_FILENAME, "w") as f:
-            for row in records:
-                f.write(json.dumps(row, default=_json_safe) + "\n")
         ckpt_index: List[Dict[str, Any]] = []
         if self.checkpoints:
             ckpt_dir = out / CHECKPOINT_DIRNAME
@@ -300,62 +298,34 @@ class BlackBoxRecorder:
                 seq = int(ckpt["seq"])
                 stem = f"ckpt_{seq:08d}"
                 np.savez(ckpt_dir / f"{stem}.npz", **ckpt["arrays"])
-                (ckpt_dir / f"{stem}.json").write_text(
-                    json.dumps(ckpt["scalars"], default=_json_safe)
-                )
+                (ckpt_dir / f"{stem}.json").write_text(json.dumps(json_safe(ckpt["scalars"])))
                 ckpt_index.append({
                     "seq": seq,
                     "t": float(ckpt["t"]),
                     "arrays": f"{CHECKPOINT_DIRNAME}/{stem}.npz",
                     "scalars": f"{CHECKPOINT_DIRNAME}/{stem}.json",
                 })
+        since = ckpt_index[0]["t"] if ckpt_index else float("-inf")
+        self.log.write_jsonl(out / EVENTS_FILENAME, since=since)
         if config is not None:
             (out / "config.json").write_text(json.dumps(config, indent=2))
-        if log is not None:
-            log.write_jsonl(out / EVENTS_FILENAME)
-            spans = log.span_lines()
-            if spans:
-                (out / "spans.jsonl").write_text("\n".join(spans) + "\n")
-            (out / "instruments.json").write_text(json.dumps(
-                log.snapshot(int((config or {}).get("n_rvs", 0))),
-                indent=2, default=_json_safe,
-            ))
         manifest = {
             "format": BUNDLE_FORMAT,
             "reason": reason,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "error": error,
             "seq": self.seq,
-            "capacity": self.capacity,
             "checkpoint_every": self.checkpoint_every,
-            "records": len(records),
-            "first_seq": int(records[0]["seq"]) if records else 0,
-            "last_seq": int(records[-1]["seq"]) if records else 0,
             "monitors": monitors.describe() if monitors is not None else {},
             "config_digest": config_digest(config) if config is not None else None,
             "seed": (config or {}).get("seed"),
-            "violations": [
-                {k: _coerce(v) for k, v in rec.items()}
-                for rec in (monitors.violations if monitors is not None else ())
-            ],
+            "violations": json_safe(
+                list(monitors.violations) if monitors is not None else []
+            ),
             "checkpoints": ckpt_index,
         }
-        (out / BUNDLE_MANIFEST_FILENAME).write_text(
-            json.dumps(manifest, indent=2, default=_json_safe)
-        )
+        (out / BUNDLE_MANIFEST_FILENAME).write_text(json.dumps(json_safe(manifest), indent=2))
         return out
-
-
-def _coerce(value: Any) -> Any:
-    """Best-effort plain-python view of a violation attribute."""
-    try:
-        json.dumps(value)
-        return value
-    except TypeError:
-        try:
-            return _json_safe(value)
-        except TypeError:
-            return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +340,8 @@ class PostmortemBundle:
     Attributes:
         path: the bundle directory.
         manifest: the ``blackbox.json`` dict.
-        records: the flight records, oldest first.
+        log: the bundle's ``events.jsonl`` (events, samples and digest
+            rows from the window start; empty if absent).
         config: the archived ``config.json`` dict (None if absent).
         checkpoints: restored checkpoint dicts (``seq``, ``t``,
             ``arrays`` of numpy arrays, ``scalars``), ascending by seq.
@@ -378,14 +349,43 @@ class PostmortemBundle:
 
     path: Path
     manifest: Dict[str, Any]
-    records: List[Dict[str, Any]] = field(default_factory=list)
+    log: EventLog = field(default_factory=EventLog)
     config: Optional[Dict[str, Any]] = None
     checkpoints: List[Dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def digests(self) -> List[Dict[str, Any]]:
+        """The digest rows, oldest first."""
+        return self.log.digests
+
+
+def _legacy_row(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A ``records.jsonl`` record as the digest row it stands for.
+
+    Those records carried every digest (``state`` included) in one
+    ``digests`` dict, plus notes that replay never compared.
+    """
+    fields = dict(record.get("digests", {}))
+    row = {
+        "type": "digest",
+        "seq": record["seq"],
+        "t": record["t"],
+        "kind": record["kind"],
+        "state": fields.pop("state", None),
+        "rng": record.get("rng"),
+    }
+    if fields:
+        row["fields"] = fields
+    if "error" in record:
+        row["error"] = record["error"]
+    return row
 
 
 def load_bundle(path: Union[str, Path]) -> PostmortemBundle:
     """Read a postmortem bundle directory back into memory.
 
+    A bundle that holds a ``records.jsonl`` (the format before digest
+    rows joined the event log) has its records read as the digest rows.
     Raises ``FileNotFoundError`` when ``path`` holds no
     ``blackbox.json`` manifest.
     """
@@ -397,13 +397,15 @@ def load_bundle(path: Union[str, Path]) -> PostmortemBundle:
             "(not a postmortem bundle?)"
         )
     manifest = json.loads(manifest_path.read_text())
-    records: List[Dict[str, Any]] = []
-    records_path = root / RECORDS_FILENAME
+    events_path = root / EVENTS_FILENAME
+    log = EventLog.read_jsonl(events_path) if events_path.is_file() else EventLog()
+    records_path = root / LEGACY_RECORDS_FILENAME
     if records_path.is_file():
-        for line in records_path.read_text().splitlines():
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        log.digests = [
+            _legacy_row(json.loads(line))
+            for line in records_path.read_text().splitlines()
+            if line.strip()
+        ]
     config = None
     config_path = root / "config.json"
     if config_path.is_file():
@@ -424,7 +426,7 @@ def load_bundle(path: Union[str, Path]) -> PostmortemBundle:
         })
     checkpoints.sort(key=lambda c: c["seq"])
     return PostmortemBundle(
-        path=root, manifest=manifest, records=records, config=config,
+        path=root, manifest=manifest, log=log, config=config,
         checkpoints=checkpoints,
     )
 
@@ -436,16 +438,20 @@ def load_bundle(path: Union[str, Path]) -> PostmortemBundle:
 def format_postmortem(
     bundle: PostmortemBundle, max_records: int = 12
 ) -> str:
-    """Render a bundle as a human-readable incident report."""
+    """Render a bundle as a human-readable incident report: the
+    manifest, the violations, the last ``max_records`` digest rows and
+    events, and the checkpoints."""
     m = bundle.manifest
+    digests = bundle.digests
+    last_seq = digests[-1]["seq"] if digests else 0
     blocks: List[str] = []
     header = [
         ["reason", m.get("reason", "?")],
         ["created (UTC)", m.get("created_utc", "?")],
         ["seed", m.get("seed", "?")],
         ["config digest", (m.get("config_digest") or "(none)")[:16]],
-        ["records kept", f"{m.get('records', 0)} (ring capacity {m.get('capacity', '?')})"],
-        ["event range", f"seq {m.get('first_seq', 0)}..{m.get('last_seq', 0)}"],
+        ["digest rows", f"{len(digests)} (seq "
+                        f"{digests[0]['seq'] if digests else 0}..{last_seq})"],
         ["checkpoints", len(m.get("checkpoints", []))],
     ]
     error = m.get("error")
@@ -471,35 +477,33 @@ def format_postmortem(
             title=f"Monitor violations ({len(violations)} total)",
         ))
 
-    if bundle.records:
-        tail = bundle.records[-max_records:]
+    if digests:
+        tail = digests[-max_records:]
         rows = [
             [
-                rec.get("seq", "?"),
-                rec.get("kind", "?"),
-                f"{rec.get('t', 0.0):.1f}",
-                (rec.get("digests", {}).get("state") or "?")[:12],
-                (rec.get("rng") or "?")[:12],
+                row["seq"],
+                row.get("kind", "?"),
+                f"{row.get('t', 0.0):.1f}",
+                (row.get("state") or "?")[:12],
+                (row.get("rng") or "?")[:12],
             ]
-            for rec in tail
+            for row in tail
         ]
         blocks.append(format_table(
             ["seq", "kind", "t (s)", "state digest", "rng digest"],
-            rows, title=f"Last {len(tail)} flight record(s)",
+            rows, title=f"Last {len(tail)} digest row(s)",
         ))
 
-    events_path = bundle.path / EVENTS_FILENAME
-    if events_path.is_file():
-        events = EventLog.read_jsonl(events_path).events[-max_records:]
-        if events:
-            rows = [
-                [f"{e.time_s:.1f}", e.kind.value, e.subject, f"{e.value:.4g}"]
-                for e in events
-            ]
-            blocks.append(format_table(
-                ["t (s)", "event", "subject", "value"],
-                rows, title=f"Last {len(events)} event(s) of the run's log",
-            ))
+    events = bundle.log.events[-max_records:]
+    if events:
+        rows = [
+            [f"{e.time_s:.1f}", e.kind.value, e.subject, f"{e.value:.4g}"]
+            for e in events
+        ]
+        blocks.append(format_table(
+            ["t (s)", "event", "subject", "value"],
+            rows, title=f"Last {len(events)} event(s) of the run's log",
+        ))
 
     if m.get("checkpoints"):
         lines = [
@@ -508,20 +512,5 @@ def format_postmortem(
         ]
         blocks.append("Checkpoints (replay starting points):\n" + "\n".join(lines))
 
-    spans_path = bundle.path / "spans.jsonl"
-    if spans_path.is_file():
-        from .spans import load_spans, render_span_tree
-
-        spans = load_spans(spans_path, strict=False)
-        if spans:
-            blocks.append(
-                f"Span tree ({len(spans)} span(s)):\n" + render_span_tree(spans)
-            )
-
-    replay_hint = (
-        f"Replay: repro replay {bundle.path} --to-tick "
-        f"{m.get('last_seq', 0)}"
-    )
-    blocks.append(replay_hint)
+    blocks.append(f"Replay: repro replay {bundle.path} --to-tick {last_seq}")
     return "\n\n".join(blocks)
-

@@ -9,8 +9,11 @@ phase timers are deliberately excluded: they are machine noise, not
 drift.
 
 When both directories hold an ``events.jsonl``, the report also names
-the first event where the two runs diverge (:func:`event_divergence`):
-the metrics say *that* two runs differ, the event log says *where*.
+where the two runs diverge (:func:`event_divergence`): the first
+differing digest row, when the flight recorder was armed, and the
+first differing event.  The metrics say *that* two runs differ, the
+event log says *where*; a digest row names the first state that
+differs, often thousands of ticks before a decision does.
 
 ``repro drift BENCH_x.json`` (one argument) diffs the file's last two
 append-only history rows, so a perf regression shows up without
@@ -41,6 +44,9 @@ __all__ = [
 
 #: The event-log file of a telemetry directory.
 EVENTS_FILENAME = "events.jsonl"
+#: How every digest row of ``events.jsonl`` starts (its key order is
+#: fixed by :func:`repro.obs.blackbox.digest_row`).
+_DIGEST_PREFIX = '{"type": "digest"'
 
 
 def _flatten(prefix: str, value: Any, out: Dict[str, float]) -> None:
@@ -191,10 +197,14 @@ def format_drift(
 
 
 def _describe_row(line: Optional[str]) -> str:
-    """One ``events.jsonl`` row as ``t=... kind=... subject=... value=...``."""
+    """One ``events.jsonl`` row: ``seq``, ``t``, ``kind`` and ``state``
+    of a digest row, ``t``, ``kind``, ``subject`` and ``value`` of the
+    others (samples show their series as the kind)."""
     if line is None:
         return "(no row: the log ends here)"
     row = json.loads(line)
+    if row.get("type") == "digest":
+        return f"seq={row['seq']} t={row['t']} kind={row['kind']} state={row['state'][:16]}"
     kind = row.get("kind", f"sample {row.get('series')}")
     return (
         f"t={row.get('t')} kind={kind} subject={row.get('subject', '-')} "
@@ -203,23 +213,43 @@ def _describe_row(line: Optional[str]) -> str:
 
 
 def event_divergence(a: Union[str, Path], b: Union[str, Path]) -> Optional[str]:
-    """The first differing ``events.jsonl`` row of two telemetry dirs.
+    """Where the ``events.jsonl`` logs of two telemetry dirs part.
 
-    Returns its line number plus both rows' ``t``, ``kind``,
-    ``subject`` and ``value`` (series samples show their series as the
-    kind), or ``None`` when either directory has no event log or the
-    two logs are identical.  Runs are deterministic, so the first
-    differing row is where the two trajectories part.
+    Names the first differing digest row when both logs hold digest
+    rows (its ``seq``, ``t``, ``kind``, state digest and, when both are
+    full rows, the fields whose digests differ), then the first
+    differing event or sample row (its line number and both rows).
+    Returns ``None`` when either directory has no event log or the two
+    logs are identical.  Runs are deterministic, so the first differing
+    row is where the two trajectories part.
     """
-    path_a, path_b = Path(a) / EVENTS_FILENAME, Path(b) / EVENTS_FILENAME
-    if not (path_a.is_file() and path_b.is_file()):
+    paths = (Path(a) / EVENTS_FILENAME, Path(b) / EVENTS_FILENAME)
+    if not all(path.is_file() for path in paths):
         return None
-    with open(path_a) as fa, open(path_b) as fb:
-        for lineno, (la, lb) in enumerate(zip_longest(fa, fb), start=1):
-            if la != lb:
-                return (
-                    f"First diverging event: {EVENTS_FILENAME} line {lineno}\n"
-                    f"  A: {_describe_row(la)}\n"
-                    f"  B: {_describe_row(lb)}"
-                )
-    return None
+    # is-a-digest-row -> ((lineno, line) rows of A, of B)
+    streams: Dict[bool, Tuple[list, list]] = {True: ([], []), False: ([], [])}
+    for side, path in enumerate(paths):
+        with open(path) as f:
+            for lineno, line in enumerate(f, start=1):
+                streams[line.startswith(_DIGEST_PREFIX)][side].append((lineno, line))
+    blocks = []
+    for digest in (True, False):
+        rows_a, rows_b = streams[digest]
+        if digest and not (rows_a and rows_b):
+            continue  # one run was not armed: no state to compare
+        for (na, la), (nb, lb) in zip_longest(rows_a, rows_b, fillvalue=(None, None)):
+            if la == lb:
+                continue
+            if digest:
+                text = f"First diverging digest row: seq {json.loads(la or lb)['seq']}"
+            else:
+                text = f"First diverging event: {EVENTS_FILENAME} line {na or nb}"
+            text += f"\n  A: {_describe_row(la)}\n  B: {_describe_row(lb)}"
+            if digest and la and lb:
+                fa, fb = (json.loads(line).get("fields") for line in (la, lb))
+                if fa and fb:
+                    names = sorted(k for k in fa.keys() | fb.keys() if fa.get(k) != fb.get(k))
+                    text += f"\n  fields: {', '.join(names)}"
+            blocks.append(text)
+            break
+    return "\n\n".join(blocks) or None

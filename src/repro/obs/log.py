@@ -1,4 +1,4 @@
-"""One event log per run: phases, semantic events and series samples.
+"""One event log per run: phases, semantic events, samples and digests.
 
 The simulation reports what it does through one :class:`EventLog`
 handle (``World(config, log=EventLog())``), with three calls:
@@ -14,10 +14,14 @@ handle (``World(config, log=EventLog())``), with three calls:
 * ``log.sample(t, name, value)`` — one point of a named time series
   (``coverage``, ``backlog``...).
 
+An armed flight recorder (:mod:`repro.obs.blackbox`) adds a fourth
+kind of row: one state digest per periodic event, appended to
+:attr:`EventLog.digests`.
+
 Everything a telemetry run writes is derived from that one record at
 export time, and this module owns every file format involved
-(:meth:`EventLog.write_files`): ``events.jsonl`` and ``series.csv`` are
-the events and samples, ``spans.jsonl`` the phases, and
+(:meth:`EventLog.write_files`): ``events.jsonl`` holds the events, the
+samples and the digest rows, ``spans.jsonl`` the phases, and
 :meth:`EventLog.snapshot` builds the run's counters, gauge, histograms
 and phase timers as one plain dict from the events and phase durations
 (the derivation table is :data:`EVENT_COUNTERS`, :data:`TIMED_PHASES`
@@ -33,7 +37,8 @@ The module never imports :mod:`repro.sim`; :class:`EventKind` lives
 here so the simulation can import it.  So does :data:`NULL_MONITORS`,
 the disabled stand-in for a :class:`~repro.obs.monitors.MonitorSet`:
 the simulation core imports nothing else from :mod:`repro.obs`, and an
-unobserved run never loads the monitors or the flight recorder.
+unobserved run never loads the monitors, the flight recorder or the
+span reader (:mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tu
 
 import numpy as np
 
-from .spans import Span, json_safe
-
 __all__ = [
     "EVENT_COUNTERS",
     "EventKind",
@@ -55,6 +58,7 @@ __all__ = [
     "NULL_LOG",
     "NULL_MONITORS",
     "NullMonitors",
+    "Span",
     "TIMED_PHASES",
     "TraceEvent",
 ]
@@ -86,6 +90,95 @@ class TraceEvent(NamedTuple):
     kind: EventKind
     subject: int = -1
     value: float = 0.0
+
+
+def json_safe(value: Any) -> Any:
+    """Coerce an attribute value to a JSON-native equivalent.
+
+    Live spans must serialize to exactly what a reload would produce,
+    so tuples become lists and numpy scalars become python numbers at
+    record time, not at dump time.
+    """
+    if value is None or type(value) in (bool, int, float, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): json_safe(v) for k, v in value.items()}
+    tolist = getattr(value, "tolist", None)  # numpy scalars and arrays
+    if tolist is not None:
+        return json_safe(tolist())
+    for base in (int, float):  # subclasses such as IntEnum members
+        if isinstance(value, base):
+            return base(value)
+    return str(value)
+
+
+class Span:
+    """One timed unit of work in the span tree.
+
+    ``t0``/``t1`` are ``time.perf_counter`` readings (durations are
+    meaningful; absolute values are process-relative).  ``attrs`` holds
+    structured context (cluster id, RV id, profit delta, cache
+    hit/miss); ``events`` are timestamped point occurrences inside the
+    span (sortie assignments, invariant violations).  A span opened by
+    an event log is its own ``with`` block: entering stamps ``t0``,
+    leaving stamps ``t1`` and pops it off the log's open stack.
+    """
+
+    __slots__ = ("span_id", "parent_id", "name", "t0", "t1", "attrs", "events", "_stack")
+
+    def __init__(
+        self,
+        span_id: int,
+        parent_id: Optional[int],
+        name: str,
+        t0: float = 0.0,
+        t1: float = 0.0,
+        attrs: Optional[Dict[str, Any]] = None,
+        events: Optional[List[Dict[str, Any]]] = None,
+        stack: Optional[List["Span"]] = None,
+    ) -> None:
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.t0 = t0
+        self.t1 = t1
+        self.attrs = attrs if attrs is not None else {}
+        self.events = events if events is not None else []
+        self._stack = stack
+
+    def __enter__(self) -> "Span":
+        self.t0 = perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.t1 = perf_counter()
+        # Spans close strictly LIFO (they are `with` blocks).
+        self._stack.pop()
+
+    @property
+    def duration_s(self) -> float:
+        return self.t1 - self.t0
+
+    def set(self, **attrs: Any) -> "Span":
+        """Attach (or overwrite) structured attributes."""
+        for key, value in attrs.items():
+            self.attrs[key] = json_safe(value)
+        return self
+
+    def to_row(self) -> Dict[str, Any]:
+        """The canonical JSON row (fixed key order for byte round-trips)."""
+        return {
+            "type": "span",
+            "id": self.span_id,
+            "parent": self.parent_id,
+            "name": self.name,
+            "t0": self.t0,
+            "t1": self.t1,
+            "attrs": self.attrs,
+            "events": self.events,
+        }
 
 
 #: Phase name -> the phase timer it derives.  The other phases
@@ -170,6 +263,9 @@ class EventLog:
             1, 2, ... — a deterministic layout given a deterministic
             call sequence, which the ``--jobs N`` merge relies on.
         marks: every point event, whether or not a phase was open.
+        digests: the flight recorder's digest rows, in ``seq`` order
+            (plain dicts tagged ``"type": "digest"``; empty unless a
+            :class:`~repro.obs.blackbox.BlackBoxRecorder` writes here).
         enabled: False only for :data:`NULL_LOG`.
     """
 
@@ -179,6 +275,7 @@ class EventLog:
         self.series: Dict[str, List[Tuple[float, float]]] = {}
         self.spans: List[Span] = []
         self.marks: List[Dict[str, Any]] = []
+        self.digests: List[Dict[str, Any]] = []
         self._stack: List[Span] = []
         self._next_id = 1
 
@@ -394,40 +491,48 @@ class EventLog:
 
     # -- serialization ------------------------------------------------------
 
-    def to_jsonl_lines(self) -> Iterator[str]:
-        """``events.jsonl``: the events, then the series samples.
+    def to_jsonl_lines(self, since: float = float("-inf")) -> Iterator[str]:
+        """``events.jsonl``: the events, the series samples, then the
+        digest rows — each row at or after time ``since``.
 
-        Each line is one JSON object tagged ``"type": "event"`` or
-        ``"type": "sample"``; :meth:`read_jsonl` inverts it exactly.
+        Each line is one JSON object tagged ``"type": "event"``,
+        ``"sample"`` or ``"digest"``; :meth:`read_jsonl` inverts it
+        exactly.  A log without digest rows writes no third section.
         """
         for e in self.events:
-            yield json.dumps(
-                {
-                    "type": "event",
-                    "t": e.time_s,
-                    "kind": e.kind.value,
-                    "subject": e.subject,
-                    "value": e.value,
-                }
-            )
+            if e.time_s >= since:
+                yield json.dumps(
+                    {
+                        "type": "event",
+                        "t": e.time_s,
+                        "kind": e.kind.value,
+                        "subject": e.subject,
+                        "value": e.value,
+                    }
+                )
         for name, samples in self.series.items():
             for t, v in samples:
-                yield json.dumps({"type": "sample", "t": t, "series": name, "value": v})
+                if t >= since:
+                    yield json.dumps({"type": "sample", "t": t, "series": name, "value": v})
+        for row in self.digests:
+            if row["t"] >= since:
+                yield json.dumps(row)
 
-    def write_jsonl(self, path: Union[str, Path]) -> Path:
+    def write_jsonl(self, path: Union[str, Path], since: float = float("-inf")) -> Path:
         """Write :meth:`to_jsonl_lines` to ``path``; returns the path."""
         path = Path(path)
         with open(path, "w") as f:
-            for line in self.to_jsonl_lines():
+            for line in self.to_jsonl_lines(since):
                 f.write(line + "\n")
         return path
 
     @classmethod
     def read_jsonl(cls, path: Union[str, Path]) -> "EventLog":
-        """Rebuild the events and series from :meth:`write_jsonl` output.
+        """Rebuild the events, series and digest rows from
+        :meth:`write_jsonl` output.
 
-        Round-trips exactly: event order, sample order and all numeric
-        payloads are preserved.  Lines with an unknown ``type`` raise
+        Round-trips exactly: row order and all numeric payloads are
+        preserved.  Lines with an unknown ``type`` raise
         ``ValueError``.
         """
         log = cls()
@@ -449,6 +554,8 @@ class EventLog:
                     )
                 elif rtype == "sample":
                     log.sample(float(record["t"]), record["series"], float(record["value"]))
+                elif rtype == "digest":
+                    log.digests.append(record)
                 else:
                     raise ValueError(f"{path}:{lineno}: unknown trace record type {rtype!r}")
         return log
@@ -468,29 +575,15 @@ class EventLog:
         return [json.dumps(row) for row in self.span_rows()]
 
     def write_files(self, directory: Union[str, Path]) -> List[str]:
-        """Write the log's three telemetry files into ``directory``.
-
-        * ``events.jsonl`` — :meth:`to_jsonl_lines`;
-        * ``series.csv`` — the named time series in long format
-          (``series,time_s,value``, floats as ``repr``);
-        * ``spans.jsonl`` — :meth:`span_lines`.
-
-        Returns the file names, in that order.
-        """
-        import csv
-
+        """Write the log's two telemetry files into ``directory``:
+        ``events.jsonl`` (:meth:`to_jsonl_lines`) and ``spans.jsonl``
+        (:meth:`span_lines`).  Returns the file names, in that order."""
         directory = Path(directory)
         self.write_jsonl(directory / "events.jsonl")
-        with open(directory / "series.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["series", "time_s", "value"])
-            for name, samples in self.series.items():
-                for t, v in samples:
-                    writer.writerow([name, repr(float(t)), repr(float(v))])
         with open(directory / "spans.jsonl", "w") as f:
             for line in self.span_lines():
                 f.write(line + "\n")
-        return ["events.jsonl", "series.csv", "spans.jsonl"]
+        return ["events.jsonl", "spans.jsonl"]
 
 
 #: The shared disabled log: the default wherever no log is attached.

@@ -3,16 +3,16 @@
 This module owns the simulation-side schema of the flight recorder
 (:mod:`repro.obs.blackbox`): what a full-state checkpoint contains, how
 a fresh :class:`~repro.sim.world.World` is rewound onto one, and how a
-postmortem bundle is re-executed and diffed against its recorded state
-digests.
+postmortem bundle is re-executed and diffed against its recorded digest
+rows.
 
 Checkpoint-restore contract
 ---------------------------
 
 A checkpoint is only captured at a *safe point*: immediately after a
-tick record, when the RV fleet is idle (no sortie legs or depot returns
-in flight — those live as closures in the event heap and cannot be
-serialized) and the event queue holds nothing but the three periodic
+tick's digest row, when the RV fleet is idle (no sortie legs or depot
+returns in flight — those live as closures in the event heap and cannot
+be serialized) and the event queue holds nothing but the three periodic
 world events.  At such a point the entire dynamic state is:
 
 * the canonical flat arrays (battery levels, request flags) — written
@@ -36,7 +36,7 @@ the construction RNG draws — then overwrites the RNG state, arrays,
 components and event queue from the checkpoint.  From that point the
 discrete-event engine is deterministic (time, priority, insertion
 order), so re-execution reproduces the original run bit-for-bit; every
-replayed record's per-field state digests must equal the recorded ones.
+replayed digest row must equal the recorded one.
 """
 
 from __future__ import annotations
@@ -54,13 +54,7 @@ from ..geometry.coverage import detection_matrix
 from ..mobility.targets import TargetProcess
 from ..mobility.vehicles import RVStats
 from ..mobility.waypoint import RandomWaypointProcess
-from ..obs.blackbox import (
-    BlackBoxRecorder,
-    PostmortemBundle,
-    digest_rng,
-    digest_state,
-    load_bundle,
-)
+from ..obs.blackbox import BlackBoxRecorder, PostmortemBundle, digest_row, load_bundle
 from ..obs.monitors import MonitorSet
 from ..registry import ACTIVATORS
 from ..utils.tables import format_table
@@ -87,7 +81,7 @@ _PERIODIC_HANDLERS = {
 
 #: Component types whose internal state the checkpoint schema covers.
 #: Plugins outside these fall back to genesis-only replay (the recorder
-#: simply skips the checkpoint; records still flow).
+#: simply skips the checkpoint; digest rows still flow).
 _ERC_TYPES = (EnergyRequestController, AdaptiveEnergyRequestController)
 _TARGET_TYPES = (TargetProcess, RandomWaypointProcess)
 _ACTIVATOR_TYPES = (RoundRobinActivator, FullTimeActivator)
@@ -103,8 +97,8 @@ def capture_checkpoint(world, seq: int) -> Optional[Dict[str, Any]]:
     current point is not safe (fleet busy, non-periodic events queued,
     or a plugin component outside the checkpoint schema).
 
-    ``seq`` is the flight-record sequence number the checkpoint follows:
-    the captured state is exactly the state digested by that record.
+    ``seq`` is the digest row the checkpoint follows: the captured state
+    is exactly the state digested by that row.
     """
     s = world.state
     fleet = world.fleet
@@ -189,18 +183,15 @@ def capture_checkpoint(world, seq: int) -> Optional[Dict[str, Any]]:
 
 
 def abort_record(world, error: BaseException) -> Dict[str, Any]:
-    """The final flight record appended at the point a run died: state
-    and RNG digests taken where the exception was caught, so a replay
-    that re-raises at the identical point produces identical digests."""
+    """Append the ``abort`` digest row of a run that died with
+    ``error`` to its recorder, and return it: state and RNG digests
+    taken where the exception was caught, so a replay that re-raises
+    at the identical point produces an identical row."""
     s = world.state
-    return {
-        "seq": int(world.blackbox.seq) + 1,
-        "kind": "abort",
-        "t": float(s.now),
-        "digests": digest_state(snapshot_arrays(s)),
-        "rng": digest_rng(s.rng.bit_generator.state),
-        "error": f"{type(error).__name__}: {error}",
-    }
+    return world.blackbox.record(
+        "abort", s.now, snapshot_arrays(s), s.rng.bit_generator.state,
+        error=f"{type(error).__name__}: {error}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +343,9 @@ def restore_world(
 class ReplayResult:
     """Outcome of one bundle replay.
 
-    ``ok`` is True when every compared record (state digests, RNG
-    digest) matched bit-for-bit; ``divergences`` lists each mismatch as
-    ``{"seq", "field", "expected", "got"}``.
+    ``ok`` is True when every compared digest row (state, per-field
+    and RNG digests) matched bit-for-bit; ``divergences`` lists each
+    mismatch as ``{"seq", "field", "expected", "got"}``.
     """
 
     bundle_path: Path
@@ -375,31 +366,20 @@ def _compare(
     got: Dict[str, Any],
     divergences: List[Dict[str, Any]],
 ) -> None:
-    """Diff two records' digest dicts field by field.
-
-    Only keys present on both sides are compared: a full per-field
-    record against a combined-only one (they alternate on a fixed
-    ``seq`` cadence) still checks the ``state`` digest, which covers
-    every field.
-    """
+    """Diff two digest rows: the state digest, the per-field digests
+    both rows carry (a full row against a plain one still checks the
+    ``state`` digest, which covers every field) and the RNG digest."""
     seq = expected["seq"]
-    exp_d = expected.get("digests", {})
-    got_d = got.get("digests", {})
-    for fieldname in sorted(set(exp_d) & set(got_d)):
-        if exp_d.get(fieldname) != got_d.get(fieldname):
-            divergences.append({
-                "seq": seq,
-                "field": fieldname,
-                "expected": exp_d.get(fieldname),
-                "got": got_d.get(fieldname),
-            })
-    if expected.get("rng") != got.get("rng"):
-        divergences.append({
-            "seq": seq,
-            "field": "rng",
-            "expected": expected.get("rng"),
-            "got": got.get("rng"),
-        })
+    exp_f = expected.get("fields") or {}
+    got_f = got.get("fields") or {}
+    pairs = [("state", expected.get("state"), got.get("state"))]
+    pairs += [(k, exp_f[k], got_f[k]) for k in sorted(set(exp_f) & set(got_f))]
+    pairs.append(("rng", expected.get("rng"), got.get("rng")))
+    for name, want, have in pairs:
+        if want != have:
+            divergences.append(
+                {"seq": seq, "field": name, "expected": want, "got": have}
+            )
 
 
 def replay_bundle(
@@ -407,8 +387,8 @@ def replay_bundle(
     to_tick: Optional[int] = None,
 ) -> ReplayResult:
     """Restore a bundle's nearest checkpoint, re-execute to ``to_tick``
-    (a record sequence number; the last recorded one by default), and
-    diff every replayed record against the bundle.
+    (a digest row's ``seq``; the last recorded one by default), and
+    diff every replayed digest row against the bundle's.
 
     If the bundle records an abort (monitor violation or crash),
     replaying to its sequence number re-executes into the failure and
@@ -419,10 +399,10 @@ def replay_bundle(
         bundle = load_bundle(bundle)
     if bundle.config is None:
         raise ValueError(f"bundle {bundle.path} has no config.json; cannot replay")
-    records = {int(r["seq"]): r for r in bundle.records}
-    if not records:
-        raise ValueError(f"bundle {bundle.path} has no flight records")
-    target = int(to_tick) if to_tick is not None else max(records)
+    expected = {int(r["seq"]): r for r in bundle.digests}
+    if not expected:
+        raise ValueError(f"bundle {bundle.path} has no digest rows")
+    target = int(to_tick) if to_tick is not None else max(expected)
 
     # The newest checkpoint at or before the target; genesis otherwise.
     checkpoint = None
@@ -445,9 +425,7 @@ def replay_bundle(
             monitors.ENERGY_RTOL = float(mon_cfg["energy_rtol"])
         if "plan_atol_j" in mon_cfg:
             monitors.PLAN_ATOL_J = float(mon_cfg["plan_atol_j"])
-    recorder = BlackBoxRecorder(
-        capacity=max(target - start_seq + 2, 8), checkpoint_every=0
-    )
+    recorder = BlackBoxRecorder(checkpoint_every=0)
     world = restore_world(
         config, checkpoint, monitors=monitors, blackbox=recorder
     )
@@ -458,46 +436,42 @@ def replay_bundle(
         recorded_error=bundle.manifest.get("error"),
     )
 
-    # The restored state must digest identically to the record the
+    # The restored state must digest identically to the row the
     # checkpoint followed — divergence here means a restore bug, and
     # any drift further out would be unattributable.
-    if start_seq in records:
-        restored = {
-            "seq": start_seq,
-            "digests": digest_state(snapshot_arrays(world.state)),
-            "rng": digest_rng(world.state.rng.bit_generator.state),
-        }
-        _compare(records[start_seq], restored, result.divergences)
+    if start_seq in expected:
+        s = world.state
+        restored = digest_row(
+            start_seq, "restore", s.now, snapshot_arrays(s),
+            s.rng.bit_generator.state, full=True,
+        )
+        _compare(expected[start_seq], restored, result.divergences)
         result.compared += 1
 
-    replayed_abort = None
     horizon = config.sim_time_s
     while recorder.seq < target:
         try:
             if not world.state.sim.step():
                 break
         except Exception as exc:  # includes InvariantViolation
-            replayed_abort = abort_record(world, exc)
-            result.error = replayed_abort["error"]
+            result.error = abort_record(world, exc)["error"]
             break
         if world.state.now > horizon:
             break
 
-    replayed = {int(r["seq"]): r for r in recorder.rows()}
-    if replayed_abort is not None:
-        replayed[int(replayed_abort["seq"])] = replayed_abort
-    for seq in sorted(records):
+    replayed = {int(r["seq"]): r for r in recorder.log.digests}
+    for seq in sorted(expected):
         if seq <= start_seq or seq > target:
             continue
         if seq not in replayed:
             result.divergences.append({
                 "seq": seq,
-                "field": "(record)",
-                "expected": records[seq].get("kind", "?"),
+                "field": "(row)",
+                "expected": expected[seq].get("kind", "?"),
                 "got": "missing — replay never reached this event",
             })
             continue
-        _compare(records[seq], replayed[seq], result.divergences)
+        _compare(expected[seq], replayed[seq], result.divergences)
         result.compared += 1
     return result
 
@@ -506,7 +480,7 @@ def format_replay(result: ReplayResult) -> str:
     """Render a :class:`ReplayResult` for the CLI."""
     lines = [
         f"Replayed {result.bundle_path} from seq {result.start_seq} "
-        f"to seq {result.target_seq} ({result.compared} record(s) compared)",
+        f"to seq {result.target_seq} ({result.compared} digest row(s) compared)",
     ]
     if result.recorded_error:
         lines.append(f"recorded failure: {result.recorded_error}")
@@ -532,6 +506,6 @@ def format_replay(result: ReplayResult) -> str:
     else:
         blocks.append(
             "replay is bit-identical to the recorded run "
-            f"({result.compared} record(s), zero divergence)"
+            f"({result.compared} digest row(s), zero divergence)"
         )
     return "\n\n".join(blocks)

@@ -86,27 +86,24 @@ def _flush_postmortem(
     reason: str,
     error: Optional[BaseException] = None,
 ) -> None:
-    """Write ``world``'s postmortem bundle, with its monitors' violations
-    and its event log, plus an ``abort`` record when the run died with
+    """Write ``world``'s postmortem bundle, with its monitors'
+    violations, after an ``abort`` digest row when the run died with
     ``error``; never raises (a failing flush must not mask the original
     failure)."""
-    final = None
     if error is not None:
         from .replay import abort_record
 
         try:
-            final = abort_record(world, error)
+            abort_record(world, error)
         except Exception:  # state too broken to digest — flush without
-            logger.exception("could not digest state for the abort record")
+            logger.exception("could not digest state for the abort row")
     try:
         world.blackbox.flush(
             directory,
             reason=reason,
             config=config_to_dict(world.cfg),
             monitors=world.state.monitors,
-            log=world.state.log,
             error=f"{type(error).__name__}: {error}" if error is not None else None,
-            final_record=final,
         )
         logger.warning("postmortem bundle written to %s (reason: %s)", directory, reason)
     except Exception:
@@ -129,16 +126,18 @@ def run_with_telemetry(
     ``None`` consults ``REPRO_STRICT_MONITORS``).
 
     With ``out_dir``, once the run ends the log writes
-    ``events.jsonl``, ``series.csv`` and ``spans.jsonl`` into it
+    ``events.jsonl`` and ``spans.jsonl`` into it
     (:meth:`~repro.obs.EventLog.write_files`), and a ``manifest.json``
     (:class:`~repro.obs.RunManifest`: config digest, seed, version, git
     revision, wall time, the log's instrument snapshot, file index) is
     written last so a complete directory always has one.
 
     With ``postmortem``, a :class:`~repro.obs.BlackBoxRecorder` rides
-    along and a bundle is always flushed to that directory: reason
-    ``exception`` when the run died (with an ``abort`` record digesting
-    the state at the failure point, before the exception propagates),
+    along, writing its digest rows into the run's log (so they also
+    land in ``events.jsonl``), and a bundle is always flushed to that
+    directory: reason ``exception`` when the run died (with an
+    ``abort`` row digesting the state at the failure point, before the
+    exception propagates),
     ``violation`` when non-strict monitors recorded violations, and
     ``requested`` for a clean run.
 
@@ -157,7 +156,7 @@ def run_with_telemetry(
     if postmortem is not None:
         from ..obs.blackbox import BlackBoxRecorder
 
-        recorder = BlackBoxRecorder()
+        recorder = BlackBoxRecorder(log=log)
     wall0 = time.perf_counter()
     world = World(config, log=log, monitors=monitors, blackbox=recorder)
     try:

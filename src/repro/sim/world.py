@@ -12,7 +12,6 @@ this module.  A single RNG seed makes a run fully deterministic.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Optional
 
 import numpy as np
@@ -35,11 +34,6 @@ from .serialization import snapshot_arrays
 
 __all__ = ["World"]
 
-#: Cadence of full per-field digests in flight records (see
-#: :meth:`World._flight_record`); plain ticks in between carry only the
-#: combined state digest.
-_FULL_DIGEST_EVERY = 16
-
 
 class World:
     """One fully wired simulation instance.
@@ -51,7 +45,7 @@ class World:
     from which the run's spans and instruments derive; ``monitors``
     (:class:`repro.obs.MonitorSet`) trips on runtime invariant
     violations; ``blackbox`` (:class:`repro.obs.BlackBoxRecorder`)
-    receives one flight record per periodic event, written here and
+    receives one digest row per periodic event, written here and
     nowhere else.  The wired components are exposed as
     ``world.energy``, ``world.clusters``, ``world.gate`` and
     ``world.fleet``; the shared state as ``world.state``.
@@ -68,7 +62,6 @@ class World:
         self.cfg = config
         self.state = SimulationState.from_config(config, log=log, monitors=monitors)
         self.blackbox = blackbox
-        self._bb_wall = perf_counter()
         self.clusters = ClusterManager(self.state)
         if scheduler is None:
             scheduler = SCHEDULERS.build(config.scheduler, fleet_size=config.n_rvs)
@@ -127,42 +120,17 @@ class World:
             self._flight_record("relocate")
 
     def _flight_record(self, kind: str) -> None:
-        """One flight-recorder record for the periodic event just fired.
+        """One digest row for the periodic event just fired.
 
         Runs *after* the handler rescheduled itself, so a checkpoint
         taken here sees the complete pending-event set.  The digests
         cover exactly the ``snapshot_arrays`` fields plus the RNG state,
-        which is what makes recorded runs replayable.
-
-        Plain ticks get one combined digest (the per-event hot path);
-        every ``_FULL_DIGEST_EVERY``-th record and every decision event
-        (dispatch/relocate) also gets per-field digests, so a replay
-        divergence near those points names the exact drifted array.
-        The choice is a pure function of the record's ``seq``, which
-        keeps replayed records structurally identical to recorded ones.
-        Only an armed recorder gets here, so the digest helpers are
-        imported here and an unarmed run never loads the recorder.
+        which is what makes recorded runs replayable; the recorder
+        decides which rows also carry per-field digests.
         """
-        from ..obs.blackbox import digest_fields, digest_rng, digest_state
-
         s = self.state
         bb = self.blackbox
-        wall = perf_counter()
-        snap = snapshot_arrays(s)
-        if kind != "tick" or (bb.seq + 1) % _FULL_DIGEST_EVERY == 0:
-            digests = digest_state(snap)
-        else:
-            digests = {"state": digest_fields(snap)}
-        bb.record(
-            kind,
-            s.now,
-            digests,
-            rng=digest_rng(s.rng.bit_generator.state),
-            wall_ms=round((wall - self._bb_wall) * 1e3, 3),
-            backlog=len(s.requests),
-            events_fired=s.sim.events_fired,
-        )
-        self._bb_wall = wall
+        bb.record(kind, s.now, snapshot_arrays(s), s.rng.bit_generator.state)
         if kind == "tick" and bb.should_checkpoint():
             from .replay import capture_checkpoint
 

