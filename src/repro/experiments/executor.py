@@ -34,7 +34,11 @@ let alone spawned — before the first multi-worker fan-out.
 
 One miss loop: :func:`iter_configs` yields ``(index, summary, source)``
 per cell *as cells finish*; :func:`map_configs` is the grid-order
-reassembly of the same stream.  Every miss is one serial
+reassembly of the same stream.  Misses run grouped by deployment
+(stable by seed): a grid varies the seed fastest, and in grid order a
+sweep over more seeds than the deployment memo holds
+(:data:`repro.sim.components.state.NETWORK_MEMO_SIZE`) would rebuild
+every deployment for every cell.  Every miss is one serial
 :class:`~repro.sim.world.World` run, in one of two task kinds: plain
 (``run``) or under an event log (``traced``).  A grid never arms the
 flight recorder; to record one cell, rerun its configuration through
@@ -183,6 +187,15 @@ def _execute(
         yield from pool.run_iter(kind, payloads)
 
 
+def _deployment(config: SimulationConfig) -> Tuple[Any, ...]:
+    """What a cell's deployment memo entry depends on, seed first
+    (:func:`repro.sim.components.state.static_network`)."""
+    return (
+        config.seed, config.n_sensors, config.side_length_m,
+        config.comm_range_m, config.routing_metric,
+    )
+
+
 def _stream(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int],
@@ -192,8 +205,9 @@ def _stream(
     """The one miss loop: lookup, payloads, execute, store.
 
     Yields ``(index, summary, source, rows)``: store hits first, in
-    index order, then misses in completion order; ``rows`` are a traced
-    miss's serialized spans (None otherwise).  Store hits are marked as
+    index order, then misses in completion order (run grouped by
+    deployment, stable by seed); ``rows`` are a traced miss's
+    serialized spans (None otherwise).  Store hits are marked as
     ``executor.store_hit`` events on ``log``'s open phase.
     """
     from . import cache  # resolved per call, so a wrapped cache_lookup is seen
@@ -220,6 +234,9 @@ def _stream(
     if not misses:
         return
     kind = "traced" if log.enabled else "run"
+    # Grouped by deployment, so a worker derives each one once (see the
+    # module docs); results still go back by index.
+    misses.sort(key=lambda i: _deployment(configs[i]))
     payloads = [configs[i] for i in misses]
 
     for j, out in _execute(kind, payloads, n_jobs):

@@ -5,10 +5,12 @@ misses on a :class:`WarmPool` opened for that call and closed, workers
 joined, before the call returns — one pool lifecycle.  Within the call:
 
 * **warm workers** — each worker imports the simulator once and then
-  serves tasks until the pool closes, so module-level memos (the
-  static network of each deployment, see
-  :func:`repro.sim.components.state.static_network`) stay hot across
-  the cells of one fan-out;
+  serves tasks until the pool closes, so the deployment memo
+  (:func:`repro.sim.components.state.static_network`: each seed's
+  network, relay preorder and target-epoch clusters) stays hot across
+  the cells of one fan-out; the executor hands misses out grouped by
+  deployment, so a worker derives each deployment at most once, and a
+  forked worker starts with the parent's memo;
 * **crash recovery** — the parent dispatches tasks over a dedicated
   duplex pipe per worker (one task outstanding each), so it always
   knows which task a worker holds: a worker that dies mid-task is

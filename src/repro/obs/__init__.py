@@ -59,7 +59,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "BlackBoxRecorder",
         "PostmortemBundle",
         "digest_rng",
-        "digest_state",
         "format_postmortem",
         "load_bundle",
     ),
@@ -95,7 +94,6 @@ __all__ = [
     "config_digest",
     "diff_metrics",
     "digest_rng",
-    "digest_state",
     "format_drift",
     "format_postmortem",
     "format_report",

@@ -54,7 +54,6 @@ __all__ = [
     "digest_fields",
     "digest_rng",
     "digest_row",
-    "digest_state",
     "format_postmortem",
     "load_bundle",
 ]
@@ -108,8 +107,8 @@ def digest_fields(snapshot: Dict[str, Any]) -> str:
 
     A single hash over every field's name, dtype, shape and raw bytes
     — the per-event hot path of the flight recorder, an order of
-    magnitude cheaper than hashing each field separately.  The value
-    equals ``digest_state(snapshot)["state"]`` by construction.
+    magnitude cheaper than hashing each field separately (the per-field
+    :func:`digest_array` digests are a row's ``"fields"``).
     """
     parts = []
     for name in sorted(snapshot):
@@ -117,18 +116,6 @@ def digest_fields(snapshot: Dict[str, Any]) -> str:
         parts.append(_field_prefix(name, a.dtype, a.shape))
         parts.append(a.tobytes())
     return hashlib.sha256(b"".join(parts)).hexdigest()
-
-
-def digest_state(snapshot: Dict[str, Any]) -> Dict[str, str]:
-    """Per-field digests of a ``snapshot_arrays``-style dict, plus the
-    combined ``state`` digest of :func:`digest_fields`.
-
-    Field-level granularity is what makes replay divergence reports
-    actionable: a mismatch names the exact array that drifted.
-    """
-    digests = {key: digest_array(snapshot[key]) for key in sorted(snapshot)}
-    digests["state"] = digest_fields(snapshot)
-    return digests
 
 
 def digest_rng(state: Dict[str, Any]) -> str:

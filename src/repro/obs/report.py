@@ -2,10 +2,12 @@
 
 ``repro report DIR`` renders what :func:`repro.sim.runner.run_with_telemetry`
 wrote: the manifest's provenance block, the headline summary metrics,
-the phase timers and the busiest counters, plus event counts from
-``events.jsonl`` and the span tree from ``spans.jsonl``.  Everything is
-read back from disk — reporting needs no simulation objects, so it works on
-directories produced by other machines (or other versions).
+the phase timers and the busiest counters, plus event counts (and, for
+a run armed with a flight recorder, the digest rows' count, seq range
+and time range) from ``events.jsonl`` and the span tree from
+``spans.jsonl``.  Everything is read back from disk — reporting needs
+no simulation objects, so it works on directories produced by other
+machines (or other versions).
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ def load_report(directory: Union[str, Path]) -> Dict[str, Any]:
 
     Returns a dict with the ``manifest`` (a :class:`RunManifest`) and,
     when present, ``event_counts`` / ``sample_counts`` aggregated from
-    ``events.jsonl`` and the raw ``spans`` rows from ``spans.jsonl``.
+    ``events.jsonl``, ``digests`` (the digest rows' ``count`` and their
+    ``seq`` and ``t`` ranges as ``(first, last)``) when it holds any,
+    and the raw ``spans`` rows from ``spans.jsonl``.
     Raises ``FileNotFoundError`` if the directory has no manifest.
 
     An archived directory that lost files (partial copy, interrupted
@@ -49,6 +53,8 @@ def load_report(directory: Union[str, Path]) -> Dict[str, Any]:
     if events_path.is_file():
         event_counts: Dict[str, int] = {}
         sample_counts: Dict[str, int] = {}
+        n_digests = 0
+        first = last = None  # the first and last digest rows
         with open(events_path) as f:
             for line in f:
                 line = line.strip()
@@ -64,8 +70,18 @@ def load_report(directory: Union[str, Path]) -> Dict[str, Any]:
                 elif record.get("type") == "sample":
                     name = record.get("series", "?")
                     sample_counts[name] = sample_counts.get(name, 0) + 1
+                elif record.get("type") == "digest":
+                    n_digests += 1
+                    first = first or record
+                    last = record
         out["event_counts"] = event_counts
         out["sample_counts"] = sample_counts
+        if n_digests:
+            out["digests"] = {
+                "count": n_digests,
+                "seq": (first.get("seq"), last.get("seq")),
+                "t": (first.get("t"), last.get("t")),
+            }
     if missing:
         out["missing"] = missing
     return out
@@ -126,6 +142,16 @@ def format_report(data: Dict[str, Any]) -> str:
         rows = sorted(data["event_counts"].items(), key=lambda kv: -kv[1])
         blocks.append(format_table(["trace event", "count"], rows,
                                    title="events.jsonl"))
+
+    if data.get("digests"):
+        d = data["digests"]
+        rows = [
+            ["rows", d["count"]],
+            ["seq", "{} .. {}".format(*d["seq"])],
+            ["t (s)", "{} .. {}".format(*d["t"])],
+        ]
+        blocks.append(format_table(["digest rows", "value"], rows,
+                                   title="Flight-recorder digests (events.jsonl)"))
 
     if data.get("spans"):
         spans = data["spans"]

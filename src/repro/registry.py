@@ -196,7 +196,12 @@ ACTIVATORS = Registry("activation scheme")
 ERC_POLICIES = Registry("ERC policy")
 
 #: Clustering algorithms; the factory *is* the algorithm
-#: ``f(sensor_positions, target_positions, sensing_range_m)``.
+#: ``f(sensor_positions, target_positions, sensing_range_m)``.  It must
+#: be a pure function of those three arguments (no RNG draw, no global
+#: state, no write to its inputs or to the returned ``ClusterSet``):
+#: the deployment memo forms each target epoch once and serves its
+#: clusters to every world of the deployment that reaches it
+#: (:meth:`repro.sim.components.state.StaticNetwork.target_epoch`).
 CLUSTERINGS = Registry("clustering algorithm")
 
 #: Target mobility models; factories take ``field``, ``config``, ``rng``.

@@ -47,10 +47,12 @@ after every recharge.  A full pass prices idle + sensing draw from the
 alive/active masks, then the relay load as integer packet counts,
 priced per packet and scaled by the uplink ETX.  A sensor relays every
 packet originating in its routing subtree; with the static tree laid
-out in DFS preorder once (:func:`repro.network.routing.subtree_index`),
-every count is the difference of two entries of one prefix sum
-(:func:`repro.sim.soa.relay_counts`), and :meth:`EnergyAccounting.price`
-turns the counts into Watts.
+out in DFS preorder once per deployment
+(:func:`repro.network.routing.subtree_index`, kept by the deployment
+memo, :func:`~repro.sim.components.state.static_network`), every count
+is the difference of two entries of one prefix sum into this world's
+own scratch (:func:`relay_index`, :func:`repro.sim.soa.relay_counts`),
+and :meth:`EnergyAccounting.price` turns the counts into Watts.
 
 Everything in the pricing except the active mask and the counts is
 fixed for one alive set, so it comes from tables: the relay Watts per
@@ -95,14 +97,21 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ...network.routing import subtree_index
+from ...network.routing import SubtreeIndex
 from ...obs.log import EventKind
 from ..soa import relay_counts
 from .state import SimulationState
 
-__all__ = ["EnergyAccounting"]
+__all__ = ["EnergyAccounting", "relay_index"]
 
 logger = logging.getLogger(__name__)
+
+
+def relay_index(state: SimulationState) -> SubtreeIndex:
+    """This world's relay index: the deployment's shared, read-only
+    preorder with a prefix-sum scratch of its own."""
+    relay = state.network.relay
+    return relay._replace(cs=np.zeros_like(relay.cs))
 
 
 class EnergyAccounting:
@@ -150,7 +159,7 @@ class EnergyAccounting:
         }
         # The routing tree in DFS preorder for the relay counts (the
         # topology never changes during a run).
-        self._subtrees = subtree_index(state.routing.parent, state.routing.base, n)
+        self._subtrees = relay_index(state)
         self._drain_scratch = state.arrays.drain_scratch
         self._died = np.empty(n, dtype=bool)
         # Relay Watts per relayed packet count c <= n: the first two

@@ -15,18 +15,34 @@ internals.
 the RNG draw order (sensor deployment, initial charge levels, target
 placement) is part of the reproducibility contract — goldens pin it.
 
-The static network (unit-disk graph, Dijkstra tree, uplink ETX) depends
-only on the deployment, so :func:`static_network` builds it once per
-deployment and process: every cell of a sweep that shares a seed shares
-one network.  Its arrays are read-only, so an in-place write raises
-instead of leaking into the next world of that deployment.
+The deployment memo
+-------------------
+
+What the deployment fixes is derived once per deployment and process,
+by :func:`static_network`: the unit-disk graph, the Dijkstra tree, the
+uplink ETX, the tree's relay preorder and, in a bounded table, each
+target epoch's coverable mask and clusters.  Every cell of a sweep that
+shares a seed shares one entry.  Its arrays are read-only, so an
+in-place write raises instead of leaking into the next world of that
+deployment; each world keeps only its own scratch (the relay prefix
+sums, the packed cluster block, the activator).
+
+A target epoch is the input of Algorithm 1: the target positions, the
+alive mask, the sensing range and the resolved clustering callable.
+Cells of one seed share it until their runs drain differently (the
+36 short cells of a two-seed grid have 2 epochs between them), so
+:meth:`StaticNetwork.target_epoch` keeps the last
+:data:`EPOCH_MEMO_SIZE` epochs of a deployment.  A clustering must be a
+pure function of its three arguments (see
+:data:`repro.registry.CLUSTERINGS`).
 """
 
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, Hashable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,7 +52,7 @@ from ...energy.battery import BatteryBank
 from ...energy.consumption import NodePowerModel
 from ...geometry.field import Field
 from ...core import kernels
-from ...network.routing import RoutingTree
+from ...network.routing import RoutingTree, SubtreeIndex, subtree_index
 from ...network.topology import Topology
 from ...obs.log import NULL_LOG, NULL_MONITORS
 from ...registry import MOBILITY_MODELS
@@ -46,6 +62,7 @@ from ..metrics import MetricsCollector
 from ..soa import StateArrays
 
 __all__ = [
+    "EPOCH_MEMO_SIZE",
     "NETWORK_MEMO_SIZE",
     "PRIO_DISPATCH",
     "PRIO_RELOCATE",
@@ -53,6 +70,7 @@ __all__ = [
     "PRIO_TICK",
     "SimulationState",
     "StaticNetwork",
+    "TargetEpoch",
     "static_network",
 ]
 
@@ -62,18 +80,55 @@ PRIO_TICK = 1
 PRIO_DISPATCH = 2
 PRIO_RV = 3
 
-#: Deployments whose static network one process keeps.  ``map_cells``
-#: varies the seed fastest, so this must be at least the number of
-#: seeds in a grid (the built-in scales use at most 3).
+#: Deployments one process keeps.  ``map_cells`` varies the seed
+#: fastest, but the executor runs a grid's misses grouped by deployment,
+#: so a grid over any number of seeds derives each deployment once.
 NETWORK_MEMO_SIZE = 8
+
+#: Target epochs one deployment keeps (least recently used first out).
+#: A sweep's cells of one seed visit the same epochs in the same order,
+#: so this covers the epochs one cell forms before its runs diverge.
+EPOCH_MEMO_SIZE = 16
+
+
+class TargetEpoch(NamedTuple):
+    """Algorithm 1's output for one target epoch; arrays read-only."""
+
+    coverable: np.ndarray  # (m,) bool: some deployed sensor sees the target
+    cluster_set: ClusterSet  # one cluster per target, over the alive sensors
 
 
 class StaticNetwork(NamedTuple):
-    """The static network of one deployment; every array is read-only."""
+    """What one deployment fixes; every array is read-only."""
 
     topology: Topology  # the unit-disk graph (plain lengths)
     routing: RoutingTree  # the Dijkstra tree to the base station
     uplink_etx: np.ndarray  # (n,) expected transmissions per uplink
+    relay: SubtreeIndex  # the tree in DFS preorder; worlds copy the ``cs`` scratch
+    epochs: "OrderedDict[Hashable, TargetEpoch]"  # see target_epoch
+
+    def target_epoch(
+        self, key: Hashable, form: Callable[[], TargetEpoch]
+    ) -> TargetEpoch:
+        """The epoch ``key`` names, formed by ``form()`` on a miss.
+
+        ``key`` must name everything ``form`` reads besides the
+        deployment.  The formed epoch's arrays are made read-only.
+        """
+        epochs = self.epochs
+        epoch = epochs.get(key)
+        if epoch is not None:
+            epochs.move_to_end(key)
+            return epoch
+        epoch = form()
+        epoch.coverable.flags.writeable = False
+        epoch.cluster_set.membership.flags.writeable = False
+        for c in epoch.cluster_set:
+            c.members.flags.writeable = False
+        epochs[key] = epoch
+        while len(epochs) > EPOCH_MEMO_SIZE:
+            epochs.popitem(last=False)
+        return epoch
 
 
 def static_network(
@@ -82,10 +137,11 @@ def static_network(
     base_station: np.ndarray,
     routing_metric: str,
 ) -> StaticNetwork:
-    """The deployment's static network, built once per process.
+    """The deployment's memo entry, built once per process.
 
     Keyed on the deployment's content (position bytes, range, base
-    station, metric) in a memo of :data:`NETWORK_MEMO_SIZE` entries.
+    station, metric) in a memo of :data:`NETWORK_MEMO_SIZE` entries;
+    its target epochs start empty.
     """
     return _build_network(
         np.ascontiguousarray(sensor_pos, dtype=np.float64).tobytes(),
@@ -115,12 +171,14 @@ def _build_network(
     else:
         routing = RoutingTree(topology)
         uplink_etx = np.ones(n, dtype=np.float64)
+    relay = subtree_index(routing.parent, routing.base, n)
     for arr in (
         topology.points, topology.indptr, topology.indices, topology.weights,
         routing.topology.weights, routing.dist, routing.parent, uplink_etx,
+        *relay,
     ):
         arr.flags.writeable = False
-    return StaticNetwork(topology, routing, uplink_etx)
+    return StaticNetwork(topology, routing, uplink_etx, relay, OrderedDict())
 
 
 @dataclass
@@ -135,7 +193,8 @@ class SimulationState:
     # -- sensors ----------------------------------------------------
     sensor_pos: np.ndarray
     bank: BatteryBank
-    # -- static network ---------------------------------------------
+    # -- static network (the deployment memo's entry, and its parts) --
+    network: StaticNetwork
     topology: Topology
     routing: RoutingTree
     uplink_etx: np.ndarray
@@ -204,7 +263,7 @@ class SimulationState:
             rng.uniform(lo, hi, size=config.n_sensors) * config.battery_capacity_j
         )
 
-        topology, routing, uplink_etx = static_network(
+        network = static_network(
             sensor_pos, config.comm_range_m, fld.base_station, config.routing_metric
         )
 
@@ -220,9 +279,10 @@ class SimulationState:
             power=config.power_model,
             sensor_pos=sensor_pos,
             bank=bank,
-            topology=topology,
-            routing=routing,
-            uplink_etx=uplink_etx,
+            network=network,
+            topology=network.topology,
+            routing=network.routing,
+            uplink_etx=network.uplink_etx,
             arrays=StateArrays(config.n_sensors, config.n_rvs),
             targets=targets,
             log=log,

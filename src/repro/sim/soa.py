@@ -65,7 +65,7 @@ Relay load
 
 A sensor relays every packet that originates in its strict routing
 subtree.  :func:`repro.network.routing.subtree_index` lays the static
-tree out in DFS preorder once, so each sensor's subtree is one
+tree out in DFS preorder once per deployment, so each sensor's subtree is one
 contiguous range ``[tin, tout)`` with the sensor itself at ``tin``, and
 :func:`relay_counts` turns an origin mask into every sensor's relayed
 count with one prefix sum and two gathers: ``cs[tout] - cs[tin + 1]``.

@@ -821,11 +821,14 @@ def reference_tick_paths():
     registry's factories), gate requests through
     :func:`nodes_to_release` over the state's cluster set and the
     policy's ``erp``, and count relay packets with :func:`relay_walk`
-    over the routing parents — no preorder is built, so the relay
-    counts are checked independently.  Yields a
+    over the routing parents — no preorder is read, so the relay
+    counts are checked independently.  The patch sits after the
+    deployment memo (``energy.relay_index``, the world's view of the
+    memoized preorder), so it neither reads nor fills the memo and
+    worlds built after the block are untouched by it.  Yields a
     :class:`collections.Counter` of the oracle calls (``round_robin``,
-    ``full_time`` builds and ``erc`` scans), so a caller can check the
-    loops really ran.
+    ``full_time`` builds, ``erc`` scans and ``relay`` walks), so a
+    caller can check the loops really ran.
     """
     from repro.registry import ACTIVATORS
     from repro.sim.components.gate import RequestGate
@@ -844,6 +847,10 @@ def reference_tick_paths():
         erp, cluster_set = gate_inputs
         return nodes_to_release(erp, cluster_set, below, listed)
 
+    def relay(origins, parent):
+        calls["relay"] += 1
+        return walk_relay_counts(origins, parent)
+
     with mock.patch.dict(ACTIVATORS._specs, {
         "round_robin": loop_factory("round_robin", RoundRobinLoop),
         "full_time": loop_factory("full_time", FullTimeLoop),
@@ -854,9 +861,9 @@ def reference_tick_paths():
     ), mock.patch(
         "repro.sim.components.gate.erc_release", release
     ), mock.patch(
-        "repro.sim.components.energy.subtree_index",
-        lambda parent, base, n: np.asarray(parent, dtype=np.int64),
+        "repro.sim.components.energy.relay_index",
+        lambda state: np.asarray(state.routing.parent, dtype=np.int64),
     ), mock.patch(
-        "repro.sim.components.energy.relay_counts", walk_relay_counts
+        "repro.sim.components.energy.relay_counts", relay
     ):
         yield calls

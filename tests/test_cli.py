@@ -165,6 +165,39 @@ class TestTelemetryCommands:
         assert "Phase timings" in report
         assert "Span tree" in report
 
+    def test_report_counts_digest_rows(self, tmp_path, capsys):
+        """A run armed with a recorder reports its digest rows: their
+        count, seq range and time range, read from events.jsonl."""
+        out = tmp_path / "tele"
+        assert main(["run", "--preset", "small", "--days", "0.2", "--seed", "1",
+                     "--telemetry", str(out), "--postmortem", str(tmp_path / "pm")]) == 0
+        rows = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        digests = [r for r in rows if r["type"] == "digest"]
+        assert len(digests) > 1
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        report = capsys.readouterr().out
+        assert "Flight-recorder digests" in report
+        lines = {line.split()[0]: line for line in report.splitlines() if line.strip()}
+        assert lines["rows"].split()[-1] == str(len(digests))
+        assert lines["seq"].split()[-3:] == [str(digests[0]["seq"]), "..",
+                                             str(digests[-1]["seq"])]
+        assert lines["t"].split()[-3:] == [str(digests[0]["t"]), "..",
+                                           str(digests[-1]["t"])]
+
+        from repro.obs.report import load_report
+
+        assert load_report(out)["digests"] == {
+            "count": len(digests),
+            "seq": (digests[0]["seq"], digests[-1]["seq"]),
+            "t": (digests[0]["t"], digests[-1]["t"]),
+        }
+        # An unarmed run's report has no digest block.
+        plain = tmp_path / "plain"
+        assert main(["run", "--preset", "small", "--days", "0.2", "--seed", "1",
+                     "--telemetry", str(plain)]) == 0
+        assert "digests" not in load_report(plain)
+
     @pytest.mark.parametrize("armed", [["--telemetry", "{tmp}/tele"], []],
                              ids=["telemetry", "flag-alone"])
     def test_strict_monitors_flag_fails_the_run(self, tmp_path, capsys, monkeypatch, armed):

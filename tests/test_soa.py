@@ -491,25 +491,24 @@ def run_strict(reference, cfg):
     return summary.as_dict(), snapshot_arrays(world.state), monitors.violations
 
 
+#: Edge-of-domain overrides of SMALL_CONFIG, by test id.
+DEGENERATE_INPUTS = {
+    "no-sensors": {"n_sensors": 0},
+    "one-sensor": {"n_sensors": 1},
+    "no-targets": {"n_targets": 0},
+    "no-rvs": {"n_rvs": 0},
+    "all-disconnected": {"comm_range_m": 0.001},
+    "erp-1": {"erp": 1.0},
+    "all-depleted": {"initial_charge_range": (0.0, 0.0)},
+}
+
+
 class TestDegenerateInputs:
     """Edge-of-domain configs run a day under strict monitors, and the
     array tick path matches the reference paths bit for bit."""
 
     @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"n_sensors": 0},
-            {"n_sensors": 1},
-            {"n_targets": 0},
-            {"n_rvs": 0},
-            {"comm_range_m": 0.001},
-            {"erp": 1.0},
-            {"initial_charge_range": (0.0, 0.0)},
-        ],
-        ids=[
-            "no-sensors", "one-sensor", "no-targets", "no-rvs",
-            "all-disconnected", "erp-1", "all-depleted",
-        ],
+        "overrides", list(DEGENERATE_INPUTS.values()), ids=list(DEGENERATE_INPUTS)
     )
     def test_one_day_strict_and_reference_identical(self, overrides):
         from repro.sim.config import DAY_S
