@@ -1,22 +1,14 @@
-"""Shared state for the benchmark suite.
+"""Shared helpers for the benchmark suite.
 
-The ERP sweep behind Figs. 5, 6(a-d) and 7(a-b) is expensive (18
-simulations per seed at the bench scale), so it is computed once per
-pytest session and shared by every panel's benchmark.  Each benchmark
-still *prints and persists* its own figure table under
+Each benchmark *prints and persists* its own table under
 ``benchmarks/results/``: the ASCII table as ``<name>.txt`` and a
 machine-readable ``BENCH_<name>.json`` companion carrying the scale and
-the shared cProfile phase timings.
+a capped perf-history trail.
 
 Scale selection: set ``REPRO_SCALE`` to ``smoke`` (CI), ``bench``
-(default) or ``paper`` (the EXPERIMENTS.md numbers).
-
-Profiling: set ``REPRO_BENCH_PROFILE=1`` and the shared sweeps run
-under :func:`repro.utils.profiling.profile_call`; every
-``BENCH_*.json`` then includes a ``"profile"`` block with per-phase
-cumulative timings (clustering / dispatch / scheduler assign / energy
-advance — the same phases ``repro run --telemetry`` timers report) plus
-the overall hottest functions.
+(default) or ``paper``.  The paper's figure tables are not benchmarks:
+``scripts/run_experiments.py`` generates them and
+``tests/test_paper_figures.py`` asserts their shapes.
 """
 
 from __future__ import annotations
@@ -25,100 +17,31 @@ import json
 import os
 import pathlib
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.experiments import current_scale, run_fig4, run_fig6
 from repro.obs.manifest import git_revision
-from repro.utils.profiling import profile_call
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "") not in ("", "0")
-
-#: Phase-defining functions whose cumulative time is lifted out of the
-#: cProfile rows — mirrors the `repro run --telemetry` phase timers.
-_PHASE_MARKERS = {
-    "clustering": "(rebuild)",
-    "dispatch": "(dispatch)",
-    "scheduler_assign": "(assign)",
-    "energy_advance": "(advance)",
-    "energy_recompute": "(recompute)",
-    "gate_check": "(check)",
-}
-
-_sweep_cache: Optional[Dict] = None
-_fig4_cache: Optional[Dict] = None
-_profiles: Dict[str, List[Tuple[str, int, float, float]]] = {}
-
-
-def _compute(label: str, fn: Callable[[], Dict]) -> Dict:
-    """Run a shared computation, optionally under the cProfile hook."""
-    if not PROFILE:
-        return fn()
-    result, rows = profile_call(fn, top=200)
-    _profiles[label] = rows
-    return result
-
-
-def get_sweep() -> Dict:
-    """The seed-averaged ERP x scheme sweep (computed once)."""
-    global _sweep_cache
-    if _sweep_cache is None:
-        _sweep_cache = _compute("fig6_sweep", lambda: run_fig6(current_scale()))
-    return _sweep_cache
-
-
-def get_fig4() -> Dict:
-    """The 12-cell activity-management comparison (computed once)."""
-    global _fig4_cache
-    if _fig4_cache is None:
-        _fig4_cache = _compute("fig4", lambda: run_fig4(current_scale()))
-    return _fig4_cache
-
-
-def _phase_timings(rows: List[Tuple[str, int, float, float]]) -> Dict[str, Dict[str, float]]:
-    """Per-phase cumulative seconds extracted from cProfile rows."""
-    phases: Dict[str, Dict[str, float]] = {}
-    for phase, marker in _PHASE_MARKERS.items():
-        for location, ncalls, _tottime, cumtime in rows:
-            if location.endswith(marker) and "/repro/" in location.replace("\\", "/"):
-                phases[phase] = {"ncalls": ncalls, "cumtime_s": cumtime}
-                break
-    return phases
-
-
-def _profile_payload() -> Dict[str, Any]:
-    """The ``"profile"`` block for BENCH json files (empty when off)."""
-    out: Dict[str, Any] = {}
-    for label, rows in _profiles.items():
-        out[label] = {
-            "phases": _phase_timings(rows),
-            "top": [
-                {"function": loc, "ncalls": n, "tottime_s": tot, "cumtime_s": cum}
-                for loc, n, tot, cum in rows[:15]
-            ],
-        }
-    return out
+#: Rows kept in each ``BENCH_*.json`` ``"history"`` list (oldest trimmed).
+HISTORY_MAX = 200
 
 
 def emit(name: str, table: str, extra: Optional[Dict[str, Any]] = None) -> None:
     """Print a figure table and persist it under benchmarks/results/.
 
     Writes the human table as ``<name>.txt`` and a machine-readable
-    ``BENCH_<name>.json`` (table, scale, and — with
-    ``REPRO_BENCH_PROFILE=1`` — the shared per-phase timings).
-    ``extra`` merges additional JSON-serializable fields into the
-    payload (the wall-clock benchmarks record speedups and worker
-    counts this way).
+    ``BENCH_<name>.json`` (table and scale).  ``extra`` merges
+    additional JSON-serializable fields into the payload (the
+    wall-clock benchmarks record speedups and worker counts this way).
 
     Every call also appends a summary row (UTC timestamp, git revision,
     scale, and any ``speedup*``, ``t_*`` or ``overhead*`` fields from
     ``extra``) to the file's ``"history"`` list, preserved across runs
     — so perf trends are machine-readable without scraping old CI logs,
     and ``repro drift BENCH_<name>.json`` can diff the last two rows.
-    The list is capped at ``REPRO_BENCH_HISTORY_MAX`` rows (default
-    200, newest kept), so long-lived checkouts don't grow the json
-    files without bound.
+    The list is capped at :data:`HISTORY_MAX` rows (newest kept), so
+    long-lived checkouts don't grow the json files without bound.
     """
     print("\n" + table)
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -128,33 +51,13 @@ def emit(name: str, table: str, extra: Optional[Dict[str, Any]] = None) -> None:
         "name": name,
         "scale": os.environ.get("REPRO_SCALE", "bench"),
         "table": table,
-        "profiled": PROFILE,
     }
     if extra:
         payload.update(extra)
-    if PROFILE:
-        payload["profile"] = _profile_payload()
     payload["history"] = _previous_history(json_path)
     payload["history"].append(_history_row(payload))
-    payload["history"] = payload["history"][-history_max():]
+    payload["history"] = payload["history"][-HISTORY_MAX:]
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def history_max() -> int:
-    """Cap on ``"history"`` rows per ``BENCH_*.json``
-    (``REPRO_BENCH_HISTORY_MAX``, default 200; oldest rows trimmed)."""
-    value = os.environ.get("REPRO_BENCH_HISTORY_MAX", "").strip()
-    if not value:
-        return 200
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_BENCH_HISTORY_MAX must be an integer, got {value!r}"
-        ) from exc
-    if n < 1:
-        raise ValueError("REPRO_BENCH_HISTORY_MAX must be >= 1")
-    return n
 
 
 def _previous_history(json_path: pathlib.Path) -> List[Dict[str, Any]]:

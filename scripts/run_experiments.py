@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Run the full figure-reproduction suite and persist tables + JSON.
 
-This is the script behind EXPERIMENTS.md: it executes Fig. 4, the ERP
-sweep (Figs. 5, 6a-d, 7a-b), the headline-claim derivation and the
-ablations at the chosen scale, writing everything under
-``results/<scale>/``.
+This is the script behind EXPERIMENTS.md: it runs
+:func:`repro.experiments.run_suite` (Fig. 4, the ERP sweep behind
+Figs. 5, 6a-d and 7a-b, the headline claims and the clustering
+ablation) at the chosen scale and writes every table as
+``results/<scale>/<name>.txt`` plus ``results/<scale>/results.json``.
 
 Usage:  REPRO_SCALE=paper python scripts/run_experiments.py
 """
@@ -14,25 +15,7 @@ import pathlib
 import sys
 import time
 
-from repro.experiments import (
-    ERP_GRID,
-    activity_saving_percent,
-    current_scale,
-    format_fig4,
-    format_fig5,
-    format_fig7_panel,
-    format_headline,
-    format_panel,
-    panel_a,
-    panel_b,
-    panel_c,
-    panel_d,
-    run_fig4,
-    run_fig6,
-)
-from repro.experiments.ablation_clustering import format_ablation, run_ablation, static_balance
-from repro.experiments.fig7_profit import panel_a as fig7a
-from repro.experiments.fig7_profit import panel_b as fig7b
+from repro.experiments import current_scale, format_tables, run_suite
 
 
 def main() -> None:
@@ -42,68 +25,8 @@ def main() -> None:
     print(f"scale={scale.name}: {scale.days} days x seeds {scale.seeds}", flush=True)
 
     t0 = time.time()
-    print("[1/4] Fig. 4 ...", flush=True)
-    fig4 = run_fig4(scale)
-    fig4_txt = format_fig4(fig4)
-    savings = activity_saving_percent(fig4)
-    print(fig4_txt, flush=True)
-    print("savings vs baseline:", {k: round(v, 1) for k, v in savings.items()}, flush=True)
-
-    print("[2/4] ERP sweep (Figs. 5, 6, 7) ...", flush=True)
-    sweep = run_fig6(scale)
-    g = sweep["greedy"]
-    fig5 = {
-        "erp": list(ERP_GRID),
-        "traveling_energy_mj": [v / 1e6 for v in g["traveling_energy_j"]],
-        "missing_rate_pct": [100.0 * (1.0 - v) for v in g["avg_coverage_ratio"]],
-    }
-    tables = {
-        "fig4": fig4_txt,
-        "fig5": format_fig5(fig5),
-        "fig6a": format_panel("a", panel_a(sweep)),
-        "fig6b": format_panel("b", panel_b(sweep)),
-        "fig6c": format_panel("c", panel_c(sweep)),
-        "fig6d": format_panel("d", panel_d(sweep)),
-        "fig7a": format_fig7_panel("a", fig7a(sweep)),
-        "fig7b": format_fig7_panel("b", fig7b(sweep)),
-    }
-
-    print("[3/4] headline claims ...", flush=True)
-    import numpy as np
-
-    act_mean = float(np.mean(list(savings.values())))
-
-    def mean(s, m):
-        return float(np.mean(sweep[s][m]))
-
-    def pct(base, ours):
-        return 100.0 * (base - ours) / base if base > 0 else 0.0
-
-    headline = {
-        "activity_mgmt_saving_pct": act_mean,
-        "partition_distance_saving_pct": pct(
-            mean("greedy", "traveling_distance_m"), mean("partition", "traveling_distance_m")
-        ),
-        "combined_distance_saving_pct": pct(
-            mean("greedy", "traveling_distance_m"), mean("combined", "traveling_distance_m")
-        ),
-        "partition_nonfunctional_reduction_pct": pct(
-            mean("greedy", "avg_nonfunctional_fraction"),
-            mean("partition", "avg_nonfunctional_fraction"),
-        ),
-        "combined_nonfunctional_reduction_pct": pct(
-            mean("greedy", "avg_nonfunctional_fraction"),
-            mean("combined", "avg_nonfunctional_fraction"),
-        ),
-    }
-    tables["headline"] = format_headline(headline)
-
-    print("[4/4] clustering ablation ...", flush=True)
-    static = static_balance(seeds=10)
-    dynamic = run_ablation(scale)
-    tables["ablation_clustering"] = format_ablation(static, dynamic)
-
-    for name, txt in tables.items():
+    results = run_suite(scale)
+    for name, txt in format_tables(results).items():
         (out_dir / f"{name}.txt").write_text(txt + "\n")
         print("\n" + txt, flush=True)
 
@@ -111,13 +34,7 @@ def main() -> None:
         "scale": scale.name,
         "days": scale.days,
         "seeds": list(scale.seeds),
-        "fig4_mj": fig4,
-        "fig4_savings_pct": savings,
-        "fig5": fig5,
-        "sweep": sweep,
-        "headline": headline,
-        "ablation_static_spread": static,
-        "ablation_dynamic": dynamic,
+        **results,
         "elapsed_s": time.time() - t0,
     }
     (out_dir / "results.json").write_text(json.dumps(payload, indent=2))

@@ -325,38 +325,23 @@ def _apply_jobs(args: argparse.Namespace) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from .experiments import (
-        current_scale,
-        format_fig4,
-        format_fig5,
-        format_fig7_panel,
-        format_panel,
-        run_fig4,
-        run_fig5,
-        run_fig6,
-    )
-    from .experiments.fig6_schemes import panel_a, panel_b, panel_c, panel_d
-    from .experiments.fig7_profit import panel_a as f7a
-    from .experiments.fig7_profit import panel_b as f7b
+    from .experiments import TABLES, current_scale, run_fig4, run_fig5, run_fig6
 
-    _apply_jobs(args)
-    scale = current_scale()
     fig = args.id
-    if fig == "4":
-        print(format_fig4(run_fig4(scale)))
-    elif fig == "5":
-        print(format_fig5(run_fig5(scale)))
-    elif fig in ("6a", "6b", "6c", "6d"):
-        sweep = run_fig6(scale)
-        panel = {"6a": panel_a, "6b": panel_b, "6c": panel_c, "6d": panel_d}[fig]
-        print(format_panel(fig[-1], panel(sweep)))
-    elif fig in ("7a", "7b"):
-        sweep = run_fig6(scale)
-        panel = f7a if fig == "7a" else f7b
-        print(format_fig7_panel(fig[-1], panel(sweep)))
-    else:
+    if "fig" + fig not in TABLES:
         print(f"unknown figure {fig!r}; choose 4, 5, 6a-6d, 7a, 7b", file=sys.stderr)
         return 2
+    _apply_jobs(args)
+    scale = current_scale()
+    # Run only what this figure's table reads: Fig. 4 its 12 cells,
+    # Fig. 5 the greedy sweep, Figs. 6-7 the 3-scheme sweep.
+    if fig == "4":
+        results = {"fig4_mj": run_fig4(scale)}
+    elif fig == "5":
+        results = {"fig5": run_fig5(scale)}
+    else:
+        results = {"sweep": run_fig6(scale)}
+    print(TABLES["fig" + fig](results))
     return 0
 
 
@@ -427,9 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
              "DIR on failure, violation, or run end",
     )
     p_run.add_argument(
-        "--strict-monitors", action=argparse.BooleanOptionalAction, default=None,
-        help="arm the invariant monitors and make a violation raise "
-             "(default: REPRO_STRICT_MONITORS)",
+        "--strict-monitors", action="store_true",
+        help="arm the invariant monitors and make a violation raise",
     )
     p_run.add_argument(
         "--profile", action="store_true",

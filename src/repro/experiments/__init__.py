@@ -1,4 +1,5 @@
-"""Experiment drivers — one module per figure of the paper's evaluation.
+"""Experiment drivers — one module per figure of the paper's evaluation,
+and :mod:`.suite`, which runs them all once and formats every table.
 
 See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
 recorded paper-vs-measured results.
@@ -21,15 +22,15 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".fig5_tradeoff": ("format_fig5", "run_fig5"),
     ".fig6_schemes": ("format_panel", "panel_a", "panel_b", "panel_c", "panel_d", "run_fig6"),
     ".fig7_profit": ("format_fig7_panel",),
-    ".headline": ("compute_headline", "format_headline"),
+    ".suite": ("TABLES", "format_headline", "format_tables", "headline_claims", "run_suite"),
 })
 
 __all__ = [
     "ERP_GRID",
     "SCHEMES",
+    "TABLES",
     "ExperimentScale",
     "activity_saving_percent",
-    "compute_headline",
     "current_scale",
     "default_jobs",
     "iter_configs",
@@ -38,6 +39,8 @@ __all__ = [
     "format_fig7_panel",
     "format_headline",
     "format_panel",
+    "format_tables",
+    "headline_claims",
     "map_cells",
     "map_configs",
     "panel_a",
@@ -50,5 +53,6 @@ __all__ = [
     "run_fig4",
     "run_fig5",
     "run_fig6",
+    "run_suite",
     "sweep_grid",
 ]

@@ -16,14 +16,17 @@ from typing import Dict, List, Sequence
 from ..utils.tables import format_series
 from .common import ERP_GRID, ExperimentScale, run_erp_sweep
 
-__all__ = ["run_fig5", "format_fig5"]
+__all__ = ["derive_fig5", "run_fig5", "format_fig5"]
 
 
-def run_fig5(
-    scale: ExperimentScale, erps: Sequence[float] = ERP_GRID
+def derive_fig5(
+    sweep: Dict[str, Dict[str, List[float]]], erps: Sequence[float] = ERP_GRID
 ) -> Dict[str, List[float]]:
-    """Returns ``{"erp", "traveling_energy_mj", "missing_rate_pct"}``."""
-    sweep = run_erp_sweep(scale, schedulers=("greedy",), erps=erps)
+    """The two series from a sweep's greedy slice (the other schemes,
+    if present, are ignored).
+
+    Returns ``{"erp", "traveling_energy_mj", "missing_rate_pct"}``.
+    """
     g = sweep["greedy"]
     return {
         "erp": list(erps),
@@ -32,6 +35,13 @@ def run_fig5(
             100.0 * (1.0 - v) for v in g["avg_coverage_ratio"]
         ],
     }
+
+
+def run_fig5(
+    scale: ExperimentScale, erps: Sequence[float] = ERP_GRID
+) -> Dict[str, List[float]]:
+    """Run the greedy-only ERP sweep and derive Fig. 5 from it."""
+    return derive_fig5(run_erp_sweep(scale, schedulers=("greedy",), erps=erps), erps)
 
 
 def format_fig5(result: Dict[str, List[float]]) -> str:

@@ -23,9 +23,9 @@ so the default :class:`NullMonitors` (defined next to ``NULL_LOG`` in
 :mod:`repro.obs.log`, re-exported here) costs one attribute load per
 touch point.  Violations are recorded on the ``violations`` list,
 marked on the run's :class:`~repro.obs.log.EventLog` (its snapshot
-counts them under ``monitors.*``), and — with
-``REPRO_STRICT_MONITORS=1`` (or ``strict=True``) — raised immediately
-as :class:`InvariantViolation` so a broken run fails fast instead of
+counts them under ``monitors.*``), and — with ``strict=True``
+(``repro run --strict-monitors``) — raised immediately as
+:class:`InvariantViolation` so a broken run fails fast instead of
 producing a plausible table.
 """
 
@@ -43,17 +43,11 @@ __all__ = [
     "MonitorSet",
     "NULL_MONITORS",
     "NullMonitors",
-    "strict_monitors_default",
 ]
 
 
 class InvariantViolation(AssertionError):
     """A runtime invariant did not hold (raised in strict mode)."""
-
-
-def strict_monitors_default() -> bool:
-    """``REPRO_STRICT_MONITORS=1``: fail fast on any violation."""
-    return os.environ.get("REPRO_STRICT_MONITORS", "") not in ("", "0")
 
 
 class MonitorSet:
@@ -64,7 +58,7 @@ class MonitorSet:
             is marked on it (on the open phase, and counted in its
             snapshot).
         strict: raise :class:`InvariantViolation` on the first
-            violation.  ``None`` consults ``REPRO_STRICT_MONITORS``.
+            violation.
 
     ``REPRO_MONITOR_ATOL_J`` overrides the per-instance energy
     tolerance — its intended use is *forcing* a violation (a negative
@@ -82,9 +76,9 @@ class MonitorSet:
     #: Absolute slack (Joules) for plan-cost feasibility.
     PLAN_ATOL_J = 1e-3
 
-    def __init__(self, log=None, strict: Optional[bool] = None) -> None:
+    def __init__(self, log=None, strict: bool = False) -> None:
         self.log = log if log is not None else NULL_LOG
-        self.strict = strict_monitors_default() if strict is None else bool(strict)
+        self.strict = bool(strict)
         atol = os.environ.get("REPRO_MONITOR_ATOL_J")
         if atol is not None:
             self.ENERGY_ATOL_J = float(atol)

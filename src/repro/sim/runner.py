@@ -115,15 +115,14 @@ def run_with_telemetry(
     out_dir: Optional[Union[str, Path]] = None,
     *,
     postmortem: Optional[Union[str, Path]] = None,
-    strict: Optional[bool] = None,
+    strict: bool = False,
 ) -> Tuple[SimulationSummary, Optional[RunManifest]]:
     """Run one simulation armed: event log, invariant monitors and,
     with ``postmortem``, the flight recorder.
 
     This is the one way to arm a run.  The run is wired with an
     :class:`~repro.obs.EventLog` and a :class:`~repro.obs.MonitorSet`
-    (runtime invariant monitors; ``strict`` makes a violation raise,
-    ``None`` consults ``REPRO_STRICT_MONITORS``).
+    (runtime invariant monitors; ``strict`` makes a violation raise).
 
     With ``out_dir``, once the run ends the log writes
     ``events.jsonl`` and ``spans.jsonl`` into it

@@ -1,5 +1,5 @@
 """The perf-history cap of ``benchmarks/_shared.py``: ``emit`` keeps at
-most ``REPRO_BENCH_HISTORY_MAX`` rows per ``BENCH_*.json``."""
+most ``HISTORY_MAX`` rows per ``BENCH_*.json``."""
 
 import json
 import pathlib
@@ -18,18 +18,9 @@ class TestBenchHistoryCap:
         return _shared
 
     def test_emit_trims_history_to_cap(self, shared, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_BENCH_HISTORY_MAX", "3")
+        monkeypatch.setattr(shared, "HISTORY_MAX", 3)
         for i in range(5):
             shared.emit("capped", "table", extra={"t_probe_s": float(i)})
         payload = json.loads((tmp_path / "BENCH_capped.json").read_text())
         assert len(payload["history"]) == 3
         assert [row["t_probe_s"] for row in payload["history"]] == [2.0, 3.0, 4.0]
-
-    def test_history_cap_default_and_validation(self, shared, monkeypatch):
-        assert shared.history_max() == 200
-        monkeypatch.setenv("REPRO_BENCH_HISTORY_MAX", "7")
-        assert shared.history_max() == 7
-        for bad in ("0", "many"):
-            monkeypatch.setenv("REPRO_BENCH_HISTORY_MAX", bad)
-            with pytest.raises(ValueError):
-                shared.history_max()

@@ -204,7 +204,6 @@ class TestTelemetryCommands:
         """``--strict-monitors`` arms strict monitors with or without
         ``--telemetry``: a forced violation exits 1 in one line."""
         monkeypatch.setenv("REPRO_MONITOR_ATOL_J", "-1")
-        monkeypatch.delenv("REPRO_STRICT_MONITORS", raising=False)
         flags = [f.format(tmp=tmp_path) for f in armed]
         rc = main(["run", "--preset", "small", "--days", "0.05", "--seed", "1",
                    *flags, "--strict-monitors"])

@@ -20,7 +20,7 @@ from repro.experiments.fig5_tradeoff import format_fig5, run_fig5
 from repro.experiments.fig6_schemes import format_panel, panel_a, panel_b, panel_c, panel_d
 from repro.experiments.fig7_profit import format_fig7_panel
 from repro.experiments.fig7_profit import panel_a as fig7a
-from repro.experiments.headline import format_headline
+from repro.experiments.suite import format_headline
 
 MICRO = ExperimentScale("micro", days=1.0, seeds=(1,))
 

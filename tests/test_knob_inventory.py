@@ -17,7 +17,6 @@ KNOBS = [
     "REPRO_SCALE",
     "REPRO_START_METHOD",
     "REPRO_STORE",
-    "REPRO_STRICT_MONITORS",
 ]
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"

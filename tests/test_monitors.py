@@ -17,7 +17,6 @@ from repro.obs import (
     MonitorSet,
     NULL_MONITORS,
 )
-from repro.obs.monitors import strict_monitors_default
 from repro.registry import SCHEDULERS
 from repro.sim.config import DAY_S, SimulationConfig
 from repro.sim.world import World
@@ -41,19 +40,7 @@ class FakeView:
 
 
 def monitors(**kwargs):
-    kwargs.setdefault("strict", False)
     return MonitorSet(log=EventLog(), **kwargs)
-
-
-class TestStrictDefault:
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STRICT_MONITORS", raising=False)
-        assert not strict_monitors_default()
-        monkeypatch.setenv("REPRO_STRICT_MONITORS", "0")
-        assert not strict_monitors_default()
-        monkeypatch.setenv("REPRO_STRICT_MONITORS", "1")
-        assert strict_monitors_default()
-        assert MonitorSet().strict
 
 
 class TestBatteryBounds:
