@@ -7,9 +7,9 @@ Lloyd's fixed-point iteration directly — vectorized assignment step,
 WCSS tracking, and deterministic seeding — rather than depending on an
 external implementation, so the reproduction owns its baseline.
 
-The ``n_init`` restarts run as one array pass: centroids of shape
-``(n_init, k, 2)``, one assignment step for all of them, member sums by
-``bincount`` and one WCSS row per restart.  Each restart still stops at
+The ``n_init`` restarts run as one array pass: centroid coordinates as
+two ``(n_init, k)`` arrays, one assignment step for all of them, member
+sums by ``bincount`` and one WCSS row per restart.  Each restart still stops at
 its own fixed point and gives the bits the one-restart-at-a-time loop
 gives (``tests/oracles.py``): the seeds are drawn in the serial order,
 and every sum adds the same terms in the same order.
@@ -25,6 +25,10 @@ import numpy as np
 from ..geometry.points import as_points
 
 __all__ = ["KMeansResult", "kmeans", "wcss"]
+
+# ``ndarray.all``/``any`` without their Python-level wrapper.
+_all_of = np.logical_and.reduce
+_any_of = np.logical_or.reduce
 
 
 @dataclass(frozen=True)
@@ -98,14 +102,6 @@ def kmeans(
         raise ValueError("n_init must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    # The (points x centroids) squared-distance argmin lives in the
-    # kernel layer; the Lloyd loop calls its unvalidated form, since
-    # ``points`` was validated above and the centroids are rows of it
-    # or means of its rows.  Imported here: repro.core's package init
-    # reaches this module via the Partition-Scheme, so a top-level
-    # kernels import would be circular.
-    from ..core import kernels
-
     if k >= n:
         centroids = points.copy()
         labels = np.arange(n, dtype=np.intp)
@@ -117,49 +113,80 @@ def kmeans(
     # The restarts' Forgy seeds, drawn in the serial order: the
     # generator ends where n_init one-at-a-time restarts leave it.
     cells = n_init * k
-    seeds = [rng.choice(n, size=k, replace=False) for _ in range(n_init)]
-    centroids = points[np.array(seeds)]
-    flat_centroids = centroids.reshape(cells, 2)  # a view: (restart, cluster) rows
-    labels = kernels._nearest_centroid(points, centroids)
-    # Restart i's labels index centroid rows i*k .. i*k + k - 1.
+    seeds = np.array([rng.choice(n, size=k, replace=False) for _ in range(n_init)])
+    # Centroids as one x and one y array of shape (n_init, k), so the
+    # assignment step measures plain columns; ``flat_x``/``flat_y`` view
+    # them as the (restart, cluster) cells the member sums index.
+    px = points[:, 0].copy()
+    py = points[:, 1].copy()
+    cx = px.take(seeds)
+    cy = py.take(seeds)
+    flat_x = cx.reshape(cells)
+    flat_y = cy.reshape(cells)
+    # Broadcast views (n_init, 1, k) against the (n, 1) point columns:
+    # every restart's squared distances at once, summed x + y like
+    # ``kernels.kmeans_assign``; ties go to the lowest centroid.
+    cx3 = cx[:, None, :]
+    cy3 = cy[:, None, :]
+    px2 = px[:, None]
+    py2 = py[:, None]
+    dx = np.empty((n_init, n, k))
+    dy = np.empty((n_init, n, k))
+
+    def assign() -> np.ndarray:
+        np.subtract(px2, cx3, out=dx)
+        np.square(dx, out=dx)
+        np.subtract(py2, cy3, out=dy)
+        np.square(dy, out=dy)
+        np.add(dx, dy, out=dx)
+        return dx.argmin(axis=-1)
+
+    labels = assign()
+    # Restart i's labels index centroid cells i*k .. i*k + k - 1.
     offsets = np.arange(0, cells, k)[:, None]
-    xs = np.tile(points[:, 0], n_init)
-    ys = np.tile(points[:, 1], n_init)
-    done_centroids = np.empty_like(centroids)
+    flat2d = np.empty((n_init, n), dtype=np.intp)
+    flat = flat2d.reshape(n_init * n)
+    xs = np.concatenate([px] * n_init)
+    ys = np.concatenate([py] * n_init)
+    done_x = np.empty_like(cx)
+    done_y = np.empty_like(cy)
     done_labels = np.empty_like(labels)
     n_iter = np.full(n_init, max_iter)
     converged = np.zeros(n_init, dtype=bool)
     running = np.ones(n_init, dtype=bool)
     for it in range(1, max_iter + 1):
-        flat = (labels + offsets).ravel()
+        np.add(labels, offsets, out=flat2d)
         sizes = np.bincount(flat, minlength=cells)
         # Member sums in index order: the same sequential additions as
         # ``np.add.reduce(points[labels == j], axis=0)``, so each mean
         # is bit for bit the member mean.
         sx = np.bincount(flat, weights=xs, minlength=cells)
         sy = np.bincount(flat, weights=ys, minlength=cells)
-        if sizes.all():
-            np.divide(sx, sizes, out=flat_centroids[:, 0])
-            np.divide(sy, sizes, out=flat_centroids[:, 1])
+        if _all_of(sizes):
+            np.divide(sx, sizes, out=flat_x)
+            np.divide(sy, sizes, out=flat_y)
         else:
-            _update_with_empty(points, flat_centroids, sizes, sx, sy)
-        new_labels = kernels._nearest_centroid(points, centroids)
+            _update_with_empty(points, flat_x, flat_y, sizes, sx, sy)
+        new_labels = assign()
         # Each restart stops at its own fixed point; the ones still
         # running carry on (finished ones are computed but not read).
-        settled = (new_labels == labels).all(axis=1)
+        settled = _all_of(np.equal(new_labels, labels), axis=1)
         settled &= running
-        if settled.any():
-            done_centroids[settled] = centroids[settled]
+        if _any_of(settled):
+            done_x[settled] = cx[settled]
+            done_y[settled] = cy[settled]
             done_labels[settled] = labels[settled]
             n_iter[settled] = it
             converged |= settled
             running &= ~settled
-            if not running.any():
+            if not _any_of(running):
                 break
         labels = new_labels
     if running.any():  # max_iter exhausted
-        done_centroids[running] = centroids[running]
+        done_x[running] = cx[running]
+        done_y[running] = cy[running]
         done_labels[running] = labels[running]
+    done_centroids = np.stack((done_x, done_y), axis=-1)
 
     # Every restart's WCSS (Eq. 15) as one row sum each: a row of
     # ``(n_init, 2n)`` sums like ``wcss`` sums its ``(n, 2)`` array.
@@ -176,13 +203,13 @@ def kmeans(
     )
 
 
-def _update_with_empty(points, flat_centroids, sizes, sx, sy) -> None:
+def _update_with_empty(points, flat_x, flat_y, sizes, sx, sy) -> None:
     """The centroid update when some cluster lost every member: the
     others move to their member means, and each empty one is re-seeded
     at the point farthest from where it stood."""
     filled = sizes > 0
-    np.divide(sx, sizes, out=flat_centroids[:, 0], where=filled)
-    np.divide(sy, sizes, out=flat_centroids[:, 1], where=filled)
+    np.divide(sx, sizes, out=flat_x, where=filled)
+    np.divide(sy, sizes, out=flat_y, where=filled)
     for cell in np.flatnonzero(~filled):
-        d = np.sum((points - flat_centroids[cell]) ** 2, axis=1)
-        flat_centroids[cell] = points[int(np.argmax(d))]
+        d = np.sum((points - np.array([flat_x[cell], flat_y[cell]])) ** 2, axis=1)
+        flat_x[cell], flat_y[cell] = points[int(np.argmax(d))]

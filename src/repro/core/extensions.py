@@ -27,7 +27,7 @@ from ..geometry.points import distance
 from ..tsp.tour import open_tour_length
 from ..tsp.two_opt import two_opt
 from .insertion import InsertionScheduler, _plan_chained, _StopTable
-from .requests import RechargeNodeList, RechargeRequest, aggregate_by_cluster
+from .requests import RechargeNodeList, RechargeRequest
 from .scheduling import PlannedRoute, RVView
 
 __all__ = [
@@ -199,11 +199,11 @@ class DeadlineAwareScheduler:
             for r in requests
             if self.now_s - r.release_time_s >= self.urgency_age_s
         ]
-        table = _StopTable(aggregate_by_cluster(urgent or requests))
+        table = _StopTable.of(urgent or requests)
         whole = not urgent
         for rv in idle_rvs:
             if not table.live and not whole:
-                table = _StopTable(aggregate_by_cluster(requests))
+                table = _StopTable.of(requests)
                 whole = True
             if not table.live:
                 break

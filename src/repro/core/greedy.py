@@ -92,6 +92,10 @@ class GreedyScheduler:
             positions = np.array([r.position for r in snapshot])
             demands = np.array([r.demand_j for r in snapshot], dtype=np.float64)
             cache = kernels.DistanceCache(positions)
+            # Every pick after an RV's first stands on a listed stop, and a
+            # round picks about as many stops as it lists: measure the
+            # whole stop/stop matrix at once, so each row is a slice.
+            cache.pairwise
             unserved = np.ones(len(snapshot), dtype=bool)
             left = len(snapshot)  # == np.count_nonzero(unserved)
             while left and any(s.flag for s in states):

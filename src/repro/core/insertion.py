@@ -48,7 +48,7 @@ import numpy as np
 
 from ..tsp.tour import leg_lengths
 from . import kernels
-from .requests import AggregatedRequest, RechargeNodeList, aggregate_by_cluster
+from .requests import AggregatedRequest, RechargeNodeList, _aggregate
 from .scheduling import PlannedRoute, RVView
 
 __all__ = ["InsertionScheduler", "build_insertion_sequence", "expand_stops"]
@@ -57,22 +57,49 @@ __all__ = ["InsertionScheduler", "build_insertion_sequence", "expand_stops"]
 class _StopTable:
     """One planning round's super-nodes, aggregated once.
 
-    ``live`` lists the unserved stops in table order and ``mask`` is
-    the same set as a boolean vector; :meth:`serve` drops stops.
+    ``demands`` holds the stops' summed demands and ``cache`` measures
+    their centroids.  ``live`` lists the unserved stops in table order
+    and ``mask`` is the same set as a boolean vector; :meth:`serve`
+    drops stops.
     """
 
-    __slots__ = ("stops", "demands", "cache", "live", "mask")
+    __slots__ = ("stops", "demands", "cache", "live", "mask", "_dist")
 
-    def __init__(self, stops: Sequence[AggregatedRequest]) -> None:
+    def __init__(
+        self,
+        stops: Sequence[AggregatedRequest],
+        positions: np.ndarray,
+        demands: np.ndarray,
+    ) -> None:
         self.stops = stops
         n = len(stops)
-        positions = (
-            np.array([s.position for s in stops]) if n else np.empty((0, 2))
-        )
-        self.demands = np.array([s.demand_j for s in stops], dtype=np.float64)
+        self.demands = demands
         self.cache = kernels.DistanceCache(positions)
         self.live = list(range(n))
         self.mask = np.ones(n, dtype=bool)
+        self._dist: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, requests) -> "_StopTable":
+        """The table of ``requests`` folded into cluster super-nodes."""
+        return cls(*_aggregate(requests))
+
+    @classmethod
+    def of_stops(cls, stops: Sequence[AggregatedRequest]) -> "_StopTable":
+        """The table of super-nodes built elsewhere."""
+        positions = np.array([s.position for s in stops]) if stops else np.empty((0, 2))
+        return cls(stops, positions, np.array([s.demand_j for s in stops], dtype=np.float64))
+
+    def dist_from(self, rv_dist: np.ndarray) -> np.ndarray:
+        """The stop/stop matrix with ``rv_dist`` as its last row: one
+        buffer per round, whose spare row each sequence overwrites."""
+        dist = self._dist
+        if dist is None:
+            n = len(self.stops)
+            dist = self._dist = np.empty((n + 1, n))
+            dist[:n] = self.cache.pairwise
+        dist[-1] = rv_dist
+        return dist
 
     def serve(self, served: Sequence[int]) -> None:
         self.mask[served] = False
@@ -112,7 +139,7 @@ def _insertion_order(
     open_stops = [i for i in table.live if i != dest]
     if not open_stops:
         return [dest]
-    spent = costs[dest]
+    spent = costs.item(dest)
     # The candidate columns stay fixed for the whole loop and inserted
     # ones are masked out: the open columns keep their order, so the
     # row-major first maximum picks the same insertion as it would over
@@ -120,22 +147,20 @@ def _insertion_order(
     cand = np.array(open_stops, dtype=np.intp)
     cand_demands = demands[cand]
     cand_delivery = delivery[cand]
-    is_open = np.ones(len(cand), dtype=bool)
     n_open = len(cand)
+    is_open = np.ones(n_open, dtype=bool)
     # Waypoint rows: the stops' rows of the round's matrix, plus the RV's
-    # distances as row ``rv_row``.
-    rv_row = len(demands)
-    dist = np.concatenate((table.cache.pairwise, dist0[None, :]))
-    waypoints = [rv_row, dest]
+    # distances as its last row.  The route grows in place in ``route``,
+    # whose first ``k`` entries are the waypoints.
+    dist = table.dist_from(dist0)
+    route = np.empty(n_open + 2, dtype=np.intp)
+    route[0] = len(demands)
+    route[1] = dest
+    k = 2
     while n_open and spent < budget_j:
         # Evaluate p(s, n) for every gap s and every open stop n.
         p, extra_cost = kernels.insertion_eval(
-            dist,
-            np.array(waypoints, dtype=np.intp),
-            cand,
-            cand_demands,
-            cand_delivery,
-            em_j_per_m,
+            dist, route[:k], cand, cand_demands, cand_delivery, em_j_per_m
         )
         feasible = p > 1e-12
         feasible &= extra_cost + spent <= budget_j + 1e-9
@@ -144,11 +169,13 @@ def _insertion_order(
         if pick is None:
             break
         s0, c0 = pick
-        waypoints.insert(s0 + 1, open_stops[c0])  # after waypoint s0
+        route[s0 + 2 : k + 1] = route[s0 + 1 : k]  # after waypoint s0
+        route[s0 + 1] = open_stops[c0]
+        k += 1
         is_open[c0] = False
         n_open -= 1
-        spent += float(extra_cost[s0, c0])
-    return waypoints[1:]
+        spent += extra_cost.item(s0, c0)
+    return route[1:k].tolist()
 
 
 def build_insertion_sequence(
@@ -176,7 +203,7 @@ def build_insertion_sequence(
     if len(stops) == 0 or budget_j <= 0:
         return []
     return _insertion_order(
-        _StopTable(stops), rv_position, budget_j, em_j_per_m, charge_efficiency
+        _StopTable.of_stops(stops), rv_position, budget_j, em_j_per_m, charge_efficiency
     )
 
 
@@ -256,9 +283,11 @@ def _plan_sequence(
     if not order:
         return None
     node_ids, wp, ends, demands = _expand(table.stops, order, position)
+    # A trimmed route's legs are a prefix of the full route's.
+    legs = leg_lengths(wp)
     for k in range(len(order), 0, -1):
         m = ends[k - 1]
-        travel = float(leg_lengths(wp[:m]).sum()) if m > 1 else 0.0
+        travel = float(legs[: m - 1].sum()) if m > 1 else 0.0
         demand = demands[k - 1]
         if travel * em_j_per_m + demand / charge_efficiency <= budget_j + 1e-6:
             return node_ids[: m - 1], wp[:m], travel, demand, order[:k]
@@ -311,7 +340,7 @@ def plan_single_rv(
     the expansion overran it — constraint (7) holds on the *actual*
     route, not the approximation.
     """
-    table = _StopTable(aggregate_by_cluster(requests))
+    table = _StopTable.of(requests)
     plan = _plan_sequence(
         table, rv.position, rv.budget_j, rv.em_j_per_m, rv.charge_efficiency
     )
@@ -341,7 +370,7 @@ def plan_single_rv_chained(
     :class:`~repro.core.requests.RechargeNodeList`) is consumed in
     place.
     """
-    plan = _plan_chained(_StopTable(aggregate_by_cluster(requests)), rv)
+    plan = _plan_chained(_StopTable.of(requests), rv)
     if plan is None:
         return None
     served = set(plan.node_ids)
@@ -374,7 +403,7 @@ class InsertionScheduler:
         rng: np.random.Generator,
     ) -> Dict[int, PlannedRoute]:
         plans: Dict[int, PlannedRoute] = {}
-        table = _StopTable(aggregate_by_cluster(requests))
+        table = _StopTable.of(requests)
         for rv in idle_rvs:
             if not table.live:
                 break

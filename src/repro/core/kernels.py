@@ -33,6 +33,10 @@ import numpy as np
 
 from ..geometry.points import as_points
 
+# ``ndarray.any`` without its Python-level wrapper: the masks here are a
+# few dozen entries, where the wrapper costs more than the reduction.
+_any = np.logical_or.reduce
+
 __all__ = [
     "DistanceCache",
     "greedy_pick",
@@ -139,7 +143,7 @@ def greedy_pick(
 
     Ties resolve to the lowest index; ``None`` when nothing is selectable.
     """
-    if len(demands) == 0 or (mask is not None and not mask.any()):
+    if len(demands) == 0 or (mask is not None and not _any(mask)):
         return None
     profits = demands - em_j_per_m * dists
     if mask is not None:
@@ -149,7 +153,7 @@ def greedy_pick(
 
 def masked_argmax(values: np.ndarray, mask: np.ndarray) -> Optional[int]:
     """First index of the maximum of ``values`` where ``mask`` holds."""
-    if not mask.any():
+    if not _any(mask):
         return None
     return int(np.where(mask, values, -np.inf).argmax())
 
@@ -158,14 +162,14 @@ def masked_argmax_2d(
     values: np.ndarray, mask: np.ndarray
 ) -> Optional[Tuple[int, int]]:
     """Row-major first ``(row, col)`` of the masked maximum, or ``None``."""
-    if not mask.any():
+    if not _any(mask, axis=None):
         return None
     return divmod(int(np.where(mask, values, -np.inf).argmax()), values.shape[1])
 
 
 def masked_argmin(dists: np.ndarray, mask: Optional[np.ndarray] = None) -> Optional[int]:
     """First index of the minimum of ``dists`` where ``mask`` holds."""
-    if len(dists) == 0 or (mask is not None and not mask.any()):
+    if len(dists) == 0 or (mask is not None and not _any(mask)):
         return None
     d = dists if mask is None else np.where(mask, dists, np.inf)
     return int(d.argmin())
@@ -226,18 +230,9 @@ def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     Ties resolve to the lowest centroid index.
     """
-    return _nearest_centroid(as_points(points), as_points(centroids))
-
-
-def _nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """:func:`kmeans_assign` on arrays the caller already validated.
-
-    ``centroids`` may carry leading axes: the Lloyd loop of
-    :func:`repro.cluster.kmeans.kmeans` passes every restart's
-    ``(k, 2)`` centroids at once as ``(n_init, k, 2)`` and gets
-    ``(n_init, n)`` labels back, each row computed as a 2-D call would.
-    """
-    diff = points[:, None, :] - centroids[..., None, :, :]
+    points = as_points(points)
+    centroids = as_points(centroids)
+    diff = points[:, None, :] - centroids[None, :, :]
     dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     return np.argmin(dist2, axis=-1).astype(np.intp, copy=False)
 

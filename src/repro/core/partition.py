@@ -20,9 +20,8 @@ from typing import Dict, List
 import numpy as np
 
 from ..cluster.kmeans import kmeans
-from ..geometry.points import distances_from
 from . import kernels
-from .insertion import plan_single_rv_chained
+from .insertion import _plan_chained, _StopTable
 from .requests import RechargeNodeList
 from .scheduling import PlannedRoute, RVView
 
@@ -42,11 +41,19 @@ def partition_requests(
     n = len(positions)
     if n == 0:
         return []
+    labels, k = _partition_labels(positions, n_groups, rng)
+    groups = [np.flatnonzero(labels == j) for j in range(k)]
+    return [g for g in groups if len(g) > 0]
+
+
+def _partition_labels(positions: np.ndarray, n_groups: int, rng: np.random.Generator):
+    """``(labels, k)``: each of the ``n >= 1`` requests' group among
+    ``k = min(n_groups, n)``, from K-means when ``k > 1``."""
+    n = len(positions)
     k = min(n_groups, n)
     if k <= 1:
-        return [np.arange(n, dtype=np.intp)]
-    result = kmeans(positions, k, rng=rng)
-    return [g for g in result.groups() if len(g) > 0]
+        return np.zeros(n, dtype=np.intp), 1
+    return kmeans(positions, k, rng=rng).labels, k
 
 
 class PartitionScheduler:
@@ -76,12 +83,22 @@ class PartitionScheduler:
             return plans
         snapshot = requests.snapshot()
         positions = np.array([r.position for r in snapshot])
-        groups = partition_requests(positions, self.fleet_size, rng)
-        if not groups:
-            return plans
-        # ``positions[g].mean(axis=0)`` bit for bit, without ``mean``'s
-        # Python overhead.
-        centroids = np.array([np.add.reduce(positions[g], axis=0) / len(g) for g in groups])
+        labels, k = _partition_labels(positions, self.fleet_size, rng)
+        # The groups (in label order, empty ones dropped, members in
+        # list order) and their centroids in one pass: bincount sums each
+        # group's members in index order, the same additions as
+        # ``np.add.reduce(positions[g], axis=0)``, so each centroid is
+        # ``positions[g].mean(axis=0)`` bit for bit.
+        members: List[list] = [[] for _ in range(k)]
+        for r, j in zip(snapshot, labels.tolist()):
+            members[j].append(r)
+        sizes = np.bincount(labels, minlength=k)
+        kept = np.flatnonzero(sizes)
+        groups = [members[j] for j in kept.tolist()]
+        centroids = np.empty((len(kept), 2))
+        for axis in (0, 1):
+            sums = np.bincount(labels, weights=positions[:, axis], minlength=k)
+            np.divide(sums[kept], sizes[kept], out=centroids[:, axis])
         unclaimed = list(range(len(groups)))
         for rv in idle_rvs:
             if not unclaimed:
@@ -89,11 +106,11 @@ class PartitionScheduler:
             # Masked argmin over all centroid distances at once — the
             # per-group `distance` loop this replaces measured the same
             # hypot values one claim at a time.
-            dists = distances_from(rv.position, centroids[unclaimed])
+            gap = centroids[unclaimed] - rv.position
+            dists = np.hypot(gap[:, 0], gap[:, 1])
             pick = unclaimed.pop(kernels.masked_argmin(dists))
-            group_requests = [snapshot[i] for i in groups[pick]]
-            plan = plan_single_rv_chained(group_requests, rv)
-            if plan is None or len(plan) == 0:
+            plan = _plan_chained(_StopTable.of(groups[pick]), rv)
+            if plan is None:
                 continue
             plans[rv.rv_id] = plan
             requests.remove_many(plan.node_ids)

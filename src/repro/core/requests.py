@@ -131,13 +131,17 @@ class RechargeNodeList:
         return list(self._by_node.values())
 
 
-@dataclass(frozen=True)
 class AggregatedRequest:
     """A scheduling super-node: one cluster's pending requests as a unit.
 
     Section IV-C: "all energy demands from sensors inside a cluster are
     replaced by an aggregated cluster energy demand", and the RV serves
     every listed member in one visit, touring them nearest-neighbour.
+
+    A slotted class: a planning round builds one per cluster of its
+    backlog, and :func:`aggregate_by_cluster` hands each its centroid as
+    a row of the array it already stacked, with no conversion per
+    instance.  Treat instances as immutable.
 
     Attributes:
         position: representative position (member centroid; cluster
@@ -148,16 +152,35 @@ class AggregatedRequest:
         cluster_id: originating cluster, or ``-1`` for a singleton.
     """
 
-    position: np.ndarray
-    demand_j: float
-    members: tuple
-    cluster_id: int
+    __slots__ = ("position", "demand_j", "members", "cluster_id", "_member_pts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "position", np.asarray(self.position, dtype=np.float64).reshape(2)
+    def __init__(
+        self, position: np.ndarray, demand_j: float, members: tuple, cluster_id: int
+    ) -> None:
+        self.position = np.asarray(position, dtype=np.float64).reshape(2)
+        self.demand_j = demand_j
+        self.members = members
+        self.cluster_id = cluster_id
+        self._member_pts = None
+
+    @classmethod
+    def _of(cls, position, demand_j, members, cluster_id, member_pts) -> "AggregatedRequest":
+        """An instance from parts already in their final form: a ``(2,)``
+        float64 ``position``, and the stacked ``(nc, 2)`` member rows or
+        ``None`` to stack them on first use."""
+        self = object.__new__(cls)
+        self.position = position
+        self.demand_j = demand_j
+        self.members = members
+        self.cluster_id = cluster_id
+        self._member_pts = member_pts
+        return self
+
+    def __repr__(self) -> str:
+        return (
+            f"AggregatedRequest(position={self.position!r}, demand_j={self.demand_j!r}, "
+            f"members={self.members!r}, cluster_id={self.cluster_id!r})"
         )
-        object.__setattr__(self, "_member_pts", None)
 
     def member_ids(self) -> List[int]:
         return [r.node_id for r in self.members]
@@ -165,9 +188,7 @@ class AggregatedRequest:
     def member_positions(self) -> np.ndarray:
         """``(nc, 2)`` member coordinates, stacked once per instance."""
         if self._member_pts is None:
-            object.__setattr__(
-                self, "_member_pts", np.array([r.position for r in self.members])
-            )
+            self._member_pts = np.array([r.position for r in self.members])
         return self._member_pts
 
     def _tour_from(self, entry: np.ndarray) -> tuple:
@@ -196,6 +217,13 @@ def aggregate_by_cluster(requests: Iterable[RechargeRequest]) -> List[Aggregated
     Unclustered requests become singletons.  Order follows first
     appearance in the input, keeping scheduling deterministic.
     """
+    return _aggregate(requests)[0]
+
+
+def _aggregate(requests: Iterable[RechargeRequest]):
+    """:func:`aggregate_by_cluster`, plus the stops' ``(k, 2)``
+    centroids and ``(k,)`` demands as arrays (a planning round's stop
+    table reads them as they are)."""
     groups: Dict[int, List[RechargeRequest]] = {}
     next_singleton = -2  # each unclustered node gets its own key
     for r in requests:
@@ -210,26 +238,28 @@ def aggregate_by_cluster(requests: Iterable[RechargeRequest]) -> List[Aggregated
         else:
             members.append(r)
     if not groups:
-        return []
-    # Every centroid in one pass: bincount sums each group's members in
-    # index order from +0.0, the same additions as
-    # ``np.add.reduce(pts, axis=0)`` over the group's own rows, so each
-    # position is ``pts.mean(axis=0)`` bit for bit.
-    grouped = [m for members in groups.values() for m in members]
-    group_of = np.repeat(
-        np.arange(len(groups)), [len(members) for members in groups.values()]
-    )
-    pts = np.array([m.position for m in grouped])
-    sizes = np.bincount(group_of)
-    centroids = np.empty((len(groups), 2))
-    np.divide(np.bincount(group_of, weights=pts[:, 0]), sizes, out=centroids[:, 0])
-    np.divide(np.bincount(group_of, weights=pts[:, 1]), sizes, out=centroids[:, 1])
-    return [
-        AggregatedRequest(
-            position=centroid,
-            demand_j=float(sum(m.demand_j for m in members)),
-            members=tuple(members),
-            cluster_id=members[0].cluster_id,
-        )
-        for centroid, members in zip(centroids, groups.values())
+        return [], np.empty((0, 2)), np.empty(0)
+    # Each centroid sums its members in list order from +0.0 and divides
+    # by the count: the additions ``np.add.reduce(pts, axis=0)`` makes
+    # over the group's own rows, so each position is
+    # ``pts.mean(axis=0)`` bit for bit.  Python floats do the same IEEE
+    # double arithmetic as numpy's, without a call per group.
+    sums = []
+    demands = []
+    for members in groups.values():
+        sx = sy = 0.0
+        demand = 0
+        for m in members:
+            x, y = m.position.tolist()
+            sx += x
+            sy += y
+            demand += m.demand_j
+        size = len(members)
+        sums.append((sx / size, sy / size))
+        demands.append(float(demand))
+    centroids = np.array(sums)
+    stops = [
+        AggregatedRequest._of(centroid, demand, tuple(members), members[0].cluster_id, None)
+        for centroid, demand, members in zip(centroids, demands, groups.values())
     ]
+    return stops, centroids, np.array(demands)

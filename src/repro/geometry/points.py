@@ -44,7 +44,7 @@ def as_points(pts: np.ndarray) -> np.ndarray:
         arr = arr.reshape(1, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected shape (n, 2), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError("point coordinates must be finite")
     return arr
 

@@ -5,7 +5,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".dijkstra": ("shortest_paths",),
     ".linkquality": ("apply_etx_metric", "etx_weights", "prr_from_distance"),
-    ".routing": ("RoutingTree", "SubtreeIndex", "subtree_index"),
+    ".routing": ("RoutingTree", "SubtreeIndex", "ancestor_table", "subtree_index"),
     ".topology": ("Topology",),
     ".traffic": ("relay_rates", "subtree_rates"),
 })
@@ -14,6 +14,7 @@ __all__ = [
     "RoutingTree",
     "SubtreeIndex",
     "Topology",
+    "ancestor_table",
     "apply_etx_metric",
     "etx_weights",
     "prr_from_distance",

@@ -15,7 +15,7 @@ import numpy as np
 from .dijkstra import shortest_paths
 from .topology import Topology
 
-__all__ = ["RoutingTree", "SubtreeIndex", "subtree_index"]
+__all__ = ["RoutingTree", "SubtreeIndex", "ancestor_table", "subtree_index"]
 
 
 class RoutingTree:
@@ -132,3 +132,34 @@ def subtree_index(parent: np.ndarray, base: int, n: int) -> SubtreeIndex:
     return SubtreeIndex(
         order, tin, tout, np.zeros(len(order) + 1, dtype=np.int64), tsub
     )
+
+
+def ancestor_table(parent: np.ndarray, base: int, n: int) -> np.ndarray:
+    """Every sensor's strict ancestors in the routing tree ``parent``.
+
+    Row ``v`` of the ``(n, depth)`` int64 table lists the sensors on
+    ``v``'s path to ``base``, nearest first, padded with ``n``; a sensor
+    with no route to ``base`` (its path ends at a ``-1``) has a row of
+    padding only, and ``depth`` is the largest number of sensors above
+    any routed sensor.  Any per-origin path sum is then one gather of
+    the origins' rows and one ``bincount`` with ``n`` as the discard bin.
+    """
+    parent = np.asarray(parent, dtype=np.int64)
+    # Each sensor's next hop when that hop is a sensor, else the pad.
+    up = parent[:n].copy()
+    up[(up < 0) | (up >= n)] = n
+    hop = np.append(up, n)  # the pad maps to itself
+    cols = []
+    col = up
+    while (col < n).any():
+        if len(cols) == n:
+            raise ValueError("routing parents contain a cycle")
+        cols.append(col)
+        col = hop[col]
+    table = np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=np.int64)
+    # A sensor is routed iff the last sensor on its path hops to ``base``.
+    top = np.arange(n, dtype=np.int64)
+    for col in cols:
+        top = np.where(col < n, col, top)
+    table[parent[top] != base] = n
+    return table

@@ -105,6 +105,6 @@ class ClusterManager:
         """
         s = self.s
         handoffs = s.activator.rotate(s.arrays.alive)
-        if len(handoffs):
+        if s.log.enabled and len(handoffs):
             s.log.emit(s.now, EventKind.ROTATION, -1, float(len(handoffs)))
         return handoffs

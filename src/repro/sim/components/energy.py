@@ -21,7 +21,9 @@ The alive mask
 
 ``energy.alive`` (aliased as ``state.arrays.alive``) is the one alive
 mask of the tick; rotation, the active mask and the metrics read it
-instead of re-deriving ``levels > 0``.  This component keeps it
+instead of re-deriving ``levels > 0``, and read its bytes, their memo
+key, as ``state.arrays.alive_key``: the one ``tobytes`` this component
+takes whenever it rewrites the mask.  This component keeps it
 current where levels change: after the drain in :meth:`advance` (a
 drain only lowers levels, so its deaths are the alive sensors now at
 zero, and the death recompute drops them) and at the top of every
@@ -46,13 +48,16 @@ Rate recomputation
 after every recharge.  A full pass prices idle + sensing draw from the
 alive/active masks, then the relay load as integer packet counts,
 priced per packet and scaled by the uplink ETX.  A sensor relays every
-packet originating in its routing subtree; with the static tree laid
-out in DFS preorder once per deployment
-(:func:`repro.network.routing.subtree_index`, kept by the deployment
-memo, :func:`~repro.sim.components.state.static_network`), every count
-is the difference of two entries of one prefix sum into this world's
-own scratch (:func:`relay_index`, :func:`repro.sim.soa.relay_counts`),
-and :meth:`EnergyAccounting.price` turns the counts into Watts.
+packet originating in its routing subtree, so its count is the number
+of origins it is an ancestor of.  The deployment memo
+(:func:`~repro.sim.components.state.static_network`) keeps every
+sensor's strict ancestors as one read-only table
+(:func:`repro.network.routing.ancestor_table`, this world's
+:func:`relay_index`), and the counts are one gather of the origins'
+rows and one ``bincount`` (:func:`repro.sim.soa.relay_counts`): with
+one origin per cluster, that is ~15 rows at the paper's scale, not a
+pass over all ``n`` sensors.  :meth:`EnergyAccounting.price` turns the
+counts into Watts.
 
 Everything in the pricing except the active mask and the counts is
 fixed for one alive set, so it comes from tables: the relay Watts per
@@ -97,7 +102,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ...network.routing import SubtreeIndex
 from ...obs.log import EventKind
 from ..soa import relay_counts
 from .state import SimulationState
@@ -107,11 +111,10 @@ __all__ = ["EnergyAccounting", "relay_index"]
 logger = logging.getLogger(__name__)
 
 
-def relay_index(state: SimulationState) -> SubtreeIndex:
+def relay_index(state: SimulationState) -> np.ndarray:
     """This world's relay index: the deployment's shared, read-only
-    preorder with a prefix-sum scratch of its own."""
-    relay = state.network.relay
-    return relay._replace(cs=np.zeros_like(relay.cs))
+    ancestor table."""
+    return state.network.ancestors
 
 
 class EnergyAccounting:
@@ -142,6 +145,7 @@ class EnergyAccounting:
         # One (holder, successor) hand-off row: TX to the retiring
         # sensor, RX to its successor.
         self._handoff_j = np.array([self._notification_j, self._rx_j])
+        self._pair_j = self._notification_j + self._rx_j
         self._leak_per_s = state.cfg.self_discharge_fraction_per_day / 86400.0
         self._leaky = state.cfg.self_discharge_fraction_per_day > 0
         self._last_t = 0.0
@@ -157,9 +161,9 @@ class EnergyAccounting:
             "leakage": 0.0,
             "notifications": 0.0,
         }
-        # The routing tree in DFS preorder for the relay counts (the
+        # The routing tree's ancestor rows for the relay counts (the
         # topology never changes during a run).
-        self._subtrees = relay_index(state)
+        self._ancestors = relay_index(state)
         self._drain_scratch = state.arrays.drain_scratch
         self._died = np.empty(n, dtype=bool)
         # Relay Watts per relayed packet count c <= n: the first two
@@ -198,7 +202,11 @@ class EnergyAccounting:
         Also keeps the per-category totals (idle / sensing / relay /
         leakage, in Watts) used by :meth:`breakdown`.
         """
-        with self.s.log.phase("energy.recompute"):
+        log = self.s.log
+        if log.enabled:
+            with log.phase("energy.recompute"):
+                self._recompute()
+        else:
             self._recompute()
 
     def _recompute(self) -> None:
@@ -207,12 +215,12 @@ class EnergyAccounting:
         # relocation, replay restore) is followed by a recompute, so
         # re-deriving the alive mask here keeps it current.
         alive = np.greater(s.bank.levels_j, 0.0, out=self.alive)
+        alive_key = s.arrays.alive_key = alive.tobytes()
         active = s.activator.active_mask(alive)
-        alive_key = alive.tobytes()
         if self._leaky:
             key = alive_key  # the rates follow the levels: no memo
         else:
-            key = alive_key + active.tobytes()
+            key = (alive_key, active.tobytes())
             if key == self._priced_key:
                 return  # same masks: the buffers already hold this pricing
         if self._priced_key is None or alive_key != self._alive_key:
@@ -220,9 +228,9 @@ class EnergyAccounting:
         # Relay load: every active sensor with a route to the base
         # originates packets, and each sensor relays those of its strict
         # subtree (dead relays keep forwarding in the static tree but
-        # draw nothing).  The subtree index holds only the routed
-        # sensors, so the active mask is the origin mask.
-        relay_w = self.price(active, relay_counts(active, self._subtrees))
+        # draw nothing).  An unrouted sensor's ancestor row is padding
+        # only, so the active mask is the origin mask.
+        relay_w = self.price(active, relay_counts(active, self._ancestors))
         leak_total = 0.0
         if self._leaky:
             # Charge-proportional leakage, frozen at the current level
@@ -292,14 +300,18 @@ class EnergyAccounting:
     def advance(self) -> None:
         """Drain batteries for the elapsed interval; handle depletions."""
         s = self.s
+        now = s.sim.now
         if s.monitors.enabled:
-            s.monitors.check_alive_mask(self.alive, s.bank.levels_j, s.now)
-        dt = s.now - self._last_t
+            s.monitors.check_alive_mask(self.alive, s.bank.levels_j, now)
+        dt = now - self._last_t
         if dt > 0:
-            with s.log.phase("energy.advance", dt=dt):
-                self._advance(dt)
+            if s.log.enabled:
+                with s.log.phase("energy.advance", dt=dt):
+                    self._advance(dt, now)
+            else:
+                self._advance(dt, now)
 
-    def _advance(self, dt: float) -> None:
+    def _advance(self, dt: float, now: float) -> None:
         s = self.s
         mon = s.monitors
         levels = s.bank.levels_j
@@ -316,11 +328,12 @@ class EnergyAccounting:
         if deaths:
             np.maximum(levels, 0.0, out=levels)
         if mon.enabled:
-            mon.check_energy_conservation(levels_before, levels, self.rates, dt, s.now)
-            mon.check_battery_bounds(levels, s.bank.capacity_j, s.now)
+            mon.check_energy_conservation(levels_before, levels, self.rates, dt, now)
+            mon.check_battery_bounds(levels, s.bank.capacity_j, now)
+        breakdown = self.breakdown_j
         for cat, watts in self._category_watts.items():
-            self.breakdown_j[cat] += watts * dt
-        self._last_t = s.now
+            breakdown[cat] += watts * dt
+        self._last_t = now
         if not deaths:
             return
         # The deaths are the alive sensors now at zero.
@@ -363,9 +376,7 @@ class EnergyAccounting:
         after -= self._handoff_j
         np.maximum(after, 0.0, out=after)
         levels[handoffs] = after
-        self.breakdown_j["notifications"] += len(handoffs) * (
-            self._notification_j + self._rx_j
-        )
+        self.breakdown_j["notifications"] += len(handoffs) * self._pair_j
         if np.count_nonzero(after) < after.size:  # levels are >= 0: some hit zero
             emptied = np.zeros(len(levels), dtype=bool)
             emptied[handoffs[after <= 0.0]] = True

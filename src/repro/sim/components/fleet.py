@@ -13,6 +13,7 @@ unassigned while work remains.
 from __future__ import annotations
 
 import logging
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ...core.scheduling import RVView, Scheduler
@@ -72,6 +73,11 @@ class FleetController:
         self.returning = self.a.rv_returning
         for rv in self.rvs:
             self._sync_rv(rv)
+        # Each RV's leg callbacks, bound once: a sortie leg schedules one
+        # of these instead of a fresh closure.
+        self._arrive = [partial(self._rv_arrive, rv) for rv in self.rvs]
+        self._home = [partial(self._rv_home, rv) for rv in self.rvs]
+        self._ready = [partial(self._rv_ready, rv) for rv in self.rvs]
 
     def _sync_rv(self, rv: RechargingVehicle) -> None:
         """Write-through one RV's observable state into the SoA block."""
@@ -110,7 +116,10 @@ class FleetController:
         views = self.idle_views()
         if not views:
             return
-        with s.log.phase("fleet.dispatch", backlog=len(s.requests), idle_rvs=len(views)):
+        if s.log.enabled:
+            with s.log.phase("fleet.dispatch", backlog=len(s.requests), idle_rvs=len(views)):
+                self._dispatch(views)
+        else:
             self._dispatch(views)
 
     def _dispatch(self, views: List[RVView]) -> None:
@@ -129,12 +138,15 @@ class FleetController:
                 if cid != -1:
                     backlog_per_cluster[cid] = backlog_per_cluster.get(cid, 0) + 1
             views_by_id = {v.rv_id: v for v in views}
-        with log.phase("scheduler.assign") as assign_span:
+        if log.enabled:
+            with log.phase("scheduler.assign") as assign_span:
+                plans = self.scheduler.assign(s.requests, views, s.rng)
+            assign_span.set(
+                scheduler=getattr(self.scheduler, "name", type(self.scheduler).__name__),
+                plans=len(plans),
+            )
+        else:
             plans = self.scheduler.assign(s.requests, views, s.rng)
-        assign_span.set(
-            scheduler=getattr(self.scheduler, "name", type(self.scheduler).__name__),
-            plans=len(plans),
-        )
         logger.debug(
             "t=%.0fs: dispatch round, %d request(s), %d idle RV(s), %d sortie(s)",
             s.now, len(s.requests), len(views), len(plans),
@@ -187,21 +199,20 @@ class FleetController:
         """Send an RV back to the depot to refill its sortie budget."""
         self.returning[rv.rv_id] = True
         tt = rv.travel_time_to(rv.depot)
-        self.s.sim.schedule_in(tt, lambda rv=rv: self._rv_home(rv), priority=PRIO_RV)
+        self.s.sim.schedule_in(tt, self._home[rv.rv_id], priority=PRIO_RV)
 
     def _rv_home(self, rv: RechargingVehicle) -> None:
         s = self.s
         self.energy.advance()
         rv.return_to_depot()
         self._sync_rv(rv)
-        s.log.emit(s.now, EventKind.RV_RETURNED_HOME, rv.rv_id)
+        if s.log.enabled:
+            s.log.emit(s.now, EventKind.RV_RETURNED_HOME, rv.rv_id)
         if s.cfg.rv_depot_dwell_s > 0:
             # The RV stays docked (still "returning") while its own
             # battery refills at the base station.
             s.sim.schedule_in(
-                s.cfg.rv_depot_dwell_s,
-                lambda rv=rv: self._rv_ready(rv),
-                priority=PRIO_RV,
+                s.cfg.rv_depot_dwell_s, self._ready[rv.rv_id], priority=PRIO_RV
             )
         else:
             self._rv_ready(rv)
@@ -223,7 +234,7 @@ class FleetController:
             return
         node = rv.itinerary[0]
         tt = rv.travel_time_to(self.s.sensor_pos[node])
-        self.s.sim.schedule_in(tt, lambda rv=rv: self._rv_arrive(rv), priority=PRIO_RV)
+        self.s.sim.schedule_in(tt, self._arrive[rv.rv_id], priority=PRIO_RV)
 
     def _rv_arrive(self, rv: RechargingVehicle) -> None:
         s = self.s
@@ -231,14 +242,13 @@ class FleetController:
         node = rv.itinerary.pop(0)
         rv.move_to(s.sensor_pos[node])
         self._sync_rv(rv)
-        s.log.emit(s.now, EventKind.RV_ARRIVED, rv.rv_id, float(node))
+        if s.log.enabled:
+            s.log.emit(s.now, EventKind.RV_ARRIVED, rv.rv_id, float(node))
         # One element of bank.demands_j: the same subtraction.
         demand = float(s.bank.capacity_j - s.bank.levels_j[node])
         charge_time = s.cfg.charge_model.charge_time_s(demand)
         s.sim.schedule_in(
-            charge_time,
-            lambda rv=rv, node=node: self._rv_finish_charge(rv, node),
-            priority=PRIO_RV,
+            charge_time, partial(self._rv_finish_charge, rv, node), priority=PRIO_RV
         )
 
     def _rv_finish_charge(self, rv: RechargingVehicle, node: int) -> None:
@@ -246,9 +256,10 @@ class FleetController:
         self.energy.advance()
         was_depleted = bool(s.bank.levels_j[node] <= 0.0)
         delivered = s.bank.charge_to_full(node)
-        s.log.emit(s.now, EventKind.NODE_RECHARGED, int(node), delivered)
-        if was_depleted:
-            s.log.emit(s.now, EventKind.SENSOR_REVIVED, int(node))
+        if s.log.enabled:
+            s.log.emit(s.now, EventKind.NODE_RECHARGED, int(node), delivered)
+            if was_depleted:
+                s.log.emit(s.now, EventKind.SENSOR_REVIVED, int(node))
         rv.deliver(delivered, s.cfg.charge_model.efficiency)
         self._sync_rv(rv)
         self.gate.mark_recharged(node)

@@ -48,13 +48,25 @@ class RequestGate:
             erc = ERC_POLICIES.build(
                 erc_policy_name(state.cfg.adaptive_erp), config=state.cfg
             )
-        self.erc = erc
+        self.erc = erc  # resolves the policy's optional hooks (see erc)
         # The scan inputs right after the last scan's release: a state
         # equal to it releases nothing (see _check).
         self._quiet_key = None
         # The scan's GateConstants and their (cluster epoch, erp).
         self._constants = None
         self._constants_key = None
+
+    @property
+    def erc(self) -> EnergyRequestController:
+        """The ERC policy.  Setting it resolves its optional
+        ``observe_deaths`` / ``maybe_adjust`` hooks once."""
+        return self._erc
+
+    @erc.setter
+    def erc(self, policy: EnergyRequestController) -> None:
+        self._erc = policy
+        self._observe = getattr(policy, "observe_deaths", None)
+        self._adjust = getattr(policy, "maybe_adjust", None)
 
     @property
     def requests(self):
@@ -68,7 +80,10 @@ class RequestGate:
 
     def check(self) -> bool:
         """Run the ERC gate; returns True if anything was released."""
-        with self.s.log.phase("gate.check") as span:
+        log = self.s.log
+        if not log.enabled:
+            return self._check()
+        with log.phase("gate.check") as span:
             released = self._check()
             span.set(released=released)
             return released
@@ -83,30 +98,25 @@ class RequestGate:
         # erp, cluster epoch).  Right after a scan's release every
         # sensor it released is listed, so those inputs release
         # nothing: while they recur the scan is skipped.
-        key = (below.tobytes(), s.requested.tobytes(), self.erc.erp, a.cluster_epoch)
-        if key == self._quiet_key:
-            to_release = []
-        else:
-            to_release = erc_release(
-                self._gate_constants(), below, s.requested, a.release_scratch
-            )
+        erp = self._erc.erp
+        key = (below.tobytes(), s.requested.tobytes(), erp, a.cluster_epoch)
+        quiet = key == self._quiet_key
+        to_release = (
+            [] if quiet
+            else erc_release(self._gate_constants(), below, s.requested, a.release_scratch)
+        )
         if s.monitors.enabled:
             # Independent re-derivation of the max(ceil(nc*K), 1) gate,
             # before the masks below are mutated by the release loop.
             s.monitors.check_erc_release_arrays(
-                a.cluster_id,
-                a.sizes,
-                below,
-                s.requested,
-                to_release,
-                self.erc.erp,
-                s.now,
+                a.cluster_id, a.sizes, below, s.requested, to_release, erp, s.now,
             )
+        if quiet:
+            return False
         released = self._release(to_release)
-        if key != self._quiet_key:
-            if released:  # the released sensors are listed now
-                key = (key[0], s.requested.tobytes(), key[2], key[3])
-            self._quiet_key = key
+        if released:  # the released sensors are listed now
+            key = (key[0], s.requested.tobytes(), erp, key[3])
+        self._quiet_key = key
         return released
 
     def _gate_constants(self):
@@ -136,7 +146,8 @@ class RequestGate:
             s.requests.add(request)
             s.requested[node] = True
             s.metrics.note_request(int(node), s.now)
-            s.log.emit(s.now, EventKind.REQUEST_RELEASED, int(node), request.demand_j)
+            if s.log.enabled:
+                s.log.emit(s.now, EventKind.REQUEST_RELEASED, int(node), request.demand_j)
         if to_release:
             logger.debug(
                 "t=%.0fs: ERC released %d request(s), backlog %d",
@@ -152,12 +163,10 @@ class RequestGate:
 
     def note_deaths(self, count: int) -> None:
         """Forward sensor depletions to policies that adapt on them."""
-        observe = getattr(self.erc, "observe_deaths", None)
-        if observe is not None:
-            observe(count)
+        if self._observe is not None:
+            self._observe(count)
 
     def maybe_adjust(self) -> None:
         """Give adaptive policies their periodic tuning opportunity."""
-        adjust = getattr(self.erc, "maybe_adjust", None)
-        if adjust is not None:
-            adjust(self.s.now)
+        if self._adjust is not None:
+            self._adjust(self.s.now)

@@ -20,12 +20,12 @@ The deployment memo
 
 What the deployment fixes is derived once per deployment and process,
 by :func:`static_network`: the unit-disk graph, the Dijkstra tree, the
-uplink ETX, the tree's relay preorder and, in a bounded table, each
-target epoch's coverable mask and clusters.  Every cell of a sweep that
-shares a seed shares one entry.  Its arrays are read-only, so an
-in-place write raises instead of leaking into the next world of that
-deployment; each world keeps only its own scratch (the relay prefix
-sums, the packed cluster block, the activator).
+uplink ETX, the tree's ancestor table (the relay counts' index) and, in
+a bounded table, each target epoch's coverable mask and clusters.
+Every cell of a sweep that shares a seed shares one entry.  Its arrays
+are read-only, so an in-place write raises instead of leaking into the
+next world of that deployment; each world keeps only its own scratch
+(the packed cluster block, the activator).
 
 A target epoch is the input of Algorithm 1: the target positions, the
 alive mask, the sensing range and the resolved clustering callable.
@@ -52,7 +52,7 @@ from ...energy.battery import BatteryBank
 from ...energy.consumption import NodePowerModel
 from ...geometry.field import Field
 from ...core import kernels
-from ...network.routing import RoutingTree, SubtreeIndex, subtree_index
+from ...network.routing import RoutingTree, ancestor_table
 from ...network.topology import Topology
 from ...obs.log import NULL_LOG, NULL_MONITORS
 from ...registry import MOBILITY_MODELS
@@ -104,7 +104,7 @@ class StaticNetwork(NamedTuple):
     topology: Topology  # the unit-disk graph (plain lengths)
     routing: RoutingTree  # the Dijkstra tree to the base station
     uplink_etx: np.ndarray  # (n,) expected transmissions per uplink
-    relay: SubtreeIndex  # the tree in DFS preorder; worlds copy the ``cs`` scratch
+    ancestors: np.ndarray  # (n, depth) each sensor's strict ancestors, padded with n
     epochs: "OrderedDict[Hashable, TargetEpoch]"  # see target_epoch
 
     def target_epoch(
@@ -171,14 +171,14 @@ def _build_network(
     else:
         routing = RoutingTree(topology)
         uplink_etx = np.ones(n, dtype=np.float64)
-    relay = subtree_index(routing.parent, routing.base, n)
+    ancestors = ancestor_table(routing.parent, routing.base, n)
     for arr in (
         topology.points, topology.indptr, topology.indices, topology.weights,
         routing.topology.weights, routing.dist, routing.parent, uplink_etx,
-        *relay,
+        ancestors,
     ):
         arr.flags.writeable = False
-    return StaticNetwork(topology, routing, uplink_etx, relay, OrderedDict())
+    return StaticNetwork(topology, routing, uplink_etx, ancestors, OrderedDict())
 
 
 @dataclass
@@ -226,9 +226,10 @@ class SimulationState:
         self.arrays.positions = self.sensor_pos
         self.arrays.levels_j = self.bank.levels_j
         self.arrays.requested = self.requested
-        # Derived once here; EnergyAccounting keeps it current from then
-        # on (see its module docstring).
+        # Derived once here; EnergyAccounting keeps it (and its key)
+        # current from then on (see its module docstring).
         self.arrays.alive = self.bank.alive_mask()
+        self.arrays.alive_key = self.arrays.alive.tobytes()
 
     @property
     def now(self) -> float:

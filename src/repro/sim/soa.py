@@ -53,9 +53,10 @@ them once per alive set instead of once per call:
   gate's scan skip per ``(below, requested, erp, epoch)`` and its
   :class:`GateConstants` per ``(epoch, erp)``;
 * the gate constants are the parts of the ERC scan that depend only on
-  the clusters and the ERP: the ``clustered`` and ``unclustered``
-  masks, each sensor's gather-safe cluster row ``max(membership, 0)``
-  and each cluster's release quorum ``max(ceil(nc * K), 1)``.
+  the clusters and the ERP: each sensor's bin (its cluster id, or one
+  extra bin ``m`` shared by the unclustered sensors) and each bin's
+  release quorum (``max(ceil(nc * K), 1)`` per cluster, 0 for the
+  unclustered bin, which is therefore always open).
   :func:`erc_gate_constants` derives them and :func:`erc_release` runs
   the per-scan part, so a scan at a known ``(epoch, erp)`` starts from
   the threshold mask.
@@ -64,12 +65,15 @@ Relay load
 ----------
 
 A sensor relays every packet that originates in its strict routing
-subtree.  :func:`repro.network.routing.subtree_index` lays the static
-tree out in DFS preorder once per deployment, so each sensor's subtree is one
-contiguous range ``[tin, tout)`` with the sensor itself at ``tin``, and
-:func:`relay_counts` turns an origin mask into every sensor's relayed
-count with one prefix sum and two gathers: ``cs[tout] - cs[tin + 1]``.
-Counts are int64, so the result is exact whatever the summation order.
+subtree, i.e. every packet whose origin has it as an ancestor.
+:func:`repro.network.routing.ancestor_table` lists each sensor's
+strict ancestors once per deployment (a row per sensor, padded with
+``n``; ~72 KB at N = 500, depth 18), and :func:`relay_counts` turns an
+origin mask into every sensor's relayed count with one gather of the
+origins' rows and one ``bincount``.  A tick has one origin per cluster
+(15 at the paper's scale), so this pays for the origins, not for the
+``n`` sensors a prefix sum over the whole tree would touch.  Counts are
+int64, so the result is exact whatever the summation order.
 
 Exactness contract
 ------------------
@@ -92,7 +96,6 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from ..network.routing import SubtreeIndex
 
 __all__ = [
     "ClusterIndex",
@@ -159,6 +162,9 @@ class StateArrays:
         self.rates_w: Optional[np.ndarray] = None
         self.active: Optional[np.ndarray] = None
         self.alive: Optional[np.ndarray] = None
+        # ``alive.tobytes()``, refreshed by the mask's one writer (the
+        # energy component) whenever it rewrites the mask.
+        self.alive_key: Optional[bytes] = None
         self.requested: Optional[np.ndarray] = None
         self.cluster_id: Optional[np.ndarray] = None
         # -- per-cluster rotation state (owned; see ensure_clusters) ----
@@ -244,6 +250,9 @@ class RotationTable(NamedTuple):
     pairs: np.ndarray  # (m * w, 2) int64 (holder, successor) ids per flat slot
     hand: np.ndarray  # (k,) int64 rows with >= 2 alive members, ascending
     base: np.ndarray  # (m,) int64 flat offset of each row, c * w
+    flat_cur: np.ndarray  # (m * w,) cur, flat
+    flat_nxt: np.ndarray  # (m * w,) nxt, flat
+    succ: np.ndarray  # (m * w,) the successor column of pairs, contiguous
 
 
 def rotation_table(
@@ -270,9 +279,13 @@ def rotation_table(
     nxt = np.take_along_axis(np.roll(slot, -1, axis=1), slot, axis=1)
     nxt[~live] = ix.offs  # dead rows keep their pointer
     cur = np.where(live[:, None], np.take_along_axis(members, slot, axis=1), -1)
-    pairs = np.stack([cur, np.take_along_axis(cur, nxt, axis=1)], axis=-1)
+    succ = np.take_along_axis(cur, nxt, axis=1)
+    pairs = np.stack([cur, succ], axis=-1)
     hand = np.flatnonzero(np.count_nonzero(ok, axis=1) >= 2)
-    return RotationTable(cur, nxt, pairs.reshape(m * w, 2), hand, ix.rows * w)
+    return RotationTable(
+        cur, nxt, pairs.reshape(m * w, 2), hand, ix.rows * w,
+        cur.ravel(), nxt.ravel(), succ.ravel(),
+    )
 
 
 class _SoAActivator:
@@ -282,8 +295,10 @@ class _SoAActivator:
     Both caches are keyed on ``alive.tobytes()``: the key is the mask's
     exact content, so any caller's mask (a fresh one in the parity
     tests, the energy component's own buffer in a run) hits or misses
-    correctly.  The cluster epoch needs no key — a rebuild makes a
-    fresh activator.
+    correctly.  For the tick's own mask, ``arrays.alive``, the key is
+    ``arrays.alive_key``, taken once by the energy component whenever
+    it rewrites the mask.  The cluster epoch needs no key — a rebuild
+    makes a fresh activator.
     """
 
     rotates: bool
@@ -310,9 +325,14 @@ class _SoAActivator:
             self._table_key = key
         return self._table
 
+    def _key(self, alive: np.ndarray) -> bytes:
+        """``alive.tobytes()``, read from the arrays for their own mask."""
+        a = self.a
+        return a.alive_key if alive is a.alive else alive.tobytes()
+
     def active_sensor_per_cluster(self, alive: np.ndarray) -> np.ndarray:
         """The sensor monitoring each target right now (-1 if none alive)."""
-        key = alive.tobytes()
+        key = self._key(alive)
         if key != self._actives_key:
             m, w = self.a.members.shape
             if w == 0:
@@ -345,7 +365,7 @@ class RoundRobinActivator(_SoAActivator):
     rotates = True
 
     def _duty(self, table: RotationTable) -> np.ndarray:
-        return table.cur.ravel()[table.base + self.a.ptr]
+        return table.flat_cur[table.base + self.a.ptr]
 
     def active_mask(self, alive: np.ndarray) -> np.ndarray:
         """Boolean mask over sensors: actively sensing right now."""
@@ -367,17 +387,17 @@ class RoundRobinActivator(_SoAActivator):
         m, w = a.members.shape
         if m == 0 or w == 0:
             return np.empty((0, 2), dtype=np.int64)
-        key = alive.tobytes()
+        key = self._key(alive)
         t = self.rotation_table(alive, key)
         # Clusters with two or more alive members hand the duty from the
         # holder at the pointer to its successor; a lone alive member
         # keeps it, and a cluster with none keeps its old pointer.
         pos = t.base + a.ptr
-        handoffs = t.pairs[pos[t.hand]]
-        a.ptr[...] = t.nxt.ravel()[pos]
+        handoffs = t.pairs.take(pos[t.hand], axis=0)
+        a.ptr[...] = t.flat_nxt[pos]
         # Refresh the memo for the alive mask just rotated under: the
         # successors now hold the duty.
-        self._actives = t.pairs[pos, 1]
+        self._actives = t.succ[pos]
         self._actives_key = key
         return handoffs
 
@@ -408,21 +428,25 @@ class FullTimeActivator(_SoAActivator):
 
 
 class GateConstants(NamedTuple):
-    """The ERC scan's inputs that depend only on ``(cluster epoch, erp)``."""
+    """The ERC scan's inputs that depend only on ``(cluster epoch, erp)``.
 
-    clustered: np.ndarray  # (n,) bool: the sensor belongs to a cluster
-    unclustered: np.ndarray  # (n,) bool: ~clustered
-    row: np.ndarray  # (n,) int64 cluster id, unclustered clamped to 0 (gather-safe)
-    need: np.ndarray  # (m,) int64 release quorum max(ceil(nc * K), 1)
+    The ``m`` clusters are bins ``0 .. m - 1``; every unclustered sensor
+    falls in one more bin, ``m``, whose quorum of 0 keeps it always open.
+    """
+
+    row: np.ndarray  # (n,) int64 each sensor's bin: its cluster id, m if unclustered
+    need: np.ndarray  # (m + 1,) int64 quorum max(ceil(nc * K), 1) per cluster, then 0
 
 
 def erc_gate_constants(membership: np.ndarray, sizes: np.ndarray, erp: float) -> GateConstants:
     """Derive the :class:`GateConstants` of one cluster epoch and ERP."""
-    clustered = membership >= 0
+    m = len(sizes)
+    row = np.where(membership >= 0, membership, m).astype(np.int64)
+    need = np.zeros(m + 1, dtype=np.int64)
     # Same elementwise arithmetic as release_count_needed: nc * K is one
     # float64 multiply either way, then ceil, then the floor of 1.
-    need = np.maximum(np.ceil(sizes * erp).astype(np.int64), 1)
-    return GateConstants(clustered, ~clustered, np.maximum(membership, 0), need)
+    need[:m] = np.maximum(np.ceil(sizes * erp).astype(np.int64), 1)
+    return GateConstants(row, need)
 
 
 def erc_release(
@@ -432,16 +456,14 @@ def erc_release(
 
     Per cluster the needy count (``below`` members, listed or not) is
     one ``bincount``; a cluster releases every needy non-listed member
-    iff the count reaches its quorum ``gc.need``; unclustered needy
-    sensors always release.  Output is ascending sensor ids.  ``out``
-    is a bool scratch buffer of sensor shape.
+    iff the count reaches its quorum ``gc.need``; the unclustered bin's
+    quorum is 0, so unclustered needy sensors always release.  Output
+    is ascending sensor ids.  ``out`` is a bool scratch buffer of
+    sensor shape.
     """
     release = np.greater(below, listed, out=out)  # below & ~listed
-    m = len(gc.need)
-    if m:  # a zero-cluster epoch leaves every sensor unclustered
-        counts = np.bincount(gc.row[below & gc.clustered], minlength=m)
-        open_gate = counts >= gc.need
-        release &= gc.unclustered | open_gate[gc.row]
+    counts = np.bincount(gc.row[below], minlength=len(gc.need))
+    release &= (counts >= gc.need)[gc.row]
     return release.nonzero()[0].tolist()
 
 
@@ -450,16 +472,17 @@ def erc_release(
 # --------------------------------------------------------------------------
 
 
-def relay_counts(origins: np.ndarray, index: SubtreeIndex) -> np.ndarray:
+def relay_counts(origins: np.ndarray, ancestors: np.ndarray) -> np.ndarray:
     """Per sensor: the ``origins`` in its strict routing subtree, i.e.
     the packets it relays for others (0 for sensors with no route).
 
-    One prefix sum over the origins in preorder into the index's int64
-    scratch (only routed sensors are in the preorder, so an origin with
-    no route counts nowhere), then the difference of two prefix sums
-    per sensor.  The counts are int64, so they are exact in any
-    summation order.
+    ``ancestors`` is the tree's
+    :func:`~repro.network.routing.ancestor_table`: one gather of the
+    origins' ancestor rows and one ``bincount`` of them, with the pad
+    ``n`` as the discard bin (an origin with no route has a row of pad
+    only, so it counts nowhere).  The counts are int64, so they are
+    exact in any summation order.
     """
-    cs = index.cs
-    np.add.accumulate(origins[index.pre], dtype=np.int64, out=cs[1:])
-    return cs[index.tout] - cs[index.tsub]
+    n = len(ancestors)
+    rows = ancestors.take(origins.nonzero()[0], axis=0)
+    return np.bincount(rows.ravel(), minlength=n + 1)[:n]

@@ -80,31 +80,51 @@ class World:
 
     # -- periodic events --
 
+    # Each handler opens its log phase only when the log records: a
+    # disabled log's phases are no-ops, and entering one still costs a
+    # call per component per event.
+
     def _on_tick(self) -> None:
-        with self.state.log.phase("tick", t=self.state.now):
-            self.energy.advance()
-            if getattr(self.state.activator, "rotates", True):
-                self.energy.apply_handoffs(self.clusters.rotate())
-                self.energy.recompute()
-            self.gate.maybe_adjust()
-            self.gate.check()
-            self._record_metrics()
+        log = self.state.log
+        if log.enabled:
+            with log.phase("tick", t=self.state.now):
+                self._tick()
+        else:
+            self._tick()
         self.state.sim.schedule_in(self.cfg.tick_s, self._on_tick, priority=PRIO_TICK)
         if self.blackbox is not None:
             self._flight_record("tick")
 
+    def _tick(self) -> None:
+        energy = self.energy
+        energy.advance()
+        if getattr(self.state.activator, "rotates", True):
+            energy.apply_handoffs(self.clusters.rotate())
+            energy.recompute()
+        gate = self.gate
+        gate.maybe_adjust()
+        gate.check()
+        self._record_metrics()
+
     def _on_dispatch_round(self) -> None:
         """Periodic base-station scheduling round over the backlog."""
-        with self.state.log.phase("dispatch_round", t=self.state.now):
-            self.energy.advance()
-            self.gate.check()
-            self.fleet.dispatch()
-            self._record_metrics()
+        log = self.state.log
+        if log.enabled:
+            with log.phase("dispatch_round", t=self.state.now):
+                self._dispatch_round()
+        else:
+            self._dispatch_round()
         self.state.sim.schedule_in(
             self.cfg.dispatch_period_s, self._on_dispatch_round, priority=PRIO_DISPATCH
         )
         if self.blackbox is not None:
             self._flight_record("dispatch")
+
+    def _dispatch_round(self) -> None:
+        self.energy.advance()
+        self.gate.check()
+        self.fleet.dispatch()
+        self._record_metrics()
 
     def _on_relocate(self) -> None:
         with self.state.log.phase("relocate", t=self.state.now):
@@ -140,23 +160,25 @@ class World:
 
     def _record_metrics(self) -> None:
         s = self.state
-        alive = s.arrays.alive
+        a = s.arrays
         # An activator's covered mask is a function of the alive set
         # and the cluster epoch (the plugin protocol of repro.sim.soa),
         # and the epoch also fixes ``coverable``: the three fields are
-        # derived once per key.
-        key = (alive.tobytes(), s.arrays.cluster_epoch)
+        # derived once per key.  The alive set's bytes are the key the
+        # energy component took when it last wrote the mask.
+        key = (a.alive_key, a.cluster_epoch)
         if key != self._metrics_key:
             self._metrics_key = key
-            self._metrics_fields = self._derive_metrics(alive)
+            self._metrics_fields = self._derive_metrics(a.alive)
         coverage, nonfunctional, operational = self._metrics_fields
-        s.metrics.record(s.now, coverage, nonfunctional, operational)
+        now = s.sim.now
+        s.metrics.record(now, coverage, nonfunctional, operational)
         log = s.log
         if log.enabled:
-            log.sample(s.now, "coverage", coverage)
-            log.sample(s.now, "nonfunctional", nonfunctional)
-            log.sample(s.now, "operational", operational)
-            log.sample(s.now, "backlog", float(len(s.requests)))
+            log.sample(now, "coverage", coverage)
+            log.sample(now, "nonfunctional", nonfunctional)
+            log.sample(now, "operational", operational)
+            log.sample(now, "backlog", float(len(s.requests)))
 
     def _derive_metrics(self, alive: np.ndarray):
         """(coverage, nonfunctional, operational) for ``alive``."""

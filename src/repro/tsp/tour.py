@@ -18,7 +18,7 @@ def leg_lengths(waypoints: np.ndarray) -> np.ndarray:
     utilities, route expansion, planned-route accounting) shares, so
     they all sum the identical per-leg ``np.hypot`` values.
     """
-    seg = np.diff(waypoints, axis=0)
+    seg = waypoints[1:] - waypoints[:-1]  # np.diff's subtraction, without its wrapper
     return np.hypot(seg[:, 0], seg[:, 1])
 
 

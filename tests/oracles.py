@@ -1,7 +1,7 @@
 """Scalar oracles for the array kernels (test-only).
 
 The simulator runs one tick path: structure-of-arrays state, a full
-energy recompute with prefix-sum relay counts, and vectorized
+energy recompute with ancestor-row relay counts, and vectorized
 scheduling kernels.  Each of those kernels replaced a plain Python loop
 that performed the same IEEE-754 operations per element in the same
 order.  The loops live here, outside the library, as the executable
@@ -821,10 +821,10 @@ def reference_tick_paths():
     registry's factories), gate requests through
     :func:`nodes_to_release` over the state's cluster set and the
     policy's ``erp``, and count relay packets with :func:`relay_walk`
-    over the routing parents — no preorder is read, so the relay
+    over the routing parents — no ancestor table is read, so the relay
     counts are checked independently.  The patch sits after the
     deployment memo (``energy.relay_index``, the world's view of the
-    memoized preorder), so it neither reads nor fills the memo and
+    memoized ancestor table), so it neither reads nor fills the memo and
     worlds built after the block are untouched by it.  Yields a
     :class:`collections.Counter` of the oracle calls (``round_robin``,
     ``full_time`` builds, ``erc`` scans and ``relay`` walks), so a

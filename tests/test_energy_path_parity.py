@@ -146,7 +146,7 @@ class TestPricingParity:
         )
         energy.s.activator = _MaskActivator(np.random.default_rng(seed).random(40) < 0.7)
         energy.recompute()
-        assert relay_counts(energy.active, energy._subtrees).max() >= 3
+        assert relay_counts(energy.active, energy._ancestors).max() >= 3
         rates, watts = reference_pricing(energy, leaky=False)
         assert energy.rates.tobytes() == rates.tobytes()
         assert energy._category_watts == watts
@@ -155,7 +155,7 @@ class TestPricingParity:
         energy = make_energy(3, 40, 10.0, 3, 0.0, activation="full_time")
         s = energy.s
         # Some alive sensor relays, so its relay Watts turn negative.
-        assert relay_counts(energy.active, energy._subtrees)[energy.alive].any()
+        assert relay_counts(energy.active, energy._ancestors)[energy.alive].any()
         s.uplink_etx = np.full_like(s.uplink_etx, -1e9)  # relays now "generate" energy
         energy._priced_key = None  # the masks are unchanged: force a re-pricing
         with pytest.raises(ValueError, match="non-negative"):

@@ -107,6 +107,97 @@ GOLDEN_SUMMARIES = {
 }
 
 
+# Cumulative energy breakdown (``World.energy_breakdown()``) of one
+# fixed-seed run per registered scheduler, plus a leaky and a full-time
+# run, as hex floats.  Summaries exclude the breakdown, so these pins
+# are what notices a change to how the categories accumulate.
+BREAKDOWN_CASES = {
+    "greedy": {"scheduler": "greedy"},
+    "insertion": {"scheduler": "insertion"},
+    "partition": {"scheduler": "partition"},
+    "combined": {"scheduler": "combined"},
+    "fcfs": {"scheduler": "fcfs"},
+    "nearest": {"scheduler": "nearest"},
+    "insertion+2opt": {"scheduler": "insertion+2opt"},
+    "deadline": {"scheduler": "deadline"},
+    "combined/leaky": {"self_discharge_fraction_per_day": 0.05},
+    "combined/full_time": {"activation": "full_time"},
+}
+
+GOLDEN_BREAKDOWNS = {
+    "greedy": {
+        "idle": "0x1.1b80000000001p+11",
+        "sensing": "0x1.02fda6bf1c0a8p+13",
+        "relay": "0x1.198a7cc6243c0p+5",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x1.1256c4b2ccf17p-4",
+    },
+    "insertion": {
+        "idle": "0x1.1b7fffffffffep+11",
+        "sensing": "0x1.02fda6bf1c0a8p+13",
+        "relay": "0x1.198a7cc6243c0p+5",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x1.1256c4b2ccf17p-4",
+    },
+    "partition": {
+        "idle": "0x1.1b80000000000p+11",
+        "sensing": "0x1.02fda6bf1c0a5p+13",
+        "relay": "0x1.b18a3d05440d8p+4",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x1.e8f8043bac872p-5",
+    },
+    "combined": {
+        "idle": "0x1.1b7fffffffffep+11",
+        "sensing": "0x1.02fda6bf1c0a8p+13",
+        "relay": "0x1.198a7cc6243c0p+5",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x1.1256c4b2ccf17p-4",
+    },
+    "fcfs": {
+        "idle": "0x1.1b80000000001p+11",
+        "sensing": "0x1.02fda6bf1c0a8p+13",
+        "relay": "0x1.198a7cc6243bep+5",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x1.1256c4b2ccf17p-4",
+    },
+    "nearest": {
+        "idle": "0x1.1b7ffffffffffp+11",
+        "sensing": "0x1.02fda6bf1c0a8p+13",
+        "relay": "0x1.198a7cc6243bep+5",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x1.1256c4b2ccf17p-4",
+    },
+    "insertion+2opt": {
+        "idle": "0x1.1b7fffffffffep+11",
+        "sensing": "0x1.02fda6bf1c0a8p+13",
+        "relay": "0x1.198a7cc6243c0p+5",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x1.1256c4b2ccf17p-4",
+    },
+    "deadline": {
+        "idle": "0x1.1b7fffffffffep+11",
+        "sensing": "0x1.02fda6bf1c0a8p+13",
+        "relay": "0x1.198a7cc6243c0p+5",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x1.1256c4b2ccf17p-4",
+    },
+    "combined/leaky": {
+        "idle": "0x1.1b80000000003p+11",
+        "sensing": "0x1.02fda6bf1c0a8p+13",
+        "relay": "0x1.198a7cc6243c6p+5",
+        "leakage": "0x1.c1800812bf075p+9",
+        "notifications": "0x1.1256c4b2ccf17p-4",
+    },
+    "combined/full_time": {
+        "idle": "0x1.1b776d8c9e6d1p+11",
+        "sensing": "0x1.487bdb84abaf8p+14",
+        "relay": "0x1.9e431703ae8d6p+6",
+        "leakage": "0x0.0p+0",
+        "notifications": "0x0.0p+0",
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def summary():
     return run_simulation(SimulationConfig(**GOLDEN_CONFIG))
@@ -211,3 +302,16 @@ class TestGoldenExecutionMatrix:
                 f"{scheduler} drifted under jobs={jobs}, "
                 f"REPRO_BATCH={batch}: {mismatches}"
             )
+
+
+class TestGoldenEnergyBreakdown:
+    """Bit-exact per-category Joules of one short run per case."""
+
+    @pytest.mark.parametrize("case", sorted(BREAKDOWN_CASES))
+    def test_breakdown_bit_identical(self, case):
+        from repro.sim.world import World
+
+        world = World(SimulationConfig(**{**GOLDEN_CONFIG, **BREAKDOWN_CASES[case]}))
+        world.run()
+        got = {k: v.hex() for k, v in world.energy_breakdown().items()}
+        assert got == GOLDEN_BREAKDOWNS[case]

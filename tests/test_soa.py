@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.clustering import Cluster, ClusterSet
 from repro.core.erc import AdaptiveEnergyRequestController, EnergyRequestController
-from repro.network.routing import subtree_index
+from repro.network.routing import ancestor_table, subtree_index
 from repro.registry import ACTIVATORS
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_simulation
@@ -329,7 +329,7 @@ def walk_matrix(parent, n):
 
 
 class TestRelayParity:
-    """Prefix-sum strict-subtree (relay) counts == the per-origin
+    """Ancestor-row strict-subtree (relay) counts == the per-origin
     root-path walk."""
 
     @pytest.mark.parametrize("seed", range(5))
@@ -344,12 +344,12 @@ class TestRelayParity:
         pos = fld.deploy_uniform(n, rng)
         topo = Topology(pos, 18.0, base_station=fld.base_station)
         tree = RoutingTree(topo)
-        index = subtree_index(tree.parent, tree.base, n)
+        ancestors = ancestor_table(tree.parent, tree.base, n)
         for _ in range(5):
             origins = np.zeros(n, dtype=bool)
             origins[rng.random(n) > 0.5] = True
             origins &= np.isfinite(tree.dist[:n])
-            cnt = relay_counts(origins, index)
+            cnt = relay_counts(origins, ancestors)
             assert cnt.dtype == np.int64
             assert np.array_equal(cnt, walk_relay_counts(origins, tree.parent))
 
@@ -362,23 +362,71 @@ class TestRelayParity:
         assert sorted(index.pre.tolist()) == np.flatnonzero(reachable).tolist()
         assert np.all(index.tin[~reachable] == index.tout[~reachable])
         assert np.all(index.tsub[~reachable] == 0)
+        ancestors = ancestor_table(parent, n, n)
+        assert np.all(ancestors[~reachable] == n)  # unrouted rows are pad only
         for _ in range(10):
-            origins = (rng.random(n) > 0.4) & reachable
-            assert np.array_equal(
-                relay_counts(origins, index), walk_relay_counts(origins, parent)
-            )
+            origins = rng.random(n) > 0.4
+            routed = origins & reachable
+            want = walk_relay_counts(routed, parent)
+            assert np.array_equal(relay_counts(routed, ancestors), want)
+            # An unrouted origin counts nowhere, even where its cut-off
+            # subtree still has parents to walk.
+            assert np.array_equal(relay_counts(origins, ancestors), want)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_tiny_trees(self, n):
         for parent in ([-1] * (n + 1), [n] * n + [-1]):
             parent = np.array(parent, dtype=np.int64)
-            index = subtree_index(parent, n, n)
+            ancestors = ancestor_table(parent, n, n)
             for bits in range(2**n):
                 origins = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
                 origins &= parent[:n] >= 0
-                got = relay_counts(origins, index)
+                got = relay_counts(origins, ancestors)
                 assert got.shape == (n,)
                 assert np.array_equal(got, walk_relay_counts(origins, parent))
+
+    def test_unrouted_sensors_relay_and_count_nothing(self):
+        """No sensor has a route: every row is pad, every count 0."""
+        n = 12
+        parent = np.full(n + 1, -1, dtype=np.int64)
+        parent[1:n] = np.arange(n - 1)  # a chain cut off at sensor 0
+        ancestors = ancestor_table(parent, n, n)
+        assert np.all(ancestors == n)
+        for origins in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
+            assert np.array_equal(relay_counts(origins, ancestors), np.zeros(n, np.int64))
+
+    def test_depth_18_chain(self):
+        """A chain of 18 sensors under the base: the deepest sensor has
+        17 sensor ancestors, and sensor ``v`` relays every origin below
+        it."""
+        n = 18
+        parent = np.append(np.arange(-1, n - 1), -1)
+        parent[0] = n  # the head of the chain hops to the base
+        ancestors = ancestor_table(parent, n, n)
+        assert ancestors.shape == (n, n - 1)
+        assert ancestors[n - 1].tolist() == list(range(n - 2, -1, -1))
+        rng = np.random.default_rng(18)
+        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        masks += [rng.random(n) < 0.5 for _ in range(50)]
+        for origins in masks:
+            got = relay_counts(origins, ancestors)
+            assert np.array_equal(got, walk_relay_counts(origins, parent))
+            below = np.cumsum(origins[::-1])[::-1]  # origins at or below v
+            assert np.array_equal(got, below - origins)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_and_full_origin_sets(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        n = int(rng.integers(2, 120))
+        parent, reachable = random_forest(rng, n)
+        ancestors = ancestor_table(parent, n, n)
+        assert np.array_equal(
+            relay_counts(np.zeros(n, dtype=bool), ancestors), np.zeros(n, np.int64)
+        )
+        full = np.ones(n, dtype=bool)
+        assert np.array_equal(
+            relay_counts(full, ancestors), walk_relay_counts(reachable, parent)
+        )
 
     def test_2000_masks_at_paper_scale(self):
         from repro.sim.config import SimulationConfig
@@ -389,12 +437,12 @@ class TestRelayParity:
         assert n == 500
         connected = np.isfinite(routing.dist[:n])
         walk = walk_matrix(routing.parent, n)
-        index = subtree_index(routing.parent, routing.base, n)
+        ancestors = world.state.network.ancestors
         rng = np.random.default_rng(500)
         masks = (rng.random((2000, n)) < rng.random((2000, 1))) & connected
         want = (masks.astype(np.float64) @ walk.T).astype(np.int64)
         for origins, ref in zip(masks, want):
-            assert np.array_equal(relay_counts(origins, index), ref - origins)
+            assert np.array_equal(relay_counts(origins, ancestors), ref - origins)
 
 
 def run_snapshotted(reference, checkpoints, **overrides):

@@ -1,7 +1,7 @@
 """The per-process deployment memo (``state.static_network``).
 
 Every world of one deployment shares one unit-disk graph, Dijkstra tree,
-uplink-ETX vector and relay preorder, and the clusters of every target
+uplink-ETX vector and ancestor table, and the clusters of every target
 epoch it reaches.  Sharing must not be observable: a world built on a
 memo hit runs bit-identically to one built from scratch or after an
 eviction, interleaved worlds do not disturb each other, the shared
@@ -21,7 +21,6 @@ import pytest
 from repro.core.clustering import balanced_clustering
 from repro.experiments.common import ERP_GRID, SCHEMES, ExperimentScale
 from repro.experiments.executor import map_cells
-from repro.network.routing import SubtreeIndex
 from repro.registry import CLUSTERINGS
 from repro.sim.components import state as state_mod
 from repro.sim.components.state import (
@@ -113,7 +112,7 @@ def test_shared_arrays_are_read_only(metric):
         "routing.dist": s.routing.dist,
         "routing.parent": s.routing.parent,
         "uplink_etx": s.uplink_etx,
-        **{f"relay.{name}": arr for name, arr in s.network.relay._asdict().items()},
+        "ancestors": s.network.ancestors,
     }
     assert len(s.network.epochs) == 2
     for i, (coverable, cluster_set) in enumerate(s.network.epochs.values()):
@@ -127,10 +126,9 @@ def test_shared_arrays_are_read_only(metric):
     # Replacing the attribute stays legal: it touches no shared array.
     s.uplink_etx = np.full_like(s.uplink_etx, 2.0)
     assert SimulationState.from_config(_config(metric)).uplink_etx[0] != 2.0
-    # Each world prefix-sums into its own scratch.
-    scratch = world.energy._subtrees.cs
-    assert scratch.flags.writeable and scratch is not s.network.relay.cs
-    assert World(_config(metric)).energy._subtrees.cs is not scratch
+    # Every world of the deployment counts relays from the one table.
+    assert world.energy._ancestors is s.network.ancestors
+    assert World(_config(metric)).energy._ancestors is s.network.ancestors
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -240,11 +238,11 @@ def test_reference_tick_paths_neither_read_nor_fill_the_memo(activation):
         ref = World(cfg)
         ref_summary = _bytes(ref.run())
     assert calls["relay"] >= 1 and calls[activation] >= 1 and calls["erc"] >= 1
-    assert not isinstance(ref.energy._subtrees, SubtreeIndex)  # the walk's parents
+    assert ref.energy._ancestors is not ref.state.network.ancestors  # the walk's parents
     assert ref_summary == want[0]
     plain = World(cfg)
     assert plain.state.network is ref.state.network  # filled by the memo, not the patch
-    assert isinstance(plain.energy._subtrees, SubtreeIndex)
+    assert plain.energy._ancestors is plain.state.network.ancestors
     got = (_bytes(plain.run()), snapshot_arrays(plain.state))
     assert got[0] == want[0]
     assert set(got[1]) == set(want[1])
