@@ -124,8 +124,8 @@ def kmeans(
     flat_x = cx.reshape(cells)
     flat_y = cy.reshape(cells)
     # Broadcast views (n_init, 1, k) against the (n, 1) point columns:
-    # every restart's squared distances at once, summed x + y like
-    # ``kernels.kmeans_assign``; ties go to the lowest centroid.
+    # every restart's squared distances at once, summed x + y; ties go
+    # to the lowest centroid.
     cx3 = cx[:, None, :]
     cy3 = cy[:, None, :]
     px2 = px[:, None]

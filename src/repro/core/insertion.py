@@ -295,8 +295,15 @@ def _plan_sequence(
 
 
 def _plan_chained(table: _StopTable, rv: RVView) -> Optional[PlannedRoute]:
-    """Chained Algorithm 3 for one RV over the table's live stops; the
-    served stops leave the table (see :func:`plan_single_rv_chained`)."""
+    """Repeat Algorithm 3 for one RV until the table's live stops or
+    its budget run out; the served stops leave the table.
+
+    "After the RV finishes its current recharging sequence, the
+    algorithm is repeated until all the nodes in R are recharged"
+    (Section IV-C): successive sequences are planned from wherever the
+    previous one ended, with whatever budget remains, and chained into
+    one itinerary.
+    """
     em = rv.em_j_per_m
     eff = rv.charge_efficiency
     position = rv.position
@@ -326,56 +333,6 @@ def _plan_chained(table: _StopTable, rv: RVView) -> Optional[PlannedRoute]:
         demand_j=total_demand,
         profit_j=total_demand - em * total_travel,
     )
-
-
-def plan_single_rv(
-    requests: Sequence,
-    rv: RVView,
-) -> Optional[PlannedRoute]:
-    """Plan one recharging sequence for one RV (cluster-aware).
-
-    The insertion feasibility check prices a cluster at its centroid;
-    after expanding each cluster into its member tour the route is
-    re-measured against the budget, and trailing stops are trimmed if
-    the expansion overran it — constraint (7) holds on the *actual*
-    route, not the approximation.
-    """
-    table = _StopTable.of(requests)
-    plan = _plan_sequence(
-        table, rv.position, rv.budget_j, rv.em_j_per_m, rv.charge_efficiency
-    )
-    if plan is None:
-        return None
-    node_ids, wp, travel, demand, _ = plan
-    return PlannedRoute(
-        node_ids=tuple(node_ids),
-        waypoints=wp,
-        travel_m=travel,
-        demand_j=demand,
-        profit_j=demand - rv.em_j_per_m * travel,
-    )
-
-
-def plan_single_rv_chained(
-    requests: List,
-    rv: RVView,
-) -> Optional[PlannedRoute]:
-    """Repeat Algorithm 3 until the list or the RV budget is exhausted.
-
-    "After the RV finishes its current recharging sequence, the
-    algorithm is repeated until all the nodes in R are recharged"
-    (Section IV-C) — successive sequences are planned from wherever the
-    previous one ended, with whatever budget remains, and chained into
-    one itinerary.  ``requests`` (unique node ids, as in a
-    :class:`~repro.core.requests.RechargeNodeList`) is consumed in
-    place.
-    """
-    plan = _plan_chained(_StopTable.of(requests), rv)
-    if plan is None:
-        return None
-    served = set(plan.node_ids)
-    requests[:] = [r for r in requests if r.node_id not in served]
-    return plan
 
 
 class InsertionScheduler:

@@ -2,7 +2,7 @@
 
 Every scheduler decision in this library reduces to a handful of
 numeric primitives — "profit of each candidate", "detour of inserting
-node *n* into gap *s*", "nearest unvisited city", "closest centroid" —
+node *n* into gap *s*", "nearest unvisited stop" —
 evaluated thousands of times per scheduling event.  This module is the
 single home for those primitives, each written as numpy broadcasts and
 masked argmax/argmin reductions.
@@ -41,7 +41,6 @@ __all__ = [
     "DistanceCache",
     "greedy_pick",
     "insertion_eval",
-    "kmeans_assign",
     "masked_argmax",
     "masked_argmax_2d",
     "masked_argmin",
@@ -218,23 +217,6 @@ def insertion_eval(
     p = demands - travel_j
     travel_j += delivery_j
     return p, travel_j
-
-
-# ----------------------------------------------------------------------
-# K-means assignment kernel
-# ----------------------------------------------------------------------
-
-
-def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the squared-nearest centroid for every point (Lloyd step).
-
-    Ties resolve to the lowest centroid index.
-    """
-    points = as_points(points)
-    centroids = as_points(centroids)
-    diff = points[:, None, :] - centroids[None, :, :]
-    dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    return np.argmin(dist2, axis=-1).astype(np.intp, copy=False)
 
 
 # ----------------------------------------------------------------------

@@ -25,25 +25,7 @@ from .insertion import _plan_chained, _StopTable
 from .requests import RechargeNodeList
 from .scheduling import PlannedRoute, RVView
 
-__all__ = ["PartitionScheduler", "partition_requests"]
-
-
-def partition_requests(
-    positions: np.ndarray,
-    n_groups: int,
-    rng: np.random.Generator,
-) -> List[np.ndarray]:
-    """K-means partition of request positions into up to ``n_groups``.
-
-    Returns index groups (lists of request indices).  Fewer groups come
-    back when there are fewer requests than ``n_groups``.
-    """
-    n = len(positions)
-    if n == 0:
-        return []
-    labels, k = _partition_labels(positions, n_groups, rng)
-    groups = [np.flatnonzero(labels == j) for j in range(k)]
-    return [g for g in groups if len(g) > 0]
+__all__ = ["PartitionScheduler"]
 
 
 def _partition_labels(positions: np.ndarray, n_groups: int, rng: np.random.Generator):

@@ -17,7 +17,6 @@ schedulers maximize — is ``Ec - level`` (Section IV-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -43,19 +42,6 @@ class Battery:
         if not 0.0 <= self.level_j <= self.capacity_j:
             raise ValueError("level_j must lie in [0, capacity_j]")
 
-    @property
-    def demand_j(self) -> float:
-        """Energy needed to refill: ``capacity - level``."""
-        return self.capacity_j - self.level_j
-
-    @property
-    def fraction(self) -> float:
-        """State of charge in ``[0, 1]``."""
-        return self.level_j / self.capacity_j
-
-    def is_depleted(self) -> bool:
-        return self.level_j <= 0.0
-
     def drain(self, amount_j: float) -> float:
         """Remove up to ``amount_j``; returns the energy actually drawn.
 
@@ -68,14 +54,6 @@ class Battery:
         self.level_j -= drawn
         return drawn
 
-    def charge(self, amount_j: float) -> float:
-        """Add up to ``amount_j``; returns the energy actually stored."""
-        if amount_j < 0:
-            raise ValueError("amount_j must be non-negative")
-        stored = min(amount_j, self.capacity_j - self.level_j)
-        self.level_j += stored
-        return stored
-
     def refill(self) -> float:
         """Charge to full; returns the energy added."""
         added = self.capacity_j - self.level_j
@@ -87,7 +65,7 @@ class BatteryBank:
     """N identical sensor batteries stored as one float64 vector.
 
     All mutating operations are vectorized; indexing accepts anything
-    NumPy fancy-indexing accepts.  Levels are clamped to
+    NumPy fancy-indexing accepts.  The simulator keeps the levels in
     ``[0, capacity]`` — sensors neither overcharge nor hold debt.
 
     Args:
@@ -117,92 +95,34 @@ class BatteryBank:
         self.threshold_fraction = float(threshold_fraction)
         self.levels_j = np.full(n, capacity_j * initial_fraction, dtype=np.float64)
 
-    def __len__(self) -> int:
-        return len(self.levels_j)
-
     @property
     def threshold_j(self) -> float:
         """Absolute recharge threshold ``Eth`` in Joules."""
         return self.capacity_j * self.threshold_fraction
 
-    @property
-    def demands_j(self) -> np.ndarray:
-        """Per-node energy demand ``d_i = Ec - level_i`` (Section IV-A)."""
-        return self.capacity_j - self.levels_j
-
-    @property
-    def fractions(self) -> np.ndarray:
-        """Per-node state of charge in ``[0, 1]``."""
-        return self.levels_j / self.capacity_j
-
-    def depleted_mask(self) -> np.ndarray:
-        """Nodes with no energy left ("nonfunctional" in the paper)."""
-        return self.levels_j <= 0.0
-
     def alive_mask(self) -> np.ndarray:
         """Nodes still holding energy."""
         return self.levels_j > 0.0
 
-    def below_threshold_mask(self) -> np.ndarray:
-        """Nodes whose energy has fallen below ``Eth``."""
-        return self.levels_j < self.threshold_j
-
-    def drain_rates(
-        self,
-        rates_w: np.ndarray,
-        dt_s: float,
-        scratch: Optional[np.ndarray] = None,
-    ) -> None:
-        """Advance every battery by ``dt_s`` seconds at per-node draw
-        ``rates_w`` (Watts), clamping at empty.
-
-        This is the simulator's analytic piecewise-linear energy step:
-        between events the power vector is constant, so one vectorized
-        multiply-subtract advances the entire network.  ``scratch``, a
-        caller-owned float64 buffer of bank shape, receives the
-        ``rates * dt`` product so the steady-state advance allocates
-        nothing (the SoA tick engine passes its preallocated scratch);
-        the arithmetic is identical either way.
-
-        The rates are validated here (shape, non-negative) on every
-        call.  The simulator validates its rates where it makes them,
-        once per re-pricing, and advances through
-        :meth:`drain_unclamped`, the same arithmetic without the checks,
-        clamping only when a sensor died.
-        """
-        if dt_s < 0:
-            raise ValueError("dt_s must be non-negative")
-        rates_w = np.asarray(rates_w, dtype=np.float64)
-        if rates_w.shape != self.levels_j.shape:
-            raise ValueError(f"rates shape {rates_w.shape} != bank shape {self.levels_j.shape}")
-        if (rates_w < 0).any():
-            raise ValueError("power draws must be non-negative")
-        if scratch is None or scratch.shape != self.levels_j.shape:
-            scratch = np.empty_like(self.levels_j)
-        self.drain_unclamped(rates_w, dt_s, scratch)
-        levels = self.levels_j
-        np.maximum(levels, 0.0, out=levels)
-        np.minimum(levels, self.capacity_j, out=levels)
-
     def drain_unclamped(
         self, rates_w: np.ndarray, dt_s: float, scratch: np.ndarray
     ) -> None:
-        """The drain arithmetic of :meth:`drain_rates`, without its
-        checks and clamps: ``levels -= rates_w * dt_s``.
+        """Advance every battery by ``dt_s`` seconds at per-node draw
+        ``rates_w`` (Watts): ``levels -= rates_w * dt_s``.
 
-        ``rates_w`` must be a non-negative float64 array of bank shape,
-        ``dt_s >= 0`` and ``scratch`` a float64 buffer of bank shape.
-        A level may end below zero; the caller clamps it at empty.
+        This is the simulator's analytic piecewise-linear energy step:
+        between events the power vector is constant, so one vectorized
+        multiply-subtract advances the entire network.  Nothing is
+        checked or clamped here: ``rates_w`` must be a non-negative
+        float64 array of bank shape (the simulator validates its rates
+        where it makes them, once per re-pricing), ``dt_s >= 0`` and
+        ``scratch`` a caller-owned float64 buffer of bank shape that
+        receives the ``rates * dt`` product, so the steady-state advance
+        allocates nothing.  A level may end below zero; the caller
+        clamps it at empty.
         """
         drained = np.multiply(rates_w, dt_s, out=scratch)
         np.subtract(self.levels_j, drained, out=self.levels_j)
-
-    def drain_energy(self, idx, amount_j: float) -> None:
-        """Subtract a lump ``amount_j`` from the nodes in ``idx``
-        (e.g. a notification packet), clamping at empty."""
-        if amount_j < 0:
-            raise ValueError("amount_j must be non-negative")
-        self.levels_j[idx] = np.maximum(self.levels_j[idx] - amount_j, 0.0)
 
     def charge_to_full(self, idx) -> float:
         """Refill the nodes in ``idx`` (one node id or an index array);
@@ -212,13 +132,3 @@ class BatteryBank:
         if np.ndim(before) == 0:  # one node: the demand itself
             return float(self.capacity_j - before)
         return float(np.sum(self.capacity_j - before))
-
-    def time_to_level(self, idx: int, level_j: float, rate_w: float) -> float:
-        """Seconds until node ``idx`` crosses ``level_j`` draining at
-        ``rate_w`` Watts; ``inf`` if it never will."""
-        if rate_w <= 0:
-            return float("inf")
-        gap = self.levels_j[idx] - level_j
-        if gap <= 0:
-            return 0.0
-        return float(gap / rate_w)

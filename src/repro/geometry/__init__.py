@@ -6,11 +6,9 @@ from .points import (
     as_points,
     distance,
     distances_from,
-    nearest_index,
     neighbors_within,
     pairs_within,
     pairwise_distances,
-    path_length,
 )
 
 __all__ = [
@@ -23,9 +21,7 @@ __all__ = [
     "distances_from",
     "hexagon_covering_bound",
     "minimum_sensors_eq1",
-    "nearest_index",
     "neighbors_within",
     "pairs_within",
     "pairwise_distances",
-    "path_length",
 ]

@@ -22,8 +22,6 @@ __all__ = [
     "pairwise_distances",
     "pairs_within",
     "neighbors_within",
-    "path_length",
-    "nearest_index",
 ]
 
 
@@ -209,24 +207,3 @@ def neighbors_within(centers: np.ndarray, pts: np.ndarray, radius: float) -> lis
     code.sort()
     counts = np.bincount(code // n, minlength=m)
     return np.split((code % n).astype(np.intp, copy=False), np.cumsum(counts)[:-1])
-
-
-def path_length(pts: np.ndarray) -> float:
-    """Total polyline length visiting the rows of ``pts`` in order."""
-    pts = as_points(pts)
-    if len(pts) < 2:
-        return 0.0
-    seg = np.diff(pts, axis=0)
-    return float(np.hypot(seg[:, 0], seg[:, 1]).sum())
-
-
-def nearest_index(origin: np.ndarray, pts: np.ndarray) -> int:
-    """Index of the row of ``pts`` closest to ``origin``.
-
-    Ties resolve to the lowest index (``numpy.argmin`` semantics), which
-    keeps every consumer deterministic.
-    """
-    d = distances_from(origin, pts)
-    if d.size == 0:
-        raise ValueError("cannot take nearest of an empty point set")
-    return int(np.argmin(d))

@@ -7,22 +7,16 @@ multi-hop routes terminate there.
 
 The adjacency is stored in CSR form (``indptr``/``indices``/``weights``)
 — compact, cache-friendly, and exactly what the from-scratch Dijkstra
-in :mod:`repro.network.dijkstra` consumes.  A :mod:`networkx` view is
-available for interoperability and for cross-validating the routing
-code in the test suite; networkx is imported only when that view is
-built, so simulation runs never load it.
+in :mod:`repro.network.dijkstra` consumes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..geometry.points import as_points, pairs_within
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["Topology"]
 
@@ -112,17 +106,3 @@ class Topology:
                     seen[v] = True
                     stack.append(int(v))
         return seen[: self.n_sensors]
-
-    def to_networkx(self) -> nx.Graph:
-        """A :class:`networkx.Graph` view with ``weight`` edge attributes."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(len(self.points)))
-        for u in range(len(self.points)):
-            nbrs = self.neighbors(u)
-            ws = self.neighbor_weights(u)
-            for v, w in zip(nbrs, ws):
-                if u < v:
-                    g.add_edge(int(u), int(v), weight=float(w))
-        return g

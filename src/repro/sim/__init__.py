@@ -9,7 +9,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".components.gate": ("RequestGate",),
     ".components.state": ("SimulationState",),
     ".config": ("DAY_S", "HOUR_S", "SimulationConfig"),
-    ".engine": ("EventHandle", "Simulator"),
+    ".engine": ("Simulator",),
     ".metrics": ("MetricsCollector", "SimulationSummary"),
     ".runner": (
         "average_summaries",
@@ -25,7 +25,6 @@ __all__ = [
     "ClusterManager",
     "DAY_S",
     "EnergyAccounting",
-    "EventHandle",
     "FleetController",
     "HOUR_S",
     "MetricsCollector",

@@ -84,7 +84,7 @@ The re-pricing memo
 
 With leakage off, the rates and the per-category Watts are a pure
 function of the ``(alive, active)`` masks: connectivity, the uplink
-ETX, the subtree index and the power model are all fixed for the run.
+ETX, the ancestor table and the power model are all fixed for the run.
 So a recompute whose masks equal (byte for byte) the masks that
 produced the current rates buffer skips the counts, the pricing and the
 sums, and leaves bit-identical rates in place.  In the Fig. 6 grid that

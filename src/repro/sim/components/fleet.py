@@ -244,7 +244,7 @@ class FleetController:
         self._sync_rv(rv)
         if s.log.enabled:
             s.log.emit(s.now, EventKind.RV_ARRIVED, rv.rv_id, float(node))
-        # One element of bank.demands_j: the same subtraction.
+        # The node's demand d_i = Ec - level_i (Section IV-A).
         demand = float(s.bank.capacity_j - s.bank.levels_j[node])
         charge_time = s.cfg.charge_model.charge_time_s(demand)
         s.sim.schedule_in(

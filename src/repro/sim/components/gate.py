@@ -91,7 +91,7 @@ class RequestGate:
     def _check(self) -> bool:
         s = self.s
         a = s.arrays
-        # Same elementwise `<` as below_threshold_mask, written into the
+        # Nodes below the recharge threshold Eth, written into the
         # preallocated gate scratch.
         below = np.less(s.bank.levels_j, s.bank.threshold_j, out=a.below_scratch)
         # The release set is a function of exactly (below, requested,
@@ -138,7 +138,7 @@ class RequestGate:
             request = RechargeRequest(
                 node_id=int(node),
                 position=s.sensor_pos[node],
-                # One element of bank.demands_j: the same subtraction.
+                # The node's demand d_i = Ec - level_i (Section IV-A).
                 demand_j=float(bank.capacity_j - bank.levels_j[node]),
                 cluster_id=s.cluster_set.cluster_of(int(node)),
                 release_time_s=s.now,

@@ -6,44 +6,20 @@ priority queue of timestamped callbacks with deterministic ordering:
 
 * events fire in time order;
 * simultaneous events fire in (priority, insertion-sequence) order, so
-  reruns of the same seed replay identically;
-* events can be cancelled (lazy deletion, as in the classic heapq
-  recipe).
+  reruns of the same seed replay identically.
 
-Heap entries are ``[time, priority, seq, callback]`` lists, so the heap
-compares them in C.  ``seq`` is unique, so two entries never tie on
-the first three fields and a callback is never compared; cancelling
-sets the callback slot to ``None``.
+Heap entries are ``(time, priority, seq, callback)`` tuples, so the
+heap compares them in C.  ``seq`` is unique, so two entries never tie
+on the first three fields and a callback is never compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
-__all__ = ["EventHandle", "Simulator"]
-
-# Slots of a heap entry ``[time, priority, seq, callback]``.
-_TIME, _PRIORITY, _CALLBACK = 0, 1, 3
-
-
-@dataclass
-class EventHandle:
-    """Opaque handle returned by :meth:`Simulator.schedule`; pass to
-    :meth:`Simulator.cancel` to revoke the event."""
-
-    __slots__ = ("_entry",)
-    _entry: list
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_CALLBACK] is None
-
-    @property
-    def time(self) -> float:
-        return self._entry[_TIME]
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -60,7 +36,7 @@ class Simulator:
         at: float,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback`` at absolute time ``at``.
 
         ``priority`` breaks ties among simultaneous events: lower fires
@@ -71,56 +47,38 @@ class Simulator:
         """
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} < now {self.now}")
-        entry = [float(at), priority, next(self._seq), callback]
-        heapq.heappush(self._heap, entry)
-        return EventHandle(entry)
+        heapq.heappush(self._heap, (float(at), priority, next(self._seq), callback))
 
     def schedule_in(
         self,
         delay: float,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback`` after ``delay`` seconds."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self.schedule(self.now + delay, callback, priority)
-
-    def cancel(self, handle: EventHandle) -> None:
-        """Revoke a scheduled event (idempotent)."""
-        handle._entry[_CALLBACK] = None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when the queue is empty."""
-        while self._heap and self._heap[0][_CALLBACK] is None:
-            heapq.heappop(self._heap)
-        return self._heap[0][_TIME] if self._heap else None
+        self.schedule(self.now + delay, callback, priority)
 
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            cb = entry[_CALLBACK]
-            if cb is None:
-                continue
-            self.now = entry[_TIME]
-            entry[_CALLBACK] = None
-            self.events_fired += 1
-            cb()
-            return True
-        return False
+        if not self._heap:
+            return False
+        self.now, _, _, cb = heapq.heappop(self._heap)
+        self.events_fired += 1
+        cb()
+        return True
 
     def pending_events(self) -> list:
-        """The live scheduled events as ``(time, priority, callback)``
-        triples in firing order.
+        """The scheduled events as ``(time, priority, callback)`` triples
+        in firing order.
 
-        Cancelled entries are skipped (not purged).  Used by the flight
-        recorder to decide whether the queue is checkpointable and to
-        serialize it when it is.  Entries sort as the heap pops them, so
-        simultaneous events of equal priority keep their insertion order.
+        Used by the flight recorder to decide whether the queue is
+        checkpointable and to serialize it when it is.  Entries sort as
+        the heap pops them, so simultaneous events of equal priority
+        keep their insertion order.
         """
-        live = sorted(e for e in self._heap if e[_CALLBACK] is not None)
-        return [(e[_TIME], e[_PRIORITY], e[_CALLBACK]) for e in live]
+        return [(t, priority, cb) for t, priority, _, cb in sorted(self._heap)]
 
     def reset(self, now: float, events_fired: int = 0) -> None:
         """Clear the queue and rebase the clock — checkpoint restore.
@@ -137,28 +95,16 @@ class Simulator:
         """Fire events up to and including time ``t_end``; the clock
         lands exactly on ``t_end`` afterwards.
 
-        Inlined pop loop rather than ``peek_time()`` + ``step()``: the
-        tick engine fires millions of events per run and the paired
-        form inspects the heap head twice per event.  Semantics are
-        identical — cancelled entries are skipped lazily, the clock
-        lands on each event's time before its callback fires, and
-        ``events_fired`` counts only live events.
+        Inlined pop loop rather than repeated :meth:`step` calls: the
+        tick engine fires millions of events per run.  The clock lands
+        on each event's time before its callback fires.
         """
         if t_end < self.now:
             raise ValueError(f"t_end {t_end} is in the past (now {self.now})")
         heap = self._heap
         heappop = heapq.heappop
-        while heap:
-            head = heap[0]
-            cb = head[_CALLBACK]
-            if cb is None:
-                heappop(heap)
-                continue
-            if head[_TIME] > t_end:
-                break
-            heappop(heap)  # pops ``head``
-            self.now = head[_TIME]
-            head[_CALLBACK] = None
+        while heap and heap[0][0] <= t_end:
+            self.now, _, _, cb = heappop(heap)
             self.events_fired += 1
             cb()
         self.now = t_end

@@ -6,11 +6,11 @@ here, so the planners that import this package for its tours do not
 load it.
 """
 
-from .nearest_neighbor import nearest_neighbor_order
+from .nearest_neighbor import nearest_neighbor_from
 from .tour import open_tour_length, tour_length, validate_tour
 
 __all__ = [
-    "nearest_neighbor_order",
+    "nearest_neighbor_from",
     "open_tour_length",
     "tour_length",
     "validate_tour",

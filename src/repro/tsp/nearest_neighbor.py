@@ -19,40 +19,27 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..geometry.points import as_points
-
-__all__ = ["nearest_neighbor_from", "nearest_neighbor_order"]
+__all__ = ["nearest_neighbor_from"]
 
 
-def nearest_neighbor_order(
-    points: np.ndarray,
-    start: Optional[np.ndarray] = None,
-) -> List[int]:
+def nearest_neighbor_from(points: np.ndarray, start: Optional[np.ndarray]) -> List[int]:
     """Visit order produced by the nearest-neighbour heuristic.
 
     Args:
-        points: ``(n, 2)`` cities to visit.
-        start: optional external starting position (e.g. the RV's
-            current location).  When given, the first city is the one
-            nearest ``start``; otherwise city 0 starts the tour.
+        points: ``(n, 2)`` float64 array of finite coordinates, the
+            cities to visit.
+        start: ``None`` or a ``(2,)`` float64 external starting
+            position (e.g. the RV's current location).  When given, the
+            first city is the one nearest ``start``; otherwise city 0
+            starts the tour.
 
     Returns:
         A permutation of ``range(n)`` as a Python list.  Ties resolve to
         the lowest index, keeping the heuristic deterministic.
-    """
-    points = as_points(points)
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64).reshape(2)
-    return nearest_neighbor_from(points, start)
 
-
-def nearest_neighbor_from(points: np.ndarray, start: Optional[np.ndarray]) -> List[int]:
-    """:func:`nearest_neighbor_order` on inputs that are already valid.
-
-    ``points`` is an ``(n, 2)`` float64 array of finite coordinates and
-    ``start`` is ``None`` or a ``(2,)`` float64 array.  The planners pass
-    member positions that :class:`~repro.core.requests.RechargeRequest`
-    validated when it was made, so they skip the per-call checks.
+    The inputs are not validated: the planners pass member positions
+    that :class:`~repro.core.requests.RechargeRequest` validated when it
+    was made.
     """
     n = len(points)
     if n <= 1:

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["render_field", "render_series", "render_histogram"]
+__all__ = ["render_field", "render_series"]
 
 # Glyph precedence: later entries overwrite earlier ones in the grid.
 _GLYPHS = {
@@ -77,41 +77,6 @@ def render_field(
         lines.append(
             ". sensor  o clustered  * monitoring  x depleted  T target  R vehicle  B base"
         )
-    return "\n".join(lines)
-
-
-def render_histogram(
-    values: Sequence[float],
-    bins: int = 12,
-    width: int = 50,
-    title: str = "",
-    unit: str = "",
-) -> str:
-    """A horizontal ASCII histogram (e.g. request-latency distributions).
-
-    Args:
-        values: the sample.
-        bins: number of equal-width bins.
-        width: bar width of the fullest bin.
-        title: optional heading.
-        unit: label appended to bin edges.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("no values to histogram")
-    if bins < 1 or width < 1:
-        raise ValueError("bins and width must be >= 1")
-    counts, edges = np.histogram(arr, bins=bins)
-    peak = max(int(counts.max()), 1)
-    lines = []
-    if title:
-        lines.append(title)
-    for k in range(bins):
-        bar = "#" * int(round(counts[k] / peak * width))
-        lines.append(
-            f"{edges[k]:10.3g} - {edges[k + 1]:<10.3g}{unit} |{bar} {counts[k]}"
-        )
-    lines.append(f"n = {arr.size}, mean = {arr.mean():.3g}{unit}, max = {arr.max():.3g}{unit}")
     return "\n".join(lines)
 
 

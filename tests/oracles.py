@@ -15,9 +15,12 @@ specification the parity tests compare the kernels against:
   activators of :mod:`repro.sim.soa`, :func:`repro.sim.soa.erc_release`
   and :meth:`repro.obs.MonitorSet.check_erc_release_arrays`);
 * the energy path's earlier forms: :func:`price_rates` (``np.where``
-  masks over float through-counts), :func:`drain_handoffs` (one lump
-  drain per column) and :class:`DataclassSimulator` (a heap of
-  ``@dataclass(order=True)`` entries);
+  masks over float through-counts), :func:`drain_rates` (a checked
+  drain clamped at both ends on every step), :func:`drain_handoffs`
+  (one lump drain per column) and :class:`DataclassSimulator` (a heap
+  of ``@dataclass(order=True)`` entries);
+* :func:`to_networkx`, the topology as a :mod:`networkx` graph for the
+  Dijkstra cross-check;
 * :func:`distance`, converting both points before measuring
   (:func:`repro.geometry.points.distance` indexes them directly);
 * the scheduling-kernel loops (:mod:`repro.core.kernels`), the serial
@@ -26,12 +29,14 @@ specification the parity tests compare the kernels against:
   array pass), the scalar first-improvement 2-opt
   (:func:`repro.tsp.two_opt.two_opt`) and the per-step
   nearest-neighbour tour
-  (:func:`repro.tsp.nearest_neighbor.nearest_neighbor_order`);
-* the re-aggregating chained planners (:func:`insertion_assign`,
-  :func:`partition_assign`, :func:`deadline_assign`): every RV and
-  every chained sequence re-snapshots what is left and folds it into
-  fresh super-nodes, where the library plans each round over one stop
-  table (:mod:`repro.core.insertion`).
+  (:func:`repro.tsp.nearest_neighbor.nearest_neighbor_from`);
+* the re-aggregating chained planners (:func:`plan_single_rv`,
+  :func:`plan_single_rv_chained`, :func:`insertion_assign`,
+  :func:`partition_assign` over :func:`partition_requests`,
+  :func:`deadline_assign`): every RV and every chained sequence
+  re-snapshots what is left and folds it into fresh super-nodes, where
+  the library plans each round over one stop table
+  (:mod:`repro.core.insertion`).
 
 :func:`reference_kernels` and :func:`reference_tick_paths` patch the
 oracles into the call sites, so whole scheduler calls and whole
@@ -295,12 +300,29 @@ def reference_pricing(energy, leaky: bool) -> Tuple[np.ndarray, dict]:
     return rates, watts
 
 
+def drain_rates(bank, rates_w, dt_s: float) -> None:
+    """Advance every battery of ``bank`` by ``dt_s`` seconds at per-node
+    draw ``rates_w``, checking the inputs and clamping the levels to
+    ``[0, capacity]`` on every call (the simulator checks its rates once
+    per re-pricing and clamps only when a sensor died)."""
+    if dt_s < 0:
+        raise ValueError("dt_s must be non-negative")
+    rates_w = np.asarray(rates_w, dtype=np.float64)
+    if rates_w.shape != bank.levels_j.shape:
+        raise ValueError(f"rates shape {rates_w.shape} != bank shape {bank.levels_j.shape}")
+    if (rates_w < 0).any():
+        raise ValueError("power draws must be non-negative")
+    bank.drain_unclamped(rates_w, dt_s, np.empty_like(bank.levels_j))
+    np.maximum(bank.levels_j, 0.0, out=bank.levels_j)
+    np.minimum(bank.levels_j, bank.capacity_j, out=bank.levels_j)
+
+
 def drain_handoffs(bank, handoffs: np.ndarray, notification_j: float, rx_j: float) -> None:
-    """Charge hand-off notifications one column at a time through
-    ``BatteryBank.drain_energy``: TX to the holders, then RX to the
+    """Charge hand-off notifications one column at a time, each a lump
+    drain clamped at empty: TX to the holders, then RX to the
     successors."""
-    bank.drain_energy(handoffs[:, 0], notification_j)
-    bank.drain_energy(handoffs[:, 1], rx_j)
+    for column, amount_j in ((handoffs[:, 0], notification_j), (handoffs[:, 1], rx_j)):
+        bank.levels_j[column] = np.maximum(bank.levels_j[column] - amount_j, 0.0)
 
 
 @dataclass(order=True)
@@ -325,19 +347,32 @@ class DataclassSimulator:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def cancel(self, entry: _Entry) -> None:
-        entry.callback = None
-
     def run_until(self, t_end: float) -> None:
         heap = self._heap
         while heap and heap[0].time <= t_end:
             entry = heapq.heappop(heap)
-            if entry.callback is None:
-                continue
             self.now = entry.time
-            cb, entry.callback = entry.callback, None
-            cb()
+            entry.callback()
         self.now = t_end
+
+
+# ----------------------------------------------------------------------
+# network
+# ----------------------------------------------------------------------
+
+
+def to_networkx(topology):
+    """``topology`` as a :class:`networkx.Graph` with ``weight`` edge
+    attributes: the independent graph the Dijkstra cross-check runs on."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(len(topology.points)))
+    for u in range(len(topology.points)):
+        for v, w in zip(topology.neighbors(u), topology.neighbor_weights(u)):
+            if u < v:
+                g.add_edge(int(u), int(v), weight=float(w))
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -722,10 +757,21 @@ def insertion_assign(requests, idle_rvs) -> dict:
     return plans
 
 
+def partition_requests(positions, n_groups: int, rng) -> List[np.ndarray]:
+    """The Partition-Scheme's K-means groups of ``positions`` as index
+    arrays, empty groups dropped; fewer groups come back when there are
+    fewer requests than ``n_groups``."""
+    from repro.core.partition import _partition_labels
+
+    if len(positions) == 0:
+        return []
+    labels, k = _partition_labels(positions, n_groups, rng)
+    groups = [np.flatnonzero(labels == j) for j in range(k)]
+    return [g for g in groups if len(g) > 0]
+
+
 def partition_assign(fleet_size: int, requests, idle_rvs, rng) -> dict:
     """PartitionScheduler with the re-aggregating chained planner."""
-    from repro.core.partition import partition_requests
-
     plans = {}
     if not idle_rvs or len(requests) == 0:
         return plans
@@ -777,7 +823,6 @@ _KERNEL_NAMES = (
     "masked_argmax_2d",
     "masked_argmin",
     "insertion_eval",
-    "kmeans_assign",
     "uplink_etx_vector",
 )
 

@@ -35,7 +35,6 @@ MODULES = [
     "repro.core.kernels",
     "repro.core.mip",
     "repro.core.partition",
-    "repro.core.profit",
     "repro.core.requests",
     "repro.core.scheduling",
     "repro.energy.battery",
@@ -54,7 +53,6 @@ MODULES = [
     "repro.network.linkquality",
     "repro.network.routing",
     "repro.network.topology",
-    "repro.network.traffic",
     "repro.obs.log",
     "repro.registry",
     "repro.sim.components.clusters",

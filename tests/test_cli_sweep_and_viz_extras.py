@@ -1,10 +1,7 @@
-"""Tests for the CLI sweep command, run_cell_stats, and the histogram."""
-
-import pytest
+"""Tests for the CLI sweep command and run_cell_stats."""
 
 from repro.cli import main
 from repro.experiments.common import ExperimentScale, run_cell_stats
-from repro.viz.ascii import render_histogram
 
 
 class TestCliSweep:
@@ -67,23 +64,3 @@ class TestRunCellStats:
         entry = stats["traveling_energy_j"]
         assert entry["n"] == 2
         assert entry["ci_low"] <= entry["mean"] <= entry["ci_high"]
-
-
-class TestHistogram:
-    def test_basic(self):
-        out = render_histogram([1, 1, 2, 2, 2, 9], bins=4, title="lat", unit="h")
-        assert "lat" in out
-        assert "n = 6" in out
-        assert "#" in out
-
-    def test_single_value(self):
-        out = render_histogram([5.0])
-        assert "n = 1" in out
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            render_histogram([])
-
-    def test_bad_bins(self):
-        with pytest.raises(ValueError):
-            render_histogram([1.0], bins=0)

@@ -56,7 +56,7 @@ class TestSimulationState:
     def test_from_config_shapes(self):
         s = make_state()
         assert s.sensor_pos.shape == (30, 2)
-        assert len(s.bank) == 30
+        assert s.bank.levels_j.shape == (30,)
         assert s.requested.shape == (30,)
         assert not s.requested.any()
         assert s.cluster_set is None  # ClusterManager's job
@@ -324,7 +324,7 @@ class TestGateScanSkip:
         assert not gate.check()  # 2 and 1 needy of 5: both gates closed
         assert not gate.check()  # same inputs: skipped, still nothing
         members = s.arrays.members.copy()
-        below, requested = s.bank.below_threshold_mask(), s.requested.copy()
+        below, requested = s.bank.levels_j < s.bank.threshold_j, s.requested.copy()
         for _ in range(between):
             # An unchecked epoch in between frees the first epoch's
             # arrays, so the next epoch may reuse their ids.
@@ -332,7 +332,7 @@ class TestGateScanSkip:
         # Same shape, same masks, but cluster 0 now holds 3 needy of 5.
         repartition(s, [[0, 1, 5, 6, 7], [2, 3, 4, 8, 9]])
         assert s.arrays.members.shape == members.shape
-        assert np.array_equal(s.bank.below_threshold_mask(), below)
+        assert np.array_equal(s.bank.levels_j < s.bank.threshold_j, below)
         assert np.array_equal(s.requested, requested)
         assert gate.check()
         assert sorted(s.requests.node_ids) == [0, 1, 5]
@@ -384,7 +384,7 @@ class TestGateScanSkip:
             a = s.arrays
             want = erc_release(
                 erc_gate_constants(a.cluster_id, a.sizes, gate.erc.erp),
-                s.bank.below_threshold_mask(),
+                s.bank.levels_j < s.bank.threshold_j,
                 s.requested.copy(),
                 a.release_scratch,
             )

@@ -7,8 +7,6 @@ from repro.core.insertion import (
     InsertionScheduler,
     build_insertion_sequence,
     expand_stops,
-    plan_single_rv,
-    plan_single_rv_chained,
 )
 from repro.core.requests import (
     RechargeNodeList,
@@ -28,6 +26,15 @@ def view(rv_id=0, pos=(0.0, 0.0), budget=1e9, em=1.0):
 
 def stops_of(reqs):
     return aggregate_by_cluster(reqs)
+
+
+def plan_one(reqs, rv):
+    """The scheduler's chained plan for the one RV ``rv`` (None when it
+    plans nothing); ``reqs`` is left holding the unserved requests."""
+    lst = RechargeNodeList(reqs)
+    plan = InsertionScheduler().assign(lst, [rv], np.random.default_rng(0)).get(rv.rv_id)
+    reqs[:] = lst.snapshot()
+    return plan
 
 
 class TestBuildSequence:
@@ -100,29 +107,29 @@ class TestExpandStops:
 
 class TestPlanSingleRV:
     def test_profit_accounting(self):
-        plan = plan_single_rv([req(0, 10, 0, 100)], view(em=2.0))
+        plan = plan_one([req(0, 10, 0, 100)], view(em=2.0))
         assert plan.profit_j == pytest.approx(100 - 20)
 
     def test_none_when_unaffordable(self):
-        assert plan_single_rv([req(0, 10, 0, 100)], view(budget=5.0)) is None
+        assert plan_one([req(0, 10, 0, 100)], view(budget=5.0)) is None
 
 
 class TestChained:
     def test_chains_until_list_empty(self):
         reqs = [req(i, 10.0 + i, 0, 20) for i in range(6)]
-        plan = plan_single_rv_chained(reqs, view())
+        plan = plan_one(reqs, view())
         assert len(plan.node_ids) == 6
         assert reqs == []  # consumed
 
     def test_chain_respects_budget(self):
         reqs = [req(0, 10, 0, 50), req(1, 90, 0, 50)]
         # Budget 70: serves node 0 (60) but cannot continue to node 1.
-        plan = plan_single_rv_chained(reqs, view(budget=70.0))
+        plan = plan_one(reqs, view(budget=70.0))
         assert plan.node_ids == (0,)
         assert [r.node_id for r in reqs] == [1]
 
     def test_empty_list(self):
-        assert plan_single_rv_chained([], view()) is None
+        assert plan_one([], view()) is None
 
 
 class TestInsertionScheduler:

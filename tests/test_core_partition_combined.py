@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.combined import CombinedScheduler
 from repro.core.insertion import InsertionScheduler
-from repro.core.partition import PartitionScheduler, partition_requests
+from oracles import partition_requests
+from repro.core.partition import PartitionScheduler
 from repro.core.requests import RechargeNodeList, RechargeRequest
 from repro.core.scheduling import RVView
 
@@ -19,6 +20,9 @@ def view(rv_id=0, pos=(0.0, 0.0), budget=1e9, em=1.0):
 
 
 class TestPartitionRequests:
+    """The K-means groups the Partition-Scheme plans over (its labels,
+    grouped by ``oracles.partition_requests``)."""
+
     def test_two_blobs_split(self, rng):
         positions = np.vstack(
             [rng.normal([0, 0], 0.5, size=(10, 2)), rng.normal([100, 100], 0.5, size=(10, 2))]

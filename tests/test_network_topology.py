@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import to_networkx
 from repro.network.topology import Topology
 
 
@@ -54,7 +55,7 @@ class TestTopology:
     def test_to_networkx_matches(self, rng):
         pts = rng.uniform(0, 20, size=(25, 2))
         topo = Topology(pts, comm_range=6.0, base_station=[10.0, 10.0])
-        g = topo.to_networkx()
+        g = to_networkx(topo)
         assert g.number_of_nodes() == 26
         assert g.number_of_edges() == topo.n_edges
         for u, v, data in g.edges(data=True):

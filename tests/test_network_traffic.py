@@ -1,30 +1,30 @@
-"""Unit tests for repro.network.traffic.
+"""The relay-load model on the routing tree.
 
-The loads are prefix-sum differences in DFS preorder, so they match a
-hop-by-hop accumulation to rounding: float comparisons carry explicit
-tolerances (``RTOL`` / ``ATOL``).
+Every active sensor originates one packet per reporting period, and
+each packet is forwarded hop by hop to the base station.  A sensor's
+relay load is the number of packets it forwards for others: the
+origins in its strict routing subtree.  The simulator reads it from
+the tree's ancestor table (:func:`repro.network.routing.ancestor_table`,
+gathered by :func:`repro.sim.soa.relay_counts`); these tests check it
+on hand-built trees and against a hop-by-hop walk.
 """
 
 import numpy as np
 import pytest
 
-from repro.network.routing import RoutingTree
+from repro.network.routing import RoutingTree, ancestor_table
 from repro.network.topology import Topology
-from repro.network.traffic import relay_rates, subtree_rates
-
-RTOL = 1e-12
-ATOL = 1e-12
+from repro.sim.soa import relay_counts
 
 
-def hop_by_hop(tree, rates):
-    """Reference loads: push every connected sensor's rate up its root
-    path, one hop at a time."""
-    through = np.zeros(len(tree.topology))
-    connected = tree.connected_mask()
-    for v in np.flatnonzero(connected):
+def hop_by_hop(tree, origins):
+    """Reference loads: push every connected origin's packet up its root
+    path, one hop at a time (the base is the last entry)."""
+    through = np.zeros(len(tree.topology), dtype=np.int64)
+    for v in np.flatnonzero(origins & tree.connected_mask()):
         u = v
         while u >= 0:
-            through[u] += rates[v]
+            through[u] += 1
             u = tree.parent[u]
     return through
 
@@ -36,74 +36,62 @@ def chain_tree(n=4):
     return RoutingTree(topo)
 
 
+def relay(tree, origins):
+    return relay_counts(origins, ancestor_table(tree.parent, tree.base, tree.n_sensors))
+
+
 class TestSubtreeRates:
     def test_chain_accumulates(self):
         tree = chain_tree(4)
-        rates = np.array([1.0, 1.0, 1.0, 1.0])
-        through = subtree_rates(tree, rates)
-        # Node 0 (nearest base) carries everything; base sees the total.
-        np.testing.assert_allclose(through[:4], [4.0, 3.0, 2.0, 1.0], rtol=RTOL, atol=ATOL)
-        assert through[4] == pytest.approx(4.0, rel=RTOL, abs=ATOL)
+        origins = np.ones(4, dtype=bool)
+        # Node 0 (nearest base) carries everything: its own packet plus
+        # the three it relays.
+        assert (relay(tree, origins) + origins).tolist() == [4, 3, 2, 1]
 
     def test_disconnected_sources_dropped(self):
         pts = np.array([[1.0, 0.0], [50.0, 0.0]])
         topo = Topology(pts, comm_range=1.5, base_station=[0.0, 0.0])
         tree = RoutingTree(topo)
-        through = subtree_rates(tree, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(through, [1.0, 0.0, 1.0], rtol=RTOL, atol=ATOL)
-
-    def test_shape_validation(self):
-        tree = chain_tree(3)
-        with pytest.raises(ValueError):
-            subtree_rates(tree, np.zeros(5))
-
-    def test_negative_rate_rejected(self):
-        tree = chain_tree(3)
-        with pytest.raises(ValueError):
-            subtree_rates(tree, np.array([-1.0, 0.0, 0.0]))
+        assert relay(tree, np.ones(2, dtype=bool)).tolist() == [0, 0]
 
 
 class TestRelayRates:
     def test_chain(self):
         tree = chain_tree(4)
-        relay = relay_rates(tree, np.ones(4))
-        np.testing.assert_allclose(relay, [3.0, 2.0, 1.0, 0.0], rtol=RTOL, atol=ATOL)
+        assert relay(tree, np.ones(4, dtype=bool)).tolist() == [3, 2, 1, 0]
 
     def test_leaf_relays_nothing(self):
         tree = chain_tree(5)
-        relay = relay_rates(tree, np.ones(5))
-        assert relay[-1] == pytest.approx(0.0, abs=ATOL)
+        assert relay(tree, np.ones(5, dtype=bool))[-1] == 0
 
     def test_conservation(self, rng):
         """Total delivered to base = total originated by connected sensors."""
         pts = rng.uniform(0, 40, size=(60, 2))
         topo = Topology(pts, comm_range=12.0, base_station=[20.0, 20.0])
         tree = RoutingTree(topo)
-        orig = rng.uniform(0, 2, size=60)
-        through = subtree_rates(tree, orig)
-        connected = tree.connected_mask()
-        assert through[tree.base] == pytest.approx(orig[connected].sum(), rel=RTOL)
+        origins = rng.random(60) < 0.5
+        load = relay(tree, origins)
+        last_hop = np.flatnonzero(tree.parent[:60] == tree.base)
+        delivered = int(load[last_hop].sum() + origins[last_hop].sum())
+        assert delivered == int((origins & tree.connected_mask()).sum())
 
     def test_nonnegative(self, rng):
         pts = rng.uniform(0, 40, size=(50, 2))
         topo = Topology(pts, comm_range=10.0, base_station=[20.0, 20.0])
         tree = RoutingTree(topo)
-        relay = relay_rates(tree, rng.uniform(0, 1, size=50))
-        assert np.all(relay >= 0)
+        assert np.all(relay(tree, rng.random(50) < 0.5) >= 0)
 
 
 class TestAgainstHopByHop:
     @pytest.mark.parametrize("comm_range", [6.0, 10.0, 16.0])
     def test_random_trees(self, rng, comm_range):
-        """Through and relay loads equal the hop-by-hop accumulation to
-        rounding, disconnected sensors included (they carry nothing)."""
+        """Relay loads equal the hop-by-hop accumulation minus each
+        connected origin's own packet, disconnected sensors included
+        (they carry nothing)."""
         pts = rng.uniform(0, 40, size=(80, 2))
         topo = Topology(pts, comm_range=comm_range, base_station=[20.0, 20.0])
         tree = RoutingTree(topo)
-        orig = rng.uniform(0, 2, size=80)
-        ref = hop_by_hop(tree, orig)
-        np.testing.assert_allclose(subtree_rates(tree, orig), ref, rtol=RTOL, atol=ATOL)
-        own = np.where(tree.connected_mask(), orig, 0.0)
-        np.testing.assert_allclose(
-            relay_rates(tree, orig), ref[:80] - own, rtol=RTOL, atol=ATOL
-        )
+        origins = rng.random(80) < 0.6
+        own = origins & tree.connected_mask()
+        want = hop_by_hop(tree, origins)[:80] - own
+        assert np.array_equal(relay(tree, origins), want)

@@ -12,13 +12,14 @@ from repro.core.erc import erc_travel_energy_bound, release_count_needed
 from repro.core.greedy import greedy_destination
 from repro.core.insertion import build_insertion_sequence
 from repro.core.mip import RechargeInstance, solve_exact_single_rv
-from repro.core.profit import node_profits
 from repro.core.requests import RechargeRequest, aggregate_by_cluster
 from repro.energy.battery import BatteryBank
-from repro.geometry.points import pairwise_distances, path_length
-from repro.tsp.nearest_neighbor import nearest_neighbor_order
-from repro.tsp.tour import open_tour_length, validate_tour
+from repro.geometry.points import distances_from, pairwise_distances
+from repro.tsp.nearest_neighbor import nearest_neighbor_from
+from repro.tsp.tour import leg_lengths, open_tour_length, validate_tour
 from repro.tsp.two_opt import two_opt
+
+import oracles
 
 coords = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -49,7 +50,7 @@ def test_pairwise_distances_metric_properties(pts):
 @given(points_strategy(min_n=1))
 @settings(max_examples=50, deadline=None)
 def test_nearest_neighbor_is_permutation(pts):
-    order = nearest_neighbor_order(pts, start=np.array([0.0, 0.0]))
+    order = nearest_neighbor_from(pts, np.array([0.0, 0.0]))
     validate_tour(order, len(pts))
 
 
@@ -106,7 +107,7 @@ def test_greedy_destination_is_argmax(pts, seed):
     demands = rng.uniform(0, 100, size=len(pts))
     rv = rng.uniform(0, 100, size=2)
     idx = greedy_destination(demands, pts, rv, 5.6)
-    profits = node_profits(demands, pts, rv, 5.6)
+    profits = oracles.profit_vector(demands, distances_from(rv, pts), 5.6)
     assert profits[idx] == profits.max()
 
 
@@ -124,7 +125,7 @@ def test_insertion_sequence_valid_and_within_budget(pts, seed):
     assert all(0 <= i < len(stops) for i in order)
     if order:
         pts_route = np.vstack([[50.0, 50.0]] + [stops[i].position for i in order])
-        cost = 5.6 * path_length(pts_route) + sum(stops[i].demand_j for i in order)
+        cost = 5.6 * float(leg_lengths(pts_route).sum()) + sum(stops[i].demand_j for i in order)
         assert cost <= budget + 1e-6
 
 
@@ -153,13 +154,13 @@ def test_battery_bank_invariants(n, cap, seed):
     bank = BatteryBank(n, capacity_j=cap)
     for _ in range(5):
         rates = rng.uniform(0, 1, size=n)
-        bank.drain_rates(rates, float(rng.uniform(0, cap)))
+        oracles.drain_rates(bank, rates, float(rng.uniform(0, cap)))
         assert np.all(bank.levels_j >= 0)
         assert np.all(bank.levels_j <= cap)
         idx = rng.integers(0, n, size=max(1, n // 2))
         bank.charge_to_full(idx)
         assert np.all(bank.levels_j[idx] == cap)
-        assert np.all(bank.demands_j >= 0)
+        assert np.all(cap - bank.levels_j >= 0)
 
 
 @given(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.combined import CombinedScheduler
 from repro.core.extensions import DeadlineAwareScheduler
-from repro.core.insertion import InsertionScheduler, plan_single_rv_chained
+from repro.core.insertion import InsertionScheduler
 from repro.core.partition import PartitionScheduler
 from repro.core.requests import RechargeNodeList, RechargeRequest
 from repro.core.scheduling import RVView
@@ -134,11 +134,12 @@ def test_deadline_matches_reaggregating_oracle(instance, urgency_age_s):
 @given(instances())
 def test_chained_plan_consumes_like_the_oracle(instance):
     requests, views = instance
-    got_left, want_left = list(requests), list(requests)
-    got = plan_single_rv_chained(got_left, views[0])
-    want = oracles.plan_single_rv_chained(want_left, views[0])
-    assert fingerprint({0: got} if got else {}) == fingerprint({0: want} if want else {})
-    assert [r.node_id for r in got_left] == [r.node_id for r in want_left]
+    rv = views[0]
+    got_left, want_left = RechargeNodeList(requests), list(requests)
+    got = InsertionScheduler().assign(got_left, [rv], np.random.default_rng(0))
+    want = oracles.plan_single_rv_chained(want_left, rv)
+    assert fingerprint(got) == fingerprint({rv.rv_id: want} if want else {})
+    assert got_left.node_ids.tolist() == [r.node_id for r in want_left]
 
 
 def _random_instance(rng):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.insertion import plan_single_rv
+from oracles import plan_single_rv
 from repro.core.mip import RechargeInstance, verify_routes
 from repro.core.requests import RechargeNodeList, RechargeRequest
 from repro.core.scheduling import RVView

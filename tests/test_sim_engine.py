@@ -32,15 +32,6 @@ class TestSimulator:
         sim.run_until(1.0)
         assert fired == [0, 1, 2, 3, 4]
 
-    def test_cancel(self):
-        sim = Simulator()
-        fired = []
-        h = sim.schedule(1.0, lambda: fired.append("x"))
-        sim.cancel(h)
-        assert h.cancelled
-        sim.run_until(2.0)
-        assert fired == []
-
     def test_schedule_in(self):
         sim = Simulator()
         fired = []
@@ -105,13 +96,6 @@ class TestSimulator:
         sim.schedule(1.0, tick)
         sim.run_until(100.0)
         assert count[0] == 5
-
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        h = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.cancel(h)
-        assert sim.peek_time() == 2.0
 
     def test_pending_events_in_firing_order(self):
         """Ties on (time, priority) list in insertion order, the order

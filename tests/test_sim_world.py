@@ -29,13 +29,13 @@ class TestWorldConstruction:
     def test_builds_consistent_state(self):
         w = World(tiny())
         assert w.state.sensor_pos.shape == (40, 2)
-        assert len(w.state.bank) == 40
+        assert w.state.bank.levels_j.shape == (40,)
         assert len(w.fleet.rvs) == 1
         assert len(w.state.cluster_set) == 3
 
     def test_initial_levels_in_range(self):
         w = World(tiny())
-        frac = w.state.bank.fractions
+        frac = w.state.bank.levels_j / w.state.bank.capacity_j
         assert np.all(frac >= 0.5 - 1e-9)
         assert np.all(frac <= 0.8 + 1e-9)
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.clustering import Cluster, ClusterSet
 from repro.core.erc import AdaptiveEnergyRequestController, EnergyRequestController
-from repro.network.routing import ancestor_table, subtree_index
+from repro.network.routing import ancestor_table
 from repro.registry import ACTIVATORS
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_simulation
@@ -288,7 +288,7 @@ class TestErcScanParity:
             world = World(SimulationConfig(**SMALL_CONFIG))
             s = world.state
             world.gate.erc = policy
-            below = rng.random(len(s.bank)) > 0.5
+            below = rng.random(len(s.bank.levels_j)) > 0.5
             s.bank.levels_j[:] = s.bank.capacity_j
             s.bank.levels_j[below] = 0.5 * s.bank.threshold_j
             listed = s.requested.copy()
@@ -358,10 +358,6 @@ class TestRelayParity:
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(2, 120))
         parent, reachable = random_forest(rng, n)
-        index = subtree_index(parent, n, n)
-        assert sorted(index.pre.tolist()) == np.flatnonzero(reachable).tolist()
-        assert np.all(index.tin[~reachable] == index.tout[~reachable])
-        assert np.all(index.tsub[~reachable] == 0)
         ancestors = ancestor_table(parent, n, n)
         assert np.all(ancestors[~reachable] == n)  # unrouted rows are pad only
         for _ in range(10):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.tsp.nearest_neighbor import nearest_neighbor_order
+from repro.tsp.nearest_neighbor import nearest_neighbor_from
 from repro.tsp.tour import open_tour_length, tour_length, validate_tour
 from repro.tsp.two_opt import two_opt
 
@@ -39,30 +39,30 @@ class TestTourLength:
 class TestNearestNeighbor:
     def test_line_visits_in_order(self):
         pts = np.column_stack([np.arange(5) * 1.0, np.zeros(5)])
-        assert nearest_neighbor_order(pts, start=[-1.0, 0.0]) == [0, 1, 2, 3, 4]
+        assert nearest_neighbor_from(pts, np.array([-1.0, 0.0])) == [0, 1, 2, 3, 4]
 
     def test_no_start_begins_at_zero(self):
         pts = np.array([[0, 0], [5, 0], [1, 0]], dtype=float)
-        order = nearest_neighbor_order(pts)
+        order = nearest_neighbor_from(pts, None)
         assert order[0] == 0
         assert order == [0, 2, 1]
 
     def test_is_permutation(self, rng):
         pts = rng.uniform(0, 10, size=(20, 2))
-        order = nearest_neighbor_order(pts, start=[0.0, 0.0])
+        order = nearest_neighbor_from(pts, np.zeros(2))
         validate_tour(order, 20)
 
     def test_empty(self):
-        assert nearest_neighbor_order(np.empty((0, 2))) == []
+        assert nearest_neighbor_from(np.empty((0, 2)), None) == []
 
     def test_single(self):
-        assert nearest_neighbor_order(np.array([[1.0, 1.0]])) == [0]
+        assert nearest_neighbor_from(np.array([[1.0, 1.0]]), None) == [0]
 
     def test_within_factor_of_optimal_small(self, rng):
         """NN on 7 cities: never worse than 2x the optimal open path."""
         pts = rng.uniform(0, 10, size=(7, 2))
         start = np.array([0.0, 0.0])
-        nn = nearest_neighbor_order(pts, start=start)
+        nn = nearest_neighbor_from(pts, start)
         nn_len = open_tour_length(np.vstack([start, pts]), [0] + [i + 1 for i in nn])
         best = min(
             open_tour_length(np.vstack([start, pts]), [0] + [i + 1 for i in perm])
